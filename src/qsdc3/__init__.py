@@ -7,7 +7,7 @@ that checks the protocol's detection-probability claims against analytic
 enumeration.
 """
 
-from .backend import active_backend, set_backend
+from .backend import active_backend
 from .states import (
     AMP_ATOL,
     Basis,
@@ -54,7 +54,6 @@ from .adversary import (
     ChannelSegment,
     EveRecord,
     analytic_detection_probability,
-    attack_decoy,
     attack_transit,
 )
 from .harness import (

@@ -36,6 +36,7 @@ from .states import (
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
     bell_state,
+    check_coupling,
     collapse_outcome,
     decoy_basis_and_bit,
     measure_ancilla_and_discard,
@@ -43,8 +44,6 @@ from .states import (
     outcome_probabilities,
     prepare_decoy,
 )
-
-COEFF_NORM_ATOL = 1e-9
 
 # Branches lighter than this carry no probability worth following.
 _WEIGHT_FLOOR = 1e-15
@@ -90,13 +89,9 @@ class AttackModel:
             if self.pauli not in (Pauli.X, Pauli.Z):
                 raise ValueError("disturbance carries exactly one of the X or Z flips")
         if self.kind is AttackKind.ENTANGLE_MEASURE:
-            alpha = complex(self.alpha)
-            beta = complex(self.beta)
+            alpha, beta = check_coupling(self.alpha, self.beta)
             object.__setattr__(self, "alpha", alpha)
             object.__setattr__(self, "beta", beta)
-            norm = abs(alpha) ** 2 + abs(beta) ** 2
-            if abs(norm - 1.0) > COEFF_NORM_ATOL:
-                raise ValueError("|alpha|^2 + |beta|^2 must equal 1, got %.12g" % norm)
         if not 0.0 <= self.attack_probability <= 1.0:
             raise ValueError("attack_probability must lie in [0, 1]")
 
@@ -145,11 +140,16 @@ class EveRecord:
     basis: Basis | None = None
     outcome: int | None = None
     ancilla_outcome: int | None = None
-    guessed_message_bit: int | None = None
 
 
-def _apply_attack(model, segment, state, rng):
-    """Shared attack core; returns (state, record-or-None)."""
+def attack_transit(model, segment, state, rng):
+    """Eve's action on a flying qubit crossing a segment.
+
+    The qubit is an entangled pair's transit qubit, or a lone decoy on the
+    C->A segment.  Identity when the segment is not covered by the model;
+    otherwise applies the model's strategy.  Returns ``(state, record)``,
+    with ``record`` None when Eve did not act.
+    """
     if model.kind is AttackKind.NONE or segment not in model.segments:
         return state, None
     if model.attack_probability < 1.0 and rng.random() >= model.attack_probability:
@@ -174,20 +174,6 @@ def _apply_attack(model, segment, state, rng):
     return state, EveRecord(-1, segment, model.kind)
 
 
-def attack_transit(model, segment, state, rng):
-    """Eve's action on the entangled pair's transit qubit crossing a segment.
-
-    Identity when the segment is not covered by the model; otherwise applies
-    the model's strategy and reports what Eve recorded.
-    """
-    return _apply_attack(model, segment, state, rng)
-
-
-def attack_decoy(model, state, rng):
-    """Eve's action on a lone decoy qubit crossing the C->A segment."""
-    return _apply_attack(model, ChannelSegment.C_TO_A, state, rng)
-
-
 class Eavesdropper:
     """Bookkeeping wrapper used by the round engine: applies the model to
     each flying qubit and logs one record per action."""
@@ -202,14 +188,6 @@ class Eavesdropper:
             record.round_index = round_index
             self.records.append(record)
             touched.append(segment)
-        return state
-
-    def intercept_decoy(self, state, rng, round_index, touched):
-        state, record = attack_decoy(self.model, state, rng)
-        if record is not None:
-            record.round_index = round_index
-            self.records.append(record)
-            touched.append(ChannelSegment.C_TO_A)
         return state
 
     def resolve_probe(self, state, rng):
@@ -227,7 +205,8 @@ class Eavesdropper:
 # ---------------------------------------------------------------------------
 # Exact detection probabilities by enumeration.
 
-_CHECK_PATHS = {
+# The segments each check's quantum path crosses, in order.
+CHECK_PATHS = {
     "ab_check": (ChannelSegment.A_TO_B,),
     "ca_check": (ChannelSegment.A_TO_B, ChannelSegment.B_TO_C),
     "decoy_check": (ChannelSegment.C_TO_A,),
@@ -313,9 +292,9 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     if model.kind is AttackKind.NONE:
         raise ValueError("detection probability is defined for active attacks only")
     kind_value = check_kind.value if isinstance(check_kind, _protocol.RoundKind) else check_kind
-    if kind_value not in _CHECK_PATHS:
+    if kind_value not in CHECK_PATHS:
         raise ValueError("%r is not a check round kind" % (check_kind,))
-    path = _CHECK_PATHS[kind_value]
+    path = CHECK_PATHS[kind_value]
 
     if kind_value == "decoy_check":
         if decoy_family is Basis.Z:

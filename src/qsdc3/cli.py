@@ -10,10 +10,11 @@ Subcommands:
 * ``demo``   - print a human-readable round-by-round trace of one small
                unattacked run.
 
-Exit codes: 0 success, 2 invalid configuration, 3 protocol aborted (an
-eavesdropper was detected under the strict policy), 4 internal invariant
-violation.  The same invocation with the same seed produces byte-identical
-report files.
+Exit codes: 0 success, 2 invalid configuration (including a schedule that
+leaves too few message rounds to deliver the bits within the round budget),
+3 protocol aborted (an eavesdropper was detected under the strict policy),
+4 internal invariant violation.  The same invocation with the same seed
+produces byte-identical report files.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import logging
 import sys
 
 from .adversary import AttackModel, ChannelSegment
-from .backend import active_backend
 from .harness import (
     ExperimentAborted,
     ExperimentConfig,
@@ -37,6 +37,7 @@ from .harness import (
 from .protocol import (
     AbortPolicy,
     MessageTriple,
+    RoundBudgetExceeded,
     RoundKind,
     SchedulePolicy,
     run_protocol,
@@ -91,6 +92,37 @@ def _reject_unknown(mapping, allowed, context):
             raise ConfigError("unknown %s key '%s'" % (context, key))
 
 
+def _integer(value, name, minimum):
+    # JSON true/false arrive as bool, a subclass of int: reject them too.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("field '%s' must be an integer, got %r" % (name, value))
+    if value < minimum:
+        raise ConfigError("field '%s' must be >= %d, got %d" % (name, minimum, value))
+    return value
+
+
+def _number(value, name):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError("field '%s' must be a number, got %r" % (name, value))
+    return value
+
+
+def _parse_schedule(data, defaults):
+    """The schedule fields of a run or sweep config, ``defaults`` in order."""
+    names = ("p_ab_check", "p_bob_cm", "p_charlie_cm")
+    probs = [_number(data.get(name, d), name) for name, d in zip(names, defaults)]
+    try:
+        schedule = SchedulePolicy(*probs)
+    except ValueError as exc:
+        raise ConfigError("invalid schedule: %s" % exc) from None
+    p_message = (
+        (1.0 - schedule.p_ab_check) * (1.0 - schedule.p_bob_cm) * (1.0 - schedule.p_charlie_cm)
+    )
+    if p_message == 0.0:
+        raise ConfigError("invalid schedule: a probability of 1 leaves no round for a message bit")
+    return schedule
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -111,9 +143,12 @@ def parse_attack(spec):
         raise ConfigError("field 'attack' must be an object")
     _reject_unknown(spec, _ATTACK_KEYS, "attack")
     kind = spec.get("kind", "none")
-    prob = spec.get("attack_probability", 1.0)
+    prob = _number(spec.get("attack_probability", 1.0), "attack.attack_probability")
+    names = spec.get("segments", [])
+    if not isinstance(names, list):
+        raise ConfigError("field 'attack.segments' must be a list")
     try:
-        segments = frozenset(_SEGMENTS[s] for s in spec.get("segments", ()))
+        segments = frozenset(_SEGMENTS[s] for s in names)
     except (KeyError, TypeError):
         raise ConfigError(
             "field 'attack.segments' entries must be one of %s"
@@ -132,9 +167,8 @@ def parse_attack(spec):
         if kind == "entangle_measure":
             if "beta_sq" not in spec:
                 raise ConfigError("field 'attack.beta_sq' is required for entangle_measure")
-            return AttackModel.entangle_measure(
-                spec["beta_sq"], *segments, attack_probability=prob
-            )
+            beta_sq = _number(spec["beta_sq"], "attack.beta_sq")
+            return AttackModel.entangle_measure(beta_sq, *segments, attack_probability=prob)
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
@@ -144,14 +178,7 @@ def parse_attack(spec):
 
 def parse_run_config(data, seed_override=None):
     _reject_unknown(data, _RUN_KEYS, "config")
-    try:
-        schedule = SchedulePolicy(
-            p_ab_check=data.get("p_ab_check", 0.25),
-            p_bob_cm=data.get("p_bob_cm", 0.25),
-            p_charlie_cm=data.get("p_charlie_cm", 0.25),
-        )
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("invalid schedule: %s" % exc) from None
+    schedule = _parse_schedule(data, (0.25, 0.25, 0.25))
     policy_name = data.get("abort_policy", "record_and_continue")
     try:
         policy = AbortPolicy(policy_name)
@@ -160,19 +187,14 @@ def parse_run_config(data, seed_override=None):
             "field 'abort_policy' must be 'strict' or 'record_and_continue'"
         ) from None
     seed = seed_override if seed_override is not None else data.get("seed", 0)
-    try:
-        return ExperimentConfig(
-            message_length=int(data.get("message_length", 64)),
-            trials=int(data.get("trials", 10)),
-            schedule=schedule,
-            attack=parse_attack(data.get("attack")),
-            abort_policy=policy,
-            seed=int(seed),
-        )
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError("invalid config: %s" % exc) from None
+    return ExperimentConfig(
+        message_length=_integer(data.get("message_length", 64), "message_length", 1),
+        trials=_integer(data.get("trials", 10), "trials", 1),
+        schedule=schedule,
+        attack=parse_attack(data.get("attack")),
+        abort_policy=policy,
+        seed=_integer(seed, "seed", 0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +324,7 @@ def _emit(text, out_path):
 
 def cmd_run(args):
     config = parse_run_config(_load_json(args.config), args.seed)
-    log.info("running %d trial(s) on the %s backend", config.trials, active_backend())
+    log.info("running %d trial(s)", config.trials)
     aborted = None
     try:
         result = run_experiment(config)
@@ -359,25 +381,25 @@ def cmd_sweep(args):
     if not isinstance(grid, list) or not grid:
         raise ConfigError("field 'grid' must be a non-empty list of |beta|^2 values")
     for value in grid:
-        if not isinstance(value, (int, float)) or not 0.0 <= float(value) <= 1.0:
+        if not 0.0 <= _number(value, "grid") <= 1.0:
             raise ConfigError("field 'grid' values must lie in [0, 1], got %r" % (value,))
-    kinds = tuple(data.get("check_kinds", ("ab_check", "decoy_check")))
-    seed = args.seed if args.seed is not None else data.get("seed", 0)
+    kinds = data.get("check_kinds", ["ab_check", "decoy_check"])
+    if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) for k in kinds):
+        raise ConfigError("field 'check_kinds' must be a non-empty list of strings")
+    schedule = _parse_schedule(data, (0.25, 0.1, 0.4))
+    message_length = _integer(data.get("message_length", 128), "message_length", 1)
+    trials = _integer(data.get("trials", 140), "trials", 1)
+    seed = _integer(args.seed if args.seed is not None else data.get("seed", 0), "seed", 0)
     try:
-        schedule = SchedulePolicy(
-            p_ab_check=data.get("p_ab_check", 0.25),
-            p_bob_cm=data.get("p_bob_cm", 0.1),
-            p_charlie_cm=data.get("p_charlie_cm", 0.4),
-        )
         points = entangle_measure_curve(
             grid,
             check_kinds=kinds,
-            message_length=int(data.get("message_length", 128)),
-            trials=int(data.get("trials", 140)),
+            message_length=message_length,
+            trials=trials,
             schedule=schedule,
-            seed=int(seed),
+            seed=seed,
         )
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise ConfigError("invalid sweep config: %s" % exc) from None
     if args.format == "json":
         text = render_json({"curve": [p.to_dict() for p in points]})
@@ -439,7 +461,7 @@ def cmd_demo(args):
 
     if not 1 <= args.rounds <= 16:
         raise ConfigError("demo size must be between 1 and 16 message bits")
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(_integer(args.seed, "seed", 0))
     messages = MessageTriple.random(args.rounds, rng)
     result = run_protocol(messages, SchedulePolicy(), rng)
     print(
@@ -504,6 +526,9 @@ def main(argv=None):
         return args.func(args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except RoundBudgetExceeded as exc:
+        print("config error: the schedule leaves too few message rounds: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     except AssertionError as exc:
         print("internal invariant violation: %s" % exc, file=sys.stderr)

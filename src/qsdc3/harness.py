@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
 
 from .adversary import (
+    CHECK_PATHS,
     AttackKind,
     AttackModel,
     ChannelSegment,
@@ -37,15 +38,8 @@ from .protocol import (
 )
 from .states import Basis
 
-_CHECK_KINDS = ("ab_check", "ca_check", "decoy_check")
+_CHECK_KINDS = tuple(CHECK_PATHS)
 _Z_DECOYS = ("0", "1")
-
-# Segments whose attack can disturb a given check's quantum path.
-_CHECK_SEGMENTS = {
-    "ab_check": {ChannelSegment.A_TO_B},
-    "ca_check": {ChannelSegment.A_TO_B, ChannelSegment.B_TO_C},
-    "decoy_check": {ChannelSegment.C_TO_A},
-}
 
 
 def wilson_interval(failures, n, z=1.96):
@@ -143,16 +137,7 @@ class CheckStats:
         return cls(run, failed, phat, lo, hi, analytic, claim, z)
 
     def to_dict(self):
-        return {
-            "checks_run": self.checks_run,
-            "checks_failed": self.checks_failed,
-            "detection_probability": self.detection_probability,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "analytic_probability": self.analytic_probability,
-            "paper_claim": self.paper_claim,
-            "z_score": self.z_score,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -182,14 +167,7 @@ class LeakageReport:
     mi_xor_announced_vs_xor_secret: float | None
 
     def to_dict(self):
-        return {
-            "rounds_audited": self.rounds_audited,
-            "xor_identity_fraction": self.xor_identity_fraction,
-            "mi_announcement_vs_alice": self.mi_announcement_vs_alice,
-            "mi_announcement_vs_bob": self.mi_announcement_vs_bob,
-            "mi_announcement_vs_charlie": self.mi_announcement_vs_charlie,
-            "mi_xor_announced_vs_xor_secret": self.mi_xor_announced_vs_xor_secret,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -201,7 +179,7 @@ class FidelityReport:
     charlie: float | None
 
     def to_dict(self):
-        return {"alice": self.alice, "bob": self.bob, "charlie": self.charlie}
+        return asdict(self)
 
 
 @dataclass
@@ -214,12 +192,7 @@ class EveStats:
     probe_flip_frequency: float | None
 
     def to_dict(self):
-        return {
-            "actions": self.actions,
-            "probe_measurements": self.probe_measurements,
-            "probe_flip_count": self.probe_flip_count,
-            "probe_flip_frequency": self.probe_flip_frequency,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -342,7 +315,7 @@ class _Aggregator:
         if attack.kind is AttackKind.NONE:
             return 0.0
         base = kind if not kind.startswith("decoy_check_") else "decoy_check"
-        if not attack.segments & _CHECK_SEGMENTS[base]:
+        if attack.segments.isdisjoint(CHECK_PATHS[base]):
             return 0.0
         return analytic_detection_probability(attack, base, decoy_family)
 
@@ -552,16 +525,7 @@ class CurvePoint:
     checks_failed: int
 
     def to_dict(self):
-        return {
-            "check_kind": self.check_kind,
-            "parameter": self.parameter,
-            "analytic": self.analytic,
-            "sampled": self.sampled,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "checks_run": self.checks_run,
-            "checks_failed": self.checks_failed,
-        }
+        return asdict(self)
 
 
 def detection_curve(

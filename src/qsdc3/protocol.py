@@ -216,7 +216,7 @@ def decode_charlie(x, y, k):
     return y ^ k, x ^ y ^ k
 
 
-def _correlation_check(state, rng):
+def _correlation_check(state, rng, transcript, round_index, check):
     """Shared core of the A-B and C-A channel checks.
 
     The holder of the transit qubit picks a uniformly random basis and
@@ -230,7 +230,17 @@ def _correlation_check(state, rng):
         passed = checker_bit != alice_bit
     else:
         passed = checker_bit == alice_bit
-    return basis, checker_bit, alice_bit, passed, state
+    if transcript is not None:
+        transcript.add(
+            round_index,
+            "check_disclosure",
+            check=check,
+            basis=basis.name,
+            checker_outcome=checker_bit,
+            alice_outcome=alice_bit,
+        )
+        transcript.add(round_index, "check_verdict", check=check, passed=passed)
+    return passed, state
 
 
 def run_ab_check(state, rng, transcript=None, round_index=0):
@@ -239,18 +249,7 @@ def run_ab_check(state, rng, transcript=None, round_index=0):
     Returns (passed, post-measurement state); discloses basis and outcomes
     on the transcript when one is given.
     """
-    basis, bob_bit, alice_bit, passed, state = _correlation_check(state, rng)
-    if transcript is not None:
-        transcript.add(
-            round_index,
-            "check_disclosure",
-            check="ab",
-            basis=basis.name,
-            checker_outcome=bob_bit,
-            alice_outcome=alice_bit,
-        )
-        transcript.add(round_index, "check_verdict", check="ab", passed=passed)
-    return passed, state
+    return _correlation_check(state, rng, transcript, round_index, "ab")
 
 
 def run_ca_check(state, rng, transcript=None, round_index=0):
@@ -259,18 +258,7 @@ def run_ca_check(state, rng, transcript=None, round_index=0):
     Identical correlation test to :func:`run_ab_check`, run between
     Charlie (transit) and Alice (home).
     """
-    basis, charlie_bit, alice_bit, passed, state = _correlation_check(state, rng)
-    if transcript is not None:
-        transcript.add(
-            round_index,
-            "check_disclosure",
-            check="ca",
-            basis=basis.name,
-            checker_outcome=charlie_bit,
-            alice_outcome=alice_bit,
-        )
-        transcript.add(round_index, "check_verdict", check="ca", passed=passed)
-    return passed, state
+    return _correlation_check(state, rng, transcript, round_index, "ca")
 
 
 def run_decoy_check(decoy, received, rng, transcript=None, round_index=0):
@@ -357,7 +345,9 @@ def _run_round(round_index, n, messages, schedule, eve, rng, transcript):
         eve.resolve_probe(pair, rng)
         decoy_label = _DECOY_LABELS[int(rng.integers(0, 4))]
         decoy = prepare_decoy(decoy_label)
-        decoy = eve.intercept_decoy(decoy, rng, round_index, touched)
+        decoy = eve.intercept_transit(
+            adversary.ChannelSegment.C_TO_A, decoy, rng, round_index, touched
+        )
         transcript.add(round_index, "charlie_mode", mode="CM")
         transcript.add(round_index, "decoy_reveal", state=decoy_label.value)
         passed, decoy = run_decoy_check(decoy_label, decoy, rng, transcript, round_index)

@@ -264,6 +264,20 @@ def bell_measure(state, rng):
     return label, _BELL_STATES[(label.flip, label.phase)]
 
 
+def check_coupling(alpha, beta):
+    """The probe coupling's coefficients as complex numbers.
+
+    Raises ``ValueError`` unless |alpha|^2 + |beta|^2 = 1, which is what
+    makes the coupling unitary.
+    """
+    alpha = complex(alpha)
+    beta = complex(beta)
+    coeff_norm = alpha.real**2 + alpha.imag**2 + beta.real**2 + beta.imag**2
+    if abs(coeff_norm - 1.0) > COEFF_NORM_ATOL:
+        raise ValueError("|alpha|^2 + |beta|^2 must be 1, got %.12g" % coeff_norm)
+    return alpha, beta
+
+
 def attach_ancilla_and_entangle(state, alpha, beta):
     """Couple a fresh two-level probe to the transit qubit.
 
@@ -273,13 +287,7 @@ def attach_ancilla_and_entangle(state, alpha, beta):
     """
     if state.has_ancilla:
         raise ValueError("state already carries a probe qubit")
-    alpha = complex(alpha)
-    beta = complex(beta)
-    coeff_norm = alpha.real**2 + alpha.imag**2 + beta.real**2 + beta.imag**2
-    if abs(coeff_norm - 1.0) > COEFF_NORM_ATOL:
-        raise ValueError(
-            "|alpha|^2 + |beta|^2 must be 1, got %.12g" % coeff_norm
-        )
+    alpha, beta = check_coupling(alpha, beta)
     pos = state.position(Subsystem.TRANSIT)
     amps = _k.attach_ancilla(state.amps, pos, alpha, beta)
     return JointState(amps, state.subsystems + (Subsystem.ANCILLA,))

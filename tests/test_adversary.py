@@ -9,7 +9,6 @@ from qsdc3.adversary import (
     ChannelSegment,
     Eavesdropper,
     analytic_detection_probability,
-    attack_decoy,
     attack_transit,
     paper_claimed_detection,
 )
@@ -113,19 +112,19 @@ class TestAttackTransit:
 class TestAttackDecoy:
     def test_probe_on_plus_factorizes(self, rng):
         model = AttackModel.entangle_measure(0.64, CA)
-        state, _ = attack_decoy(model, prepare_decoy(DecoyState.PLUS), rng)
+        state, _ = attack_transit(model, CA, prepare_decoy(DecoyState.PLUS), rng)
         assert amps_close(state, (0.6 * RH, 0.8 * RH, 0.6 * RH, 0.8 * RH))
 
     def test_probe_on_zero_entangles(self, rng):
         model = AttackModel.entangle_measure(0.64, CA)
-        state, _ = attack_decoy(model, prepare_decoy(DecoyState.ZERO), rng)
+        state, _ = attack_transit(model, CA, prepare_decoy(DecoyState.ZERO), rng)
         assert amps_close(state, (0.6, 0, 0, 0.8))
 
     def test_phase_disturbance_is_invisible_on_z_decoys(self, rng):
         model = AttackModel.disturbance(Pauli.Z, CA)
-        state, _ = attack_decoy(model, prepare_decoy(DecoyState.ZERO), rng)
+        state, _ = attack_transit(model, CA, prepare_decoy(DecoyState.ZERO), rng)
         assert amps_close(state, (1, 0))
-        state, _ = attack_decoy(model, prepare_decoy(DecoyState.PLUS), rng)
+        state, _ = attack_transit(model, CA, prepare_decoy(DecoyState.PLUS), rng)
         assert amps_close(state, (RH, -RH))  # |+> flipped to |->: always caught
 
 

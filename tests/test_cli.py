@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -139,6 +143,63 @@ class TestConfigErrors:
         assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG
         assert "abort_policy" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, payload, extra, field",
+        [
+            ("run", {"p_ab_check": 1.0}, [], "schedule"),
+            ("run", {"p_charlie_cm": 1}, [], "schedule"),
+            ("run", {"p_ab_check": 0.9999}, [], "schedule"),
+            ("run", {"seed": -1}, [], "seed"),
+            ("run", {}, ["--seed", "-1"], "seed"),
+            ("run", {"trials": True}, [], "trials"),
+            ("run", {"message_length": 2.7}, [], "message_length"),
+            ("run", {"p_ab_check": "0.5"}, [], "p_ab_check"),
+            (
+                "run",
+                {"attack": {"kind": "entangle_measure", "segments": ["a_to_b"], "beta_sq": True}},
+                [],
+                "beta_sq",
+            ),
+            (
+                "run",
+                {"attack": {"kind": "intercept_resend", "segments": {"a_to_b": 1}}},
+                [],
+                "segments",
+            ),
+            ("sweep", {"grid": [0.5], "check_kinds": "ab_check"}, [], "check_kinds"),
+            ("sweep", {"grid": [True]}, [], "grid"),
+            ("sweep", {"grid": [0.5], "p_bob_cm": 1.0}, [], "schedule"),
+        ],
+        ids=[
+            "p_ab_check_one",
+            "p_charlie_cm_one",
+            "round_budget_exhausted",
+            "negative_seed",
+            "negative_seed_flag",
+            "bool_trials",
+            "fractional_message_length",
+            "string_probability",
+            "bool_beta_sq",
+            "segments_object",
+            "sweep_check_kinds_string",
+            "sweep_bool_grid_value",
+            "sweep_p_bob_cm_one",
+        ],
+    )
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, command, payload, extra, field):
+        path = write_config(tmp_path, dict({"message_length": 2, "trials": 1}, **payload))
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-m", "qsdc3", command, "--config", path, *extra],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert done.returncode == cli.EXIT_CONFIG, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("config error") and field in done.stderr, done.stderr
+
 
 class TestOracle:
     def test_prints_eight_rows_and_passes(self, capsys):
@@ -211,3 +272,7 @@ class TestDemo:
 
     def test_rejects_oversized_demo(self, capsys):
         assert cli.main(["demo", "-n", "17"]) == cli.EXIT_CONFIG
+
+    def test_rejects_negative_seed(self, capsys):
+        assert cli.main(["demo", "--seed", "-1"]) == cli.EXIT_CONFIG
+        assert "seed" in capsys.readouterr().err

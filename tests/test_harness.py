@@ -1,9 +1,11 @@
+import hashlib
 import json
 import math
 
 import pytest
 
 from qsdc3.adversary import AttackModel, ChannelSegment
+from qsdc3.cli import render_json
 from qsdc3.harness import (
     ExperimentAborted,
     ExperimentConfig,
@@ -240,3 +242,42 @@ class TestConfigValidation:
         payload = config.to_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["attack"]["beta_sq"] == pytest.approx(0.5)
+
+
+class TestPinnedReports:
+    """Report bytes pinned to sha256 digests, so that a refactor which moves
+    a random draw, a transcript event or a report field is caught exactly."""
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                ExperimentConfig(message_length=16, trials=4, seed=1),
+                "206461afa1b0ab836a6e9a3548161930f88c1ac25be4a65ca265b0d52c81ab24",
+            ),
+            (
+                ExperimentConfig(
+                    message_length=16,
+                    trials=4,
+                    schedule=SchedulePolicy(0.5, 0.25, 0.25),
+                    attack=AttackModel.intercept_resend(AB),
+                    seed=2,
+                ),
+                "3558889e1eccb1a5c6fae3a28e13d6fc2488714c78e78a1c837723a8d296662f",
+            ),
+            (
+                ExperimentConfig(
+                    message_length=16,
+                    trials=4,
+                    schedule=SchedulePolicy(0.25, 0.1, 0.4),
+                    attack=AttackModel.entangle_measure(0.5, AB, CA),
+                    seed=3,
+                ),
+                "d42343650e4d28e7f3cdb3c761d8af5523783f7dd569e85e9cc87dd55fc11eb3",
+            ),
+        ],
+        ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"],
+    )
+    def test_report_digest(self, config, digest):
+        text = render_json(run_experiment(config).to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -300,3 +300,7 @@ class TestJointStateInvariants:
         # on the home side.
         post = collapse_outcome(bell_state((0, 0)), Subsystem.TRANSIT, Basis.Z, 1)
         assert amps_close(post, (0, 1, 0, 0))
+
+    def test_zero_probability_collapse_raises(self):
+        with pytest.raises(ValueError, match="zero-probability"):
+            collapse_outcome(prepare_decoy(DecoyState.ZERO), Subsystem.TRANSIT, Basis.Z, 1)
