@@ -26,6 +26,7 @@ import json
 import logging
 import sys
 
+from . import backend
 from .adversary import AttackModel, ChannelSegment
 from .harness import (
     ExperimentAborted,
@@ -70,7 +71,14 @@ _RUN_KEYS = {
     "abort_policy",
     "seed",
 }
-_ATTACK_KEYS = {"kind", "segments", "pauli", "beta_sq", "attack_probability"}
+# The keys each attack kind reads; a key another kind reads is an error here.
+_ATTACK_KIND_KEYS = {
+    "none": {"kind"},
+    "intercept_resend": {"kind", "segments", "attack_probability"},
+    "disturbance": {"kind", "segments", "pauli", "attack_probability"},
+    "entangle_measure": {"kind", "segments", "beta_sq", "attack_probability"},
+}
+_ATTACK_KEYS = set().union(*_ATTACK_KIND_KEYS.values())
 _SWEEP_KEYS = {
     "grid",
     "check_kinds",
@@ -143,6 +151,11 @@ def parse_attack(spec):
         raise ConfigError("field 'attack' must be an object")
     _reject_unknown(spec, _ATTACK_KEYS, "attack")
     kind = spec.get("kind", "none")
+    if not isinstance(kind, str) or kind not in _ATTACK_KIND_KEYS:
+        raise ConfigError("field 'attack.kind' has unknown value %r" % (kind,))
+    for key in spec:
+        if key not in _ATTACK_KIND_KEYS[kind]:
+            raise ConfigError("field 'attack.%s' is not used by attack kind '%s'" % (key, kind))
     prob = _number(spec.get("attack_probability", 1.0), "attack.attack_probability")
     names = spec.get("segments", [])
     if not isinstance(names, list):
@@ -161,7 +174,7 @@ def parse_attack(spec):
             return AttackModel.intercept_resend(*segments, attack_probability=prob)
         if kind == "disturbance":
             pauli = spec.get("pauli", "X")
-            if pauli not in _PAULIS:
+            if not isinstance(pauli, str) or pauli not in _PAULIS:
                 raise ConfigError("field 'attack.pauli' must be 'X' or 'Z'")
             return AttackModel.disturbance(_PAULIS[pauli], *segments, attack_probability=prob)
         if kind == "entangle_measure":
@@ -173,7 +186,6 @@ def parse_attack(spec):
         raise
     except (ValueError, TypeError) as exc:
         raise ConfigError("invalid attack: %s" % exc) from None
-    raise ConfigError("field 'attack.kind' has unknown value %r" % (kind,))
 
 
 def parse_run_config(data, seed_override=None):
@@ -311,11 +323,26 @@ def parse_curve_csv(text):
 
 def _emit(text, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError("cannot write report file: %s" % exc) from None
         log.info("wrote %s", out_path)
     else:
         sys.stdout.write(text)
+
+
+def _log_kernel_caches():
+    for name, info in backend.cache_info().items():
+        log.debug(
+            "kernel cache %s: hits=%d misses=%d currsize=%d maxsize=%d",
+            name,
+            info.hits,
+            info.misses,
+            info.currsize,
+            info.maxsize,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +358,7 @@ def cmd_run(args):
     except ExperimentAborted as exc:
         result = exc.partial
         aborted = exc
+    _log_kernel_caches()
     report = result.to_dict()
     text = render_json(report) if args.format == "json" else render_report_csv(report)
     _emit(text, args.out)
@@ -401,6 +429,7 @@ def cmd_sweep(args):
         )
     except ValueError as exc:
         raise ConfigError("invalid sweep config: %s" % exc) from None
+    _log_kernel_caches()
     if args.format == "json":
         text = render_json({"curve": [p.to_dict() for p in points]})
     else:
@@ -529,6 +558,13 @@ def main(argv=None):
         return EXIT_CONFIG
     except RoundBudgetExceeded as exc:
         print("config error: the schedule leaves too few message rounds: %s" % exc, file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError:
+        print(
+            "config error: not enough memory for this configuration"
+            " (is message_length or trials too large?)",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG
     except AssertionError as exc:
         print("internal invariant violation: %s" % exc, file=sys.stderr)

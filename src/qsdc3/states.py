@@ -57,8 +57,14 @@ class Subsystem(Enum):
     ANCILLA = "ancilla"
 
 
-# Canonical register order; JointState.subsystems must follow it.
-_SUBSYSTEM_ORDER = (Subsystem.HOME, Subsystem.TRANSIT, Subsystem.ANCILLA)
+# The legal registers: the transit qubit, optionally preceded by the home
+# qubit and followed by the probe, in (home, transit, ancilla) order.
+_REGISTERS = (
+    (Subsystem.HOME, Subsystem.TRANSIT),
+    (Subsystem.HOME, Subsystem.TRANSIT, Subsystem.ANCILLA),
+    (Subsystem.TRANSIT,),
+    (Subsystem.TRANSIT, Subsystem.ANCILLA),
+)
 
 
 class DecoyState(Enum):
@@ -92,6 +98,16 @@ class JointState:
 
     Immutable: every operation returns a new value, so states are safe to
     share across threads.
+
+    Construction converts ``subsystems`` to a tuple and every amplitude to
+    ``complex``, then checks, in this order, that the register contains the
+    transit qubit; that it is one of the four legal registers (transit;
+    home, transit; transit, ancilla; home, transit, ancilla); that there are
+    ``2 ** len(subsystems)`` amplitudes; and that the squared norm is within
+    ``NORM_ATOL`` of 1 (a NaN or infinite amplitude fails this check).
+    Each check raises ``ValueError``.  The work is constant-time: the
+    register is matched against a fixed tuple and the squared norm comes
+    from the memoised ``norm_sq`` kernel.
     """
 
     amps: tuple
@@ -99,20 +115,19 @@ class JointState:
 
     def __post_init__(self):
         subsystems = tuple(self.subsystems)
-        amps = tuple(complex(a) for a in self.amps)
+        amps = tuple(map(complex, self.amps))
         object.__setattr__(self, "subsystems", subsystems)
         object.__setattr__(self, "amps", amps)
-        if not subsystems or Subsystem.TRANSIT not in subsystems:
-            raise ValueError("a round state always contains the transit qubit")
-        ordered = tuple(s for s in _SUBSYSTEM_ORDER if s in subsystems)
-        if subsystems != ordered or len(set(subsystems)) != len(subsystems):
+        if subsystems not in _REGISTERS:
+            if Subsystem.TRANSIT not in subsystems:
+                raise ValueError("a round state always contains the transit qubit")
             raise ValueError("subsystems must be unique and in (home, transit, ancilla) order")
         if len(amps) != 1 << len(subsystems):
             raise ValueError(
                 "amplitude count %d does not match %d qubit(s)" % (len(amps), len(subsystems))
             )
         err = abs(_k.norm_sq(amps) - 1.0)
-        if err > NORM_ATOL:
+        if not err <= NORM_ATOL:
             raise ValueError("state is not normalized (|norm^2 - 1| = %.3g)" % err)
 
     @property
@@ -253,13 +268,15 @@ def bell_measure(state, rng):
     probs = _k.bell_probs(state.amps)
     u = rng.random()
     acc = 0.0
+    # When rounding leaves u above the total, the last label with positive
+    # probability is drawn, never a zero-probability one.
     index = 3
     for i, p in enumerate(probs):
         if p > 0.0:
             acc += p
-        if u < acc:
             index = i
-            break
+            if u < acc:
+                break
     label = BellLabel(index >> 1, index & 1)
     return label, _BELL_STATES[(label.flip, label.phase)]
 
@@ -268,12 +285,12 @@ def check_coupling(alpha, beta):
     """The probe coupling's coefficients as complex numbers.
 
     Raises ``ValueError`` unless |alpha|^2 + |beta|^2 = 1, which is what
-    makes the coupling unitary.
+    makes the coupling unitary (a NaN coefficient fails this check).
     """
     alpha = complex(alpha)
     beta = complex(beta)
     coeff_norm = alpha.real**2 + alpha.imag**2 + beta.real**2 + beta.imag**2
-    if abs(coeff_norm - 1.0) > COEFF_NORM_ATOL:
+    if not abs(coeff_norm - 1.0) <= COEFF_NORM_ATOL:
         raise ValueError("|alpha|^2 + |beta|^2 must be 1, got %.12g" % coeff_norm)
     return alpha, beta
 

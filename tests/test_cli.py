@@ -1,9 +1,12 @@
+import copy
 import json
+import logging
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qsdc3 import cli
@@ -166,6 +169,13 @@ class TestConfigErrors:
                 [],
                 "segments",
             ),
+            (
+                "run",
+                {"attack": {"kind": "disturbance", "segments": ["a_to_b"], "beta_sq": 0.5}},
+                [],
+                "beta_sq",
+            ),
+            ("run", {"attack": {"kind": "none", "segments": ["a_to_b"]}}, [], "segments"),
             ("sweep", {"grid": [0.5], "check_kinds": "ab_check"}, [], "check_kinds"),
             ("sweep", {"grid": [True]}, [], "grid"),
             ("sweep", {"grid": [0.5], "p_bob_cm": 1.0}, [], "schedule"),
@@ -181,6 +191,8 @@ class TestConfigErrors:
             "string_probability",
             "bool_beta_sq",
             "segments_object",
+            "beta_sq_on_disturbance",
+            "segments_on_null_attack",
             "sweep_check_kinds_string",
             "sweep_bool_grid_value",
             "sweep_p_bob_cm_one",
@@ -199,6 +211,116 @@ class TestConfigErrors:
         assert done.returncode == cli.EXIT_CONFIG, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("config error") and field in done.stderr, done.stderr
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "oracle"])
+    @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
+    def test_unwritable_out_path(self, tmp_path, capsys, command, where):
+        out = tmp_path / "missing" / "report" if where == "missing_directory" else tmp_path
+        args = [command, "--out", str(out)]
+        if command == "run":
+            args += ["--config", write_config(tmp_path, {"message_length": 2, "trials": 1})]
+        elif command == "sweep":
+            args += ["--config", write_config(tmp_path, dict(BASE_SWEEP, grid=[0.5], trials=1))]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert "cannot write report file" in capsys.readouterr().err
+
+    def test_out_of_memory_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        def exhausted(config):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_experiment", exhausted)
+        cfg = write_config(tmp_path, BASE_RUN)
+        assert cli.main(["run", "--config", cfg]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "memory" in err
+
+
+# A tiny valid run config (4 bits x 2 trials) and the pieces the property
+# test below builds broken variants from.
+TINY_RUN = {
+    "message_length": 4,
+    "trials": 2,
+    "p_ab_check": 0.25,
+    "p_bob_cm": 0.25,
+    "p_charlie_cm": 0.25,
+    "attack": {"kind": "intercept_resend", "segments": ["a_to_b"]},
+    "abort_policy": "record_and_continue",
+    "seed": 3,
+}
+# Integers stay at or below 2, so no variant grows past 4 bits x 2 trials.
+VALUES = [
+    True, False, None, -2, -1, 0, 1, 2, -0.5, 0.0, 0.5, 0.9999, 1.0, 1.5, 2.7,
+    float("nan"), float("inf"), float("-inf"), "", "0.5", "X", "Z", "strict",
+    "record_and_continue", "a_to_b", [], [0.5], ["a_to_b"], ["c_to_a", "a_to_b"],
+    ["a_to_z"], [["a_to_b"]], {}, {"a_to_b": 1},
+]
+ATTACKS = [
+    None,
+    {"kind": "none"},
+    {"kind": "intercept_resend", "segments": ["a_to_b"], "attack_probability": 0.5},
+    {"kind": "disturbance", "segments": ["c_to_a"], "pauli": "Z"},
+    {"kind": "entangle_measure", "segments": ["a_to_b", "c_to_a"], "beta_sq": 0.3},
+    {"kind": "quantum_zeno", "segments": ["a_to_b"]},
+    {"kind": 3},
+    {"kind": ["none"]},
+]
+KEYS = sorted(cli._RUN_KEYS | cli._ATTACK_KEYS | {"typo_key"})
+
+
+def mutated_config(rng):
+    """TINY_RUN with one to three keys dropped, added or retyped, top-level
+    or inside the attack spec."""
+
+    def pick(pool):
+        return copy.deepcopy(pool[rng.integers(len(pool))])
+
+    config = copy.deepcopy(TINY_RUN)
+    for _ in range(rng.integers(1, 4)):
+        op = rng.integers(4)
+        if op == 3:
+            config["attack"] = pick(ATTACKS)
+            continue
+        target = config
+        if isinstance(config.get("attack"), dict) and rng.random() < 0.5:
+            target = config["attack"]
+        if op == 0 and target:
+            del target[pick(sorted(target))]
+        elif op == 1:
+            target[pick(KEYS)] = pick(VALUES)
+        elif target:
+            target[pick(sorted(target))] = pick(VALUES)
+    return config
+
+
+class TestExitCodeContract:
+    def test_generated_configs_keep_the_exit_code_contract(self, tmp_path, capsys):
+        rng = np.random.default_rng(20070111)
+        codes = []
+        for n in range(200):
+            config = mutated_config(rng)
+            path = write_config(tmp_path, config, "config%d.json" % n)
+            code = cli.main(["run", "--config", path])
+            capsys.readouterr()
+            assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_ABORTED, cli.EXIT_INTERNAL), config
+            codes.append(code)
+        # Both valid and invalid variants were generated.
+        assert {cli.EXIT_OK, cli.EXIT_CONFIG} <= set(codes)
+
+
+class TestVerboseLogging:
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_debug_logs_kernel_caches_and_keeps_report_bytes(self, tmp_path, capsys, caplog, command):
+        payload = {"message_length": 2, "trials": 1} if command == "run" else dict(BASE_SWEEP, grid=[0.5])
+        cfg = write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_OK
+        quiet = capsys.readouterr().out
+        caplog.set_level(logging.DEBUG, logger="qsdc3")
+        assert cli.main(["-vv", command, "--config", cfg]) == cli.EXIT_OK
+        assert capsys.readouterr().out == quiet
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("kernel cache")]
+        assert len(lines) == 7
+        assert any(line.startswith("kernel cache collapse: hits=") for line in lines)
+        assert all(line.endswith("maxsize=256") for line in lines)
 
 
 class TestOracle:

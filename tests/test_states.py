@@ -1,8 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from qsdc3 import backend
+from qsdc3.adversary import AttackModel, ChannelSegment
+from qsdc3.cli import render_json
+from qsdc3.harness import ExperimentConfig, run_experiment
+from qsdc3.protocol import SchedulePolicy
 from qsdc3.states import (
     Basis,
     BellLabel,
@@ -124,6 +130,16 @@ class TestBellMeasure:
         label, _ = bell_measure(remaining, scripted([0.9]))
         assert (label.flip, label.phase) == (0, 0)
 
+    def test_rounding_overshoot_never_draws_a_zero_probability_label(self, scripted):
+        # Label (0,0) carries all of the weight, yet the total falls 5e-13
+        # short of 1 (inside NORM_ATOL); a draw above that total must still
+        # land on (0,0), not on the zero-probability label (1,1).
+        s = math.sqrt((1.0 - 5e-13) / 2.0)
+        state = JointState((0.0, s, s, 0.0), PAIR)
+        label, post = bell_measure(state, scripted([0.9999999999999]))
+        assert (label.flip, label.phase) == (0, 0)
+        assert post is bell_state((0, 0))
+
     def test_outcome_distribution_uniform_on_probe_free_mix(self, rng):
         # The equal superposition of labels (0,0) and (1,0) is (0.5,.5,.5,.5);
         # a joint measurement samples those two labels evenly.
@@ -240,6 +256,10 @@ class TestProbeCoupling:
         with pytest.raises(ValueError, match="alpha"):
             attach_ancilla_and_entangle(bell_state((0, 0)), 0.9, 0.8)
 
+    def test_rejects_nan_coefficient(self):
+        with pytest.raises(ValueError, match="alpha"):
+            attach_ancilla_and_entangle(bell_state((0, 0)), float("nan"), 0)
+
     def test_rejects_second_probe(self):
         state = attach_ancilla_and_entangle(bell_state((0, 0)), RH, RH)
         with pytest.raises(ValueError, match="already"):
@@ -277,6 +297,10 @@ class TestJointStateInvariants:
         with pytest.raises(ValueError, match="normalized"):
             JointState((1.0, 1.0, 0.0, 0.0), PAIR)
 
+    def test_rejects_nan_amplitude(self):
+        with pytest.raises(ValueError, match="normalized"):
+            JointState((complex("nan"), 0j), (Subsystem.TRANSIT,))
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="amplitude count"):
             JointState((1.0, 0.0), PAIR)
@@ -304,3 +328,103 @@ class TestJointStateInvariants:
     def test_zero_probability_collapse_raises(self):
         with pytest.raises(ValueError, match="zero-probability"):
             collapse_outcome(prepare_decoy(DecoyState.ZERO), Subsystem.TRANSIT, Basis.Z, 1)
+
+
+KERNELS = ("norm_sq", "apply_1q", "prob_zero", "collapse", "bell_probs", "attach_ancilla", "discard_qubit")
+
+
+def random_amps(rng, n_qubits):
+    raw = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
+    return tuple(complex(a) for a in raw / np.linalg.norm(raw))
+
+
+def kernel_cases(rng):
+    """(kernel name, args) over seeded random 1-, 2- and 3-qubit states."""
+    for n_qubits in (1, 2, 3):
+        for _ in range(4):
+            amps = random_amps(rng, n_qubits)
+            yield "norm_sq", (amps,)
+            if n_qubits == 2:
+                yield "bell_probs", (amps,)
+            if n_qubits < 3:
+                beta = complex(rng.normal(), rng.normal())
+                beta /= abs(beta) * math.sqrt(2.0)
+                for pos in range(n_qubits):
+                    yield "attach_ancilla", (amps, pos, complex(math.sqrt(0.5)), beta)
+            for pos in range(n_qubits):
+                for op in (0, 1, 2):
+                    yield "apply_1q", (amps, pos, op)
+                for basis in (0, 1):
+                    yield "prob_zero", (amps, pos, basis)
+                    for outcome in (0, 1):
+                        yield "collapse", (amps, pos, basis, outcome)
+                for bit in (0, 1):
+                    yield "discard_qubit", (amps, pos, bit)
+
+
+# The report digests pinned in tests/test_harness.py::TestPinnedReports.
+PINNED_REPORTS = [
+    (
+        ExperimentConfig(message_length=16, trials=4, seed=1),
+        "206461afa1b0ab836a6e9a3548161930f88c1ac25be4a65ca265b0d52c81ab24",
+    ),
+    (
+        ExperimentConfig(
+            message_length=16,
+            trials=4,
+            schedule=SchedulePolicy(0.5, 0.25, 0.25),
+            attack=AttackModel.intercept_resend(ChannelSegment.A_TO_B),
+            seed=2,
+        ),
+        "3558889e1eccb1a5c6fae3a28e13d6fc2488714c78e78a1c837723a8d296662f",
+    ),
+    (
+        ExperimentConfig(
+            message_length=16,
+            trials=4,
+            schedule=SchedulePolicy(0.25, 0.1, 0.4),
+            attack=AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
+            seed=3,
+        ),
+        "d42343650e4d28e7f3cdb3c761d8af5523783f7dd569e85e9cc87dd55fc11eb3",
+    ),
+]
+
+
+class TestKernelCaches:
+    def test_every_kernel_is_memoised(self):
+        assert set(backend.cache_info()) == set(KERNELS)
+
+    def test_cached_kernels_match_the_originals(self):
+        cases = list(kernel_cases(np.random.default_rng(2024)))
+        assert {name for name, _ in cases} == set(KERNELS)
+        for name, args in cases:
+            kernel = getattr(backend, name)
+            expected = repr(kernel.__wrapped__(*args))
+            assert repr(kernel(*args)) == expected, (name, args)  # miss
+            assert repr(kernel(*args)) == expected, (name, args)  # hit
+
+    def test_zero_probability_collapse_raises_on_every_call(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="zero-probability"):
+                backend.collapse((1 + 0j, 0j), 0, 0, 1)
+
+    def test_caches_are_bounded(self):
+        for info in backend.cache_info().values():
+            assert info.maxsize == backend.CACHE_SIZE
+            assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize(
+        "config, digest", PINNED_REPORTS, ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"]
+    )
+    def test_report_digest_is_the_same_cold_and_warm(self, config, digest):
+        def report_digest():
+            text = render_json(run_experiment(config).to_dict())
+            return hashlib.sha256(text.encode()).hexdigest()
+
+        for name in KERNELS:
+            getattr(backend, name).cache_clear()
+        assert all(info.currsize == 0 for info in backend.cache_info().values())
+        cold = report_digest()
+        warm = report_digest()
+        assert cold == warm == digest
