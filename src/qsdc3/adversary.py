@@ -181,8 +181,13 @@ class Eavesdropper:
     def __init__(self, model):
         self.model = model
         self.records = []
+        # A tuple, so a hop outside the model is rejected by identity
+        # comparisons instead of hashing the segment.
+        self._segments = tuple(model.segments)
 
     def intercept_transit(self, segment, state, rng, round_index, touched):
+        if segment not in self._segments:
+            return state
         state, record = attack_transit(self.model, segment, state, rng)
         if record is not None:
             record.round_index = round_index

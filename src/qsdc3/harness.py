@@ -13,6 +13,7 @@ is a deterministic function of the configuration.
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
 from dataclasses import asdict, dataclass
@@ -37,6 +38,8 @@ from .protocol import (
     run_protocol,
 )
 from .states import Basis
+
+log = logging.getLogger("qsdc3")
 
 _CHECK_KINDS = tuple(CHECK_PATHS)
 _Z_DECOYS = ("0", "1")
@@ -310,6 +313,9 @@ class _Aggregator:
             self.fidelity_sums[party] += hits / (2 * n)
         self.trials_completed += 1
 
+    def checks_failed(self):
+        return sum(failed for _, failed in self.check_counts.values())
+
     def _analytic(self, kind, decoy_family=None):
         attack = self.config.attack
         if attack.kind is AttackKind.NONE:
@@ -385,11 +391,13 @@ def run_experiment(config):
 
     Deterministic given the seed.  Under the strict abort policy the first
     detected eavesdropper stops the experiment: :class:`ExperimentAborted`
-    is raised carrying the partial statistics.
+    is raised carrying the partial statistics.  Each trial logs one INFO
+    line on the ``qsdc3`` logger: its index, rounds used and failed checks.
     """
     agg = _Aggregator(config)
     children = np.random.SeedSequence(config.seed).spawn(config.trials)
     for trial in range(config.trials):
+        rounds_before, failed_before = agg.rounds_total, agg.checks_failed()
         rng = np.random.default_rng(children[trial])
         messages = MessageTriple.random(config.message_length, rng)
         try:
@@ -403,6 +411,12 @@ def run_experiment(config):
         except ProtocolAborted as abort:
             agg.add_records(abort.records, abort.transcript, abort.eve_records)
             agg.trials_aborted += 1
+            log.info(
+                "trial %d: rounds %d, failed checks %d, aborted",
+                trial,
+                agg.rounds_total - rounds_before,
+                agg.checks_failed() - failed_before,
+            )
             aborted = {
                 "trial": trial,
                 "round": abort.round_index,
@@ -412,6 +426,12 @@ def run_experiment(config):
             partial = agg.build(aborted=aborted)
             raise ExperimentAborted(partial, trial, abort.round_index, abort.check_kind) from None
         agg.add_completed(messages, result)
+        log.info(
+            "trial %d: rounds %d, failed checks %d",
+            trial,
+            agg.rounds_total - rounds_before,
+            agg.checks_failed() - failed_before,
+        )
     return agg.build()
 
 

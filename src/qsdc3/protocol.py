@@ -21,8 +21,9 @@ what makes seeded runs reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from . import adversary
 from .states import (
@@ -64,10 +65,7 @@ class MessageTriple:
 
     def __post_init__(self):
         for name in ("alice_bits", "bob_bits", "charlie_bits"):
-            bits = tuple(int(b) for b in getattr(self, name))
-            if any(b not in (0, 1) for b in bits):
-                raise ValueError("%s must contain only bits" % name)
-            object.__setattr__(self, name, bits)
+            object.__setattr__(self, name, tuple(_bit(name, b) for b in getattr(self, name)))
         n = len(self.alice_bits)
         if n < 1:
             raise ValueError("messages must contain at least one bit")
@@ -80,12 +78,20 @@ class MessageTriple:
 
     @classmethod
     def random(cls, n, rng):
-        bits = rng.integers(0, 2, size=3 * n)
-        return cls(
-            tuple(int(b) for b in bits[:n]),
-            tuple(int(b) for b in bits[n : 2 * n]),
-            tuple(int(b) for b in bits[2 * n :]),
-        )
+        bits = rng.integers(0, 2, size=3 * n).tolist()
+        return cls(tuple(bits[:n]), tuple(bits[n : 2 * n]), tuple(bits[2 * n :]))
+
+
+def _bit(name, value):
+    """``value`` as an int, when it is exactly 0 or 1 (bools and numpy
+    integers included); anything else raises ``ValueError``."""
+    try:
+        bit = int(value)
+    except (TypeError, ValueError, OverflowError):
+        bit = None
+    if bit not in (0, 1) or bit != value:
+        raise ValueError("%s must contain only bits 0 and 1, got %r" % (name, value))
+    return bit
 
 
 @dataclass(frozen=True)
@@ -105,8 +111,7 @@ class SchedulePolicy:
             object.__setattr__(self, name, p)
 
 
-@dataclass(frozen=True)
-class TranscriptEvent:
+class TranscriptEvent(NamedTuple):
     round_index: int
     kind: str
     payload: dict
@@ -150,7 +155,7 @@ class PublicTranscript:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class RoundRecord:
     """Everything one protocol round produced."""
 

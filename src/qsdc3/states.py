@@ -19,12 +19,24 @@ Conventions
   Labels are rays: a global phase does not change the label.
 * All measurement sampling draws from an injected ``numpy.random.Generator``
   (one uniform draw per measurement); there is no global randomness.
+
+Construction
+------------
+Every :class:`JointState` is validated: register, amplitude count and norm.
+States built from outside (``JointState(...)``, and through it the Bell
+pairs and decoys) first convert their amplitudes to ``complex``.  States
+derived by an operation here (a Pauli, a collapse, a probe attach or
+discard) are built by ``_from_kernel``: a kernel's output is already a
+tuple of ``complex`` over the input state's register, so only that
+conversion is skipped.  The checks still run on these states, because a
+faulty kernel must not hand an invalid state to the round engine, and
+because each validation is a counted benchmark layer.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from . import backend as _k
@@ -92,32 +104,42 @@ class BellLabel:
         return iter((self.flip, self.phase))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class JointState:
     """Normalized complex amplitude vector over an ordered qubit register.
 
     Immutable: every operation returns a new value, so states are safe to
-    share across threads.
+    share across threads.  Equality and hashing use ``amps`` and
+    ``subsystems``.
 
-    Construction converts ``subsystems`` to a tuple and every amplitude to
-    ``complex``, then checks, in this order, that the register contains the
-    transit qubit; that it is one of the four legal registers (transit;
-    home, transit; transit, ancilla; home, transit, ancilla); that there are
-    ``2 ** len(subsystems)`` amplitudes; and that the squared norm is within
-    ``NORM_ATOL`` of 1 (a NaN or infinite amplitude fails this check).
-    Each check raises ``ValueError``.  The work is constant-time: the
-    register is matched against a fixed tuple and the squared norm comes
-    from the memoised ``norm_sq`` kernel.
+    ``JointState(amps, subsystems)`` converts ``subsystems`` to a tuple and
+    every amplitude to ``complex``; then ``__post_init__`` checks, in this
+    order, that the register contains the transit qubit; that it is one of
+    the four legal registers (transit; home, transit; transit, ancilla;
+    home, transit, ancilla); that there are ``2 ** len(subsystems)``
+    amplitudes; and that the squared norm is within ``NORM_ATOL`` of 1 (a
+    NaN or infinite amplitude fails this check).  Each check raises
+    ``ValueError``.  The work is constant-time: the register is matched
+    against a fixed tuple and the squared norm comes from the memoised
+    ``norm_sq`` kernel.  ``has_home`` and ``has_ancilla`` are set there too.
+
+    States derived by the operations of this module skip only the
+    conversion (see ``_from_kernel``); ``__post_init__`` runs on every state.
     """
 
     amps: tuple
     subsystems: tuple
+    has_home: bool = field(init=False, compare=False, repr=False)
+    has_ancilla: bool = field(init=False, compare=False, repr=False)
+
+    def __init__(self, amps, subsystems):
+        _set_amps(self, tuple(map(complex, amps)))
+        _set_subsystems(self, tuple(subsystems))
+        self.__post_init__()
 
     def __post_init__(self):
-        subsystems = tuple(self.subsystems)
-        amps = tuple(map(complex, self.amps))
-        object.__setattr__(self, "subsystems", subsystems)
-        object.__setattr__(self, "amps", amps)
+        subsystems = self.subsystems
+        amps = self.amps
         if subsystems not in _REGISTERS:
             if Subsystem.TRANSIT not in subsystems:
                 raise ValueError("a round state always contains the transit qubit")
@@ -129,24 +151,40 @@ class JointState:
         err = abs(_k.norm_sq(amps) - 1.0)
         if not err <= NORM_ATOL:
             raise ValueError("state is not normalized (|norm^2 - 1| = %.3g)" % err)
+        _set_has_home(self, subsystems[0] is Subsystem.HOME)
+        _set_has_ancilla(self, subsystems[-1] is Subsystem.ANCILLA)
 
     @property
     def n_qubits(self):
         return len(self.subsystems)
-
-    @property
-    def has_ancilla(self):
-        return Subsystem.ANCILLA in self.subsystems
-
-    @property
-    def has_home(self):
-        return Subsystem.HOME in self.subsystems
 
     def position(self, which):
         try:
             return self.subsystems.index(which)
         except ValueError:
             raise ValueError("state has no %s qubit" % which.value) from None
+
+
+# The slot setters write past the frozen ``__setattr__``, as the
+# ``object.__setattr__`` calls of a generated frozen ``__init__`` would.
+_set_amps = JointState.amps.__set__
+_set_subsystems = JointState.subsystems.__set__
+_set_has_home = JointState.has_home.__set__
+_set_has_ancilla = JointState.has_ancilla.__set__
+
+
+def _from_kernel(amps, subsystems):
+    """A state over a kernel's output, on a register derived from a valid state.
+
+    Skips only the ``complex`` conversion of ``JointState(...)``.  Validation
+    runs as for every state, through ``__post_init__`` looked up on the
+    class.
+    """
+    state = object.__new__(JointState)
+    _set_amps(state, amps)
+    _set_subsystems(state, subsystems)
+    state.__post_init__()
+    return state
 
 
 def allclose_up_to_global_phase(a, b, atol=AMP_ATOL):
@@ -179,6 +217,11 @@ _DECOY_STATES = {
     DecoyState.MINUS: JointState((_SQRT_HALF, -_SQRT_HALF), (Subsystem.TRANSIT,)),
 }
 
+# Bell-measurement outcomes, indexed like the probabilities of ``bell_probs``.
+_BELL_OUTCOMES = tuple(
+    (BellLabel(flip, phase), _BELL_STATES[(flip, phase)]) for flip in (0, 1) for phase in (0, 1)
+)
+
 _DECOY_BASIS_BIT = {
     DecoyState.ZERO: (Basis.Z, 0),
     DecoyState.ONE: (Basis.Z, 1),
@@ -188,47 +231,84 @@ _DECOY_BASIS_BIT = {
 
 
 def bell_state(label):
-    """The entangled pair state named by ``label`` over (home, transit)."""
-    if isinstance(label, BellLabel):
-        key = (label.flip, label.phase)
-    else:
-        key = tuple(label)
-    return _BELL_STATES[key]
+    """The entangled pair state named by ``label`` over (home, transit).
+
+    ``label`` is a :class:`BellLabel` or a (flip, phase) pair of bits;
+    anything else raises ``ValueError``.
+    """
+    try:
+        if isinstance(label, BellLabel):
+            return _BELL_STATES[(label.flip, label.phase)]
+        return _BELL_STATES[tuple(label)]
+    except (KeyError, TypeError):
+        raise ValueError(
+            "unknown Bell label %r; expected a BellLabel or one of "
+            "(0, 0), (0, 1), (1, 0), (1, 1)" % (label,)
+        ) from None
+
+
+def _unknown_decoy(label):
+    return ValueError(
+        "unknown decoy label %r; expected a DecoyState: %s"
+        % (label, ", ".join(member.name for member in DecoyState))
+    )
 
 
 def prepare_decoy(label):
     """A lone transit qubit in one of the four decoy preparations."""
-    return _DECOY_STATES[label]
+    try:
+        return _DECOY_STATES[label]
+    except (KeyError, TypeError):
+        raise _unknown_decoy(label) from None
 
 
 def decoy_basis_and_bit(label):
     """The basis containing the decoy state and the outcome bit naming it."""
-    return _DECOY_BASIS_BIT[label]
+    try:
+        return _DECOY_BASIS_BIT[label]
+    except (KeyError, TypeError):
+        raise _unknown_decoy(label) from None
 
 
 def apply_pauli(state, which, pauli):
     """Apply a single-qubit operator to the named subsystem."""
-    if pauli is Pauli.I:
+    # Kernel op codes: 1 bit flip, 2 phase flip.
+    if pauli is Pauli.X:
+        op = 1
+    elif pauli is Pauli.Z:
+        op = 2
+    elif pauli is Pauli.I:
         return state
+    else:
+        raise ValueError("not a Pauli operator: %r" % (pauli,))
     pos = state.position(which)
-    return JointState(_k.apply_1q(state.amps, pos, pauli.value), state.subsystems)
+    return _from_kernel(_k.apply_1q(state.amps, pos, op), state.subsystems)
 
 
 def apply_pauli_on_transit(state, pauli):
     return apply_pauli(state, Subsystem.TRANSIT, pauli)
 
 
+def _basis_code(basis):
+    """The kernels' code for a measurement basis: 0 for Z, 1 for X."""
+    if basis is Basis.Z:
+        return 0
+    if basis is Basis.X:
+        return 1
+    raise ValueError("not a measurement basis: %r" % (basis,))
+
+
 def outcome_probabilities(state, which, basis):
     """Exact (p0, p1) for a projective measurement; no sampling involved."""
     pos = state.position(which)
-    p0 = _k.prob_zero(state.amps, pos, basis.value)
+    p0 = _k.prob_zero(state.amps, pos, _basis_code(basis))
     return p0, 1.0 - p0
 
 
 def collapse_outcome(state, which, basis, outcome):
     """Deterministic projection onto the given outcome, renormalized."""
     pos = state.position(which)
-    return JointState(_k.collapse(state.amps, pos, basis.value, outcome), state.subsystems)
+    return _from_kernel(_k.collapse(state.amps, pos, _basis_code(basis), outcome), state.subsystems)
 
 
 def _sample_bit(rng, p_zero):
@@ -248,10 +328,9 @@ def measure_qubit(state, which, basis, rng):
     eigenstate of the basis (|0> or |+>).
     """
     pos = state.position(which)
-    p0 = _k.prob_zero(state.amps, pos, basis.value)
-    outcome = _sample_bit(rng, p0)
-    collapsed = JointState(_k.collapse(state.amps, pos, basis.value, outcome), state.subsystems)
-    return outcome, collapsed
+    code = _basis_code(basis)
+    outcome = _sample_bit(rng, _k.prob_zero(state.amps, pos, code))
+    return outcome, _from_kernel(_k.collapse(state.amps, pos, code, outcome), state.subsystems)
 
 
 def bell_measure(state, rng):
@@ -277,8 +356,7 @@ def bell_measure(state, rng):
             index = i
             if u < acc:
                 break
-    label = BellLabel(index >> 1, index & 1)
-    return label, _BELL_STATES[(label.flip, label.phase)]
+    return _BELL_OUTCOMES[index]
 
 
 def check_coupling(alpha, beta):
@@ -307,7 +385,7 @@ def attach_ancilla_and_entangle(state, alpha, beta):
     alpha, beta = check_coupling(alpha, beta)
     pos = state.position(Subsystem.TRANSIT)
     amps = _k.attach_ancilla(state.amps, pos, alpha, beta)
-    return JointState(amps, state.subsystems + (Subsystem.ANCILLA,))
+    return _from_kernel(amps, state.subsystems + (Subsystem.ANCILLA,))
 
 
 def measure_ancilla_and_discard(state, rng):
@@ -317,8 +395,7 @@ def measure_ancilla_and_discard(state, rng):
     end of a round; the remaining register no longer contains the probe.
     """
     pos = state.position(Subsystem.ANCILLA)
-    p0 = _k.prob_zero(state.amps, pos, Basis.Z.value)
-    outcome = _sample_bit(rng, p0)
-    collapsed = _k.collapse(state.amps, pos, Basis.Z.value, outcome)
+    outcome = _sample_bit(rng, _k.prob_zero(state.amps, pos, 0))
+    collapsed = _k.collapse(state.amps, pos, 0, outcome)
     remaining = _k.discard_qubit(collapsed, pos, outcome)
-    return outcome, JointState(remaining, state.subsystems[:pos] + state.subsystems[pos + 1 :])
+    return outcome, _from_kernel(remaining, state.subsystems[:pos] + state.subsystems[pos + 1 :])

@@ -323,6 +323,32 @@ class TestVerboseLogging:
         assert all(line.endswith("maxsize=256") for line in lines)
 
 
+class TestTrialProgress:
+    def test_info_logs_one_line_per_trial_and_keeps_report_bytes(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, BASE_RUN)
+        quiet, verbose = str(tmp_path / "quiet.json"), str(tmp_path / "verbose.json")
+        assert cli.main(["run", "--config", cfg, "--out", quiet]) == cli.EXIT_OK
+        caplog.set_level(logging.INFO, logger="qsdc3")
+        assert cli.main(["-v", "run", "--config", cfg, "--out", verbose]) == cli.EXIT_OK
+        assert (tmp_path / "quiet.json").read_bytes() == (tmp_path / "verbose.json").read_bytes()
+        report = json.loads((tmp_path / "verbose.json").read_text())
+        trials = [r for r in caplog.records if r.name == "qsdc3" and r.getMessage().startswith("trial ")]
+        assert [r.levelno for r in trials] == [logging.INFO] * BASE_RUN["trials"]
+        assert [r.args[0] for r in trials] == list(range(BASE_RUN["trials"]))
+        assert sum(r.args[1] for r in trials) == report["rounds_total"]
+        failed = sum(report["detection"][k]["checks_failed"] for k in ("ab_check", "ca_check", "decoy_check"))
+        assert failed > 0
+        assert sum(r.args[2] for r in trials) == failed
+
+    def test_an_aborted_trial_is_logged(self, tmp_path, caplog, capsys):
+        cfg = write_config(tmp_path, dict(BASE_RUN, abort_policy="strict"))
+        caplog.set_level(logging.INFO, logger="qsdc3")
+        assert cli.main(["-v", "run", "--config", cfg]) == cli.EXIT_ABORTED
+        trials = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trial ")]
+        assert trials[-1].endswith(", failed checks 1, aborted")
+        assert all(not line.endswith("aborted") for line in trials[:-1])
+
+
 class TestOracle:
     def test_prints_eight_rows_and_passes(self, capsys):
         assert cli.main(["oracle"]) == cli.EXIT_OK

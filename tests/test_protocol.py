@@ -12,6 +12,7 @@ from qsdc3.protocol import (
     RoundBudgetExceeded,
     RoundKind,
     SchedulePolicy,
+    TranscriptEvent,
     announce,
     decode_alice,
     decode_bob,
@@ -157,6 +158,39 @@ class TestMessageTriple:
         a = MessageTriple.random(16, np.random.default_rng(7))
         b = MessageTriple.random(16, np.random.default_rng(7))
         assert a == b
+
+    def test_random_stores_python_ints(self):
+        messages = MessageTriple.random(16, np.random.default_rng(7))
+        for bits in (messages.alice_bits, messages.bob_bits, messages.charlie_bits):
+            assert all(type(b) is int for b in bits)
+
+    @pytest.mark.parametrize(
+        "triple, field",
+        [
+            (((1.7,), (0,), (0,)), "alice_bits"),
+            (((0,), (0.5,), (0,)), "bob_bits"),
+            (((0,), (0,), ("1",)), "charlie_bits"),
+            (((None,), (0,), (0,)), "alice_bits"),
+            ((("a",), (0,), (0,)), "alice_bits"),
+            (((float("nan"),), (0,), (0,)), "alice_bits"),
+            (((float("inf"),), (0,), (0,)), "alice_bits"),
+        ],
+        ids=["fraction", "half", "digit_string", "none", "letter", "nan", "inf"],
+    )
+    def test_rejects_values_that_are_not_exactly_bits(self, triple, field):
+        with pytest.raises(ValueError, match=field):
+            MessageTriple(*triple)
+
+    def test_accepts_bools_and_numpy_integers(self):
+        messages = MessageTriple((True, False), np.array([1, 0]), (np.int8(0), np.uint64(1)))
+        assert messages == MessageTriple((1, 0), (1, 0), (0, 1))
+        assert all(type(b) is int for b in messages.charlie_bits)
+
+
+class TestTranscriptEvent:
+    def test_to_dict(self):
+        event = TranscriptEvent(3, "announcement", {"x": 1, "y": 0})
+        assert list(event.to_dict().items()) == [("round", 3), ("kind", "announcement"), ("x", 1), ("y", 0)]
 
 
 class TestSchedulePolicy:

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -63,6 +66,11 @@ class TestBellStates:
         with pytest.raises(ValueError):
             BellLabel(2, 0)
 
+    @pytest.mark.parametrize("label", [(2, 0), (0,), (0, 0, 0), 3, ([0], 0)])
+    def test_unknown_label_names_the_legal_ones(self, label):
+        with pytest.raises(ValueError, match=r"\(0, 0\), \(0, 1\), \(1, 0\), \(1, 1\)"):
+            bell_state(label)
+
 
 class TestPauliOnTransit:
     def test_bit_flip_moves_00_to_10(self):
@@ -96,6 +104,11 @@ class TestPauliOnTransit:
         label, post = bell_measure(state, rng)
         assert (label.flip, label.phase) == (j, k)
         assert allclose_up_to_global_phase(post, bell_state((j, k)))
+
+    @pytest.mark.parametrize("pauli", ["X", 1, None])
+    def test_rejects_a_non_pauli(self, pauli):
+        with pytest.raises(ValueError, match="not a Pauli"):
+            apply_pauli_on_transit(bell_state((0, 0)), pauli)
 
     def test_norm_preserved(self, rng):
         state = bell_state((0, 1))
@@ -174,6 +187,16 @@ class TestMeasureQubit:
             assert outcome == 0
             assert amps_close(post, (RH, RH))
 
+    @pytest.mark.parametrize("basis", ["X", 1, None])
+    def test_rejects_a_non_basis(self, basis, rng):
+        pair = bell_state((0, 0))
+        with pytest.raises(ValueError, match="not a measurement basis"):
+            measure_qubit(pair, Subsystem.TRANSIT, basis, rng)
+        with pytest.raises(ValueError, match="not a measurement basis"):
+            outcome_probabilities(pair, Subsystem.TRANSIT, basis)
+        with pytest.raises(ValueError, match="not a measurement basis"):
+            collapse_outcome(pair, Subsystem.TRANSIT, basis, 0)
+
     def test_missing_subsystem_rejected(self, rng):
         with pytest.raises(ValueError, match="ancilla"):
             measure_qubit(bell_state((0, 0)), Subsystem.ANCILLA, Basis.Z, rng)
@@ -212,6 +235,13 @@ class TestDecoys:
     def test_basis_and_bit(self):
         assert decoy_basis_and_bit(DecoyState.ZERO) == (Basis.Z, 0)
         assert decoy_basis_and_bit(DecoyState.MINUS) == (Basis.X, 1)
+
+    @pytest.mark.parametrize("label", ["0", "+", 0, None, [0]])
+    def test_unknown_label_names_the_legal_ones(self, label):
+        with pytest.raises(ValueError, match="ZERO, ONE, PLUS, MINUS"):
+            prepare_decoy(label)
+        with pytest.raises(ValueError, match="ZERO, ONE, PLUS, MINUS"):
+            decoy_basis_and_bit(label)
 
     def test_measuring_in_own_basis_reproduces_label(self, rng):
         for label in DecoyState:
@@ -328,6 +358,128 @@ class TestJointStateInvariants:
     def test_zero_probability_collapse_raises(self):
         with pytest.raises(ValueError, match="zero-probability"):
             collapse_outcome(prepare_decoy(DecoyState.ZERO), Subsystem.TRANSIT, Basis.Z, 1)
+
+
+REGISTERS = [
+    ((Subsystem.TRANSIT,), False, False),
+    ((Subsystem.HOME, Subsystem.TRANSIT), True, False),
+    ((Subsystem.TRANSIT, Subsystem.ANCILLA), False, True),
+    ((Subsystem.HOME, Subsystem.TRANSIT, Subsystem.ANCILLA), True, True),
+]
+
+
+def probed_pair():
+    return attach_ancilla_and_entangle(bell_state((0, 0)), 0.6, 0.8)
+
+
+# Each public operation that builds its result from one kernel's output:
+# (kernel, input state, operation on it, length of the kernel's output).
+KERNEL_OPERATIONS = [
+    ("apply_1q", bell_state((0, 0)), lambda s: apply_pauli_on_transit(s, Pauli.X), 4),
+    ("collapse", bell_state((0, 0)), lambda s: collapse_outcome(s, Subsystem.TRANSIT, Basis.Z, 0), 4),
+    (
+        "collapse",
+        bell_state((0, 0)),
+        lambda s: measure_qubit(s, Subsystem.TRANSIT, Basis.X, np.random.default_rng(0)),
+        4,
+    ),
+    ("attach_ancilla", bell_state((0, 0)), lambda s: attach_ancilla_and_entangle(s, 0.6, 0.8), 8),
+    (
+        "discard_qubit",
+        probed_pair(),
+        lambda s: measure_ancilla_and_discard(s, np.random.default_rng(0)),
+        4,
+    ),
+]
+
+
+class TestDerivedStates:
+    """States built from kernel outputs skip only the complex conversion."""
+
+    @pytest.mark.parametrize(
+        "kernel, state, operation, n_out",
+        KERNEL_OPERATIONS,
+        ids=["apply_pauli", "collapse_outcome", "measure_qubit", "attach", "discard"],
+    )
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (lambda n: (1 + 0j,) * n, "normalized"),  # norm^2 = n
+            (lambda n: (1 + 0j,) + (0j,) * n, "amplitude count"),  # one too many
+        ],
+        ids=["unnormalized", "wrong_length"],
+    )
+    def test_a_faulty_kernel_output_is_rejected(self, monkeypatch, kernel, state, operation, n_out, bad, message):
+        monkeypatch.setattr(backend, kernel, lambda *args: bad(n_out))
+        with pytest.raises(ValueError, match=message):
+            operation(state)
+
+    def test_every_state_is_validated_once(self, monkeypatch):
+        calls = []
+        original = JointState.__post_init__
+
+        def counting(state):
+            calls.append(state)
+            original(state)
+
+        monkeypatch.setattr(JointState, "__post_init__", counting)
+        pair = bell_state((0, 0))
+        rng = np.random.default_rng(0)
+        derived = [
+            apply_pauli_on_transit(pair, Pauli.Z),
+            collapse_outcome(pair, Subsystem.TRANSIT, Basis.X, 1),
+            measure_qubit(pair, Subsystem.HOME, Basis.Z, rng)[1],
+            probed_pair(),
+        ]
+        derived.append(measure_ancilla_and_discard(derived[-1], rng)[1])
+        assert calls == derived
+
+    def test_amplitudes_are_exactly_complex(self):
+        rng = np.random.default_rng(7)
+        probed = probed_pair()
+        derived = [
+            JointState((1, 0), (Subsystem.TRANSIT,)),
+            JointState(np.array([0.0, RH, RH, 0.0]), PAIR),
+            apply_pauli_on_transit(bell_state((0, 0)), Pauli.X),
+            apply_pauli_on_transit(bell_state((1, 0)), Pauli.Z),
+            collapse_outcome(bell_state((0, 0)), Subsystem.TRANSIT, Basis.Z, 1),
+            measure_qubit(prepare_decoy(DecoyState.PLUS), Subsystem.TRANSIT, Basis.Z, rng)[1],
+            probed,
+            attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), 1, 0),
+            measure_ancilla_and_discard(probed, rng)[1],
+            bell_measure(bell_state((1, 1)), rng)[1],
+        ]
+        for state in derived:
+            assert all(type(a) is complex for a in state.amps), state
+
+    def test_pickle_and_copy_round_trip(self):
+        for state in (bell_state((0, 1)), probed_pair(), prepare_decoy(DecoyState.MINUS)):
+            for clone in (
+                pickle.loads(pickle.dumps(state)),
+                copy.copy(state),
+                copy.deepcopy(state),
+            ):
+                assert clone == state
+                assert hash(clone) == hash(state)
+                assert (clone.has_home, clone.has_ancilla) == (state.has_home, state.has_ancilla)
+
+    def test_frozen(self):
+        state = bell_state((0, 0))
+        for name in ("amps", "subsystems", "has_home", "has_ancilla"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, name, None)
+        assert not hasattr(state, "__dict__")
+
+    @pytest.mark.parametrize("register, has_home, has_ancilla", REGISTERS)
+    def test_register_flags(self, register, has_home, has_ancilla):
+        state = JointState((1.0,) + (0.0,) * ((1 << len(register)) - 1), register)
+        assert state.has_home is has_home
+        assert state.has_ancilla is has_ancilla
+
+    def test_flags_are_not_compared_or_shown(self):
+        state = bell_state((0, 0))
+        assert "has_home" not in repr(state)
+        assert state == JointState(state.amps, PAIR)
 
 
 KERNELS = ("norm_sq", "apply_1q", "prob_zero", "collapse", "bell_probs", "attach_ancilla", "discard_qubit")
