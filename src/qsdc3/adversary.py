@@ -15,6 +15,11 @@ Eve commits her action while the qubit is in flight, before any mode
 announcement, and may read the full public transcript.  Strategies hold no
 state between rounds beyond the per-round log.
 
+Each attack kind is one function (``_disturb``, ``_intercept``,
+``_entangle``).  :func:`_strategy` picks the model's function once, gated by
+the attack probability when it is below 1; an :class:`Eavesdropper` picks it
+once per session, and :func:`attack_transit` calls the same function.
+
 :func:`analytic_detection_probability` computes exact per-check detection
 probabilities by enumerating Eve's and the checkers' discrete choices with
 their exact branch weights - no sampling - and serves as the oracle the
@@ -33,8 +38,8 @@ from .states import (
     DecoyState,
     Pauli,
     Subsystem,
+    _attach_probe,
     apply_pauli_on_transit,
-    attach_ancilla_and_entangle,
     bell_state,
     check_coupling,
     collapse_outcome,
@@ -130,7 +135,7 @@ class AttackModel:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class EveRecord:
     """What Eve did and saw on one flying qubit."""
 
@@ -142,41 +147,85 @@ class EveRecord:
     ancilla_outcome: int | None = None
 
 
+# Members read on the per-round path (see the note in states.py).
+_Z, _X = Basis.Z, Basis.X
+_TRANSIT = Subsystem.TRANSIT
+_DISTURBANCE = AttackKind.DISTURBANCE
+_INTERCEPT_RESEND = AttackKind.INTERCEPT_RESEND
+_ENTANGLE_MEASURE = AttackKind.ENTANGLE_MEASURE
+
+
+# One function per attack kind, for a hop the model covers:
+# (model, segment, state, rng, round_index) -> (state, record or None).
+
+
+def _disturb(model, segment, state, rng, round_index):
+    state = apply_pauli_on_transit(state, model.pauli)
+    return state, EveRecord(round_index, segment, _DISTURBANCE)
+
+
+def _intercept(model, segment, state, rng, round_index):
+    basis = _Z if rng.random() < 0.5 else _X
+    # Measuring and forwarding a fresh eigenstate of the outcome is the
+    # same pure state as the post-measurement collapse.
+    outcome, state = measure_qubit(state, _TRANSIT, basis, rng)
+    return state, EveRecord(round_index, segment, _INTERCEPT_RESEND, basis, outcome)
+
+
+def _entangle(model, segment, state, rng, round_index):
+    # One probe per flying qubit; if this qubit is already probed (it
+    # crossed another attacked segment) Eve rides along.
+    if state.has_ancilla:
+        return state, None
+    # AttackModel ran check_coupling on the coefficients.
+    state = _attach_probe(state, model.alpha, model.beta)
+    return state, EveRecord(round_index, segment, _ENTANGLE_MEASURE)
+
+
+_ACTIONS = {
+    AttackKind.DISTURBANCE: _disturb,
+    AttackKind.INTERCEPT_RESEND: _intercept,
+    AttackKind.ENTANGLE_MEASURE: _entangle,
+}
+
+
+def _strategy(model):
+    """The function that carries out an active model's attack on a covered hop.
+
+    Below attack probability 1, one uniform draw first decides whether Eve
+    acts at all.
+    """
+    act = _ACTIONS[model.kind]
+    p_fire = model.attack_probability
+    if p_fire >= 1.0:
+        return act
+
+    def gated(model, segment, state, rng, round_index):
+        if rng.random() >= p_fire:
+            return state, None
+        return act(model, segment, state, rng, round_index)
+
+    return gated
+
+
 def attack_transit(model, segment, state, rng):
     """Eve's action on a flying qubit crossing a segment.
 
     The qubit is an entangled pair's transit qubit, or a lone decoy on the
     C->A segment.  Identity when the segment is not covered by the model;
     otherwise applies the model's strategy.  Returns ``(state, record)``,
-    with ``record`` None when Eve did not act.
+    with ``record`` None when Eve did not act; a record's ``round_index``
+    is -1.
     """
     if model.kind is AttackKind.NONE or segment not in model.segments:
         return state, None
-    if model.attack_probability < 1.0 and rng.random() >= model.attack_probability:
-        return state, None
-
-    if model.kind is AttackKind.DISTURBANCE:
-        state = apply_pauli_on_transit(state, model.pauli)
-        return state, EveRecord(-1, segment, model.kind)
-
-    if model.kind is AttackKind.INTERCEPT_RESEND:
-        basis = Basis.Z if rng.random() < 0.5 else Basis.X
-        # Measuring and forwarding a fresh eigenstate of the outcome is the
-        # same pure state as the post-measurement collapse.
-        outcome, state = measure_qubit(state, Subsystem.TRANSIT, basis, rng)
-        return state, EveRecord(-1, segment, model.kind, basis=basis, outcome=outcome)
-
-    # Entangle-and-measure: one probe per flying qubit; if this qubit is
-    # already probed (it crossed another attacked segment) Eve rides along.
-    if state.has_ancilla:
-        return state, None
-    state = attach_ancilla_and_entangle(state, model.alpha, model.beta)
-    return state, EveRecord(-1, segment, model.kind)
+    return _strategy(model)(model, segment, state, rng, -1)
 
 
 class Eavesdropper:
     """Bookkeeping wrapper used by the round engine: applies the model to
-    each flying qubit and logs one record per action."""
+    each flying qubit and logs one record per action.  The model's strategy
+    is picked once, here."""
 
     def __init__(self, model):
         self.model = model
@@ -184,13 +233,13 @@ class Eavesdropper:
         # A tuple, so a hop outside the model is rejected by identity
         # comparisons instead of hashing the segment.
         self._segments = tuple(model.segments)
+        self._act = _strategy(model) if self._segments else None
 
     def intercept_transit(self, segment, state, rng, round_index, touched):
         if segment not in self._segments:
             return state
-        state, record = attack_transit(self.model, segment, state, rng)
+        state, record = self._act(self.model, segment, state, rng, round_index)
         if record is not None:
-            record.round_index = round_index
             self.records.append(record)
             touched.append(segment)
         return state
@@ -201,7 +250,7 @@ class Eavesdropper:
             return state
         outcome, state = measure_ancilla_and_discard(state, rng)
         for record in reversed(self.records):
-            if record.kind is AttackKind.ENTANGLE_MEASURE and record.ancilla_outcome is None:
+            if record.kind is _ENTANGLE_MEASURE and record.ancilla_outcome is None:
                 record.ancilla_outcome = outcome
                 break
         return state
@@ -232,9 +281,7 @@ def _attack_branches(model, segment, state):
         if state.has_ancilla:
             branches.append((p_fire, state))
         else:
-            branches.append(
-                (p_fire, attach_ancilla_and_entangle(state, model.alpha, model.beta))
-            )
+            branches.append((p_fire, _attach_probe(state, model.alpha, model.beta)))
     else:  # intercept-and-resend: basis choice x outcome, each branch exact
         for basis in (Basis.Z, Basis.X):
             p0, p1 = outcome_probabilities(state, Subsystem.TRANSIT, basis)

@@ -7,7 +7,10 @@ plain-Python loops over at most eight amplitudes are the one implementation.
 the traced benchmark run does) sees every call.
 
 Amplitude vectors travel as plain tuples of complex numbers of length 2, 4
-or 8.  Index 0 is the all-|0> basis state; the leftmost qubit owns the most
+or 8.  The kernels that return one (``apply_1q``, ``collapse``,
+``attach_ancilla``, ``discard_qubit``) build it of ``complex`` whatever
+numbers they are given, so a cached result never holds a float that a
+later, equal complex input would receive.  Index 0 is the all-|0> basis state; the leftmost qubit owns the most
 significant bit, so a qubit at position ``pos`` (0 = leftmost) toggles the
 bit of weight ``len(amps) >> (pos + 1)``.
 
@@ -67,20 +70,19 @@ def norm_sq(amps):
 @_memoised
 def apply_1q(amps, pos, op):
     """Apply identity (op=0), bit flip (op=1) or phase flip (op=2) at pos."""
+    out = list(map(complex, amps))
     if op == 0:
-        return tuple(amps)
+        return tuple(out)
     n_amps = len(amps)
     stride = n_amps >> (pos + 1)
-    out = list(amps)
     if op == 1:
         for i in range(n_amps):
             if not i & stride:
-                out[i] = amps[i | stride]
-                out[i | stride] = amps[i]
+                out[i], out[i | stride] = out[i | stride], out[i]
     elif op == 2:
         for i in range(n_amps):
             if i & stride:
-                out[i] = -amps[i]
+                out[i] = -out[i]
     else:
         raise ValueError("unknown single-qubit op code %r" % (op,))
     return tuple(out)
@@ -132,7 +134,7 @@ def collapse(amps, pos, basis, outcome):
     if p <= 1e-300:
         raise ValueError("cannot collapse onto a zero-probability outcome")
     scale = 1.0 / math.sqrt(p)
-    return tuple(a * scale for a in out)
+    return tuple([complex(a * scale) for a in out])
 
 
 @_memoised
@@ -165,8 +167,8 @@ def attach_ancilla(amps, transit_pos, alpha, beta):
     out = [0j] * (2 * n_amps)
     for i in range(n_amps):
         a = amps[i]
-        out[i << 1] = alpha * a
-        out[((i ^ stride) << 1) | 1] = beta * a
+        out[i << 1] = complex(alpha * a)
+        out[((i ^ stride) << 1) | 1] = complex(beta * a)
     return tuple(out)
 
 
@@ -179,5 +181,5 @@ def discard_qubit(amps, pos, bit):
     out = []
     for i in range(n_amps):
         if (i & stride) == want:
-            out.append(amps[i])
+            out.append(complex(amps[i]))
     return tuple(out)

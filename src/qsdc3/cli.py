@@ -26,6 +26,8 @@ import json
 import logging
 import sys
 
+import numpy as np
+
 from . import backend
 from .adversary import AttackModel, ChannelSegment
 from .harness import (
@@ -93,6 +95,10 @@ _SWEEP_KEYS = {
 _SEGMENTS = {s.value: s for s in ChannelSegment}
 _PAULIS = {"X": Pauli.X, "Z": Pauli.Z}
 
+# A trial draws its three messages as one numpy int64 array of
+# 3 * message_length bits; numpy refuses arrays of more than intp-max bytes.
+_MAX_MESSAGE_LENGTH = int(np.iinfo(np.intp).max) // (3 * np.dtype(np.int64).itemsize)
+
 
 def _reject_unknown(mapping, allowed, context):
     for key in mapping:
@@ -107,6 +113,15 @@ def _integer(value, name, minimum):
     if value < minimum:
         raise ConfigError("field '%s' must be >= %d, got %d" % (name, minimum, value))
     return value
+
+
+def _message_length(data, default):
+    length = _integer(data.get("message_length", default), "message_length", 1)
+    if length > _MAX_MESSAGE_LENGTH:
+        raise ConfigError(
+            "field 'message_length' must be <= %d, got %d" % (_MAX_MESSAGE_LENGTH, length)
+        )
+    return length
 
 
 def _number(value, name):
@@ -131,10 +146,21 @@ def _parse_schedule(data, defaults):
     return schedule
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook`` for ``json.load``: a key repeated in one object
+    is an error, not a silent overwrite by its last value."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError("key '%s' appears more than once in one object" % key)
+        data[key] = value
+    return data
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc) from None
     except json.JSONDecodeError as exc:
@@ -161,12 +187,14 @@ def parse_attack(spec):
     if not isinstance(names, list):
         raise ConfigError("field 'attack.segments' must be a list")
     try:
-        segments = frozenset(_SEGMENTS[s] for s in names)
+        segments = [_SEGMENTS[s] for s in names]
     except (KeyError, TypeError):
         raise ConfigError(
             "field 'attack.segments' entries must be one of %s"
             % sorted(_SEGMENTS)
         ) from None
+    if len(set(segments)) != len(segments):
+        raise ConfigError("field 'attack.segments' names a segment more than once")
     try:
         if kind == "none":
             return AttackModel.none()
@@ -200,7 +228,7 @@ def parse_run_config(data, seed_override=None):
         ) from None
     seed = seed_override if seed_override is not None else data.get("seed", 0)
     return ExperimentConfig(
-        message_length=_integer(data.get("message_length", 64), "message_length", 1),
+        message_length=_message_length(data, 64),
         trials=_integer(data.get("trials", 10), "trials", 1),
         schedule=schedule,
         attack=parse_attack(data.get("attack")),
@@ -415,7 +443,7 @@ def cmd_sweep(args):
     if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) for k in kinds):
         raise ConfigError("field 'check_kinds' must be a non-empty list of strings")
     schedule = _parse_schedule(data, (0.25, 0.1, 0.4))
-    message_length = _integer(data.get("message_length", 128), "message_length", 1)
+    message_length = _message_length(data, 128)
     trials = _integer(data.get("trials", 140), "trials", 1)
     seed = _integer(args.seed if args.seed is not None else data.get("seed", 0), "seed", 0)
     try:
@@ -486,8 +514,6 @@ def _demo_trace(result, messages):
 
 
 def cmd_demo(args):
-    import numpy as np
-
     if not 1 <= args.rounds <= 16:
         raise ConfigError("demo size must be between 1 and 16 message bits")
     rng = np.random.default_rng(_integer(args.seed, "seed", 0))

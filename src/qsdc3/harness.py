@@ -43,6 +43,8 @@ log = logging.getLogger("qsdc3")
 
 _CHECK_KINDS = tuple(CHECK_PATHS)
 _Z_DECOYS = ("0", "1")
+_MESSAGE = RoundKind.MESSAGE
+_DECOY_CHECK = RoundKind.CHARLIE_DECOY_CHECK
 
 
 def wilson_interval(failures, n, z=1.96):
@@ -267,28 +269,43 @@ class _Aggregator:
         # Record list position == round index: the engine logs one record
         # per round from round 0.
         reveals = transcript.decoy_reveals() if records else {}
+        xy_symbols = self.xy_symbols.append
+        alice_bits = self.secret_bits["alice"].append
+        bob_bits = self.secret_bits["bob"].append
+        charlie_bits = self.secret_bits["charlie"].append
+        xor_announced = self.xor_announced.append
+        xor_secret = self.xor_secret.append
+        check_counts = self.check_counts
+        decoy_family_counts = self.decoy_family_counts
+        xor_hits = 0
+        messages = 0
         for idx, rec in enumerate(records):
-            if rec.kind is RoundKind.MESSAGE:
+            kind = rec.kind
+            if kind is _MESSAGE:
                 x, y = rec.announcement
-                self.xy_symbols.append(2 * x + y)
-                self.secret_bits["alice"].append(rec.alice_bit)
-                self.secret_bits["bob"].append(rec.bob_bit)
-                self.secret_bits["charlie"].append(rec.charlie_bit)
-                self.xor_announced.append(x ^ y)
-                self.xor_secret.append(rec.bob_bit ^ rec.charlie_bit)
+                xy_symbols(2 * x + y)
+                alice_bits(rec.alice_bit)
+                bob_bits(rec.bob_bit)
+                charlie_bits(rec.charlie_bit)
+                xor_announced(x ^ y)
+                xor_secret(rec.bob_bit ^ rec.charlie_bit)
                 if x ^ y == rec.bob_bit ^ rec.charlie_bit:
-                    self.xor_hits += 1
-                self.messages_audited += 1
+                    xor_hits += 1
+                messages += 1
             else:
-                counts = self.check_counts[rec.kind.value]
+                # ``_value_`` is the kind name without the Python-level
+                # ``Enum.value`` property.
+                counts = check_counts[kind._value_]
                 counts[0] += 1
                 failed = not rec.check_passed
                 counts[1] += failed
-                if rec.kind is RoundKind.CHARLIE_DECOY_CHECK:
+                if kind is _DECOY_CHECK:
                     family = "decoy_check_z" if reveals[idx] in _Z_DECOYS else "decoy_check_x"
-                    fam = self.decoy_family_counts[family]
+                    fam = decoy_family_counts[family]
                     fam[0] += 1
                     fam[1] += failed
+        self.xor_hits += xor_hits
+        self.messages_audited += messages
         self.rounds_total += len(records)
         for ev in eve_records:
             self.eve_actions += 1

@@ -42,12 +42,29 @@ from .states import (
 
 _DECOY_LABELS = (DecoyState.ZERO, DecoyState.ONE, DecoyState.PLUS, DecoyState.MINUS)
 
+# Constants of the round body.  Enum members are read from module globals
+# (see the note in states.py), and their names and values through
+# ``_name_`` and ``_value_``, which skip the Python-level ``name`` and
+# ``value`` properties.  Every round starts from the same pair.
+_Z, _X = Basis.Z, Basis.X
+_HOME, _TRANSIT = Subsystem.HOME, Subsystem.TRANSIT
+_A_TO_B = adversary.ChannelSegment.A_TO_B
+_B_TO_C = adversary.ChannelSegment.B_TO_C
+_C_TO_A = adversary.ChannelSegment.C_TO_A
+_START_PAIR = bell_state((0, 0))
+
 
 class RoundKind(Enum):
     BOB_EAVESDROP_CHECK = "ab_check"
     BOB_CONTROL_CHECK = "ca_check"
     CHARLIE_DECOY_CHECK = "decoy_check"
     MESSAGE = "message"
+
+
+_AB_CHECK = RoundKind.BOB_EAVESDROP_CHECK
+_CA_CHECK = RoundKind.BOB_CONTROL_CHECK
+_DECOY_CHECK = RoundKind.CHARLIE_DECOY_CHECK
+_MESSAGE = RoundKind.MESSAGE
 
 
 class AbortPolicy(Enum):
@@ -120,6 +137,11 @@ class TranscriptEvent(NamedTuple):
         return {"round": self.round_index, "kind": self.kind, **self.payload}
 
 
+# Builds a TranscriptEvent from its field tuple without the Python-level
+# ``__new__`` that NamedTuple generates.
+_new_tuple = tuple.__new__
+
+
 class PublicTranscript:
     """Ordered log of everything sent over the classical channel.
 
@@ -132,7 +154,7 @@ class PublicTranscript:
         self.events = []
 
     def add(self, round_index, kind, **payload):
-        self.events.append(TranscriptEvent(round_index, kind, payload))
+        self.events.append(_new_tuple(TranscriptEvent, (round_index, kind, payload)))
 
     def __len__(self):
         return len(self.events)
@@ -228,10 +250,10 @@ def _correlation_check(state, rng, transcript, round_index, check):
     measures; Alice measures her home qubit in the same basis.  An honest
     pair anti-correlates in Z and correlates in X.
     """
-    basis = Basis.Z if rng.random() < 0.5 else Basis.X
-    checker_bit, state = measure_qubit(state, Subsystem.TRANSIT, basis, rng)
-    alice_bit, state = measure_qubit(state, Subsystem.HOME, basis, rng)
-    if basis is Basis.Z:
+    basis = _Z if rng.random() < 0.5 else _X
+    checker_bit, state = measure_qubit(state, _TRANSIT, basis, rng)
+    alice_bit, state = measure_qubit(state, _HOME, basis, rng)
+    if basis is _Z:
         passed = checker_bit != alice_bit
     else:
         passed = checker_bit == alice_bit
@@ -240,7 +262,7 @@ def _correlation_check(state, rng, transcript, round_index, check):
             round_index,
             "check_disclosure",
             check=check,
-            basis=basis.name,
+            basis=basis._name_,
             checker_outcome=checker_bit,
             alice_outcome=alice_bit,
         )
@@ -273,14 +295,14 @@ def run_decoy_check(decoy, received, rng, transcript=None, round_index=0):
     passes when her outcome names that state.
     """
     basis, expected = decoy_basis_and_bit(decoy)
-    outcome, state = measure_qubit(received, Subsystem.TRANSIT, basis, rng)
+    outcome, state = measure_qubit(received, _TRANSIT, basis, rng)
     passed = outcome == expected
     if transcript is not None:
         transcript.add(
             round_index,
             "check_disclosure",
             check="decoy",
-            basis=basis.name,
+            basis=basis._name_,
             alice_outcome=outcome,
         )
         transcript.add(round_index, "check_verdict", check="decoy", passed=passed)
@@ -309,40 +331,36 @@ class ProtocolResult:
 
 
 def _run_round(round_index, n, messages, schedule, eve, rng, transcript):
-    """One pass through the round state machine; returns a RoundRecord."""
+    """One pass through the round state machine; returns a RoundRecord.
+
+    The records take their fields positionally, in declaration order: a
+    keyword call costs more on every round.
+    """
     touched = []
 
     # Alice keeps the home qubit and sends the transit qubit to Bob.
-    pair = bell_state((0, 0))
-    pair = eve.intercept_transit(adversary.ChannelSegment.A_TO_B, pair, rng, round_index, touched)
+    pair = eve.intercept_transit(_A_TO_B, _START_PAIR, rng, round_index, touched)
 
     # Bob either checks the A->B leg or goes on to encode.
     if rng.random() < schedule.p_ab_check:
         passed, pair = run_ab_check(pair, rng, transcript, round_index)
         eve.resolve_probe(pair, rng)
-        return RoundRecord(
-            kind=RoundKind.BOB_EAVESDROP_CHECK,
-            check_passed=passed,
-            attack_touched=tuple(touched),
-        )
+        return RoundRecord(_AB_CHECK, None, None, None, None, None, None, passed, tuple(touched))
 
     bob_cm = rng.random() < schedule.p_bob_cm
     j = None
     if not bob_cm:
         j = messages.bob_bits[n]
-        pair = apply_pauli_on_transit(pair, encode_bob(j))
-    pair = eve.intercept_transit(adversary.ChannelSegment.B_TO_C, pair, rng, round_index, touched)
+        if j:  # encode_bob(0) is the identity
+            pair = apply_pauli_on_transit(pair, encode_bob(j))
+    pair = eve.intercept_transit(_B_TO_C, pair, rng, round_index, touched)
 
     # Charlie confirms receipt; only then does Bob announce his mode.
     transcript.add(round_index, "bob_mode", mode="CM" if bob_cm else "MM")
     if bob_cm:
         passed, pair = run_ca_check(pair, rng, transcript, round_index)
         eve.resolve_probe(pair, rng)
-        return RoundRecord(
-            kind=RoundKind.BOB_CONTROL_CHECK,
-            check_passed=passed,
-            attack_touched=tuple(touched),
-        )
+        return RoundRecord(_CA_CHECK, None, None, None, None, None, None, passed, tuple(touched))
 
     if rng.random() < schedule.p_charlie_cm:
         # Decoy round: Charlie abandons the encoded qubit (Bob's bit will be
@@ -350,22 +368,17 @@ def _run_round(round_index, n, messages, schedule, eve, rng, transcript):
         eve.resolve_probe(pair, rng)
         decoy_label = _DECOY_LABELS[int(rng.integers(0, 4))]
         decoy = prepare_decoy(decoy_label)
-        decoy = eve.intercept_transit(
-            adversary.ChannelSegment.C_TO_A, decoy, rng, round_index, touched
-        )
+        decoy = eve.intercept_transit(_C_TO_A, decoy, rng, round_index, touched)
         transcript.add(round_index, "charlie_mode", mode="CM")
-        transcript.add(round_index, "decoy_reveal", state=decoy_label.value)
+        transcript.add(round_index, "decoy_reveal", state=decoy_label._value_)
         passed, decoy = run_decoy_check(decoy_label, decoy, rng, transcript, round_index)
         eve.resolve_probe(decoy, rng)
-        return RoundRecord(
-            kind=RoundKind.CHARLIE_DECOY_CHECK,
-            check_passed=passed,
-            attack_touched=tuple(touched),
-        )
+        return RoundRecord(_DECOY_CHECK, None, None, None, None, None, None, passed, tuple(touched))
 
     k = messages.charlie_bits[n]
-    pair = apply_pauli_on_transit(pair, encode_charlie(k))
-    pair = eve.intercept_transit(adversary.ChannelSegment.C_TO_A, pair, rng, round_index, touched)
+    if k:  # encode_charlie(0) is the identity
+        pair = apply_pauli_on_transit(pair, encode_charlie(k))
+    pair = eve.intercept_transit(_C_TO_A, pair, rng, round_index, touched)
     transcript.add(round_index, "charlie_mode", mode="MM")
 
     # Alice's Bell measurement closes the round; any probe must be read out
@@ -375,23 +388,14 @@ def _run_round(round_index, n, messages, schedule, eve, rng, transcript):
     i = messages.alice_bits[n]
     x, y = announce(outcome.flip, outcome.phase, i)
     transcript.add(round_index, "announcement", x=x, y=y)
-    return RoundRecord(
-        kind=RoundKind.MESSAGE,
-        message_index=n,
-        alice_bit=i,
-        bob_bit=j,
-        charlie_bit=k,
-        bell_outcome=outcome,
-        announcement=(x, y),
-        attack_touched=tuple(touched),
-    )
+    return RoundRecord(_MESSAGE, n, i, j, k, outcome, (x, y), None, tuple(touched))
 
 
 def _decode_all(messages, records):
     """Apply the three decoding rules to every completed message round."""
     a_j, a_k, b_i, b_k, c_i, c_j = [], [], [], [], [], []
     for rec in records:
-        if rec.kind is not RoundKind.MESSAGE:
+        if rec.kind is not _MESSAGE:
             continue
         x, y = rec.announcement
         m = rec.message_index
@@ -443,7 +447,7 @@ def run_protocol(
         record = _run_round(round_index, n, messages, schedule, eve, rng, transcript)
         records.append(record)
         round_index += 1
-        if record.kind is RoundKind.MESSAGE:
+        if record.kind is _MESSAGE:
             n += 1
         elif record.check_passed is False and abort_policy is AbortPolicy.STRICT:
             raise ProtocolAborted(

@@ -31,6 +31,15 @@ tuple of ``complex`` over the input state's register, so only that
 conversion is skipped.  The checks still run on these states, because a
 faulty kernel must not hand an invalid state to the round engine, and
 because each validation is a counted benchmark layer.
+
+The probe coupling's coefficients are checked where they enter: by
+``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
+``AttackModel`` run.  Eve's attach goes through ``_attach_probe``, which
+trusts the coefficients of her already checked model.
+
+Registers are constants: the transit qubit sits after the home qubit when
+there is one, and the probe is always last, so positions come from
+``has_home`` and attach and discard pick a prebuilt register.
 """
 
 from __future__ import annotations
@@ -69,14 +78,22 @@ class Subsystem(Enum):
     ANCILLA = "ancilla"
 
 
+# Members read on the per-round path.  ``EnumType`` defines a Python-level
+# ``__getattr__``, which makes every ``Basis.Z`` a slow class lookup (about
+# 0.2 us on CPython 3.11); a module global costs a tenth of that.
+_Z, _X = Basis.Z, Basis.X
+_PAULI_I, _PAULI_X, _PAULI_Z = Pauli.I, Pauli.X, Pauli.Z
+_HOME, _TRANSIT, _ANCILLA = Subsystem.HOME, Subsystem.TRANSIT, Subsystem.ANCILLA
+
 # The legal registers: the transit qubit, optionally preceded by the home
 # qubit and followed by the probe, in (home, transit, ancilla) order.
-_REGISTERS = (
-    (Subsystem.HOME, Subsystem.TRANSIT),
-    (Subsystem.HOME, Subsystem.TRANSIT, Subsystem.ANCILLA),
-    (Subsystem.TRANSIT,),
-    (Subsystem.TRANSIT, Subsystem.ANCILLA),
-)
+# Derived states reuse these tuples, so the register check below matches
+# them by identity.
+_PAIR = (_HOME, _TRANSIT)
+_PROBED_PAIR = (_HOME, _TRANSIT, _ANCILLA)
+_LONE = (_TRANSIT,)
+_PROBED_LONE = (_TRANSIT, _ANCILLA)
+_REGISTERS = (_PAIR, _PROBED_PAIR, _LONE, _PROBED_LONE)
 
 
 class DecoyState(Enum):
@@ -151,18 +168,22 @@ class JointState:
         err = abs(_k.norm_sq(amps) - 1.0)
         if not err <= NORM_ATOL:
             raise ValueError("state is not normalized (|norm^2 - 1| = %.3g)" % err)
-        _set_has_home(self, subsystems[0] is Subsystem.HOME)
-        _set_has_ancilla(self, subsystems[-1] is Subsystem.ANCILLA)
+        _set_has_home(self, subsystems[0] is _HOME)
+        _set_has_ancilla(self, subsystems[-1] is _ANCILLA)
 
     @property
     def n_qubits(self):
         return len(self.subsystems)
 
     def position(self, which):
-        try:
-            return self.subsystems.index(which)
-        except ValueError:
-            raise ValueError("state has no %s qubit" % which.value) from None
+        """Index of a subsystem in the register; ``ValueError`` if absent."""
+        if which is _TRANSIT:
+            return 1 if self.has_home else 0
+        if which is _HOME and self.has_home:
+            return 0
+        if which is _ANCILLA and self.has_ancilla:
+            return 2 if self.has_home else 1
+        raise ValueError("state has no %s qubit" % which.value)
 
 
 # The slot setters write past the frozen ``__setattr__``, as the
@@ -201,8 +222,6 @@ def allclose_up_to_global_phase(a, b, atol=AMP_ATOL):
     return all(abs(x - phase * y) <= atol for x, y in zip(a.amps, b.amps))
 
 
-_PAIR = (Subsystem.HOME, Subsystem.TRANSIT)
-
 _BELL_STATES = {
     (0, 0): JointState((0.0, _SQRT_HALF, _SQRT_HALF, 0.0), _PAIR),
     (1, 0): JointState((_SQRT_HALF, 0.0, 0.0, _SQRT_HALF), _PAIR),
@@ -211,10 +230,10 @@ _BELL_STATES = {
 }
 
 _DECOY_STATES = {
-    DecoyState.ZERO: JointState((1.0, 0.0), (Subsystem.TRANSIT,)),
-    DecoyState.ONE: JointState((0.0, 1.0), (Subsystem.TRANSIT,)),
-    DecoyState.PLUS: JointState((_SQRT_HALF, _SQRT_HALF), (Subsystem.TRANSIT,)),
-    DecoyState.MINUS: JointState((_SQRT_HALF, -_SQRT_HALF), (Subsystem.TRANSIT,)),
+    DecoyState.ZERO: JointState((1.0, 0.0), _LONE),
+    DecoyState.ONE: JointState((0.0, 1.0), _LONE),
+    DecoyState.PLUS: JointState((_SQRT_HALF, _SQRT_HALF), _LONE),
+    DecoyState.MINUS: JointState((_SQRT_HALF, -_SQRT_HALF), _LONE),
 }
 
 # Bell-measurement outcomes, indexed like the probabilities of ``bell_probs``.
@@ -271,13 +290,16 @@ def decoy_basis_and_bit(label):
 
 
 def apply_pauli(state, which, pauli):
-    """Apply a single-qubit operator to the named subsystem."""
+    """Apply a single-qubit operator to the named subsystem.
+
+    ``Pauli.I`` returns ``state`` itself.
+    """
     # Kernel op codes: 1 bit flip, 2 phase flip.
-    if pauli is Pauli.X:
+    if pauli is _PAULI_X:
         op = 1
-    elif pauli is Pauli.Z:
+    elif pauli is _PAULI_Z:
         op = 2
-    elif pauli is Pauli.I:
+    elif pauli is _PAULI_I:
         return state
     else:
         raise ValueError("not a Pauli operator: %r" % (pauli,))
@@ -286,14 +308,14 @@ def apply_pauli(state, which, pauli):
 
 
 def apply_pauli_on_transit(state, pauli):
-    return apply_pauli(state, Subsystem.TRANSIT, pauli)
+    return apply_pauli(state, _TRANSIT, pauli)
 
 
 def _basis_code(basis):
     """The kernels' code for a measurement basis: 0 for Z, 1 for X."""
-    if basis is Basis.Z:
+    if basis is _Z:
         return 0
-    if basis is Basis.X:
+    if basis is _X:
         return 1
     raise ValueError("not a measurement basis: %r" % (basis,))
 
@@ -379,13 +401,24 @@ def attach_ancilla_and_entangle(state, alpha, beta):
     The coupling sends |0> to alpha |0>|chi0> + beta |1>|chi1> and |1> to
     alpha |1>|chi0> + beta |0>|chi1>, with {|chi0>, |chi1>} the probe's
     orthonormal states.  The extension is unitary, so the norm is preserved.
+    The coefficients are checked here (``check_coupling``); a state that
+    already carries a probe raises ``ValueError``.
+    """
+    alpha, beta = check_coupling(alpha, beta)
+    return _attach_probe(state, alpha, beta)
+
+
+def _attach_probe(state, alpha, beta):
+    """``attach_ancilla_and_entangle`` for coefficients already checked.
+
+    The caller has run ``check_coupling`` on ``alpha`` and ``beta``: the
+    public function does, and so does ``AttackModel`` for Eve's model.
     """
     if state.has_ancilla:
         raise ValueError("state already carries a probe qubit")
-    alpha, beta = check_coupling(alpha, beta)
-    pos = state.position(Subsystem.TRANSIT)
-    amps = _k.attach_ancilla(state.amps, pos, alpha, beta)
-    return _from_kernel(amps, state.subsystems + (Subsystem.ANCILLA,))
+    if state.has_home:
+        return _from_kernel(_k.attach_ancilla(state.amps, 1, alpha, beta), _PROBED_PAIR)
+    return _from_kernel(_k.attach_ancilla(state.amps, 0, alpha, beta), _PROBED_LONE)
 
 
 def measure_ancilla_and_discard(state, rng):
@@ -393,9 +426,16 @@ def measure_ancilla_and_discard(state, rng):
 
     This is how an entangle-and-measure eavesdropper reads her probe at the
     end of a round; the remaining register no longer contains the probe.
+    A state without a probe raises ``ValueError``.
     """
-    pos = state.position(Subsystem.ANCILLA)
-    outcome = _sample_bit(rng, _k.prob_zero(state.amps, pos, 0))
-    collapsed = _k.collapse(state.amps, pos, 0, outcome)
-    remaining = _k.discard_qubit(collapsed, pos, outcome)
-    return outcome, _from_kernel(remaining, state.subsystems[:pos] + state.subsystems[pos + 1 :])
+    if not state.has_ancilla:
+        raise ValueError("state has no ancilla qubit")
+    # The probe is the last qubit.
+    if state.has_home:
+        pos, register = 2, _PAIR
+    else:
+        pos, register = 1, _LONE
+    amps = state.amps
+    outcome = _sample_bit(rng, _k.prob_zero(amps, pos, 0))
+    collapsed = _k.collapse(amps, pos, 0, outcome)
+    return outcome, _from_kernel(_k.discard_qubit(collapsed, pos, outcome), register)

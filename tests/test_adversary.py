@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -107,6 +108,66 @@ class TestAttackTransit:
         assert record is None and state is bell_state((0, 0))
         state, record = attack_transit(model, AB, bell_state((0, 0)), scripted([0.1]))
         assert record is not None and amps_close(state, bell_state((1, 0)).amps)
+
+
+# (model, hop, state, scripted draws) for every attack kind, each fired at
+# probability 1 and, at probability 0.4, skipped by a draw of 0.5 and fired
+# by a draw of 0.1.
+_STRATEGY_CASES = []
+for _name, _make, _draws in (
+    ("disturb", lambda p: AttackModel.disturbance(Pauli.X, AB, CA, attack_probability=p), []),
+    ("intercept", lambda p: AttackModel.intercept_resend(AB, CA, attack_probability=p), [0.7, 0.2]),
+    ("entangle", lambda p: AttackModel.entangle_measure(0.3, AB, CA, attack_probability=p), []),
+):
+    for _segment, _state in ((AB, bell_state((0, 1))), (CA, prepare_decoy(DecoyState.PLUS))):
+        for _p, _case_draws, _label in (
+            (1.0, _draws, "always"),
+            (0.4, [0.5], "p0.4-skips"),
+            (0.4, [0.1] + _draws, "p0.4-fires"),
+        ):
+            _STRATEGY_CASES.append(
+                pytest.param(
+                    _make(_p), _segment, _state, _case_draws, id="%s-%s-%s" % (_name, _segment.value, _label)
+                )
+            )
+
+
+class TestOneStrategyPerKind:
+    """The engine's Eavesdropper and attack_transit run the same strategy."""
+
+    @pytest.mark.parametrize("model, segment, state, draws", _STRATEGY_CASES)
+    def test_eavesdropper_matches_attack_transit(self, scripted, model, segment, state, draws):
+        direct_rng = scripted(draws)
+        direct, record = attack_transit(model, segment, state, direct_rng)
+        eve = Eavesdropper(model)
+        engine_rng = scripted(draws)
+        touched = []
+        engine = eve.intercept_transit(segment, state, engine_rng, 7, touched)
+        assert engine == direct
+        assert direct_rng.values == engine_rng.values == []
+        if record is None:
+            assert draws == [0.5]
+            assert engine is state and eve.records == [] and touched == []
+        else:
+            assert record.round_index == -1
+            assert eve.records == [dataclasses.replace(record, round_index=7)]
+            assert touched == [segment]
+
+    @pytest.mark.parametrize("p_fire", [1.0, 0.4])
+    def test_a_probed_qubit_is_not_probed_again(self, scripted, p_fire):
+        model = AttackModel.entangle_measure(0.3, AB, BC, attack_probability=p_fire)
+        eve = Eavesdropper(model)
+        probed, _ = attack_transit(model, AB, bell_state((0, 0)), scripted([0.1]))
+        assert probed.has_ancilla
+        touched = []
+        draws = [0.1] if p_fire < 1.0 else []
+        assert eve.intercept_transit(BC, probed, scripted(draws), 3, touched) is probed
+        assert attack_transit(model, BC, probed, scripted(draws)) == (probed, None)
+        assert eve.records == [] and touched == []
+
+    def test_records_are_slotted(self):
+        record = attack_transit(AttackModel.disturbance(Pauli.Z, AB), AB, bell_state((0, 0)), None)[1]
+        assert not hasattr(record, "__dict__")
 
 
 class TestAttackDecoy:

@@ -176,6 +176,16 @@ class TestConfigErrors:
                 "beta_sq",
             ),
             ("run", {"attack": {"kind": "none", "segments": ["a_to_b"]}}, [], "segments"),
+            (
+                "run",
+                {"attack": {"kind": "intercept_resend", "segments": ["a_to_b", "a_to_b"]}},
+                [],
+                "segments",
+            ),
+            # numpy cannot size either message array: more than intp-max
+            # elements, and more than intp-max bytes.
+            ("run", {"message_length": 10**19}, [], "message_length"),
+            ("run", {"message_length": 3 * 10**18}, [], "message_length"),
             ("sweep", {"grid": [0.5], "check_kinds": "ab_check"}, [], "check_kinds"),
             ("sweep", {"grid": [True]}, [], "grid"),
             ("sweep", {"grid": [0.5], "p_bob_cm": 1.0}, [], "schedule"),
@@ -193,6 +203,9 @@ class TestConfigErrors:
             "segments_object",
             "beta_sq_on_disturbance",
             "segments_on_null_attack",
+            "repeated_segment",
+            "message_length_past_numpy_dimensions",
+            "message_length_past_numpy_bytes",
             "sweep_check_kinds_string",
             "sweep_bool_grid_value",
             "sweep_p_bob_cm_one",
@@ -223,6 +236,25 @@ class TestConfigErrors:
             args += ["--config", write_config(tmp_path, dict(BASE_SWEEP, grid=[0.5], trials=1))]
         assert cli.main(args) == cli.EXIT_CONFIG
         assert "cannot write report file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"seed": 1, "message_length": 2, "trials": 1, "seed": 2}', "seed"),
+            (
+                '{"message_length": 2, "trials": 1, "attack": '
+                '{"kind": "intercept_resend", "segments": ["a_to_b"], "kind": "none"}}',
+                "kind",
+            ),
+        ],
+        ids=["top_level", "nested"],
+    )
+    def test_repeated_key_is_rejected(self, tmp_path, capsys, text, key):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert cli.main(["run", "--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "'%s'" % key in err and "more than once" in err
 
     def test_out_of_memory_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         def exhausted(config):
@@ -424,3 +456,28 @@ class TestDemo:
     def test_rejects_negative_seed(self, capsys):
         assert cli.main(["demo", "--seed", "-1"]) == cli.EXIT_CONFIG
         assert "seed" in capsys.readouterr().err
+
+
+class TestDependencies:
+    def test_the_cli_loads_only_the_standard_library_numpy_and_qsdc3(self):
+        """numpy is the one declared runtime dependency.  Other packages may be
+        installed next to it, so a stray import of one would pass every other
+        test; this one runs the import in an isolated interpreter (``-I``) and
+        measures against that interpreter's own start-up modules, which
+        include whatever its site hooks load."""
+        src = str(Path(cli.__file__).resolve().parents[1])
+        listing = "import sys; print(' '.join(sorted(sys.modules)))"
+
+        def loaded(code):
+            done = subprocess.run(
+                [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=120
+            )
+            assert done.returncode == 0, done.stderr
+            return set(done.stdout.split())
+
+        bare = loaded(listing)
+        with_cli = loaded("import sys; sys.path.insert(0, %r); import qsdc3.cli; %s" % (src, listing))
+        assert "qsdc3.cli" in with_cli and "numpy" in with_cli
+        allowed = set(sys.stdlib_module_names) | {"numpy", "qsdc3"}
+        strays = sorted(m for m in with_cli - bare if m.split(".")[0] not in allowed)
+        assert strays == []

@@ -7,7 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from qsdc3 import backend
+from qsdc3 import adversary, backend, states
 from qsdc3.adversary import AttackModel, ChannelSegment
 from qsdc3.cli import render_json
 from qsdc3.harness import ExperimentConfig, run_experiment
@@ -295,6 +295,33 @@ class TestProbeCoupling:
         with pytest.raises(ValueError, match="already"):
             attach_ancilla_and_entangle(state, RH, RH)
 
+    @pytest.mark.parametrize("state", [bell_state((0, 0)), prepare_decoy(DecoyState.ONE)], ids=["pair", "decoy"])
+    def test_discarding_a_missing_probe_is_rejected(self, state):
+        with pytest.raises(ValueError, match="ancilla"):
+            measure_ancilla_and_discard(state, np.random.default_rng(0))
+
+    def test_the_coupling_is_checked_at_the_boundary_only(self, monkeypatch):
+        # The public attach checks its coefficients; an AttackModel checks
+        # its own once, and Eve's attaches trust them.
+        calls = []
+        original = states.check_coupling
+
+        def counting(alpha, beta):
+            calls.append((alpha, beta))
+            return original(alpha, beta)
+
+        monkeypatch.setattr(states, "check_coupling", counting)
+        monkeypatch.setattr(adversary, "check_coupling", counting)
+        attach_ancilla_and_entangle(bell_state((0, 0)), 0.6, 0.8)
+        assert len(calls) == 1
+        model = AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A)
+        assert len(calls) == 2
+        eve = adversary.Eavesdropper(model)
+        rng = np.random.default_rng(0)
+        for segment, state in ((ChannelSegment.A_TO_B, bell_state((0, 0))), (ChannelSegment.C_TO_A, prepare_decoy(DecoyState.ZERO))):
+            assert eve.intercept_transit(segment, state, rng, 0, []).has_ancilla
+        assert len(calls) == 2
+
     def test_norm_preserved_for_complex_coefficients(self):
         alpha = complex(0.5, 0.5)
         beta = complex(-0.5, 0.5)
@@ -481,6 +508,24 @@ class TestDerivedStates:
         assert "has_home" not in repr(state)
         assert state == JointState(state.amps, PAIR)
 
+    @pytest.mark.parametrize("register, has_home, has_ancilla", REGISTERS)
+    def test_positions_follow_the_register(self, register, has_home, has_ancilla):
+        state = JointState((1.0,) + (0.0,) * ((1 << len(register)) - 1), register)
+        for which in Subsystem:
+            if which in register:
+                assert state.position(which) == register.index(which)
+            else:
+                with pytest.raises(ValueError, match=which.value):
+                    state.position(which)
+
+    def test_derived_registers_are_the_legal_ones(self):
+        # Attach and discard pick prebuilt registers instead of building them.
+        rng = np.random.default_rng(0)
+        for state in (bell_state((0, 0)), prepare_decoy(DecoyState.PLUS)):
+            probed = attach_ancilla_and_entangle(state, 0.6, 0.8)
+            assert probed.subsystems == state.subsystems + (Subsystem.ANCILLA,)
+            assert measure_ancilla_and_discard(probed, rng)[1].subsystems == state.subsystems
+
 
 KERNELS = ("norm_sq", "apply_1q", "prob_zero", "collapse", "bell_probs", "attach_ancilla", "discard_qubit")
 
@@ -555,6 +600,24 @@ class TestKernelCaches:
             expected = repr(kernel.__wrapped__(*args))
             assert repr(kernel(*args)) == expected, (name, args)  # miss
             assert repr(kernel(*args)) == expected, (name, args)  # hit
+
+    def test_outputs_are_complex_after_a_float_input(self):
+        # Cache keys compare with ==, so a float input's entry also answers
+        # an equal complex input: the outputs must be complex either way.
+        for name in KERNELS:
+            getattr(backend, name).cache_clear()
+        outputs = [
+            backend.apply_1q((1.0, 0.0), 0, 1),
+            backend.apply_1q((1.0, 0.0), 0, 0),
+            backend.collapse((0.6, 0.8), 0, 0, 1),
+            backend.collapse((0.6, 0.8), 0, 1, 0),
+            backend.attach_ancilla((0.6, 0.8), 0, 1.0, 0.0),
+            backend.discard_qubit((0.6, 0.0, 0.0, 0.8), 1, 0),
+            apply_pauli_on_transit(prepare_decoy(DecoyState.ZERO), Pauli.X).amps,
+        ]
+        assert outputs[0] == outputs[-1] == (0j, 1 + 0j)
+        for amps in outputs:
+            assert all(type(a) is complex for a in amps), amps
 
     def test_zero_probability_collapse_raises_on_every_call(self):
         for _ in range(2):
