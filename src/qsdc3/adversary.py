@@ -16,9 +16,11 @@ announcement, and may read the full public transcript.  Strategies hold no
 state between rounds beyond the per-round log.
 
 Each attack kind is one function (``_disturb``, ``_intercept``,
-``_entangle``).  :func:`_strategy` picks the model's function once, gated by
-the attack probability when it is below 1; an :class:`Eavesdropper` picks it
-once per session, and :func:`attack_transit` calls the same function.
+``_entangle``) that walks a :class:`~qsdc3.states.TransitionTable`.
+:func:`_strategy` picks the model's function once, gated by the attack
+probability when it is below 1; an :class:`Eavesdropper` picks it once per
+session and walks the session's table, and :func:`attack_transit` calls the
+same function on a fresh table.
 
 :func:`analytic_detection_probability` computes exact per-check detection
 probabilities by enumerating Eve's and the checkers' discrete choices with
@@ -38,14 +40,12 @@ from .states import (
     DecoyState,
     Pauli,
     Subsystem,
-    _attach_probe,
+    TransitionTable,
     apply_pauli_on_transit,
     bell_state,
     check_coupling,
     collapse_outcome,
     decoy_basis_and_bit,
-    measure_ancilla_and_discard,
-    measure_qubit,
     outcome_probabilities,
     prepare_decoy,
 )
@@ -156,29 +156,29 @@ _ENTANGLE_MEASURE = AttackKind.ENTANGLE_MEASURE
 
 
 # One function per attack kind, for a hop the model covers:
-# (model, segment, state, rng, round_index) -> (state, record or None).
+# (table, model, segment, state, rng, round_index) -> (state, record or None).
 
 
-def _disturb(model, segment, state, rng, round_index):
-    state = apply_pauli_on_transit(state, model.pauli)
+def _disturb(table, model, segment, state, rng, round_index):
+    state = table.pauli(state, _TRANSIT, model.pauli)
     return state, EveRecord(round_index, segment, _DISTURBANCE)
 
 
-def _intercept(model, segment, state, rng, round_index):
+def _intercept(table, model, segment, state, rng, round_index):
     basis = _Z if rng.random() < 0.5 else _X
     # Measuring and forwarding a fresh eigenstate of the outcome is the
     # same pure state as the post-measurement collapse.
-    outcome, state = measure_qubit(state, _TRANSIT, basis, rng)
+    outcome, state = table.measure(state, _TRANSIT, basis, rng)
     return state, EveRecord(round_index, segment, _INTERCEPT_RESEND, basis, outcome)
 
 
-def _entangle(model, segment, state, rng, round_index):
+def _entangle(table, model, segment, state, rng, round_index):
     # One probe per flying qubit; if this qubit is already probed (it
     # crossed another attacked segment) Eve rides along.
     if state.has_ancilla:
         return state, None
     # AttackModel ran check_coupling on the coefficients.
-    state = _attach_probe(state, model.alpha, model.beta)
+    state = table.attach(state, model.alpha, model.beta)
     return state, EveRecord(round_index, segment, _ENTANGLE_MEASURE)
 
 
@@ -200,10 +200,10 @@ def _strategy(model):
     if p_fire >= 1.0:
         return act
 
-    def gated(model, segment, state, rng, round_index):
+    def gated(table, model, segment, state, rng, round_index):
         if rng.random() >= p_fire:
             return state, None
-        return act(model, segment, state, rng, round_index)
+        return act(table, model, segment, state, rng, round_index)
 
     return gated
 
@@ -219,16 +219,18 @@ def attack_transit(model, segment, state, rng):
     """
     if model.kind is AttackKind.NONE or segment not in model.segments:
         return state, None
-    return _strategy(model)(model, segment, state, rng, -1)
+    return _strategy(model)(TransitionTable(), model, segment, state, rng, -1)
 
 
 class Eavesdropper:
     """Bookkeeping wrapper used by the round engine: applies the model to
     each flying qubit and logs one record per action.  The model's strategy
-    is picked once, here."""
+    is picked once, here.  Eve's operations walk ``table``, the session's
+    :class:`~qsdc3.states.TransitionTable`."""
 
-    def __init__(self, model):
+    def __init__(self, model, table):
         self.model = model
+        self.table = table
         self.records = []
         # A tuple, so a hop outside the model is rejected by identity
         # comparisons instead of hashing the segment.
@@ -238,7 +240,7 @@ class Eavesdropper:
     def intercept_transit(self, segment, state, rng, round_index, touched):
         if segment not in self._segments:
             return state
-        state, record = self._act(self.model, segment, state, rng, round_index)
+        state, record = self._act(self.table, self.model, segment, state, rng, round_index)
         if record is not None:
             self.records.append(record)
             touched.append(segment)
@@ -248,7 +250,7 @@ class Eavesdropper:
         """Measure out Eve's probe (if one is attached) and log the outcome."""
         if not state.has_ancilla:
             return state
-        outcome, state = measure_ancilla_and_discard(state, rng)
+        outcome, state = self.table.readout(state, rng)
         for record in reversed(self.records):
             if record.kind is _ENTANGLE_MEASURE and record.ancilla_outcome is None:
                 record.ancilla_outcome = outcome
@@ -281,7 +283,7 @@ def _attack_branches(model, segment, state):
         if state.has_ancilla:
             branches.append((p_fire, state))
         else:
-            branches.append((p_fire, _attach_probe(state, model.alpha, model.beta)))
+            branches.append((p_fire, TransitionTable().attach(state, model.alpha, model.beta)))
     else:  # intercept-and-resend: basis choice x outcome, each branch exact
         for basis in (Basis.Z, Basis.X):
             p0, p1 = outcome_probabilities(state, Subsystem.TRANSIT, basis)

@@ -9,49 +9,15 @@ the traced benchmark run does) sees every call.
 Amplitude vectors travel as plain tuples of complex numbers of length 2, 4
 or 8.  The kernels that return one (``apply_1q``, ``collapse``,
 ``attach_ancilla``, ``discard_qubit``) build it of ``complex`` whatever
-numbers they are given, so a cached result never holds a float that a
-later, equal complex input would receive.  Index 0 is the all-|0> basis state; the leftmost qubit owns the most
-significant bit, so a qubit at position ``pos`` (0 = leftmost) toggles the
-bit of weight ``len(amps) >> (pos + 1)``.
+numbers they are given.  Index 0 is the all-|0> basis state; the leftmost
+qubit owns the most significant bit, so a qubit at position ``pos``
+(0 = leftmost) toggles the bit of weight ``len(amps) >> (pos + 1)``.
 
-Memoisation
------------
-Every kernel is a pure function of hashable arguments, and for a fixed
-attack model a round can only reach a handful of amplitude vectors, so each
-kernel is wrapped in ``functools.lru_cache(maxsize=CACHE_SIZE)``.  The
-largest working set of one kernel on the acceptance workloads is 144
-entries (``collapse`` over the five couplings of the probe sweep; 40 under
-intercept-resend and 12 without an attack), so a bound of 256 never evicts
-there, while a sweep of any length keeps the caches under 2 MB (1.5 MB
-with all seven full of 3-qubit states).  Keys compare with ``==``, so
-``0j`` and ``-0j`` share an entry; every probability drawn from is a sum
-of squares, so no sampled outcome changes.  Exceptions are not cached:
-``collapse`` raises on every zero-probability call.
-
-The caches sit beneath the module attributes: a wrapper set on this module
-replaces the cached function and still sees (and counts) every call, while
-the cached function underneath answers it.  :func:`cache_info` reaches
-the caches through their own registry, so it works while such a wrapper is
-installed.
+The kernels are plain functions with no cache: the round engine reuses
+their results through the session's ``states.TransitionTable``.
 """
 
-import functools
 import math
-
-CACHE_SIZE = 256
-
-_CACHED = {}  # kernel name -> its lru_cache wrapper
-
-
-def _memoised(kernel):
-    cached = functools.lru_cache(maxsize=CACHE_SIZE)(kernel)
-    _CACHED[kernel.__name__] = cached
-    return cached
-
-
-def cache_info():
-    """``functools`` cache statistics of every kernel, keyed by kernel name."""
-    return {name: cached.cache_info() for name, cached in _CACHED.items()}
 
 
 def active_backend():
@@ -59,7 +25,6 @@ def active_backend():
     return "python"
 
 
-@_memoised
 def norm_sq(amps):
     total = 0.0
     for a in amps:
@@ -67,7 +32,6 @@ def norm_sq(amps):
     return total
 
 
-@_memoised
 def apply_1q(amps, pos, op):
     """Apply identity (op=0), bit flip (op=1) or phase flip (op=2) at pos."""
     out = list(map(complex, amps))
@@ -88,7 +52,6 @@ def apply_1q(amps, pos, op):
     return tuple(out)
 
 
-@_memoised
 def prob_zero(amps, pos, basis):
     """Probability of outcome 0 when measuring qubit pos (basis 0=Z, 1=X).
 
@@ -110,7 +73,6 @@ def prob_zero(amps, pos, basis):
     return total
 
 
-@_memoised
 def collapse(amps, pos, basis, outcome):
     """Project qubit pos onto the given outcome and renormalize."""
     n_amps = len(amps)
@@ -137,7 +99,6 @@ def collapse(amps, pos, basis, outcome):
     return tuple([complex(a * scale) for a in out])
 
 
-@_memoised
 def bell_probs(amps):
     """Squared overlaps of a 4-amplitude state with the four entangled
     basis states, ordered by label (flip, phase): (0,0), (0,1), (1,0), (1,1).
@@ -154,7 +115,6 @@ def bell_probs(amps):
     return (p00, p01, p10, p11)
 
 
-@_memoised
 def attach_ancilla(amps, transit_pos, alpha, beta):
     """Extend the register with a two-level probe coupled to the transit qubit.
 
@@ -172,7 +132,6 @@ def attach_ancilla(amps, transit_pos, alpha, beta):
     return tuple(out)
 
 
-@_memoised
 def discard_qubit(amps, pos, bit):
     """Drop a qubit already collapsed to |bit> (its other branch is empty)."""
     n_amps = len(amps)

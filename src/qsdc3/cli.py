@@ -28,7 +28,6 @@ import sys
 
 import numpy as np
 
-from . import backend
 from .adversary import AttackModel, ChannelSegment
 from .harness import (
     ExperimentAborted,
@@ -361,18 +360,6 @@ def _emit(text, out_path):
         sys.stdout.write(text)
 
 
-def _log_kernel_caches():
-    for name, info in backend.cache_info().items():
-        log.debug(
-            "kernel cache %s: hits=%d misses=%d currsize=%d maxsize=%d",
-            name,
-            info.hits,
-            info.misses,
-            info.currsize,
-            info.maxsize,
-        )
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -386,7 +373,6 @@ def cmd_run(args):
     except ExperimentAborted as exc:
         result = exc.partial
         aborted = exc
-    _log_kernel_caches()
     report = result.to_dict()
     text = render_json(report) if args.format == "json" else render_report_csv(report)
     _emit(text, args.out)
@@ -457,7 +443,6 @@ def cmd_sweep(args):
         )
     except ValueError as exc:
         raise ConfigError("invalid sweep config: %s" % exc) from None
-    _log_kernel_caches()
     if args.format == "json":
         text = render_json({"curve": [p.to_dict() for p in points]})
     else:

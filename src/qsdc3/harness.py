@@ -412,10 +412,14 @@ def run_experiment(config):
     line on the ``qsdc3`` logger: its index, rounds used and failed checks.
     """
     agg = _Aggregator(config)
-    children = np.random.SeedSequence(config.seed).spawn(config.trials)
+    # One child per trial, spawned when the trial starts: repeated
+    # ``spawn(1)`` gives the seeds one ``spawn(trials)`` would, without
+    # holding them all.
+    master = np.random.SeedSequence(config.seed)
     for trial in range(config.trials):
         rounds_before, failed_before = agg.rounds_total, agg.checks_failed()
-        rng = np.random.default_rng(children[trial])
+        (child,) = master.spawn(1)
+        rng = np.random.default_rng(child)
         messages = MessageTriple.random(config.message_length, rng)
         try:
             result = run_protocol(

@@ -21,24 +21,30 @@ what makes seeded runs reproducible.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 from . import adversary
+
+# ``measure_qubit`` is not called here: the engine and the checks walk a
+# TransitionTable.  It stays a name of this module because the traced
+# benchmark (perfbench/layers.py and its tests) looks it up here.
 from .states import (
     Basis,
     BellLabel,
     DecoyState,
     Pauli,
     Subsystem,
-    apply_pauli_on_transit,
-    bell_measure,
+    TransitionTable,
     bell_state,
     decoy_basis_and_bit,
     measure_qubit,
     prepare_decoy,
 )
+
+log = logging.getLogger("qsdc3")
 
 _DECOY_LABELS = (DecoyState.ZERO, DecoyState.ONE, DecoyState.PLUS, DecoyState.MINUS)
 
@@ -48,10 +54,17 @@ _DECOY_LABELS = (DecoyState.ZERO, DecoyState.ONE, DecoyState.PLUS, DecoyState.MI
 # ``value`` properties.  Every round starts from the same pair.
 _Z, _X = Basis.Z, Basis.X
 _HOME, _TRANSIT = Subsystem.HOME, Subsystem.TRANSIT
+_PAULI_X, _PAULI_Z = Pauli.X, Pauli.Z
 _A_TO_B = adversary.ChannelSegment.A_TO_B
 _B_TO_C = adversary.ChannelSegment.B_TO_C
 _C_TO_A = adversary.ChannelSegment.C_TO_A
 _START_PAIR = bell_state((0, 0))
+
+# A decoy round's (revealed label value, prepared state, check basis,
+# expected bit), indexed by the round's ``integers(0, 4)`` draw.
+_DECOYS = tuple(
+    (label._value_, prepare_decoy(label)) + decoy_basis_and_bit(label) for label in _DECOY_LABELS
+)
 
 
 class RoundKind(Enum):
@@ -137,9 +150,17 @@ class TranscriptEvent(NamedTuple):
         return {"round": self.round_index, "kind": self.kind, **self.payload}
 
 
-# Builds a TranscriptEvent from its field tuple without the Python-level
-# ``__new__`` that NamedTuple generates.
-_new_tuple = tuple.__new__
+# The payload field names of each event kind, by kind and number of values.
+# A check disclosure names the checker's outcome too, except for a decoy.
+_FIELDS = {
+    ("bob_mode", 1): ("mode",),
+    ("charlie_mode", 1): ("mode",),
+    ("decoy_reveal", 1): ("state",),
+    ("check_disclosure", 4): ("check", "basis", "checker_outcome", "alice_outcome"),
+    ("check_disclosure", 3): ("check", "basis", "alice_outcome"),
+    ("check_verdict", 2): ("check", "passed"),
+    ("announcement", 2): ("x", "y"),
+}
 
 
 class PublicTranscript:
@@ -148,32 +169,38 @@ class PublicTranscript:
     Contains mode announcements, check basis/outcome disclosures, decoy
     reveals, check verdicts and the masked (x, y) announcements - and
     nothing quantum.  The adversary is allowed to read it in full.
+
+    An event is stored as a positional row ``(round_index, kind, values)``,
+    with ``values`` in the field order ``_FIELDS`` gives for the kind; the
+    payload dicts of :class:`TranscriptEvent` are built only when read.
     """
 
     def __init__(self):
-        self.events = []
+        self._rows = []
 
-    def add(self, round_index, kind, **payload):
-        self.events.append(_new_tuple(TranscriptEvent, (round_index, kind, payload)))
+    def add(self, round_index, kind, *values):
+        self._rows.append((round_index, kind, values))
+
+    @property
+    def events(self):
+        """Every event in order, as :class:`TranscriptEvent` values."""
+        return [
+            TranscriptEvent(round_index, kind, dict(zip(_FIELDS[kind, len(values)], values)))
+            for round_index, kind, values in self._rows
+        ]
 
     def __len__(self):
-        return len(self.events)
+        return len(self._rows)
 
     def __iter__(self):
         return iter(self.events)
 
-    def announcements(self):
-        """(round_index, x, y) for every masked message announcement."""
-        return [
-            (e.round_index, e.payload["x"], e.payload["y"])
-            for e in self.events
-            if e.kind == "announcement"
-        ]
-
     def decoy_reveals(self):
         """round_index -> revealed decoy label value."""
         return {
-            e.round_index: e.payload["state"] for e in self.events if e.kind == "decoy_reveal"
+            round_index: values[0]
+            for round_index, kind, values in self._rows
+            if kind == "decoy_reveal"
         }
 
 
@@ -243,30 +270,23 @@ def decode_charlie(x, y, k):
     return y ^ k, x ^ y ^ k
 
 
-def _correlation_check(state, rng, transcript, round_index, check):
-    """Shared core of the A-B and C-A channel checks.
+def _correlation_check(table, state, rng, transcript, round_index, check):
+    """Shared core of the A-B and C-A channel checks, walking ``table``.
 
     The holder of the transit qubit picks a uniformly random basis and
     measures; Alice measures her home qubit in the same basis.  An honest
     pair anti-correlates in Z and correlates in X.
     """
     basis = _Z if rng.random() < 0.5 else _X
-    checker_bit, state = measure_qubit(state, _TRANSIT, basis, rng)
-    alice_bit, state = measure_qubit(state, _HOME, basis, rng)
+    checker_bit, state = table.measure(state, _TRANSIT, basis, rng)
+    alice_bit, state = table.measure(state, _HOME, basis, rng)
     if basis is _Z:
         passed = checker_bit != alice_bit
     else:
         passed = checker_bit == alice_bit
     if transcript is not None:
-        transcript.add(
-            round_index,
-            "check_disclosure",
-            check=check,
-            basis=basis._name_,
-            checker_outcome=checker_bit,
-            alice_outcome=alice_bit,
-        )
-        transcript.add(round_index, "check_verdict", check=check, passed=passed)
+        transcript.add(round_index, "check_disclosure", check, basis._name_, checker_bit, alice_bit)
+        transcript.add(round_index, "check_verdict", check, passed)
     return passed, state
 
 
@@ -276,7 +296,7 @@ def run_ab_check(state, rng, transcript=None, round_index=0):
     Returns (passed, post-measurement state); discloses basis and outcomes
     on the transcript when one is given.
     """
-    return _correlation_check(state, rng, transcript, round_index, "ab")
+    return _correlation_check(TransitionTable(), state, rng, transcript, round_index, "ab")
 
 
 def run_ca_check(state, rng, transcript=None, round_index=0):
@@ -285,7 +305,7 @@ def run_ca_check(state, rng, transcript=None, round_index=0):
     Identical correlation test to :func:`run_ab_check`, run between
     Charlie (transit) and Alice (home).
     """
-    return _correlation_check(state, rng, transcript, round_index, "ca")
+    return _correlation_check(TransitionTable(), state, rng, transcript, round_index, "ca")
 
 
 def run_decoy_check(decoy, received, rng, transcript=None, round_index=0):
@@ -295,17 +315,16 @@ def run_decoy_check(decoy, received, rng, transcript=None, round_index=0):
     passes when her outcome names that state.
     """
     basis, expected = decoy_basis_and_bit(decoy)
-    outcome, state = measure_qubit(received, _TRANSIT, basis, rng)
+    return _decoy_check(TransitionTable(), basis, expected, received, rng, transcript, round_index)
+
+
+def _decoy_check(table, basis, expected, received, rng, transcript, round_index):
+    """Core of :func:`run_decoy_check`, walking ``table``."""
+    outcome, state = table.measure(received, _TRANSIT, basis, rng)
     passed = outcome == expected
     if transcript is not None:
-        transcript.add(
-            round_index,
-            "check_disclosure",
-            check="decoy",
-            basis=basis._name_,
-            alice_outcome=outcome,
-        )
-        transcript.add(round_index, "check_verdict", check="decoy", passed=passed)
+        transcript.add(round_index, "check_disclosure", "decoy", basis._name_, outcome)
+        transcript.add(round_index, "check_verdict", "decoy", passed)
     return passed, state
 
 
@@ -330,11 +349,12 @@ class ProtocolResult:
     rounds_used: int
 
 
-def _run_round(round_index, n, messages, schedule, eve, rng, transcript):
+def _run_round(round_index, n, messages, schedule, eve, rng, transcript, table):
     """One pass through the round state machine; returns a RoundRecord.
 
-    The records take their fields positionally, in declaration order: a
-    keyword call costs more on every round.
+    The states are walked through ``table``, the session's transition
+    table, which Eve shares.  The records take their fields positionally,
+    in declaration order: a keyword call costs more on every round.
     """
     touched = []
 
@@ -343,7 +363,7 @@ def _run_round(round_index, n, messages, schedule, eve, rng, transcript):
 
     # Bob either checks the A->B leg or goes on to encode.
     if rng.random() < schedule.p_ab_check:
-        passed, pair = run_ab_check(pair, rng, transcript, round_index)
+        passed, pair = _correlation_check(table, pair, rng, transcript, round_index, "ab")
         eve.resolve_probe(pair, rng)
         return RoundRecord(_AB_CHECK, None, None, None, None, None, None, passed, tuple(touched))
 
@@ -351,14 +371,14 @@ def _run_round(round_index, n, messages, schedule, eve, rng, transcript):
     j = None
     if not bob_cm:
         j = messages.bob_bits[n]
-        if j:  # encode_bob(0) is the identity
-            pair = apply_pauli_on_transit(pair, encode_bob(j))
+        if j:  # encode_bob: X for 1, the identity for 0
+            pair = table.pauli(pair, _TRANSIT, _PAULI_X)
     pair = eve.intercept_transit(_B_TO_C, pair, rng, round_index, touched)
 
     # Charlie confirms receipt; only then does Bob announce his mode.
-    transcript.add(round_index, "bob_mode", mode="CM" if bob_cm else "MM")
+    transcript.add(round_index, "bob_mode", "CM" if bob_cm else "MM")
     if bob_cm:
-        passed, pair = run_ca_check(pair, rng, transcript, round_index)
+        passed, pair = _correlation_check(table, pair, rng, transcript, round_index, "ca")
         eve.resolve_probe(pair, rng)
         return RoundRecord(_CA_CHECK, None, None, None, None, None, None, passed, tuple(touched))
 
@@ -366,28 +386,27 @@ def _run_round(round_index, n, messages, schedule, eve, rng, transcript):
         # Decoy round: Charlie abandons the encoded qubit (Bob's bit will be
         # retransmitted in a later round) and sends a random decoy instead.
         eve.resolve_probe(pair, rng)
-        decoy_label = _DECOY_LABELS[int(rng.integers(0, 4))]
-        decoy = prepare_decoy(decoy_label)
+        reveal, decoy, basis, expected = _DECOYS[rng.integers(0, 4)]
         decoy = eve.intercept_transit(_C_TO_A, decoy, rng, round_index, touched)
-        transcript.add(round_index, "charlie_mode", mode="CM")
-        transcript.add(round_index, "decoy_reveal", state=decoy_label._value_)
-        passed, decoy = run_decoy_check(decoy_label, decoy, rng, transcript, round_index)
+        transcript.add(round_index, "charlie_mode", "CM")
+        transcript.add(round_index, "decoy_reveal", reveal)
+        passed, decoy = _decoy_check(table, basis, expected, decoy, rng, transcript, round_index)
         eve.resolve_probe(decoy, rng)
         return RoundRecord(_DECOY_CHECK, None, None, None, None, None, None, passed, tuple(touched))
 
     k = messages.charlie_bits[n]
-    if k:  # encode_charlie(0) is the identity
-        pair = apply_pauli_on_transit(pair, encode_charlie(k))
+    if k:  # encode_charlie: Z for 1, the identity for 0
+        pair = table.pauli(pair, _TRANSIT, _PAULI_Z)
     pair = eve.intercept_transit(_C_TO_A, pair, rng, round_index, touched)
-    transcript.add(round_index, "charlie_mode", mode="MM")
+    transcript.add(round_index, "charlie_mode", "MM")
 
     # Alice's Bell measurement closes the round; any probe must be read out
     # (by Eve) before the pair is jointly measured.
     pair = eve.resolve_probe(pair, rng)
-    outcome, _ = bell_measure(pair, rng)
+    outcome, _ = table.bell(pair, rng)
     i = messages.alice_bits[n]
     x, y = announce(outcome.flip, outcome.phase, i)
-    transcript.add(round_index, "announcement", x=x, y=y)
+    transcript.add(round_index, "announcement", x, y)
     return RoundRecord(_MESSAGE, n, i, j, k, outcome, (x, y), None, tuple(touched))
 
 
@@ -427,9 +446,13 @@ def run_protocol(
     failed check aborts the communication (:class:`ProtocolAborted`); under
     record-and-continue failures are logged and the run completes, which is
     how detection rates are estimated without restarting.
+
+    The session walks one :class:`~qsdc3.states.TransitionTable`, shared
+    with Eve, and logs its size (the edges it built) at DEBUG when it ends.
     """
     model = attack if attack is not None else adversary.AttackModel.none()
-    eve = adversary.Eavesdropper(model)
+    table = TransitionTable()
+    eve = adversary.Eavesdropper(model, table)
     records = []
     transcript = PublicTranscript()
     n_total = messages.length
@@ -438,26 +461,29 @@ def run_protocol(
 
     n = 0
     round_index = 0
-    while n < n_total:
-        if round_index >= max_rounds:
-            raise RoundBudgetExceeded(
-                "budget of %d rounds exhausted with %d of %d bits delivered"
-                % (max_rounds, n, n_total)
-            )
-        record = _run_round(round_index, n, messages, schedule, eve, rng, transcript)
-        records.append(record)
-        round_index += 1
-        if record.kind is _MESSAGE:
-            n += 1
-        elif record.check_passed is False and abort_policy is AbortPolicy.STRICT:
-            raise ProtocolAborted(
-                round_index - 1,
-                record.kind,
-                record.attack_touched,
-                records,
-                transcript,
-                eve.records,
-            )
+    try:
+        while n < n_total:
+            if round_index >= max_rounds:
+                raise RoundBudgetExceeded(
+                    "budget of %d rounds exhausted with %d of %d bits delivered"
+                    % (max_rounds, n, n_total)
+                )
+            record = _run_round(round_index, n, messages, schedule, eve, rng, transcript, table)
+            records.append(record)
+            round_index += 1
+            if record.kind is _MESSAGE:
+                n += 1
+            elif record.check_passed is False and abort_policy is AbortPolicy.STRICT:
+                raise ProtocolAborted(
+                    round_index - 1,
+                    record.kind,
+                    record.attack_touched,
+                    records,
+                    transcript,
+                    eve.records,
+                )
+    finally:
+        log.debug("session: %d rounds, %d transition table edges", round_index, len(table))
 
     decoded = _decode_all(messages, records)
     return ProtocolResult(records, transcript, decoded, eve.records, round_index)

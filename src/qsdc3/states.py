@@ -32,10 +32,16 @@ conversion is skipped.  The checks still run on these states, because a
 faulty kernel must not hand an invalid state to the round engine, and
 because each validation is a counted benchmark layer.
 
+The round engine walks a :class:`TransitionTable`, one per session, so a
+derived state is built and validated once per table edge, not once per
+round.  The public operations (``measure_qubit``, ``bell_measure``, ...)
+run the same code on a fresh table per call: they are not memoised, and
+each result is validated once.
+
 The probe coupling's coefficients are checked where they enter: by
 ``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
-``AttackModel`` run.  Eve's attach goes through ``_attach_probe``, which
-trusts the coefficients of her already checked model.
+``AttackModel`` run.  Eve's attach goes through ``TransitionTable.attach``,
+which trusts the coefficients of her already checked model.
 
 Registers are constants: the transit qubit sits after the home qubit when
 there is one, and the probe is always last, so positions come from
@@ -137,8 +143,9 @@ class JointState:
     amplitudes; and that the squared norm is within ``NORM_ATOL`` of 1 (a
     NaN or infinite amplitude fails this check).  Each check raises
     ``ValueError``.  The work is constant-time: the register is matched
-    against a fixed tuple and the squared norm comes from the memoised
-    ``norm_sq`` kernel.  ``has_home`` and ``has_ancilla`` are set there too.
+    against a fixed tuple and the squared norm is one ``norm_sq`` kernel
+    call over at most eight amplitudes.  ``has_home`` and ``has_ancilla``
+    are set there too.
 
     States derived by the operations of this module skip only the
     conversion (see ``_from_kernel``); ``__post_init__`` runs on every state.
@@ -294,17 +301,7 @@ def apply_pauli(state, which, pauli):
 
     ``Pauli.I`` returns ``state`` itself.
     """
-    # Kernel op codes: 1 bit flip, 2 phase flip.
-    if pauli is _PAULI_X:
-        op = 1
-    elif pauli is _PAULI_Z:
-        op = 2
-    elif pauli is _PAULI_I:
-        return state
-    else:
-        raise ValueError("not a Pauli operator: %r" % (pauli,))
-    pos = state.position(which)
-    return _from_kernel(_k.apply_1q(state.amps, pos, op), state.subsystems)
+    return TransitionTable().pauli(state, which, pauli)
 
 
 def apply_pauli_on_transit(state, pauli):
@@ -343,16 +340,152 @@ def _sample_bit(rng, p_zero):
     return 0 if rng.random() < p else 1
 
 
+class TransitionTable:
+    """The state edges of one protocol session, each built once.
+
+    An edge is a source state plus an operation: a Pauli, a measurement in
+    a basis, a probe attach, a probe readout or the Bell measurement.  On
+    its first visit an edge is built from the kernels, and each child state
+    through ``_from_kernel``, so every state the table holds is validated
+    once.  Later visits reuse it: a Pauli or an attach gives its child; a
+    measurement or a readout gives its stored probability of outcome 0 and
+    the children sampled so far.  A measurement child is built only for an
+    outcome that is drawn, because collapsing onto a zero-probability
+    outcome raises.
+
+    Sampling is the same on either visit: one ``rng.random()`` per chance
+    point, through ``_sample_bit`` or the Bell cumulative loop, over the
+    floats the kernels gave.  So a walk makes the draws and the outcomes
+    that calling the kernels every time would.
+
+    Edges are keyed by the identity of the source state (and of the
+    operands, which are enum singletons, so no ``Enum.__hash__`` runs), and
+    each value holds the source state, so an id is not reused while the
+    table lives.  A state reached along two paths is two nodes, so a table
+    grows with the paths a round can take (a bounded number), not with the
+    number of rounds; one table lives for one session.
+    """
+
+    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells")
+
+    def __init__(self):
+        self._paulis = {}  # (id(state), id(which), id(pauli)) -> (state, child)
+        self._measures = {}  # (id(state), id(which), id(basis)) -> [state, p0, child0, child1]
+        self._attaches = {}  # (id(state), alpha, beta) -> (state, child)
+        self._readouts = {}  # id(state) -> [state, p0, child0, child1]
+        self._bells = {}  # id(state) -> (state, probabilities)
+
+    def __len__(self):
+        """The number of edges built."""
+        return (
+            len(self._paulis)
+            + len(self._measures)
+            + len(self._attaches)
+            + len(self._readouts)
+            + len(self._bells)
+        )
+
+    def pauli(self, state, which, pauli):
+        """:func:`apply_pauli`: ``pauli`` on the named subsystem of ``state``."""
+        if pauli is _PAULI_I:
+            return state
+        key = (id(state), id(which), id(pauli))
+        edge = self._paulis.get(key)
+        if edge is None:
+            # Kernel op codes: 1 bit flip, 2 phase flip.
+            if pauli is _PAULI_X:
+                op = 1
+            elif pauli is _PAULI_Z:
+                op = 2
+            else:
+                raise ValueError("not a Pauli operator: %r" % (pauli,))
+            pos = state.position(which)
+            child = _from_kernel(_k.apply_1q(state.amps, pos, op), state.subsystems)
+            edge = self._paulis[key] = (state, child)
+        return edge[1]
+
+    def measure(self, state, which, basis, rng):
+        """:func:`measure_qubit`: ``(outcome, collapsed state)``, one draw."""
+        key = (id(state), id(which), id(basis))
+        edge = self._measures.get(key)
+        if edge is None:
+            p0 = _k.prob_zero(state.amps, state.position(which), _basis_code(basis))
+            edge = self._measures[key] = [state, p0, None, None]
+        outcome = _sample_bit(rng, edge[1])
+        child = edge[2 + outcome]
+        if child is None:
+            amps = _k.collapse(state.amps, state.position(which), _basis_code(basis), outcome)
+            child = edge[2 + outcome] = _from_kernel(amps, state.subsystems)
+        return outcome, child
+
+    def attach(self, state, alpha, beta):
+        """:func:`attach_ancilla_and_entangle` for checked coefficients.
+
+        The caller has run ``check_coupling`` on ``alpha`` and ``beta``: the
+        public function does, and so does ``AttackModel`` for Eve's model.
+        """
+        key = (id(state), alpha, beta)
+        edge = self._attaches.get(key)
+        if edge is None:
+            if state.has_ancilla:
+                raise ValueError("state already carries a probe qubit")
+            if state.has_home:
+                child = _from_kernel(_k.attach_ancilla(state.amps, 1, alpha, beta), _PROBED_PAIR)
+            else:
+                child = _from_kernel(_k.attach_ancilla(state.amps, 0, alpha, beta), _PROBED_LONE)
+            edge = self._attaches[key] = (state, child)
+        return edge[1]
+
+    def readout(self, state, rng):
+        """:func:`measure_ancilla_and_discard`: ``(outcome, state without the probe)``."""
+        edge = self._readouts.get(id(state))
+        if edge is None:
+            if not state.has_ancilla:
+                raise ValueError("state has no ancilla qubit")
+            # The probe is the last qubit.
+            p0 = _k.prob_zero(state.amps, 2 if state.has_home else 1, 0)
+            edge = self._readouts[id(state)] = [state, p0, None, None]
+        outcome = _sample_bit(rng, edge[1])
+        child = edge[2 + outcome]
+        if child is None:
+            if state.has_home:
+                pos, register = 2, _PAIR
+            else:
+                pos, register = 1, _LONE
+            collapsed = _k.collapse(state.amps, pos, 0, outcome)
+            child = edge[2 + outcome] = _from_kernel(_k.discard_qubit(collapsed, pos, outcome), register)
+        return outcome, child
+
+    def bell(self, state, rng):
+        """:func:`bell_measure`: ``(label, eigenstate)``, one draw."""
+        edge = self._bells.get(id(state))
+        if edge is None:
+            if state.has_ancilla:
+                raise ValueError("cannot Bell-measure while an eavesdropper probe is attached")
+            if state.subsystems != _PAIR:
+                raise ValueError("Bell measurement needs the full (home, transit) pair")
+            edge = self._bells[id(state)] = (state, _k.bell_probs(state.amps))
+        u = rng.random()
+        acc = 0.0
+        # When rounding leaves u above the total, the last label with positive
+        # probability is drawn, never a zero-probability one.
+        index = 3
+        for i, p in enumerate(edge[1]):
+            if p > 0.0:
+                acc += p
+                index = i
+                if u < acc:
+                    break
+        return _BELL_OUTCOMES[index]
+
+
 def measure_qubit(state, which, basis, rng):
     """Projectively measure one subsystem.
 
     Returns ``(outcome, collapsed_state)`` where outcome 0 names the first
     eigenstate of the basis (|0> or |+>).
     """
-    pos = state.position(which)
-    code = _basis_code(basis)
-    outcome = _sample_bit(rng, _k.prob_zero(state.amps, pos, code))
-    return outcome, _from_kernel(_k.collapse(state.amps, pos, code, outcome), state.subsystems)
+    return TransitionTable().measure(state, which, basis, rng)
 
 
 def bell_measure(state, rng):
@@ -362,23 +495,7 @@ def bell_measure(state, rng):
     label plus the post-measurement eigenstate.  Any probe qubit must have
     been measured out beforehand.
     """
-    if state.has_ancilla:
-        raise ValueError("cannot Bell-measure while an eavesdropper probe is attached")
-    if state.subsystems != _PAIR:
-        raise ValueError("Bell measurement needs the full (home, transit) pair")
-    probs = _k.bell_probs(state.amps)
-    u = rng.random()
-    acc = 0.0
-    # When rounding leaves u above the total, the last label with positive
-    # probability is drawn, never a zero-probability one.
-    index = 3
-    for i, p in enumerate(probs):
-        if p > 0.0:
-            acc += p
-            index = i
-            if u < acc:
-                break
-    return _BELL_OUTCOMES[index]
+    return TransitionTable().bell(state, rng)
 
 
 def check_coupling(alpha, beta):
@@ -405,20 +522,7 @@ def attach_ancilla_and_entangle(state, alpha, beta):
     already carries a probe raises ``ValueError``.
     """
     alpha, beta = check_coupling(alpha, beta)
-    return _attach_probe(state, alpha, beta)
-
-
-def _attach_probe(state, alpha, beta):
-    """``attach_ancilla_and_entangle`` for coefficients already checked.
-
-    The caller has run ``check_coupling`` on ``alpha`` and ``beta``: the
-    public function does, and so does ``AttackModel`` for Eve's model.
-    """
-    if state.has_ancilla:
-        raise ValueError("state already carries a probe qubit")
-    if state.has_home:
-        return _from_kernel(_k.attach_ancilla(state.amps, 1, alpha, beta), _PROBED_PAIR)
-    return _from_kernel(_k.attach_ancilla(state.amps, 0, alpha, beta), _PROBED_LONE)
+    return TransitionTable().attach(state, alpha, beta)
 
 
 def measure_ancilla_and_discard(state, rng):
@@ -428,14 +532,4 @@ def measure_ancilla_and_discard(state, rng):
     end of a round; the remaining register no longer contains the probe.
     A state without a probe raises ``ValueError``.
     """
-    if not state.has_ancilla:
-        raise ValueError("state has no ancilla qubit")
-    # The probe is the last qubit.
-    if state.has_home:
-        pos, register = 2, _PAIR
-    else:
-        pos, register = 1, _LONE
-    amps = state.amps
-    outcome = _sample_bit(rng, _k.prob_zero(amps, pos, 0))
-    collapsed = _k.collapse(amps, pos, 0, outcome)
-    return outcome, _from_kernel(_k.discard_qubit(collapsed, pos, outcome), register)
+    return TransitionTable().readout(state, rng)

@@ -19,6 +19,7 @@ from qsdc3.states import (
     Basis,
     DecoyState,
     Pauli,
+    TransitionTable,
     bell_state,
     prepare_decoy,
 )
@@ -139,7 +140,7 @@ class TestOneStrategyPerKind:
     def test_eavesdropper_matches_attack_transit(self, scripted, model, segment, state, draws):
         direct_rng = scripted(draws)
         direct, record = attack_transit(model, segment, state, direct_rng)
-        eve = Eavesdropper(model)
+        eve = Eavesdropper(model, TransitionTable())
         engine_rng = scripted(draws)
         touched = []
         engine = eve.intercept_transit(segment, state, engine_rng, 7, touched)
@@ -156,7 +157,7 @@ class TestOneStrategyPerKind:
     @pytest.mark.parametrize("p_fire", [1.0, 0.4])
     def test_a_probed_qubit_is_not_probed_again(self, scripted, p_fire):
         model = AttackModel.entangle_measure(0.3, AB, BC, attack_probability=p_fire)
-        eve = Eavesdropper(model)
+        eve = Eavesdropper(model, TransitionTable())
         probed, _ = attack_transit(model, AB, bell_state((0, 0)), scripted([0.1]))
         assert probed.has_ancilla
         touched = []

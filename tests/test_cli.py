@@ -2,6 +2,7 @@ import copy
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -340,19 +341,21 @@ class TestExitCodeContract:
 
 
 class TestVerboseLogging:
-    @pytest.mark.parametrize("command", ["run", "sweep"])
-    def test_debug_logs_kernel_caches_and_keeps_report_bytes(self, tmp_path, capsys, caplog, command):
-        payload = {"message_length": 2, "trials": 1} if command == "run" else dict(BASE_SWEEP, grid=[0.5])
+    @pytest.mark.parametrize("command, sessions", [("run", 2), ("sweep", 6)])
+    def test_debug_logs_each_session_table_and_keeps_report_bytes(self, tmp_path, capsys, caplog, command, sessions):
+        payload = {"message_length": 2, "trials": 2} if command == "run" else dict(BASE_SWEEP, grid=[0.5])
         cfg = write_config(tmp_path, payload)
         assert cli.main([command, "--config", cfg]) == cli.EXIT_OK
         quiet = capsys.readouterr().out
         caplog.set_level(logging.DEBUG, logger="qsdc3")
         assert cli.main(["-vv", command, "--config", cfg]) == cli.EXIT_OK
         assert capsys.readouterr().out == quiet
-        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("kernel cache")]
-        assert len(lines) == 7
-        assert any(line.startswith("kernel cache collapse: hits=") for line in lines)
-        assert all(line.endswith("maxsize=256") for line in lines)
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        assert len(lines) == sessions
+        for line in lines:
+            match = re.fullmatch(r"session: (\d+) rounds, (\d+) transition table edges", line)
+            assert match, line
+            assert int(match.group(1)) >= 2 and int(match.group(2)) > 0
 
 
 class TestTrialProgress:

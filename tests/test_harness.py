@@ -1,9 +1,11 @@
 import hashlib
 import json
 import math
+import tracemalloc
 
 import pytest
 
+from qsdc3 import harness
 from qsdc3.adversary import AttackModel, ChannelSegment
 from qsdc3.cli import render_json
 from qsdc3.harness import (
@@ -17,9 +19,10 @@ from qsdc3.harness import (
     wilson_interval,
 )
 from qsdc3.protocol import AbortPolicy, SchedulePolicy
-from qsdc3.states import Pauli
+from qsdc3.states import JointState, Pauli
 
 AB = ChannelSegment.A_TO_B
+BC = ChannelSegment.B_TO_C
 CA = ChannelSegment.C_TO_A
 
 
@@ -154,6 +157,50 @@ class TestRunExperiment:
         assert result.detection.kinds["decoy_check"].checks_failed == 0
 
 
+class TestRunScope:
+    """What a run holds, and for how long."""
+
+    def test_seeds_are_spawned_one_trial_at_a_time(self, monkeypatch):
+        # A run of 100,000 trials holds no seed for a trial that has not
+        # started: nothing is allocated in proportion to ``trials``.
+        class FirstTrial(Exception):
+            pass
+
+        def first_trial(*args, **kwargs):
+            raise FirstTrial
+
+        monkeypatch.setattr(harness, "run_protocol", first_trial)
+        config = ExperimentConfig(message_length=8, trials=100_000, seed=9)
+        tracemalloc.start()
+        try:
+            with pytest.raises(FirstTrial):
+                run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_repeated_runs_validate_the_same_states(self, monkeypatch):
+        # Each session builds its own table, so nothing one run built is
+        # reused, or counted differently, by the next.  Without an attack no
+        # exact enumeration runs, so every state counted is a table state.
+        calls = []
+        original = JointState.__post_init__
+
+        def counting(state):
+            calls.append(state)
+            original(state)
+
+        monkeypatch.setattr(JointState, "__post_init__", counting)
+        config = ExperimentConfig(message_length=16, trials=4, schedule=SchedulePolicy(0.3, 0.3, 0.3), seed=11)
+        counts = []
+        for _ in range(2):
+            del calls[:]
+            run_experiment(config)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
+
+
 class TestExhaustiveOracle:
     def test_all_eight_triples_pass(self):
         report = exhaustive_oracle()
@@ -281,3 +328,59 @@ class TestPinnedReports:
     def test_report_digest(self, config, digest):
         text = render_json(run_experiment(config).to_dict())
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "config, digest",
+        [
+            (
+                ExperimentConfig(
+                    message_length=16,
+                    trials=4,
+                    attack=AttackModel.disturbance(Pauli.Z, BC, CA, attack_probability=0.5),
+                    seed=3,
+                ),
+                "e0b7d6c55172ff1e50dd5892edfed66c62ad1ebf3f4015cdc31ad8c5291afb3d",
+            ),
+            (
+                ExperimentConfig(
+                    message_length=16,
+                    trials=4,
+                    attack=AttackModel.intercept_resend(AB, BC, CA, attack_probability=0.4),
+                    seed=4,
+                ),
+                "2c7932a29f8fb9d085a43cf2f6087ffd1e7441d1240327542df0436a0db4f4e4",
+            ),
+            (
+                ExperimentConfig(
+                    message_length=16,
+                    trials=4,
+                    schedule=SchedulePolicy(0.25, 0.1, 0.4),
+                    attack=AttackModel.entangle_measure(0.3, AB, BC, CA, attack_probability=0.7),
+                    seed=5,
+                ),
+                "74070f4220080241bf9ed4149d161561bcd9230ba966d1c82f8e62725430f38c",
+            ),
+        ],
+        ids=["gated_disturbance_bc_ca", "gated_intercept_all", "gated_probe_all"],
+    )
+    def test_gated_attack_report_digest(self, config, digest):
+        # Gated attacks, B->C hops and probes riding along over two segments.
+        text = render_json(run_experiment(config).to_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_strict_abort_partial_report_digest(self):
+        config = ExperimentConfig(
+            message_length=16,
+            trials=4,
+            schedule=SchedulePolicy(0.5, 0.25, 0.25),
+            attack=AttackModel.intercept_resend(AB),
+            abort_policy=AbortPolicy.STRICT,
+            seed=6,
+        )
+        with pytest.raises(ExperimentAborted) as info:
+            run_experiment(config)
+        text = render_json(info.value.partial.to_dict())
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "ff21e6710bd8e10ba1c2583b540d2eee846eae45388e2d665c9f9bbb65acdc63"
+        )

@@ -3,6 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from qsdc3 import protocol
 from qsdc3.adversary import AttackModel, ChannelSegment
 from qsdc3.protocol import (
     AbortPolicy,
@@ -28,6 +29,7 @@ from qsdc3.states import (
     Basis,
     DecoyState,
     Pauli,
+    TransitionTable,
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
     bell_state,
@@ -125,6 +127,10 @@ class TestChecks:
                 passed, _ = run_decoy_check(label, prepare_decoy(label), rng)
                 assert passed
 
+    def test_unknown_decoy_label_is_rejected(self, rng):
+        with pytest.raises(ValueError, match="unknown decoy label"):
+            run_decoy_check("+", prepare_decoy(DecoyState.PLUS), rng)
+
     def test_probe_coupled_zero_decoy_fails_half_the_time(self, rng):
         fails = 0
         n = 2000
@@ -193,6 +199,64 @@ class TestTranscriptEvent:
         assert list(event.to_dict().items()) == [("round", 3), ("kind", "announcement"), ("x", 1), ("y", 0)]
 
 
+def announcements(transcript):
+    """(round_index, x, y) for every masked message announcement."""
+    return [(e.round_index, e.payload["x"], e.payload["y"]) for e in transcript if e.kind == "announcement"]
+
+
+class TestPublicTranscript:
+    """Events are stored as positional rows and read as named payloads."""
+
+    ROWS = [
+        (0, "bob_mode", ("MM",), {"mode": "MM"}),
+        (0, "charlie_mode", ("MM",), {"mode": "MM"}),
+        (0, "announcement", (1, 0), {"x": 1, "y": 0}),
+        (
+            1,
+            "check_disclosure",
+            ("ab", "X", 1, 1),
+            {"check": "ab", "basis": "X", "checker_outcome": 1, "alice_outcome": 1},
+        ),
+        (1, "check_verdict", ("ab", True), {"check": "ab", "passed": True}),
+        (2, "charlie_mode", ("CM",), {"mode": "CM"}),
+        (2, "decoy_reveal", ("+",), {"state": "+"}),
+        (2, "check_disclosure", ("decoy", "X", 0), {"check": "decoy", "basis": "X", "alice_outcome": 0}),
+        (2, "check_verdict", ("decoy", False), {"check": "decoy", "passed": False}),
+    ]
+
+    def transcript(self):
+        transcript = PublicTranscript()
+        for round_index, kind, values, _ in self.ROWS:
+            transcript.add(round_index, kind, *values)
+        return transcript
+
+    def test_payloads_are_named_in_field_order(self):
+        transcript = self.transcript()
+        assert len(transcript) == len(self.ROWS)
+        expected = [TranscriptEvent(r, kind, payload) for r, kind, _, payload in self.ROWS]
+        for events in (transcript.events, list(transcript)):
+            assert events == expected
+            for event, (_, _, _, payload) in zip(events, self.ROWS):
+                assert list(event.payload) == list(payload)
+        assert [e.to_dict() for e in transcript][3] == {
+            "round": 1,
+            "kind": "check_disclosure",
+            "check": "ab",
+            "basis": "X",
+            "checker_outcome": 1,
+            "alice_outcome": 1,
+        }
+
+    def test_decoy_reveals(self):
+        assert self.transcript().decoy_reveals() == {2: "+"}
+
+    def test_the_engine_writes_every_kind_in_both_shapes(self, rng):
+        messages = MessageTriple.random(24, rng)
+        result = run_protocol(messages, SchedulePolicy(0.3, 0.3, 0.3), rng)
+        shapes = {(e.kind, tuple(e.payload)) for e in result.transcript}
+        assert shapes == {(kind, tuple(payload)) for _, kind, _, payload in self.ROWS}
+
+
 class TestSchedulePolicy:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError, match="p_ab_check"):
@@ -255,7 +319,7 @@ class TestRunProtocol:
         messages = MessageTriple.random(24, rng)
         result = run_protocol(messages, SchedulePolicy(), rng)
         transcript = result.transcript
-        assert len(transcript.announcements()) == 24
+        assert len(announcements(transcript)) == 24
         kinds = {e.kind for e in transcript}
         assert "bob_mode" in kinds and "announcement" in kinds
         # Decoy reveals and decoy verdicts come in pairs.
@@ -335,3 +399,40 @@ class TestRunProtocol:
         for rec in result.records:
             if rec.kind is RoundKind.BOB_EAVESDROP_CHECK:
                 assert rec.attack_touched == ()
+
+
+class TestSessionTable:
+    """Each session walks one transition table, shared with Eve."""
+
+    @pytest.fixture
+    def tables(self, monkeypatch):
+        tables = []
+
+        def recording_table():
+            tables.append(TransitionTable())
+            return tables[-1]
+
+        monkeypatch.setattr(protocol, "TransitionTable", recording_table)
+        return tables
+
+    def test_one_table_per_session(self, tables, rng):
+        attack = AttackModel.intercept_resend(ChannelSegment.A_TO_B)
+        messages = MessageTriple.random(16, rng)
+        for _ in range(2):
+            run_protocol(messages, SchedulePolicy(), rng, attack=attack, abort_policy=AbortPolicy.RECORD_AND_CONTINUE)
+        assert len(tables) == 2 and tables[0] is not tables[1]
+        assert all(len(table) > 0 for table in tables)
+
+    def test_the_table_is_bounded_by_the_round_not_the_round_count(self, tables):
+        rng = np.random.default_rng(2000)
+        attack = AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4)
+        result = run_protocol(
+            MessageTriple.random(2000, rng),
+            SchedulePolicy(),
+            rng,
+            attack=attack,
+            abort_policy=AbortPolicy.RECORD_AND_CONTINUE,
+        )
+        assert result.rounds_used > 4000
+        (table,) = tables
+        assert len(table) < 512

@@ -7,8 +7,8 @@ import pickle
 import numpy as np
 import pytest
 
-from qsdc3 import adversary, backend, states
-from qsdc3.adversary import AttackModel, ChannelSegment
+from qsdc3 import adversary, backend, protocol, states
+from qsdc3.adversary import AttackModel, ChannelSegment, Eavesdropper, attack_transit
 from qsdc3.cli import render_json
 from qsdc3.harness import ExperimentConfig, run_experiment
 from qsdc3.protocol import SchedulePolicy
@@ -19,6 +19,7 @@ from qsdc3.states import (
     JointState,
     Pauli,
     Subsystem,
+    TransitionTable,
     allclose_up_to_global_phase,
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
@@ -316,7 +317,7 @@ class TestProbeCoupling:
         assert len(calls) == 1
         model = AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A)
         assert len(calls) == 2
-        eve = adversary.Eavesdropper(model)
+        eve = adversary.Eavesdropper(model, TransitionTable())
         rng = np.random.default_rng(0)
         for segment, state in ((ChannelSegment.A_TO_B, bell_state((0, 0))), (ChannelSegment.C_TO_A, prepare_decoy(DecoyState.ZERO))):
             assert eve.intercept_transit(segment, state, rng, 0, []).has_ancilla
@@ -527,38 +528,6 @@ class TestDerivedStates:
             assert measure_ancilla_and_discard(probed, rng)[1].subsystems == state.subsystems
 
 
-KERNELS = ("norm_sq", "apply_1q", "prob_zero", "collapse", "bell_probs", "attach_ancilla", "discard_qubit")
-
-
-def random_amps(rng, n_qubits):
-    raw = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
-    return tuple(complex(a) for a in raw / np.linalg.norm(raw))
-
-
-def kernel_cases(rng):
-    """(kernel name, args) over seeded random 1-, 2- and 3-qubit states."""
-    for n_qubits in (1, 2, 3):
-        for _ in range(4):
-            amps = random_amps(rng, n_qubits)
-            yield "norm_sq", (amps,)
-            if n_qubits == 2:
-                yield "bell_probs", (amps,)
-            if n_qubits < 3:
-                beta = complex(rng.normal(), rng.normal())
-                beta /= abs(beta) * math.sqrt(2.0)
-                for pos in range(n_qubits):
-                    yield "attach_ancilla", (amps, pos, complex(math.sqrt(0.5)), beta)
-            for pos in range(n_qubits):
-                for op in (0, 1, 2):
-                    yield "apply_1q", (amps, pos, op)
-                for basis in (0, 1):
-                    yield "prob_zero", (amps, pos, basis)
-                    for outcome in (0, 1):
-                        yield "collapse", (amps, pos, basis, outcome)
-                for bit in (0, 1):
-                    yield "discard_qubit", (amps, pos, bit)
-
-
 # The report digests pinned in tests/test_harness.py::TestPinnedReports.
 PINNED_REPORTS = [
     (
@@ -588,24 +557,8 @@ PINNED_REPORTS = [
 ]
 
 
-class TestKernelCaches:
-    def test_every_kernel_is_memoised(self):
-        assert set(backend.cache_info()) == set(KERNELS)
-
-    def test_cached_kernels_match_the_originals(self):
-        cases = list(kernel_cases(np.random.default_rng(2024)))
-        assert {name for name, _ in cases} == set(KERNELS)
-        for name, args in cases:
-            kernel = getattr(backend, name)
-            expected = repr(kernel.__wrapped__(*args))
-            assert repr(kernel(*args)) == expected, (name, args)  # miss
-            assert repr(kernel(*args)) == expected, (name, args)  # hit
-
+class TestKernels:
     def test_outputs_are_complex_after_a_float_input(self):
-        # Cache keys compare with ==, so a float input's entry also answers
-        # an equal complex input: the outputs must be complex either way.
-        for name in KERNELS:
-            getattr(backend, name).cache_clear()
         outputs = [
             backend.apply_1q((1.0, 0.0), 0, 1),
             backend.apply_1q((1.0, 0.0), 0, 0),
@@ -619,27 +572,217 @@ class TestKernelCaches:
         for amps in outputs:
             assert all(type(a) is complex for a in amps), amps
 
-    def test_zero_probability_collapse_raises_on_every_call(self):
-        for _ in range(2):
-            with pytest.raises(ValueError, match="zero-probability"):
-                backend.collapse((1 + 0j, 0j), 0, 0, 1)
-
-    def test_caches_are_bounded(self):
-        for info in backend.cache_info().values():
-            assert info.maxsize == backend.CACHE_SIZE
-            assert info.currsize <= info.maxsize
+    def test_zero_probability_collapse_raises(self):
+        with pytest.raises(ValueError, match="zero-probability"):
+            backend.collapse((1 + 0j, 0j), 0, 0, 1)
 
     @pytest.mark.parametrize(
         "config, digest", PINNED_REPORTS, ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"]
     )
-    def test_report_digest_is_the_same_cold_and_warm(self, config, digest):
+    def test_report_digest_is_the_same_on_a_second_run(self, config, digest):
+        # Nothing a run builds outlives it: each session walks its own table.
         def report_digest():
             text = render_json(run_experiment(config).to_dict())
             return hashlib.sha256(text.encode()).hexdigest()
 
-        for name in KERNELS:
-            getattr(backend, name).cache_clear()
-        assert all(info.currsize == 0 for info in backend.cache_info().values())
-        cold = report_digest()
-        warm = report_digest()
-        assert cold == warm == digest
+        first = report_digest()
+        second = report_digest()
+        assert first == second == digest
+
+
+def count_validations(monkeypatch):
+    """The states validated from now on, in order."""
+    calls = []
+    original = JointState.__post_init__
+
+    def counting(state):
+        calls.append(state)
+        original(state)
+
+    monkeypatch.setattr(JointState, "__post_init__", counting)
+    return calls
+
+
+AB, CA = ChannelSegment.A_TO_B, ChannelSegment.C_TO_A
+
+# (model, hop, state, scripted draws) for every attack kind: the intercepts
+# draw both bases and both outcomes, and the gated models fire.
+ATTACK_EDGES = [
+    pytest.param(AttackModel.disturbance(Pauli.X, AB), AB, bell_state((0, 1)), [], id="disturb"),
+    pytest.param(
+        AttackModel.disturbance(Pauli.Z, CA, attack_probability=0.4),
+        CA,
+        prepare_decoy(DecoyState.PLUS),
+        [0.1],
+        id="disturb-gated",
+    ),
+    pytest.param(AttackModel.intercept_resend(AB), AB, bell_state((0, 0)), [0.3, 0.2], id="intercept-z0"),
+    pytest.param(AttackModel.intercept_resend(AB), AB, bell_state((0, 0)), [0.7, 0.9], id="intercept-x1"),
+    pytest.param(
+        AttackModel.intercept_resend(CA, attack_probability=0.4),
+        CA,
+        prepare_decoy(DecoyState.ONE),
+        [0.1, 0.7, 0.4],
+        id="intercept-gated",
+    ),
+    pytest.param(AttackModel.entangle_measure(0.3, AB), AB, bell_state((1, 0)), [], id="entangle"),
+    pytest.param(
+        AttackModel.entangle_measure(0.3, CA, attack_probability=0.4),
+        CA,
+        prepare_decoy(DecoyState.MINUS),
+        [0.1],
+        id="entangle-gated",
+    ),
+]
+
+PLUS_PLUS = collapse_outcome(bell_state((0, 0)), Subsystem.TRANSIT, Basis.X, 0)
+PROBED = probed_pair()
+
+# (table operation, the public function it stands for), both on one state.
+SAMPLED_EDGES = [
+    pytest.param(
+        lambda table, rng: table.measure(bell_state((0, 1)), Subsystem.TRANSIT, Basis.X, rng),
+        lambda rng: measure_qubit(bell_state((0, 1)), Subsystem.TRANSIT, Basis.X, rng),
+        id="measure-transit-x",
+    ),
+    pytest.param(
+        lambda table, rng: table.measure(PLUS_PLUS, Subsystem.HOME, Basis.Z, rng),
+        lambda rng: measure_qubit(PLUS_PLUS, Subsystem.HOME, Basis.Z, rng),
+        id="measure-home-z",
+    ),
+    pytest.param(
+        lambda table, rng: table.readout(PROBED, rng),
+        lambda rng: measure_ancilla_and_discard(PROBED, rng),
+        id="readout",
+    ),
+    pytest.param(
+        lambda table, rng: table.bell(PLUS_PLUS, rng),
+        lambda rng: bell_measure(PLUS_PLUS, rng),
+        id="bell",
+    ),
+]
+
+
+def held_states(table):
+    """Every child state a table holds."""
+    children = [edge[1] for edge in table._paulis.values()]
+    children += [edge[1] for edge in table._attaches.values()]
+    for edge in list(table._measures.values()) + list(table._readouts.values()):
+        children += [child for child in edge[2:] if child is not None]
+    return children
+
+
+class TestTransitionTable:
+    """A table edge is the public operation, built once and then reused."""
+
+    @pytest.mark.parametrize("model, segment, state, draws", ATTACK_EDGES)
+    def test_an_attack_edge_matches_attack_transit(self, monkeypatch, scripted, model, segment, state, draws):
+        table = TransitionTable()
+        eve = Eavesdropper(model, table)
+        validated = count_validations(monkeypatch)
+        walked = []
+        for round_index in (0, 1):  # first visit, then a revisit
+            public_rng = scripted(draws)
+            expected, record = attack_transit(model, segment, state, public_rng)
+            before = len(validated)
+            engine_rng = scripted(draws)
+            touched = []
+            got = eve.intercept_transit(segment, state, engine_rng, round_index, touched)
+            assert public_rng.values == engine_rng.values == []  # the same draws
+            assert got == expected
+            assert eve.records[-1].outcome == record.outcome
+            assert eve.records[-1].basis is record.basis
+            assert touched == [segment]
+            walked.append((got, len(validated) - before))
+        (first, built), (again, rebuilt) = walked
+        assert again is first
+        assert (built, rebuilt) == (1, 0)
+        assert len(table) == 1
+
+    @pytest.mark.parametrize("operation, public", SAMPLED_EDGES)
+    @pytest.mark.parametrize("draw", [0.05, 0.95])
+    def test_a_sampled_edge_matches_the_public_function(self, monkeypatch, scripted, operation, public, draw):
+        table = TransitionTable()
+        validated = count_validations(monkeypatch)
+        walked = []
+        for _ in range(2):  # first visit, then a revisit
+            public_rng = scripted([draw])
+            expected_outcome, expected = public(public_rng)
+            before = len(validated)
+            engine_rng = scripted([draw])
+            outcome, got = operation(table, engine_rng)
+            assert public_rng.values == engine_rng.values == []
+            assert outcome == expected_outcome
+            assert got == expected
+            walked.append((got, len(validated) - before))
+        (first, built), (again, rebuilt) = walked
+        assert again is first
+        assert built <= 1 and rebuilt == 0
+        assert len(table) == 1
+
+    def test_the_two_outcomes_share_one_edge(self, scripted):
+        table = TransitionTable()
+        zero, one = (table.measure(PLUS_PLUS, Subsystem.HOME, Basis.Z, scripted([u]))[1] for u in (0.1, 0.9))
+        assert zero != one
+        assert len(table) == 1
+        assert table.measure(PLUS_PLUS, Subsystem.HOME, Basis.Z, scripted([0.9]))[1] is one
+
+    def test_only_the_drawn_outcome_is_built(self, scripted):
+        # Collapsing |0> onto outcome 1 raises, so it must never be built.
+        table = TransitionTable()
+        zero = prepare_decoy(DecoyState.ZERO)
+        for _ in range(2):
+            outcome, state = table.measure(zero, Subsystem.TRANSIT, Basis.Z, scripted([0.999]))
+            assert outcome == 0 and state == zero
+        assert len(table) == 1
+
+    def test_edges_are_counted_per_state_and_operation(self):
+        table = TransitionTable()
+        pair = bell_state((0, 0))
+        for _ in range(2):
+            flipped = table.pauli(pair, Subsystem.TRANSIT, Pauli.X)
+            table.pauli(pair, Subsystem.TRANSIT, Pauli.Z)
+            table.pauli(flipped, Subsystem.TRANSIT, Pauli.Z)
+            assert table.pauli(pair, Subsystem.TRANSIT, Pauli.I) is pair  # no edge
+        assert len(table) == 3
+
+    def test_a_rejected_operation_leaves_no_edge(self, scripted):
+        table = TransitionTable()
+        pair, probed, decoy = bell_state((0, 0)), probed_pair(), prepare_decoy(DecoyState.ZERO)
+        rejected = [
+            (lambda: table.pauli(pair, Subsystem.TRANSIT, Basis.Z), "Pauli"),
+            (lambda: table.pauli(decoy, Subsystem.HOME, Pauli.X), "home"),
+            (lambda: table.measure(pair, Subsystem.TRANSIT, Pauli.X, scripted([0.5])), "basis"),
+            (lambda: table.measure(decoy, Subsystem.HOME, Basis.Z, scripted([0.5])), "home"),
+            (lambda: table.attach(probed, 0.6 + 0j, 0.8 + 0j), "already carries"),
+            (lambda: table.readout(pair, scripted([0.5])), "no ancilla"),
+            (lambda: table.bell(probed, scripted([0.5])), "probe is attached"),
+            (lambda: table.bell(decoy, scripted([0.5])), "full"),
+        ]
+        for operation, message in rejected:
+            with pytest.raises(ValueError, match=message):
+                operation()
+        assert len(table) == 0
+
+    def test_a_session_validates_each_state_it_holds_once(self, monkeypatch):
+        tables = []
+
+        def recording_table():
+            tables.append(TransitionTable())
+            return tables[-1]
+
+        monkeypatch.setattr(protocol, "TransitionTable", recording_table)
+        validated = count_validations(monkeypatch)
+        rng = np.random.default_rng(8)
+        attack = AttackModel.entangle_measure(0.3, *ChannelSegment, attack_probability=0.7)
+        protocol.run_protocol(
+            protocol.MessageTriple.random(64, rng),
+            SchedulePolicy(0.25, 0.1, 0.4),
+            rng,
+            attack=attack,
+            abort_policy=protocol.AbortPolicy.RECORD_AND_CONTINUE,
+        )
+        (table,) = tables
+        held = held_states(table)
+        assert len(validated) == len(held) > 0
+        assert {id(state) for state in validated} == {id(state) for state in held}
