@@ -309,15 +309,6 @@ def render_report_csv(report):
     return out.getvalue()
 
 
-def parse_report_csv(text):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != _REPORT_CSV_COLUMNS:
-        raise ValueError("unexpected report CSV header: %r" % (header,))
-    rows = [dict(zip(header, row)) for row in reader]
-    return {"columns": header, "rows": rows}
-
-
 def render_curve_csv(points):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
@@ -337,15 +328,6 @@ def render_curve_csv(points):
             ]
         )
     return out.getvalue()
-
-
-def parse_curve_csv(text):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != _CURVE_CSV_COLUMNS:
-        raise ValueError("unexpected curve CSV header: %r" % (header,))
-    rows = [dict(zip(header, row)) for row in reader]
-    return {"columns": header, "rows": rows}
 
 
 def _emit(text, out_path):

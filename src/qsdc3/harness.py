@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -92,10 +93,20 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.message_length < 1:
-            raise ValueError("message_length must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        # Integers of any kind (numpy's included) are stored as ``int``; a
+        # bool, a float or any other value raises ``ValueError`` here rather
+        # than inside numpy, or in the report as ``true``.
+        for name, least in (("message_length", 1), ("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                index = operator.index(value)
+            except TypeError:
+                index = None
+            if index is None or isinstance(value, bool):
+                raise ValueError("%s must be an integer, got %r" % (name, value))
+            if index < least:
+                raise ValueError("%s must be >= %d" % (name, least))
+            object.__setattr__(self, name, index)
 
     def to_dict(self):
         attack = {

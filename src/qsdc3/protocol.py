@@ -16,7 +16,12 @@ announcing, and each party recovers the other two messages by XOR.
 
 Randomness: each round consumes draws from its injected generator in a
 fixed order (check choice, mode choices, then measurement draws), which is
-what makes seeded runs reproducible.
+what makes seeded runs reproducible.  For a numpy ``Generator`` over
+``PCG64`` (exactly those types) a session serves these draws from bulk
+blocks of the same generator (:class:`_BlockUniforms`): the values are the
+same, in the same order, and the generator ends the session in the state
+the scalar calls would have left it in.  Any other generator is called one
+draw at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +29,11 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
+from operator import length_hint
 from typing import NamedTuple
+
+import numpy as np
 
 from . import adversary
 
@@ -349,6 +358,83 @@ class ProtocolResult:
     rounds_used: int
 
 
+# Uniforms drawn per block by :class:`_BlockUniforms`.  A session of the
+# acceptance workloads makes one to two thousand draws, so a block this size
+# keeps both the per-block call and the unused tail of the last block small.
+_BLOCK = 256
+_TWO_53 = 2.0**53
+
+
+class _BlockUniforms:
+    """A session's draws from a ``Generator(PCG64)``, served from bulk blocks.
+
+    ``random()`` serves the doubles of ``rng.random(_BLOCK)`` blocks in
+    order; these are the values that scalar ``rng.random()`` calls give,
+    one 64-bit PCG64 word each (the word shifted right by 11, times 2**-53).
+
+    ``integers(0, 4)`` rebuilds numpy's bounded draw from the same words.
+    For a range of 4 that draw (Lemire's multiply-and-shift) takes the next
+    32-bit half, ``h``, and returns ``h * 4 >> 32 = h >> 30``; its
+    rejection threshold, ``(2**32 - 4) % 4``, is 0, so it never draws
+    again.  A fresh word gives its low half and leaves its high half
+    pending in the generator; the next call takes the pending half without
+    a new word.  The served double ``d`` holds bits 11-63 of its word as
+    ``u = int(d * 2**53)``, so the low half's top bits are
+    ``(u >> 19) & 3`` and the high half is ``u >> 21``.  A half the
+    generator holds when the session starts is taken first.
+
+    :meth:`close` puts the generator into the state the scalar calls would
+    have left: the starting state advanced by the words served, with the
+    pending half, and numpy's stale copy of the last half, as they would be.
+    Nothing else may draw from the generator between construction and
+    :meth:`close`: the blocks run ahead of the served draws, and ``close``
+    overwrites the state.
+    """
+
+    __slots__ = ("random", "_bit_generator", "_start", "_blocks", "_block", "_pending", "_uinteger")
+
+    def __init__(self, rng):
+        self._bit_generator = rng.bit_generator
+        self._start = start = self._bit_generator.state
+        self._uinteger = start["uinteger"]
+        self._pending = self._uinteger if start["has_uint32"] else None
+        self._blocks = 0
+        self._block = iter(())
+        # ``chain`` moves to the next block in C, so a served draw runs no
+        # Python frame.
+        self.random = chain.from_iterable(self._fill(rng.random)).__next__
+
+    def _fill(self, random):
+        while True:
+            self._block = iter(random(_BLOCK).tolist())
+            self._blocks += 1
+            yield self._block
+
+    def integers(self, low, high):
+        """``Generator.integers(0, 4)``, the only range the engine draws."""
+        if low != 0 or high != 4:
+            raise ValueError("block draws serve integers(0, 4) only, got (%r, %r)" % (low, high))
+        pending = self._pending
+        if pending is not None:
+            self._pending = None
+            return pending >> 30
+        word = int(self.random() * _TWO_53)
+        self._pending = self._uinteger = word >> 21
+        return (word >> 19) & 3
+
+    def close(self):
+        """Leave the generator as the scalar calls would have, and stop serving."""
+        served = self._blocks * _BLOCK - length_hint(self._block)
+        bit_generator = self._bit_generator
+        bit_generator.state = self._start
+        bit_generator.advance(served)  # also clears the pending half
+        state = bit_generator.state
+        state["has_uint32"] = int(self._pending is not None)
+        state["uinteger"] = self._uinteger
+        bit_generator.state = state
+        self.random = None  # drops the block chain, which refers back to self
+
+
 def _run_round(round_index, n, messages, schedule, eve, rng, transcript, table):
     """One pass through the round state machine; returns a RoundRecord.
 
@@ -449,6 +535,13 @@ def run_protocol(
 
     The session walks one :class:`~qsdc3.states.TransitionTable`, shared
     with Eve, and logs its size (the edges it built) at DEBUG when it ends.
+
+    ``rng`` gives every draw of the session, in a fixed order.  When it is
+    exactly a ``numpy.random.Generator`` over ``PCG64``, the draws are
+    served from bulk blocks of it (:class:`_BlockUniforms`): the values are
+    the same, in the same order, and on every exit (completion, an abort,
+    an exhausted budget or any error) ``rng`` is left in the state that
+    drawing them one at a time would have left.
     """
     model = attack if attack is not None else adversary.AttackModel.none()
     table = TransitionTable()
@@ -461,6 +554,12 @@ def run_protocol(
 
     n = 0
     round_index = 0
+    # Exact types only: the blocks reproduce PCG64's words and numpy's own
+    # draws from them, which a subclass or another bit generator may not.
+    blocks = None
+    if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
+        blocks = _BlockUniforms(rng)
+    draws = rng if blocks is None else blocks
     try:
         while n < n_total:
             if round_index >= max_rounds:
@@ -468,7 +567,7 @@ def run_protocol(
                     "budget of %d rounds exhausted with %d of %d bits delivered"
                     % (max_rounds, n, n_total)
                 )
-            record = _run_round(round_index, n, messages, schedule, eve, rng, transcript, table)
+            record = _run_round(round_index, n, messages, schedule, eve, draws, transcript, table)
             records.append(record)
             round_index += 1
             if record.kind is _MESSAGE:
@@ -483,6 +582,8 @@ def run_protocol(
                     eve.records,
                 )
     finally:
+        if blocks is not None:
+            blocks.close()
         log.debug("session: %d rounds, %d transition table edges", round_index, len(table))
 
     decoded = _decode_all(messages, records)

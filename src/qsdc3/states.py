@@ -18,7 +18,10 @@ Conventions
 
   Labels are rays: a global phase does not change the label.
 * All measurement sampling draws from an injected ``numpy.random.Generator``
-  (one uniform draw per measurement); there is no global randomness.
+  (one uniform ``random()`` draw per measurement); there is no global
+  randomness.  A protocol session may serve these draws from bulk blocks
+  of a ``PCG64`` generator (see ``protocol.run_protocol``): the values are
+  the same, in the same order, and the generator ends in the same state.
 
 Construction
 ------------
@@ -33,10 +36,10 @@ faulty kernel must not hand an invalid state to the round engine, and
 because each validation is a counted benchmark layer.
 
 The round engine walks a :class:`TransitionTable`, one per session, so a
-derived state is built and validated once per table edge, not once per
-round.  The public operations (``measure_qubit``, ``bell_measure``, ...)
-run the same code on a fresh table per call: they are not memoised, and
-each result is validated once.
+derived state is built and validated once per distinct value in the
+session, not once per round.  The public operations (``measure_qubit``,
+``bell_measure``, ...) run the same code on a fresh table per call: they
+are not memoised, and each result is validated once.
 
 The probe coupling's coefficients are checked where they enter: by
 ``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
@@ -345,13 +348,13 @@ class TransitionTable:
 
     An edge is a source state plus an operation: a Pauli, a measurement in
     a basis, a probe attach, a probe readout or the Bell measurement.  On
-    its first visit an edge is built from the kernels, and each child state
-    through ``_from_kernel``, so every state the table holds is validated
-    once.  Later visits reuse it: a Pauli or an attach gives its child; a
-    measurement or a readout gives its stored probability of outcome 0 and
-    the children sampled so far.  A measurement child is built only for an
-    outcome that is drawn, because collapsing onto a zero-probability
-    outcome raises.
+    its first visit an edge is built from the kernels, and a child state of
+    a value the table has not built yet through ``_from_kernel``, so every
+    state the table holds is validated once.  Later visits reuse it: a
+    Pauli or an attach gives its child; a measurement or a readout gives
+    its stored probability of outcome 0 and the children sampled so far.
+    A measurement child is built only for an outcome that is drawn,
+    because collapsing onto a zero-probability outcome raises.
 
     Sampling is the same on either visit: one ``rng.random()`` per chance
     point, through ``_sample_bit`` or the Bell cumulative loop, over the
@@ -361,12 +364,16 @@ class TransitionTable:
     Edges are keyed by the identity of the source state (and of the
     operands, which are enum singletons, so no ``Enum.__hash__`` runs), and
     each value holds the source state, so an id is not reused while the
-    table lives.  A state reached along two paths is two nodes, so a table
-    grows with the paths a round can take (a bounded number), not with the
-    number of rounds; one table lives for one session.
+    table lives.  Children are interned by value: a kernel output equal to
+    a state the table already built, amplitudes and register, is that
+    state, so a state reached along two paths is one node.  (Equal
+    amplitudes may differ in the sign of a zero, which no probability or
+    outcome depends on.)  A table thus grows with the distinct states a
+    round can reach (a bounded number), not with its paths or the number
+    of rounds; one table lives for one session.
     """
 
-    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells")
+    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes")
 
     def __init__(self):
         self._paulis = {}  # (id(state), id(which), id(pauli)) -> (state, child)
@@ -374,6 +381,16 @@ class TransitionTable:
         self._attaches = {}  # (id(state), alpha, beta) -> (state, child)
         self._readouts = {}  # id(state) -> [state, p0, child0, child1]
         self._bells = {}  # id(state) -> (state, probabilities)
+        self._nodes = {}  # (amps, subsystems) -> the child state of that value
+
+    def _child(self, amps, subsystems):
+        """The table's state over a kernel output: built and validated on
+        its value's first sight, the same state after that."""
+        key = (amps, subsystems)
+        state = self._nodes.get(key)
+        if state is None:
+            state = self._nodes[key] = _from_kernel(amps, subsystems)
+        return state
 
     def __len__(self):
         """The number of edges built."""
@@ -400,7 +417,7 @@ class TransitionTable:
             else:
                 raise ValueError("not a Pauli operator: %r" % (pauli,))
             pos = state.position(which)
-            child = _from_kernel(_k.apply_1q(state.amps, pos, op), state.subsystems)
+            child = self._child(_k.apply_1q(state.amps, pos, op), state.subsystems)
             edge = self._paulis[key] = (state, child)
         return edge[1]
 
@@ -415,7 +432,7 @@ class TransitionTable:
         child = edge[2 + outcome]
         if child is None:
             amps = _k.collapse(state.amps, state.position(which), _basis_code(basis), outcome)
-            child = edge[2 + outcome] = _from_kernel(amps, state.subsystems)
+            child = edge[2 + outcome] = self._child(amps, state.subsystems)
         return outcome, child
 
     def attach(self, state, alpha, beta):
@@ -430,9 +447,9 @@ class TransitionTable:
             if state.has_ancilla:
                 raise ValueError("state already carries a probe qubit")
             if state.has_home:
-                child = _from_kernel(_k.attach_ancilla(state.amps, 1, alpha, beta), _PROBED_PAIR)
+                child = self._child(_k.attach_ancilla(state.amps, 1, alpha, beta), _PROBED_PAIR)
             else:
-                child = _from_kernel(_k.attach_ancilla(state.amps, 0, alpha, beta), _PROBED_LONE)
+                child = self._child(_k.attach_ancilla(state.amps, 0, alpha, beta), _PROBED_LONE)
             edge = self._attaches[key] = (state, child)
         return edge[1]
 
@@ -453,7 +470,7 @@ class TransitionTable:
             else:
                 pos, register = 1, _LONE
             collapsed = _k.collapse(state.amps, pos, 0, outcome)
-            child = edge[2 + outcome] = _from_kernel(_k.discard_qubit(collapsed, pos, outcome), register)
+            child = edge[2 + outcome] = self._child(_k.discard_qubit(collapsed, pos, outcome), register)
         return outcome, child
 
     def bell(self, state, rng):

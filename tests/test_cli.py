@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import json
 import logging
 import os
@@ -17,6 +19,23 @@ def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _parse_csv(text, columns):
+    """A CSV table's header and its rows as dicts; the header must be ``columns``."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    if tuple(header) != columns:
+        raise ValueError("unexpected CSV header: %r" % (header,))
+    return {"columns": header, "rows": [dict(zip(header, row)) for row in reader]}
+
+
+def parse_report_csv(text):
+    return _parse_csv(text, cli._REPORT_CSV_COLUMNS)
+
+
+def parse_curve_csv(text):
+    return _parse_csv(text, cli._CURVE_CSV_COLUMNS)
 
 
 BASE_RUN = {
@@ -83,7 +102,7 @@ class TestRun:
         out = str(tmp_path / "report.csv")
         cli.main(["run", "--config", cfg, "--out", out, "--format", "csv"])
         text = (tmp_path / "report.csv").read_text()
-        parsed = cli.parse_report_csv(text)
+        parsed = parse_report_csv(text)
         assert parsed["rows"]
         # Re-rendering the parsed rows reproduces the file byte for byte.
         rerendered = "\n".join(
@@ -405,7 +424,7 @@ class TestSweep:
         out = str(tmp_path / "curve.csv")
         assert cli.main(["sweep", "--config", cfg, "--out", out]) == cli.EXIT_OK
         text = (tmp_path / "curve.csv").read_text()
-        parsed = cli.parse_curve_csv(text)
+        parsed = parse_curve_csv(text)
         params = {row["parameter"] for row in parsed["rows"] if row["check_kind"] == "ab_check"}
         assert params == {"0.000000", "0.500000", "1.000000"}
 
@@ -413,7 +432,7 @@ class TestSweep:
         cfg = write_config(tmp_path, dict(BASE_SWEEP, grid=[0.25]), "sweep.json")
         assert cli.main(["sweep", "--config", cfg]) == cli.EXIT_OK
         out = capsys.readouterr().out
-        rows = cli.parse_curve_csv(out)["rows"]
+        rows = parse_curve_csv(out)["rows"]
         assert {row["parameter"] for row in rows} == {"0.250000"}
 
     def test_grid_value_out_of_range(self, tmp_path, capsys):

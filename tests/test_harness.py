@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from qsdc3 import harness
@@ -281,6 +282,30 @@ class TestConfigValidation:
             ExperimentConfig(message_length=0)
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("message_length", 2.5),
+            ("message_length", True),
+            ("message_length", "8"),
+            ("trials", 3.0),
+            ("trials", np.bool_(True)),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("seed", True),
+            ("seed", None),
+        ],
+    )
+    def test_rejects_non_integers_and_a_negative_seed_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = ExperimentConfig(message_length=np.int32(8), trials=np.uint8(2), seed=np.int64(7))
+        assert (config.message_length, config.trials, config.seed) == (8, 2, 7)
+        assert all(type(value) is int for value in (config.message_length, config.trials, config.seed))
+        assert json.loads(json.dumps(config.to_dict()))["seed"] == 7
 
     def test_to_dict_round_trips_through_json(self):
         config = ExperimentConfig(

@@ -424,15 +424,117 @@ class TestSessionTable:
         assert all(len(table) > 0 for table in tables)
 
     def test_the_table_is_bounded_by_the_round_not_the_round_count(self, tables):
-        rng = np.random.default_rng(2000)
+        # Every edge leaves a round's start state or a state the table
+        # built, and the table builds one state per value, so its size is
+        # bounded by the few dozen distinct states a round can reach: 175
+        # edges at 2,000 bits and 184 at 20,000 (without interning, 452 and
+        # 543, and still growing).
+        starts = [protocol._START_PAIR] + [decoy for _, decoy, _, _ in protocol._DECOYS]
         attack = AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4)
-        result = run_protocol(
-            MessageTriple.random(2000, rng),
-            SchedulePolicy(),
-            rng,
-            attack=attack,
-            abort_policy=AbortPolicy.RECORD_AND_CONTINUE,
-        )
-        assert result.rounds_used > 4000
-        (table,) = tables
-        assert len(table) < 512
+        for length in (2000, 20000):
+            rng = np.random.default_rng(2000)
+            result = run_protocol(
+                MessageTriple.random(length, rng),
+                SchedulePolicy(),
+                rng,
+                attack=attack,
+                abort_policy=AbortPolicy.RECORD_AND_CONTINUE,
+            )
+            assert result.rounds_used > 2 * length
+            table = tables[-1]
+            nodes = {id(state) for state in starts + list(table._nodes.values())}
+            edges = [table._paulis, table._measures, table._attaches, table._readouts, table._bells]
+            assert all(id(edge[0]) in nodes for kind in edges for edge in kind.values())
+            assert len(table._nodes) < 64
+            assert len(table) < 192
+
+
+class ScalarOnly:
+    """Forwards every call to a generator; not a ``Generator`` itself, so a
+    session over it draws one value at a time."""
+
+    def __init__(self, generator):
+        self.generator = generator
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+
+STREAM_ATTACKS = [
+    pytest.param(None, id="none"),
+    pytest.param(AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4), id="intercept-all-p0.4"),
+    pytest.param(AttackModel.entangle_measure(0.5, *ChannelSegment, attack_probability=0.7), id="entangle-p0.7"),
+    pytest.param(AttackModel.disturbance(Pauli.X, ChannelSegment.B_TO_C), id="disturb"),
+]
+
+
+class TestBlockDraws:
+    """A ``Generator(PCG64)`` session draws in blocks, with the scalar stream."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        built = []
+
+        class Recording(protocol._BlockUniforms):
+            def __init__(self, rng):
+                built.append(rng)
+                super().__init__(rng)
+
+        monkeypatch.setattr(protocol, "_BlockUniforms", Recording)
+        return built
+
+    @staticmethod
+    def session(rng, length, attack, policy, max_rounds=None):
+        """Everything a session shows, then the generator's state and next draws."""
+        generator = getattr(rng, "generator", rng)
+        messages = MessageTriple.random(length, generator)
+        try:
+            result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy, max_rounds)
+            shown = ("completed", result.rounds_used, result.records, result.transcript.events, result.eve_records)
+        except ProtocolAborted as abort:
+            shown = ("aborted", abort.round_index, abort.records, abort.transcript.events, abort.eve_records)
+        except RoundBudgetExceeded as exc:
+            shown = ("budget", str(exc))
+        state = generator.bit_generator.state
+        return shown, state, generator.random(), generator.integers(0, 4), generator.integers(0, 4)
+
+    # 3n is odd for 63 bits, so the session starts with a 32-bit half
+    # pending in the generator, and even for 64; either session runs over
+    # several blocks under record-and-continue.
+    @pytest.mark.parametrize("length", [63, 64])
+    @pytest.mark.parametrize("policy", list(AbortPolicy))
+    @pytest.mark.parametrize("attack", STREAM_ATTACKS)
+    def test_the_block_path_keeps_the_scalar_stream(self, built, attack, policy, length):
+        for seed in range(3):
+            blocked = self.session(np.random.default_rng(seed), length, attack, policy)
+            scalar = self.session(ScalarOnly(np.random.default_rng(seed)), length, attack, policy)
+            assert blocked == scalar
+        assert len(built) == 3
+
+    @pytest.mark.parametrize("length", [7, 8])
+    def test_an_exhausted_budget_leaves_the_scalar_state(self, built, length):
+        attack = AttackModel.intercept_resend(ChannelSegment.A_TO_B)
+        policy = AbortPolicy.RECORD_AND_CONTINUE
+        for seed in range(3):
+            blocked = self.session(np.random.default_rng(seed), length, attack, policy, length)
+            scalar = self.session(ScalarOnly(np.random.default_rng(seed)), length, attack, policy, length)
+            assert blocked[0][0] == "budget"
+            assert blocked == scalar
+        assert len(built) == 3
+
+    def test_only_an_exact_pcg64_generator_draws_in_blocks(self, built, scripted):
+        messages = MessageTriple((1,), (0,), (1,))
+        never = SchedulePolicy(0.0, 0.0, 0.0)
+        run_protocol(messages, never, scripted([0.5] * 4))
+        run_protocol(messages, never, np.random.Generator(np.random.MT19937(5)))
+        run_protocol(messages, never, ScalarOnly(np.random.default_rng(5)))
+        assert built == []
+        pcg64 = np.random.default_rng(5)
+        run_protocol(messages, never, pcg64)
+        assert built == [pcg64]
+
+    def test_block_draws_serve_only_the_decoy_label(self):
+        blocks = protocol._BlockUniforms(np.random.default_rng(5))
+        with pytest.raises(ValueError, match="integers"):
+            blocks.integers(0, 2)
+        blocks.close()

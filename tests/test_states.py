@@ -746,6 +746,17 @@ class TestTransitionTable:
             assert table.pauli(pair, Subsystem.TRANSIT, Pauli.I) is pair  # no edge
         assert len(table) == 3
 
+    def test_a_child_equal_to_a_built_state_is_that_state(self, monkeypatch):
+        table = TransitionTable()
+        validated = count_validations(monkeypatch)
+        pair = bell_state((0, 0))
+        flipped = table.pauli(pair, Subsystem.TRANSIT, Pauli.X)
+        back = table.pauli(flipped, Subsystem.TRANSIT, Pauli.X)
+        assert back == pair and back is not pair  # the start state is not built here
+        assert table.pauli(back, Subsystem.TRANSIT, Pauli.X) is flipped
+        assert validated == [flipped, back]
+        assert len(table) == 3
+
     def test_a_rejected_operation_leaves_no_edge(self, scripted):
         table = TransitionTable()
         pair, probed, decoy = bell_state((0, 0)), probed_pair(), prepare_decoy(DecoyState.ZERO)
@@ -783,6 +794,10 @@ class TestTransitionTable:
             abort_policy=protocol.AbortPolicy.RECORD_AND_CONTINUE,
         )
         (table,) = tables
-        held = held_states(table)
-        assert len(validated) == len(held) > 0
-        assert {id(state) for state in validated} == {id(state) for state in held}
+        held = {id(state): state for state in held_states(table)}
+        # Every state built is validated once, and children are interned by
+        # value, so the states built are exactly the distinct states held.
+        assert len({id(state) for state in validated}) == len(validated) > 0
+        assert {id(state) for state in validated} == set(held)
+        assert len({(state.amps, state.subsystems) for state in held.values()}) == len(held)
+        assert len(held) < len(held_states(table))  # some state is reached along two paths
