@@ -30,6 +30,7 @@ import numpy as np
 
 from .adversary import AttackModel, ChannelSegment
 from .harness import (
+    _MAX_MESSAGE_LENGTH,
     ExperimentAborted,
     ExperimentConfig,
     entangle_measure_curve,
@@ -94,10 +95,6 @@ _SWEEP_KEYS = {
 _SEGMENTS = {s.value: s for s in ChannelSegment}
 _PAULIS = {"X": Pauli.X, "Z": Pauli.Z}
 
-# A trial draws its three messages as one numpy int64 array of
-# 3 * message_length bits; numpy refuses arrays of more than intp-max bytes.
-_MAX_MESSAGE_LENGTH = int(np.iinfo(np.intp).max) // (3 * np.dtype(np.int64).itemsize)
-
 
 def _reject_unknown(mapping, allowed, context):
     for key in mapping:
@@ -115,6 +112,8 @@ def _integer(value, name, minimum):
 
 
 def _message_length(data, default):
+    # ExperimentConfig enforces the same bound; checking it here keeps the
+    # message in the CLI's field wording.
     length = _integer(data.get("message_length", default), "message_length", 1)
     if length > _MAX_MESSAGE_LENGTH:
         raise ConfigError(

@@ -9,6 +9,13 @@ All randomness derives from a single 64-bit seed: per-trial generators are
 split off the master seed with ``numpy.random.SeedSequence.spawn``, so
 trials are independent, parallelizable in principle, and the whole report
 is a deterministic function of the configuration.
+
+An experiment builds one :class:`~qsdc3.states.TransitionTable`, and every
+trial's session walks it, so a state a round reaches is built and
+validated once per experiment.  The table lives as long as the experiment:
+two runs of one configuration build and validate the same states, and a
+detection curve builds one table per grid point.  Which table a session
+walks does not change its draws or its results.
 """
 
 from __future__ import annotations
@@ -38,11 +45,14 @@ from .protocol import (
     SchedulePolicy,
     run_protocol,
 )
-from .states import Basis
+from .states import Basis, TransitionTable
 
 log = logging.getLogger("qsdc3")
 
 _CHECK_KINDS = tuple(CHECK_PATHS)
+# A trial draws its three messages as one numpy int64 array of
+# 3 * message_length bits; numpy refuses arrays of more than intp-max bytes.
+_MAX_MESSAGE_LENGTH = int(np.iinfo(np.intp).max) // (3 * np.dtype(np.int64).itemsize)
 _Z_DECOYS = ("0", "1")
 _MESSAGE = RoundKind.MESSAGE
 _DECOY_CHECK = RoundKind.CHARLIE_DECOY_CHECK
@@ -72,13 +82,30 @@ def plugin_mutual_information(xs, ys):
     n = len(xs)
     if n == 0 or n != len(ys):
         raise ValueError("need two equal-length non-empty sequences")
-    joint = Counter(zip(xs, ys))
-    px = Counter(xs)
-    py = Counter(ys)
+    return _mutual_information(Counter(zip(xs, ys)))
+
+
+def _mutual_information(joint):
+    """Plug-in mutual information (bits) of a ``(x, y) -> count`` table.
+
+    The terms are summed in sorted ``(x, y)`` order, so a table gives the
+    same float however its counts were gathered.
+    """
+    n = sum(joint.values())
+    px = _projected(joint, lambda x, y: x)
+    py = _projected(joint, lambda x, y: y)
     mi = 0.0
     for (x, y), c in sorted(joint.items()):
         mi += (c / n) * math.log2(c * n / (px[x] * py[y]))
     return mi
+
+
+def _projected(joint, key):
+    """The counts of ``joint`` gathered under ``key(*symbols)``."""
+    counts = Counter()
+    for symbols, c in joint.items():
+        counts[key(*symbols)] += c
+    return counts
 
 
 @dataclass(frozen=True)
@@ -94,8 +121,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         # Integers of any kind (numpy's included) are stored as ``int``; a
-        # bool, a float or any other value raises ``ValueError`` here rather
-        # than inside numpy, or in the report as ``true``.
+        # bool, a float, any other value or a message too long for numpy to
+        # draw raises ``ValueError`` here rather than inside numpy, or in the
+        # report as ``true``.
         for name, least in (("message_length", 1), ("trials", 1), ("seed", 0)):
             value = getattr(self, name)
             try:
@@ -107,6 +135,8 @@ class ExperimentConfig:
             if index < least:
                 raise ValueError("%s must be >= %d" % (name, least))
             object.__setattr__(self, name, index)
+        if self.message_length > _MAX_MESSAGE_LENGTH:
+            raise ValueError("message_length must be <= %d" % _MAX_MESSAGE_LENGTH)
 
     def to_dict(self):
         attack = {
@@ -262,12 +292,9 @@ class _Aggregator:
         self.config = config
         self.check_counts = {k: [0, 0] for k in _CHECK_KINDS}
         self.decoy_family_counts = {"decoy_check_z": [0, 0], "decoy_check_x": [0, 0]}
-        self.xy_symbols = []
-        self.secret_bits = {"alice": [], "bob": [], "charlie": []}
-        self.xor_announced = []
-        self.xor_secret = []
-        self.xor_hits = 0
-        self.messages_audited = 0
+        # Message rounds counted by (x, y, alice bit, bob bit, charlie bit):
+        # at most 32 keys, however many rounds are audited.
+        self.leakage_counts = Counter()
         self.fidelity_sums = {"alice": 0.0, "bob": 0.0, "charlie": 0.0}
         self.trials_completed = 0
         self.trials_aborted = 0
@@ -280,29 +307,15 @@ class _Aggregator:
         # Record list position == round index: the engine logs one record
         # per round from round 0.
         reveals = transcript.decoy_reveals() if records else {}
-        xy_symbols = self.xy_symbols.append
-        alice_bits = self.secret_bits["alice"].append
-        bob_bits = self.secret_bits["bob"].append
-        charlie_bits = self.secret_bits["charlie"].append
-        xor_announced = self.xor_announced.append
-        xor_secret = self.xor_secret.append
         check_counts = self.check_counts
         decoy_family_counts = self.decoy_family_counts
-        xor_hits = 0
-        messages = 0
+        symbols = []
+        audit = symbols.append
         for idx, rec in enumerate(records):
             kind = rec.kind
             if kind is _MESSAGE:
                 x, y = rec.announcement
-                xy_symbols(2 * x + y)
-                alice_bits(rec.alice_bit)
-                bob_bits(rec.bob_bit)
-                charlie_bits(rec.charlie_bit)
-                xor_announced(x ^ y)
-                xor_secret(rec.bob_bit ^ rec.charlie_bit)
-                if x ^ y == rec.bob_bit ^ rec.charlie_bit:
-                    xor_hits += 1
-                messages += 1
+                audit((x, y, rec.alice_bit, rec.bob_bit, rec.charlie_bit))
             else:
                 # ``_value_`` is the kind name without the Python-level
                 # ``Enum.value`` property.
@@ -315,8 +328,7 @@ class _Aggregator:
                     fam = decoy_family_counts[family]
                     fam[0] += 1
                     fam[1] += failed
-        self.xor_hits += xor_hits
-        self.messages_audited += messages
+        self.leakage_counts.update(symbols)
         self.rounds_total += len(records)
         for ev in eve_records:
             self.eve_actions += 1
@@ -337,7 +349,7 @@ class _Aggregator:
             ("charlie", d.charlie_view_bob, messages.bob_bits),
         )
         for party, got, want in pairs:
-            hits = sum(1 for g, w in zip(got, want) if g == w)
+            hits = sum(map(operator.eq, got, want))
             self.fidelity_sums[party] += hits / (2 * n)
         self.trials_completed += 1
 
@@ -353,6 +365,30 @@ class _Aggregator:
             return 0.0
         return analytic_detection_probability(attack, base, decoy_family)
 
+    def _leakage(self):
+        """The leakage audit over the counted message rounds."""
+        counts = self.leakage_counts
+        m = sum(counts.values())
+        if not m:
+            return LeakageReport(m, None, None, None, None, None)
+        xor_hits = sum(c for (x, y, _, j, k), c in counts.items() if x ^ y == j ^ k)
+        return LeakageReport(
+            rounds_audited=m,
+            xor_identity_fraction=xor_hits / m,
+            mi_announcement_vs_alice=_mutual_information(
+                _projected(counts, lambda x, y, i, j, k: (2 * x + y, i))
+            ),
+            mi_announcement_vs_bob=_mutual_information(
+                _projected(counts, lambda x, y, i, j, k: (2 * x + y, j))
+            ),
+            mi_announcement_vs_charlie=_mutual_information(
+                _projected(counts, lambda x, y, i, j, k: (2 * x + y, k))
+            ),
+            mi_xor_announced_vs_xor_secret=_mutual_information(
+                _projected(counts, lambda x, y, i, j, k: (x ^ y, j ^ k))
+            ),
+        )
+
     def build(self, aborted=None):
         claim = paper_claimed_detection(self.config.attack.kind)
         kinds = {}
@@ -367,26 +403,7 @@ class _Aggregator:
                 )
         detection = DetectionReport(kinds)
 
-        m = self.messages_audited
-        leakage = LeakageReport(
-            rounds_audited=m,
-            xor_identity_fraction=self.xor_hits / m if m else None,
-            mi_announcement_vs_alice=(
-                plugin_mutual_information(self.xy_symbols, self.secret_bits["alice"]) if m else None
-            ),
-            mi_announcement_vs_bob=(
-                plugin_mutual_information(self.xy_symbols, self.secret_bits["bob"]) if m else None
-            ),
-            mi_announcement_vs_charlie=(
-                plugin_mutual_information(self.xy_symbols, self.secret_bits["charlie"])
-                if m
-                else None
-            ),
-            mi_xor_announced_vs_xor_secret=(
-                plugin_mutual_information(self.xor_announced, self.xor_secret) if m else None
-            ),
-        )
-
+        leakage = self._leakage()
         done = self.trials_completed
         fidelity = FidelityReport(
             alice=self.fidelity_sums["alice"] / done if done else None,
@@ -421,8 +438,10 @@ def run_experiment(config):
     detected eavesdropper stops the experiment: :class:`ExperimentAborted`
     is raised carrying the partial statistics.  Each trial logs one INFO
     line on the ``qsdc3`` logger: its index, rounds used and failed checks.
+    Every trial's session walks one transition table, built here.
     """
     agg = _Aggregator(config)
+    table = TransitionTable()
     # One child per trial, spawned when the trial starts: repeated
     # ``spawn(1)`` gives the seeds one ``spawn(trials)`` would, without
     # holding them all.
@@ -439,6 +458,7 @@ def run_experiment(config):
                 rng,
                 attack=config.attack,
                 abort_policy=config.abort_policy,
+                table=table,
             )
         except ProtocolAborted as abort:
             agg.add_records(abort.records, abort.transcript, abort.eve_records)

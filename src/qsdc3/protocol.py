@@ -30,7 +30,7 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from operator import length_hint
+from operator import length_hint, xor
 from typing import NamedTuple
 
 import numpy as np
@@ -117,8 +117,20 @@ class MessageTriple:
 
     @classmethod
     def random(cls, n, rng):
+        """Three random ``n``-bit messages from one ``integers(0, 2)`` draw.
+
+        The draw gives ints that are exactly 0 or 1, in three strings of
+        equal length, so the triple is built without the per-bit checks of
+        ``MessageTriple(...)``.
+        """
+        if n < 1:
+            raise ValueError("messages must contain at least one bit")
         bits = rng.integers(0, 2, size=3 * n).tolist()
-        return cls(tuple(bits[:n]), tuple(bits[n : 2 * n]), tuple(bits[2 * n :]))
+        triple = object.__new__(cls)
+        object.__setattr__(triple, "alice_bits", tuple(bits[:n]))
+        object.__setattr__(triple, "bob_bits", tuple(bits[n : 2 * n]))
+        object.__setattr__(triple, "charlie_bits", tuple(bits[2 * n :]))
+        return triple
 
 
 def _bit(name, value):
@@ -497,24 +509,24 @@ def _run_round(round_index, n, messages, schedule, eve, rng, transcript, table):
 
 
 def _decode_all(messages, records):
-    """Apply the three decoding rules to every completed message round."""
-    a_j, a_k, b_i, b_k, c_i, c_j = [], [], [], [], [], []
-    for rec in records:
-        if rec.kind is not _MESSAGE:
-            continue
-        x, y = rec.announcement
-        m = rec.message_index
-        j, k = decode_alice(x, y, messages.alice_bits[m])
-        a_j.append(j)
-        a_k.append(k)
-        i, k = decode_bob(x, y, messages.bob_bits[m])
-        b_i.append(i)
-        b_k.append(k)
-        i, j = decode_charlie(x, y, messages.charlie_bits[m])
-        c_i.append(i)
-        c_j.append(j)
+    """Apply the three decoding rules to every completed message round.
+
+    Message records come in message order, so the announcement columns
+    line up with the bit strings: column by column, these are
+    :func:`decode_alice`, :func:`decode_bob` and :func:`decode_charlie`.
+    """
+    announced = [rec.announcement for rec in records if rec.kind is _MESSAGE]
+    xs = [x for x, _ in announced]
+    ys = [y for _, y in announced]
+    parities = list(map(xor, xs, ys))
+    i, j, k = messages.alice_bits, messages.bob_bits, messages.charlie_bits
     return DecodedMessages(
-        tuple(a_j), tuple(a_k), tuple(b_i), tuple(b_k), tuple(c_i), tuple(c_j)
+        tuple(map(xor, xs, i)),
+        tuple(map(xor, ys, i)),
+        tuple(map(xor, xs, j)),
+        tuple(map(xor, parities, j)),
+        tuple(map(xor, ys, k)),
+        tuple(map(xor, parities, k)),
     )
 
 
@@ -525,6 +537,7 @@ def run_protocol(
     attack=None,
     abort_policy=AbortPolicy.STRICT,
     max_rounds=None,
+    table=None,
 ):
     """Run the full protocol until every message bit is delivered.
 
@@ -533,8 +546,12 @@ def run_protocol(
     record-and-continue failures are logged and the run completes, which is
     how detection rates are estimated without restarting.
 
-    The session walks one :class:`~qsdc3.states.TransitionTable`, shared
-    with Eve, and logs its size (the edges it built) at DEBUG when it ends.
+    The session walks ``table``, a :class:`~qsdc3.states.TransitionTable`
+    shared with Eve, or a fresh one when ``table`` is None.  A table other
+    sessions have walked gives the same results: it only saves building
+    their states again (``harness.run_experiment`` passes one table to all
+    its trials).  The session logs the table's size (the edges built so
+    far) at DEBUG when it ends.
 
     ``rng`` gives every draw of the session, in a fixed order.  When it is
     exactly a ``numpy.random.Generator`` over ``PCG64``, the draws are
@@ -544,7 +561,8 @@ def run_protocol(
     drawing them one at a time would have left.
     """
     model = attack if attack is not None else adversary.AttackModel.none()
-    table = TransitionTable()
+    if table is None:
+        table = TransitionTable()
     eve = adversary.Eavesdropper(model, table)
     records = []
     transcript = PublicTranscript()

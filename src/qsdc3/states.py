@@ -35,11 +35,13 @@ conversion is skipped.  The checks still run on these states, because a
 faulty kernel must not hand an invalid state to the round engine, and
 because each validation is a counted benchmark layer.
 
-The round engine walks a :class:`TransitionTable`, one per session, so a
-derived state is built and validated once per distinct value in the
-session, not once per round.  The public operations (``measure_qubit``,
-``bell_measure``, ...) run the same code on a fresh table per call: they
-are not memoised, and each result is validated once.
+The round engine walks a :class:`TransitionTable`, one per experiment
+(``harness.run_experiment`` builds it and every trial's session walks it;
+a session run on its own gets a fresh one), so a derived state is built and
+validated once per distinct value in the experiment, not once per round.
+The public operations (``measure_qubit``, ``bell_measure``, ...) run the
+same code on a fresh table per call: they are not memoised, and each result
+is validated once.
 
 The probe coupling's coefficients are checked where they enter: by
 ``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
@@ -344,7 +346,7 @@ def _sample_bit(rng, p_zero):
 
 
 class TransitionTable:
-    """The state edges of one protocol session, each built once.
+    """The state edges that protocol sessions walk, each built once.
 
     An edge is a source state plus an operation: a Pauli, a measurement in
     a basis, a probe attach, a probe readout or the Bell measurement.  On
@@ -370,7 +372,13 @@ class TransitionTable:
     amplitudes may differ in the sign of a zero, which no probability or
     outcome depends on.)  A table thus grows with the distinct states a
     round can reach (a bounded number), not with its paths or the number
-    of rounds; one table lives for one session.
+    of rounds or sessions.
+
+    One table lives for one experiment: every trial's session walks it.
+    Since a walk makes the same draws and outcomes on a first visit and a
+    revisit, a session gives the same results on a table other sessions
+    walked as on a fresh one.  A table is not kept across experiments, so
+    two runs of one experiment build, and validate, the same states.
     """
 
     __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes")

@@ -6,6 +6,7 @@ against independently derived closed-form values at four standard errors
 over at least 10,000 checks; everything else is exact.
 """
 
+import hashlib
 import math
 import time
 
@@ -36,6 +37,12 @@ def _four_se(p, n):
     return 4.0 * math.sqrt(p * (1.0 - p) / n)
 
 
+def _sha256(text):
+    # The report bytes a given seed gives: pinned so that any change to a
+    # draw, an event or a report field is caught at acceptance size.
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def test_criterion_1_exhaustive_decode_oracle():
     start = time.perf_counter()
     report = exhaustive_oracle()
@@ -63,12 +70,18 @@ def test_criterion_2_announced_xor_identity():
     elapsed = time.perf_counter() - start
     audited = result.leakage.rounds_audited
     fraction = result.leakage.xor_identity_fraction
-    ok = audited >= 10_000 and fraction == 1.0 and elapsed < 5.0
+    digest = _sha256(render_json(result.to_dict()))
+    ok = (
+        audited >= 10_000
+        and fraction == 1.0
+        and digest == "c989f8ab1a2caf70307a653fbd8ee1f247c577a2d21d89079928a25e0107d5b8"
+        and elapsed < 5.0
+    )
     _report(
         2,
         "announced XOR equals secret XOR on every message round",
         ok,
-        "%d rounds, fraction %.6f, %.2f s" % (audited, fraction, elapsed),
+        "%d rounds, fraction %.6f, report %s, %.2f s" % (audited, fraction, digest[:16], elapsed),
     )
 
 
@@ -158,6 +171,9 @@ def test_criterion_5_probe_coupling_curve():
         x_row = by_key[("decoy_check_x", beta_sq)]
         if x_row.checks_failed != 0:
             problems.append("X-family decoys detected something at %.2f" % beta_sq)
+    digest = _sha256(render_json({"curve": [row.to_dict() for row in rows]}))
+    if digest != "118e11565dddff46d882dac7f0c096a895ddb1c8edb32a1a4dea87e120a40562":
+        problems.append("curve rows %s" % digest[:16])
     ok = not problems and elapsed < 60.0
     _report(
         5,
@@ -189,14 +205,15 @@ def test_criterion_6_intercept_resend_quarter_vs_half_claim():
         and ab.paper_claim == 0.5
         and '"analytic_probability": 0.25' in report_text
         and '"paper_claim": 0.5' in report_text
+        and _sha256(report_text) == "a13e8916ba8d8284fe39e71970634771765df27aa327e935957039acb049d533"
         and elapsed < 10.0
     )
     _report(
         6,
         "intercept-resend sampled 1/4 with the 1/2 claim shown alongside",
         ok,
-        "n=%d, sampled %.4f, enumerated 0.25, claimed 0.50, %.2f s"
-        % (ab.checks_run, ab.detection_probability, elapsed),
+        "n=%d, sampled %.4f, enumerated 0.25, claimed 0.50, report %s, %.2f s"
+        % (ab.checks_run, ab.detection_probability, _sha256(report_text)[:16], elapsed),
     )
 
 

@@ -362,7 +362,12 @@ class TestExitCodeContract:
 class TestVerboseLogging:
     @pytest.mark.parametrize("command, sessions", [("run", 2), ("sweep", 6)])
     def test_debug_logs_each_session_table_and_keeps_report_bytes(self, tmp_path, capsys, caplog, command, sessions):
-        payload = {"message_length": 2, "trials": 2} if command == "run" else dict(BASE_SWEEP, grid=[0.5])
+        # A sweep runs one experiment per grid point: here two equal points
+        # of three trials, so a table kept across points would go on growing.
+        if command == "run":
+            payload, trials = {"message_length": 2, "trials": 2}, 2
+        else:
+            payload, trials = dict(BASE_SWEEP, grid=[0.5, 0.5], trials=3), 3
         cfg = write_config(tmp_path, payload)
         assert cli.main([command, "--config", cfg]) == cli.EXIT_OK
         quiet = capsys.readouterr().out
@@ -371,10 +376,19 @@ class TestVerboseLogging:
         assert capsys.readouterr().out == quiet
         lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         assert len(lines) == sessions
+        edges = []
         for line in lines:
             match = re.fullmatch(r"session: (\d+) rounds, (\d+) transition table edges", line)
             assert match, line
             assert int(match.group(1)) >= 2 and int(match.group(2)) > 0
+            edges.append(int(match.group(2)))
+        # The count is the size of the experiment's table: it never falls
+        # within an experiment, and starts again at each grid point.
+        experiments = [edges[start : start + trials] for start in range(0, sessions, trials)]
+        for counts in experiments:
+            assert counts == sorted(counts)
+        for before, after in zip(experiments, experiments[1:]):
+            assert after[0] < before[-1]
 
 
 class TestTrialProgress:

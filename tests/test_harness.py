@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from qsdc3.harness import (
     run_experiment,
     wilson_interval,
 )
-from qsdc3.protocol import AbortPolicy, SchedulePolicy
-from qsdc3.states import JointState, Pauli
+from qsdc3.protocol import AbortPolicy, RoundKind, SchedulePolicy, run_protocol
+from qsdc3.states import JointState, Pauli, TransitionTable
 
 AB = ChannelSegment.A_TO_B
 BC = ChannelSegment.B_TO_C
@@ -182,7 +183,7 @@ class TestRunScope:
         assert peak < 1_000_000
 
     def test_repeated_runs_validate_the_same_states(self, monkeypatch):
-        # Each session builds its own table, so nothing one run built is
+        # Each run builds its own table, so nothing one run built is
         # reused, or counted differently, by the next.  Without an attack no
         # exact enumeration runs, so every state counted is a table state.
         calls = []
@@ -200,6 +201,140 @@ class TestRunScope:
             run_experiment(config)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+class TestExperimentTable:
+    """An experiment builds one transition table, walked by every trial."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """The tables built, and the table each session was given."""
+        built, given = [], []
+
+        def recording_table():
+            built.append(TransitionTable())
+            return built[-1]
+
+        def recording_session(*args, table=None, **kwargs):
+            given.append(table)
+            return run_protocol(*args, table=table, **kwargs)
+
+        monkeypatch.setattr(harness, "TransitionTable", recording_table)
+        monkeypatch.setattr(harness, "run_protocol", recording_session)
+        return built, given
+
+    def test_run_experiment_builds_one_table_for_every_trial(self, walked):
+        built, given = walked
+        attack = AttackModel.intercept_resend(AB)
+        run_experiment(ExperimentConfig(message_length=8, trials=5, attack=attack, seed=3))
+        assert len(built) == 1 and len(built[0]) > 0
+        assert len(given) == 5 and all(table is built[0] for table in given)
+
+    def test_a_detection_curve_builds_one_table_per_grid_point(self, walked):
+        built, given = walked
+        entangle_measure_curve([0.0, 0.5, 1.0], message_length=4, trials=3, seed=5)
+        assert len(built) == 3 and len({id(table) for table in built}) == 3
+        assert given == [table for table in built for _ in range(3)]
+
+    def test_a_probe_experiment_validates_each_distinct_state_once(self, monkeypatch):
+        # Counted inside the sessions only, since the exact enumeration
+        # builds states of its own.  One table per session would validate
+        # its states again in each of the 40 trials.
+        calls = []
+        counting = [False]
+        original = JointState.__post_init__
+
+        def count(state):
+            if counting[0]:
+                calls.append(state)
+            original(state)
+
+        def counted_session(*args, **kwargs):
+            counting[0] = True
+            try:
+                return run_protocol(*args, **kwargs)
+            finally:
+                counting[0] = False
+
+        monkeypatch.setattr(JointState, "__post_init__", count)
+        monkeypatch.setattr(harness, "run_protocol", counted_session)
+        config = ExperimentConfig(
+            message_length=16,
+            trials=40,
+            schedule=SchedulePolicy(0.25, 0.1, 0.4),
+            attack=AttackModel.entangle_measure(0.5, AB, CA),
+            seed=8,
+        )
+        run_experiment(config)
+        assert 0 < len(calls) < 64
+        assert len(set(calls)) == len(calls)
+
+
+def _list_mutual_information(xs, ys):
+    """Plug-in mutual information over two lists, as the report computed
+    it before the joint count: the reference for the count-based value."""
+    n = len(xs)
+    joint = Counter(zip(xs, ys))
+    px = Counter(xs)
+    py = Counter(ys)
+    mi = 0.0
+    for (x, y), c in sorted(joint.items()):
+        mi += (c / n) * math.log2(c * n / (px[x] * py[y]))
+    return mi
+
+
+class TestLeakageCounts:
+    """The leakage audit folds message rounds into one joint count."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_count_based_mi_equals_the_list_based_mi_bit_for_bit(self, seed):
+        generator = np.random.default_rng(seed)
+        for n in (1, 7, 1000, 20011):
+            xs = generator.integers(0, 4, size=n).tolist()
+            # ys copies the low bit of xs with a small flip chance.
+            ys = [(x & 1) ^ int(u < 0.1) for x, u in zip(xs, generator.random(n).tolist())]
+            assert plugin_mutual_information(xs, ys) == _list_mutual_information(xs, ys)
+            assert plugin_mutual_information(ys, xs) == _list_mutual_information(ys, xs)
+
+    def test_a_long_experiment_holds_at_most_32_keys_and_reports_the_list_values(self, monkeypatch):
+        aggregators, sessions = [], []
+        build = harness._Aggregator.build
+
+        def recording_build(self, aborted=None):
+            aggregators.append(self)
+            return build(self, aborted)
+
+        def recording_session(*args, **kwargs):
+            sessions.append(run_protocol(*args, **kwargs))
+            return sessions[-1]
+
+        monkeypatch.setattr(harness._Aggregator, "build", recording_build)
+        monkeypatch.setattr(harness, "run_protocol", recording_session)
+        # Intercept-resend on every segment garbles some announcements, so
+        # the XOR identity fails on some rounds and every MI is above 0.
+        config = ExperimentConfig(
+            message_length=1000,
+            trials=10,
+            attack=AttackModel.intercept_resend(AB, BC, CA, attack_probability=0.3),
+            seed=10,
+        )
+        leakage = run_experiment(config).leakage
+        (aggregator,) = aggregators
+        assert leakage.rounds_audited == 10_000
+        assert 0 < len(aggregator.leakage_counts) <= 32
+        rounds = [rec for result in sessions for rec in result.records if rec.kind is RoundKind.MESSAGE]
+        xy = [2 * x + y for x, y in (rec.announcement for rec in rounds)]
+        xor_announced = [x ^ y for x, y in (rec.announcement for rec in rounds)]
+        xor_secret = [rec.bob_bit ^ rec.charlie_bit for rec in rounds]
+        hits = sum(a == b for a, b in zip(xor_announced, xor_secret))
+        assert 0 < hits < len(rounds) == 10_000
+        assert leakage.xor_identity_fraction == hits / len(rounds)
+        assert leakage.mi_announcement_vs_alice == _list_mutual_information(xy, [r.alice_bit for r in rounds])
+        assert leakage.mi_announcement_vs_bob == _list_mutual_information(xy, [r.bob_bit for r in rounds])
+        assert leakage.mi_announcement_vs_charlie == _list_mutual_information(
+            xy, [r.charlie_bit for r in rounds]
+        )
+        assert leakage.mi_xor_announced_vs_xor_secret == _list_mutual_information(xor_announced, xor_secret)
 
 
 class TestExhaustiveOracle:
@@ -295,11 +430,18 @@ class TestConfigValidation:
             ("seed", 1.5),
             ("seed", True),
             ("seed", None),
+            ("message_length", 2**62),
         ],
     )
     def test_rejects_non_integers_and_a_negative_seed_at_construction(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
+
+    def test_message_length_is_bounded_by_what_numpy_can_draw(self):
+        longest = harness._MAX_MESSAGE_LENGTH
+        assert ExperimentConfig(message_length=longest).message_length == longest
+        with pytest.raises(ValueError, match="message_length must be <= %d" % longest):
+            ExperimentConfig(message_length=longest + 1)
 
     def test_numpy_integers_are_stored_as_int(self):
         config = ExperimentConfig(message_length=np.int32(8), trials=np.uint8(2), seed=np.int64(7))

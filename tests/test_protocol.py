@@ -192,6 +192,25 @@ class TestMessageTriple:
         assert messages == MessageTriple((1, 0), (1, 0), (0, 1))
         assert all(type(b) is int for b in messages.charlie_bits)
 
+    @pytest.mark.parametrize("n", [1, 63, 64])
+    def test_random_equals_the_checked_constructor_on_the_same_bits(self, n):
+        trusted_rng, checked_rng = np.random.default_rng(21), np.random.default_rng(21)
+        messages = MessageTriple.random(n, trusted_rng)
+        bits = checked_rng.integers(0, 2, size=3 * n).tolist()
+        assert messages == MessageTriple(bits[:n], bits[n : 2 * n], bits[2 * n :])
+        assert messages.length == n
+        for strings in (messages.alice_bits, messages.bob_bits, messages.charlie_bits):
+            assert type(strings) is tuple and all(type(b) is int for b in strings)
+        assert trusted_rng.bit_generator.state == checked_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_random_rejects_an_empty_message_before_drawing(self, n):
+        generator = np.random.default_rng(21)
+        before = generator.bit_generator.state
+        with pytest.raises(ValueError, match="at least one"):
+            MessageTriple.random(n, generator)
+        assert generator.bit_generator.state == before
+
 
 class TestTranscriptEvent:
     def test_to_dict(self):
@@ -286,6 +305,26 @@ class TestRunProtocol:
         assert d.bob_view_charlie == messages.charlie_bits
         assert d.charlie_view_alice == messages.alice_bits
         assert d.charlie_view_bob == messages.bob_bits
+
+    def test_decoding_applies_each_rule_to_each_message_round(self, rng):
+        # Under attack the decoded bits differ from the messages, so this
+        # checks the columns against the per-round decode rules.
+        attack = AttackModel.intercept_resend(*ChannelSegment)
+        messages = MessageTriple.random(40, rng)
+        result = run_protocol(messages, SchedulePolicy(), rng, attack, AbortPolicy.RECORD_AND_CONTINUE)
+        rows = [
+            (rec.announcement, rec.alice_bit, rec.bob_bit, rec.charlie_bit)
+            for rec in result.records
+            if rec.kind is RoundKind.MESSAGE
+        ]
+        alice = [decode_alice(x, y, i) for (x, y), i, _, _ in rows]
+        bob = [decode_bob(x, y, j) for (x, y), _, j, _ in rows]
+        charlie = [decode_charlie(x, y, k) for (x, y), _, _, k in rows]
+        d = result.decoded
+        assert (d.alice_view_bob, d.alice_view_charlie) == tuple(zip(*alice))
+        assert (d.bob_view_alice, d.bob_view_charlie) == tuple(zip(*bob))
+        assert (d.charlie_view_alice, d.charlie_view_bob) == tuple(zip(*charlie))
+        assert d.alice_view_bob != messages.bob_bits
 
     def test_announced_xor_identity_on_every_message_round(self, rng):
         messages = MessageTriple.random(48, rng)
@@ -447,6 +486,47 @@ class TestSessionTable:
             assert all(id(edge[0]) in nodes for kind in edges for edge in kind.values())
             assert len(table._nodes) < 64
             assert len(table) < 192
+
+
+RECORD = AbortPolicy.RECORD_AND_CONTINUE
+SHARED_TABLE_CASES = [
+    pytest.param(None, RECORD, id="none"),
+    pytest.param(AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4), RECORD, id="intercept-all-p0.4"),
+    pytest.param(AttackModel.entangle_measure(0.5, *ChannelSegment), RECORD, id="entangle-0.5"),
+    pytest.param(AttackModel.disturbance(Pauli.X, ChannelSegment.A_TO_B), RECORD, id="disturb-x"),
+    pytest.param(AttackModel.disturbance(Pauli.X, ChannelSegment.A_TO_B), AbortPolicy.STRICT, id="strict-abort"),
+]
+
+
+class TestSharedTable:
+    """A session on a table that other sessions walked runs as on a fresh one."""
+
+    @staticmethod
+    def session(seed, attack, policy, table):
+        """Everything a session shows, and its generator's end state."""
+        rng = np.random.default_rng(seed)
+        messages = MessageTriple.random(48, rng)
+        try:
+            result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy, table=table)
+            shown = ("completed", result.rounds_used, result.records, result.transcript.events, result.eve_records)
+        except ProtocolAborted as abort:
+            shown = ("aborted", abort.round_index, abort.records, abort.transcript.events, abort.eve_records)
+        return shown, rng.bit_generator.state
+
+    @pytest.mark.parametrize("attack, policy", SHARED_TABLE_CASES)
+    def test_a_walked_table_gives_the_results_of_a_fresh_one(self, attack, policy):
+        # The table is walked first by sessions under every case's attack,
+        # so it holds edges of every kind, built along other draws.
+        table = TransitionTable()
+        for seed in (100, 101):
+            for case in SHARED_TABLE_CASES:
+                self.session(seed, case.values[0], RECORD, table)
+        assert len(table) > 0
+        for seed in range(3):
+            fresh = self.session(seed, attack, policy, None)
+            assert self.session(seed, attack, policy, table) == fresh
+        if policy is AbortPolicy.STRICT:
+            assert fresh[0][0] == "aborted"
 
 
 class ScalarOnly:
