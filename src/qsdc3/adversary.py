@@ -15,12 +15,12 @@ Eve commits her action while the qubit is in flight, before any mode
 announcement, and may read the full public transcript.  Strategies hold no
 state between rounds beyond the per-round log.
 
-Each attack kind is one function (``_disturb``, ``_intercept``,
-``_entangle``) that walks a :class:`~qsdc3.states.TransitionTable`.
-:func:`_strategy` picks the model's function once, gated by the attack
-probability when it is below 1; an :class:`Eavesdropper` picks it once per
-session and walks the session's table, and :func:`attack_transit` calls the
-same function on a fresh table.
+Eve's action on one hop is written once, as chance-point steps over a
+:class:`~qsdc3.states.TransitionTable`: :func:`attack_points` (the gate
+draw below attack probability 1, then the model's attack) and
+:func:`resolve_points` (the probe readout).  The protocol's compiled round
+runs these steps inside its round body; :func:`attack_transit` and an
+:class:`Eavesdropper` answer them with draws, one hop at a time.
 
 :func:`analytic_detection_probability` computes exact per-check detection
 probabilities by enumerating Eve's and the checkers' discrete choices with
@@ -36,6 +36,8 @@ from enum import Enum
 
 from . import protocol as _protocol
 from .states import (
+    BERNOULLI,
+    FAIR_COIN,
     Basis,
     DecoyState,
     Pauli,
@@ -46,6 +48,7 @@ from .states import (
     check_coupling,
     collapse_outcome,
     decoy_basis_and_bit,
+    drive,
     outcome_probabilities,
     prepare_decoy,
 )
@@ -155,57 +158,50 @@ _INTERCEPT_RESEND = AttackKind.INTERCEPT_RESEND
 _ENTANGLE_MEASURE = AttackKind.ENTANGLE_MEASURE
 
 
-# One function per attack kind, for a hop the model covers:
-# (table, model, segment, state, rng, round_index) -> (state, record or None).
+def attack_points(table, model, segment, state):
+    """Eve's action on a qubit crossing ``segment``, as chance points on ``table``.
 
-
-def _disturb(table, model, segment, state, rng, round_index):
-    state = table.pauli(state, _TRANSIT, model.pauli)
-    return state, EveRecord(round_index, segment, _DISTURBANCE)
-
-
-def _intercept(table, model, segment, state, rng, round_index):
-    basis = _Z if rng.random() < 0.5 else _X
-    # Measuring and forwarding a fresh eigenstate of the outcome is the
-    # same pure state as the post-measurement collapse.
-    outcome, state = table.measure(state, _TRANSIT, basis, rng)
-    return state, EveRecord(round_index, segment, _INTERCEPT_RESEND, basis, outcome)
-
-
-def _entangle(table, model, segment, state, rng, round_index):
-    # One probe per flying qubit; if this qubit is already probed (it
-    # crossed another attacked segment) Eve rides along.
+    Returns ``(state, record)``, with ``record`` None when the model does
+    not cover the segment or Eve does not act; a record's ``round_index``
+    is -1.  Below attack probability 1, one Bernoulli point first decides
+    whether Eve acts at all.
+    """
+    if segment not in model.segments:
+        return state, None
+    p_fire = model.attack_probability
+    if p_fire < 1.0 and not (yield (BERNOULLI, p_fire)):
+        return state, None
+    kind = model.kind
+    if kind is _DISTURBANCE:
+        return table.pauli(state, _TRANSIT, model.pauli), EveRecord(-1, segment, kind)
+    if kind is _INTERCEPT_RESEND:
+        basis = _Z if (yield FAIR_COIN) else _X
+        # Measuring and forwarding a fresh eigenstate of the outcome is the
+        # same pure state as the post-measurement collapse.
+        outcome, state = yield from table.measure_points(state, _TRANSIT, basis)
+        return state, EveRecord(-1, segment, kind, basis, outcome)
+    # Entangle-and-measure: one probe per flying qubit; if this qubit is
+    # already probed (it crossed another attacked segment) Eve rides along.
     if state.has_ancilla:
         return state, None
     # AttackModel ran check_coupling on the coefficients.
-    state = table.attach(state, model.alpha, model.beta)
-    return state, EveRecord(round_index, segment, _ENTANGLE_MEASURE)
+    return table.attach(state, model.alpha, model.beta), EveRecord(-1, segment, kind)
 
 
-_ACTIONS = {
-    AttackKind.DISTURBANCE: _disturb,
-    AttackKind.INTERCEPT_RESEND: _intercept,
-    AttackKind.ENTANGLE_MEASURE: _entangle,
-}
+def resolve_points(table, state, records):
+    """Eve reads out the probe attached to ``state``, if any, as chance points.
 
-
-def _strategy(model):
-    """The function that carries out an active model's attack on a covered hop.
-
-    Below attack probability 1, one uniform draw first decides whether Eve
-    acts at all.
+    The outcome goes to the latest entangle-and-measure record in
+    ``records`` that has none yet.  Returns the state without the probe.
     """
-    act = _ACTIONS[model.kind]
-    p_fire = model.attack_probability
-    if p_fire >= 1.0:
-        return act
-
-    def gated(table, model, segment, state, rng, round_index):
-        if rng.random() >= p_fire:
-            return state, None
-        return act(table, model, segment, state, rng, round_index)
-
-    return gated
+    if not state.has_ancilla:
+        return state
+    outcome, state = yield from table.readout_points(state)
+    for record in reversed(records):
+        if record.kind is _ENTANGLE_MEASURE and record.ancilla_outcome is None:
+            record.ancilla_outcome = outcome
+            break
+    return state
 
 
 def attack_transit(model, segment, state, rng):
@@ -217,45 +213,35 @@ def attack_transit(model, segment, state, rng):
     with ``record`` None when Eve did not act; a record's ``round_index``
     is -1.
     """
-    if model.kind is AttackKind.NONE or segment not in model.segments:
-        return state, None
-    return _strategy(model)(TransitionTable(), model, segment, state, rng, -1)
+    return drive(attack_points(TransitionTable(), model, segment, state), rng)
 
 
 class Eavesdropper:
-    """Bookkeeping wrapper used by the round engine: applies the model to
-    each flying qubit and logs one record per action.  The model's strategy
-    is picked once, here.  Eve's operations walk ``table``, the session's
-    :class:`~qsdc3.states.TransitionTable`."""
+    """Eve over one table, one hop or probe readout at a time.
+
+    Applies the model to each flying qubit and logs one record per action;
+    each call answers the chance points of :func:`attack_points` or
+    :func:`resolve_points` with draws from ``rng``.  The round engine does
+    not call it: its compiled round runs the same steps (see
+    ``protocol.run_protocol``).
+    """
 
     def __init__(self, model, table):
         self.model = model
         self.table = table
         self.records = []
-        # A tuple, so a hop outside the model is rejected by identity
-        # comparisons instead of hashing the segment.
-        self._segments = tuple(model.segments)
-        self._act = _strategy(model) if self._segments else None
 
     def intercept_transit(self, segment, state, rng, round_index, touched):
-        if segment not in self._segments:
-            return state
-        state, record = self._act(self.table, self.model, segment, state, rng, round_index)
+        state, record = drive(attack_points(self.table, self.model, segment, state), rng)
         if record is not None:
+            record.round_index = round_index
             self.records.append(record)
             touched.append(segment)
         return state
 
     def resolve_probe(self, state, rng):
         """Measure out Eve's probe (if one is attached) and log the outcome."""
-        if not state.has_ancilla:
-            return state
-        outcome, state = self.table.readout(state, rng)
-        for record in reversed(self.records):
-            if record.kind is _ENTANGLE_MEASURE and record.ancilla_outcome is None:
-                record.ancilla_outcome = outcome
-                break
-        return state
+        return drive(resolve_points(self.table, state, self.records), rng)
 
 
 # ---------------------------------------------------------------------------

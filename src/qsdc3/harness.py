@@ -11,11 +11,13 @@ trials are independent, parallelizable in principle, and the whole report
 is a deterministic function of the configuration.
 
 An experiment builds one :class:`~qsdc3.states.TransitionTable`, and every
-trial's session walks it, so a state a round reaches is built and
-validated once per experiment.  The table lives as long as the experiment:
-two runs of one configuration build and validate the same states, and a
-detection curve builds one table per grid point.  Which table a session
-walks does not change its draws or its results.
+trial's session walks it: the table holds the experiment's compiled round
+(a tree of the round's chance points, see ``protocol.run_protocol``) and
+the states it reaches, so each tree node is built once per experiment, and
+each state built and validated once.  The table lives as long as the
+experiment: two runs of one configuration build and validate the same
+states, and a detection curve builds one table per grid point.  Which
+table a session walks does not change its draws or its results.
 """
 
 from __future__ import annotations

@@ -14,6 +14,19 @@ Charlie's selects identity/phase-flip, so an honest Bell outcome is exactly
 (bob_bit, charlie_bit).  Alice masks the outcome with her own bit before
 announcing, and each party recovers the other two messages by XOR.
 
+The round is written once, as chance-point steps (``_round_points``):
+each draw is a point the round yields and is answered, Bernoulli choices
+against a threshold (the schedule, Eve's gate, the check bases, every
+measurement outcome), the decoy label and the Bell measurement (see
+``states.drive``).  A session does not run this body per round.  It walks a
+tree compiled from it, one per schedule and attack model, kept in the
+experiment's :class:`~qsdc3.states.TransitionTable`: each node is a chance
+point, and its child for an answer is built, by replaying the steps along
+the node's answers, the first time that answer is drawn.  A round thus
+costs one draw and one comparison per chance point, then its leaf's
+transcript events, record and Eve's records.  The single-step functions
+(``run_ab_check``, ...) answer the same steps with draws.
+
 Randomness: each round consumes draws from its injected generator in a
 fixed order (check choice, mode choices, then measurement draws), which is
 what makes seeded runs reproducible.  For a numpy ``Generator`` over
@@ -35,12 +48,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import adversary
+from .adversary import AttackModel, ChannelSegment, EveRecord, attack_points, resolve_points
 
 # ``measure_qubit`` is not called here: the engine and the checks walk a
 # TransitionTable.  It stays a name of this module because the traced
 # benchmark (perfbench/layers.py and its tests) looks it up here.
 from .states import (
+    BELL,
+    BERNOULLI,
+    FAIR_COIN,
+    LABEL,
     Basis,
     BellLabel,
     DecoyState,
@@ -49,6 +66,7 @@ from .states import (
     TransitionTable,
     bell_state,
     decoy_basis_and_bit,
+    drive,
     measure_qubit,
     prepare_decoy,
 )
@@ -64,10 +82,11 @@ _DECOY_LABELS = (DecoyState.ZERO, DecoyState.ONE, DecoyState.PLUS, DecoyState.MI
 _Z, _X = Basis.Z, Basis.X
 _HOME, _TRANSIT = Subsystem.HOME, Subsystem.TRANSIT
 _PAULI_X, _PAULI_Z = Pauli.X, Pauli.Z
-_A_TO_B = adversary.ChannelSegment.A_TO_B
-_B_TO_C = adversary.ChannelSegment.B_TO_C
-_C_TO_A = adversary.ChannelSegment.C_TO_A
+_A_TO_B = ChannelSegment.A_TO_B
+_B_TO_C = ChannelSegment.B_TO_C
+_C_TO_A = ChannelSegment.C_TO_A
 _START_PAIR = bell_state((0, 0))
+_DECOY_LABEL = (LABEL, None)
 
 # A decoy round's (revealed label value, prepared state, check basis,
 # expected bit), indexed by the round's ``integers(0, 4)`` draw.
@@ -291,23 +310,46 @@ def decode_charlie(x, y, k):
     return y ^ k, x ^ y ^ k
 
 
-def _correlation_check(table, state, rng, transcript, round_index, check):
-    """Shared core of the A-B and C-A channel checks, walking ``table``.
+def _correlation_points(table, state, check):
+    """Shared core of the A-B and C-A channel checks, as chance points on ``table``.
 
     The holder of the transit qubit picks a uniformly random basis and
     measures; Alice measures her home qubit in the same basis.  An honest
-    pair anti-correlates in Z and correlates in X.
+    pair anti-correlates in Z and correlates in X.  Returns ``(passed,
+    state, events)``, the events being the disclosure and the verdict as
+    ``(kind, *values)`` rows.
     """
-    basis = _Z if rng.random() < 0.5 else _X
-    checker_bit, state = table.measure(state, _TRANSIT, basis, rng)
-    alice_bit, state = table.measure(state, _HOME, basis, rng)
+    basis = _Z if (yield FAIR_COIN) else _X
+    checker_bit, state = yield from table.measure_points(state, _TRANSIT, basis)
+    alice_bit, state = yield from table.measure_points(state, _HOME, basis)
     if basis is _Z:
         passed = checker_bit != alice_bit
     else:
         passed = checker_bit == alice_bit
+    events = (
+        ("check_disclosure", check, basis._name_, checker_bit, alice_bit),
+        ("check_verdict", check, passed),
+    )
+    return passed, state, events
+
+
+def _decoy_points(table, basis, expected, received):
+    """Core of :func:`run_decoy_check`, as chance points on ``table``."""
+    outcome, state = yield from table.measure_points(received, _TRANSIT, basis)
+    passed = outcome == expected
+    events = (
+        ("check_disclosure", "decoy", basis._name_, outcome),
+        ("check_verdict", "decoy", passed),
+    )
+    return passed, state, events
+
+
+def _checked(steps, rng, transcript, round_index):
+    """Drive a check's steps; disclose its events on ``transcript`` if given."""
+    passed, state, events = drive(steps, rng)
     if transcript is not None:
-        transcript.add(round_index, "check_disclosure", check, basis._name_, checker_bit, alice_bit)
-        transcript.add(round_index, "check_verdict", check, passed)
+        for event in events:
+            transcript.add(round_index, *event)
     return passed, state
 
 
@@ -317,7 +359,7 @@ def run_ab_check(state, rng, transcript=None, round_index=0):
     Returns (passed, post-measurement state); discloses basis and outcomes
     on the transcript when one is given.
     """
-    return _correlation_check(TransitionTable(), state, rng, transcript, round_index, "ab")
+    return _checked(_correlation_points(TransitionTable(), state, "ab"), rng, transcript, round_index)
 
 
 def run_ca_check(state, rng, transcript=None, round_index=0):
@@ -326,7 +368,7 @@ def run_ca_check(state, rng, transcript=None, round_index=0):
     Identical correlation test to :func:`run_ab_check`, run between
     Charlie (transit) and Alice (home).
     """
-    return _correlation_check(TransitionTable(), state, rng, transcript, round_index, "ca")
+    return _checked(_correlation_points(TransitionTable(), state, "ca"), rng, transcript, round_index)
 
 
 def run_decoy_check(decoy, received, rng, transcript=None, round_index=0):
@@ -336,17 +378,7 @@ def run_decoy_check(decoy, received, rng, transcript=None, round_index=0):
     passes when her outcome names that state.
     """
     basis, expected = decoy_basis_and_bit(decoy)
-    return _decoy_check(TransitionTable(), basis, expected, received, rng, transcript, round_index)
-
-
-def _decoy_check(table, basis, expected, received, rng, transcript, round_index):
-    """Core of :func:`run_decoy_check`, walking ``table``."""
-    outcome, state = table.measure(received, _TRANSIT, basis, rng)
-    passed = outcome == expected
-    if transcript is not None:
-        transcript.add(round_index, "check_disclosure", "decoy", basis._name_, outcome)
-        transcript.add(round_index, "check_verdict", "decoy", passed)
-    return passed, state
+    return _checked(_decoy_points(TransitionTable(), basis, expected, received), rng, transcript, round_index)
 
 
 @dataclass(frozen=True)
@@ -447,65 +479,117 @@ class _BlockUniforms:
         self.random = None  # drops the block chain, which refers back to self
 
 
-def _run_round(round_index, n, messages, schedule, eve, rng, transcript, table):
-    """One pass through the round state machine; returns a RoundRecord.
+def _round_points(table, schedule, model, j, k):
+    """One round for Bob's bit ``j`` and Charlie's bit ``k``, as chance points.
 
-    The states are walked through ``table``, the session's transition
-    table, which Eve shares.  The records take their fields positionally,
-    in declaration order: a keyword call costs more on every round.
+    The states are walked through ``table``, which Eve shares.  Returns
+    ``(kind, check passed, touched segments, Bell label, events, Eve's
+    records)``: the transcript events as ``(kind, *values)`` rows, without
+    the round index and without a message round's announcement, which
+    depends on Alice's bit; Eve's records carry round index -1.
     """
     touched = []
+    eve = []
+
+    def hop(segment, state):
+        state, record = yield from attack_points(table, model, segment, state)
+        if record is not None:
+            eve.append(record)
+            touched.append(segment)
+        return state
 
     # Alice keeps the home qubit and sends the transit qubit to Bob.
-    pair = eve.intercept_transit(_A_TO_B, _START_PAIR, rng, round_index, touched)
+    pair = yield from hop(_A_TO_B, _START_PAIR)
 
     # Bob either checks the A->B leg or goes on to encode.
-    if rng.random() < schedule.p_ab_check:
-        passed, pair = _correlation_check(table, pair, rng, transcript, round_index, "ab")
-        eve.resolve_probe(pair, rng)
-        return RoundRecord(_AB_CHECK, None, None, None, None, None, None, passed, tuple(touched))
+    if (yield (BERNOULLI, schedule.p_ab_check)):
+        passed, pair, events = yield from _correlation_points(table, pair, "ab")
+        yield from resolve_points(table, pair, eve)
+        return _AB_CHECK, passed, touched, None, events, eve
 
-    bob_cm = rng.random() < schedule.p_bob_cm
-    j = None
-    if not bob_cm:
-        j = messages.bob_bits[n]
-        if j:  # encode_bob: X for 1, the identity for 0
-            pair = table.pauli(pair, _TRANSIT, _PAULI_X)
-    pair = eve.intercept_transit(_B_TO_C, pair, rng, round_index, touched)
+    bob_cm = yield (BERNOULLI, schedule.p_bob_cm)
+    if not bob_cm and j:  # encode_bob: X for 1, the identity for 0
+        pair = table.pauli(pair, _TRANSIT, _PAULI_X)
+    pair = yield from hop(_B_TO_C, pair)
 
     # Charlie confirms receipt; only then does Bob announce his mode.
-    transcript.add(round_index, "bob_mode", "CM" if bob_cm else "MM")
     if bob_cm:
-        passed, pair = _correlation_check(table, pair, rng, transcript, round_index, "ca")
-        eve.resolve_probe(pair, rng)
-        return RoundRecord(_CA_CHECK, None, None, None, None, None, None, passed, tuple(touched))
+        passed, pair, events = yield from _correlation_points(table, pair, "ca")
+        yield from resolve_points(table, pair, eve)
+        return _CA_CHECK, passed, touched, None, (("bob_mode", "CM"),) + events, eve
 
-    if rng.random() < schedule.p_charlie_cm:
+    if (yield (BERNOULLI, schedule.p_charlie_cm)):
         # Decoy round: Charlie abandons the encoded qubit (Bob's bit will be
         # retransmitted in a later round) and sends a random decoy instead.
-        eve.resolve_probe(pair, rng)
-        reveal, decoy, basis, expected = _DECOYS[rng.integers(0, 4)]
-        decoy = eve.intercept_transit(_C_TO_A, decoy, rng, round_index, touched)
-        transcript.add(round_index, "charlie_mode", "CM")
-        transcript.add(round_index, "decoy_reveal", reveal)
-        passed, decoy = _decoy_check(table, basis, expected, decoy, rng, transcript, round_index)
-        eve.resolve_probe(decoy, rng)
-        return RoundRecord(_DECOY_CHECK, None, None, None, None, None, None, passed, tuple(touched))
+        yield from resolve_points(table, pair, eve)
+        reveal, decoy, basis, expected = _DECOYS[(yield _DECOY_LABEL)]
+        decoy = yield from hop(_C_TO_A, decoy)
+        passed, decoy, events = yield from _decoy_points(table, basis, expected, decoy)
+        yield from resolve_points(table, decoy, eve)
+        events = (("bob_mode", "MM"), ("charlie_mode", "CM"), ("decoy_reveal", reveal)) + events
+        return _DECOY_CHECK, passed, touched, None, events, eve
 
-    k = messages.charlie_bits[n]
     if k:  # encode_charlie: Z for 1, the identity for 0
         pair = table.pauli(pair, _TRANSIT, _PAULI_Z)
-    pair = eve.intercept_transit(_C_TO_A, pair, rng, round_index, touched)
-    transcript.add(round_index, "charlie_mode", "MM")
+    pair = yield from hop(_C_TO_A, pair)
 
     # Alice's Bell measurement closes the round; any probe must be read out
     # (by Eve) before the pair is jointly measured.
-    pair = eve.resolve_probe(pair, rng)
-    outcome, _ = table.bell(pair, rng)
-    i = messages.alice_bits[n]
-    x, y = announce(outcome.flip, outcome.phase, i)
-    transcript.add(round_index, "announcement", x, y)
-    return RoundRecord(_MESSAGE, n, i, j, k, outcome, (x, y), None, tuple(touched))
+    pair = yield from resolve_points(table, pair, eve)
+    outcome, _ = yield from table.bell_points(pair)
+    return _MESSAGE, None, touched, outcome, (("bob_mode", "MM"), ("charlie_mode", "MM")), eve
+
+
+# A compiled round is a tree of the chance points of ``_round_points``,
+# with one root per message bit pair (j, k), at index 2 * j + k.  A node is
+# a list ``[kind, data, path, child, ...]``: ``path`` is (j, k) followed by
+# the answers that lead to the node, and the children are indexed from 3
+# by the answer (``u < p`` first for a Bernoulli point); a Bell point's
+# thresholds name their child's index.  A child is None until its answer
+# is first drawn.  A leaf is
+# ``[_LEAF, kind, path, passed, touched, label, events, eve, announced]``,
+# with Eve's records as field tuples after the round index and the
+# announcement for Alice's bit 0 and 1.
+_LEAF = "leaf"
+
+
+def _roots(table, schedule, model):
+    """The roots of the compiled round of ``schedule`` and ``model`` on
+    ``table``, by 2 * j + k; a root is None until first walked."""
+    roots = table.trees.get((schedule, model))
+    if roots is None:
+        roots = table.trees[schedule, model] = [None] * 4
+    return roots
+
+
+def _grow(table, schedule, model, path):
+    """The node at ``path``: the round replayed along the path's answers,
+    up to its next chance point or its end."""
+    steps = _round_points(table, schedule, model, path[0], path[1])
+    try:
+        point = steps.send(None)
+        for answer in path[2:]:
+            point = steps.send(answer)
+    except StopIteration as stop:
+        kind, passed, touched, label, events, eve = stop.value
+        eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
+        announced = None
+        if label is not None:
+            announced = (announce(label.flip, label.phase, 0), announce(label.flip, label.phase, 1))
+        return [_LEAF, kind, path, passed, tuple(touched), label, events, eve, announced]
+    kind, data = point
+    if kind is BERNOULLI:
+        return [kind, data, path, None, None]
+    if kind is BELL:
+        data = tuple((cumulative, 3 + index) for cumulative, index in data)
+    return [kind, data, path, None, None, None, None]
+
+
+def _expand(table, schedule, model, node, branch):
+    """Build ``node``'s child at ``branch``, drawn for the first time."""
+    answer = branch == 3 if node[0] is BERNOULLI else int(branch) - 3
+    child = node[branch] = _grow(table, schedule, model, node[2] + (answer,))
+    return child
 
 
 def _decode_all(messages, records):
@@ -546,11 +630,14 @@ def run_protocol(
     record-and-continue failures are logged and the run completes, which is
     how detection rates are estimated without restarting.
 
-    The session walks ``table``, a :class:`~qsdc3.states.TransitionTable`
-    shared with Eve, or a fresh one when ``table`` is None.  A table other
-    sessions have walked gives the same results: it only saves building
-    their states again (``harness.run_experiment`` passes one table to all
-    its trials).  The session logs the table's size (the edges built so
+    The session walks the compiled round of ``schedule`` and ``attack`` in
+    ``table``, a :class:`~qsdc3.states.TransitionTable`, or in a fresh one
+    when ``table`` is None: each round goes from the root of its message
+    bits (j, k) through one draw per chance point to a leaf, building a
+    node the first time its answer is drawn.  A table other sessions have
+    walked gives the same results: it only saves building their nodes and
+    states again (``harness.run_experiment`` passes one table to all its
+    trials).  The session logs the table's size (the state edges built so
     far) at DEBUG when it ends.
 
     ``rng`` gives every draw of the session, in a fixed order.  When it is
@@ -560,15 +647,19 @@ def run_protocol(
     an exhausted budget or any error) ``rng`` is left in the state that
     drawing them one at a time would have left.
     """
-    model = attack if attack is not None else adversary.AttackModel.none()
+    model = attack if attack is not None else AttackModel.none()
     if table is None:
         table = TransitionTable()
-    eve = adversary.Eavesdropper(model, table)
+    roots = _roots(table, schedule, model)
     records = []
+    eve_records = []
     transcript = PublicTranscript()
+    add = transcript.add
+    alice, bob, charlie = messages.alice_bits, messages.bob_bits, messages.charlie_bits
     n_total = messages.length
     if max_rounds is None:
         max_rounds = 1000 + 50 * n_total
+    strict = abort_policy is AbortPolicy.STRICT
 
     n = 0
     round_index = 0
@@ -578,6 +669,7 @@ def run_protocol(
     if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
         blocks = _BlockUniforms(rng)
     draws = rng if blocks is None else blocks
+    random, integers = draws.random, draws.integers
     try:
         while n < n_total:
             if round_index >= max_rounds:
@@ -585,24 +677,54 @@ def run_protocol(
                     "budget of %d rounds exhausted with %d of %d bits delivered"
                     % (max_rounds, n, n_total)
                 )
-            record = _run_round(round_index, n, messages, schedule, eve, draws, transcript, table)
-            records.append(record)
-            round_index += 1
-            if record.kind is _MESSAGE:
+            j = bob[n]
+            k = charlie[n]
+            node = roots[2 * j + k]
+            if node is None:
+                node = roots[2 * j + k] = _grow(table, schedule, model, (j, k))
+            # The walk: one draw and one comparison per chance point (the
+            # answering rules of ``states.drive``).
+            while True:
+                kind = node[0]
+                if kind is BERNOULLI:
+                    branch = 3 if random() < node[1] else 4
+                elif kind is _LEAF:
+                    break
+                elif kind is LABEL:
+                    branch = 3 + integers(0, 4)
+                else:
+                    u = random()
+                    for cumulative, branch in node[1]:
+                        if u < cumulative:
+                            break
+                child = node[branch]
+                if child is None:
+                    child = _expand(table, schedule, model, node, branch)
+                node = child
+
+            _, kind, _, passed, touched, label, events, eve, announced = node
+            for event in events:
+                add(round_index, *event)
+            for fields in eve:
+                eve_records.append(EveRecord(round_index, *fields))
+            # The records take their fields positionally, in declaration
+            # order: a keyword call costs more on every round.
+            if kind is _MESSAGE:
+                i = alice[n]
+                announcement = announced[i]
+                add(round_index, "announcement", *announcement)
+                records.append(RoundRecord(_MESSAGE, n, i, j, k, label, announcement, None, touched))
                 n += 1
-            elif record.check_passed is False and abort_policy is AbortPolicy.STRICT:
-                raise ProtocolAborted(
-                    round_index - 1,
-                    record.kind,
-                    record.attack_touched,
-                    records,
-                    transcript,
-                    eve.records,
-                )
+                round_index += 1
+            else:
+                records.append(RoundRecord(kind, None, None, None, None, None, None, passed, touched))
+                round_index += 1
+                if passed is False and strict:
+                    raise ProtocolAborted(round_index - 1, kind, touched, records, transcript, eve_records)
     finally:
         if blocks is not None:
             blocks.close()
         log.debug("session: %d rounds, %d transition table edges", round_index, len(table))
 
     decoded = _decode_all(messages, records)
-    return ProtocolResult(records, transcript, decoded, eve.records, round_index)
+    return ProtocolResult(records, transcript, decoded, eve_records, round_index)

@@ -35,13 +35,17 @@ conversion is skipped.  The checks still run on these states, because a
 faulty kernel must not hand an invalid state to the round engine, and
 because each validation is a counted benchmark layer.
 
-The round engine walks a :class:`TransitionTable`, one per experiment
-(``harness.run_experiment`` builds it and every trial's session walks it;
-a session run on its own gets a fresh one), so a derived state is built and
-validated once per distinct value in the experiment, not once per round.
-The public operations (``measure_qubit``, ``bell_measure``, ...) run the
-same code on a fresh table per call: they are not memoised, and each result
-is validated once.
+The sampled operations are written once, as chance-point steps on a
+:class:`TransitionTable` (``measure_points``, ``readout_points``,
+``bell_points``): each yields the draw it needs, with the threshold the
+kernels gave, and is sent the answer (see ``drive``).  The protocol's
+compiled round runs them while it builds its tree, one table per
+experiment (``harness.run_experiment`` builds it and every trial's session
+walks it; a session run on its own gets a fresh one), so a derived state is
+built and validated once per distinct value in the experiment, not once
+per round.  The public operations (``measure_qubit``, ``bell_measure``,
+...) drive the same steps with one draw per point on a fresh table per
+call: they are not memoised, and each result is validated once.
 
 The probe coupling's coefficients are checked where they enter: by
 ``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
@@ -335,14 +339,49 @@ def collapse_outcome(state, which, basis, outcome):
     return _from_kernel(_k.collapse(state.amps, pos, _basis_code(basis), outcome), state.subsystems)
 
 
-def _sample_bit(rng, p_zero):
-    # Clamp to [0, 1] to absorb floating-point rounding before sampling.
-    p = p_zero
-    if p < 0.0:
-        p = 0.0
-    elif p > 1.0:
-        p = 1.0
-    return 0 if rng.random() < p else 1
+# Chance points.  A random step is written as a generator that yields one
+# ``(kind, data)`` point per draw it needs and is sent the answer:
+#
+# * ``(BERNOULLI, p)``: one uniform ``u``, answered ``u < p``;
+# * ``(LABEL, None)``: the decoy label, answered ``integers(0, 4)``;
+# * ``(BELL, thresholds)``: one uniform ``u``, answered with the index of the
+#   first ``(cumulative, index)`` pair with ``u < cumulative``, or the last
+#   pair's index when there is none.
+#
+# ``drive`` answers each point with a draw; the protocol's compiled round
+# answers them along a tree of earlier answers (``protocol.run_protocol``).
+BERNOULLI, LABEL, BELL = "b", "i", "bell"
+FAIR_COIN = (BERNOULLI, 0.5)
+
+
+def drive(steps, rng):
+    """Run ``steps`` to its end, answering each chance point with one draw
+    from ``rng``; returns what the steps return."""
+    answer = None
+    try:
+        while True:
+            kind, data = steps.send(answer)
+            if kind is BERNOULLI:
+                answer = rng.random() < data
+            elif kind is LABEL:
+                answer = rng.integers(0, 4)
+            else:
+                u = rng.random()
+                for cumulative, answer in data:
+                    if u < cumulative:
+                        break
+    except StopIteration as stop:
+        return stop.value
+
+
+def _outcome_point(p_zero):
+    """The Bernoulli point of a measurement: outcome 0 when ``u < p_zero``,
+    clamped to [0, 1] to absorb floating-point rounding."""
+    if p_zero < 0.0:
+        p_zero = 0.0
+    elif p_zero > 1.0:
+        p_zero = 1.0
+    return (BERNOULLI, p_zero)
 
 
 class TransitionTable:
@@ -354,14 +393,15 @@ class TransitionTable:
     a value the table has not built yet through ``_from_kernel``, so every
     state the table holds is validated once.  Later visits reuse it: a
     Pauli or an attach gives its child; a measurement or a readout gives
-    its stored probability of outcome 0 and the children sampled so far.
-    A measurement child is built only for an outcome that is drawn,
-    because collapsing onto a zero-probability outcome raises.
+    its chance point (the probability of outcome 0) and the children drawn
+    so far.  A measurement child is built only for an outcome that is
+    drawn, because collapsing onto a zero-probability outcome raises.
 
-    Sampling is the same on either visit: one ``rng.random()`` per chance
-    point, through ``_sample_bit`` or the Bell cumulative loop, over the
-    floats the kernels gave.  So a walk makes the draws and the outcomes
-    that calling the kernels every time would.
+    The sampled operations are chance-point steps (``measure_points``,
+    ``readout_points``, ``bell_points``); ``measure``, ``readout`` and
+    ``bell`` drive them with one draw per point.  The points carry the
+    floats the kernels gave on the first visit, so a walk makes the draws
+    and the outcomes that calling the kernels every time would.
 
     Edges are keyed by the identity of the source state (and of the
     operands, which are enum singletons, so no ``Enum.__hash__`` runs), and
@@ -374,22 +414,25 @@ class TransitionTable:
     round can reach (a bounded number), not with its paths or the number
     of rounds or sessions.
 
-    One table lives for one experiment: every trial's session walks it.
-    Since a walk makes the same draws and outcomes on a first visit and a
-    revisit, a session gives the same results on a table other sessions
-    walked as on a fresh one.  A table is not kept across experiments, so
-    two runs of one experiment build, and validate, the same states.
+    One table lives for one experiment: every trial's session walks it,
+    and ``trees`` holds the protocol's compiled rounds over it, one per
+    schedule and attack model (see ``protocol.run_protocol``).  Since a
+    walk makes the same draws and outcomes on a first visit and a revisit,
+    a session gives the same results on a table other sessions walked as on
+    a fresh one.  A table is not kept across experiments, so two runs of
+    one experiment build, and validate, the same states.
     """
 
-    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes")
+    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes", "trees")
 
     def __init__(self):
         self._paulis = {}  # (id(state), id(which), id(pauli)) -> (state, child)
-        self._measures = {}  # (id(state), id(which), id(basis)) -> [state, p0, child0, child1]
+        self._measures = {}  # (id(state), id(which), id(basis)) -> [state, point, child0, child1]
         self._attaches = {}  # (id(state), alpha, beta) -> (state, child)
-        self._readouts = {}  # id(state) -> [state, p0, child0, child1]
-        self._bells = {}  # id(state) -> (state, probabilities)
+        self._readouts = {}  # id(state) -> [state, point, child0, child1]
+        self._bells = {}  # id(state) -> (state, point)
         self._nodes = {}  # (amps, subsystems) -> the child state of that value
+        self.trees = {}
 
     def _child(self, amps, subsystems):
         """The table's state over a kernel output: built and validated on
@@ -429,19 +472,23 @@ class TransitionTable:
             edge = self._paulis[key] = (state, child)
         return edge[1]
 
-    def measure(self, state, which, basis, rng):
-        """:func:`measure_qubit`: ``(outcome, collapsed state)``, one draw."""
+    def measure_points(self, state, which, basis):
+        """:func:`measure_qubit` as one Bernoulli point: ``(outcome, collapsed state)``."""
         key = (id(state), id(which), id(basis))
         edge = self._measures.get(key)
         if edge is None:
             p0 = _k.prob_zero(state.amps, state.position(which), _basis_code(basis))
-            edge = self._measures[key] = [state, p0, None, None]
-        outcome = _sample_bit(rng, edge[1])
+            edge = self._measures[key] = [state, _outcome_point(p0), None, None]
+        outcome = 0 if (yield edge[1]) else 1
         child = edge[2 + outcome]
         if child is None:
             amps = _k.collapse(state.amps, state.position(which), _basis_code(basis), outcome)
             child = edge[2 + outcome] = self._child(amps, state.subsystems)
         return outcome, child
+
+    def measure(self, state, which, basis, rng):
+        """:func:`measure_qubit`: ``(outcome, collapsed state)``, one draw."""
+        return drive(self.measure_points(state, which, basis), rng)
 
     def attach(self, state, alpha, beta):
         """:func:`attach_ancilla_and_entangle` for checked coefficients.
@@ -461,16 +508,17 @@ class TransitionTable:
             edge = self._attaches[key] = (state, child)
         return edge[1]
 
-    def readout(self, state, rng):
-        """:func:`measure_ancilla_and_discard`: ``(outcome, state without the probe)``."""
+    def readout_points(self, state):
+        """:func:`measure_ancilla_and_discard` as one Bernoulli point:
+        ``(outcome, state without the probe)``."""
         edge = self._readouts.get(id(state))
         if edge is None:
             if not state.has_ancilla:
                 raise ValueError("state has no ancilla qubit")
             # The probe is the last qubit.
             p0 = _k.prob_zero(state.amps, 2 if state.has_home else 1, 0)
-            edge = self._readouts[id(state)] = [state, p0, None, None]
-        outcome = _sample_bit(rng, edge[1])
+            edge = self._readouts[id(state)] = [state, _outcome_point(p0), None, None]
+        outcome = 0 if (yield edge[1]) else 1
         child = edge[2 + outcome]
         if child is None:
             if state.has_home:
@@ -481,27 +529,35 @@ class TransitionTable:
             child = edge[2 + outcome] = self._child(_k.discard_qubit(collapsed, pos, outcome), register)
         return outcome, child
 
-    def bell(self, state, rng):
-        """:func:`bell_measure`: ``(label, eigenstate)``, one draw."""
+    def readout(self, state, rng):
+        """:func:`measure_ancilla_and_discard`: ``(outcome, state without the probe)``."""
+        return drive(self.readout_points(state), rng)
+
+    def bell_points(self, state):
+        """:func:`bell_measure` as one Bell point: ``(label, eigenstate)``.
+
+        The point's cumulative thresholds skip the zero-probability labels,
+        so when rounding leaves a draw above the total, the last label with
+        positive probability is drawn, never a zero-probability one.
+        """
         edge = self._bells.get(id(state))
         if edge is None:
             if state.has_ancilla:
                 raise ValueError("cannot Bell-measure while an eavesdropper probe is attached")
             if state.subsystems != _PAIR:
                 raise ValueError("Bell measurement needs the full (home, transit) pair")
-            edge = self._bells[id(state)] = (state, _k.bell_probs(state.amps))
-        u = rng.random()
-        acc = 0.0
-        # When rounding leaves u above the total, the last label with positive
-        # probability is drawn, never a zero-probability one.
-        index = 3
-        for i, p in enumerate(edge[1]):
-            if p > 0.0:
-                acc += p
-                index = i
-                if u < acc:
-                    break
-        return _BELL_OUTCOMES[index]
+            thresholds = []
+            cumulative = 0.0
+            for index, p in enumerate(_k.bell_probs(state.amps)):
+                if p > 0.0:
+                    cumulative += p
+                    thresholds.append((cumulative, index))
+            edge = self._bells[id(state)] = (state, (BELL, tuple(thresholds)))
+        return _BELL_OUTCOMES[(yield edge[1])]
+
+    def bell(self, state, rng):
+        """:func:`bell_measure`: ``(label, eigenstate)``, one draw."""
+        return drive(self.bell_points(state), rng)
 
 
 def measure_qubit(state, which, basis, rng):

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from qsdc3 import harness
+from qsdc3 import harness, protocol
 from qsdc3.adversary import AttackModel, ChannelSegment
 from qsdc3.cli import render_json
 from qsdc3.harness import (
@@ -268,6 +268,30 @@ class TestExperimentTable:
         run_experiment(config)
         assert 0 < len(calls) < 64
         assert len(set(calls)) == len(calls)
+
+    def test_a_40_trial_experiment_builds_each_tree_node_once(self, monkeypatch):
+        built = []
+
+        def recording_grow(table, schedule, model, path):
+            built.append((id(table), path))
+            return grow(table, schedule, model, path)
+
+        grow = protocol._grow
+        monkeypatch.setattr(protocol, "_grow", recording_grow)
+        attack = AttackModel.entangle_measure(0.5, AB, CA, attack_probability=0.7)
+        config = ExperimentConfig(
+            message_length=32,
+            trials=40,
+            schedule=SchedulePolicy(0.25, 0.1, 0.4),
+            attack=attack,
+            abort_policy=AbortPolicy.RECORD_AND_CONTINUE,
+            seed=12,
+        )
+        run_experiment(config)
+        # One table, so one tree; a node is built when its answer is first
+        # drawn and then walked by every later round of every trial.
+        assert len({table for table, _ in built}) == 1
+        assert len(set(built)) == len(built) > 40
 
 
 def _list_mutual_information(xs, ys):

@@ -1,10 +1,11 @@
+import hashlib
 from itertools import product
 
 import numpy as np
 import pytest
 
 from qsdc3 import protocol
-from qsdc3.adversary import AttackModel, ChannelSegment
+from qsdc3.adversary import AttackModel, ChannelSegment, analytic_detection_probability
 from qsdc3.protocol import (
     AbortPolicy,
     MessageTriple,
@@ -26,6 +27,8 @@ from qsdc3.protocol import (
     run_protocol,
 )
 from qsdc3.states import (
+    BERNOULLI,
+    LABEL,
     Basis,
     DecoyState,
     Pauli,
@@ -486,6 +489,9 @@ class TestSessionTable:
             assert all(id(edge[0]) in nodes for kind in edges for edge in kind.values())
             assert len(table._nodes) < 64
             assert len(table) < 192
+            # The compiled round holds a node per path drawn so far, never
+            # more than the 7,872 of its full tree (TestCompiledRound).
+            assert len(tree_nodes(table)) < 8000
 
 
 RECORD = AbortPolicy.RECORD_AND_CONTINUE
@@ -502,12 +508,12 @@ class TestSharedTable:
     """A session on a table that other sessions walked runs as on a fresh one."""
 
     @staticmethod
-    def session(seed, attack, policy, table):
+    def session(seed, attack, policy, table, schedule=SchedulePolicy(0.25, 0.25, 0.4)):
         """Everything a session shows, and its generator's end state."""
         rng = np.random.default_rng(seed)
         messages = MessageTriple.random(48, rng)
         try:
-            result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy, table=table)
+            result = run_protocol(messages, schedule, rng, attack, policy, table=table)
             shown = ("completed", result.rounds_used, result.records, result.transcript.events, result.eve_records)
         except ProtocolAborted as abort:
             shown = ("aborted", abort.round_index, abort.records, abort.transcript.events, abort.eve_records)
@@ -527,6 +533,22 @@ class TestSharedTable:
             assert self.session(seed, attack, policy, table) == fresh
         if policy is AbortPolicy.STRICT:
             assert fresh[0][0] == "aborted"
+
+    def test_a_table_walked_under_two_schedules_gives_the_results_of_a_fresh_one(self):
+        # One compiled round per schedule and attack model, on one table.
+        schedules = (SchedulePolicy(0.25, 0.25, 0.4), SchedulePolicy(0.5, 0.1, 0.2))
+        table = TransitionTable()
+        for seed in (100, 101):
+            for schedule in schedules:
+                for case in SHARED_TABLE_CASES:
+                    self.session(seed, case.values[0], RECORD, table, schedule)
+        assert len(table.trees) == 2 * 4  # the two disturbance cases share a model
+        for seed in range(2):
+            for schedule in schedules:
+                for case in SHARED_TABLE_CASES:
+                    attack, policy = case.values
+                    fresh = self.session(seed, attack, policy, None, schedule)
+                    assert self.session(seed, attack, policy, table, schedule) == fresh
 
 
 class ScalarOnly:
@@ -618,3 +640,229 @@ class TestBlockDraws:
         with pytest.raises(ValueError, match="integers"):
             blocks.integers(0, 2)
         blocks.close()
+
+
+# One 48-bit session per attack kind and abort policy (seed 4848), pinned
+# on the engine before the round was compiled into a chance-point tree:
+# (how it ended, its last round, the generator's end PCG64 state, its
+# pending 32-bit half and stored half, and the sha256 of
+# ``repr((records, transcript events, Eve records))``).  A changed draw
+# count moves the end state even when both block and scalar draws agree.
+PINNED_STREAMS = {
+    ("none", AbortPolicy.STRICT): (
+        "completed", 170, 306998257504876853655492074430429472645, 0, 3383223351,
+        "907cc2ca4c959d51d26c3c3cec8c55e6219a4e970499f74931e75a20406ae2f8",
+    ),
+    ("none", AbortPolicy.RECORD_AND_CONTINUE): (
+        "completed", 170, 306998257504876853655492074430429472645, 0, 3383223351,
+        "907cc2ca4c959d51d26c3c3cec8c55e6219a4e970499f74931e75a20406ae2f8",
+    ),
+    ("intercept", AbortPolicy.STRICT): (
+        "aborted", 7, 306916087269179701885027860178795308640, 1, 4121707555,
+        "91739b6ec992f051e303ca56d46a24807f91702ac076ffbe17e1d68c5a1d194f",
+    ),
+    ("intercept", AbortPolicy.RECORD_AND_CONTINUE): (
+        "completed", 166, 103728350335243794381951463870383259556, 0, 3444864969,
+        "6e973df88a62663eb859dd5f96a75e2d69d5c0ba0c20c756ca85be78497cf9ef",
+    ),
+    ("disturbance", AbortPolicy.STRICT): (
+        "aborted", 37, 160125824035831686106839683819631901401, 0, 668910811,
+        "f387532149ee25212e6b32741a0c8c4cb04336567609b80c9beb5bcb21cd9999",
+    ),
+    ("disturbance", AbortPolicy.RECORD_AND_CONTINUE): (
+        "completed", 144, 257693229101216745979368750477880778756, 0, 850222434,
+        "772a96719851618689e5dc370eabbe091e17d12aadd744411f94887c53001e7d",
+    ),
+    ("entangle", AbortPolicy.STRICT): (
+        "aborted", 4, 118114467841756385421637412436231795293, 0, 2083775103,
+        "d3bbd44f4c753a1ea807270077f15cee95b307f97447406f6848cc9823c50904",
+    ),
+    ("entangle", AbortPolicy.RECORD_AND_CONTINUE): (
+        "completed", 158, 299954313347895970752835422613450536347, 1, 1294559780,
+        "2a44f8e2511c59bd39a8a1def23ed5e2bb7dddda0726093a97e1f524d09e20d9",
+    ),
+}
+
+PINNED_ATTACKS = {
+    "none": None,
+    "intercept": AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.1),
+    "disturbance": AttackModel.disturbance(
+        Pauli.Z, ChannelSegment.B_TO_C, ChannelSegment.C_TO_A, attack_probability=0.15
+    ),
+    "entangle": AttackModel.entangle_measure(0.05, *ChannelSegment, attack_probability=0.7),
+}
+
+
+class TestPinnedDrawStreams:
+    """Each attack kind's session makes the pinned draws and shows the pinned results."""
+
+    @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
+    @pytest.mark.parametrize("name", list(PINNED_ATTACKS))
+    def test_the_session_keeps_its_pinned_stream(self, name, policy):
+        rng = np.random.default_rng(4848)
+        messages = MessageTriple.random(48, rng)
+        try:
+            result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, PINNED_ATTACKS[name], policy)
+            ended = ("completed", result.rounds_used)
+            shown = (result.records, result.transcript.events, result.eve_records)
+        except ProtocolAborted as abort:
+            ended = ("aborted", abort.round_index)
+            shown = (abort.records, abort.transcript.events, abort.eve_records)
+        state = rng.bit_generator.state
+        got = ended + (
+            state["state"]["state"],
+            state["has_uint32"],
+            state["uinteger"],
+            hashlib.sha256(repr(shown).encode()).hexdigest(),
+        )
+        assert got == PINNED_STREAMS[name, policy]
+
+
+# Branches the exact enumerator also skips: a measurement whose outcome
+# probability is rounding noise cannot be collapsed onto that outcome.
+WEIGHT_FLOOR = 1e-15
+
+
+def branch_weights(node):
+    """(child index, probability) of each answer at a compiled-round node."""
+    kind, data = node[0], node[1]
+    if kind == BERNOULLI:
+        return [(3, data), (4, 1.0 - data)]
+    if kind == LABEL:
+        return [(branch, 0.25) for branch in range(3, 7)]
+    weights, below = [], 0.0
+    for cumulative, branch in data:
+        weights.append((branch, cumulative - below))
+        below = cumulative
+    return weights
+
+
+def expand_fully(table, schedule, model):
+    """Expand the compiled round's tree on ``table`` along every branch of
+    weight above ``WEIGHT_FLOOR``; returns ``{(j, k): [(weight, leaf), ...]}``."""
+    roots = protocol._roots(table, schedule, model)
+    leaves = {}
+    for j, k in product((0, 1), repeat=2):
+        if roots[2 * j + k] is None:
+            roots[2 * j + k] = protocol._grow(table, schedule, model, (j, k))
+        leaves[j, k] = []
+        stack = [(1.0, roots[2 * j + k])]
+        while stack:
+            weight, node = stack.pop()
+            if node[0] == protocol._LEAF:
+                leaves[j, k].append((weight, node))
+                continue
+            for branch, p in branch_weights(node):
+                if p > WEIGHT_FLOOR:
+                    child = node[branch]
+                    if child is None:
+                        child = protocol._expand(table, schedule, model, node, branch)
+                    stack.append((weight * p, child))
+    return leaves
+
+
+def tree_nodes(table):
+    """Every node built in every compiled round ``table`` holds."""
+    nodes = []
+    stack = [root for roots in table.trees.values() for root in roots if root is not None]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if node[0] != protocol._LEAF:
+            stack += [child for child in node[3:] if child is not None]
+    return nodes
+
+
+def reveal(leaf):
+    """The decoy label a decoy-check leaf reveals."""
+    (label,) = [values[0] for kind, *values in leaf[6] if kind == "decoy_reveal"]
+    return label
+
+
+EXACT_MODELS = [
+    pytest.param(AttackModel.intercept_resend(*ChannelSegment), id="intercept"),
+    pytest.param(AttackModel.disturbance(Pauli.X, *ChannelSegment), id="disturb-x"),
+    pytest.param(AttackModel.disturbance(Pauli.Z, *ChannelSegment), id="disturb-z"),
+    pytest.param(AttackModel.entangle_measure(0.25, *ChannelSegment), id="entangle-0.25"),
+    pytest.param(AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A), id="entangle-0.5"),
+    pytest.param(AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4), id="intercept-p0.4"),
+    pytest.param(AttackModel.entangle_measure(0.5, *ChannelSegment, attack_probability=0.4), id="entangle-p0.4"),
+]
+
+
+class TestCompiledRound:
+    """Sessions walk one lazily built tree of the round's chance points."""
+
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_the_tree_weights_are_the_exact_detection_probabilities(self, model):
+        # Each check kind's failure weight, conditional on the kind, is the
+        # enumerator's value for every message bit pair.
+        leaves = expand_fully(TransitionTable(), SchedulePolicy(0.25, 0.25, 0.4), model)
+        families = {
+            "ab_check": (RoundKind.BOB_EAVESDROP_CHECK, None),
+            "ca_check": (RoundKind.BOB_CONTROL_CHECK, None),
+            "decoy_check": (RoundKind.CHARLIE_DECOY_CHECK, None),
+            "decoy_check_z": (RoundKind.CHARLIE_DECOY_CHECK, ("0", "1")),
+            "decoy_check_x": (RoundKind.CHARLIE_DECOY_CHECK, ("+", "-")),
+        }
+        for bits, weighted in leaves.items():
+            assert sum(weight for weight, _ in weighted) == pytest.approx(1.0, abs=1e-12)
+            for name, (kind, labels) in families.items():
+                runs = [
+                    (weight, leaf[3])
+                    for weight, leaf in weighted
+                    if leaf[1] is kind and (labels is None or reveal(leaf) in labels)
+                ]
+                run = sum(weight for weight, _ in runs)
+                failed = sum(weight for weight, passed in runs if passed is False)
+                family = {"decoy_check_z": Basis.Z, "decoy_check_x": Basis.X}.get(name)
+                exact = analytic_detection_probability(model, kind.value, decoy_family=family)
+                assert failed / run == pytest.approx(exact, abs=1e-12), (bits, name)
+
+    def test_a_walked_tree_is_a_subtree_of_the_full_tree(self):
+        # Sessions expand only drawn branches, so whatever the round count
+        # their tree stays within the full tree: 7,872 nodes under
+        # intercept-resend on every segment at p 0.4, of which sessions of
+        # 2,000 and 20,000 bits built 3,645 and 6,499.
+        attack = AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4)
+        schedule = SchedulePolicy()
+        full = TransitionTable()
+        expand_fully(full, schedule, attack)
+        full_paths = {node[2] for node in tree_nodes(full)}
+        assert len(full_paths) < 8000
+        counts = []
+        for length in (200, 2000):
+            table = TransitionTable()
+            rng = np.random.default_rng(2000)
+            run_protocol(MessageTriple.random(length, rng), schedule, rng, attack, RECORD, table=table)
+            paths = {node[2] for node in tree_nodes(table)}
+            assert paths <= full_paths
+            counts.append(len(paths))
+        assert 0 < counts[0] < counts[1] < len(full_paths)
+
+    def test_a_node_is_built_only_for_a_drawn_answer(self, scripted):
+        # No attack, and Bob's and Charlie's bits are (1, 0) in both
+        # message rounds.  Draws: a message round (no A-B check, the two
+        # never-taken control modes, the Bell draw), an A-B check in Z with
+        # outcomes (0, 1), and the message round again.
+        table = TransitionTable()
+        draws = [0.9, 0.5, 0.5, 0.1] + [0.1, 0.1, 0.3, 0.3] + [0.9, 0.5, 0.5, 0.1]
+        messages = MessageTriple((0, 1), (1, 1), (0, 0))
+        result = run_protocol(messages, SchedulePolicy(0.5, 0.0, 0.0), scripted(draws), table=table)
+        kinds = [record.kind for record in result.records]
+        assert kinds == [RoundKind.MESSAGE, RoundKind.BOB_EAVESDROP_CHECK, RoundKind.MESSAGE]
+        (roots,) = table.trees.values()
+        assert [root is not None for root in roots] == [False, False, True, False]
+        # Paths: the bits (j, k), then the answers; the Bell outcome (1, 0)
+        # is label index 2.
+        assert sorted(node[2] for node in tree_nodes(table)) == [
+            (1, 0),
+            (1, 0, False),
+            (1, 0, False, False),
+            (1, 0, False, False, False),
+            (1, 0, False, False, False, 2),
+            (1, 0, True),
+            (1, 0, True, True),
+            (1, 0, True, True, True),
+            (1, 0, True, True, True, False),
+        ]
