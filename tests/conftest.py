@@ -1,5 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
+
+from qsdc3.cli import render_json
+
+# Report fields computed by the exact enumerator, not sampled: the analytic
+# probability of a check (``analytic`` in a curve row) and the z-score
+# measured against it.
+ENUMERATED_FIELDS = ("analytic_probability", "analytic", "z_score")
 
 
 class ScriptedRng:
@@ -29,3 +38,24 @@ def rng():
 @pytest.fixture
 def scripted():
     return ScriptedRng
+
+
+def _sampled_fields(payload):
+    if isinstance(payload, dict):
+        return {
+            key: _sampled_fields(value) for key, value in payload.items() if key not in ENUMERATED_FIELDS
+        }
+    if isinstance(payload, list):
+        return [_sampled_fields(value) for value in payload]
+    return payload
+
+
+@pytest.fixture
+def sampled_digest():
+    """The sha256 of a report's JSON without its ``ENUMERATED_FIELDS``:
+    pins what the sessions sampled, whatever the enumerator gives."""
+
+    def digest(payload):
+        return hashlib.sha256(render_json(_sampled_fields(payload)).encode()).hexdigest()
+
+    return digest

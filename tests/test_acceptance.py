@@ -56,7 +56,7 @@ def test_criterion_1_exhaustive_decode_oracle():
     )
 
 
-def test_criterion_2_announced_xor_identity():
+def test_criterion_2_announced_xor_identity(sampled_digest):
     start = time.perf_counter()
     config = ExperimentConfig(
         message_length=100,
@@ -75,6 +75,8 @@ def test_criterion_2_announced_xor_identity():
         audited >= 10_000
         and fraction == 1.0
         and digest == "c989f8ab1a2caf70307a653fbd8ee1f247c577a2d21d89079928a25e0107d5b8"
+        and sampled_digest(result.to_dict())
+        == "af88c87a8f568d5e570db78f12709d90c16c3bcbb02aa41a971cac62a7618113"
         and elapsed < 5.0
     )
     _report(
@@ -139,7 +141,7 @@ def test_criterion_4_disturbance_detection_is_half(pauli):
     )
 
 
-def test_criterion_5_probe_coupling_curve():
+def test_criterion_5_probe_coupling_curve(sampled_digest):
     start = time.perf_counter()
     grid = [0.0, 0.25, 0.5, 0.75, 1.0]
     rows = entangle_measure_curve(
@@ -171,9 +173,13 @@ def test_criterion_5_probe_coupling_curve():
         x_row = by_key[("decoy_check_x", beta_sq)]
         if x_row.checks_failed != 0:
             problems.append("X-family decoys detected something at %.2f" % beta_sq)
-    digest = _sha256(render_json({"curve": [row.to_dict() for row in rows]}))
+    curve = {"curve": [row.to_dict() for row in rows]}
+    digest = _sha256(render_json(curve))
     if digest != "118e11565dddff46d882dac7f0c096a895ddb1c8edb32a1a4dea87e120a40562":
         problems.append("curve rows %s" % digest[:16])
+    sampled = sampled_digest(curve)
+    if sampled != "d8c834472484d9c8b1d818ed2a010dd6a72fe35445116b3bf3d0c0f2f9ac4d90":
+        problems.append("sampled curve fields %s" % sampled[:16])
     ok = not problems and elapsed < 60.0
     _report(
         5,
@@ -183,7 +189,7 @@ def test_criterion_5_probe_coupling_curve():
     )
 
 
-def test_criterion_6_intercept_resend_quarter_vs_half_claim():
+def test_criterion_6_intercept_resend_quarter_vs_half_claim(sampled_digest):
     start = time.perf_counter()
     config = ExperimentConfig(
         message_length=64,
@@ -206,6 +212,8 @@ def test_criterion_6_intercept_resend_quarter_vs_half_claim():
         and '"analytic_probability": 0.25' in report_text
         and '"paper_claim": 0.5' in report_text
         and _sha256(report_text) == "a13e8916ba8d8284fe39e71970634771765df27aa327e935957039acb049d533"
+        and sampled_digest(result.to_dict())
+        == "ab9729b3503c0a62fb84fdafd8732a841eaae3bab7673f7defbfd66ccef633dc"
         and elapsed < 10.0
     )
     _report(

@@ -1,5 +1,8 @@
 import dataclasses
+import json
 import math
+from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,6 +277,58 @@ class TestAnalyticDetection:
         model = AttackModel.disturbance(Pauli.X, AB)
         with pytest.raises(ValueError, match="check"):
             analytic_detection_probability(model, RoundKind.MESSAGE)
+
+
+# Every non-empty set of segments an attack can cover.
+SEGMENT_SETS = [segments for n in (1, 2, 3) for segments in combinations(ChannelSegment, n)]
+
+# The check rows of a report and the arguments that compute each one.
+CHECK_ROWS = {
+    "ab_check": ("ab_check", None),
+    "ca_check": ("ca_check", None),
+    "decoy_check": ("decoy_check", None),
+    "decoy_check_z": ("decoy_check", Basis.Z),
+    "decoy_check_x": ("decoy_check", Basis.X),
+}
+
+
+def fixture_model(entry):
+    segments = [ChannelSegment(value) for value in entry["segments"]]
+    p = entry["attack_probability"]
+    if entry["kind"] == "intercept_resend":
+        return AttackModel.intercept_resend(*segments, attack_probability=p)
+    if entry["kind"] == "disturbance":
+        return AttackModel.disturbance(Pauli[entry["pauli"]], *segments, attack_probability=p)
+    return AttackModel.entangle_measure(entry["beta_sq"], *segments, attack_probability=p)
+
+
+def fixture_id(entry):
+    kind = {"intercept_resend": "intercept", "disturbance": "disturb-%s", "entangle_measure": "entangle-%s"}
+    name = kind[entry["kind"]].replace("%s", str(entry["pauli"] or entry["beta_sq"]))
+    return "%s-%s-p%s" % (name, "+".join(entry["segments"]), entry["attack_probability"])
+
+
+class TestEnumeratedValues:
+    """The enumerator against values saved from the hand-written enumeration
+    it replaced (tests/analytic_values.json): every attack kind on every
+    segment set, at attack probability 1 and 0.4 and, for the probe, flip
+    weight 0.25 and 0.5, each with all five check rows."""
+
+    ENTRIES = json.loads((Path(__file__).parent / "analytic_values.json").read_text())
+
+    def test_the_grid_is_complete(self):
+        assert len(self.ENTRIES) == len(SEGMENT_SETS) * 2 * 5
+
+    @pytest.mark.parametrize(
+        "entry",
+        ENTRIES,
+        ids=[fixture_id(entry) for entry in ENTRIES],
+    )
+    def test_each_value_is_within_1e_15_of_the_saved_one(self, entry):
+        model = fixture_model(entry)
+        for row, (kind, family) in CHECK_ROWS.items():
+            value = analytic_detection_probability(model, kind, family)
+            assert abs(value - entry[row]) <= 1e-15, (row, value, entry[row])
 
 
 class TestEavesdropperBookkeeping:

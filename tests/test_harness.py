@@ -482,96 +482,118 @@ class TestConfigValidation:
         assert payload["attack"]["beta_sq"] == pytest.approx(0.5)
 
 
+# The configurations of TestPinnedReports, by name.  Only ``strict_abort``
+# runs under the strict policy; its report is the partial one its abort
+# carries.
+PINNED_CONFIGS = {
+    "no_attack": ExperimentConfig(message_length=16, trials=4, seed=1),
+    "intercept_resend_ab": ExperimentConfig(
+        message_length=16,
+        trials=4,
+        schedule=SchedulePolicy(0.5, 0.25, 0.25),
+        attack=AttackModel.intercept_resend(AB),
+        seed=2,
+    ),
+    "entangle_measure_ab_ca": ExperimentConfig(
+        message_length=16,
+        trials=4,
+        schedule=SchedulePolicy(0.25, 0.1, 0.4),
+        attack=AttackModel.entangle_measure(0.5, AB, CA),
+        seed=3,
+    ),
+    "gated_disturbance_bc_ca": ExperimentConfig(
+        message_length=16,
+        trials=4,
+        attack=AttackModel.disturbance(Pauli.Z, BC, CA, attack_probability=0.5),
+        seed=3,
+    ),
+    "gated_intercept_all": ExperimentConfig(
+        message_length=16,
+        trials=4,
+        attack=AttackModel.intercept_resend(AB, BC, CA, attack_probability=0.4),
+        seed=4,
+    ),
+    "gated_probe_all": ExperimentConfig(
+        message_length=16,
+        trials=4,
+        schedule=SchedulePolicy(0.25, 0.1, 0.4),
+        attack=AttackModel.entangle_measure(0.3, AB, BC, CA, attack_probability=0.7),
+        seed=5,
+    ),
+    "strict_abort": ExperimentConfig(
+        message_length=16,
+        trials=4,
+        schedule=SchedulePolicy(0.5, 0.25, 0.25),
+        attack=AttackModel.intercept_resend(AB),
+        abort_policy=AbortPolicy.STRICT,
+        seed=6,
+    ),
+}
+
+
+def pinned_report(name):
+    """The report dict of the pinned configuration ``name``."""
+    config = PINNED_CONFIGS[name]
+    if config.abort_policy is AbortPolicy.STRICT:
+        with pytest.raises(ExperimentAborted) as info:
+            run_experiment(config)
+        return info.value.partial.to_dict()
+    return run_experiment(config).to_dict()
+
+
+def report_digest(name):
+    return hashlib.sha256(render_json(pinned_report(name)).encode()).hexdigest()
+
+
 class TestPinnedReports:
     """Report bytes pinned to sha256 digests, so that a refactor which moves
     a random draw, a transcript event or a report field is caught exactly."""
 
     @pytest.mark.parametrize(
-        "config, digest",
+        "name, digest",
         [
-            (
-                ExperimentConfig(message_length=16, trials=4, seed=1),
-                "206461afa1b0ab836a6e9a3548161930f88c1ac25be4a65ca265b0d52c81ab24",
-            ),
-            (
-                ExperimentConfig(
-                    message_length=16,
-                    trials=4,
-                    schedule=SchedulePolicy(0.5, 0.25, 0.25),
-                    attack=AttackModel.intercept_resend(AB),
-                    seed=2,
-                ),
-                "3558889e1eccb1a5c6fae3a28e13d6fc2488714c78e78a1c837723a8d296662f",
-            ),
-            (
-                ExperimentConfig(
-                    message_length=16,
-                    trials=4,
-                    schedule=SchedulePolicy(0.25, 0.1, 0.4),
-                    attack=AttackModel.entangle_measure(0.5, AB, CA),
-                    seed=3,
-                ),
-                "d42343650e4d28e7f3cdb3c761d8af5523783f7dd569e85e9cc87dd55fc11eb3",
-            ),
+            ("no_attack", "206461afa1b0ab836a6e9a3548161930f88c1ac25be4a65ca265b0d52c81ab24"),
+            ("intercept_resend_ab", "3558889e1eccb1a5c6fae3a28e13d6fc2488714c78e78a1c837723a8d296662f"),
+            ("entangle_measure_ab_ca", "d42343650e4d28e7f3cdb3c761d8af5523783f7dd569e85e9cc87dd55fc11eb3"),
         ],
         ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"],
     )
-    def test_report_digest(self, config, digest):
-        text = render_json(run_experiment(config).to_dict())
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+    def test_report_digest(self, name, digest):
+        assert report_digest(name) == digest
 
     @pytest.mark.parametrize(
-        "config, digest",
+        "name, digest",
         [
-            (
-                ExperimentConfig(
-                    message_length=16,
-                    trials=4,
-                    attack=AttackModel.disturbance(Pauli.Z, BC, CA, attack_probability=0.5),
-                    seed=3,
-                ),
-                "e0b7d6c55172ff1e50dd5892edfed66c62ad1ebf3f4015cdc31ad8c5291afb3d",
-            ),
-            (
-                ExperimentConfig(
-                    message_length=16,
-                    trials=4,
-                    attack=AttackModel.intercept_resend(AB, BC, CA, attack_probability=0.4),
-                    seed=4,
-                ),
-                "2c7932a29f8fb9d085a43cf2f6087ffd1e7441d1240327542df0436a0db4f4e4",
-            ),
-            (
-                ExperimentConfig(
-                    message_length=16,
-                    trials=4,
-                    schedule=SchedulePolicy(0.25, 0.1, 0.4),
-                    attack=AttackModel.entangle_measure(0.3, AB, BC, CA, attack_probability=0.7),
-                    seed=5,
-                ),
-                "74070f4220080241bf9ed4149d161561bcd9230ba966d1c82f8e62725430f38c",
-            ),
+            ("gated_disturbance_bc_ca", "e0b7d6c55172ff1e50dd5892edfed66c62ad1ebf3f4015cdc31ad8c5291afb3d"),
+            ("gated_intercept_all", "2c7932a29f8fb9d085a43cf2f6087ffd1e7441d1240327542df0436a0db4f4e4"),
+            ("gated_probe_all", "74070f4220080241bf9ed4149d161561bcd9230ba966d1c82f8e62725430f38c"),
         ],
         ids=["gated_disturbance_bc_ca", "gated_intercept_all", "gated_probe_all"],
     )
-    def test_gated_attack_report_digest(self, config, digest):
+    def test_gated_attack_report_digest(self, name, digest):
         # Gated attacks, B->C hops and probes riding along over two segments.
-        text = render_json(run_experiment(config).to_dict())
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert report_digest(name) == digest
 
     def test_strict_abort_partial_report_digest(self):
-        config = ExperimentConfig(
-            message_length=16,
-            trials=4,
-            schedule=SchedulePolicy(0.5, 0.25, 0.25),
-            attack=AttackModel.intercept_resend(AB),
-            abort_policy=AbortPolicy.STRICT,
-            seed=6,
-        )
-        with pytest.raises(ExperimentAborted) as info:
-            run_experiment(config)
-        text = render_json(info.value.partial.to_dict())
         assert (
-            hashlib.sha256(text.encode()).hexdigest()
+            report_digest("strict_abort")
             == "ff21e6710bd8e10ba1c2583b540d2eee846eae45388e2d665c9f9bbb65acdc63"
         )
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("no_attack", "a3a5b466520dbad79605b04f3bf53d61dc51ad790f449e41bbd67c4cf0e2dc55"),
+            ("intercept_resend_ab", "da3e18a542ec2644bc91e1ae3c0091702dd8feafdfa87412eeb269df0476f6db"),
+            ("entangle_measure_ab_ca", "900d4a308c3eb02a11234695083d55e67847a92b5be9035824d11be491dfed2c"),
+            ("gated_disturbance_bc_ca", "27bfcd881ec5a8b8001c998e38f6ebb4a5af60ca02b784dbbc3a1507630b9f0f"),
+            ("gated_intercept_all", "d2dee6134ea41f56789a530b3f4adfc4ab3a65a1243493076ab48accff75a32d"),
+            ("gated_probe_all", "2311f4d2c66b1201fda3e2de85bf9e956b5512aed63b599a032b62a73bcb3284"),
+            ("strict_abort", "d33f9693e5f30d45dec0765eefa39b738a968206a85cdabd5eadcf4ff1f5dfd9"),
+        ],
+        ids=list(PINNED_CONFIGS),
+    )
+    def test_sampled_fields_digest(self, name, digest, sampled_digest):
+        # Every field but the enumerated ones: a change to the enumerator
+        # alone leaves these digests as they are.
+        assert sampled_digest(pinned_report(name)) == digest
