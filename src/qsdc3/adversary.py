@@ -23,9 +23,12 @@ runs these steps inside its round body; :func:`attack_transit` and an
 :class:`Eavesdropper` answer them with draws, one hop at a time.
 
 :func:`analytic_detection_probability` computes exact per-check detection
-probabilities by enumerating Eve's and the checkers' discrete choices with
-their exact branch weights - no sampling - and serves as the oracle the
-Monte Carlo estimates are tested against.
+probabilities from the same steps: it weighs the protocol's round
+(``states.weigh``), answering every chance point with each answer and its
+exact probability instead of a draw, and sums the weight of the rounds
+whose check failed.  There is no sampling and no second copy of the hops
+or the checks; it is the oracle the Monte Carlo estimates are tested
+against.
 """
 
 from __future__ import annotations
@@ -43,18 +46,11 @@ from .states import (
     Pauli,
     Subsystem,
     TransitionTable,
-    apply_pauli_on_transit,
-    bell_state,
     check_coupling,
-    collapse_outcome,
     decoy_basis_and_bit,
     drive,
-    outcome_probabilities,
-    prepare_decoy,
+    weigh,
 )
-
-# Branches lighter than this carry no probability worth following.
-_WEIGHT_FLOOR = 1e-15
 
 
 class ChannelSegment(Enum):
@@ -247,125 +243,63 @@ class Eavesdropper:
 # ---------------------------------------------------------------------------
 # Exact detection probabilities by enumeration.
 
-# The segments each check's quantum path crosses, in order.
-CHECK_PATHS = {
-    "ab_check": (ChannelSegment.A_TO_B,),
-    "ca_check": (ChannelSegment.A_TO_B, ChannelSegment.B_TO_C),
-    "decoy_check": (ChannelSegment.C_TO_A,),
+# The schedule (p_ab_check, p_bob_cm, p_charlie_cm) that makes every round a
+# check of one kind.  Its points weigh exactly 1.0 and 0.0, and the 0.0
+# branches are dropped, so it scales no branch of the round.
+_FORCING_SCHEDULES = {
+    "ab_check": (1.0, 0.0, 0.0),
+    "ca_check": (0.0, 1.0, 0.0),
+    "decoy_check": (0.0, 0.0, 1.0),
 }
-
-
-def _attack_branches(model, segment, state):
-    """All (weight, state) branches of Eve's action on one hop."""
-    if model.kind is AttackKind.NONE or segment not in model.segments:
-        return [(1.0, state)]
-    branches = []
-    p_fire = model.attack_probability
-    if p_fire < 1.0:
-        branches.append((1.0 - p_fire, state))
-    if model.kind is AttackKind.DISTURBANCE:
-        branches.append((p_fire, apply_pauli_on_transit(state, model.pauli)))
-    elif model.kind is AttackKind.ENTANGLE_MEASURE:
-        if state.has_ancilla:
-            branches.append((p_fire, state))
-        else:
-            branches.append((p_fire, TransitionTable().attach(state, model.alpha, model.beta)))
-    else:  # intercept-and-resend: basis choice x outcome, each branch exact
-        for basis in (Basis.Z, Basis.X):
-            p0, p1 = outcome_probabilities(state, Subsystem.TRANSIT, basis)
-            for outcome, p in ((0, p0), (1, p1)):
-                if p > _WEIGHT_FLOOR:
-                    branches.append(
-                        (
-                            p_fire * 0.5 * p,
-                            collapse_outcome(state, Subsystem.TRANSIT, basis, outcome),
-                        )
-                    )
-    return branches
-
-
-def _propagate(model, path, state):
-    """Branch the state across every hop of a check's quantum path."""
-    dist = [(1.0, state)]
-    for segment in path:
-        nxt = []
-        for weight, st in dist:
-            for w, out in _attack_branches(model, segment, st):
-                nxt.append((weight * w, out))
-        dist = nxt
-    return dist
-
-
-def _correlation_fail_probability(state, basis):
-    """Exact failure probability of the pair correlation test in one basis."""
-    p_t0, p_t1 = outcome_probabilities(state, Subsystem.TRANSIT, basis)
-    fail = 0.0
-    for t_out, p_t in ((0, p_t0), (1, p_t1)):
-        if p_t <= _WEIGHT_FLOOR:
-            continue
-        collapsed = collapse_outcome(state, Subsystem.TRANSIT, basis, t_out)
-        p_h0, p_h1 = outcome_probabilities(collapsed, Subsystem.HOME, basis)
-        if basis is Basis.Z:
-            fail += p_t * (p_h0 if t_out == 0 else p_h1)  # equal bits fail in Z
-        else:
-            fail += p_t * (p_h1 if t_out == 0 else p_h0)  # unequal signs fail in X
-    return fail
-
-
-def _decoy_fail_probability(state, label):
-    basis, expected = decoy_basis_and_bit(label)
-    p0, p1 = outcome_probabilities(state, Subsystem.TRANSIT, basis)
-    return p1 if expected == 0 else p0
 
 
 def analytic_detection_probability(model, check_kind, decoy_family=None):
     """Exact per-check detection probability for an attack model.
 
-    Enumerates the checkers' uniform basis (or decoy) choice and every
-    discrete choice Eve makes, weighting each branch by its exact
-    probability.  ``decoy_family`` restricts decoy checks to the Z family
-    ({|0>, |1>}) or the X family ({|+>, |->}); by default all four decoy
-    states are equally likely.
+    Weighs the protocol's round (``protocol._round_points``, the steps its
+    sessions sample) under a schedule that makes every round a check of
+    ``check_kind``: every answer to every chance point - the checkers'
+    bases, the decoy label, Eve's gate and basis, each measurement outcome
+    - with its exact probability (``states.weigh``), no sampling.  The
+    result is the summed weight of the rounds whose check failed.
+
+    ``decoy_family`` restricts decoy checks to the Z family ({|0>, |1>})
+    or the X family ({|+>, |->}): only the rounds that reveal a decoy of
+    the family count, and their weight is divided by the family's 1/2.  By
+    default all four decoy states count.  Each family's failed weight is
+    summed on its own and the decoy check's is their sum, so a decoy
+    check's value is exactly the mean of its two families' values.
 
     Raises ``ValueError`` for the null attack or for a non-check round kind.
     """
     if model.kind is AttackKind.NONE:
         raise ValueError("detection probability is defined for active attacks only")
     kind_value = check_kind.value if isinstance(check_kind, _protocol.RoundKind) else check_kind
-    if kind_value not in CHECK_PATHS:
+    if kind_value not in _FORCING_SCHEDULES:
         raise ValueError("%r is not a check round kind" % (check_kind,))
-    path = CHECK_PATHS[kind_value]
+    schedule = _protocol.SchedulePolicy(*_FORCING_SCHEDULES[kind_value])
+    table = TransitionTable()
+    rounds = weigh(lambda: _protocol._round_points(table, schedule, model, 0, 0))
 
-    if kind_value == "decoy_check":
-        if decoy_family is Basis.Z:
-            labels = (DecoyState.ZERO, DecoyState.ONE)
-        elif decoy_family is Basis.X:
-            labels = (DecoyState.PLUS, DecoyState.MINUS)
-        else:
-            labels = tuple(DecoyState)
-        total = 0.0
-        for label in labels:
-            for weight, state in _propagate(model, path, prepare_decoy(label)):
-                if weight > _WEIGHT_FLOOR:
-                    total += weight * _decoy_fail_probability(state, label)
-        return _clamp01(total / len(labels))
-
-    total = 0.0
-    for weight, state in _propagate(model, path, bell_state((0, 0))):
-        if weight <= _WEIGHT_FLOOR:
-            continue
-        for basis in (Basis.Z, Basis.X):
-            total += weight * 0.5 * _correlation_fail_probability(state, basis)
-    return _clamp01(total)
+    # Failed weight by the basis of the revealed decoy; None for a pair check.
+    failed = {None: 0.0, Basis.Z: 0.0, Basis.X: 0.0}
+    for weight, (_, passed, _, _, events, _) in rounds:
+        if passed is False:
+            failed[_revealed_basis(events)] += weight
+    if kind_value == "decoy_check" and decoy_family is not None:
+        total = failed[decoy_family] / 0.5
+    else:
+        total = failed[None] + failed[Basis.Z] + failed[Basis.X]
+    # Weights are never negative, but rounding may carry a sum past 1.
+    return min(total, 1.0)
 
 
-def _clamp01(p):
-    # Absorb rounding like -2e-16 from cancelling overlaps.
-    if p < 0.0:
-        return 0.0
-    if p > 1.0:
-        return 1.0
-    return p
+def _revealed_basis(events):
+    """The basis of the decoy a round's events reveal, or None."""
+    for name, *values in events:
+        if name == "decoy_reveal":
+            return decoy_basis_and_bit(DecoyState(values[0]))[0]
+    return None
 
 
 def paper_claimed_detection(kind):

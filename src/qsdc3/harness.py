@@ -32,7 +32,6 @@ from itertools import product
 import numpy as np
 
 from .adversary import (
-    CHECK_PATHS,
     AttackKind,
     AttackModel,
     ChannelSegment,
@@ -51,7 +50,7 @@ from .states import Basis, TransitionTable
 
 log = logging.getLogger("qsdc3")
 
-_CHECK_KINDS = tuple(CHECK_PATHS)
+_CHECK_KINDS = tuple(kind.value for kind in RoundKind if kind is not RoundKind.MESSAGE)
 # A trial draws its three messages as one numpy int64 array of
 # 3 * message_length bits; numpy refuses arrays of more than intp-max bytes.
 _MAX_MESSAGE_LENGTH = int(np.iinfo(np.intp).max) // (3 * np.dtype(np.int64).itemsize)
@@ -363,8 +362,6 @@ class _Aggregator:
         if attack.kind is AttackKind.NONE:
             return 0.0
         base = kind if not kind.startswith("decoy_check_") else "decoy_check"
-        if attack.segments.isdisjoint(CHECK_PATHS[base]):
-            return 0.0
         return analytic_detection_probability(attack, base, decoy_family)
 
     def _leakage(self):

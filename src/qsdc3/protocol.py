@@ -25,7 +25,9 @@ point, and its child for an answer is built, by replaying the steps along
 the node's answers, the first time that answer is drawn.  A round thus
 costs one draw and one comparison per chance point, then its leaf's
 transcript events, record and Eve's records.  The single-step functions
-(``run_ab_check``, ...) answer the same steps with draws.
+(``run_ab_check``, ...) answer the same steps with draws, and
+``adversary.analytic_detection_probability`` weighs every answer
+(``states.weigh``).
 
 Randomness: each round consumes draws from its injected generator in a
 fixed order (check choice, mode choices, then measurement draws), which is
@@ -69,6 +71,7 @@ from .states import (
     drive,
     measure_qubit,
     prepare_decoy,
+    replay,
 )
 
 log = logging.getLogger("qsdc3")
@@ -565,13 +568,9 @@ def _roots(table, schedule, model):
 def _grow(table, schedule, model, path):
     """The node at ``path``: the round replayed along the path's answers,
     up to its next chance point or its end."""
-    steps = _round_points(table, schedule, model, path[0], path[1])
-    try:
-        point = steps.send(None)
-        for answer in path[2:]:
-            point = steps.send(answer)
-    except StopIteration as stop:
-        kind, passed, touched, label, events, eve = stop.value
+    point, end = replay(_round_points(table, schedule, model, path[0], path[1]), path[2:])
+    if point is None:
+        kind, passed, touched, label, events, eve = end
         eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
         announced = None
         if label is not None:

@@ -46,6 +46,9 @@ built and validated once per distinct value in the experiment, not once
 per round.  The public operations (``measure_qubit``, ``bell_measure``,
 ...) drive the same steps with one draw per point on a fresh table per
 call: they are not memoised, and each result is validated once.
+``weigh`` answers the steps with every outcome and its exact probability
+instead of a draw; that is how ``adversary.analytic_detection_probability``
+enumerates a round.
 
 The probe coupling's coefficients are checked where they enter: by
 ``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
@@ -350,8 +353,15 @@ def collapse_outcome(state, which, basis, outcome):
 #
 # ``drive`` answers each point with a draw; the protocol's compiled round
 # answers them along a tree of earlier answers (``protocol.run_protocol``).
+# ``weigh`` answers each point with every answer and its probability, so
+# it gives the exact distribution of the ends that ``drive`` samples.
 BERNOULLI, LABEL, BELL = "b", "i", "bell"
 FAIR_COIN = (BERNOULLI, 0.5)
+
+# Answers lighter than this carry no probability worth following.  Not
+# following them also keeps ``weigh`` from answering a measurement with an
+# outcome of zero probability, onto which no state can collapse.
+_WEIGHT_FLOOR = 1e-15
 
 
 def drive(steps, rng):
@@ -372,6 +382,60 @@ def drive(steps, rng):
                         break
     except StopIteration as stop:
         return stop.value
+
+
+def replay(steps, answers):
+    """Run ``steps`` along ``answers``, one per chance point.
+
+    Returns ``(point, None)`` with the next chance point, or ``(None,
+    value)`` when the steps end first, with what they return.
+    """
+    try:
+        point = steps.send(None)
+        for answer in answers:
+            point = steps.send(answer)
+    except StopIteration as stop:
+        return None, stop.value
+    return point, None
+
+
+def _weighted_answers(kind, data):
+    """Every answer to a chance point, as ``(answer, probability)`` pairs:
+    True with ``p`` and False with ``1 - p``, each label with 1/4, each
+    Bell index with its threshold less the one before."""
+    if kind is BERNOULLI:
+        return ((True, data), (False, 1.0 - data))
+    if kind is LABEL:
+        return ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25))
+    answers = []
+    below = 0.0
+    for cumulative, index in data:
+        answers.append((index, cumulative - below))
+        below = cumulative
+    return answers
+
+
+def weigh(make_steps):
+    """Every end of the steps ``make_steps()`` gives, with its probability.
+
+    Answers each chance point with every answer whose probability exceeds
+    ``_WEIGHT_FLOOR``, replaying fresh steps along each path of answers.
+    Returns ``[(weight, value), ...]``, one pair per end in the order of
+    the answers; a weight is the product of its path's probabilities, from
+    the first answer on.
+    """
+    ends = []
+    stack = [(1.0, ())]
+    while stack:
+        weight, path = stack.pop()
+        point, value = replay(make_steps(), path)
+        if point is None:
+            ends.append((weight, value))
+            continue
+        for answer, p in reversed(_weighted_answers(*point)):
+            if p > _WEIGHT_FLOOR:
+                stack.append((weight * p, path + (answer,)))
+    return ends
 
 
 def _outcome_point(p_zero):

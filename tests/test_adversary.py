@@ -331,6 +331,49 @@ class TestEnumeratedValues:
             assert abs(value - entry[row]) <= 1e-15, (row, value, entry[row])
 
 
+def attack_grid(probabilities, flip_weights):
+    """Intercept-resend, both disturbances and the probe at each flip weight,
+    on every segment set at each attack probability."""
+    for segments in SEGMENT_SETS:
+        for p in probabilities:
+            yield AttackModel.intercept_resend(*segments, attack_probability=p)
+            yield AttackModel.disturbance(Pauli.X, *segments, attack_probability=p)
+            yield AttackModel.disturbance(Pauli.Z, *segments, attack_probability=p)
+            for beta_sq in flip_weights:
+                yield AttackModel.entangle_measure(beta_sq, *segments, attack_probability=p)
+
+
+class TestDecoyFamilies:
+    def test_the_decoy_check_is_the_exact_mean_of_its_two_families(self):
+        # Bit for bit: a decoy round reveals a Z-family or an X-family decoy
+        # with weight 1/2 each.
+        models = list(attack_grid((1.0, 0.7, 0.4), (0.0, 0.25, 0.3, 0.5, 0.75, 1.0)))
+        assert len(models) == 189
+        mismatched = []
+        for model in models:
+            both = analytic_detection_probability(model, "decoy_check")
+            z = analytic_detection_probability(model, "decoy_check", Basis.Z)
+            x = analytic_detection_probability(model, "decoy_check", Basis.X)
+            if both != (z + x) / 2:
+                mismatched.append((model, both, z, x))
+        assert not mismatched
+
+
+# The segments each check's qubit crosses before it is checked.
+CHECK_PATHS = {"ab_check": {AB}, "ca_check": {AB, BC}, "decoy_check": {CA}}
+
+
+class TestUntouchedPaths:
+    def test_a_check_whose_path_is_not_attacked_weighs_exactly_zero(self):
+        untouched = 0
+        for model in attack_grid((1.0, 0.4), (0.25, 1.0)):
+            for row, (kind, family) in CHECK_ROWS.items():
+                if model.segments.isdisjoint(CHECK_PATHS[kind]):
+                    untouched += 1
+                    assert analytic_detection_probability(model, kind, family) == 0.0, (model, row)
+        assert untouched == 130  # 13 (segment set, row) pairs for each of 10 attacks
+
+
 class TestEavesdropperBookkeeping:
     def test_identity_probe_is_undetectable_end_to_end(self, rng):
         # A probe with beta = 0 never disturbs anything: no failed checks,

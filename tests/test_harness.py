@@ -554,7 +554,7 @@ class TestPinnedReports:
         [
             ("no_attack", "206461afa1b0ab836a6e9a3548161930f88c1ac25be4a65ca265b0d52c81ab24"),
             ("intercept_resend_ab", "3558889e1eccb1a5c6fae3a28e13d6fc2488714c78e78a1c837723a8d296662f"),
-            ("entangle_measure_ab_ca", "d42343650e4d28e7f3cdb3c761d8af5523783f7dd569e85e9cc87dd55fc11eb3"),
+            ("entangle_measure_ab_ca", "d8388428c93ce33ee7b53c198d761c5c3c35495deec66f0837d32b508bd4670d"),
         ],
         ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"],
     )
@@ -565,8 +565,8 @@ class TestPinnedReports:
         "name, digest",
         [
             ("gated_disturbance_bc_ca", "e0b7d6c55172ff1e50dd5892edfed66c62ad1ebf3f4015cdc31ad8c5291afb3d"),
-            ("gated_intercept_all", "2c7932a29f8fb9d085a43cf2f6087ffd1e7441d1240327542df0436a0db4f4e4"),
-            ("gated_probe_all", "74070f4220080241bf9ed4149d161561bcd9230ba966d1c82f8e62725430f38c"),
+            ("gated_intercept_all", "2fcc9f6242e36b062769d6f8d45977260df2966e3149f256ae0d2c22fdcda4be"),
+            ("gated_probe_all", "bb12c822be8ed294d8ef60ed88dfdbb3f0d1632b8b7d0855047d4fb6ae112e36"),
         ],
         ids=["gated_disturbance_bc_ca", "gated_intercept_all", "gated_probe_all"],
     )

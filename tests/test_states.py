@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+from itertools import product
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from qsdc3.cli import render_json
 from qsdc3.harness import ExperimentConfig, run_experiment
 from qsdc3.protocol import SchedulePolicy
 from qsdc3.states import (
+    BELL,
+    BERNOULLI,
+    LABEL,
     Basis,
     BellLabel,
     DecoyState,
@@ -31,6 +35,7 @@ from qsdc3.states import (
     measure_qubit,
     outcome_probabilities,
     prepare_decoy,
+    weigh,
 )
 
 RH = math.sqrt(0.5)
@@ -552,7 +557,7 @@ PINNED_REPORTS = [
             attack=AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
             seed=3,
         ),
-        "d42343650e4d28e7f3cdb3c761d8af5523783f7dd569e85e9cc87dd55fc11eb3",
+        "d8388428c93ce33ee7b53c198d761c5c3c35495deec66f0837d32b508bd4670d",
     ),
 ]
 
@@ -801,3 +806,93 @@ class TestTransitionTable:
         assert {id(state) for state in validated} == set(held)
         assert len({(state.amps, state.subsystems) for state in held.values()}) == len(held)
         assert len(held) < len(held_states(table))  # some state is reached along two paths
+
+
+# States the chance-point steps are weighed on: the Bell pairs, the decoys,
+# a product pair and a probed pair and decoy.
+UNPROBED_STATES = [bell_state(label) for label in product((0, 1), repeat=2)]
+UNPROBED_STATES += [prepare_decoy(label) for label in DecoyState] + [PLUS_PLUS]
+PROBED_STATES = [PROBED, attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), 0.6, 0.8)]
+
+# Every attack kind on every segment, ungated and gated.
+WEIGHED_ATTACKS = [
+    make(*ChannelSegment, attack_probability=p)
+    for p in (1.0, 0.4)
+    for make in (
+        AttackModel.intercept_resend,
+        lambda *segments, **kw: AttackModel.disturbance(Pauli.X, *segments, **kw),
+        lambda *segments, **kw: AttackModel.disturbance(Pauli.Z, *segments, **kw),
+        lambda *segments, **kw: AttackModel.entangle_measure(0.3, *segments, **kw),
+    )
+]
+
+
+def attack_id(model):
+    name = model.kind.value + ("-" + model.pauli.name if model.pauli else "")
+    return "%s-p%s" % (name, model.attack_probability)
+
+
+def total_weight(make_steps):
+    return sum(weight for weight, _ in weigh(make_steps))
+
+
+class TestWeigh:
+    def test_each_point_is_answered_with_every_answer_and_its_weight(self):
+        def steps():
+            flip = yield (BERNOULLI, 0.3)
+            label = yield (LABEL, None)
+            bell = yield (BELL, ((0.5, 0), (0.75, 2), (1.0, 3)))
+            return flip, label, bell
+
+        bernoulli = ((True, 0.3), (False, 1.0 - 0.3))
+        labels = tuple((label, 0.25) for label in range(4))
+        bells = ((0, 0.5), (2, 0.75 - 0.5), (3, 1.0 - 0.75))
+        expected = [
+            (1.0 * a[1] * b[1] * c[1], (a[0], b[0], c[0])) for a, b, c in product(bernoulli, labels, bells)
+        ]
+        assert weigh(steps) == expected
+
+    def test_a_branch_of_no_weight_is_dropped(self):
+        def steps():
+            return (yield (BERNOULLI, 1.0)), (yield (BERNOULLI, 1e-16))
+
+        assert weigh(steps) == [(1.0 - 1e-16, (True, False))]
+
+    def test_measuring_zero_in_z_has_one_branch(self):
+        # The outcome 1 has probability 0, onto which no state collapses.
+        zero = prepare_decoy(DecoyState.ZERO)
+        table = TransitionTable()
+        assert weigh(lambda: table.measure_points(zero, Subsystem.TRANSIT, Basis.Z)) == [(1.0, (0, zero))]
+
+    def test_measurement_weights_sum_to_one(self):
+        for state in UNPROBED_STATES + PROBED_STATES:
+            for which, basis in product(state.subsystems, Basis):
+                table = TransitionTable()
+                weight = total_weight(lambda: table.measure_points(state, which, basis))
+                assert weight == pytest.approx(1.0, abs=1e-12), (state, which, basis)
+
+    def test_readout_weights_sum_to_one(self):
+        for state in PROBED_STATES:
+            table = TransitionTable()
+            assert total_weight(lambda: table.readout_points(state)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_bell_weights_sum_to_one(self):
+        for state in UNPROBED_STATES:
+            if state.has_home:
+                table = TransitionTable()
+                assert total_weight(lambda: table.bell_points(state)) == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("model", WEIGHED_ATTACKS, ids=attack_id)
+    def test_attack_weights_sum_to_one(self, model):
+        for state in UNPROBED_STATES + PROBED_STATES:
+            table = TransitionTable()
+            weight = total_weight(lambda: adversary.attack_points(table, model, AB, state))
+            assert weight == pytest.approx(1.0, abs=1e-12), state
+
+    @pytest.mark.parametrize("model", [AttackModel.none()] + WEIGHED_ATTACKS, ids=attack_id)
+    def test_round_weights_sum_to_one(self, model):
+        schedule = SchedulePolicy()
+        for j, k in product((0, 1), repeat=2):
+            table = TransitionTable()
+            weight = total_weight(lambda: protocol._round_points(table, schedule, model, j, k))
+            assert weight == pytest.approx(1.0, abs=1e-12), (j, k)
