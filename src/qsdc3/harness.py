@@ -13,11 +13,12 @@ is a deterministic function of the configuration.
 An experiment builds one :class:`~qsdc3.states.TransitionTable`, and every
 trial's session walks it: the table holds the experiment's compiled round
 (a tree of the round's chance points, see ``protocol.run_protocol``) and
-the states it reaches, so each tree node is built once per experiment, and
-each state built and validated once.  The table lives as long as the
-experiment: two runs of one configuration build and validate the same
-states, and a detection curve builds one table per grid point.  Which
-table a session walks does not change its draws or its results.
+the states it reaches, so each tree node and each state is built, and
+validated, once per experiment; a detection curve builds one table per
+grid point.  Which table a session walks does not change its draws or its
+results.  A session returns the sequence of tree leaves its rounds reached,
+and the report is a fold of leaf counts (:class:`_Aggregator`): an
+experiment builds no round record, transcript or decoded message.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ from .protocol import (
     ProtocolAborted,
     RoundKind,
     SchedulePolicy,
+    decode_alice,
+    decode_bob,
+    decode_charlie,
     run_protocol,
 )
 from .states import Basis, TransitionTable
@@ -286,76 +290,87 @@ class ExperimentAborted(Exception):
         )
 
 
+def _decoded_right(x, y, i, j, k):
+    """Whether each view decodes its bit right in a message round of leakage
+    key (x, y, i, j, k): Alice's view of Bob and of Charlie, Bob's of Alice
+    and of Charlie, Charlie's of Alice and of Bob, as ``DecodedMessages``
+    orders them."""
+    decoded = decode_alice(x, y, i) + decode_bob(x, y, j) + decode_charlie(x, y, k)
+    return tuple(map(operator.eq, decoded, (j, k, i, k, i, j)))
+
+
+_VIEW_HITS = {key: _decoded_right(*key) for key in product((0, 1), repeat=5)}
+
+
+def _view_hits(keys):
+    """Each view's right bits over message rounds counted by leakage key."""
+    hits = [0] * 6
+    for key, c in keys.items():
+        for view, hit in enumerate(_VIEW_HITS[key]):
+            if hit:
+                hits[view] += c
+    return hits
+
+
+def _log_trial(trial, leaves, end=""):
+    failed = operator.countOf(map(operator.attrgetter("passed"), leaves), False)
+    log.info("trial %d: rounds %d, failed checks %d%s", trial, len(leaves), failed, end)
+
+
 class _Aggregator:
-    """Deterministic fold of per-trial results, in trial order."""
+    """Deterministic fold of per-trial leaf sequences, in trial order.
+
+    Every report field sums what each round's leaf, and in a message round
+    Alice's bit, determine: a trial adds its leaves to a count per leaf (the
+    check, decoy family and Eve's counts are tallied from it), and its
+    message rounds to a count per leakage key (which gives its fidelity)."""
 
     def __init__(self, config):
         self.config = config
-        self.check_counts = {k: [0, 0] for k in _CHECK_KINDS}
-        self.decoy_family_counts = {"decoy_check_z": [0, 0], "decoy_check_x": [0, 0]}
+        self.leaf_counts = Counter()
         # Message rounds counted by (x, y, alice bit, bob bit, charlie bit):
         # at most 32 keys, however many rounds are audited.
         self.leakage_counts = Counter()
-        self.fidelity_sums = {"alice": 0.0, "bob": 0.0, "charlie": 0.0}
+        self.fidelity_sums = [0.0, 0.0, 0.0]  # Alice's, Bob's and Charlie's
         self.trials_completed = 0
         self.trials_aborted = 0
-        self.rounds_total = 0
-        self.eve_actions = 0
-        self.probe_measured = 0
-        self.probe_flips = 0
 
-    def add_records(self, records, transcript, eve_records):
-        # Record list position == round index: the engine logs one record
-        # per round from round 0.
-        reveals = transcript.decoy_reveals() if records else {}
-        check_counts = self.check_counts
-        decoy_family_counts = self.decoy_family_counts
-        symbols = []
-        audit = symbols.append
-        for idx, rec in enumerate(records):
-            kind = rec.kind
-            if kind is _MESSAGE:
-                x, y = rec.announcement
-                audit((x, y, rec.alice_bit, rec.bob_bit, rec.charlie_bit))
-            else:
-                # ``_value_`` is the kind name without the Python-level
-                # ``Enum.value`` property.
-                counts = check_counts[kind._value_]
-                counts[0] += 1
-                failed = not rec.check_passed
-                counts[1] += failed
-                if kind is _DECOY_CHECK:
-                    family = "decoy_check_z" if reveals[idx] in _Z_DECOYS else "decoy_check_x"
-                    fam = decoy_family_counts[family]
-                    fam[0] += 1
-                    fam[1] += failed
-        self.leakage_counts.update(symbols)
-        self.rounds_total += len(records)
-        for ev in eve_records:
-            self.eve_actions += 1
-            if ev.ancilla_outcome is not None:
-                self.probe_measured += 1
-                self.probe_flips += ev.ancilla_outcome
+    def add_leaves(self, leaves, alice_bits):
+        """Count one trial's rounds; returns its message rounds counted by
+        leakage key.  The n-th message leaf pairs with Alice's n-th bit."""
+        self.leaf_counts.update(leaves)
+        message_keys = filter(None, map(operator.attrgetter("leakage_keys"), leaves))
+        keys = Counter(map(operator.getitem, message_keys, alice_bits))
+        self.leakage_counts.update(keys)
+        return keys
 
-    def add_completed(self, messages, result):
-        self.add_records(result.records, result.transcript, result.eve_records)
-        n = messages.length
-        d = result.decoded
-        pairs = (
-            ("alice", d.alice_view_bob, messages.bob_bits),
-            ("alice", d.alice_view_charlie, messages.charlie_bits),
-            ("bob", d.bob_view_alice, messages.alice_bits),
-            ("bob", d.bob_view_charlie, messages.charlie_bits),
-            ("charlie", d.charlie_view_alice, messages.alice_bits),
-            ("charlie", d.charlie_view_bob, messages.bob_bits),
-        )
-        for party, got, want in pairs:
-            hits = sum(map(operator.eq, got, want))
-            self.fidelity_sums[party] += hits / (2 * n)
+    def add_completed(self, messages, leaves):
+        keys = self.add_leaves(leaves, messages.alice_bits)
+        for view, hits in enumerate(_view_hits(keys)):
+            self.fidelity_sums[view // 2] += hits / (2 * messages.length)
         self.trials_completed += 1
 
-    def checks_failed(self):
-        return sum(failed for _, failed in self.check_counts.values())
+    def tally(self):
+        """``[run, failed]`` per check kind and per decoy family, and Eve's
+        ``(actions, probe readouts, probe flips)``, over the counted leaves."""
+        counts = {k: [0, 0] for k in _CHECK_KINDS + ("decoy_check_z", "decoy_check_x")}
+        actions = measured = flips = 0
+        for leaf, c in self.leaf_counts.items():
+            kind = leaf.kind
+            if kind is not _MESSAGE:
+                rows = [counts[kind.value]]
+                if kind is _DECOY_CHECK:
+                    (reveal,) = [values[0] for name, *values in leaf.events if name == "decoy_reveal"]
+                    rows.append(counts["decoy_check_z" if reveal in _Z_DECOYS else "decoy_check_x"])
+                for row in rows:
+                    row[0] += c
+                    row[1] += 0 if leaf.passed else c
+            for *_, ancilla_outcome in leaf.eve:
+                actions += c
+                if ancilla_outcome is not None:
+                    measured += c
+                    flips += c * ancilla_outcome
+        return counts, (actions, measured, flips)
 
     def _analytic(self, kind, decoy_family=None):
         attack = self.config.attack
@@ -389,13 +404,14 @@ class _Aggregator:
         )
 
     def build(self, aborted=None):
+        counts, (actions, measured, flips) = self.tally()
         claim = paper_claimed_detection(self.config.attack.kind)
         kinds = {}
         for kind in _CHECK_KINDS:
-            run, failed = self.check_counts[kind]
+            run, failed = counts[kind]
             kinds[kind] = CheckStats.from_counts(run, failed, self._analytic(kind), claim)
         for family, basis in (("decoy_check_z", Basis.Z), ("decoy_check_x", Basis.X)):
-            run, failed = self.decoy_family_counts[family]
+            run, failed = counts[family]
             if run:
                 kinds[family] = CheckStats.from_counts(
                     run, failed, self._analytic(family, basis), claim
@@ -404,18 +420,12 @@ class _Aggregator:
 
         leakage = self._leakage()
         done = self.trials_completed
-        fidelity = FidelityReport(
-            alice=self.fidelity_sums["alice"] / done if done else None,
-            bob=self.fidelity_sums["bob"] / done if done else None,
-            charlie=self.fidelity_sums["charlie"] / done if done else None,
-        )
+        fidelity = FidelityReport(*(s / done if done else None for s in self.fidelity_sums))
         eve = EveStats(
-            actions=self.eve_actions,
-            probe_measurements=self.probe_measured,
-            probe_flip_count=self.probe_flips,
-            probe_flip_frequency=(
-                self.probe_flips / self.probe_measured if self.probe_measured else None
-            ),
+            actions=actions,
+            probe_measurements=measured,
+            probe_flip_count=flips,
+            probe_flip_frequency=flips / measured if measured else None,
         )
         return ExperimentResult(
             config=self.config,
@@ -425,7 +435,7 @@ class _Aggregator:
             eve=eve,
             trials_completed=self.trials_completed,
             trials_aborted=self.trials_aborted,
-            rounds_total=self.rounds_total,
+            rounds_total=sum(self.leaf_counts.values()),
             aborted=aborted,
         )
 
@@ -446,7 +456,6 @@ def run_experiment(config):
     # holding them all.
     master = np.random.SeedSequence(config.seed)
     for trial in range(config.trials):
-        rounds_before, failed_before = agg.rounds_total, agg.checks_failed()
         (child,) = master.spawn(1)
         rng = np.random.default_rng(child)
         messages = MessageTriple.random(config.message_length, rng)
@@ -460,14 +469,9 @@ def run_experiment(config):
                 table=table,
             )
         except ProtocolAborted as abort:
-            agg.add_records(abort.records, abort.transcript, abort.eve_records)
+            agg.add_leaves(abort.leaves, messages.alice_bits)
             agg.trials_aborted += 1
-            log.info(
-                "trial %d: rounds %d, failed checks %d, aborted",
-                trial,
-                agg.rounds_total - rounds_before,
-                agg.checks_failed() - failed_before,
-            )
+            _log_trial(trial, abort.leaves, ", aborted")
             aborted = {
                 "trial": trial,
                 "round": abort.round_index,
@@ -476,13 +480,8 @@ def run_experiment(config):
             }
             partial = agg.build(aborted=aborted)
             raise ExperimentAborted(partial, trial, abort.round_index, abort.check_kind) from None
-        agg.add_completed(messages, result)
-        log.info(
-            "trial %d: rounds %d, failed checks %d",
-            trial,
-            agg.rounds_total - rounds_before,
-            agg.checks_failed() - failed_before,
-        )
+        agg.add_completed(messages, result.leaves)
+        _log_trial(trial, result.leaves)
     return agg.build()
 
 

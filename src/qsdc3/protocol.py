@@ -23,9 +23,11 @@ tree compiled from it, one per schedule and attack model, kept in the
 experiment's :class:`~qsdc3.states.TransitionTable`: each node is a chance
 point, and its child for an answer is built, by replaying the steps along
 the node's answers, the first time that answer is drawn.  A round thus
-costs one draw and one comparison per chance point, then its leaf's
-transcript events, record and Eve's records.  The single-step functions
-(``run_ab_check``, ...) answer the same steps with draws, and
+costs one draw and one comparison per chance point, and one append of the
+:class:`Leaf` it reaches: a session returns its leaf sequence, and its
+records, transcript events and Eve's records are built from the leaves the
+first time they are read (:class:`ProtocolResult`).  The single-step
+functions (``run_ab_check``, ...) answer the same steps with draws, and
 ``adversary.analytic_detection_probability`` weighs every answer
 (``states.weigh``).
 
@@ -44,6 +46,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import chain
 from operator import length_hint, xor
 from typing import NamedTuple
@@ -263,15 +266,21 @@ class RoundRecord:
 
 
 class ProtocolAborted(Exception):
-    """A check failed under the strict abort policy."""
+    """A check failed under the strict abort policy.
 
-    def __init__(self, round_index, check_kind, touched_segments, records, transcript, eve_records):
+    Carries the session's leaf sequence up to and including the failing
+    round (``leaves``), and the records, transcript and Eve's records built
+    from it when the abort was raised.
+    """
+
+    def __init__(self, round_index, check_kind, touched_segments, records, transcript, eve_records, leaves):
         self.round_index = round_index
         self.check_kind = check_kind
         self.touched_segments = tuple(touched_segments)
         self.records = records
         self.transcript = transcript
         self.eve_records = eve_records
+        self.leaves = leaves
         segs = ",".join(s.value for s in self.touched_segments) or "none"
         super().__init__(
             "communication aborted: %s failed at round %d (attacked segments: %s)"
@@ -396,13 +405,45 @@ class DecodedMessages:
     charlie_view_bob: tuple
 
 
-@dataclass
 class ProtocolResult:
-    records: list
-    transcript: PublicTranscript
-    decoded: DecodedMessages
-    eve_records: list
-    rounds_used: int
+    """A completed session: its messages and its leaf sequence.
+
+    ``leaves`` holds the :class:`Leaf` each round reached, in round order;
+    every record, transcript event and Eve's record of the session is a
+    function of those leaves and the messages.  ``records``, ``transcript``
+    and ``eve_records`` are built from them together the first time one is
+    read, and ``decoded`` from the records when it is first read, so a
+    caller that only counts leaves builds none of them.
+    """
+
+    def __init__(self, messages, leaves):
+        self.messages = messages
+        self.leaves = leaves
+        self.rounds_used = len(leaves)
+
+    @cached_property
+    def _built(self):
+        return _materialise(self.messages, self.leaves)
+
+    @property
+    def records(self):
+        """One :class:`RoundRecord` per round, in round order."""
+        return self._built[0]
+
+    @property
+    def transcript(self):
+        """The session's :class:`PublicTranscript`."""
+        return self._built[1]
+
+    @property
+    def eve_records(self):
+        """Eve's :class:`~qsdc3.adversary.EveRecord` values, in round order."""
+        return self._built[2]
+
+    @cached_property
+    def decoded(self):
+        """Each party's :class:`DecodedMessages`."""
+        return _decode_all(self.messages, self.records)
 
 
 # Uniforms drawn per block by :class:`_BlockUniforms`.  A session of the
@@ -549,11 +590,38 @@ def _round_points(table, schedule, model, j, k):
 # the answers that lead to the node, and the children are indexed from 3
 # by the answer (``u < p`` first for a Bernoulli point); a Bell point's
 # thresholds name their child's index.  A child is None until its answer
-# is first drawn.  A leaf is
-# ``[_LEAF, kind, path, passed, touched, label, events, eve, announced]``,
-# with Eve's records as field tuples after the round index and the
-# announcement for Alice's bit 0 and 1.
+# is first drawn.  A leaf is a :class:`Leaf`, whose first field is _LEAF.
 _LEAF = "leaf"
+
+
+class Leaf(NamedTuple):
+    """Where a path through a compiled round ends: everything a round that
+    reaches it shows, apart from its round index and Alice's bit.
+
+    ``events`` are the round's transcript rows, as ``(kind, *values)``,
+    without a message round's announcement; ``eve`` holds Eve's records as
+    their field tuples after the round index.  ``leakage_keys`` holds, for a
+    message round, the key ``(x, y, i, j, k)`` for Alice's bit i = 0 and 1:
+    the announcement and the three secret bits; it is None for a check.
+
+    A leaf is built once in its tree and then reached by every round that
+    ends there, so it hashes and compares by identity, and a session's leaf
+    sequence is counted as it is.
+    """
+
+    marker: str  # _LEAF, where an inner node holds its chance point's kind
+    kind: RoundKind
+    path: tuple
+    passed: bool | None
+    touched: tuple
+    label: BellLabel | None
+    events: tuple
+    eve: tuple
+    leakage_keys: tuple | None
+
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
 
 
 def _roots(table, schedule, model):
@@ -572,10 +640,10 @@ def _grow(table, schedule, model, path):
     if point is None:
         kind, passed, touched, label, events, eve = end
         eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
-        announced = None
+        keys = None
         if label is not None:
-            announced = (announce(label.flip, label.phase, 0), announce(label.flip, label.phase, 1))
-        return [_LEAF, kind, path, passed, tuple(touched), label, events, eve, announced]
+            keys = tuple(announce(label.flip, label.phase, i) + (i,) + path[:2] for i in (0, 1))
+        return Leaf(_LEAF, kind, path, passed, tuple(touched), label, events, eve, keys)
     kind, data = point
     if kind is BERNOULLI:
         return [kind, data, path, None, None]
@@ -589,6 +657,33 @@ def _expand(table, schedule, model, node, branch):
     answer = branch == 3 if node[0] is BERNOULLI else int(branch) - 3
     child = node[branch] = _grow(table, schedule, model, node[2] + (answer,))
     return child
+
+
+def _materialise(messages, leaves):
+    """The records, transcript and Eve's records of a session of
+    ``messages`` that reached ``leaves``, in round order: the n-th message
+    round announces under Alice's n-th bit."""
+    records = []
+    eve_records = []
+    transcript = PublicTranscript()
+    add = transcript.add
+    alice = messages.alice_bits
+    n = 0
+    for round_index, leaf in enumerate(leaves):
+        _, kind, _, passed, touched, label, events, eve, keys = leaf
+        for event in events:
+            add(round_index, *event)
+        for fields in eve:
+            eve_records.append(EveRecord(round_index, *fields))
+        if kind is _MESSAGE:
+            i = alice[n]
+            x, y, _, j, k = keys[i]
+            add(round_index, "announcement", x, y)
+            records.append(RoundRecord(_MESSAGE, n, i, j, k, label, (x, y), None, touched))
+            n += 1
+        else:
+            records.append(RoundRecord(kind, None, None, None, None, None, None, passed, touched))
+    return records, transcript, eve_records
 
 
 def _decode_all(messages, records):
@@ -639,6 +734,13 @@ def run_protocol(
     trials).  The session logs the table's size (the state edges built so
     far) at DEBUG when it ends.
 
+    The session returns its leaf sequence: the walk appends each round's
+    :class:`Leaf`, and nothing else, so a round costs its draws and one
+    append.  The :class:`ProtocolResult` builds the records, transcript,
+    Eve's records and decoded messages from the leaves the first time one
+    is read; a strict abort builds them when it is raised, and carries the
+    leaves up to and including the failing round.
+
     ``rng`` gives every draw of the session, in a fixed order.  When it is
     exactly a ``numpy.random.Generator`` over ``PCG64``, the draws are
     served from bulk blocks of it (:class:`_BlockUniforms`): the values are
@@ -650,11 +752,9 @@ def run_protocol(
     if table is None:
         table = TransitionTable()
     roots = _roots(table, schedule, model)
-    records = []
-    eve_records = []
-    transcript = PublicTranscript()
-    add = transcript.add
-    alice, bob, charlie = messages.alice_bits, messages.bob_bits, messages.charlie_bits
+    leaves = []
+    reached = leaves.append
+    bob, charlie = messages.bob_bits, messages.charlie_bits
     n_total = messages.length
     if max_rounds is None:
         max_rounds = 1000 + 50 * n_total
@@ -701,29 +801,19 @@ def run_protocol(
                     child = _expand(table, schedule, model, node, branch)
                 node = child
 
-            _, kind, _, passed, touched, label, events, eve, announced = node
-            for event in events:
-                add(round_index, *event)
-            for fields in eve:
-                eve_records.append(EveRecord(round_index, *fields))
-            # The records take their fields positionally, in declaration
-            # order: a keyword call costs more on every round.
-            if kind is _MESSAGE:
-                i = alice[n]
-                announcement = announced[i]
-                add(round_index, "announcement", *announcement)
-                records.append(RoundRecord(_MESSAGE, n, i, j, k, label, announcement, None, touched))
+            reached(node)
+            round_index += 1
+            # The leaf's kind and check verdict, read by index like every node.
+            if node[1] is _MESSAGE:
                 n += 1
-                round_index += 1
-            else:
-                records.append(RoundRecord(kind, None, None, None, None, None, None, passed, touched))
-                round_index += 1
-                if passed is False and strict:
-                    raise ProtocolAborted(round_index - 1, kind, touched, records, transcript, eve_records)
+            elif node[3] is False and strict:
+                records, transcript, eve_records = _materialise(messages, leaves)
+                raise ProtocolAborted(
+                    round_index - 1, node.kind, node.touched, records, transcript, eve_records, leaves
+                )
     finally:
         if blocks is not None:
             blocks.close()
         log.debug("session: %d rounds, %d transition table edges", round_index, len(table))
 
-    decoded = _decode_all(messages, records)
-    return ProtocolResult(records, transcript, decoded, eve_records, round_index)
+    return ProtocolResult(messages, leaves)

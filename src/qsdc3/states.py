@@ -358,12 +358,6 @@ def collapse_outcome(state, which, basis, outcome):
 BERNOULLI, LABEL, BELL = "b", "i", "bell"
 FAIR_COIN = (BERNOULLI, 0.5)
 
-# Answers lighter than this carry no probability worth following.  Not
-# following them also keeps ``weigh`` from answering a measurement with an
-# outcome of zero probability, onto which no state can collapse.
-_WEIGHT_FLOOR = 1e-15
-
-
 def drive(steps, rng):
     """Run ``steps`` to its end, answering each chance point with one draw
     from ``rng``; returns what the steps return."""
@@ -418,8 +412,9 @@ def _weighted_answers(kind, data):
 def weigh(make_steps):
     """Every end of the steps ``make_steps()`` gives, with its probability.
 
-    Answers each chance point with every answer whose probability exceeds
-    ``_WEIGHT_FLOOR``, replaying fresh steps along each path of answers.
+    Answers each chance point with every answer of positive probability,
+    which are exactly the answers a draw can give (see ``_outcome_point``),
+    replaying fresh steps along each path of answers.
     Returns ``[(weight, value), ...]``, one pair per end in the order of
     the answers; a weight is the product of its path's probabilities, from
     the first answer on.
@@ -433,19 +428,27 @@ def weigh(make_steps):
             ends.append((weight, value))
             continue
         for answer, p in reversed(_weighted_answers(*point)):
-            if p > _WEIGHT_FLOOR:
+            if p > 0.0:
                 stack.append((weight * p, path + (answer,)))
     return ends
 
 
-def _outcome_point(p_zero):
-    """The Bernoulli point of a measurement: outcome 0 when ``u < p_zero``,
-    clamped to [0, 1] to absorb floating-point rounding."""
-    if p_zero < 0.0:
-        p_zero = 0.0
-    elif p_zero > 1.0:
-        p_zero = 1.0
-    return (BERNOULLI, p_zero)
+def _outcome_point(amps, pos, basis):
+    """The Bernoulli point of measuring qubit ``pos`` of ``amps`` in the
+    kernels' ``basis``: outcome 0 when ``u < p0``.
+
+    Each outcome's probability comes from the kernel.  An outcome of
+    probability exactly 0.0, onto which no state can collapse, gets an empty
+    interval: p0 is then exactly 1.0 or 0.0, so no draw answers it, however
+    close to 1 the other outcome's sum rounds.  Otherwise p0 is clamped to
+    [0, 1] to absorb floating-point rounding.
+    """
+    p_zero = _k.prob_zero(amps, pos, basis)
+    # Outcome 1 is outcome 0 after the flip that swaps the basis's two
+    # eigenstates: a bit flip (op 1) for Z, a phase flip (op 2) for X.
+    if _k.prob_zero(_k.apply_1q(amps, pos, 1 + basis), pos, basis) == 0.0:
+        return (BERNOULLI, 1.0)
+    return (BERNOULLI, min(max(p_zero, 0.0), 1.0))
 
 
 class TransitionTable:
@@ -541,8 +544,8 @@ class TransitionTable:
         key = (id(state), id(which), id(basis))
         edge = self._measures.get(key)
         if edge is None:
-            p0 = _k.prob_zero(state.amps, state.position(which), _basis_code(basis))
-            edge = self._measures[key] = [state, _outcome_point(p0), None, None]
+            point = _outcome_point(state.amps, state.position(which), _basis_code(basis))
+            edge = self._measures[key] = [state, point, None, None]
         outcome = 0 if (yield edge[1]) else 1
         child = edge[2 + outcome]
         if child is None:
@@ -580,8 +583,8 @@ class TransitionTable:
             if not state.has_ancilla:
                 raise ValueError("state has no ancilla qubit")
             # The probe is the last qubit.
-            p0 = _k.prob_zero(state.amps, 2 if state.has_home else 1, 0)
-            edge = self._readouts[id(state)] = [state, _outcome_point(p0), None, None]
+            point = _outcome_point(state.amps, 2 if state.has_home else 1, 0)
+            edge = self._readouts[id(state)] = [state, point, None, None]
         outcome = 0 if (yield edge[1]) else 1
         child = edge[2 + outcome]
         if child is None:

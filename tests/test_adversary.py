@@ -1,12 +1,13 @@
 import dataclasses
 import json
 import math
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qsdc3 import protocol
 from qsdc3.adversary import (
     AttackKind,
     AttackModel,
@@ -19,6 +20,8 @@ from qsdc3.adversary import (
 from qsdc3.harness import ExperimentConfig, run_experiment
 from qsdc3.protocol import AbortPolicy, MessageTriple, RoundKind, SchedulePolicy, run_protocol
 from qsdc3.states import (
+    BERNOULLI,
+    LABEL,
     Basis,
     DecoyState,
     Pauli,
@@ -357,6 +360,63 @@ class TestDecoyFamilies:
             if both != (z + x) / 2:
                 mismatched.append((model, both, z, x))
         assert not mismatched
+
+
+# The largest uniform a draw gives, one step below 1.
+LAST_DRAW = 1.0 - 2.0**-53
+CRITERION_5 = SchedulePolicy(0.25, 0.1, 0.4)
+
+
+def drawable_branches(node):
+    """The child indices a draw can answer at a compiled-round node: a
+    Bernoulli point's answers to u = 0 and u = LAST_DRAW, every label, and
+    every Bell threshold."""
+    kind, data = node[0], node[1]
+    if kind == BERNOULLI:
+        return {3 if u < data else 4 for u in (0.0, LAST_DRAW)}
+    if kind == LABEL:
+        return range(3, 7)
+    return [branch for _, branch in data]
+
+
+class TestExtremeDraws:
+    """No draw a generator can give crashes a session."""
+
+    def test_the_largest_draw_on_a_zero_probability_outcome(self, scripted):
+        # Entangle-measure at |beta|^2 = 0.25 on A->B and C->A, bits (1, 1):
+        # no A-B check, Bob's control mode, the X basis and Charlie's outcome
+        # 0 leave Alice's outcome 0 at p0 = 0.9999999999999999 in float, and
+        # her outcome 1 with no amplitude.  The largest draw must answer 0.
+        attack = AttackModel.entangle_measure(0.25, AB, CA)
+        draws = [0.9, 0.05, 0.9, 0.1, LAST_DRAW] + [0.5] * 12
+        messages = MessageTriple((0,), (1,), (1,))
+        table = TransitionTable()
+        result = run_protocol(messages, CRITERION_5, scripted(draws), attack, AbortPolicy.RECORD_AND_CONTINUE, table=table)
+        kinds = [record.kind for record in result.records]
+        assert kinds == [RoundKind.BOB_CONTROL_CHECK, RoundKind.MESSAGE]
+        # The point answered by LAST_DRAW, and the outcome it gave.
+        node = protocol._grow(table, CRITERION_5, attack, (1, 1, False, True, False, True))
+        assert node[:2] == [BERNOULLI, 1.0]
+        assert result.leaves[0].path[:7] == (1, 1, False, True, False, True, True)
+
+    def test_every_drawable_answer_builds_its_node(self):
+        # The full tree of every attack of the decoy-family grid, and of the
+        # null model, under the criterion-5 schedule: 24 of these models
+        # have points where the sum of one outcome rounds below 1 while the
+        # other has no amplitude.
+        models = [AttackModel.none()] + list(attack_grid((1.0, 0.7, 0.4), (0.0, 0.25, 0.3, 0.5, 0.75, 1.0)))
+        assert len(models) == 190
+        for model in models:
+            table = TransitionTable()
+            roots = protocol._roots(table, CRITERION_5, model)
+            stack = []
+            for j, k in product((0, 1), repeat=2):
+                roots[2 * j + k] = protocol._grow(table, CRITERION_5, model, (j, k))
+                stack.append(roots[2 * j + k])
+            while stack:
+                node = stack.pop()
+                if node[0] != protocol._LEAF:
+                    stack += [protocol._expand(table, CRITERION_5, model, node, b) for b in drawable_branches(node)]
 
 
 # The segments each check's qubit crosses before it is checked.

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import tracemalloc
 from collections import Counter
 
@@ -20,8 +21,9 @@ from qsdc3.harness import (
     run_experiment,
     wilson_interval,
 )
-from qsdc3.protocol import AbortPolicy, RoundKind, SchedulePolicy, run_protocol
+from qsdc3.protocol import AbortPolicy, MessageTriple, ProtocolAborted, RoundKind, SchedulePolicy, run_protocol
 from qsdc3.states import JointState, Pauli, TransitionTable
+from test_protocol import RECORD, SHARED_TABLE_CASES
 
 AB = ChannelSegment.A_TO_B
 BC = ChannelSegment.B_TO_C
@@ -359,6 +361,118 @@ class TestLeakageCounts:
             xy, [r.charlie_bit for r in rounds]
         )
         assert leakage.mi_xor_announced_vs_xor_secret == _list_mutual_information(xor_announced, xor_secret)
+
+
+def record_fold(messages, records, transcript, eve_records, decoded=None):
+    """A session's report counts folded from its records, as the harness
+    folded them before it counted leaves: ``[run, failed]`` per check kind
+    and per decoy family, the leakage count, Eve's ``(actions, probe
+    readouts, probe flips)`` and, when ``decoded`` is given, each view's
+    right bits."""
+    reveals = transcript.decoy_reveals()
+    checks = {kind.value: [0, 0] for kind in RoundKind if kind is not RoundKind.MESSAGE}
+    families = {"decoy_check_z": [0, 0], "decoy_check_x": [0, 0]}
+    leakage = Counter()
+    for index, rec in enumerate(records):
+        if rec.kind is RoundKind.MESSAGE:
+            leakage[rec.announcement + (rec.alice_bit, rec.bob_bit, rec.charlie_bit)] += 1
+            continue
+        failed = not rec.check_passed
+        rows = [checks[rec.kind.value]]
+        if rec.kind is RoundKind.CHARLIE_DECOY_CHECK:
+            rows.append(families["decoy_check_z" if reveals[index] in ("0", "1") else "decoy_check_x"])
+        for row in rows:
+            row[0] += 1
+            row[1] += failed
+    readouts = [ev.ancilla_outcome for ev in eve_records if ev.ancilla_outcome is not None]
+    eve = (len(eve_records), len(readouts), sum(readouts))
+    hits = None
+    if decoded is not None:
+        pairs = (
+            (decoded.alice_view_bob, messages.bob_bits),
+            (decoded.alice_view_charlie, messages.charlie_bits),
+            (decoded.bob_view_alice, messages.alice_bits),
+            (decoded.bob_view_charlie, messages.charlie_bits),
+            (decoded.charlie_view_alice, messages.alice_bits),
+            (decoded.charlie_view_bob, messages.bob_bits),
+        )
+        hits = [sum(map(operator.eq, got, want)) for got, want in pairs]
+    return checks, families, leakage, eve, hits
+
+
+class TestLeafFold:
+    """Counting leaves gives the counts that folding the records gave."""
+
+    @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
+    @pytest.mark.parametrize(
+        "attack", [pytest.param(case.values[0], id=case.id) for case in SHARED_TABLE_CASES if case.values[1] is RECORD]
+    )
+    def test_the_leaf_fold_equals_the_record_fold(self, attack, policy):
+        aborted = 0
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            messages = MessageTriple.random(48, rng)
+            try:
+                result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy)
+                leaves, shown = result.leaves, (result.records, result.transcript, result.eve_records, result.decoded)
+            except ProtocolAborted as abort:
+                leaves, shown = abort.leaves, (abort.records, abort.transcript, abort.eve_records)
+                aborted += 1
+            checks, families, leakage, eve, hits = record_fold(messages, *shown)
+            agg = harness._Aggregator(ExperimentConfig())
+            keys = agg.add_leaves(leaves, messages.alice_bits)
+            assert agg.tally() == ({**checks, **families}, eve)
+            assert keys == agg.leakage_counts == leakage
+            assert sum(agg.leaf_counts.values()) == len(shown[0])
+            if hits is not None:
+                assert harness._view_hits(keys) == hits
+        if policy is AbortPolicy.STRICT and attack is not None:
+            assert aborted == 6
+
+
+class TestSessionBoundary:
+    """An experiment runs one protocol session per trial."""
+
+    @pytest.fixture
+    def sessions(self, monkeypatch):
+        """How each session ended: its rounds, and whether it aborted."""
+        ended = []
+
+        def recording_session(*args, **kwargs):
+            try:
+                result = run_protocol(*args, **kwargs)
+            except ProtocolAborted as abort:
+                ended.append((abort.round_index + 1, True))
+                raise
+            ended.append((result.rounds_used, False))
+            return result
+
+        monkeypatch.setattr(harness, "run_protocol", recording_session)
+        return ended
+
+    def test_one_session_per_completed_trial(self, sessions):
+        config = ExperimentConfig(message_length=8, trials=7, attack=AttackModel.intercept_resend(AB), seed=4)
+        assert run_experiment(config).rounds_total == sum(rounds for rounds, _ in sessions)
+        assert len(sessions) == 7
+
+    def test_the_aborting_trial_runs_one_session(self, sessions):
+        # The first trials complete; the aborting one is the last session,
+        # and the partial report counts its rounds up to the failing one.
+        config = ExperimentConfig(
+            message_length=8,
+            trials=50,
+            schedule=SchedulePolicy(0.1, 0.1, 0.1),
+            attack=AttackModel.intercept_resend(AB, attack_probability=0.1),
+            abort_policy=AbortPolicy.STRICT,
+            seed=2,
+        )
+        with pytest.raises(ExperimentAborted) as info:
+            run_experiment(config)
+        trial = info.value.trial_index
+        assert trial > 0
+        assert [aborted for _, aborted in sessions] == [False] * trial + [True]
+        assert info.value.partial.rounds_total == sum(rounds for rounds, _ in sessions)
+        assert info.value.partial.trials_completed == trial
 
 
 class TestExhaustiveOracle:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from itertools import product
 
@@ -13,6 +14,7 @@ from qsdc3.protocol import (
     PublicTranscript,
     RoundBudgetExceeded,
     RoundKind,
+    RoundRecord,
     SchedulePolicy,
     TranscriptEvent,
     announce,
@@ -36,6 +38,7 @@ from qsdc3.states import (
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
     bell_state,
+    drive,
     prepare_decoy,
 )
 
@@ -718,8 +721,58 @@ class TestPinnedDrawStreams:
         assert got == PINNED_STREAMS[name, policy]
 
 
-# Branches the exact enumerator also skips: a measurement whose outcome
-# probability is rounding noise cannot be collapsed onto that outcome.
+def eager_session(messages, schedule, rng, attack, policy):
+    """A session run as the engine ran it before it returned leaves: each
+    round driven through the round's steps, and its record, transcript
+    events and Eve's records built as it ends.  Returns how it ended and
+    (records, transcript events, Eve's records)."""
+    model = attack if attack is not None else AttackModel.none()
+    table = TransitionTable()
+    records, eve_records, transcript = [], [], PublicTranscript()
+    n = round_index = 0
+    while n < messages.length:
+        i, j, k = messages.alice_bits[n], messages.bob_bits[n], messages.charlie_bits[n]
+        kind, passed, touched, label, events, eve = drive(protocol._round_points(table, schedule, model, j, k), rng)
+        for event in events:
+            transcript.add(round_index, *event)
+        eve_records += [dataclasses.replace(record, round_index=round_index) for record in eve]
+        if kind is RoundKind.MESSAGE:
+            announcement = announce(label.flip, label.phase, i)
+            transcript.add(round_index, "announcement", *announcement)
+            records.append(RoundRecord(kind, n, i, j, k, label, announcement, None, tuple(touched)))
+            n += 1
+        else:
+            records.append(RoundRecord(kind, check_passed=passed, attack_touched=tuple(touched)))
+            if passed is False and policy is AbortPolicy.STRICT:
+                return "aborted", (records, transcript.events, eve_records)
+        round_index += 1
+    return "completed", (records, transcript.events, eve_records)
+
+
+class TestBuiltOnRead:
+    """What a session shows is built from its leaves, as the eager loop built it."""
+
+    @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
+    @pytest.mark.parametrize("name", list(PINNED_ATTACKS))
+    def test_the_built_records_are_the_eager_ones(self, name, policy):
+        schedule, attack = SchedulePolicy(0.25, 0.25, 0.4), PINNED_ATTACKS[name]
+        rng = np.random.default_rng(4848)
+        eager = eager_session(MessageTriple.random(48, rng), schedule, rng, attack, policy)
+        eager_state = rng.bit_generator.state
+        rng = np.random.default_rng(4848)
+        messages = MessageTriple.random(48, rng)
+        try:
+            result = run_protocol(messages, schedule, rng, attack, policy)
+            assert result.records is result.records  # built once, on first read
+            built = ("completed", (result.records, result.transcript.events, result.eve_records))
+        except ProtocolAborted as abort:
+            built = ("aborted", (abort.records, abort.transcript.events, abort.eve_records))
+        assert built == eager
+        assert rng.bit_generator.state == eager_state
+
+
+# Branches lighter than this are not expanded: all of them together weigh
+# less than the 1e-12 the weights below are checked to.
 WEIGHT_FLOOR = 1e-15
 
 

@@ -704,6 +704,24 @@ class TestTransitionTable:
         assert (built, rebuilt) == (1, 0)
         assert len(table) == 1
 
+    # Outcome 1 has no amplitude at all, while outcome 0's probability sums
+    # to just below 1: 0.9999999999999999 in Z, 0.9999999999999998 in X.
+    @pytest.mark.parametrize(
+        "amps, basis",
+        [
+            ((math.sqrt(0.1), math.sqrt(0.9), 0.0, 0.0), Basis.Z),
+            ((math.sqrt(0.2), math.sqrt(0.3), math.sqrt(0.2), math.sqrt(0.3)), Basis.X),
+        ],
+        ids=["z", "x"],
+    )
+    def test_an_outcome_of_zero_probability_is_never_drawn(self, scripted, amps, basis):
+        state = JointState(tuple(map(complex, amps)), PAIR)
+        assert outcome_probabilities(state, Subsystem.HOME, basis)[0] < 1.0
+        table = TransitionTable()
+        assert next(table.measure_points(state, Subsystem.HOME, basis)) == (BERNOULLI, 1.0)
+        outcome, _ = table.measure(state, Subsystem.HOME, basis, scripted([1.0 - 2.0**-53]))
+        assert outcome == 0
+
     @pytest.mark.parametrize("operation, public", SAMPLED_EDGES)
     @pytest.mark.parametrize("draw", [0.05, 0.95])
     def test_a_sampled_edge_matches_the_public_function(self, monkeypatch, scripted, operation, public, draw):
@@ -852,11 +870,18 @@ class TestWeigh:
         ]
         assert weigh(steps) == expected
 
-    def test_a_branch_of_no_weight_is_dropped(self):
-        def steps():
-            return (yield (BERNOULLI, 1.0)), (yield (BERNOULLI, 1e-16))
+    def test_the_weighed_answers_are_the_drawable_ones(self):
+        # A draw u lies in [0, 1 - 2**-53], so the two extreme draws give
+        # every answer a Bernoulli point can give: True only when 0 < p,
+        # False only when p < 1.
+        last = 1.0 - 2.0**-53
+        for p in (0.0, 1e-300, 1e-16, 0.5, 1.0 - 2.0**-52, last, 1.0):
 
-        assert weigh(steps) == [(1.0 - 1e-16, (True, False))]
+            def steps():
+                return (yield (BERNOULLI, p))
+
+            drawable = {u < p for u in (0.0, last)}
+            assert {answer for _, answer in weigh(steps)} == drawable, p
 
     def test_measuring_zero_in_z_has_one_branch(self):
         # The outcome 1 has probability 0, onto which no state collapses.
