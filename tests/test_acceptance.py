@@ -47,12 +47,18 @@ def test_criterion_1_exhaustive_decode_oracle():
     start = time.perf_counter()
     report = exhaustive_oracle()
     elapsed = time.perf_counter() - start
-    ok = report.passed and len(report.rows) == 8 and elapsed < 1.0
+    digest = _sha256(render_json(report.to_dict()))
+    ok = (
+        report.passed
+        and len(report.rows) == 8
+        and elapsed < 1.0
+        and digest == "d5e94736e7439235ec959bd372b721ca535584c660692e76a5a5a9849b243b90"
+    )
     _report(
         1,
         "exhaustive decode oracle",
         ok,
-        "8/8 triples exact, %.2f s" % elapsed,
+        "8/8 triples exact, sha256 %s, %.2f s" % (digest[:16], elapsed),
     )
 
 
