@@ -23,12 +23,12 @@ runs these steps inside its round body; :func:`attack_transit` and an
 :class:`Eavesdropper` answer them with draws, one hop at a time.
 
 :func:`analytic_detection_probability` computes exact per-check detection
-probabilities from the same steps: it weighs the protocol's round
-(``states.weigh``), answering every chance point with each answer and its
-exact probability instead of a draw, and sums the weight of the rounds
-whose check failed.  There is no sampling and no second copy of the hops
-or the checks; it is the oracle the Monte Carlo estimates are tested
-against.
+probabilities from the same steps: it weighs the protocol's compiled round
+(``protocol.leaf_weights``), the tree its sessions sample, fully expanded
+with every answer's exact probability in place of a draw, and sums the
+weight of the leaves whose check failed.  There is no sampling and no
+second copy of the hops or the checks; it is the oracle the Monte Carlo
+estimates are tested against.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .states import (
     check_coupling,
     decoy_basis_and_bit,
     drive,
-    weigh,
 )
 
 
@@ -256,12 +255,13 @@ _FORCING_SCHEDULES = {
 def analytic_detection_probability(model, check_kind, decoy_family=None):
     """Exact per-check detection probability for an attack model.
 
-    Weighs the protocol's round (``protocol._round_points``, the steps its
-    sessions sample) under a schedule that makes every round a check of
-    ``check_kind``: every answer to every chance point - the checkers'
-    bases, the decoy label, Eve's gate and basis, each measurement outcome
-    - with its exact probability (``states.weigh``), no sampling.  The
-    result is the summed weight of the rounds whose check failed.
+    Weighs the protocol's compiled round (``protocol.leaf_weights``, the
+    tree its sessions sample) under a schedule that makes every round a
+    check of ``check_kind``: every answer to every chance point - the
+    checkers' bases, the decoy label, Eve's gate and basis, each
+    measurement outcome - with its exact probability, no sampling.  The
+    tree is grown on a fresh table, from the root of the bits (0, 0).  The
+    result is the summed weight of the leaves whose check failed.
 
     ``decoy_family`` restricts decoy checks to the Z family ({|0>, |1>})
     or the X family ({|+>, |->}): only the rounds that reveal a decoy of
@@ -270,23 +270,29 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     summed on its own and the decoy check's is their sum, so a decoy
     check's value is exactly the mean of its two families' values.
 
-    Raises ``ValueError`` for the null attack or for a non-check round kind.
+    Raises ``ValueError`` for the null attack, for a non-check round kind,
+    for a ``decoy_family`` other than None, ``Basis.Z`` and ``Basis.X``,
+    and for a family given with a check other than the decoy check.
     """
     if model.kind is AttackKind.NONE:
         raise ValueError("detection probability is defined for active attacks only")
     kind_value = check_kind.value if isinstance(check_kind, _protocol.RoundKind) else check_kind
     if kind_value not in _FORCING_SCHEDULES:
         raise ValueError("%r is not a check round kind" % (check_kind,))
+    if decoy_family is not None:
+        if decoy_family not in (Basis.Z, Basis.X):
+            raise ValueError("decoy_family must be None, Basis.Z or Basis.X, got %r" % (decoy_family,))
+        if kind_value != "decoy_check":
+            raise ValueError("a decoy family applies to the decoy check only, not %r" % (check_kind,))
     schedule = _protocol.SchedulePolicy(*_FORCING_SCHEDULES[kind_value])
-    table = TransitionTable()
-    rounds = weigh(lambda: _protocol._round_points(table, schedule, model, 0, 0))
+    leaves = _protocol.leaf_weights(TransitionTable(), schedule, model, 0, 0)
 
     # Failed weight by the basis of the revealed decoy; None for a pair check.
     failed = {None: 0.0, Basis.Z: 0.0, Basis.X: 0.0}
-    for weight, (_, passed, _, _, events, _) in rounds:
-        if passed is False:
-            failed[_revealed_basis(events)] += weight
-    if kind_value == "decoy_check" and decoy_family is not None:
+    for weight, leaf in leaves:
+        if leaf.passed is False:
+            failed[_revealed_basis(leaf.events)] += weight
+    if decoy_family is not None:
         total = failed[decoy_family] / 0.5
     else:
         total = failed[None] + failed[Basis.Z] + failed[Basis.X]

@@ -48,6 +48,7 @@ from .protocol import (
     decode_alice,
     decode_bob,
     decode_charlie,
+    leaf_weights,
     run_protocol,
 )
 from .states import Basis, TransitionTable
@@ -534,46 +535,25 @@ class OracleReport:
 
 
 def exhaustive_oracle():
-    """Brute-force truth table over all 8 secret-bit triples.
+    """Truth table over all 8 secret-bit triples.
 
-    Runs one full unattacked message round per triple through the state
-    vector simulation (schedule forced to message mode, so the round is
-    deterministic) and asserts that all three decode rules recover the
+    Reads the compiled round of an unattacked schedule forced to message
+    mode, under which the round from each root (j, k) is one leaf of weight
+    1.0 (``protocol.leaf_weights``): its Bell label, and its announcement
+    for Alice's bit i.  Asserts that all three decode rules recover the
     counterpart bits exactly.
     """
     schedule = SchedulePolicy(0.0, 0.0, 0.0)
+    table = TransitionTable()
+    model = AttackModel.none()
     rows = []
     first_failure = None
     for i, j, k in product((0, 1), repeat=3):
-        rng = np.random.default_rng(0)  # unused entropy: the round is deterministic
-        messages = MessageTriple((i,), (j,), (k,))
-        result = run_protocol(messages, schedule, rng)
-        rec = result.records[0]
-        x, y = rec.announcement
-        d = result.decoded
-        ok = (
-            d.alice_view_bob == (j,)
-            and d.alice_view_charlie == (k,)
-            and d.bob_view_alice == (i,)
-            and d.bob_view_charlie == (k,)
-            and d.charlie_view_alice == (i,)
-            and d.charlie_view_bob == (j,)
-        )
-        rows.append(
-            OracleRow(
-                i,
-                j,
-                k,
-                rec.bell_outcome.flip,
-                rec.bell_outcome.phase,
-                x,
-                y,
-                (d.alice_view_bob[0], d.alice_view_charlie[0]),
-                (d.bob_view_alice[0], d.bob_view_charlie[0]),
-                (d.charlie_view_alice[0], d.charlie_view_bob[0]),
-                ok,
-            )
-        )
+        ((_, leaf),) = leaf_weights(table, schedule, model, j, k)
+        x, y = leaf.leakage_keys[i][:2]
+        alice, bob, charlie = decode_alice(x, y, i), decode_bob(x, y, j), decode_charlie(x, y, k)
+        ok = alice == (j, k) and bob == (i, k) and charlie == (i, j)
+        rows.append(OracleRow(i, j, k, leaf.label.flip, leaf.label.phase, x, y, alice, bob, charlie, ok))
         if not ok and first_failure is None:
             first_failure = (i, j, k)
     return OracleReport(first_failure is None, rows, first_failure)

@@ -26,10 +26,11 @@ the node's answers, the first time that answer is drawn.  A round thus
 costs one draw and one comparison per chance point, and one append of the
 :class:`Leaf` it reaches: a session returns its leaf sequence, and its
 records, transcript events and Eve's records are built from the leaves the
-first time they are read (:class:`ProtocolResult`).  The single-step
-functions (``run_ab_check``, ...) answer the same steps with draws, and
-``adversary.analytic_detection_probability`` weighs every answer
-(``states.weigh``).
+first time they are read (:class:`ProtocolResult`).  The same tree, fully
+expanded, gives the exact probability of each leaf (:func:`leaf_weights`),
+which ``adversary.analytic_detection_probability`` sums: one compiled tree,
+sampled by sessions and weighed by ``leaf_weights``.  The single-step
+functions (``run_ab_check``, ...) answer the same steps with draws.
 
 Randomness: each round consumes draws from its injected generator in a
 fixed order (check choice, mode choices, then measurement draws), which is
@@ -74,7 +75,6 @@ from .states import (
     drive,
     measure_qubit,
     prepare_decoy,
-    replay,
 )
 
 log = logging.getLogger("qsdc3")
@@ -636,9 +636,13 @@ def _roots(table, schedule, model):
 def _grow(table, schedule, model, path):
     """The node at ``path``: the round replayed along the path's answers,
     up to its next chance point or its end."""
-    point, end = replay(_round_points(table, schedule, model, path[0], path[1]), path[2:])
-    if point is None:
-        kind, passed, touched, label, events, eve = end
+    steps = _round_points(table, schedule, model, path[0], path[1])
+    try:
+        point = steps.send(None)
+        for answer in path[2:]:
+            point = steps.send(answer)
+    except StopIteration as stop:
+        kind, passed, touched, label, events, eve = stop.value
         eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
         keys = None
         if label is not None:
@@ -657,6 +661,50 @@ def _expand(table, schedule, model, node, branch):
     answer = branch == 3 if node[0] is BERNOULLI else int(branch) - 3
     child = node[branch] = _grow(table, schedule, model, node[2] + (answer,))
     return child
+
+
+def leaf_weights(table, schedule, model, j, k):
+    """Every leaf of the compiled round of ``schedule`` and ``model`` on
+    ``table`` from the root of Bob's and Charlie's bits (j, k), with its
+    exact probability: ``[(weight, leaf), ...]``.
+
+    Expands the tree fully, building each node not built yet.  A node is
+    answered with every answer of positive probability, which are exactly
+    the answers a draw can give (see ``states._outcome_point``): a
+    Bernoulli point's ``p`` and ``1 - p``, 1/4 for each decoy label, and
+    each Bell threshold less the one before.  The leaves come depth first,
+    in answer order; a weight is the product of its path's probabilities,
+    taken from the root down.
+    """
+    roots = _roots(table, schedule, model)
+    root = roots[2 * j + k]
+    if root is None:
+        root = roots[2 * j + k] = _grow(table, schedule, model, (j, k))
+    weighed = []
+    stack = [(1.0, root)]
+    while stack:
+        weight, node = stack.pop()
+        kind = node[0]
+        if kind is _LEAF:
+            weighed.append((weight, node))
+            continue
+        if kind is BERNOULLI:
+            answers = ((3, node[1]), (4, 1.0 - node[1]))
+        elif kind is LABEL:
+            answers = ((3, 0.25), (4, 0.25), (5, 0.25), (6, 0.25))
+        else:
+            answers = []
+            below = 0.0
+            for cumulative, branch in node[1]:
+                answers.append((branch, cumulative - below))
+                below = cumulative
+        for branch, p in reversed(answers):
+            if p > 0.0:
+                child = node[branch]
+                if child is None:
+                    child = _expand(table, schedule, model, node, branch)
+                stack.append((weight * p, child))
+    return weighed
 
 
 def _materialise(messages, leaves):

@@ -45,10 +45,11 @@ walks it; a session run on its own gets a fresh one), so a derived state is
 built and validated once per distinct value in the experiment, not once
 per round.  The public operations (``measure_qubit``, ``bell_measure``,
 ...) drive the same steps with one draw per point on a fresh table per
-call: they are not memoised, and each result is validated once.
-``weigh`` answers the steps with every outcome and its exact probability
-instead of a draw; that is how ``adversary.analytic_detection_probability``
-enumerates a round.
+call: they are not memoised, and each result is validated once.  The
+protocol's compiled tree is sampled by its sessions and weighed by
+``protocol.leaf_weights``, which answers each point with every answer of
+positive probability: that is how
+``adversary.analytic_detection_probability`` enumerates a round.
 
 The probe coupling's coefficients are checked where they enter: by
 ``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
@@ -351,10 +352,12 @@ def collapse_outcome(state, which, basis, outcome):
 #   first ``(cumulative, index)`` pair with ``u < cumulative``, or the last
 #   pair's index when there is none.
 #
-# ``drive`` answers each point with a draw; the protocol's compiled round
-# answers them along a tree of earlier answers (``protocol.run_protocol``).
-# ``weigh`` answers each point with every answer and its probability, so
-# it gives the exact distribution of the ends that ``drive`` samples.
+# ``drive`` answers each point with a draw.  The protocol compiles its round
+# into one tree of these points, a node per path of earlier answers: its
+# sessions sample the tree (``protocol.run_protocol``), and
+# ``protocol.leaf_weights`` weighs it with every answer and its
+# probability, which gives the exact distribution of the leaves the
+# sessions reach.
 BERNOULLI, LABEL, BELL = "b", "i", "bell"
 FAIR_COIN = (BERNOULLI, 0.5)
 
@@ -376,61 +379,6 @@ def drive(steps, rng):
                         break
     except StopIteration as stop:
         return stop.value
-
-
-def replay(steps, answers):
-    """Run ``steps`` along ``answers``, one per chance point.
-
-    Returns ``(point, None)`` with the next chance point, or ``(None,
-    value)`` when the steps end first, with what they return.
-    """
-    try:
-        point = steps.send(None)
-        for answer in answers:
-            point = steps.send(answer)
-    except StopIteration as stop:
-        return None, stop.value
-    return point, None
-
-
-def _weighted_answers(kind, data):
-    """Every answer to a chance point, as ``(answer, probability)`` pairs:
-    True with ``p`` and False with ``1 - p``, each label with 1/4, each
-    Bell index with its threshold less the one before."""
-    if kind is BERNOULLI:
-        return ((True, data), (False, 1.0 - data))
-    if kind is LABEL:
-        return ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25))
-    answers = []
-    below = 0.0
-    for cumulative, index in data:
-        answers.append((index, cumulative - below))
-        below = cumulative
-    return answers
-
-
-def weigh(make_steps):
-    """Every end of the steps ``make_steps()`` gives, with its probability.
-
-    Answers each chance point with every answer of positive probability,
-    which are exactly the answers a draw can give (see ``_outcome_point``),
-    replaying fresh steps along each path of answers.
-    Returns ``[(weight, value), ...]``, one pair per end in the order of
-    the answers; a weight is the product of its path's probabilities, from
-    the first answer on.
-    """
-    ends = []
-    stack = [(1.0, ())]
-    while stack:
-        weight, path = stack.pop()
-        point, value = replay(make_steps(), path)
-        if point is None:
-            ends.append((weight, value))
-            continue
-        for answer, p in reversed(_weighted_answers(*point)):
-            if p > 0.0:
-                stack.append((weight * p, path + (answer,)))
-    return ends
 
 
 def _outcome_point(amps, pos, basis):

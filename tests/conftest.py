@@ -3,7 +3,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from qsdc3 import protocol
 from qsdc3.cli import render_json
+from qsdc3.states import BERNOULLI, LABEL, TransitionTable
 
 # Report fields computed by the exact enumerator, not sampled: the analytic
 # probability of a check (``analytic`` in a curve row) and the z-score
@@ -59,3 +61,99 @@ def sampled_digest():
         return hashlib.sha256(render_json(_sampled_fields(payload)).encode()).hexdigest()
 
     return digest
+
+
+# A reference enumerator of chance-point steps, independent of the compiled
+# tree: it replays fresh steps from the start along every path of answers.
+# ``protocol.leaf_weights`` must weigh the tree exactly as this weighs the
+# round.
+
+
+def _replay(steps, answers):
+    """Run ``steps`` along ``answers``, one per chance point.
+
+    Returns ``(point, None)`` with the next chance point, or ``(None,
+    value)`` when the steps end first, with what they return.
+    """
+    try:
+        point = steps.send(None)
+        for answer in answers:
+            point = steps.send(answer)
+    except StopIteration as stop:
+        return None, stop.value
+    return point, None
+
+
+def _weighted_answers(kind, data):
+    """Every answer to a chance point, as ``(answer, probability)`` pairs:
+    True with ``p`` and False with ``1 - p``, each label with 1/4, each
+    Bell index with its threshold less the one before."""
+    if kind is BERNOULLI:
+        return ((True, data), (False, 1.0 - data))
+    if kind is LABEL:
+        return ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25))
+    answers = []
+    below = 0.0
+    for cumulative, index in data:
+        answers.append((index, cumulative - below))
+        below = cumulative
+    return answers
+
+
+def _weigh(make_steps):
+    """Every end of the steps ``make_steps()`` gives, with its probability.
+
+    Answers each chance point with every answer of positive probability,
+    replaying fresh steps along each path of answers.  Returns ``[(weight,
+    value), ...]``, one pair per end in the order of the answers; a weight
+    is the product of its path's probabilities, from the first answer on.
+    """
+    ends = []
+    stack = [(1.0, ())]
+    while stack:
+        weight, path = stack.pop()
+        point, value = _replay(make_steps(), path)
+        if point is None:
+            ends.append((weight, value))
+            continue
+        for answer, p in reversed(_weighted_answers(*point)):
+            if p > 0.0:
+                stack.append((weight * p, path + (answer,)))
+    return ends
+
+
+@pytest.fixture
+def weigh():
+    """The reference enumerator: ``weigh(make_steps)`` gives every end of
+    the steps with its exact probability."""
+    return _weigh
+
+
+@pytest.fixture
+def two_enumerations(weigh):
+    """``two_enumerations(schedule, model, j, k)``: the round from the root
+    (j, k) as ``protocol.leaf_weights`` weighs its tree, and as the
+    reference enumerator weighs ``protocol._round_points``, each on a fresh
+    table.  Both are ``[(weight, end), ...]`` lists, with each end as the
+    fields of the :class:`~qsdc3.protocol.Leaf` it is: kind, passed,
+    touched, Bell label, events and Eve's records after the round index."""
+
+    def enumerate_both(schedule, model, j, k):
+        got = [
+            (weight, (leaf.kind, leaf.passed, leaf.touched, leaf.label, leaf.events, leaf.eve))
+            for weight, leaf in protocol.leaf_weights(TransitionTable(), schedule, model, j, k)
+        ]
+        table = TransitionTable()
+        expected = [
+            (weight, (kind, passed, tuple(touched), label, events, tuple(map(_eve_fields, eve))))
+            for weight, (kind, passed, touched, label, events, eve) in weigh(
+                lambda: protocol._round_points(table, schedule, model, j, k)
+            )
+        ]
+        return got, expected
+
+    return enumerate_both
+
+
+def _eve_fields(record):
+    return (record.segment, record.kind, record.basis, record.outcome, record.ancilla_outcome)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsdc3 import protocol
+from qsdc3 import adversary, protocol
 from qsdc3.adversary import (
     AttackKind,
     AttackModel,
@@ -21,7 +21,6 @@ from qsdc3.harness import ExperimentConfig, run_experiment
 from qsdc3.protocol import AbortPolicy, MessageTriple, RoundKind, SchedulePolicy, run_protocol
 from qsdc3.states import (
     BERNOULLI,
-    LABEL,
     Basis,
     DecoyState,
     Pauli,
@@ -281,6 +280,19 @@ class TestAnalyticDetection:
         with pytest.raises(ValueError, match="check"):
             analytic_detection_probability(model, RoundKind.MESSAGE)
 
+    @pytest.mark.parametrize("family", ["Z", 0, Basis, DecoyState.ZERO])
+    def test_rejects_a_decoy_family_that_is_not_a_basis(self, family):
+        model = AttackModel.intercept_resend(CA)
+        with pytest.raises(ValueError, match="decoy_family"):
+            analytic_detection_probability(model, "decoy_check", family)
+
+    @pytest.mark.parametrize("kind", ["ab_check", "ca_check", RoundKind.BOB_EAVESDROP_CHECK])
+    def test_rejects_a_decoy_family_on_a_pair_check(self, kind):
+        model = AttackModel.intercept_resend(AB)
+        for family in Basis:
+            with pytest.raises(ValueError, match="decoy check only"):
+                analytic_detection_probability(model, kind, family)
+
 
 # Every non-empty set of segments an attack can cover.
 SEGMENT_SETS = [segments for n in (1, 2, 3) for segments in combinations(ChannelSegment, n)]
@@ -346,6 +358,18 @@ def attack_grid(probabilities, flip_weights):
                 yield AttackModel.entangle_measure(beta_sq, *segments, attack_probability=p)
 
 
+class TestLeafWeights:
+    def test_each_forced_tree_is_weighed_as_the_reference_weighs_the_round(self, two_enumerations):
+        # The trees the enumerator weighs, over the decoy-family grid: the
+        # same weights, bit for bit, and the same leaves in the same order.
+        models = list(attack_grid((1.0, 0.7, 0.4), (0.0, 0.25, 0.3, 0.5, 0.75, 1.0)))
+        assert len(models) == 189
+        for model in models:
+            for kind, probabilities in adversary._FORCING_SCHEDULES.items():
+                got, expected = two_enumerations(SchedulePolicy(*probabilities), model, 0, 0)
+                assert got == expected, (model, kind)
+
+
 class TestDecoyFamilies:
     def test_the_decoy_check_is_the_exact_mean_of_its_two_families(self):
         # Bit for bit: a decoy round reveals a Z-family or an X-family decoy
@@ -365,18 +389,6 @@ class TestDecoyFamilies:
 # The largest uniform a draw gives, one step below 1.
 LAST_DRAW = 1.0 - 2.0**-53
 CRITERION_5 = SchedulePolicy(0.25, 0.1, 0.4)
-
-
-def drawable_branches(node):
-    """The child indices a draw can answer at a compiled-round node: a
-    Bernoulli point's answers to u = 0 and u = LAST_DRAW, every label, and
-    every Bell threshold."""
-    kind, data = node[0], node[1]
-    if kind == BERNOULLI:
-        return {3 if u < data else 4 for u in (0.0, LAST_DRAW)}
-    if kind == LABEL:
-        return range(3, 7)
-    return [branch for _, branch in data]
 
 
 class TestExtremeDraws:
@@ -403,20 +415,15 @@ class TestExtremeDraws:
         # The full tree of every attack of the decoy-family grid, and of the
         # null model, under the criterion-5 schedule: 24 of these models
         # have points where the sum of one outcome rounds below 1 while the
-        # other has no amplitude.
+        # other has no amplitude.  ``leaf_weights`` builds the node of every
+        # answer of positive probability, which are the drawable answers
+        # (``TestWeigh`` in test_states.py).
         models = [AttackModel.none()] + list(attack_grid((1.0, 0.7, 0.4), (0.0, 0.25, 0.3, 0.5, 0.75, 1.0)))
         assert len(models) == 190
         for model in models:
             table = TransitionTable()
-            roots = protocol._roots(table, CRITERION_5, model)
-            stack = []
             for j, k in product((0, 1), repeat=2):
-                roots[2 * j + k] = protocol._grow(table, CRITERION_5, model, (j, k))
-                stack.append(roots[2 * j + k])
-            while stack:
-                node = stack.pop()
-                if node[0] != protocol._LEAF:
-                    stack += [protocol._expand(table, CRITERION_5, model, node, b) for b in drawable_branches(node)]
+                protocol.leaf_weights(table, CRITERION_5, model, j, k)
 
 
 # The segments each check's qubit crosses before it is checked.

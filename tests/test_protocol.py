@@ -29,8 +29,6 @@ from qsdc3.protocol import (
     run_protocol,
 )
 from qsdc3.states import (
-    BERNOULLI,
-    LABEL,
     Basis,
     DecoyState,
     Pauli,
@@ -771,47 +769,7 @@ class TestBuiltOnRead:
         assert rng.bit_generator.state == eager_state
 
 
-# Branches lighter than this are not expanded: all of them together weigh
-# less than the 1e-12 the weights below are checked to.
-WEIGHT_FLOOR = 1e-15
-
-
-def branch_weights(node):
-    """(child index, probability) of each answer at a compiled-round node."""
-    kind, data = node[0], node[1]
-    if kind == BERNOULLI:
-        return [(3, data), (4, 1.0 - data)]
-    if kind == LABEL:
-        return [(branch, 0.25) for branch in range(3, 7)]
-    weights, below = [], 0.0
-    for cumulative, branch in data:
-        weights.append((branch, cumulative - below))
-        below = cumulative
-    return weights
-
-
-def expand_fully(table, schedule, model):
-    """Expand the compiled round's tree on ``table`` along every branch of
-    weight above ``WEIGHT_FLOOR``; returns ``{(j, k): [(weight, leaf), ...]}``."""
-    roots = protocol._roots(table, schedule, model)
-    leaves = {}
-    for j, k in product((0, 1), repeat=2):
-        if roots[2 * j + k] is None:
-            roots[2 * j + k] = protocol._grow(table, schedule, model, (j, k))
-        leaves[j, k] = []
-        stack = [(1.0, roots[2 * j + k])]
-        while stack:
-            weight, node = stack.pop()
-            if node[0] == protocol._LEAF:
-                leaves[j, k].append((weight, node))
-                continue
-            for branch, p in branch_weights(node):
-                if p > WEIGHT_FLOOR:
-                    child = node[branch]
-                    if child is None:
-                        child = protocol._expand(table, schedule, model, node, branch)
-                    stack.append((weight * p, child))
-    return leaves
+BITS = list(product((0, 1), repeat=2))
 
 
 def tree_nodes(table):
@@ -850,7 +808,9 @@ class TestCompiledRound:
     def test_the_tree_weights_are_the_exact_detection_probabilities(self, model):
         # Each check kind's failure weight, conditional on the kind, is the
         # enumerator's value for every message bit pair.
-        leaves = expand_fully(TransitionTable(), SchedulePolicy(0.25, 0.25, 0.4), model)
+        table = TransitionTable()
+        schedule = SchedulePolicy(0.25, 0.25, 0.4)
+        leaves = {(j, k): protocol.leaf_weights(table, schedule, model, j, k) for j, k in BITS}
         families = {
             "ab_check": (RoundKind.BOB_EAVESDROP_CHECK, None),
             "ca_check": (RoundKind.BOB_CONTROL_CHECK, None),
@@ -872,6 +832,14 @@ class TestCompiledRound:
                 exact = analytic_detection_probability(model, kind.value, decoy_family=family)
                 assert failed / run == pytest.approx(exact, abs=1e-12), (bits, name)
 
+    @pytest.mark.parametrize("model", EXACT_MODELS)
+    def test_the_leaf_weights_are_the_reference_enumeration(self, model, two_enumerations):
+        # Bit for bit and in the same order, from every root, under the
+        # criterion-5 schedule.
+        for j, k in BITS:
+            got, expected = two_enumerations(SchedulePolicy(0.25, 0.1, 0.4), model, j, k)
+            assert got == expected, (j, k)
+
     def test_a_walked_tree_is_a_subtree_of_the_full_tree(self):
         # Sessions expand only drawn branches, so whatever the round count
         # their tree stays within the full tree: 7,872 nodes under
@@ -880,7 +848,8 @@ class TestCompiledRound:
         attack = AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4)
         schedule = SchedulePolicy()
         full = TransitionTable()
-        expand_fully(full, schedule, attack)
+        for j, k in BITS:
+            protocol.leaf_weights(full, schedule, attack, j, k)
         full_paths = {node[2] for node in tree_nodes(full)}
         assert len(full_paths) < 8000
         counts = []

@@ -7,6 +7,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qsdc3"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
 
 # (module, name) pairs a module may import without using, with the reason.
 UNUSED_ALLOWED = {
@@ -47,3 +48,49 @@ def test_each_allowed_unused_import_is_still_unused():
     # A stale entry would hide the next unused import of that name.
     for module, name in UNUSED_ALLOWED:
         assert name in unused_imports((PACKAGE / (module + ".py")).read_text()), (module, name)
+
+
+def private_definitions(source):
+    """The private names (``_x``, dunders aside) ``source`` binds at module
+    level with a ``def``, a ``class`` or an assignment."""
+    defined = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in defined if name.startswith("_") and not name.startswith("__")}
+
+
+def read_names(source):
+    """Every name ``source`` reads, as a variable or as an attribute."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+    return read
+
+
+def test_the_check_finds_unread_private_names():
+    source = (
+        "import helper\n_A, (_B, C) = 1, (2, 3)\n_D: int = 4\n__all__ = []\n"
+        "def _f(): return _A\nclass _G: pass\ndef _h(): helper._D = 5\n"
+        "helper._G\n"
+    )
+    assert private_definitions(source) == {"_A", "_B", "_D", "_f", "_G", "_h"}
+    assert private_definitions(source) - read_names(source) == {"_B", "_D", "_f", "_h"}
+
+
+def test_every_private_name_is_read_in_the_package():
+    # A private name nothing in the package reads is dead code (tests and
+    # the benchmark may read it too, but do not keep it alive).
+    read = set().union(*map(read_names, SOURCES.values()))
+    unread = {
+        "%s.%s" % (module, name)
+        for module, source in SOURCES.items()
+        for name in private_definitions(source) - read
+    }
+    assert not unread, "defined and never read: %s" % ", ".join(sorted(unread))

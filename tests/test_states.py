@@ -35,7 +35,6 @@ from qsdc3.states import (
     measure_qubit,
     outcome_probabilities,
     prepare_decoy,
-    weigh,
 )
 
 RH = math.sqrt(0.5)
@@ -850,12 +849,16 @@ def attack_id(model):
     return "%s-p%s" % (name, model.attack_probability)
 
 
-def total_weight(make_steps):
-    return sum(weight for weight, _ in weigh(make_steps))
+@pytest.fixture
+def total_weight(weigh):
+    return lambda make_steps: sum(weight for weight, _ in weigh(make_steps))
 
 
 class TestWeigh:
-    def test_each_point_is_answered_with_every_answer_and_its_weight(self):
+    """The reference enumerator (``weigh`` in conftest.py), which the
+    compiled round's ``protocol.leaf_weights`` is tested against."""
+
+    def test_each_point_is_answered_with_every_answer_and_its_weight(self, weigh):
         def steps():
             flip = yield (BERNOULLI, 0.3)
             label = yield (LABEL, None)
@@ -870,7 +873,7 @@ class TestWeigh:
         ]
         assert weigh(steps) == expected
 
-    def test_the_weighed_answers_are_the_drawable_ones(self):
+    def test_the_weighed_answers_are_the_drawable_ones(self, weigh):
         # A draw u lies in [0, 1 - 2**-53], so the two extreme draws give
         # every answer a Bernoulli point can give: True only when 0 < p,
         # False only when p < 1.
@@ -883,39 +886,39 @@ class TestWeigh:
             drawable = {u < p for u in (0.0, last)}
             assert {answer for _, answer in weigh(steps)} == drawable, p
 
-    def test_measuring_zero_in_z_has_one_branch(self):
+    def test_measuring_zero_in_z_has_one_branch(self, weigh):
         # The outcome 1 has probability 0, onto which no state collapses.
         zero = prepare_decoy(DecoyState.ZERO)
         table = TransitionTable()
         assert weigh(lambda: table.measure_points(zero, Subsystem.TRANSIT, Basis.Z)) == [(1.0, (0, zero))]
 
-    def test_measurement_weights_sum_to_one(self):
+    def test_measurement_weights_sum_to_one(self, total_weight):
         for state in UNPROBED_STATES + PROBED_STATES:
             for which, basis in product(state.subsystems, Basis):
                 table = TransitionTable()
                 weight = total_weight(lambda: table.measure_points(state, which, basis))
                 assert weight == pytest.approx(1.0, abs=1e-12), (state, which, basis)
 
-    def test_readout_weights_sum_to_one(self):
+    def test_readout_weights_sum_to_one(self, total_weight):
         for state in PROBED_STATES:
             table = TransitionTable()
             assert total_weight(lambda: table.readout_points(state)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_bell_weights_sum_to_one(self):
+    def test_bell_weights_sum_to_one(self, total_weight):
         for state in UNPROBED_STATES:
             if state.has_home:
                 table = TransitionTable()
                 assert total_weight(lambda: table.bell_points(state)) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("model", WEIGHED_ATTACKS, ids=attack_id)
-    def test_attack_weights_sum_to_one(self, model):
+    def test_attack_weights_sum_to_one(self, model, total_weight):
         for state in UNPROBED_STATES + PROBED_STATES:
             table = TransitionTable()
             weight = total_weight(lambda: adversary.attack_points(table, model, AB, state))
             assert weight == pytest.approx(1.0, abs=1e-12), state
 
     @pytest.mark.parametrize("model", [AttackModel.none()] + WEIGHED_ATTACKS, ids=attack_id)
-    def test_round_weights_sum_to_one(self, model):
+    def test_round_weights_sum_to_one(self, model, total_weight):
         schedule = SchedulePolicy()
         for j, k in product((0, 1), repeat=2):
             table = TransitionTable()
