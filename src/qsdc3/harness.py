@@ -11,14 +11,16 @@ trials are independent, parallelizable in principle, and the whole report
 is a deterministic function of the configuration.
 
 An experiment builds one :class:`~qsdc3.states.TransitionTable`, and every
-trial's session walks it: the table holds the experiment's compiled round
-(a tree of the round's chance points, see ``protocol.run_protocol``) and
-the states it reaches, so each tree node and each state is built, and
-validated, once per experiment; a detection curve builds one table per
-grid point.  Which table a session walks does not change its draws or its
-results.  A session returns the sequence of tree leaves its rounds reached,
-and the report is a fold of leaf counts (:class:`_Aggregator`): an
-experiment builds no round record, transcript or decoded message.
+trial's session draws from it: the table holds the experiment's compiled
+round (a tree of the round's chance points, see ``protocol.run_protocol``),
+expanded in full by the first session, the states it reaches and each
+root's cumulative leaf weights, so each tree node and each state is built,
+and validated, once per experiment; a detection curve builds one table
+per grid point.  A session draws one uniform per round, which picks the
+round's leaf by its exact weight; which table it uses does not change its
+draws or its results.  A session returns the sequence of leaves its rounds
+reached, and the report is a fold of leaf counts (:class:`_Aggregator`):
+an experiment builds no round record, transcript or decoded message.
 """
 
 from __future__ import annotations
@@ -314,8 +316,10 @@ def _view_hits(keys):
 
 
 def _log_trial(trial, leaves, end=""):
-    failed = operator.countOf(map(operator.attrgetter("passed"), leaves), False)
-    log.info("trial %d: rounds %d, failed checks %d%s", trial, len(leaves), failed, end)
+    # Counting the failed checks walks every leaf: only when the line is shown.
+    if log.isEnabledFor(logging.INFO):
+        failed = operator.countOf(map(operator.attrgetter("passed"), leaves), False)
+        log.info("trial %d: rounds %d, failed checks %d%s", trial, len(leaves), failed, end)
 
 
 class _Aggregator:
@@ -448,7 +452,7 @@ def run_experiment(config):
     detected eavesdropper stops the experiment: :class:`ExperimentAborted`
     is raised carrying the partial statistics.  Each trial logs one INFO
     line on the ``qsdc3`` logger: its index, rounds used and failed checks.
-    Every trial's session walks one transition table, built here.
+    Every trial's session draws from one transition table, built here.
     """
     agg = _Aggregator(config)
     table = TransitionTable()

@@ -18,46 +18,43 @@ The round is written once, as chance-point steps (``_round_points``):
 each draw is a point the round yields and is answered, Bernoulli choices
 against a threshold (the schedule, Eve's gate, the check bases, every
 measurement outcome), the decoy label and the Bell measurement (see
-``states.drive``).  A session does not run this body per round.  It walks a
-tree compiled from it, one per schedule and attack model, kept in the
+``states.drive``).  A session does not run this body per round.  The body
+is compiled into a tree, one per schedule and attack model, kept in the
 experiment's :class:`~qsdc3.states.TransitionTable`: each node is a chance
-point, and its child for an answer is built, by replaying the steps along
-the node's answers, the first time that answer is drawn.  A round thus
-costs one draw and one comparison per chance point, and one append of the
-:class:`Leaf` it reaches: a session returns its leaf sequence, and its
-records, transcript events and Eve's records are built from the leaves the
-first time they are read (:class:`ProtocolResult`).  The same tree, fully
-expanded, gives the exact probability of each leaf (:func:`leaf_weights`),
-which ``adversary.analytic_detection_probability`` sums: one compiled tree,
-sampled by sessions and weighed by ``leaf_weights``.  The single-step
-functions (``run_ab_check``, ...) answer the same steps with draws.
+point, and its child for an answer is built by replaying the steps along
+the node's answers.  The tree, fully expanded, gives the exact probability
+of each :class:`Leaf` (:func:`leaf_weights`), which
+``adversary.analytic_detection_probability`` sums and from which sessions
+draw: a round is one draw, one bisection of its root's cumulative leaf
+weights and one append of the leaf it picks.  A session returns its leaf
+sequence, and its records, transcript events and Eve's records are built
+from the leaves the first time they are read (:class:`ProtocolResult`).
+The single-step functions (``run_ab_check``, ...) answer the steps of the
+body itself with one draw per chance point.
 
-Randomness: each round consumes draws from its injected generator in a
-fixed order (check choice, mode choices, then measurement draws), which is
-what makes seeded runs reproducible.  For a numpy ``Generator`` over
-``PCG64`` (exactly those types) a session serves these draws from bulk
-blocks of the same generator (:class:`_BlockUniforms`): the values are the
-same, in the same order, and the generator ends the session in the state
-the scalar calls would have left it in.  Any other generator is called one
-draw at a time.
+Randomness: a session draws one double per round from its injected
+generator, in round order, served from ``random(256)`` blocks of it; the
+double picks the round's leaf by cumulative weight (:func:`run_protocol`).
+Together with the one ``integers(0, 2, 3n)`` call that draws a trial's
+messages (:meth:`MessageTriple.random`), this is what makes seeded runs
+reproducible: a seed fixes every message bit and every leaf.
 """
 
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from operator import length_hint, xor
+from operator import xor
 from typing import NamedTuple
-
-import numpy as np
 
 from .adversary import AttackModel, ChannelSegment, EveRecord, attack_points, resolve_points
 
-# ``measure_qubit`` is not called here: the engine and the checks walk a
-# TransitionTable.  It stays a name of this module because the traced
+# ``measure_qubit`` is not called here: the engine and the checks run their
+# steps on a TransitionTable.  It stays a name of this module because the traced
 # benchmark (perfbench/layers.py and its tests) looks it up here.
 from .states import (
     BELL,
@@ -446,81 +443,19 @@ class ProtocolResult:
         return _decode_all(self.messages, self.records)
 
 
-# Uniforms drawn per block by :class:`_BlockUniforms`.  A session of the
-# acceptance workloads makes one to two thousand draws, so a block this size
-# keeps both the per-block call and the unused tail of the last block small.
+# Doubles drawn per ``random(_BLOCK)`` call of a session's generator.  A
+# session of the acceptance workloads draws one to two thousand, so a block
+# this size keeps both the per-block call and the unused tail of the last
+# block small.
 _BLOCK = 256
-_TWO_53 = 2.0**53
 
 
-class _BlockUniforms:
-    """A session's draws from a ``Generator(PCG64)``, served from bulk blocks.
-
-    ``random()`` serves the doubles of ``rng.random(_BLOCK)`` blocks in
-    order; these are the values that scalar ``rng.random()`` calls give,
-    one 64-bit PCG64 word each (the word shifted right by 11, times 2**-53).
-
-    ``integers(0, 4)`` rebuilds numpy's bounded draw from the same words.
-    For a range of 4 that draw (Lemire's multiply-and-shift) takes the next
-    32-bit half, ``h``, and returns ``h * 4 >> 32 = h >> 30``; its
-    rejection threshold, ``(2**32 - 4) % 4``, is 0, so it never draws
-    again.  A fresh word gives its low half and leaves its high half
-    pending in the generator; the next call takes the pending half without
-    a new word.  The served double ``d`` holds bits 11-63 of its word as
-    ``u = int(d * 2**53)``, so the low half's top bits are
-    ``(u >> 19) & 3`` and the high half is ``u >> 21``.  A half the
-    generator holds when the session starts is taken first.
-
-    :meth:`close` puts the generator into the state the scalar calls would
-    have left: the starting state advanced by the words served, with the
-    pending half, and numpy's stale copy of the last half, as they would be.
-    Nothing else may draw from the generator between construction and
-    :meth:`close`: the blocks run ahead of the served draws, and ``close``
-    overwrites the state.
-    """
-
-    __slots__ = ("random", "_bit_generator", "_start", "_blocks", "_block", "_pending", "_uinteger")
-
-    def __init__(self, rng):
-        self._bit_generator = rng.bit_generator
-        self._start = start = self._bit_generator.state
-        self._uinteger = start["uinteger"]
-        self._pending = self._uinteger if start["has_uint32"] else None
-        self._blocks = 0
-        self._block = iter(())
-        # ``chain`` moves to the next block in C, so a served draw runs no
-        # Python frame.
-        self.random = chain.from_iterable(self._fill(rng.random)).__next__
-
-    def _fill(self, random):
-        while True:
-            self._block = iter(random(_BLOCK).tolist())
-            self._blocks += 1
-            yield self._block
-
-    def integers(self, low, high):
-        """``Generator.integers(0, 4)``, the only range the engine draws."""
-        if low != 0 or high != 4:
-            raise ValueError("block draws serve integers(0, 4) only, got (%r, %r)" % (low, high))
-        pending = self._pending
-        if pending is not None:
-            self._pending = None
-            return pending >> 30
-        word = int(self.random() * _TWO_53)
-        self._pending = self._uinteger = word >> 21
-        return (word >> 19) & 3
-
-    def close(self):
-        """Leave the generator as the scalar calls would have, and stop serving."""
-        served = self._blocks * _BLOCK - length_hint(self._block)
-        bit_generator = self._bit_generator
-        bit_generator.state = self._start
-        bit_generator.advance(served)  # also clears the pending half
-        state = bit_generator.state
-        state["has_uint32"] = int(self._pending is not None)
-        state["uinteger"] = self._uinteger
-        bit_generator.state = state
-        self.random = None  # drops the block chain, which refers back to self
+def _uniforms(rng):
+    """The doubles of ``rng.random(_BLOCK)`` blocks, in order: a callable that
+    returns the next one.  ``chain`` moves to the next block in C, so a
+    served draw runs no Python frame."""
+    blocks = iter(lambda: rng.random(_BLOCK).tolist(), None)
+    return chain.from_iterable(blocks).__next__
 
 
 def _round_points(table, schedule, model, j, k):
@@ -589,8 +524,11 @@ def _round_points(table, schedule, model, j, k):
 # a list ``[kind, data, path, child, ...]``: ``path`` is (j, k) followed by
 # the answers that lead to the node, and the children are indexed from 3
 # by the answer (``u < p`` first for a Bernoulli point); a Bell point's
-# thresholds name their child's index.  A child is None until its answer
-# is first drawn.  A leaf is a :class:`Leaf`, whose first field is _LEAF.
+# thresholds name their child's index.  A child is None until
+# :func:`leaf_weights` first expands its parent, and stays None for an
+# answer of probability zero.  A leaf is a :class:`Leaf`, whose first field
+# is _LEAF.  Sessions do not walk the nodes: they draw leaves from the
+# cumulative leaf weights of each root (:func:`_choices`).
 _LEAF = "leaf"
 
 
@@ -626,7 +564,7 @@ class Leaf(NamedTuple):
 
 def _roots(table, schedule, model):
     """The roots of the compiled round of ``schedule`` and ``model`` on
-    ``table``, by 2 * j + k; a root is None until first walked."""
+    ``table``, by 2 * j + k; a root is None until first weighed."""
     roots = table.trees.get((schedule, model))
     if roots is None:
         roots = table.trees[schedule, model] = [None] * 4
@@ -654,13 +592,6 @@ def _grow(table, schedule, model, path):
     if kind is BELL:
         data = tuple((cumulative, 3 + index) for cumulative, index in data)
     return [kind, data, path, None, None, None, None]
-
-
-def _expand(table, schedule, model, node, branch):
-    """Build ``node``'s child at ``branch``, drawn for the first time."""
-    answer = branch == 3 if node[0] is BERNOULLI else int(branch) - 3
-    child = node[branch] = _grow(table, schedule, model, node[2] + (answer,))
-    return child
 
 
 def leaf_weights(table, schedule, model, j, k):
@@ -702,9 +633,39 @@ def leaf_weights(table, schedule, model, j, k):
             if p > 0.0:
                 child = node[branch]
                 if child is None:
-                    child = _expand(table, schedule, model, node, branch)
+                    answer = branch == 3 if kind is BERNOULLI else branch - 3
+                    child = node[branch] = _grow(table, schedule, model, node[2] + (answer,))
                 stack.append((weight * p, child))
     return weighed
+
+
+def _choices(table, schedule, model):
+    """What a session draws a round's leaf from, per root of the compiled
+    round of ``schedule`` and ``model`` on ``table``, by 2 * j + k.
+
+    A root's entry is ``(bounds, leaves)``: its leaves of positive weight in
+    :func:`leaf_weights` order, and the running sums of their weights, the
+    total left out.  A draw ``u`` picks ``leaves[bisect_right(bounds, u)]``,
+    the first leaf whose running sum exceeds ``u``; a draw at or above the
+    last bound, however the total rounds, picks the last leaf, so no draw
+    reaches a leaf of zero weight.  Built on the first call, with the whole
+    tree, and kept in ``table.choices``.
+    """
+    choices = table.choices.get((schedule, model))
+    if choices is None:
+        choices = []
+        for root in range(4):
+            bounds, leaves = [], []
+            total = 0.0
+            for weight, leaf in leaf_weights(table, schedule, model, root >> 1, root & 1):
+                if weight > 0.0:
+                    total += weight
+                    bounds.append(total)
+                    leaves.append(leaf)
+            del bounds[-1]
+            choices.append((bounds, leaves))
+        choices = table.choices[schedule, model] = tuple(choices)
+    return choices
 
 
 def _materialise(messages, leaves):
@@ -772,36 +733,33 @@ def run_protocol(
     record-and-continue failures are logged and the run completes, which is
     how detection rates are estimated without restarting.
 
-    The session walks the compiled round of ``schedule`` and ``attack`` in
-    ``table``, a :class:`~qsdc3.states.TransitionTable`, or in a fresh one
-    when ``table`` is None: each round goes from the root of its message
-    bits (j, k) through one draw per chance point to a leaf, building a
-    node the first time its answer is drawn.  A table other sessions have
-    walked gives the same results: it only saves building their nodes and
-    states again (``harness.run_experiment`` passes one table to all its
-    trials).  The session logs the table's size (the state edges built so
-    far) at DEBUG when it ends.
+    Round r draws the r-th double ``u`` of ``rng``, served from
+    ``rng.random(256)`` blocks (the generator ends the session advanced by
+    whole blocks).  Its root is Bob's and Charlie's bits (j, k) of the
+    message bit it carries, the n-th when n message rounds came before it,
+    and its leaf is the first of that root's leaves whose cumulative weight
+    exceeds ``u`` (:func:`_choices`).  The compiled round of ``schedule``
+    and ``attack`` lives in ``table``, a :class:`~qsdc3.states.TransitionTable`,
+    or in a fresh one when ``table`` is None; the first session on a table
+    expands it fully (:func:`leaf_weights` from all four roots), and later
+    sessions reuse it (``harness.run_experiment`` passes one table to all
+    its trials).  Which table a session uses does not change its results.
+    The session logs the table's size (its state edges) at DEBUG when it
+    ends.
 
-    The session returns its leaf sequence: the walk appends each round's
-    :class:`Leaf`, and nothing else, so a round costs its draws and one
-    append.  The :class:`ProtocolResult` builds the records, transcript,
-    Eve's records and decoded messages from the leaves the first time one
-    is read; a strict abort builds them when it is raised, and carries the
-    leaves up to and including the failing round.
-
-    ``rng`` gives every draw of the session, in a fixed order.  When it is
-    exactly a ``numpy.random.Generator`` over ``PCG64``, the draws are
-    served from bulk blocks of it (:class:`_BlockUniforms`): the values are
-    the same, in the same order, and on every exit (completion, an abort,
-    an exhausted budget or any error) ``rng`` is left in the state that
-    drawing them one at a time would have left.
+    The session returns its leaf sequence: a round costs its draw, one
+    bisection and one append.  The :class:`ProtocolResult` builds the
+    records, transcript, Eve's records and decoded messages from the leaves
+    the first time one is read; a strict abort builds them when it is
+    raised, and carries the leaves up to and including the failing round.
     """
     model = attack if attack is not None else AttackModel.none()
     if table is None:
         table = TransitionTable()
-    roots = _roots(table, schedule, model)
+    choices = _choices(table, schedule, model)
     leaves = []
     reached = leaves.append
+    random = _uniforms(rng)
     bob, charlie = messages.bob_bits, messages.charlie_bits
     n_total = messages.length
     if max_rounds is None:
@@ -810,13 +768,6 @@ def run_protocol(
 
     n = 0
     round_index = 0
-    # Exact types only: the blocks reproduce PCG64's words and numpy's own
-    # draws from them, which a subclass or another bit generator may not.
-    blocks = None
-    if type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
-        blocks = _BlockUniforms(rng)
-    draws = rng if blocks is None else blocks
-    random, integers = draws.random, draws.integers
     try:
         while n < n_total:
             if round_index >= max_rounds:
@@ -824,44 +775,19 @@ def run_protocol(
                     "budget of %d rounds exhausted with %d of %d bits delivered"
                     % (max_rounds, n, n_total)
                 )
-            j = bob[n]
-            k = charlie[n]
-            node = roots[2 * j + k]
-            if node is None:
-                node = roots[2 * j + k] = _grow(table, schedule, model, (j, k))
-            # The walk: one draw and one comparison per chance point (the
-            # answering rules of ``states.drive``).
-            while True:
-                kind = node[0]
-                if kind is BERNOULLI:
-                    branch = 3 if random() < node[1] else 4
-                elif kind is _LEAF:
-                    break
-                elif kind is LABEL:
-                    branch = 3 + integers(0, 4)
-                else:
-                    u = random()
-                    for cumulative, branch in node[1]:
-                        if u < cumulative:
-                            break
-                child = node[branch]
-                if child is None:
-                    child = _expand(table, schedule, model, node, branch)
-                node = child
-
-            reached(node)
+            bounds, options = choices[2 * bob[n] + charlie[n]]
+            leaf = options[bisect_right(bounds, random())]
+            reached(leaf)
             round_index += 1
-            # The leaf's kind and check verdict, read by index like every node.
-            if node[1] is _MESSAGE:
+            # The leaf's kind and check verdict, read by index.
+            if leaf[1] is _MESSAGE:
                 n += 1
-            elif node[3] is False and strict:
+            elif leaf[3] is False and strict:
                 records, transcript, eve_records = _materialise(messages, leaves)
                 raise ProtocolAborted(
-                    round_index - 1, node.kind, node.touched, records, transcript, eve_records, leaves
+                    round_index - 1, leaf.kind, leaf.touched, records, transcript, eve_records, leaves
                 )
     finally:
-        if blocks is not None:
-            blocks.close()
         log.debug("session: %d rounds, %d transition table edges", round_index, len(table))
 
     return ProtocolResult(messages, leaves)

@@ -19,9 +19,9 @@ Conventions
   Labels are rays: a global phase does not change the label.
 * All measurement sampling draws from an injected ``numpy.random.Generator``
   (one uniform ``random()`` draw per measurement); there is no global
-  randomness.  A protocol session may serve these draws from bulk blocks
-  of a ``PCG64`` generator (see ``protocol.run_protocol``): the values are
-  the same, in the same order, and the generator ends in the same state.
+  randomness.  A protocol session does not sample measurements one by one:
+  it draws one uniform per round and picks the round's leaf of the
+  compiled round by its exact weight (see ``protocol.run_protocol``).
 
 Construction
 ------------
@@ -41,15 +41,15 @@ The sampled operations are written once, as chance-point steps on a
 kernels gave, and is sent the answer (see ``drive``).  The protocol's
 compiled round runs them while it builds its tree, one table per
 experiment (``harness.run_experiment`` builds it and every trial's session
-walks it; a session run on its own gets a fresh one), so a derived state is
-built and validated once per distinct value in the experiment, not once
-per round.  The public operations (``measure_qubit``, ``bell_measure``,
+draws from it; a session run on its own gets a fresh one), so a derived
+state is built and validated once per distinct value in the experiment,
+not once per round.  The public operations (``measure_qubit``, ``bell_measure``,
 ...) drive the same steps with one draw per point on a fresh table per
 call: they are not memoised, and each result is validated once.  The
-protocol's compiled tree is sampled by its sessions and weighed by
-``protocol.leaf_weights``, which answers each point with every answer of
-positive probability: that is how
-``adversary.analytic_detection_probability`` enumerates a round.
+protocol's compiled tree is weighed by ``protocol.leaf_weights``, which
+answers each point with every answer of positive probability: that is
+how ``adversary.analytic_detection_probability`` enumerates a round, and
+the weights its sessions draw leaves by.
 
 The probe coupling's coefficients are checked where they enter: by
 ``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
@@ -353,11 +353,10 @@ def collapse_outcome(state, which, basis, outcome):
 #   pair's index when there is none.
 #
 # ``drive`` answers each point with a draw.  The protocol compiles its round
-# into one tree of these points, a node per path of earlier answers: its
-# sessions sample the tree (``protocol.run_protocol``), and
+# into one tree of these points, a node per path of earlier answers, and
 # ``protocol.leaf_weights`` weighs it with every answer and its
-# probability, which gives the exact distribution of the leaves the
-# sessions reach.
+# probability: the exact distribution of the round's leaves, from which
+# its sessions draw one leaf per round (``protocol.run_protocol``).
 BERNOULLI, LABEL, BELL = "b", "i", "bell"
 FAIR_COIN = (BERNOULLI, 0.5)
 
@@ -400,7 +399,7 @@ def _outcome_point(amps, pos, basis):
 
 
 class TransitionTable:
-    """The state edges that protocol sessions walk, each built once.
+    """The state edges of the protocol's compiled rounds, each built once.
 
     An edge is a source state plus an operation: a Pauli, a measurement in
     a basis, a probe attach, a probe readout or the Bell measurement.  On
@@ -408,15 +407,15 @@ class TransitionTable:
     a value the table has not built yet through ``_from_kernel``, so every
     state the table holds is validated once.  Later visits reuse it: a
     Pauli or an attach gives its child; a measurement or a readout gives
-    its chance point (the probability of outcome 0) and the children drawn
+    its chance point (the probability of outcome 0) and the children built
     so far.  A measurement child is built only for an outcome that is
-    drawn, because collapsing onto a zero-probability outcome raises.
+    answered, because collapsing onto a zero-probability outcome raises.
 
     The sampled operations are chance-point steps (``measure_points``,
     ``readout_points``, ``bell_points``); ``measure``, ``readout`` and
     ``bell`` drive them with one draw per point.  The points carry the
-    floats the kernels gave on the first visit, so a walk makes the draws
-    and the outcomes that calling the kernels every time would.
+    floats the kernels gave on the first visit, so driving them makes the
+    draws and the outcomes that calling the kernels every time would.
 
     Edges are keyed by the identity of the source state (and of the
     operands, which are enum singletons, so no ``Enum.__hash__`` runs), and
@@ -429,16 +428,18 @@ class TransitionTable:
     round can reach (a bounded number), not with its paths or the number
     of rounds or sessions.
 
-    One table lives for one experiment: every trial's session walks it,
-    and ``trees`` holds the protocol's compiled rounds over it, one per
-    schedule and attack model (see ``protocol.run_protocol``).  Since a
-    walk makes the same draws and outcomes on a first visit and a revisit,
-    a session gives the same results on a table other sessions walked as on
-    a fresh one.  A table is not kept across experiments, so two runs of
-    one experiment build, and validate, the same states.
+    One table lives for one experiment: every trial's session draws from
+    it.  ``trees`` holds the protocol's compiled rounds over it, one per
+    schedule and attack model, and ``choices`` the cumulative leaf weights
+    that sessions draw each round's leaf from (see
+    ``protocol.run_protocol``).  The first session expands its compiled
+    round in full, and the weights depend only on the kernels' floats, so a
+    session gives the same results on a table other sessions used as on a
+    fresh one.  A table is not kept across experiments, so two runs of one
+    experiment build, and validate, the same states.
     """
 
-    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes", "trees")
+    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes", "trees", "choices")
 
     def __init__(self):
         self._paulis = {}  # (id(state), id(which), id(pauli)) -> (state, child)
@@ -448,6 +449,7 @@ class TransitionTable:
         self._bells = {}  # id(state) -> (state, point)
         self._nodes = {}  # (amps, subsystems) -> the child state of that value
         self.trees = {}
+        self.choices = {}
 
     def _child(self, amps, subsystems):
         """The table's state over a kernel output: built and validated on

@@ -16,14 +16,22 @@ ENUMERATED_FIELDS = ("analytic_probability", "analytic", "z_score")
 class ScriptedRng:
     """Stand-in generator returning a scripted sequence of uniforms.
 
-    Lets a test force a specific basis choice or measurement branch.
+    Lets a test force a specific basis choice or measurement branch, or a
+    session's leaf for each round.  ``random(size)`` returns the next
+    ``size`` values as an array, or the ones left when fewer are; with
+    none left it raises ``IndexError``.
     """
 
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self):
-        return self.values.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        if not self.values:
+            raise IndexError("the scripted draws are used up")
+        block, self.values = self.values[:size], self.values[size:]
+        return np.array(block)
 
     def integers(self, low, high=None, size=None):
         value = self.values.pop(0)

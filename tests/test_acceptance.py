@@ -80,9 +80,9 @@ def test_criterion_2_announced_xor_identity(sampled_digest):
     ok = (
         audited >= 10_000
         and fraction == 1.0
-        and digest == "c989f8ab1a2caf70307a653fbd8ee1f247c577a2d21d89079928a25e0107d5b8"
+        and digest == "352847737daed06e5b245a7180ceda8a197c39a0c0183717d058938a813be647"
         and sampled_digest(result.to_dict())
-        == "af88c87a8f568d5e570db78f12709d90c16c3bcbb02aa41a971cac62a7618113"
+        == "e65084d75dc07414f98c80f325c7b0a72258418304e4770ff43ea3a6468dc335"
         and elapsed < 5.0
     )
     _report(
@@ -181,10 +181,10 @@ def test_criterion_5_probe_coupling_curve(sampled_digest):
             problems.append("X-family decoys detected something at %.2f" % beta_sq)
     curve = {"curve": [row.to_dict() for row in rows]}
     digest = _sha256(render_json(curve))
-    if digest != "a0b476ab46dfa8b6176079c88fa7fb858475ccc478a2591edd28ab9cae200c6e":
+    if digest != "d02dbbe1f1b9bb09d4726869463c79105c45161ce8e9353f9bd1ae8efcab7052":
         problems.append("curve rows %s" % digest[:16])
     sampled = sampled_digest(curve)
-    if sampled != "d8c834472484d9c8b1d818ed2a010dd6a72fe35445116b3bf3d0c0f2f9ac4d90":
+    if sampled != "4972ea5badbecc1b57fe9588ddcdc40f59bc6c3ac9e72e0837ee518af8eaf382":
         problems.append("sampled curve fields %s" % sampled[:16])
     ok = not problems and elapsed < 60.0
     _report(
@@ -217,9 +217,9 @@ def test_criterion_6_intercept_resend_quarter_vs_half_claim(sampled_digest):
         and ab.paper_claim == 0.5
         and '"analytic_probability": 0.25' in report_text
         and '"paper_claim": 0.5' in report_text
-        and _sha256(report_text) == "a13e8916ba8d8284fe39e71970634771765df27aa327e935957039acb049d533"
+        and _sha256(report_text) == "f9c40ef50472ee4c6a62485fe7c7770afa36be2ae4ac45a0a0438713adbc5a7d"
         and sampled_digest(result.to_dict())
-        == "ab9729b3503c0a62fb84fdafd8732a841eaae3bab7673f7defbfd66ccef633dc"
+        == "fe766eb2fba96192ed2098197823a8e0c5d3a6749fec2b7641222ed439139959"
         and elapsed < 10.0
     )
     _report(

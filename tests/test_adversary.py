@@ -20,7 +20,6 @@ from qsdc3.adversary import (
 from qsdc3.harness import ExperimentConfig, run_experiment
 from qsdc3.protocol import AbortPolicy, MessageTriple, RoundKind, SchedulePolicy, run_protocol
 from qsdc3.states import (
-    BERNOULLI,
     Basis,
     DecoyState,
     Pauli,
@@ -394,36 +393,40 @@ CRITERION_5 = SchedulePolicy(0.25, 0.1, 0.4)
 class TestExtremeDraws:
     """No draw a generator can give crashes a session."""
 
-    def test_the_largest_draw_on_a_zero_probability_outcome(self, scripted):
-        # Entangle-measure at |beta|^2 = 0.25 on A->B and C->A, bits (1, 1):
+    def test_the_extreme_draws_pick_each_roots_first_and_last_leaf(self, scripted, monkeypatch):
+        # The decoy-family grid and the null model under the criterion-5
+        # schedule.  24 of these models have points where the sum of one
+        # outcome rounds below 1 while the other has no amplitude: under
+        # entangle-measure at |beta|^2 = 0.25 on A->B and C->A, bits (1, 1),
         # no A-B check, Bob's control mode, the X basis and Charlie's outcome
-        # 0 leave Alice's outcome 0 at p0 = 0.9999999999999999 in float, and
-        # her outcome 1 with no amplitude.  The largest draw must answer 0.
-        attack = AttackModel.entangle_measure(0.25, AB, CA)
-        draws = [0.9, 0.05, 0.9, 0.1, LAST_DRAW] + [0.5] * 12
-        messages = MessageTriple((0,), (1,), (1,))
-        table = TransitionTable()
-        result = run_protocol(messages, CRITERION_5, scripted(draws), attack, AbortPolicy.RECORD_AND_CONTINUE, table=table)
-        kinds = [record.kind for record in result.records]
-        assert kinds == [RoundKind.BOB_CONTROL_CHECK, RoundKind.MESSAGE]
-        # The point answered by LAST_DRAW, and the outcome it gave.
-        node = protocol._grow(table, CRITERION_5, attack, (1, 1, False, True, False, True))
-        assert node[:2] == [BERNOULLI, 1.0]
-        assert result.leaves[0].path[:7] == (1, 1, False, True, False, True, True)
-
-    def test_every_drawable_answer_builds_its_node(self):
-        # The full tree of every attack of the decoy-family grid, and of the
-        # null model, under the criterion-5 schedule: 24 of these models
-        # have points where the sum of one outcome rounds below 1 while the
-        # other has no amplitude.  ``leaf_weights`` builds the node of every
-        # answer of positive probability, which are the drawable answers
-        # (``TestWeigh`` in test_states.py).
+        # 0 leave Alice's outcome 0 at p0 = 0.9999999999999999 in float.
+        # ``leaf_weights`` builds the node of every answer of positive
+        # probability, which are the drawable answers (``TestWeigh`` in
+        # test_states.py), without raising.  From every root, the draw 0.0
+        # takes the first leaf of positive weight and the largest draw the
+        # last, a message round, so a one-bit session ends with it.  On a
+        # table whose tree is built, no draw builds a node.
         models = [AttackModel.none()] + list(attack_grid((1.0, 0.7, 0.4), (0.0, 0.25, 0.3, 0.5, 0.75, 1.0)))
         assert len(models) == 190
+        grown = []  # the paths of the nodes built
+        grow = protocol._grow
+        monkeypatch.setattr(protocol, "_grow", lambda *args: grown.append(args[-1]) or grow(*args))
+        record = AbortPolicy.RECORD_AND_CONTINUE
         for model in models:
             table = TransitionTable()
-            for j, k in product((0, 1), repeat=2):
-                protocol.leaf_weights(table, CRITERION_5, model, j, k)
+            roots = {
+                (j, k): [leaf for weight, leaf in protocol.leaf_weights(table, CRITERION_5, model, j, k) if weight > 0.0]
+                for j, k in product((0, 1), repeat=2)
+            }
+            built = len(grown)
+            for (j, k), drawable in roots.items():
+                messages = MessageTriple((0,), (j,), (k,))
+                first = run_protocol(messages, CRITERION_5, scripted([0.0, LAST_DRAW]), model, record, table=table)
+                last = run_protocol(messages, CRITERION_5, scripted([LAST_DRAW]), model, record, table=table)
+                assert len(grown) == built
+                assert first.leaves[0] is drawable[0]
+                assert last.leaves == [drawable[-1]]
+                assert drawable[-1].kind is RoundKind.MESSAGE
 
 
 # The segments each check's qubit crosses before it is checked.

@@ -360,35 +360,54 @@ class TestExitCodeContract:
 
 
 class TestVerboseLogging:
-    @pytest.mark.parametrize("command, sessions", [("run", 2), ("sweep", 6)])
-    def test_debug_logs_each_session_table_and_keeps_report_bytes(self, tmp_path, capsys, caplog, command, sessions):
-        # A sweep runs one experiment per grid point: here two equal points
-        # of three trials, so a table kept across points would go on growing.
-        if command == "run":
-            payload, trials = {"message_length": 2, "trials": 2}, 2
-        else:
-            payload, trials = dict(BASE_SWEEP, grid=[0.5, 0.5], trials=3), 3
-        cfg = write_config(tmp_path, payload)
-        assert cli.main([command, "--config", cfg]) == cli.EXIT_OK
-        quiet = capsys.readouterr().out
-        caplog.set_level(logging.DEBUG, logger="qsdc3")
-        assert cli.main(["-vv", command, "--config", cfg]) == cli.EXIT_OK
-        assert capsys.readouterr().out == quiet
-        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        assert len(lines) == sessions
+    @staticmethod
+    def debug_lines(caplog, argv):
+        """The DEBUG lines of ``cli.main(argv)``, which must exit 0."""
+        caplog.clear()
+        assert cli.main(argv) == cli.EXIT_OK
+        return [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+
+    @staticmethod
+    def table_edges(lines):
+        """The table size each session line reports."""
         edges = []
         for line in lines:
             match = re.fullmatch(r"session: (\d+) rounds, (\d+) transition table edges", line)
             assert match, line
             assert int(match.group(1)) >= 2 and int(match.group(2)) > 0
             edges.append(int(match.group(2)))
-        # The count is the size of the experiment's table: it never falls
-        # within an experiment, and starts again at each grid point.
+        return edges
+
+    @pytest.mark.parametrize("command, sessions", [("run", 2), ("sweep", 6)])
+    def test_debug_logs_each_session_table_and_keeps_report_bytes(self, tmp_path, capsys, caplog, command, sessions):
+        # A sweep runs one experiment per grid point: here two points of
+        # three trials, so a table kept across points would hold both
+        # points' compiled rounds at the second.
+        if command == "run":
+            payload, trials = {"message_length": 2, "trials": 2}, 2
+        else:
+            payload, trials = dict(BASE_SWEEP, grid=[0.25, 0.5], trials=3), 3
+        cfg = write_config(tmp_path, payload)
+        assert cli.main([command, "--config", cfg]) == cli.EXIT_OK
+        quiet = capsys.readouterr().out
+        caplog.set_level(logging.DEBUG, logger="qsdc3")
+        lines = self.debug_lines(caplog, ["-vv", command, "--config", cfg])
+        assert capsys.readouterr().out == quiet
+        assert len(lines) == sessions
+        edges = self.table_edges(lines)
+        # The count is the size of the experiment's table, whose compiled
+        # round the first session expands in full: every session of an
+        # experiment reports the same count.
         experiments = [edges[start : start + trials] for start in range(0, sessions, trials)]
         for counts in experiments:
-            assert counts == sorted(counts)
-        for before, after in zip(experiments, experiments[1:]):
-            assert after[0] < before[-1]
+            assert counts == [counts[0]] * trials
+        if command == "sweep":
+            # Each grid point starts a table of its own: the second point's
+            # is the size of a one-point sweep's.
+            alone = write_config(tmp_path, dict(payload, grid=[0.5]), "alone.json")
+            (size,) = set(self.table_edges(self.debug_lines(caplog, ["-vv", command, "--config", alone])))
+            assert experiments[1][0] == size
+            capsys.readouterr()
 
 
 class TestTrialProgress:

@@ -413,11 +413,12 @@ class TestLeafFold:
     )
     def test_the_leaf_fold_equals_the_record_fold(self, attack, policy):
         aborted = 0
+        table = TransitionTable()  # one compiled round for the six sessions
         for seed in range(6):
             rng = np.random.default_rng(seed)
             messages = MessageTriple.random(48, rng)
             try:
-                result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy)
+                result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy, table=table)
                 leaves, shown = result.leaves, (result.records, result.transcript, result.eve_records, result.decoded)
             except ProtocolAborted as abort:
                 leaves, shown = abort.leaves, (abort.records, abort.transcript, abort.eve_records)
@@ -670,9 +671,9 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("no_attack", "206461afa1b0ab836a6e9a3548161930f88c1ac25be4a65ca265b0d52c81ab24"),
-            ("intercept_resend_ab", "3558889e1eccb1a5c6fae3a28e13d6fc2488714c78e78a1c837723a8d296662f"),
-            ("entangle_measure_ab_ca", "d8388428c93ce33ee7b53c198d761c5c3c35495deec66f0837d32b508bd4670d"),
+            ("no_attack", "1bf5503eb57fa2c5e1d00541f1d77fa31f18bf3144e3417c91950759a2377d40"),
+            ("intercept_resend_ab", "6a0b34b8c087dd6fccbdc78505e31925844fd2e1d2caea75a5ca34e955eca803"),
+            ("entangle_measure_ab_ca", "34fd4a9d5576986e64cdfe1c2783ec260c17d3e9963d29de3898f1663b715a56"),
         ],
         ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"],
     )
@@ -682,9 +683,9 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("gated_disturbance_bc_ca", "e0b7d6c55172ff1e50dd5892edfed66c62ad1ebf3f4015cdc31ad8c5291afb3d"),
-            ("gated_intercept_all", "2fcc9f6242e36b062769d6f8d45977260df2966e3149f256ae0d2c22fdcda4be"),
-            ("gated_probe_all", "bb12c822be8ed294d8ef60ed88dfdbb3f0d1632b8b7d0855047d4fb6ae112e36"),
+            ("gated_disturbance_bc_ca", "7c22984a7263450a9d853ea1132afbe1e5c65556c8144beaf14405bbb3c953df"),
+            ("gated_intercept_all", "5eea3ad92ddaac7f1a50bf6fe7a55e59ae50da768403edcb671228f367e20bb4"),
+            ("gated_probe_all", "8edd93493620eb25b92c800a9bb167611ee8afb351f6f2e9ae61c323d5070825"),
         ],
         ids=["gated_disturbance_bc_ca", "gated_intercept_all", "gated_probe_all"],
     )
@@ -695,19 +696,19 @@ class TestPinnedReports:
     def test_strict_abort_partial_report_digest(self):
         assert (
             report_digest("strict_abort")
-            == "ff21e6710bd8e10ba1c2583b540d2eee846eae45388e2d665c9f9bbb65acdc63"
+            == "cd6822640ac12ec58c52e566af118dfa83b646499119de4597e471d321c3e56b"
         )
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("no_attack", "a3a5b466520dbad79605b04f3bf53d61dc51ad790f449e41bbd67c4cf0e2dc55"),
-            ("intercept_resend_ab", "da3e18a542ec2644bc91e1ae3c0091702dd8feafdfa87412eeb269df0476f6db"),
-            ("entangle_measure_ab_ca", "900d4a308c3eb02a11234695083d55e67847a92b5be9035824d11be491dfed2c"),
-            ("gated_disturbance_bc_ca", "27bfcd881ec5a8b8001c998e38f6ebb4a5af60ca02b784dbbc3a1507630b9f0f"),
-            ("gated_intercept_all", "d2dee6134ea41f56789a530b3f4adfc4ab3a65a1243493076ab48accff75a32d"),
-            ("gated_probe_all", "2311f4d2c66b1201fda3e2de85bf9e956b5512aed63b599a032b62a73bcb3284"),
-            ("strict_abort", "d33f9693e5f30d45dec0765eefa39b738a968206a85cdabd5eadcf4ff1f5dfd9"),
+            ("no_attack", "7f97947992332c5ce08feda09a1f74f4b6b9143b38e303611e8d8603ddf6264e"),
+            ("intercept_resend_ab", "8edeeae472ec00455a1f08f019ec9f9130b8e0f161dc1e6101845bafdd0f672a"),
+            ("entangle_measure_ab_ca", "c2ae60383748979f2a3db5accf94e91d0c6f3aabd2485f5489cf46008cb15384"),
+            ("gated_disturbance_bc_ca", "cd5792cd66cd0130467a34420ca61433da66a12a4fb2052da9fd7a54696e4d18"),
+            ("gated_intercept_all", "1da08a314f881eb16406bae48829620dcc13bd0563949a46dc05d2b8779ac223"),
+            ("gated_probe_all", "e78dcd3ed1031dcb070d0d4fe06fe82c9acb41d7d3888bfa85ad136b3da26595"),
+            ("strict_abort", "830f15887d0de16e10ad67f6a1305c12b9a8778762ccd04119ae7b186a62af0c"),
         ],
         ids=list(PINNED_CONFIGS),
     )

@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
+import math
+from collections import Counter
 from itertools import product
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -36,7 +39,6 @@ from qsdc3.states import (
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
     bell_state,
-    drive,
     prepare_decoy,
 )
 
@@ -496,6 +498,7 @@ class TestSessionTable:
 
 
 RECORD = AbortPolicy.RECORD_AND_CONTINUE
+BITS = list(product((0, 1), repeat=2))
 SHARED_TABLE_CASES = [
     pytest.param(None, RECORD, id="none"),
     pytest.param(AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4), RECORD, id="intercept-all-p0.4"),
@@ -520,23 +523,31 @@ class TestSharedTable:
             shown = ("aborted", abort.round_index, abort.records, abort.transcript.events, abort.eve_records)
         return shown, rng.bit_generator.state
 
-    @pytest.mark.parametrize("attack, policy", SHARED_TABLE_CASES)
-    def test_a_walked_table_gives_the_results_of_a_fresh_one(self, attack, policy):
-        # The table is walked first by sessions under every case's attack,
-        # so it holds edges of every kind, built along other draws.
+    @pytest.fixture(scope="class")
+    def walked(self):
+        """A table walked by sessions under every case's attack, so it
+        holds edges of every kind, built along other draws."""
         table = TransitionTable()
         for seed in (100, 101):
             for case in SHARED_TABLE_CASES:
                 self.session(seed, case.values[0], RECORD, table)
-        assert len(table) > 0
+        return table
+
+    @pytest.mark.parametrize("attack, policy", SHARED_TABLE_CASES)
+    def test_a_walked_table_gives_the_results_of_a_fresh_one(self, walked, attack, policy):
+        # The fresh table is used by this case's sessions only: the first
+        # builds its compiled round, which the later ones reuse.
+        assert len(walked) > 0
+        fresh_table = TransitionTable()
         for seed in range(3):
-            fresh = self.session(seed, attack, policy, None)
-            assert self.session(seed, attack, policy, table) == fresh
+            fresh = self.session(seed, attack, policy, fresh_table)
+            assert self.session(seed, attack, policy, walked) == fresh
         if policy is AbortPolicy.STRICT:
             assert fresh[0][0] == "aborted"
 
     def test_a_table_walked_under_two_schedules_gives_the_results_of_a_fresh_one(self):
-        # One compiled round per schedule and attack model, on one table.
+        # One compiled round per schedule and attack model, on one table;
+        # each fresh table is used by one schedule's and case's sessions.
         schedules = (SchedulePolicy(0.25, 0.25, 0.4), SchedulePolicy(0.5, 0.1, 0.2))
         table = TransitionTable()
         for seed in (100, 101):
@@ -544,143 +555,54 @@ class TestSharedTable:
                 for case in SHARED_TABLE_CASES:
                     self.session(seed, case.values[0], RECORD, table, schedule)
         assert len(table.trees) == 2 * 4  # the two disturbance cases share a model
-        for seed in range(2):
-            for schedule in schedules:
-                for case in SHARED_TABLE_CASES:
-                    attack, policy = case.values
-                    fresh = self.session(seed, attack, policy, None, schedule)
+        for schedule in schedules:
+            for case in SHARED_TABLE_CASES:
+                attack, policy = case.values
+                fresh_table = TransitionTable()
+                for seed in range(2):
+                    fresh = self.session(seed, attack, policy, fresh_table, schedule)
                     assert self.session(seed, attack, policy, table, schedule) == fresh
 
 
-class ScalarOnly:
-    """Forwards every call to a generator; not a ``Generator`` itself, so a
-    session over it draws one value at a time."""
-
-    def __init__(self, generator):
-        self.generator = generator
-
-    def __getattr__(self, name):
-        return getattr(self.generator, name)
-
-
-STREAM_ATTACKS = [
-    pytest.param(None, id="none"),
-    pytest.param(AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4), id="intercept-all-p0.4"),
-    pytest.param(AttackModel.entangle_measure(0.5, *ChannelSegment, attack_probability=0.7), id="entangle-p0.7"),
-    pytest.param(AttackModel.disturbance(Pauli.X, ChannelSegment.B_TO_C), id="disturb"),
-]
-
-
-class TestBlockDraws:
-    """A ``Generator(PCG64)`` session draws in blocks, with the scalar stream."""
-
-    @pytest.fixture
-    def built(self, monkeypatch):
-        built = []
-
-        class Recording(protocol._BlockUniforms):
-            def __init__(self, rng):
-                built.append(rng)
-                super().__init__(rng)
-
-        monkeypatch.setattr(protocol, "_BlockUniforms", Recording)
-        return built
-
-    @staticmethod
-    def session(rng, length, attack, policy, max_rounds=None):
-        """Everything a session shows, then the generator's state and next draws."""
-        generator = getattr(rng, "generator", rng)
-        messages = MessageTriple.random(length, generator)
-        try:
-            result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy, max_rounds)
-            shown = ("completed", result.rounds_used, result.records, result.transcript.events, result.eve_records)
-        except ProtocolAborted as abort:
-            shown = ("aborted", abort.round_index, abort.records, abort.transcript.events, abort.eve_records)
-        except RoundBudgetExceeded as exc:
-            shown = ("budget", str(exc))
-        state = generator.bit_generator.state
-        return shown, state, generator.random(), generator.integers(0, 4), generator.integers(0, 4)
-
-    # 3n is odd for 63 bits, so the session starts with a 32-bit half
-    # pending in the generator, and even for 64; either session runs over
-    # several blocks under record-and-continue.
-    @pytest.mark.parametrize("length", [63, 64])
-    @pytest.mark.parametrize("policy", list(AbortPolicy))
-    @pytest.mark.parametrize("attack", STREAM_ATTACKS)
-    def test_the_block_path_keeps_the_scalar_stream(self, built, attack, policy, length):
-        for seed in range(3):
-            blocked = self.session(np.random.default_rng(seed), length, attack, policy)
-            scalar = self.session(ScalarOnly(np.random.default_rng(seed)), length, attack, policy)
-            assert blocked == scalar
-        assert len(built) == 3
-
-    @pytest.mark.parametrize("length", [7, 8])
-    def test_an_exhausted_budget_leaves_the_scalar_state(self, built, length):
-        attack = AttackModel.intercept_resend(ChannelSegment.A_TO_B)
-        policy = AbortPolicy.RECORD_AND_CONTINUE
-        for seed in range(3):
-            blocked = self.session(np.random.default_rng(seed), length, attack, policy, length)
-            scalar = self.session(ScalarOnly(np.random.default_rng(seed)), length, attack, policy, length)
-            assert blocked[0][0] == "budget"
-            assert blocked == scalar
-        assert len(built) == 3
-
-    def test_only_an_exact_pcg64_generator_draws_in_blocks(self, built, scripted):
-        messages = MessageTriple((1,), (0,), (1,))
-        never = SchedulePolicy(0.0, 0.0, 0.0)
-        run_protocol(messages, never, scripted([0.5] * 4))
-        run_protocol(messages, never, np.random.Generator(np.random.MT19937(5)))
-        run_protocol(messages, never, ScalarOnly(np.random.default_rng(5)))
-        assert built == []
-        pcg64 = np.random.default_rng(5)
-        run_protocol(messages, never, pcg64)
-        assert built == [pcg64]
-
-    def test_block_draws_serve_only_the_decoy_label(self):
-        blocks = protocol._BlockUniforms(np.random.default_rng(5))
-        with pytest.raises(ValueError, match="integers"):
-            blocks.integers(0, 2)
-        blocks.close()
-
-
 # One 48-bit session per attack kind and abort policy (seed 4848), pinned
-# on the engine before the round was compiled into a chance-point tree:
-# (how it ended, its last round, the generator's end PCG64 state, its
-# pending 32-bit half and stored half, and the sha256 of
-# ``repr((records, transcript events, Eve records))``).  A changed draw
-# count moves the end state even when both block and scalar draws agree.
+# on the engine that draws one double per round from ``random(256)``
+# blocks: (how it ended, its last round, the generator's end PCG64 state,
+# its pending 32-bit half and stored half, and the sha256 of
+# ``repr((records, transcript events, Eve records))``).  Each of these
+# sessions takes fewer than 256 rounds, so each ends one block past the
+# message draw, with the half that draw left stored.
 PINNED_STREAMS = {
     ("none", AbortPolicy.STRICT): (
-        "completed", 170, 306998257504876853655492074430429472645, 0, 3383223351,
-        "907cc2ca4c959d51d26c3c3cec8c55e6219a4e970499f74931e75a20406ae2f8",
+        "completed", 120, 173036817716579131003612717821956557797, 0, 2083775103,
+        "aa59f967a72e6652439b87ebfed955643f37ec62dce0ed0b45ed87ef416a2404",
     ),
     ("none", AbortPolicy.RECORD_AND_CONTINUE): (
-        "completed", 170, 306998257504876853655492074430429472645, 0, 3383223351,
-        "907cc2ca4c959d51d26c3c3cec8c55e6219a4e970499f74931e75a20406ae2f8",
+        "completed", 120, 173036817716579131003612717821956557797, 0, 2083775103,
+        "aa59f967a72e6652439b87ebfed955643f37ec62dce0ed0b45ed87ef416a2404",
     ),
     ("intercept", AbortPolicy.STRICT): (
-        "aborted", 7, 306916087269179701885027860178795308640, 1, 4121707555,
-        "91739b6ec992f051e303ca56d46a24807f91702ac076ffbe17e1d68c5a1d194f",
+        "aborted", 12, 173036817716579131003612717821956557797, 0, 2083775103,
+        "2690e5cbdd0bafc872fc5fe8b6b41922b90b5334c89ed481575acc4951bb2fbd",
     ),
     ("intercept", AbortPolicy.RECORD_AND_CONTINUE): (
-        "completed", 166, 103728350335243794381951463870383259556, 0, 3444864969,
-        "6e973df88a62663eb859dd5f96a75e2d69d5c0ba0c20c756ca85be78497cf9ef",
+        "completed", 125, 173036817716579131003612717821956557797, 0, 2083775103,
+        "996743959d9326c10edb689b538905668d3c6b2ee7c0fdfb4a8d7e9ab3fcca54",
     ),
     ("disturbance", AbortPolicy.STRICT): (
-        "aborted", 37, 160125824035831686106839683819631901401, 0, 668910811,
-        "f387532149ee25212e6b32741a0c8c4cb04336567609b80c9beb5bcb21cd9999",
+        "aborted", 1, 173036817716579131003612717821956557797, 0, 2083775103,
+        "f66b841e96b8d53f0587dd9d8e484d456dbf3a91e6e235d740d49098854e950f",
     ),
     ("disturbance", AbortPolicy.RECORD_AND_CONTINUE): (
-        "completed", 144, 257693229101216745979368750477880778756, 0, 850222434,
-        "772a96719851618689e5dc370eabbe091e17d12aadd744411f94887c53001e7d",
+        "completed", 125, 173036817716579131003612717821956557797, 0, 2083775103,
+        "5ab28124ad0fdd31927fe754cd2a627be3e400a671af429cb3c07c3dc75c244b",
     ),
     ("entangle", AbortPolicy.STRICT): (
-        "aborted", 4, 118114467841756385421637412436231795293, 0, 2083775103,
-        "d3bbd44f4c753a1ea807270077f15cee95b307f97447406f6848cc9823c50904",
+        "aborted", 71, 173036817716579131003612717821956557797, 0, 2083775103,
+        "85e848dbefb1e3f4816fb11238910e6acc0a0a44aedfb6558c3c56c2df079a77",
     ),
     ("entangle", AbortPolicy.RECORD_AND_CONTINUE): (
-        "completed", 158, 299954313347895970752835422613450536347, 1, 1294559780,
-        "2a44f8e2511c59bd39a8a1def23ed5e2bb7dddda0726093a97e1f524d09e20d9",
+        "completed", 150, 173036817716579131003612717821956557797, 0, 2083775103,
+        "fb231124e0e9e38d84bb6b12fc5bb45f5ac34815ae2f680befe3e83b6d005bac",
     ),
 }
 
@@ -719,18 +641,56 @@ class TestPinnedDrawStreams:
         assert got == PINNED_STREAMS[name, policy]
 
 
-def eager_session(messages, schedule, rng, attack, policy):
-    """A session run as the engine ran it before it returned leaves: each
-    round driven through the round's steps, and its record, transcript
-    events and Eve's records built as it ends.  Returns how it ended and
-    (records, transcript events, Eve's records)."""
+def block_draws(rng):
+    """The doubles of ``rng.random(256)`` blocks, in order: the draws a
+    session makes, one per round."""
+    while True:
+        yield from rng.random(256).tolist()
+
+
+def scanned_leaf(weighed, u):
+    """The leaf a draw ``u`` picks from ``[(weight, leaf), ...]``, by a linear
+    scan: the first of positive weight whose running sum exceeds ``u``, or
+    the last of positive weight."""
+    total = 0.0
+    for weight, leaf in weighed:
+        if weight > 0.0:
+            total += weight
+            picked = leaf
+            if u < total:
+                break
+    return picked
+
+
+def replayed(steps, answers):
+    """What ``steps`` returns when each chance point is sent the next of ``answers``."""
+    answers = iter(answers)
+    try:
+        steps.send(None)
+        while True:
+            steps.send(next(answers))
+    except StopIteration as stop:
+        return stop.value
+
+
+def eager_session(messages, schedule, rng, attack, policy, weighed_on):
+    """A session run the long way: each round's leaf picked by a linear scan
+    of ``leaf_weights`` on the table ``weighed_on`` with the session's draw,
+    the round's steps driven along that leaf's path on a table of their
+    own, and its record, transcript events and Eve's records built as it
+    ends.  Returns how it ended and (records, transcript events, Eve's
+    records)."""
     model = attack if attack is not None else AttackModel.none()
+    weighed = {(j, k): protocol.leaf_weights(weighed_on, schedule, model, j, k) for j, k in BITS}
+    draws = block_draws(rng)
     table = TransitionTable()
     records, eve_records, transcript = [], [], PublicTranscript()
     n = round_index = 0
     while n < messages.length:
         i, j, k = messages.alice_bits[n], messages.bob_bits[n], messages.charlie_bits[n]
-        kind, passed, touched, label, events, eve = drive(protocol._round_points(table, schedule, model, j, k), rng)
+        path = scanned_leaf(weighed[j, k], next(draws)).path
+        steps = protocol._round_points(table, schedule, model, j, k)
+        kind, passed, touched, label, events, eve = replayed(steps, path[2:])
         for event in events:
             transcript.add(round_index, *event)
         eve_records += [dataclasses.replace(record, round_index=round_index) for record in eve]
@@ -748,28 +708,26 @@ def eager_session(messages, schedule, rng, attack, policy):
 
 
 class TestBuiltOnRead:
-    """What a session shows is built from its leaves, as the eager loop built it."""
+    """What a session shows is built from its leaves, as the round's steps build it."""
 
     @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
     @pytest.mark.parametrize("name", list(PINNED_ATTACKS))
     def test_the_built_records_are_the_eager_ones(self, name, policy):
         schedule, attack = SchedulePolicy(0.25, 0.25, 0.4), PINNED_ATTACKS[name]
-        rng = np.random.default_rng(4848)
-        eager = eager_session(MessageTriple.random(48, rng), schedule, rng, attack, policy)
-        eager_state = rng.bit_generator.state
+        table = TransitionTable()
         rng = np.random.default_rng(4848)
         messages = MessageTriple.random(48, rng)
         try:
-            result = run_protocol(messages, schedule, rng, attack, policy)
+            result = run_protocol(messages, schedule, rng, attack, policy, table=table)
             assert result.records is result.records  # built once, on first read
             built = ("completed", (result.records, result.transcript.events, result.eve_records))
         except ProtocolAborted as abort:
             built = ("aborted", (abort.records, abort.transcript.events, abort.eve_records))
+        session_state = rng.bit_generator.state
+        rng = np.random.default_rng(4848)
+        eager = eager_session(MessageTriple.random(48, rng), schedule, rng, attack, policy, table)
         assert built == eager
-        assert rng.bit_generator.state == eager_state
-
-
-BITS = list(product((0, 1), repeat=2))
+        assert rng.bit_generator.state == session_state
 
 
 def tree_nodes(table):
@@ -840,51 +798,123 @@ class TestCompiledRound:
             got, expected = two_enumerations(SchedulePolicy(0.25, 0.1, 0.4), model, j, k)
             assert got == expected, (j, k)
 
-    def test_a_walked_tree_is_a_subtree_of_the_full_tree(self):
-        # Sessions expand only drawn branches, so whatever the round count
-        # their tree stays within the full tree: 7,872 nodes under
-        # intercept-resend on every segment at p 0.4, of which sessions of
-        # 2,000 and 20,000 bits built 3,645 and 6,499.
+    def test_a_session_draws_from_the_full_tree_and_builds_no_node(self, monkeypatch):
+        # The first session on a table expands its compiled round fully:
+        # 7,872 nodes under intercept-resend on every segment at p 0.4, the
+        # tree ``leaf_weights`` builds from the four roots.  A later session
+        # on the table builds none, and every leaf a session reaches has
+        # positive weight.
         attack = AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4)
         schedule = SchedulePolicy()
         full = TransitionTable()
-        for j, k in BITS:
-            protocol.leaf_weights(full, schedule, attack, j, k)
+        weighed = [pair for j, k in BITS for pair in protocol.leaf_weights(full, schedule, attack, j, k)]
         full_paths = {node[2] for node in tree_nodes(full)}
-        assert len(full_paths) < 8000
-        counts = []
-        for length in (200, 2000):
-            table = TransitionTable()
-            rng = np.random.default_rng(2000)
-            run_protocol(MessageTriple.random(length, rng), schedule, rng, attack, RECORD, table=table)
-            paths = {node[2] for node in tree_nodes(table)}
-            assert paths <= full_paths
-            counts.append(len(paths))
-        assert 0 < counts[0] < counts[1] < len(full_paths)
-
-    def test_a_node_is_built_only_for_a_drawn_answer(self, scripted):
-        # No attack, and Bob's and Charlie's bits are (1, 0) in both
-        # message rounds.  Draws: a message round (no A-B check, the two
-        # never-taken control modes, the Bell draw), an A-B check in Z with
-        # outcomes (0, 1), and the message round again.
+        assert len(full_paths) == 7872
         table = TransitionTable()
-        draws = [0.9, 0.5, 0.5, 0.1] + [0.1, 0.1, 0.3, 0.3] + [0.9, 0.5, 0.5, 0.1]
-        messages = MessageTriple((0, 1), (1, 1), (0, 0))
-        result = run_protocol(messages, SchedulePolicy(0.5, 0.0, 0.0), scripted(draws), table=table)
-        kinds = [record.kind for record in result.records]
-        assert kinds == [RoundKind.MESSAGE, RoundKind.BOB_EAVESDROP_CHECK, RoundKind.MESSAGE]
-        (roots,) = table.trees.values()
-        assert [root is not None for root in roots] == [False, False, True, False]
+        rng = np.random.default_rng(2000)
+        run_protocol(MessageTriple.random(200, rng), schedule, rng, attack, RECORD, table=table)
+        assert {node[2] for node in tree_nodes(table)} == full_paths
+        grown = []
+        monkeypatch.setattr(protocol, "_grow", lambda *args: grown.append(args))
+        result = run_protocol(MessageTriple.random(2000, rng), schedule, rng, attack, RECORD, table=table)
+        assert grown == []
+        drawable = {leaf.path for weight, leaf in weighed if weight > 0.0}
+        assert {leaf.path for leaf in result.leaves} <= drawable
+
+    def test_a_draw_picks_the_first_leaf_its_cumulative_weight_exceeds(self, scripted):
+        # No attack, and Bob's and Charlie's bits are (1, 0) in all three
+        # message rounds.  From that root the leaves are, in answer order,
+        # the four A-B checks (Z basis with outcomes (0, 1) and (1, 0), X
+        # basis with (0, 0) and (1, 1)) at 1/8 each, then the message round
+        # at 1/2.  One draw per round: 0.9 is the message round, 0.1 the
+        # first check and 0.3 the third, and 0.5, a draw on a running sum,
+        # the leaf after it; the session uses exactly these five draws.
+        table = TransitionTable()
+        messages = MessageTriple((0, 1, 1), (1, 1, 1), (0, 0, 0))
+        rng = scripted([0.9, 0.1, 0.3, 0.9, 0.5])
+        result = run_protocol(messages, SchedulePolicy(0.5, 0.0, 0.0), rng, table=table)
+        assert rng.values == []
+        weighed = protocol.leaf_weights(table, SchedulePolicy(0.5, 0.0, 0.0), AttackModel.none(), 1, 0)
+        assert [weight for weight, _ in weighed] == pytest.approx([0.125] * 4 + [0.5])
+        leaves = [leaf for _, leaf in weighed]
+        assert result.leaves == [leaves[4], leaves[0], leaves[2], leaves[4], leaves[4]]
         # Paths: the bits (j, k), then the answers; the Bell outcome (1, 0)
         # is label index 2.
-        assert sorted(node[2] for node in tree_nodes(table)) == [
-            (1, 0),
-            (1, 0, False),
-            (1, 0, False, False),
-            (1, 0, False, False, False),
+        assert [leaf.path for leaf in result.leaves[:3]] == [
             (1, 0, False, False, False, 2),
-            (1, 0, True),
-            (1, 0, True, True),
-            (1, 0, True, True, True),
             (1, 0, True, True, True, False),
+            (1, 0, True, False, True, True),
         ]
+        check, message = RoundKind.BOB_EAVESDROP_CHECK, RoundKind.MESSAGE
+        assert [record.kind for record in result.records] == [message, check, check, message, message]
+
+
+def chi_square_quantile(p, df):
+    """The chi-square value that ``df`` degrees of freedom exceed with
+    probability ``p``, by the Wilson-Hilferty cube-root approximation."""
+    z = NormalDist().inv_cdf(1.0 - p)
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
+
+def g_statistic(weighed_roots, leaves):
+    """The G statistic of the leaves sampled from each root against that
+    root's leaf weights, summed over the roots, and its degrees of freedom.
+
+    ``weighed_roots`` maps each root (j, k) to its ``leaf_weights``.  A
+    root's expected count of a leaf is the root's sampled rounds times the
+    leaf's weight; a leaf without positive weight must never be sampled.
+    """
+    counts = Counter(leaves)
+    g = 0.0
+    df = 0
+    for root, weighed in weighed_roots.items():
+        drawable = [(weight, leaf) for weight, leaf in weighed if weight > 0.0]
+        sampled = sum(counts[leaf] for _, leaf in drawable)
+        assert sampled == sum(c for leaf, c in counts.items() if leaf.path[:2] == root)
+        for weight, leaf in drawable:
+            observed = counts[leaf]
+            if observed:
+                g += 2.0 * observed * math.log(observed / (sampled * weight))
+        df += len(drawable) - 1
+    return g, df
+
+
+# The acceptance configurations whose leaf histograms are tested, each with
+# its acceptance seed: criterion 2 (no attack), criterion 6 (intercept-resend
+# on A->B) and criterion 5 at |beta|^2 = 0.5.
+G_TEST_CASES = [
+    pytest.param(SchedulePolicy(0.05, 0.05, 0.05), AttackModel.none(), 1002, id="criterion-2"),
+    pytest.param(
+        SchedulePolicy(0.5, 0.25, 0.25), AttackModel.intercept_resend(ChannelSegment.A_TO_B), 1006, id="criterion-6"
+    ),
+    pytest.param(
+        SchedulePolicy(0.25, 0.1, 0.4),
+        AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
+        1005,
+        id="criterion-5-beta-sq-0.5",
+    ),
+]
+
+
+class TestLeafHistogram:
+    """Sessions sample each root's leaves with the exact leaf weights."""
+
+    def test_the_quantile_matches_known_values(self):
+        # Exact upper-tail quantiles: 18.307 for 0.05 at 10 degrees of
+        # freedom, 109.659 for 1e-6 at 48 and 296.196 for 1e-6 at 189.
+        assert chi_square_quantile(0.05, 10) == pytest.approx(18.307, rel=2e-3)
+        assert chi_square_quantile(1e-6, 48) == pytest.approx(109.659, rel=1e-2)
+        assert chi_square_quantile(1e-6, 189) == pytest.approx(296.196, rel=1e-2)
+
+    @pytest.mark.parametrize("schedule, model, seed", G_TEST_CASES)
+    def test_a_million_rounds_pass_a_g_test_against_the_leaf_weights(self, schedule, model, seed):
+        table = TransitionTable()
+        rng = np.random.default_rng(seed)
+        leaves = []
+        while len(leaves) < 1_000_000:
+            result = run_protocol(MessageTriple.random(100_000, rng), schedule, rng, model, RECORD, table=table)
+            leaves += result.leaves
+        weighed_roots = {(j, k): protocol.leaf_weights(table, schedule, model, j, k) for j, k in BITS}
+        g, df = g_statistic(weighed_roots, leaves)
+        assert g < chi_square_quantile(1e-6, df), (g, df)

@@ -536,7 +536,7 @@ class TestDerivedStates:
 PINNED_REPORTS = [
     (
         ExperimentConfig(message_length=16, trials=4, seed=1),
-        "206461afa1b0ab836a6e9a3548161930f88c1ac25be4a65ca265b0d52c81ab24",
+        "1bf5503eb57fa2c5e1d00541f1d77fa31f18bf3144e3417c91950759a2377d40",
     ),
     (
         ExperimentConfig(
@@ -546,7 +546,7 @@ PINNED_REPORTS = [
             attack=AttackModel.intercept_resend(ChannelSegment.A_TO_B),
             seed=2,
         ),
-        "3558889e1eccb1a5c6fae3a28e13d6fc2488714c78e78a1c837723a8d296662f",
+        "6a0b34b8c087dd6fccbdc78505e31925844fd2e1d2caea75a5ca34e955eca803",
     ),
     (
         ExperimentConfig(
@@ -556,7 +556,7 @@ PINNED_REPORTS = [
             attack=AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
             seed=3,
         ),
-        "d8388428c93ce33ee7b53c198d761c5c3c35495deec66f0837d32b508bd4670d",
+        "34fd4a9d5576986e64cdfe1c2783ec260c17d3e9963d29de3898f1663b715a56",
     ),
 ]
 
