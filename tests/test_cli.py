@@ -7,12 +7,16 @@ import os
 import re
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qsdc3 import cli
+from qsdc3.adversary import AttackModel, ChannelSegment
+from qsdc3.protocol import SchedulePolicy, leaf_weights
+from qsdc3.states import TransitionTable
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -360,29 +364,11 @@ class TestExitCodeContract:
 
 
 class TestVerboseLogging:
-    @staticmethod
-    def debug_lines(caplog, argv):
-        """The DEBUG lines of ``cli.main(argv)``, which must exit 0."""
-        caplog.clear()
-        assert cli.main(argv) == cli.EXIT_OK
-        return [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-
-    @staticmethod
-    def table_edges(lines):
-        """The table size each session line reports."""
-        edges = []
-        for line in lines:
-            match = re.fullmatch(r"session: (\d+) rounds, (\d+) transition table edges", line)
-            assert match, line
-            assert int(match.group(1)) >= 2 and int(match.group(2)) > 0
-            edges.append(int(match.group(2)))
-        return edges
-
     @pytest.mark.parametrize("command, sessions", [("run", 2), ("sweep", 6)])
     def test_debug_logs_each_session_table_and_keeps_report_bytes(self, tmp_path, capsys, caplog, command, sessions):
         # A sweep runs one experiment per grid point: here two points of
-        # three trials, so a table kept across points would hold both
-        # points' compiled rounds at the second.
+        # three trials, so a table kept across points, or across runs,
+        # would hold more than one point's compiled round.
         if command == "run":
             payload, trials = {"message_length": 2, "trials": 2}, 2
         else:
@@ -391,10 +377,16 @@ class TestVerboseLogging:
         assert cli.main([command, "--config", cfg]) == cli.EXIT_OK
         quiet = capsys.readouterr().out
         caplog.set_level(logging.DEBUG, logger="qsdc3")
-        lines = self.debug_lines(caplog, ["-vv", command, "--config", cfg])
+        assert cli.main(["-vv", command, "--config", cfg]) == cli.EXIT_OK
         assert capsys.readouterr().out == quiet
+        lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         assert len(lines) == sessions
-        edges = self.table_edges(lines)
+        edges = []
+        for line in lines:
+            match = re.fullmatch(r"session: (\d+) rounds, (\d+) transition table edges", line)
+            assert match, line
+            assert int(match.group(1)) >= 2 and int(match.group(2)) > 0
+            edges.append(int(match.group(2)))
         # The count is the size of the experiment's table, whose compiled
         # round the first session expands in full: every session of an
         # experiment reports the same count.
@@ -402,12 +394,16 @@ class TestVerboseLogging:
         for counts in experiments:
             assert counts == [counts[0]] * trials
         if command == "sweep":
-            # Each grid point starts a table of its own: the second point's
-            # is the size of a one-point sweep's.
-            alone = write_config(tmp_path, dict(payload, grid=[0.5]), "alone.json")
-            (size,) = set(self.table_edges(self.debug_lines(caplog, ["-vv", command, "--config", alone])))
-            assert experiments[1][0] == size
-            capsys.readouterr()
+            # Each grid point starts a table of its own, which holds that
+            # point's compiled round and nothing more.
+            sizes = []
+            for beta_sq in payload["grid"]:
+                table = TransitionTable()
+                model = AttackModel.entangle_measure(beta_sq, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A)
+                for j, k in product((0, 1), repeat=2):
+                    leaf_weights(table, SchedulePolicy(0.25, 0.1, 0.4), model, j, k)
+                sizes.append(len(table))
+            assert [counts[0] for counts in experiments] == sizes
 
 
 class TestTrialProgress:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import math
 import operator
 import tracemalloc
@@ -433,6 +434,20 @@ class TestLeafFold:
                 assert harness._view_hits(keys) == hits
         if policy is AbortPolicy.STRICT and attack is not None:
             assert aborted == 6
+
+
+class TestTrialLog:
+    """A trial's INFO line counts its failed checks only when it is shown;
+    its text is checked in test_cli.py (``TestTrialProgress``)."""
+
+    class Unread(list):
+        def __iter__(self):
+            raise AssertionError("the leaves were read")
+
+    def test_below_info_the_leaves_are_not_read(self, caplog):
+        caplog.set_level(logging.WARNING, logger="qsdc3")
+        harness._log_trial(0, self.Unread())
+        assert caplog.records == []
 
 
 class TestSessionBoundary:
