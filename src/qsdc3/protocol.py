@@ -767,27 +767,26 @@ def run_protocol(
     strict = abort_policy is AbortPolicy.STRICT
 
     n = 0
-    round_index = 0
     try:
-        while n < n_total:
-            if round_index >= max_rounds:
-                raise RoundBudgetExceeded(
-                    "budget of %d rounds exhausted with %d of %d bits delivered"
-                    % (max_rounds, n, n_total)
-                )
+        for round_index in range(max_rounds):
             bounds, options = choices[2 * bob[n] + charlie[n]]
             leaf = options[bisect_right(bounds, random())]
             reached(leaf)
-            round_index += 1
             # The leaf's kind and check verdict, read by index.
             if leaf[1] is _MESSAGE:
                 n += 1
+                if n == n_total:
+                    break
             elif leaf[3] is False and strict:
                 records, transcript, eve_records = _materialise(messages, leaves)
                 raise ProtocolAborted(
-                    round_index - 1, leaf.kind, leaf.touched, records, transcript, eve_records, leaves
+                    round_index, leaf.kind, leaf.touched, records, transcript, eve_records, leaves
                 )
+        else:
+            raise RoundBudgetExceeded(
+                "budget of %d rounds exhausted with %d of %d bits delivered" % (max_rounds, n, n_total)
+            )
     finally:
-        log.debug("session: %d rounds, %d transition table edges", round_index, len(table))
+        log.debug("session: %d rounds, %d transition table edges", len(leaves), len(table))
 
     return ProtocolResult(messages, leaves)
