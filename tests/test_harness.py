@@ -293,10 +293,10 @@ class TestExperimentTable:
             seed=12,
         )
         run_experiment(config)
-        # One table, so one tree; a node is built when its answer is first
-        # drawn and then walked by every later round of every trial.  The
-        # exact enumerator grows the trees of its check-forcing schedules on
-        # tables of its own.
+        # One table, so one tree; the first session expands it in full,
+        # building each node once, and every later round of every trial
+        # draws from it.  The exact enumerator grows the trees of its
+        # check-forcing schedules on tables of its own.
         assert len({table for table, schedule, _ in built if schedule == config.schedule}) == 1
         assert len(set(built)) == len(built) > 40
 

@@ -471,9 +471,9 @@ class TestSessionTable:
     def test_the_table_is_bounded_by_the_round_not_the_round_count(self, tables):
         # Every edge leaves a round's start state or a state the table
         # built, and the table builds one state per value, so its size is
-        # bounded by the few dozen distinct states a round can reach: 175
-        # edges at 2,000 bits and 184 at 20,000 (without interning, 452 and
-        # 543, and still growing).
+        # bounded by the few dozen distinct states a round can reach: 184
+        # edges, the full expansion's, at 2,000 and at 20,000 bits (a lazily
+        # built tree without interning had 452 and 543, and still growing).
         starts = [protocol._START_PAIR] + [decoy for _, decoy, _, _ in protocol._DECOYS]
         attack = AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4)
         for length in (2000, 20000):
@@ -492,8 +492,8 @@ class TestSessionTable:
             assert all(id(edge[0]) in nodes for kind in edges for edge in kind.values())
             assert len(table._nodes) < 64
             assert len(table) < 192
-            # The compiled round holds a node per path drawn so far, never
-            # more than the 7,872 of its full tree (TestCompiledRound).
+            # The compiled round is its full tree of 7,872 nodes
+            # (TestCompiledRound), whatever the round count.
             assert len(tree_nodes(table)) < 8000
 
 
@@ -616,16 +616,25 @@ PINNED_ATTACKS = {
 }
 
 
+@pytest.fixture(scope="module")
+def pinned_table():
+    """One table for the pinned sessions: a fresh table gives the same
+    results (``TestSharedTable``), and this one expands each attack's
+    compiled round once instead of once per session."""
+    return TransitionTable()
+
+
 class TestPinnedDrawStreams:
     """Each attack kind's session makes the pinned draws and shows the pinned results."""
 
     @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
     @pytest.mark.parametrize("name", list(PINNED_ATTACKS))
-    def test_the_session_keeps_its_pinned_stream(self, name, policy):
+    def test_the_session_keeps_its_pinned_stream(self, pinned_table, name, policy):
         rng = np.random.default_rng(4848)
         messages = MessageTriple.random(48, rng)
         try:
-            result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, PINNED_ATTACKS[name], policy)
+            schedule = SchedulePolicy(0.25, 0.25, 0.4)
+            result = run_protocol(messages, schedule, rng, PINNED_ATTACKS[name], policy, table=pinned_table)
             ended = ("completed", result.rounds_used)
             shown = (result.records, result.transcript.events, result.eve_records)
         except ProtocolAborted as abort:
@@ -712,9 +721,9 @@ class TestBuiltOnRead:
 
     @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
     @pytest.mark.parametrize("name", list(PINNED_ATTACKS))
-    def test_the_built_records_are_the_eager_ones(self, name, policy):
+    def test_the_built_records_are_the_eager_ones(self, pinned_table, name, policy):
         schedule, attack = SchedulePolicy(0.25, 0.25, 0.4), PINNED_ATTACKS[name]
-        table = TransitionTable()
+        table = pinned_table
         rng = np.random.default_rng(4848)
         messages = MessageTriple.random(48, rng)
         try:
@@ -760,7 +769,7 @@ EXACT_MODELS = [
 
 
 class TestCompiledRound:
-    """Sessions walk one lazily built tree of the round's chance points."""
+    """Sessions draw their leaves from one fully expanded tree of the round's chance points."""
 
     @pytest.mark.parametrize("model", EXACT_MODELS)
     def test_the_tree_weights_are_the_exact_detection_probabilities(self, model):
@@ -857,15 +866,15 @@ def chi_square_quantile(p, df):
     return df * (1.0 - h + z * math.sqrt(h)) ** 3
 
 
-def g_statistic(weighed_roots, leaves):
-    """The G statistic of the leaves sampled from each root against that
-    root's leaf weights, summed over the roots, and its degrees of freedom.
+def g_statistic(weighed_roots, counts):
+    """The G statistic of the leaves sampled from each root, counted in
+    ``counts``, against that root's leaf weights, summed over the roots,
+    and its degrees of freedom.
 
     ``weighed_roots`` maps each root (j, k) to its ``leaf_weights``.  A
     root's expected count of a leaf is the root's sampled rounds times the
     leaf's weight; a leaf without positive weight must never be sampled.
     """
-    counts = Counter(leaves)
     g = 0.0
     df = 0
     for root, weighed in weighed_roots.items():
@@ -911,10 +920,10 @@ class TestLeafHistogram:
     def test_a_million_rounds_pass_a_g_test_against_the_leaf_weights(self, schedule, model, seed):
         table = TransitionTable()
         rng = np.random.default_rng(seed)
-        leaves = []
-        while len(leaves) < 1_000_000:
-            result = run_protocol(MessageTriple.random(100_000, rng), schedule, rng, model, RECORD, table=table)
-            leaves += result.leaves
+        counts = Counter()
+        while counts.total() < 1_000_000:
+            result = run_protocol(MessageTriple.random(10_000, rng), schedule, rng, model, RECORD, table=table)
+            counts.update(result.leaves)
         weighed_roots = {(j, k): protocol.leaf_weights(table, schedule, model, j, k) for j, k in BITS}
-        g, df = g_statistic(weighed_roots, leaves)
+        g, df = g_statistic(weighed_roots, counts)
         assert g < chi_square_quantile(1e-6, df), (g, df)

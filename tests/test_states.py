@@ -584,7 +584,7 @@ class TestKernels:
         "config, digest", PINNED_REPORTS, ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"]
     )
     def test_report_digest_is_the_same_on_a_second_run(self, config, digest):
-        # Nothing a run builds outlives it: each session walks its own table.
+        # Nothing a run builds outlives it: each experiment builds its own table.
         def report_digest():
             text = render_json(run_experiment(config).to_dict())
             return hashlib.sha256(text.encode()).hexdigest()
