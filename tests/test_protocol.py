@@ -8,6 +8,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from conftest import _replay
 from qsdc3 import protocol
 from qsdc3.adversary import AttackModel, ChannelSegment, analytic_detection_probability
 from qsdc3.protocol import (
@@ -671,17 +672,6 @@ def scanned_leaf(weighed, u):
     return picked
 
 
-def replayed(steps, answers):
-    """What ``steps`` returns when each chance point is sent the next of ``answers``."""
-    answers = iter(answers)
-    try:
-        steps.send(None)
-        while True:
-            steps.send(next(answers))
-    except StopIteration as stop:
-        return stop.value
-
-
 def eager_session(messages, schedule, rng, attack, policy, weighed_on):
     """A session run the long way: each round's leaf picked by a linear scan
     of ``leaf_weights`` on the table ``weighed_on`` with the session's draw,
@@ -699,7 +689,8 @@ def eager_session(messages, schedule, rng, attack, policy, weighed_on):
         i, j, k = messages.alice_bits[n], messages.bob_bits[n], messages.charlie_bits[n]
         path = scanned_leaf(weighed[j, k], next(draws)).path
         steps = protocol._round_points(table, schedule, model, j, k)
-        kind, passed, touched, label, events, eve = replayed(steps, path[2:])
+        point, (kind, passed, touched, label, events, eve) = _replay(steps, path[2:])
+        assert point is None
         for event in events:
             transcript.add(round_index, *event)
         eve_records += [dataclasses.replace(record, round_index=round_index) for record in eve]
