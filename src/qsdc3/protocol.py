@@ -571,27 +571,36 @@ def _roots(table, schedule, model):
     return roots
 
 
-def _grow(table, schedule, model, path):
-    """The node at ``path``: the round replayed along the path's answers,
-    up to its next chance point or its end."""
-    steps = _round_points(table, schedule, model, path[0], path[1])
+def _grow(table, schedule, model, path, steps=None):
+    """The node at ``path``, and the round's steps paused at its chance
+    point (None at a leaf).
+
+    The steps are the round replayed along the path's answers or, when
+    ``steps`` is paused at the point of the node's parent, those steps sent
+    the path's last answer: the table gives both the same states and
+    points, and the continuation skips the replay.
+    """
     try:
-        point = steps.send(None)
-        for answer in path[2:]:
-            point = steps.send(answer)
+        if steps is None:
+            steps = _round_points(table, schedule, model, path[0], path[1])
+            point = steps.send(None)
+            for answer in path[2:]:
+                point = steps.send(answer)
+        else:
+            point = steps.send(path[-1])
     except StopIteration as stop:
         kind, passed, touched, label, events, eve = stop.value
         eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
         keys = None
         if label is not None:
             keys = tuple(announce(label.flip, label.phase, i) + (i,) + path[:2] for i in (0, 1))
-        return Leaf(_LEAF, kind, path, passed, tuple(touched), label, events, eve, keys)
+        return Leaf(_LEAF, kind, path, passed, tuple(touched), label, events, eve, keys), None
     kind, data = point
     if kind is BERNOULLI:
-        return [kind, data, path, None, None]
+        return [kind, data, path, None, None], steps
     if kind is BELL:
         data = tuple((cumulative, 3 + index) for cumulative, index in data)
-    return [kind, data, path, None, None, None, None]
+    return [kind, data, path, None, None, None, None], steps
 
 
 def leaf_weights(table, schedule, model, j, k):
@@ -609,8 +618,13 @@ def leaf_weights(table, schedule, model, j, k):
     """
     roots = _roots(table, schedule, model)
     root = roots[2 * j + k]
+    # The steps paused at each node built here, by id, until the first of
+    # its children built takes them over; the node's other children replay.
+    paused = {}
     if root is None:
-        root = roots[2 * j + k] = _grow(table, schedule, model, (j, k))
+        root, steps = _grow(table, schedule, model, (j, k))
+        roots[2 * j + k] = root
+        paused[id(root)] = steps
     weighed = []
     stack = [(1.0, root)]
     while stack:
@@ -634,7 +648,11 @@ def leaf_weights(table, schedule, model, j, k):
                 child = node[branch]
                 if child is None:
                     answer = branch == 3 if kind is BERNOULLI else branch - 3
-                    child = node[branch] = _grow(table, schedule, model, node[2] + (answer,))
+                    steps = paused.pop(id(node), None)
+                    child, steps = _grow(table, schedule, model, node[2] + (answer,), steps)
+                    node[branch] = child
+                    if steps is not None:
+                        paused[id(child)] = steps
                 stack.append((weight * p, child))
     return weighed
 

@@ -410,7 +410,7 @@ class TestExtremeDraws:
         assert len(models) == 190
         grown = []  # the paths of the nodes built
         grow = protocol._grow
-        monkeypatch.setattr(protocol, "_grow", lambda *args: grown.append(args[-1]) or grow(*args))
+        monkeypatch.setattr(protocol, "_grow", lambda *args: grown.append(args[3]) or grow(*args))
         record = AbortPolicy.RECORD_AND_CONTINUE
         for model in models:
             table = TransitionTable()

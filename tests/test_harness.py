@@ -275,11 +275,11 @@ class TestExperimentTable:
     def test_a_40_trial_experiment_builds_each_tree_node_once(self, monkeypatch):
         built = []
 
-        def recording_grow(table, schedule, model, path):
+        def recording_grow(table, schedule, model, path, steps=None):
             # The table itself, not its id: the enumerator's tables are
             # freed after each call, and an id may then be reused.
             built.append((table, schedule, path))
-            return grow(table, schedule, model, path)
+            return grow(table, schedule, model, path, steps)
 
         grow = protocol._grow
         monkeypatch.setattr(protocol, "_grow", recording_grow)
