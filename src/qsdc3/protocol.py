@@ -624,7 +624,8 @@ def leaf_weights(table, schedule, model, j, k):
     if root is None:
         root, steps = _grow(table, schedule, model, (j, k))
         roots[2 * j + k] = root
-        paused[id(root)] = steps
+        if steps is not None:
+            paused[id(root)] = steps
     weighed = []
     stack = [(1.0, root)]
     while stack:
