@@ -21,8 +21,8 @@ measurement outcome), the decoy label and the Bell measurement (see
 ``states.drive``).  A session does not run this body per round.  The body
 is compiled into a tree, one per schedule and attack model, kept in the
 experiment's :class:`~qsdc3.states.TransitionTable`: each node is a chance
-point, and its child for an answer is built by replaying the steps along
-the node's answers.  The tree, fully expanded, gives the exact probability
+point, and its child for an answer is built by running the steps along
+the child's answers (:func:`_grow`).  The tree, fully expanded, gives the exact probability
 of each :class:`Leaf` (:func:`leaf_weights`), which
 ``adversary.analytic_detection_probability`` sums and from which sessions
 draw: a round is one draw, one bisection of its root's cumulative leaf
