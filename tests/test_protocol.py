@@ -730,6 +730,137 @@ class TestBuiltOnRead:
         assert rng.bit_generator.state == session_state
 
 
+def scanned_session(messages, schedule, rng, attack, policy, max_rounds, weighed_on):
+    """The leaves a session reaches, each picked by :func:`scanned_leaf` with
+    the next double of ``rng.random(256)`` blocks from the root of the
+    message bit it carries, and how the session ends: "completed",
+    "aborted" at a failed check under the strict policy, or "budget" after
+    ``max_rounds`` rounds.  Returns (how it ended, leaves, bits delivered)."""
+    model = attack if attack is not None else AttackModel.none()
+    weighed = {(j, k): protocol.leaf_weights(weighed_on, schedule, model, j, k) for j, k in BITS}
+    draws = block_draws(rng)
+    leaves = []
+    n = 0
+    while len(leaves) < max_rounds:
+        leaf = scanned_leaf(weighed[messages.bob_bits[n], messages.charlie_bits[n]], next(draws))
+        leaves.append(leaf)
+        if leaf.kind is RoundKind.MESSAGE:
+            n += 1
+            if n == messages.length:
+                return "completed", leaves, n
+        elif leaf.passed is False and policy is AbortPolicy.STRICT:
+            return "aborted", leaves, n
+    return "budget", leaves, n
+
+
+STREAM_ATTACKS = [
+    pytest.param(None, id="none"),
+    pytest.param(AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4), id="intercept-all-p0.4"),
+    pytest.param(AttackModel.entangle_measure(0.5, *ChannelSegment, attack_probability=0.7), id="entangle-p0.7"),
+    pytest.param(AttackModel.disturbance(Pauli.X, ChannelSegment.B_TO_C), id="disturb"),
+]
+
+
+@pytest.fixture(scope="module")
+def stream_table():
+    """One table for the sessions of ``TestRoundDraws``, so each attack's
+    compiled round is expanded once (``TestSharedTable``)."""
+    return TransitionTable()
+
+
+class Recording:
+    """Forwards every call to a generator and records it as ``(name, args)``."""
+
+    def __init__(self, generator):
+        self.generator = generator
+        self.calls = []
+
+    def __getattr__(self, name):
+        method = getattr(self.generator, name)
+
+        def call(*args):
+            self.calls.append((name, args))
+            return method(*args)
+
+        return call
+
+
+class TestRoundDraws:
+    """A session draws one double per round from its generator's
+    ``random(256)`` blocks, and picks the round's leaf with it."""
+
+    @staticmethod
+    def session(seed, length, attack, policy, max_rounds, table):
+        """How a seeded session ends, its leaves and bits delivered, then
+        its generator's state and next draws."""
+        rng = np.random.default_rng(seed)
+        messages = MessageTriple.random(length, rng)
+        try:
+            result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy, max_rounds, table)
+            shown = ("completed", result.leaves, length)
+        except ProtocolAborted as abort:
+            shown = ("aborted", abort.leaves, sum(leaf.kind is RoundKind.MESSAGE for leaf in abort.leaves))
+        except RoundBudgetExceeded as exc:
+            shown = ("budget", str(exc))
+        return shown, rng.bit_generator.state, rng.random(), rng.integers(0, 4)
+
+    @staticmethod
+    def scanned(seed, length, attack, policy, max_rounds, table):
+        """What :meth:`session` shows, from :func:`scanned_session`."""
+        rng = np.random.default_rng(seed)
+        messages = MessageTriple.random(length, rng)
+        ended, leaves, n = scanned_session(
+            messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy, max_rounds, table
+        )
+        if ended == "budget":
+            shown = (ended, "budget of %d rounds exhausted with %d of %d bits delivered" % (max_rounds, n, length))
+        else:
+            shown = (ended, leaves, n)
+        return shown, rng.bit_generator.state, rng.random(), rng.integers(0, 4)
+
+    # 3n is odd for 127 bits, so the message draw leaves a 32-bit half
+    # stored in the generator, and even for 128; a session of either
+    # length that completes takes more than 256 rounds, so it draws from
+    # a second block.
+    @pytest.mark.parametrize("length", [127, 128])
+    @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
+    @pytest.mark.parametrize("attack", STREAM_ATTACKS)
+    def test_each_round_picks_its_leaf_with_the_next_block_draw(self, stream_table, attack, policy, length):
+        for seed in range(3):
+            got = self.session(seed, length, attack, policy, None, stream_table)
+            assert got == self.scanned(seed, length, attack, policy, 10**6, stream_table)
+            if got[0][0] == "completed":
+                assert len(got[0][1]) > 256
+
+    @pytest.mark.parametrize("length", [7, 8])
+    def test_an_exhausted_budget_leaves_the_generator_one_block_on(self, stream_table, length):
+        attack = AttackModel.intercept_resend(ChannelSegment.A_TO_B)
+        for seed in range(3):
+            got = self.session(seed, length, attack, RECORD, length, stream_table)
+            assert got[0][0] == "budget"
+            assert got == self.scanned(seed, length, attack, RECORD, length, stream_table)
+
+    def test_every_generator_is_served_from_blocks(self, scripted):
+        # A generator of any bit generator, a stand-in that only forwards
+        # calls, and the scripted stand-in: each is asked for random(256)
+        # blocks only, one per 256 rounds begun.
+        messages = MessageTriple.random(200, np.random.default_rng(6))
+        generators = [
+            np.random.default_rng(5),
+            np.random.Generator(np.random.MT19937(5)),
+            Recording(np.random.default_rng(5)),
+        ]
+        for generator in generators:
+            rng = Recording(generator)
+            result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, abort_policy=RECORD)
+            assert len(result.leaves) > 256
+            assert rng.calls == [("random", (256,))] * math.ceil(len(result.leaves) / 256)
+        rng = Recording(scripted([0.9] * 3))
+        result = run_protocol(MessageTriple((1, 0, 1), (0, 0, 1), (1, 1, 0)), SchedulePolicy(0.0, 0.0, 0.0), rng)
+        assert [leaf.kind for leaf in result.leaves] == [RoundKind.MESSAGE] * 3
+        assert rng.calls == [("random", (256,))]
+
+
 def tree_nodes(table):
     """Every node built in every compiled round ``table`` holds."""
     nodes = []
