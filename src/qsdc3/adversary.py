@@ -270,6 +270,11 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     summed on its own and the decoy check's is their sum, so a decoy
     check's value is exactly the mean of its two families' values.
 
+    The value is one weighing (:func:`failed_weight_by_basis`) read by the
+    row formula (:func:`detection_from_failed`).  A decoy check's three
+    rows read one weighing, so an experiment's report (``harness``) takes
+    its five rows from three weighings.
+
     Raises ``ValueError`` for the null attack, for a non-check round kind,
     for a ``decoy_family`` other than None, ``Basis.Z`` and ``Basis.X``,
     and for a family given with a check other than the decoy check.
@@ -284,14 +289,26 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
             raise ValueError("decoy_family must be None, Basis.Z or Basis.X, got %r" % (decoy_family,))
         if kind_value != "decoy_check":
             raise ValueError("a decoy family applies to the decoy check only, not %r" % (check_kind,))
-    schedule = _protocol.SchedulePolicy(*_FORCING_SCHEDULES[kind_value])
-    leaves = _protocol.leaf_weights(TransitionTable(), schedule, model, 0, 0)
+    return detection_from_failed(failed_weight_by_basis(model, kind_value), decoy_family)
 
-    # Failed weight by the basis of the revealed decoy; None for a pair check.
+
+def failed_weight_by_basis(model, check_kind):
+    """The failed weight of the compiled round forced to ``check_kind``, a
+    check kind's value, weighed on a fresh table (see
+    :func:`analytic_detection_probability`): a dict by the basis of the
+    revealed decoy, with None for a pair check."""
+    schedule = _protocol.SchedulePolicy(*_FORCING_SCHEDULES[check_kind])
     failed = {None: 0.0, Basis.Z: 0.0, Basis.X: 0.0}
-    for weight, leaf in leaves:
+    for weight, leaf in _protocol.leaf_weights(TransitionTable(), schedule, model, 0, 0):
         if leaf.passed is False:
             failed[_revealed_basis(leaf.events)] += weight
+    return failed
+
+
+def detection_from_failed(failed, decoy_family=None):
+    """The detection probability of one row from the failed weights of
+    :func:`failed_weight_by_basis`: their sum, or a decoy family's weight
+    divided by the family's 1/2."""
     if decoy_family is not None:
         total = failed[decoy_family] / 0.5
     else:

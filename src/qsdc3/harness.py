@@ -21,6 +21,8 @@ round's leaf by its exact weight; which table it uses does not change its
 draws or its results.  A session returns the sequence of leaves its rounds
 reached, and the report is a fold of leaf counts (:class:`_Aggregator`):
 an experiment builds no round record, transcript or decoded message.
+Its analytic column weighs each check-forced tree once: the five rows
+(three check kinds, two decoy families) read three weighings.
 """
 
 from __future__ import annotations
@@ -38,7 +40,8 @@ from .adversary import (
     AttackKind,
     AttackModel,
     ChannelSegment,
-    analytic_detection_probability,
+    detection_from_failed,
+    failed_weight_by_basis,
     paper_claimed_detection,
 )
 from .protocol import (
@@ -293,25 +296,26 @@ class ExperimentAborted(Exception):
         )
 
 
-def _decoded_right(x, y, i, j, k):
-    """Whether each view decodes its bit right in a message round of leakage
-    key (x, y, i, j, k): Alice's view of Bob and of Charlie, Bob's of Alice
-    and of Charlie, Charlie's of Alice and of Bob, as ``DecodedMessages``
-    orders them."""
+def _decoded_wrong(x, y, i, j, k):
+    """The views that decode their bit wrong in a message round of leakage
+    key (x, y, i, j, k), numbered as ``DecodedMessages`` orders them:
+    Alice's view of Bob and of Charlie, Bob's of Alice and of Charlie,
+    Charlie's of Alice and of Bob."""
     decoded = decode_alice(x, y, i) + decode_bob(x, y, j) + decode_charlie(x, y, k)
-    return tuple(map(operator.eq, decoded, (j, k, i, k, i, j)))
+    return tuple(view for view, (got, sent) in enumerate(zip(decoded, (j, k, i, k, i, j))) if got != sent)
 
 
-_VIEW_HITS = {key: _decoded_right(*key) for key in product((0, 1), repeat=5)}
+# Empty for every key of an undisturbed round.
+_VIEW_MISSES = {key: _decoded_wrong(*key) for key in product((0, 1), repeat=5)}
 
 
 def _view_hits(keys):
-    """Each view's right bits over message rounds counted by leakage key."""
-    hits = [0] * 6
+    """Each view's right bits over message rounds counted by leakage key:
+    every counted round, less the rounds whose key that view decodes wrong."""
+    hits = [sum(keys.values())] * 6
     for key, c in keys.items():
-        for view, hit in enumerate(_VIEW_HITS[key]):
-            if hit:
-                hits[view] += c
+        for view in _VIEW_MISSES[key]:
+            hits[view] -= c
     return hits
 
 
@@ -328,10 +332,14 @@ class _Aggregator:
     Every report field sums what each round's leaf, and in a message round
     Alice's bit, determine: a trial adds its leaves to a count per leaf (the
     check, decoy family and Eve's counts are tallied from it), and its
-    message rounds to a count per leakage key (which gives its fidelity)."""
+    message rounds to a count per leakage key (which gives its fidelity).
+    The analytic column weighs each check-forced tree once per aggregator,
+    so an experiment's five rows read three weighings."""
 
     def __init__(self, config):
         self.config = config
+        # Failed weights by base check kind (adversary.failed_weight_by_basis).
+        self.failed_weights = {}
         self.leaf_counts = Counter()
         # Message rounds counted by (x, y, alice bit, bob bit, charlie bit):
         # at most 32 keys, however many rounds are audited.
@@ -382,7 +390,10 @@ class _Aggregator:
         if attack.kind is AttackKind.NONE:
             return 0.0
         base = kind if not kind.startswith("decoy_check_") else "decoy_check"
-        return analytic_detection_probability(attack, base, decoy_family)
+        failed = self.failed_weights.get(base)
+        if failed is None:
+            failed = self.failed_weights[base] = failed_weight_by_basis(attack, base)
+        return detection_from_failed(failed, decoy_family)
 
     def _leakage(self):
         """The leakage audit over the counted message rounds."""

@@ -757,9 +757,12 @@ def run_protocol(
     whole blocks).  Its root is Bob's and Charlie's bits (j, k) of the
     message bit it carries, the n-th when n message rounds came before it,
     and its leaf is the first of that root's leaves whose cumulative weight
-    exceeds ``u`` (:func:`_choices`).  The compiled round of ``schedule``
-    and ``attack`` lives in ``table``, a :class:`~qsdc3.states.TransitionTable`,
-    or in a fresh one when ``table`` is None; the first session on a table
+    exceeds ``u`` (:func:`_choices`).  The root changes only when a bit is
+    delivered, so the session reads it once per message bit: before the
+    first round and after each message round that leaves a bit to send.
+    The compiled round of ``schedule`` and ``attack`` lives in ``table``, a
+    :class:`~qsdc3.states.TransitionTable`, or in a fresh one when
+    ``table`` is None; the first session on a table
     expands it fully (:func:`leaf_weights` from all four roots), and later
     sessions reuse it (``harness.run_experiment`` passes one table to all
     its trials).  Which table a session uses does not change its results.
@@ -787,8 +790,8 @@ def run_protocol(
 
     n = 0
     try:
+        bounds, options = choices[2 * bob[0] + charlie[0]]
         for round_index in range(max_rounds):
-            bounds, options = choices[2 * bob[n] + charlie[n]]
             leaf = options[bisect_right(bounds, random())]
             reached(leaf)
             # The leaf's kind and check verdict, read by index.
@@ -796,7 +799,8 @@ def run_protocol(
                 n += 1
                 if n == n_total:
                     break
-            elif leaf[3] is False and strict:
+                bounds, options = choices[2 * bob[n] + charlie[n]]
+            elif strict and leaf[3] is False:
                 records, transcript, eve_records = _materialise(messages, leaves)
                 raise ProtocolAborted(
                     round_index, leaf.kind, leaf.touched, records, transcript, eve_records, leaves
@@ -806,6 +810,8 @@ def run_protocol(
                 "budget of %d rounds exhausted with %d of %d bits delivered" % (max_rounds, n, n_total)
             )
     finally:
-        log.debug("session: %d rounds, %d transition table edges", len(leaves), len(table))
+        # Sizing the table sums its dicts: only when the line is shown.
+        if log.isEnabledFor(logging.DEBUG):
+            log.debug("session: %d rounds, %d transition table edges", len(leaves), len(table))
 
     return ProtocolResult(messages, leaves)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qsdc3 import harness, protocol
-from qsdc3.adversary import AttackModel, ChannelSegment
+from qsdc3.adversary import AttackModel, ChannelSegment, analytic_detection_probability
 from qsdc3.cli import render_json
 from qsdc3.harness import (
     ExperimentAborted,
@@ -23,7 +23,7 @@ from qsdc3.harness import (
     wilson_interval,
 )
 from qsdc3.protocol import AbortPolicy, MessageTriple, ProtocolAborted, RoundKind, SchedulePolicy, run_protocol
-from qsdc3.states import JointState, Pauli, TransitionTable
+from qsdc3.states import Basis, JointState, Pauli, TransitionTable
 from test_protocol import RECORD, SHARED_TABLE_CASES
 
 AB = ChannelSegment.A_TO_B
@@ -299,6 +299,61 @@ class TestExperimentTable:
         # check-forcing schedules on tables of its own.
         assert len({table for table, schedule, _ in built if schedule == config.schedule}) == 1
         assert len(set(built)) == len(built) > 40
+
+
+class TestAnalyticWeighings:
+    """An experiment weighs each check-forced tree once: its five analytic
+    rows read three weighings."""
+
+    # The schedules that force every round to be an A-B, C-A or decoy check.
+    FORCED = Counter([SchedulePolicy(1.0, 0.0, 0.0), SchedulePolicy(0.0, 1.0, 0.0), SchedulePolicy(0.0, 0.0, 1.0)])
+    ROWS = [
+        ("ab_check", None),
+        ("ca_check", None),
+        ("decoy_check", None),
+        ("decoy_check_z", Basis.Z),
+        ("decoy_check_x", Basis.X),
+    ]
+
+    @pytest.mark.parametrize(
+        "attack", [pytest.param(case.values[0], id=case.id) for case in SHARED_TABLE_CASES if case.values[1] is RECORD]
+    )
+    def test_each_forced_tree_is_weighed_once(self, monkeypatch, attack):
+        config = ExperimentConfig(
+            message_length=32,
+            trials=4,
+            schedule=SchedulePolicy(0.25, 0.25, 0.4),
+            attack=attack if attack is not None else AttackModel.none(),
+            abort_policy=AbortPolicy.RECORD_AND_CONTINUE,
+            seed=14,
+        )
+        forced, rows = Counter(), []
+
+        def recording_weights(table, schedule, model, j, k):
+            # The sessions weigh the experiment's own schedule; any other
+            # schedule is the enumerator forcing one check kind.
+            if schedule != config.schedule:
+                forced[schedule] += 1
+            return leaf_weights(table, schedule, model, j, k)
+
+        def recording_analytic(agg, kind, decoy_family=None):
+            rows.append((kind, decoy_family))
+            return analytic(agg, kind, decoy_family)
+
+        leaf_weights, analytic = protocol.leaf_weights, harness._Aggregator._analytic
+        monkeypatch.setattr(protocol, "leaf_weights", recording_weights)
+        monkeypatch.setattr(harness._Aggregator, "_analytic", recording_analytic)
+        result = run_experiment(config)
+        # One _analytic call per row, and every decoy family was run.
+        assert rows == self.ROWS and list(result.detection.kinds) == [kind for kind, _ in self.ROWS]
+        if attack is None:
+            assert not forced
+            return
+        assert forced == self.FORCED
+        for kind, family in self.ROWS:
+            base = "decoy_check" if family is not None else kind
+            exact = analytic_detection_probability(attack, base, family)
+            assert result.detection.kinds[kind].analytic_probability == exact, kind
 
 
 def _list_mutual_information(xs, ys):

@@ -1029,7 +1029,19 @@ G_TEST_CASES = [
 
 
 class TestLeafHistogram:
-    """Sessions sample each root's leaves with the exact leaf weights."""
+    """Sessions sample each root's leaves with the exact leaf weights.
+
+    A G-test at p = 1e-6 catches a sampler only where it moves enough
+    mass.  On criterion 2, whose roots put 86% of their mass on one message
+    leaf, a sampler that draws with ``random() * 0.99`` passes it (G = 62.0
+    against a threshold of 110.1 at 48 degrees of freedom), though
+    criteria 6 and 5 reject it.  The exact gate for such a sampler is
+    ``TestRoundDraws``, which compares every session's leaves with those of
+    ``scanned_session`` (16 of its 19 cases fail under that sampler).
+    ``TestExtremeDraws`` (tests/test_adversary.py) pins the leaves that the
+    draws 0.0 and 1 - 2**-53 pick; it catches a sampler that mishandles the
+    largest draw, but not that one, whose largest draw, 0.99, still falls
+    in each root's last leaf."""
 
     def test_the_quantile_matches_known_values(self):
         # Exact upper-tail quantiles: 18.307 for 0.05 at 10 degrees of
