@@ -1041,7 +1041,7 @@ class TestLeafHistogram:
     ``TestExtremeDraws`` (tests/test_adversary.py) pins the leaves that the
     draws 0.0 and 1 - 2**-53 pick; it catches a sampler that mishandles the
     largest draw, but not that one, whose largest draw, 0.99, still falls
-    in each root's last leaf."""
+    in each root's last leaf on that test's model grid."""
 
     def test_the_quantile_matches_known_values(self):
         # Exact upper-tail quantiles: 18.307 for 0.05 at 10 degrees of
