@@ -24,9 +24,9 @@ runs these steps inside its round body; :func:`attack_transit` and an
 
 :func:`analytic_detection_probability` computes exact per-check detection
 probabilities from the same steps: it weighs the protocol's compiled round
-(``protocol.leaf_weights``), the tree its sessions sample, fully expanded
-with every answer's exact probability in place of a draw, and sums the
-weight of the leaves whose check failed.  There is no sampling and no
+(``protocol.leaf_weights``), the leaves its sessions sample, with every
+answer's exact probability in place of a draw, and sums the weight of the
+leaves whose check failed.  There is no sampling and no
 second copy of the hops or the checks; it is the oracle the Monte Carlo
 estimates are tested against.
 """
@@ -256,11 +256,11 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     """Exact per-check detection probability for an attack model.
 
     Weighs the protocol's compiled round (``protocol.leaf_weights``, the
-    tree its sessions sample) under a schedule that makes every round a
+    leaves its sessions sample) under a schedule that makes every round a
     check of ``check_kind``: every answer to every chance point - the
     checkers' bases, the decoy label, Eve's gate and basis, each
     measurement outcome - with its exact probability, no sampling.  The
-    tree is grown on a fresh table, from the root of the bits (0, 0).  The
+    round is weighed on a fresh table, from the root of the bits (0, 0).  The
     result is the summed weight of the leaves whose check failed.
 
     ``decoy_family`` restricts decoy checks to the Z family ({|0>, |1>})
@@ -301,7 +301,7 @@ def failed_weight_by_basis(model, check_kind):
     failed = {None: 0.0, Basis.Z: 0.0, Basis.X: 0.0}
     for weight, leaf in _protocol.leaf_weights(TransitionTable(), schedule, model, 0, 0):
         if leaf.passed is False:
-            failed[_revealed_basis(leaf.events)] += weight
+            failed[revealed_basis(leaf.events)] += weight
     return failed
 
 
@@ -317,8 +317,9 @@ def detection_from_failed(failed, decoy_family=None):
     return min(total, 1.0)
 
 
-def _revealed_basis(events):
-    """The basis of the decoy a round's events reveal, or None."""
+def revealed_basis(events):
+    """The basis of the decoy a round's events reveal, or None: the family,
+    Z ({|0>, |1>}) or X ({|+>, |->}), of a decoy check."""
     for name, *values in events:
         if name == "decoy_reveal":
             return decoy_basis_and_bit(DecoyState(values[0]))[0]

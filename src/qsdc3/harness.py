@@ -12,16 +12,15 @@ is a deterministic function of the configuration.
 
 An experiment builds one :class:`~qsdc3.states.TransitionTable`, and every
 trial's session draws from it: the table holds the experiment's compiled
-round (a tree of the round's chance points, see ``protocol.run_protocol``),
-expanded in full by the first session, the states it reaches and each
-root's cumulative leaf weights, so each tree node and each state is built,
-and validated, once per experiment; a detection curve builds one table
-per grid point.  A session draws one uniform per round, which picks the
+round (each root's leaves with their exact weights, see
+``protocol.run_protocol``), weighed by the first session, and the states it
+reaches, so each leaf and each state is built, and validated, once per
+experiment; a detection curve builds one table per grid point.  A session draws one uniform per round, which picks the
 round's leaf by its exact weight; which table it uses does not change its
 draws or its results.  A session returns the sequence of leaves its rounds
 reached, and the report is a fold of leaf counts (:class:`_Aggregator`):
 an experiment builds no round record, transcript or decoded message.
-Its analytic column weighs each check-forced tree once: the five rows
+Its analytic column weighs each check-forced round once: the five rows
 (three check kinds, two decoy families) read three weighings.
 """
 
@@ -43,6 +42,7 @@ from .adversary import (
     detection_from_failed,
     failed_weight_by_basis,
     paper_claimed_detection,
+    revealed_basis,
 )
 from .protocol import (
     AbortPolicy,
@@ -64,7 +64,6 @@ _CHECK_KINDS = tuple(kind.value for kind in RoundKind if kind is not RoundKind.M
 # A trial draws its three messages as one numpy int64 array of
 # 3 * message_length bits; numpy refuses arrays of more than intp-max bytes.
 _MAX_MESSAGE_LENGTH = int(np.iinfo(np.intp).max) // (3 * np.dtype(np.int64).itemsize)
-_Z_DECOYS = ("0", "1")
 _MESSAGE = RoundKind.MESSAGE
 _DECOY_CHECK = RoundKind.CHARLIE_DECOY_CHECK
 
@@ -333,7 +332,7 @@ class _Aggregator:
     Alice's bit, determine: a trial adds its leaves to a count per leaf (the
     check, decoy family and Eve's counts are tallied from it), and its
     message rounds to a count per leakage key (which gives its fidelity).
-    The analytic column weighs each check-forced tree once per aggregator,
+    The analytic column weighs each check-forced round once per aggregator,
     so an experiment's five rows read three weighings."""
 
     def __init__(self, config):
@@ -373,8 +372,8 @@ class _Aggregator:
             if kind is not _MESSAGE:
                 rows = [counts[kind.value]]
                 if kind is _DECOY_CHECK:
-                    (reveal,) = [values[0] for name, *values in leaf.events if name == "decoy_reveal"]
-                    rows.append(counts["decoy_check_z" if reveal in _Z_DECOYS else "decoy_check_x"])
+                    family = "decoy_check_z" if revealed_basis(leaf.events) is Basis.Z else "decoy_check_x"
+                    rows.append(counts[family])
                 for row in rows:
                     row[0] += c
                     row[1] += 0 if leaf.passed else c

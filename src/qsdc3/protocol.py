@@ -19,16 +19,16 @@ each draw is a point the round yields and is answered, Bernoulli choices
 against a threshold (the schedule, Eve's gate, the check bases, every
 measurement outcome), the decoy label and the Bell measurement (see
 ``states.drive``).  A session does not run this body per round.  The body
-is compiled into a tree, one per schedule and attack model, kept in the
-experiment's :class:`~qsdc3.states.TransitionTable`: each node is a chance
-point, and its child for an answer is built by running the steps along
-the child's answers (:func:`_grow`).  The tree, fully expanded, gives the exact probability
-of each :class:`Leaf` (:func:`leaf_weights`), which
-``adversary.analytic_detection_probability`` sums and from which sessions
-draw: a round is one draw, one bisection of its root's cumulative leaf
-weights and one append of the leaf it picks.  A session returns its leaf
-sequence, and its records, transcript events and Eve's records are built
-from the leaves the first time they are read (:class:`ProtocolResult`).
+is compiled into its leaves, kept in the experiment's
+:class:`~qsdc3.states.TransitionTable` per schedule, attack model and root
+(Bob's and Charlie's bits): :func:`leaf_weights` runs the steps once along
+every path of answers, and gives the exact probability of each
+:class:`Leaf` a path ends at.  ``adversary.analytic_detection_probability``
+sums these weights, and sessions draw from them: a round is one draw, one
+bisection of its root's cumulative leaf weights and one append of the leaf
+it picks.  A session returns its leaf sequence, and its records,
+transcript events and Eve's records are built from the leaves the first
+time they are read (:class:`ProtocolResult`).
 The single-step functions (``run_ab_check``, ...) answer the steps of the
 body itself with one draw per chance point.
 
@@ -57,7 +57,6 @@ from .adversary import AttackModel, ChannelSegment, EveRecord, attack_points, re
 # steps on a TransitionTable.  It stays a name of this module because the traced
 # benchmark (perfbench/layers.py and its tests) looks it up here.
 from .states import (
-    BELL,
     BERNOULLI,
     FAIR_COIN,
     LABEL,
@@ -519,35 +518,23 @@ def _round_points(table, schedule, model, j, k):
     return _MESSAGE, None, touched, outcome, (("bob_mode", "MM"), ("charlie_mode", "MM")), eve
 
 
-# A compiled round is a tree of the chance points of ``_round_points``,
-# with one root per message bit pair (j, k), at index 2 * j + k.  A node is
-# a list ``[kind, data, path, child, ...]``: ``path`` is (j, k) followed by
-# the answers that lead to the node, and the children are indexed from 3
-# by the answer (``u < p`` first for a Bernoulli point); a Bell point's
-# thresholds name their child's index.  A child is None until
-# :func:`leaf_weights` first expands its parent, and stays None for an
-# answer of probability zero.  A leaf is a :class:`Leaf`, whose first field
-# is _LEAF.  Sessions do not walk the nodes: they draw leaves from the
-# cumulative leaf weights of each root (:func:`_choices`).
-_LEAF = "leaf"
-
-
 class Leaf(NamedTuple):
-    """Where a path through a compiled round ends: everything a round that
-    reaches it shows, apart from its round index and Alice's bit.
+    """Where a path of answers through the round ends: everything a round
+    that reaches it shows, apart from its round index and Alice's bit.
 
-    ``events`` are the round's transcript rows, as ``(kind, *values)``,
-    without a message round's announcement; ``eve`` holds Eve's records as
-    their field tuples after the round index.  ``leakage_keys`` holds, for a
-    message round, the key ``(x, y, i, j, k)`` for Alice's bit i = 0 and 1:
-    the announcement and the three secret bits; it is None for a check.
+    ``path`` is Bob's and Charlie's bits (j, k) followed by the answers that
+    lead to the leaf, ``u < p`` for a Bernoulli point.  ``events`` are the
+    round's transcript rows, as ``(kind, *values)``, without a message
+    round's announcement; ``eve`` holds Eve's records as their field tuples
+    after the round index.  ``leakage_keys`` holds, for a message round, the
+    key ``(x, y, i, j, k)`` for Alice's bit i = 0 and 1: the announcement
+    and the three secret bits; it is None for a check.
 
-    A leaf is built once in its tree and then reached by every round that
-    ends there, so it hashes and compares by identity, and a session's leaf
-    sequence is counted as it is.
+    A leaf is built once per table and root (:func:`leaf_weights`) and then
+    reached by every round that ends there, so it hashes and compares by
+    identity, and a session's leaf sequence is counted as it is.
     """
 
-    marker: str  # _LEAF, where an inner node holds its chance point's kind
     kind: RoundKind
     path: tuple
     passed: bool | None
@@ -562,99 +549,76 @@ class Leaf(NamedTuple):
     __ne__ = object.__ne__
 
 
-def _roots(table, schedule, model):
-    """The roots of the compiled round of ``schedule`` and ``model`` on
-    ``table``, by 2 * j + k; a root is None until first weighed."""
-    roots = table.trees.get((schedule, model))
-    if roots is None:
-        roots = table.trees[schedule, model] = [None] * 4
-    return roots
-
-
-def _grow(table, schedule, model, path, steps=None):
-    """The node at ``path``, and the round's steps paused at its chance
-    point (None at a leaf).
-
-    The steps are the round replayed along the path's answers or, when
-    ``steps`` is paused at the point of the node's parent, those steps sent
-    the path's last answer: the table gives both the same states and
-    points, and the continuation skips the replay.
-    """
-    try:
-        if steps is None:
-            steps = _round_points(table, schedule, model, path[0], path[1])
-            point = steps.send(None)
-            for answer in path[2:]:
-                point = steps.send(answer)
-        else:
-            point = steps.send(path[-1])
-    except StopIteration as stop:
-        kind, passed, touched, label, events, eve = stop.value
-        eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
-        keys = None
-        if label is not None:
-            keys = tuple(announce(label.flip, label.phase, i) + (i,) + path[:2] for i in (0, 1))
-        return Leaf(_LEAF, kind, path, passed, tuple(touched), label, events, eve, keys), None
-    kind, data = point
-    if kind is BERNOULLI:
-        return [kind, data, path, None, None], steps
-    if kind is BELL:
-        data = tuple((cumulative, 3 + index) for cumulative, index in data)
-    return [kind, data, path, None, None, None, None], steps
-
-
 def leaf_weights(table, schedule, model, j, k):
     """Every leaf of the compiled round of ``schedule`` and ``model`` on
     ``table`` from the root of Bob's and Charlie's bits (j, k), with its
     exact probability: ``[(weight, leaf), ...]``.
 
-    Expands the tree fully, building each node not built yet.  A node is
-    answered with every answer of positive probability, which are exactly
-    the answers a draw can give (see ``states._outcome_point``): a
-    Bernoulli point's ``p`` and ``1 - p``, 1/4 for each decoy label, and
-    each Bell threshold less the one before.  The leaves come depth first,
-    in answer order; a weight is the product of its path's probabilities,
-    taken from the root down.
+    One depth-first pass over the steps of :func:`_round_points`.  Each
+    chance point is answered with every answer of positive probability,
+    which are exactly the answers a draw can give (see
+    ``states._outcome_point``): a Bernoulli point's ``p`` and ``1 - p``,
+    1/4 for each decoy label, and each Bell threshold less the one before.
+    The first answer goes on with the paused steps, and each other answer
+    replays the round along its path: the table gives both the same states
+    and points.  The leaves come in answer order; a weight is the product
+    of its path's probabilities, taken from the root down.
+
+    The list is built on the first call for a table and root, and kept in
+    ``table.compiled`` with the cumulative weights sessions draw from
+    (:func:`_choices`); every later call returns it, so every reader of a
+    table sees the same leaves.
     """
-    roots = _roots(table, schedule, model)
+    roots = table.compiled.get((schedule, model))
+    if roots is None:
+        roots = table.compiled[schedule, model] = [None] * 4
     root = roots[2 * j + k]
-    # The steps paused at each node built here, by id, until the first of
-    # its children built takes them over; the node's other children replay.
-    paused = {}
-    if root is None:
-        root, steps = _grow(table, schedule, model, (j, k))
-        roots[2 * j + k] = root
-        if steps is not None:
-            paused[id(root)] = steps
+    if root is not None:
+        return root[2]
     weighed = []
-    stack = [(1.0, root)]
+    stack = [(1.0, (j, k), None)]
     while stack:
-        weight, node = stack.pop()
-        kind = node[0]
-        if kind is _LEAF:
-            weighed.append((weight, node))
+        weight, path, steps = stack.pop()
+        try:
+            if steps is None:
+                steps = _round_points(table, schedule, model, j, k)
+                point = steps.send(None)
+                for answer in path[2:]:
+                    point = steps.send(answer)
+            else:
+                point = steps.send(path[-1])
+        except StopIteration as stop:
+            kind, passed, touched, label, events, eve = stop.value
+            eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
+            keys = None
+            if label is not None:
+                keys = tuple(announce(label.flip, label.phase, i) + (i, j, k) for i in (0, 1))
+            weighed.append((weight, Leaf(kind, path, passed, tuple(touched), label, events, eve, keys)))
             continue
+        kind, data = point
         if kind is BERNOULLI:
-            answers = ((3, node[1]), (4, 1.0 - node[1]))
+            answers = ((True, data), (False, 1.0 - data))
         elif kind is LABEL:
-            answers = ((3, 0.25), (4, 0.25), (5, 0.25), (6, 0.25))
+            answers = ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25))
         else:
             answers = []
             below = 0.0
-            for cumulative, branch in node[1]:
-                answers.append((branch, cumulative - below))
+            for cumulative, index in data:
+                answers.append((index, cumulative - below))
                 below = cumulative
-        for branch, p in reversed(answers):
-            if p > 0.0:
-                child = node[branch]
-                if child is None:
-                    answer = branch == 3 if kind is BERNOULLI else branch - 3
-                    steps = paused.pop(id(node), None)
-                    child, steps = _grow(table, schedule, model, node[2] + (answer,), steps)
-                    node[branch] = child
-                    if steps is not None:
-                        paused[id(child)] = steps
-                stack.append((weight * p, child))
+        children = [(weight * p, path + (answer,)) for answer, p in answers if p > 0.0]
+        # The first child goes on with the paused steps; its siblings replay.
+        stack += [child + (None,) for child in reversed(children[1:])]
+        stack.append(children[0] + (steps,))
+    bounds, leaves = [], []
+    total = 0.0
+    for weight, leaf in weighed:
+        if weight > 0.0:
+            total += weight
+            bounds.append(total)
+            leaves.append(leaf)
+    del bounds[-1]
+    roots[2 * j + k] = (bounds, leaves, weighed)
     return weighed
 
 
@@ -662,29 +626,17 @@ def _choices(table, schedule, model):
     """What a session draws a round's leaf from, per root of the compiled
     round of ``schedule`` and ``model`` on ``table``, by 2 * j + k.
 
-    A root's entry is ``(bounds, leaves)``: its leaves of positive weight in
-    :func:`leaf_weights` order, and the running sums of their weights, the
-    total left out.  A draw ``u`` picks ``leaves[bisect_right(bounds, u)]``,
-    the first leaf whose running sum exceeds ``u``; a draw at or above the
-    last bound, however the total rounds, picks the last leaf, so no draw
-    reaches a leaf of zero weight.  Built on the first call, with the whole
-    tree, and kept in ``table.choices``.
+    A root's entry is ``(bounds, leaves, weighed)``: ``weighed`` is its
+    :func:`leaf_weights` list, ``leaves`` its leaves of positive weight in
+    that order, and ``bounds`` the running sums of their weights, the total
+    left out.  A draw ``u`` picks ``leaves[bisect_right(bounds, u)]``, the
+    first leaf whose running sum exceeds ``u``; a draw at or above the last
+    bound, however the total rounds, picks the last leaf, so no draw
+    reaches a leaf of zero weight.  The first call weighs all four roots.
     """
-    choices = table.choices.get((schedule, model))
-    if choices is None:
-        choices = []
-        for root in range(4):
-            bounds, leaves = [], []
-            total = 0.0
-            for weight, leaf in leaf_weights(table, schedule, model, root >> 1, root & 1):
-                if weight > 0.0:
-                    total += weight
-                    bounds.append(total)
-                    leaves.append(leaf)
-            del bounds[-1]
-            choices.append((bounds, leaves))
-        choices = table.choices[schedule, model] = tuple(choices)
-    return choices
+    for root in range(4):
+        leaf_weights(table, schedule, model, root >> 1, root & 1)
+    return table.compiled[schedule, model]
 
 
 def _materialise(messages, leaves):
@@ -698,7 +650,7 @@ def _materialise(messages, leaves):
     alice = messages.alice_bits
     n = 0
     for round_index, leaf in enumerate(leaves):
-        _, kind, _, passed, touched, label, events, eve, keys = leaf
+        kind, _, passed, touched, label, events, eve, keys = leaf
         for event in events:
             add(round_index, *event)
         for fields in eve:
@@ -762,12 +714,11 @@ def run_protocol(
     first round and after each message round that leaves a bit to send.
     The compiled round of ``schedule`` and ``attack`` lives in ``table``, a
     :class:`~qsdc3.states.TransitionTable`, or in a fresh one when
-    ``table`` is None; the first session on a table
-    expands it fully (:func:`leaf_weights` from all four roots), and later
-    sessions reuse it (``harness.run_experiment`` passes one table to all
-    its trials).  Which table a session uses does not change its results.
-    The session logs the table's size (its state edges) at DEBUG when it
-    ends.
+    ``table`` is None; the first session on a table weighs its four roots
+    (:func:`leaf_weights`), and later sessions draw from the same leaves
+    (``harness.run_experiment`` passes one table to all its trials).  Which
+    table a session uses does not change its results.  The session logs
+    the table's size (its state edges) at DEBUG when it ends.
 
     The session returns its leaf sequence: a round costs its draw, one
     bisection and one append.  The :class:`ProtocolResult` builds the
@@ -790,17 +741,17 @@ def run_protocol(
 
     n = 0
     try:
-        bounds, options = choices[2 * bob[0] + charlie[0]]
+        bounds, options, _ = choices[2 * bob[0] + charlie[0]]
         for round_index in range(max_rounds):
             leaf = options[bisect_right(bounds, random())]
             reached(leaf)
             # The leaf's kind and check verdict, read by index.
-            if leaf[1] is _MESSAGE:
+            if leaf[0] is _MESSAGE:
                 n += 1
                 if n == n_total:
                     break
-                bounds, options = choices[2 * bob[n] + charlie[n]]
-            elif strict and leaf[3] is False:
+                bounds, options, _ = choices[2 * bob[n] + charlie[n]]
+            elif strict and leaf[2] is False:
                 records, transcript, eve_records = _materialise(messages, leaves)
                 raise ProtocolAborted(
                     round_index, leaf.kind, leaf.touched, records, transcript, eve_records, leaves

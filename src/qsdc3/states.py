@@ -39,14 +39,14 @@ The sampled operations are written once, as chance-point steps on a
 :class:`TransitionTable` (``measure_points``, ``readout_points``,
 ``bell_points``): each yields the draw it needs, with the threshold the
 kernels gave, and is sent the answer (see ``drive``).  The protocol's
-compiled round runs them while it builds its tree, one table per
+compiled round runs them while it weighs its leaves, one table per
 experiment (``harness.run_experiment`` builds it and every trial's session
 draws from it; a session run on its own gets a fresh one), so a derived
 state is built and validated once per distinct value in the experiment,
 not once per round.  The public operations (``measure_qubit``, ``bell_measure``,
 ...) drive the same steps with one draw per point on a fresh table per
 call: they are not memoised, and each result is validated once.  The
-protocol's compiled tree is weighed by ``protocol.leaf_weights``, which
+protocol's compiled round is weighed by ``protocol.leaf_weights``, which
 answers each point with every answer of positive probability: that is
 how ``adversary.analytic_detection_probability`` enumerates a round, and
 the weights its sessions draw leaves by.
@@ -352,11 +352,11 @@ def collapse_outcome(state, which, basis, outcome):
 #   first ``(cumulative, index)`` pair with ``u < cumulative``, or the last
 #   pair's index when there is none.
 #
-# ``drive`` answers each point with a draw.  The protocol compiles its round
-# into one tree of these points, a node per path of earlier answers, and
-# ``protocol.leaf_weights`` weighs it with every answer and its
-# probability: the exact distribution of the round's leaves, from which
-# its sessions draw one leaf per round (``protocol.run_protocol``).
+# ``drive`` answers each point with a draw.  ``protocol.leaf_weights``
+# answers each point of the protocol's round with every answer and its
+# probability, along every path of answers: the exact distribution of the
+# round's leaves, from which its sessions draw one leaf per round
+# (``protocol.run_protocol``).
 BERNOULLI, LABEL, BELL = "b", "i", "bell"
 FAIR_COIN = (BERNOULLI, 0.5)
 
@@ -429,17 +429,16 @@ class TransitionTable:
     of rounds or sessions.
 
     One table lives for one experiment: every trial's session draws from
-    it.  ``trees`` holds the protocol's compiled rounds over it, one per
-    schedule and attack model, and ``choices`` the cumulative leaf weights
-    that sessions draw each round's leaf from (see
-    ``protocol.run_protocol``).  The first session expands its compiled
-    round in full, and the weights depend only on the kernels' floats, so a
-    session gives the same results on a table other sessions used as on a
-    fresh one.  A table is not kept across experiments, so two runs of one
+    it.  ``compiled`` holds the protocol's compiled rounds over it, by
+    schedule and attack model: each root's weighed leaves and the
+    cumulative leaf weights that sessions draw each round's leaf from (see
+    ``protocol.run_protocol``).  The first session weighs all four roots,
+    and the weights depend only on the kernels' floats, so a session gives
+    the same results on a table other sessions used as on a fresh one.  A table is not kept across experiments, so two runs of one
     experiment build, and validate, the same states.
     """
 
-    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes", "trees", "choices")
+    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes", "compiled")
 
     def __init__(self):
         self._paulis = {}  # (id(state), id(which), id(pauli)) -> (state, child)
@@ -448,8 +447,7 @@ class TransitionTable:
         self._readouts = {}  # id(state) -> [state, point, child0, child1]
         self._bells = {}  # id(state) -> (state, point)
         self._nodes = {}  # (amps, subsystems) -> the child state of that value
-        self.trees = {}
-        self.choices = {}
+        self.compiled = {}
 
     def _child(self, amps, subsystems):
         """The table's state over a kernel output: built and validated on

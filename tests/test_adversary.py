@@ -400,17 +400,17 @@ class TestExtremeDraws:
         # entangle-measure at |beta|^2 = 0.25 on A->B and C->A, bits (1, 1),
         # no A-B check, Bob's control mode, the X basis and Charlie's outcome
         # 0 leave Alice's outcome 0 at p0 = 0.9999999999999999 in float.
-        # ``leaf_weights`` builds the node of every answer of positive
-        # probability, which are the drawable answers (``TestWeigh`` in
-        # test_states.py), without raising.  From every root, the draw 0.0
-        # takes the first leaf of positive weight and the largest draw the
-        # last, a message round, so a one-bit session ends with it.  On a
-        # table whose tree is built, no draw builds a node.
+        # ``leaf_weights`` follows every answer of positive probability,
+        # which are the drawable answers (``TestWeigh`` in test_states.py),
+        # without raising.  From every root, the draw 0.0 takes the first
+        # leaf of positive weight and the largest draw the last, a message
+        # round, so a one-bit session ends with it.  On a table whose roots
+        # are weighed, no draw starts a round's steps.
         models = [AttackModel.none()] + list(attack_grid((1.0, 0.7, 0.4), (0.0, 0.25, 0.3, 0.5, 0.75, 1.0)))
         assert len(models) == 190
-        grown = []  # the paths of the nodes built
-        grow = protocol._grow
-        monkeypatch.setattr(protocol, "_grow", lambda *args: grown.append(args[3]) or grow(*args))
+        started = []  # the rounds whose steps were started
+        round_points = protocol._round_points
+        monkeypatch.setattr(protocol, "_round_points", lambda *args: started.append(args) or round_points(*args))
         record = AbortPolicy.RECORD_AND_CONTINUE
         for model in models:
             table = TransitionTable()
@@ -418,12 +418,12 @@ class TestExtremeDraws:
                 (j, k): [leaf for weight, leaf in protocol.leaf_weights(table, CRITERION_5, model, j, k) if weight > 0.0]
                 for j, k in product((0, 1), repeat=2)
             }
-            built = len(grown)
+            weighed = len(started)
             for (j, k), drawable in roots.items():
                 messages = MessageTriple((0,), (j,), (k,))
                 first = run_protocol(messages, CRITERION_5, scripted([0.0, LAST_DRAW]), model, record, table=table)
                 last = run_protocol(messages, CRITERION_5, scripted([LAST_DRAW]), model, record, table=table)
-                assert len(grown) == built
+                assert len(started) == weighed
                 assert first.leaves[0] is drawable[0]
                 assert last.leaves == [drawable[-1]]
                 assert drawable[-1].kind is RoundKind.MESSAGE

@@ -211,6 +211,7 @@ class TestConfigErrors:
             ("run", {"message_length": 10**19}, [], "message_length"),
             ("run", {"message_length": 3 * 10**18}, [], "message_length"),
             ("sweep", {"grid": [0.5], "check_kinds": "ab_check"}, [], "check_kinds"),
+            ("sweep", {"grid": [0.5], "check_kinds": ["ab_check", "ab_check"]}, [], "check_kinds"),
             ("sweep", {"grid": [True]}, [], "grid"),
             ("sweep", {"grid": [0.5], "p_bob_cm": 1.0}, [], "schedule"),
         ],
@@ -231,6 +232,7 @@ class TestConfigErrors:
             "message_length_past_numpy_dimensions",
             "message_length_past_numpy_bytes",
             "sweep_check_kinds_string",
+            "sweep_repeated_check_kind",
             "sweep_bool_grid_value",
             "sweep_p_bob_cm_one",
         ],

@@ -272,17 +272,24 @@ class TestExperimentTable:
         assert 0 < len(calls) < 64
         assert len(set(calls)) == len(calls)
 
-    def test_a_40_trial_experiment_builds_each_tree_node_once(self, monkeypatch):
-        built = []
+    def test_a_40_trial_experiment_builds_each_leaf_once(self, monkeypatch):
+        # Each leaf built is recorded with the table and schedule of the
+        # weighing that builds it.  The table itself, not its id: the
+        # enumerator's tables are freed after each call, and an id may then
+        # be reused.
+        weighing, built = [], []
 
-        def recording_grow(table, schedule, model, path, steps=None):
-            # The table itself, not its id: the enumerator's tables are
-            # freed after each call, and an id may then be reused.
-            built.append((table, schedule, path))
-            return grow(table, schedule, model, path, steps)
+        def recording_weights(table, schedule, model, j, k):
+            weighing[:] = [table, schedule]
+            return leaf_weights(table, schedule, model, j, k)
 
-        grow = protocol._grow
-        monkeypatch.setattr(protocol, "_grow", recording_grow)
+        def recording_leaf(kind, path, *fields):
+            built.append((*weighing, path))
+            return leaf(kind, path, *fields)
+
+        leaf_weights, leaf = protocol.leaf_weights, protocol.Leaf
+        monkeypatch.setattr(protocol, "leaf_weights", recording_weights)
+        monkeypatch.setattr(protocol, "Leaf", recording_leaf)
         attack = AttackModel.entangle_measure(0.5, AB, CA, attack_probability=0.7)
         config = ExperimentConfig(
             message_length=32,
@@ -293,9 +300,9 @@ class TestExperimentTable:
             seed=12,
         )
         run_experiment(config)
-        # One table, so one tree; the first session expands it in full,
-        # building each node once, and every later round of every trial
-        # draws from it.  The exact enumerator grows the trees of its
+        # One table, so one compiled round; the first session weighs its
+        # four roots, building each leaf once, and every later round of
+        # every trial draws from them.  The exact enumerator weighs its
         # check-forcing schedules on tables of its own.
         assert len({table for table, schedule, _ in built if schedule == config.schedule}) == 1
         assert len(set(built)) == len(built) > 40

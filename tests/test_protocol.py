@@ -493,9 +493,10 @@ class TestSessionTable:
             assert all(id(edge[0]) in nodes for kind in edges for edge in kind.values())
             assert len(table._nodes) < 64
             assert len(table) < 192
-            # The compiled round is its full tree of 7,872 nodes
+            # The compiled round is its 3,492 leaves from four roots
             # (TestCompiledRound), whatever the round count.
-            assert len(tree_nodes(table)) < 8000
+            (roots,) = table.compiled.values()
+            assert sum(len(weighed) for _, _, weighed in roots) == 3492
 
 
 RECORD = AbortPolicy.RECORD_AND_CONTINUE
@@ -555,7 +556,7 @@ class TestSharedTable:
             for schedule in schedules:
                 for case in SHARED_TABLE_CASES:
                     self.session(seed, case.values[0], RECORD, table, schedule)
-        assert len(table.trees) == 2 * 4  # the two disturbance cases share a model
+        assert len(table.compiled) == 2 * 4  # the two disturbance cases share a model
         for schedule in schedules:
             for case in SHARED_TABLE_CASES:
                 attack, policy = case.values
@@ -861,21 +862,9 @@ class TestRoundDraws:
         assert rng.calls == [("random", (256,))]
 
 
-def tree_nodes(table):
-    """Every node built in every compiled round ``table`` holds."""
-    nodes = []
-    stack = [root for roots in table.trees.values() for root in roots if root is not None]
-    while stack:
-        node = stack.pop()
-        nodes.append(node)
-        if node[0] != protocol._LEAF:
-            stack += [child for child in node[3:] if child is not None]
-    return nodes
-
-
 def reveal(leaf):
     """The decoy label a decoy-check leaf reveals."""
-    (label,) = [values[0] for kind, *values in leaf[6] if kind == "decoy_reveal"]
+    (label,) = [values[0] for kind, *values in leaf.events if kind == "decoy_reveal"]
     return label
 
 
@@ -891,7 +880,7 @@ EXACT_MODELS = [
 
 
 class TestCompiledRound:
-    """Sessions draw their leaves from one fully expanded tree of the round's chance points."""
+    """Sessions draw their leaves from the round's leaves, weighed once per table and root."""
 
     @pytest.mark.parametrize("model", EXACT_MODELS)
     def test_the_tree_weights_are_the_exact_detection_probabilities(self, model):
@@ -911,9 +900,9 @@ class TestCompiledRound:
             assert sum(weight for weight, _ in weighted) == pytest.approx(1.0, abs=1e-12)
             for name, (kind, labels) in families.items():
                 runs = [
-                    (weight, leaf[3])
+                    (weight, leaf.passed)
                     for weight, leaf in weighted
-                    if leaf[1] is kind and (labels is None or reveal(leaf) in labels)
+                    if leaf.kind is kind and (labels is None or reveal(leaf) in labels)
                 ]
                 run = sum(weight for weight, _ in runs)
                 failed = sum(weight for weight, passed in runs if passed is False)
@@ -929,28 +918,26 @@ class TestCompiledRound:
             got, expected = two_enumerations(SchedulePolicy(0.25, 0.1, 0.4), model, j, k)
             assert got == expected, (j, k)
 
-    def test_a_session_draws_from_the_full_tree_and_builds_no_node(self, monkeypatch):
-        # The first session on a table expands its compiled round fully:
-        # 7,872 nodes under intercept-resend on every segment at p 0.4, the
-        # tree ``leaf_weights`` builds from the four roots.  A later session
-        # on the table builds none, and every leaf a session reaches has
-        # positive weight.
+    def test_a_session_draws_the_weighed_leaves_and_starts_no_round(self, monkeypatch):
+        # Under intercept-resend on every segment at p 0.4 the four roots
+        # weigh 3,492 leaves over 184 table edges, each root's list built
+        # once: a later call on the table returns the same list.  A session
+        # on the table starts no round's steps, and every leaf it reaches
+        # is one of those leaves, of positive weight.
         attack = AttackModel.intercept_resend(*ChannelSegment, attack_probability=0.4)
         schedule = SchedulePolicy()
-        full = TransitionTable()
-        weighed = [pair for j, k in BITS for pair in protocol.leaf_weights(full, schedule, attack, j, k)]
-        full_paths = {node[2] for node in tree_nodes(full)}
-        assert len(full_paths) == 7872
         table = TransitionTable()
+        weighed = {(j, k): protocol.leaf_weights(table, schedule, attack, j, k) for j, k in BITS}
+        assert sum(map(len, weighed.values())) == 3492
+        assert len(table) == 184
+        assert all(protocol.leaf_weights(table, schedule, attack, j, k) is weighed[j, k] for j, k in BITS)
+        started = []
+        monkeypatch.setattr(protocol, "_round_points", lambda *args: started.append(args))
         rng = np.random.default_rng(2000)
-        run_protocol(MessageTriple.random(200, rng), schedule, rng, attack, RECORD, table=table)
-        assert {node[2] for node in tree_nodes(table)} == full_paths
-        grown = []
-        monkeypatch.setattr(protocol, "_grow", lambda *args: grown.append(args))
         result = run_protocol(MessageTriple.random(2000, rng), schedule, rng, attack, RECORD, table=table)
-        assert grown == []
-        drawable = {leaf.path for weight, leaf in weighed if weight > 0.0}
-        assert {leaf.path for leaf in result.leaves} <= drawable
+        assert started == []
+        drawable = {leaf for pairs in weighed.values() for weight, leaf in pairs if weight > 0.0}
+        assert set(result.leaves) <= drawable
 
     def test_a_draw_picks_the_first_leaf_its_cumulative_weight_exceeds(self, scripted):
         # No attack, and Bob's and Charlie's bits are (1, 0) in all three

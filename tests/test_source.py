@@ -1,6 +1,8 @@
 """Static checks over the package source, with the standard library's ast."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -94,3 +96,44 @@ def test_every_private_name_is_read_in_the_package():
         for name in private_definitions(source) - read
     }
     assert not unread, "defined and never read: %s" % ", ".join(sorted(unread))
+
+
+# A Sphinx cross-reference in the package source: ``:func:`name```, with
+# ``:class:``, ``:meth:`` or ``:attr:`` in place of ``:func:``.
+ROLE = re.compile(r":(?:func|class|meth|attr):`~?([\w.]+)`")
+
+
+def unresolved_roles(module, source):
+    """The targets of the Sphinx roles in ``source`` that name nothing the
+    package defines: a target is looked up in ``module``, or in the package
+    when it starts with ``qsdc3.``, one dotted part at a time."""
+    unresolved = set()
+    for target in ROLE.findall(source):
+        if target.startswith("qsdc3."):
+            module_name, _, rest = target[len("qsdc3.") :].partition(".")
+            owner, parts = importlib.import_module("qsdc3." + module_name), rest.split(".")
+        else:
+            owner, parts = importlib.import_module("qsdc3." + module), target.split(".")
+        for part in parts:
+            owner = getattr(owner, part, None)
+        if owner is None:
+            unresolved.add(target)
+    return unresolved
+
+
+def test_the_check_finds_unresolved_roles():
+    source = (
+        '"""See :func:`leaf_weights`, :func:`_undefined`, :meth:`MessageTriple.random`,\n'
+        ":meth:`MessageTriple.unknown`, :class:`~qsdc3.states.TransitionTable` and\n"
+        ':class:`~qsdc3.states.Tree`."""\n'
+    )
+    assert unresolved_roles("protocol", source) == {"_undefined", "MessageTriple.unknown", "qsdc3.states.Tree"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_role_names_a_definition(path):
+    unresolved = unresolved_roles(path.stem, path.read_text())
+    assert not unresolved, "%s refers to %s, which the package does not define" % (
+        path.name,
+        ", ".join(sorted(unresolved)),
+    )
