@@ -634,9 +634,12 @@ def _choices(table, schedule, model):
     bound, however the total rounds, picks the last leaf, so no draw
     reaches a leaf of zero weight.  The first call weighs all four roots.
     """
-    for root in range(4):
-        leaf_weights(table, schedule, model, root >> 1, root & 1)
-    return table.compiled[schedule, model]
+    roots = table.compiled.get((schedule, model))
+    if roots is None or None in roots:
+        for root in range(4):
+            leaf_weights(table, schedule, model, root >> 1, root & 1)
+        roots = table.compiled[schedule, model]
+    return roots
 
 
 def _materialise(messages, leaves):
