@@ -26,9 +26,9 @@ runs these steps inside its round body; :func:`attack_transit` and an
 probabilities from the same steps: it weighs the protocol's compiled round
 (``protocol.leaf_weights``), the leaves its sessions sample, with every
 answer's exact probability in place of a draw, and sums the weight of the
-leaves whose check failed.  There is no sampling and no
-second copy of the hops or the checks; it is the oracle the Monte Carlo
-estimates are tested against.
+leaves whose check failed.  There is no sampling and no second copy of the
+hops or the checks; it is the oracle the Monte Carlo estimates are tested
+against.
 """
 
 from __future__ import annotations
@@ -260,8 +260,8 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     check of ``check_kind``: every answer to every chance point - the
     checkers' bases, the decoy label, Eve's gate and basis, each
     measurement outcome - with its exact probability, no sampling.  The
-    round is weighed on a fresh table, from the root of the bits (0, 0).  The
-    result is the summed weight of the leaves whose check failed.
+    round is weighed on a fresh table, from the root of the bits (0, 0).
+    The result is the summed weight of the leaves whose check failed.
 
     ``decoy_family`` restricts decoy checks to the Z family ({|0>, |1>})
     or the X family ({|+>, |->}): only the rounds that reveal a decoy of

@@ -15,9 +15,9 @@ trial's session draws from it: the table holds the experiment's compiled
 round (each root's leaves with their exact weights, see
 ``protocol.run_protocol``), weighed by the first session, and the states it
 reaches, so each leaf and each state is built, and validated, once per
-experiment; a detection curve builds one table per grid point.  A session draws one uniform per round, which picks the
-round's leaf by its exact weight; which table it uses does not change its
-draws or its results.  A session returns the sequence of leaves its rounds
+experiment; a detection curve builds one table per grid point.  A session
+draws one uniform per round, which picks the round's leaf by its exact
+weight; which table it uses does not change its draws or its results.  A session returns the sequence of leaves its rounds
 reached, and the report is a fold of leaf counts (:class:`_Aggregator`):
 an experiment builds no round record, transcript or decoded message.
 Its analytic column weighs each check-forced round once: the five rows

@@ -1,4 +1,4 @@
-"""Static checks over the package source, with the standard library's ast."""
+"""Static checks over the package source, with the standard library's ast and re."""
 
 import ast
 import importlib
