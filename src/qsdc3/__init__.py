@@ -5,6 +5,19 @@ Bob and Charlie exchange one secret bit each per message round over shared
 EPR pairs, plus pluggable eavesdropping attacks and a Monte Carlo harness
 that checks the protocol's detection-probability claims against analytic
 enumeration.
+
+Removed
+-------
+The draw-per-point wrappers: a chance-point step is weighed exactly
+(``protocol.leaf_weights``), or drawn with ``states.drive`` when its points
+are Bernoulli.  None of these names is defined or exported any more:
+
+* ``states.measure_qubit``: ``drive(TransitionTable().measure_points(state, which, basis), rng)``
+* ``bell_measure``: ``TransitionTable().bell_points(state)``
+* ``measure_ancilla_and_discard``: ``drive(TransitionTable().readout_points(state), rng)``
+* ``TransitionTable.measure``, ``TransitionTable.readout``, ``TransitionTable.bell``: the ``*_points``
+* ``attack_transit``: ``drive(adversary.attack_points(TransitionTable(), model, segment, state), rng)``
+* ``run_ab_check``, ``run_ca_check``, ``run_decoy_check``: ``adversary.failed_weight_by_basis``
 """
 
 from .backend import active_backend
@@ -19,10 +32,7 @@ from .states import (
     allclose_up_to_global_phase,
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
-    bell_measure,
     bell_state,
-    measure_ancilla_and_discard,
-    measure_qubit,
     outcome_probabilities,
     prepare_decoy,
 )
@@ -43,9 +53,6 @@ from .protocol import (
     decode_charlie,
     encode_bob,
     encode_charlie,
-    run_ab_check,
-    run_ca_check,
-    run_decoy_check,
     run_protocol,
 )
 from .adversary import (
@@ -54,7 +61,6 @@ from .adversary import (
     ChannelSegment,
     EveRecord,
     analytic_detection_probability,
-    attack_transit,
 )
 from .harness import (
     CheckStats,

@@ -17,10 +17,9 @@ state between rounds beyond the per-round log.
 
 Eve's action on one hop is written once, as chance-point steps over a
 :class:`~qsdc3.states.TransitionTable`: :func:`attack_points` (the gate
-draw below attack probability 1, then the model's attack) and
+point below attack probability 1, then the model's attack) and
 :func:`resolve_points` (the probe readout).  The protocol's compiled round
-runs these steps inside its round body; :func:`attack_transit` and an
-:class:`Eavesdropper` answer them with draws, one hop at a time.
+runs these steps inside its round body.
 
 :func:`analytic_detection_probability` computes exact per-check detection
 probabilities from the same steps: it weighs the protocol's compiled round
@@ -82,7 +81,12 @@ class AttackModel:
     attack_probability: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.kind, AttackKind):
+            raise ValueError("kind must be an AttackKind member, got %r" % (self.kind,))
         object.__setattr__(self, "segments", frozenset(self.segments))
+        for segment in self.segments:
+            if not isinstance(segment, ChannelSegment):
+                raise ValueError("segments must be ChannelSegment members, got %r" % (segment,))
         if self.kind is AttackKind.NONE:
             if self.segments:
                 raise ValueError("a null attack covers no segments")
@@ -199,26 +203,15 @@ def resolve_points(table, state, records):
     return state
 
 
-def attack_transit(model, segment, state, rng):
-    """Eve's action on a flying qubit crossing a segment.
-
-    The qubit is an entangled pair's transit qubit, or a lone decoy on the
-    C->A segment.  Identity when the segment is not covered by the model;
-    otherwise applies the model's strategy.  Returns ``(state, record)``,
-    with ``record`` None when Eve did not act; a record's ``round_index``
-    is -1.
-    """
-    return drive(attack_points(TransitionTable(), model, segment, state), rng)
-
-
 class Eavesdropper:
     """Eve over one table, one hop or probe readout at a time.
 
     Applies the model to each flying qubit and logs one record per action;
     each call answers the chance points of :func:`attack_points` or
-    :func:`resolve_points` with draws from ``rng``.  The round engine does
-    not call it: its compiled round runs the same steps (see
-    ``protocol.run_protocol``).
+    :func:`resolve_points` with draws from ``rng``.  The package does not
+    call it: its compiled round runs the same steps (see
+    ``protocol.run_protocol``).  The traced benchmark (perfbench/layers.py)
+    looks the class up.
     """
 
     def __init__(self, model, table):

@@ -409,8 +409,6 @@ def cmd_sweep(args):
     kinds = data.get("check_kinds", ["ab_check", "decoy_check"])
     if not isinstance(kinds, list) or not kinds or not all(isinstance(k, str) for k in kinds):
         raise ConfigError("field 'check_kinds' must be a non-empty list of strings")
-    if len(set(kinds)) != len(kinds):
-        raise ConfigError("field 'check_kinds' names a check kind more than once")
     schedule = _parse_schedule(data, (0.25, 0.1, 0.4))
     message_length = _message_length(data, 128)
     trials = _integer(data.get("trials", 140), "trials", 1)

@@ -17,9 +17,10 @@ round (each root's leaves with their exact weights, see
 reaches, so each leaf and each state is built, and validated, once per
 experiment; a detection curve builds one table per grid point.  A session
 draws one uniform per round, which picks the round's leaf by its exact
-weight; which table it uses does not change its draws or its results.  A session returns the sequence of leaves its rounds
-reached, and the report is a fold of leaf counts (:class:`_Aggregator`):
-an experiment builds no round record, transcript or decoded message.
+weight; which table it uses does not change its draws or its results.  A
+session returns the sequence of leaves its rounds reached, and the report
+is a fold of leaf counts (:class:`_Aggregator`): an experiment builds no
+round record, transcript or decoded message.
 Its analytic column weighs each check-forced round once: the five rows
 (three check kinds, two decoy families) read three weighings.
 """
@@ -147,6 +148,11 @@ class ExperimentConfig:
             object.__setattr__(self, name, index)
         if self.message_length > _MAX_MESSAGE_LENGTH:
             raise ValueError("message_length must be <= %d" % _MAX_MESSAGE_LENGTH)
+        types = {"schedule": SchedulePolicy, "attack": AttackModel, "abort_policy": AbortPolicy}
+        for name, kind in types.items():
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ValueError("%s must be of type %s, got %r" % (name, kind.__name__, value))
 
     def to_dict(self):
         attack = {
@@ -604,8 +610,8 @@ def detection_curve(
     """Sampled-versus-analytic detection table across a parameter grid.
 
     ``make_attack`` maps one grid value to an :class:`AttackModel`.  For each
-    grid point one experiment runs (record-and-continue) and every requested
-    check kind contributes a row; decoy rows additionally report the Z and X
+    grid point one experiment runs (record-and-continue) and each requested
+    check kind, named once, gives a row; decoy rows also give the Z and X
     family splits.
     """
     grid = [float(g) for g in grid]
@@ -617,6 +623,8 @@ def detection_curve(
     for kind in wanted:
         if kind not in _CHECK_KINDS:
             raise ValueError("unknown check kind %r" % (kind,))
+    if len(set(wanted)) != len(wanted):
+        raise ValueError("check_kinds names a check kind more than once")
 
     point_seeds = np.random.SeedSequence(seed).spawn(len(grid))
     rows = []

@@ -15,11 +15,11 @@ Charlie's selects identity/phase-flip, so an honest Bell outcome is exactly
 announcing, and each party recovers the other two messages by XOR.
 
 The round is written once, as chance-point steps (``_round_points``):
-each draw is a point the round yields and is answered, Bernoulli choices
-against a threshold (the schedule, Eve's gate, the check bases, every
-measurement outcome), the decoy label and the Bell measurement (see
-``states.drive``).  A session does not run this body per round.  The body
-is compiled into its leaves, kept in the experiment's
+each random choice is a point the round yields and is answered, Bernoulli
+choices against a threshold (the schedule, Eve's gate, the check bases,
+every measurement outcome), the decoy label and the Bell measurement (see
+the chance points in ``states``).  A session does not run this body per
+round.  The body is compiled into its leaves, kept in the experiment's
 :class:`~qsdc3.states.TransitionTable` per schedule, attack model and root
 (Bob's and Charlie's bits): :func:`leaf_weights` runs the steps once along
 every path of answers, and gives the exact probability of each
@@ -29,8 +29,6 @@ bisection of its root's cumulative leaf weights and one append of the leaf
 it picks.  A session returns its leaf sequence, and its records,
 transcript events and Eve's records are built from the leaves the first
 time they are read (:class:`ProtocolResult`).
-The single-step functions (``run_ab_check``, ...) answer the steps of the
-body itself with one draw per chance point.
 
 Randomness: a session draws one double per round from its injected
 generator, in round order, served from ``random(256)`` blocks of it; the
@@ -52,10 +50,6 @@ from operator import xor
 from typing import NamedTuple
 
 from .adversary import AttackModel, ChannelSegment, EveRecord, attack_points, resolve_points
-
-# ``measure_qubit`` is not called here: the engine and the checks run their
-# steps on a TransitionTable.  It stays a name of this module because the traced
-# benchmark (perfbench/layers.py and its tests) looks it up here.
 from .states import (
     BERNOULLI,
     FAIR_COIN,
@@ -69,7 +63,6 @@ from .states import (
     bell_state,
     decoy_basis_and_bit,
     drive,
-    measure_qubit,
     prepare_decoy,
 )
 
@@ -342,7 +335,8 @@ def _correlation_points(table, state, check):
 
 
 def _decoy_points(table, basis, expected, received):
-    """Core of :func:`run_decoy_check`, as chance points on ``table``."""
+    """Alice's check of a decoy on the C->A leg, like :func:`_correlation_points`:
+    it passes when her outcome in the revealed decoy's ``basis`` is ``expected``."""
     outcome, state = yield from table.measure_points(received, _TRANSIT, basis)
     passed = outcome == expected
     events = (
@@ -352,41 +346,10 @@ def _decoy_points(table, basis, expected, received):
     return passed, state, events
 
 
-def _checked(steps, rng, transcript, round_index):
-    """Drive a check's steps; disclose its events on ``transcript`` if given."""
-    passed, state, events = drive(steps, rng)
-    if transcript is not None:
-        for event in events:
-            transcript.add(round_index, *event)
-    return passed, state
-
-
-def run_ab_check(state, rng, transcript=None, round_index=0):
-    """Bob's eavesdropping check of the A->B leg.
-
-    Returns (passed, post-measurement state); discloses basis and outcomes
-    on the transcript when one is given.
-    """
-    return _checked(_correlation_points(TransitionTable(), state, "ab"), rng, transcript, round_index)
-
-
-def run_ca_check(state, rng, transcript=None, round_index=0):
-    """Charlie and Alice check the channel after Bob's control mode.
-
-    Identical correlation test to :func:`run_ab_check`, run between
-    Charlie (transit) and Alice (home).
-    """
-    return _checked(_correlation_points(TransitionTable(), state, "ca"), rng, transcript, round_index)
-
-
-def run_decoy_check(decoy, received, rng, transcript=None, round_index=0):
-    """Alice verifies a revealed decoy qubit on the C->A leg.
-
-    Alice measures in the basis containing the revealed state; the check
-    passes when her outcome names that state.
-    """
-    basis, expected = decoy_basis_and_bit(decoy)
-    return _checked(_decoy_points(TransitionTable(), basis, expected, received), rng, transcript, round_index)
+def measure_qubit(state, which, basis, rng):
+    """``(outcome, collapsed state)``: one subsystem measured with one draw
+    from ``rng``, kept for the traced benchmark, which looks it up here."""
+    return drive(TransitionTable().measure_points(state, which, basis), rng)
 
 
 @dataclass(frozen=True)
@@ -729,6 +692,8 @@ def run_protocol(
     the first time one is read; a strict abort builds them when it is
     raised, and carries the leaves up to and including the failing round.
     """
+    if not isinstance(abort_policy, AbortPolicy):
+        raise ValueError("abort_policy must be an AbortPolicy, got %r" % (abort_policy,))
     model = attack if attack is not None else AttackModel.none()
     if table is None:
         table = TransitionTable()

@@ -17,11 +17,11 @@ Conventions
       (0,1): (|10> - |01>)/sqrt2      (1,1): (|00> - |11>)/sqrt2
 
   Labels are rays: a global phase does not change the label.
-* All measurement sampling draws from an injected ``numpy.random.Generator``
-  (one uniform ``random()`` draw per measurement); there is no global
-  randomness.  A protocol session does not sample measurements one by one:
-  it draws one uniform per round and picks the round's leaf of the
-  compiled round by its exact weight (see ``protocol.run_protocol``).
+* A sampled operation is a chance point with its exact probabilities.  A
+  protocol session draws one uniform per round from an injected
+  ``numpy.random.Generator`` and picks the round's leaf of the compiled
+  round by its exact weight (see ``protocol.run_protocol``); there is no
+  global randomness.
 
 Construction
 ------------
@@ -37,19 +37,16 @@ because each validation is a counted benchmark layer.
 
 The sampled operations are written once, as chance-point steps on a
 :class:`TransitionTable` (``measure_points``, ``readout_points``,
-``bell_points``): each yields the draw it needs, with the threshold the
-kernels gave, and is sent the answer (see ``drive``).  The protocol's
-compiled round runs them while it weighs its leaves, one table per
-experiment (``harness.run_experiment`` builds it and every trial's session
-draws from it; a session run on its own gets a fresh one), so a derived
-state is built and validated once per distinct value in the experiment,
-not once per round.  The public operations (``measure_qubit``, ``bell_measure``,
-...) drive the same steps with one draw per point on a fresh table per
-call: they are not memoised, and each result is validated once.  The
-protocol's compiled round is weighed by ``protocol.leaf_weights``, which
-answers each point with every answer of positive probability: that is
-how ``adversary.analytic_detection_probability`` enumerates a round, and
-the weights its sessions draw leaves by.
+``bell_points``): each yields its chance point, with the threshold the
+kernels gave, and is sent the answer.  The protocol's compiled round runs
+them while ``protocol.leaf_weights`` weighs its leaves, answering each
+point with every answer of positive probability: that is how
+``adversary.analytic_detection_probability`` enumerates a round, and the
+weights its sessions draw leaves by.  One table lives per experiment
+(``harness.run_experiment`` builds it and every trial's session draws
+from it; a session run on its own gets a fresh one), so a derived state
+is built and validated once per distinct value in the experiment, not
+once per round.
 
 The probe coupling's coefficients are checked where they enter: by
 ``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
@@ -344,38 +341,30 @@ def collapse_outcome(state, which, basis, outcome):
 
 
 # Chance points.  A random step is written as a generator that yields one
-# ``(kind, data)`` point per draw it needs and is sent the answer:
+# ``(kind, data)`` point per random choice and is sent the answer:
 #
-# * ``(BERNOULLI, p)``: one uniform ``u``, answered ``u < p``;
-# * ``(LABEL, None)``: the decoy label, answered ``integers(0, 4)``;
-# * ``(BELL, thresholds)``: one uniform ``u``, answered with the index of the
-#   first ``(cumulative, index)`` pair with ``u < cumulative``, or the last
-#   pair's index when there is none.
+# * ``(BERNOULLI, p)``: True with probability ``p``, else False;
+# * ``(LABEL, None)``: the decoy label, each of 0, 1, 2 and 3 with 1/4;
+# * ``(BELL, thresholds)``: the index of one ``(cumulative, index)`` pair,
+#   with probability its ``cumulative`` less the one before.
 #
-# ``drive`` answers each point with a draw.  ``protocol.leaf_weights``
-# answers each point of the protocol's round with every answer and its
-# probability, along every path of answers: the exact distribution of the
-# round's leaves, from which its sessions draw one leaf per round
-# (``protocol.run_protocol``).
+# ``protocol.leaf_weights`` answers each point of the protocol's round with
+# every answer and its probability, along every path of answers: the exact
+# distribution of the round's leaves, from which its sessions draw one leaf
+# per round (``protocol.run_protocol``).
 BERNOULLI, LABEL, BELL = "b", "i", "bell"
 FAIR_COIN = (BERNOULLI, 0.5)
 
+
 def drive(steps, rng):
-    """Run ``steps`` to its end, answering each chance point with one draw
-    from ``rng``; returns what the steps return."""
+    """Run ``steps`` of Bernoulli points to its end, answering each ``u < p``
+    for a uniform ``u`` from ``rng``.  Only ``protocol.measure_qubit`` and
+    ``adversary.Eavesdropper``, kept for the traced benchmark, draw this way."""
     answer = None
     try:
         while True:
-            kind, data = steps.send(answer)
-            if kind is BERNOULLI:
-                answer = rng.random() < data
-            elif kind is LABEL:
-                answer = rng.integers(0, 4)
-            else:
-                u = rng.random()
-                for cumulative, answer in data:
-                    if u < cumulative:
-                        break
+            _, p = steps.send(answer)
+            answer = rng.random() < p
     except StopIteration as stop:
         return stop.value
 
@@ -412,10 +401,8 @@ class TransitionTable:
     answered, because collapsing onto a zero-probability outcome raises.
 
     The sampled operations are chance-point steps (``measure_points``,
-    ``readout_points``, ``bell_points``); ``measure``, ``readout`` and
-    ``bell`` drive them with one draw per point.  The points carry the
-    floats the kernels gave on the first visit, so driving them makes the
-    draws and the outcomes that calling the kernels every time would.
+    ``readout_points``, ``bell_points``), whose points carry the floats the
+    kernels gave on the first visit.
 
     Edges are keyed by the identity of the source state (and of the
     operands, which are enum singletons, so no ``Enum.__hash__`` runs), and
@@ -434,8 +421,9 @@ class TransitionTable:
     cumulative leaf weights that sessions draw each round's leaf from (see
     ``protocol.run_protocol``).  The first session weighs all four roots,
     and the weights depend only on the kernels' floats, so a session gives
-    the same results on a table other sessions used as on a fresh one.  A table is not kept across experiments, so two runs of one
-    experiment build, and validate, the same states.
+    the same results on a table other sessions used as on a fresh one.  A
+    table is not kept across experiments, so two runs of one experiment
+    build, and validate, the same states.
     """
 
     __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes", "compiled")
@@ -488,7 +476,8 @@ class TransitionTable:
         return edge[1]
 
     def measure_points(self, state, which, basis):
-        """:func:`measure_qubit` as one Bernoulli point: ``(outcome, collapsed state)``."""
+        """A projective measurement as one Bernoulli point: ``(outcome,
+        collapsed state)``, outcome 0 naming |0> or |+>."""
         key = (id(state), id(which), id(basis))
         edge = self._measures.get(key)
         if edge is None:
@@ -500,10 +489,6 @@ class TransitionTable:
             amps = _k.collapse(state.amps, state.position(which), _basis_code(basis), outcome)
             child = edge[2 + outcome] = self._child(amps, state.subsystems)
         return outcome, child
-
-    def measure(self, state, which, basis, rng):
-        """:func:`measure_qubit`: ``(outcome, collapsed state)``, one draw."""
-        return drive(self.measure_points(state, which, basis), rng)
 
     def attach(self, state, alpha, beta):
         """:func:`attach_ancilla_and_entangle` for checked coefficients.
@@ -524,8 +509,8 @@ class TransitionTable:
         return edge[1]
 
     def readout_points(self, state):
-        """:func:`measure_ancilla_and_discard` as one Bernoulli point:
-        ``(outcome, state without the probe)``."""
+        """Eve's probe read in its {|chi0>, |chi1>} basis and dropped, as one
+        Bernoulli point: ``(outcome, state without the probe)``."""
         edge = self._readouts.get(id(state))
         if edge is None:
             if not state.has_ancilla:
@@ -544,12 +529,9 @@ class TransitionTable:
             child = edge[2 + outcome] = self._child(_k.discard_qubit(collapsed, pos, outcome), register)
         return outcome, child
 
-    def readout(self, state, rng):
-        """:func:`measure_ancilla_and_discard`: ``(outcome, state without the probe)``."""
-        return drive(self.readout_points(state), rng)
-
     def bell_points(self, state):
-        """:func:`bell_measure` as one Bell point: ``(label, eigenstate)``.
+        """Alice's measurement of (home, transit) in the entangled basis, as
+        one Bell point: ``(label, eigenstate)``.
 
         The point's cumulative thresholds skip the zero-probability labels,
         so when rounding leaves a draw above the total, the last label with
@@ -569,29 +551,6 @@ class TransitionTable:
                     thresholds.append((cumulative, index))
             edge = self._bells[id(state)] = (state, (BELL, tuple(thresholds)))
         return _BELL_OUTCOMES[(yield edge[1])]
-
-    def bell(self, state, rng):
-        """:func:`bell_measure`: ``(label, eigenstate)``, one draw."""
-        return drive(self.bell_points(state), rng)
-
-
-def measure_qubit(state, which, basis, rng):
-    """Projectively measure one subsystem.
-
-    Returns ``(outcome, collapsed_state)`` where outcome 0 names the first
-    eigenstate of the basis (|0> or |+>).
-    """
-    return TransitionTable().measure(state, which, basis, rng)
-
-
-def bell_measure(state, rng):
-    """Joint measurement of (home, transit) in the entangled basis.
-
-    Samples a label with its squared-overlap probability and returns the
-    label plus the post-measurement eigenstate.  Any probe qubit must have
-    been measured out beforehand.
-    """
-    return TransitionTable().bell(state, rng)
 
 
 def check_coupling(alpha, beta):
@@ -619,13 +578,3 @@ def attach_ancilla_and_entangle(state, alpha, beta):
     """
     alpha, beta = check_coupling(alpha, beta)
     return TransitionTable().attach(state, alpha, beta)
-
-
-def measure_ancilla_and_discard(state, rng):
-    """Measure the probe in its {|chi0>, |chi1>} basis and drop it.
-
-    This is how an entangle-and-measure eavesdropper reads her probe at the
-    end of a round; the remaining register no longer contains the probe.
-    A state without a probe raises ``ValueError``.
-    """
-    return TransitionTable().readout(state, rng)

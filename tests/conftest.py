@@ -33,12 +33,6 @@ class ScriptedRng:
         block, self.values = self.values[:size], self.values[size:]
         return np.array(block)
 
-    def integers(self, low, high=None, size=None):
-        value = self.values.pop(0)
-        if size is not None:
-            raise NotImplementedError("scripted draws are scalar")
-        return int(value)
-
 
 @pytest.fixture
 def rng():

@@ -13,8 +13,9 @@ from qsdc3.adversary import (
     AttackModel,
     ChannelSegment,
     Eavesdropper,
+    EveRecord,
     analytic_detection_probability,
-    attack_transit,
+    attack_points,
     paper_claimed_detection,
 )
 from qsdc3.harness import ExperimentConfig, run_experiment
@@ -23,8 +24,11 @@ from qsdc3.states import (
     Basis,
     DecoyState,
     Pauli,
+    Subsystem,
     TransitionTable,
+    attach_ancilla_and_entangle,
     bell_state,
+    collapse_outcome,
     prepare_decoy,
 )
 
@@ -33,6 +37,7 @@ RH = math.sqrt(0.5)
 AB = ChannelSegment.A_TO_B
 BC = ChannelSegment.B_TO_C
 CA = ChannelSegment.C_TO_A
+TRANSIT = Subsystem.TRANSIT
 
 
 def amps_close(state, expected, atol=1e-12):
@@ -68,51 +73,84 @@ class TestAttackModel:
         with pytest.raises(ValueError, match="attack_probability"):
             AttackModel.intercept_resend(AB, attack_probability=-0.1)
 
+    # An enum's value in place of the member would otherwise construct and
+    # run the wrong attack: no attack at all on the string segment, and the
+    # identity probe for the string kind.
+    @pytest.mark.parametrize(
+        "make, field",
+        [
+            (lambda: AttackModel.intercept_resend("a_to_b"), "segments"),
+            (lambda: AttackModel.disturbance(Pauli.X, AB, "c_to_a"), "segments"),
+            (lambda: AttackModel("intercept_resend", {AB}), "kind"),
+            (lambda: AttackModel("none"), "kind"),
+        ],
+        ids=["segment_value", "one_segment_value", "kind_value", "none_value"],
+    )
+    def test_kind_and_segments_must_be_enum_members(self, make, field):
+        with pytest.raises(ValueError, match=field):
+            make()
+
+
+@pytest.fixture
+def hop(weigh):
+    """``hop(model, segment, state)``: Eve's hop weighed exactly on a fresh
+    table, ``[(weight, (state, record)), ...]``."""
+
+    def weighed(model, segment, state):
+        table = TransitionTable()
+        return weigh(lambda: attack_points(table, model, segment, state))
+
+    return weighed
+
 
 class TestAttackTransit:
-    def test_uncovered_segment_is_identity(self, rng):
+    def test_uncovered_segment_is_identity(self, hop):
         model = AttackModel.disturbance(Pauli.X, BC)
-        state, record = attack_transit(model, AB, bell_state((0, 0)), rng)
-        assert state is bell_state((0, 0))
-        assert record is None
+        assert hop(model, AB, bell_state((0, 0))) == [(1.0, (bell_state((0, 0)), None))]
 
-    def test_probe_coupling_state(self, rng):
+    def test_probe_coupling_state(self, hop):
         model = AttackModel.entangle_measure(0.64, AB)
-        state, record = attack_transit(model, AB, bell_state((0, 0)), rng)
+        ((weight, (state, record)),) = hop(model, AB, bell_state((0, 0)))
         a, b = 0.6 * RH, 0.8 * RH
+        assert weight == 1.0
         assert amps_close(state, (0, b, a, 0, a, 0, 0, b))
-        assert record.kind is AttackKind.ENTANGLE_MEASURE
-        assert record.segment is AB
+        assert record == EveRecord(-1, AB, AttackKind.ENTANGLE_MEASURE)
 
-    def test_probe_attaches_once_per_flying_qubit(self, rng):
+    def test_probe_attaches_once_per_flying_qubit(self, hop):
         model = AttackModel.entangle_measure(0.5, AB, BC)
-        state, first = attack_transit(model, AB, bell_state((0, 0)), rng)
-        state2, second = attack_transit(model, BC, state, rng)
-        assert second is None
-        assert state2 is state
+        ((_, (state, first)),) = hop(model, AB, bell_state((0, 0)))
+        assert first is not None
+        assert hop(model, BC, state) == [(1.0, (state, None))]
 
-    def test_disturbance_flips_the_pair(self, rng):
+    def test_disturbance_flips_the_pair(self, hop):
         model = AttackModel.disturbance(Pauli.X, AB)
-        state, record = attack_transit(model, AB, bell_state((0, 0)), rng)
+        ((weight, (state, record)),) = hop(model, AB, bell_state((0, 0)))
+        assert weight == 1.0
         assert amps_close(state, bell_state((1, 0)).amps)
-        assert record.basis is None
+        assert record == EveRecord(-1, AB, AttackKind.DISTURBANCE)
 
-    def test_intercept_resend_z_branch(self, scripted):
-        # Scripted draws: 0.4 -> Z basis, 0.2 -> outcome 0.  Eve reads the
-        # transit as 0, so the forwarded qubit is |0> and the home qubit has
-        # collapsed to |1>.
-        model = AttackModel.intercept_resend(AB)
-        state, record = attack_transit(model, AB, bell_state((0, 0)), scripted([0.4, 0.2]))
-        assert amps_close(state, (0, 0, 1, 0))
-        assert record.basis is Basis.Z
-        assert record.outcome == 0
+    def test_intercept_resend_branches(self, hop):
+        # A fair basis coin, then Eve's outcome: each of the four branches
+        # has weight 1/4, and the forwarded pair is the collapse of the
+        # transit qubit onto her outcome (reading 0 in Z leaves the home
+        # qubit in |1>).
+        pair = bell_state((0, 0))
+        ends = hop(AttackModel.intercept_resend(AB), AB, pair)
+        expected = [
+            (0.25, (collapse_outcome(pair, TRANSIT, basis, outcome), basis, outcome))
+            for basis in (Basis.Z, Basis.X)
+            for outcome in (0, 1)
+        ]
+        got = [(weight, (state, record.basis, record.outcome)) for weight, (state, record) in ends]
+        assert got == [(pytest.approx(w, abs=1e-15), end) for w, end in expected]
+        assert amps_close(ends[0][1][0], (0, 0, 1, 0))
 
-    def test_attack_probability_skips(self, scripted):
+    def test_attack_probability_skips(self, hop):
         model = AttackModel.disturbance(Pauli.X, AB, attack_probability=0.5)
-        state, record = attack_transit(model, AB, bell_state((0, 0)), scripted([0.9]))
-        assert record is None and state is bell_state((0, 0))
-        state, record = attack_transit(model, AB, bell_state((0, 0)), scripted([0.1]))
-        assert record is not None and amps_close(state, bell_state((1, 0)).amps)
+        (fired, (flipped, record)), (skipped, skip) = hop(model, AB, bell_state((0, 0)))
+        assert (fired, skipped) == (0.5, 0.5)
+        assert record is not None and amps_close(flipped, bell_state((1, 0)).amps)
+        assert skip == (bell_state((0, 0)), None)
 
 
 # (model, hop, state, scripted draws) for every attack kind, each fired at
@@ -138,59 +176,56 @@ for _name, _make, _draws in (
 
 
 class TestOneStrategyPerKind:
-    """The engine's Eavesdropper and attack_transit run the same strategy."""
+    """The Eavesdropper's drawn hop is one of the exactly weighed hops."""
 
     @pytest.mark.parametrize("model, segment, state, draws", _STRATEGY_CASES)
-    def test_eavesdropper_matches_attack_transit(self, scripted, model, segment, state, draws):
-        direct_rng = scripted(draws)
-        direct, record = attack_transit(model, segment, state, direct_rng)
+    def test_eavesdropper_matches_the_weighed_hop(self, scripted, hop, model, segment, state, draws):
         eve = Eavesdropper(model, TransitionTable())
         engine_rng = scripted(draws)
         touched = []
         engine = eve.intercept_transit(segment, state, engine_rng, 7, touched)
-        assert engine == direct
-        assert direct_rng.values == engine_rng.values == []
-        if record is None:
-            assert draws == [0.5]
+        assert engine_rng.values == []
+        if draws == [0.5]:
             assert engine is state and eve.records == [] and touched == []
+            record = None
         else:
-            assert record.round_index == -1
-            assert eve.records == [dataclasses.replace(record, round_index=7)]
-            assert touched == [segment]
+            (record,) = eve.records
+            assert record.round_index == 7 and touched == [segment]
+            record = dataclasses.replace(record, round_index=-1)
+        weighed = [(weight, end) for weight, end in hop(model, segment, state) if end == (engine, record)]
+        assert len(weighed) == 1 and weighed[0][0] > 0.0
 
     @pytest.mark.parametrize("p_fire", [1.0, 0.4])
-    def test_a_probed_qubit_is_not_probed_again(self, scripted, p_fire):
+    def test_a_probed_qubit_is_not_probed_again(self, scripted, hop, p_fire):
         model = AttackModel.entangle_measure(0.3, AB, BC, attack_probability=p_fire)
         eve = Eavesdropper(model, TransitionTable())
-        probed, _ = attack_transit(model, AB, bell_state((0, 0)), scripted([0.1]))
-        assert probed.has_ancilla
+        probed = attach_ancilla_and_entangle(bell_state((0, 0)), model.alpha, model.beta)
         touched = []
         draws = [0.1] if p_fire < 1.0 else []
         assert eve.intercept_transit(BC, probed, scripted(draws), 3, touched) is probed
-        assert attack_transit(model, BC, probed, scripted(draws)) == (probed, None)
+        assert {end for _, end in hop(model, BC, probed)} == {(probed, None)}
         assert eve.records == [] and touched == []
 
     def test_records_are_slotted(self):
-        record = attack_transit(AttackModel.disturbance(Pauli.Z, AB), AB, bell_state((0, 0)), None)[1]
-        assert not hasattr(record, "__dict__")
+        assert not hasattr(EveRecord(0, AB, AttackKind.DISTURBANCE), "__dict__")
 
 
 class TestAttackDecoy:
-    def test_probe_on_plus_factorizes(self, rng):
+    def test_probe_on_plus_factorizes(self, hop):
         model = AttackModel.entangle_measure(0.64, CA)
-        state, _ = attack_transit(model, CA, prepare_decoy(DecoyState.PLUS), rng)
+        ((_, (state, _)),) = hop(model, CA, prepare_decoy(DecoyState.PLUS))
         assert amps_close(state, (0.6 * RH, 0.8 * RH, 0.6 * RH, 0.8 * RH))
 
-    def test_probe_on_zero_entangles(self, rng):
+    def test_probe_on_zero_entangles(self, hop):
         model = AttackModel.entangle_measure(0.64, CA)
-        state, _ = attack_transit(model, CA, prepare_decoy(DecoyState.ZERO), rng)
+        ((_, (state, _)),) = hop(model, CA, prepare_decoy(DecoyState.ZERO))
         assert amps_close(state, (0.6, 0, 0, 0.8))
 
-    def test_phase_disturbance_is_invisible_on_z_decoys(self, rng):
+    def test_phase_disturbance_is_invisible_on_z_decoys(self, hop):
         model = AttackModel.disturbance(Pauli.Z, CA)
-        state, _ = attack_transit(model, CA, prepare_decoy(DecoyState.ZERO), rng)
+        ((_, (state, _)),) = hop(model, CA, prepare_decoy(DecoyState.ZERO))
         assert amps_close(state, (1, 0))
-        state, _ = attack_transit(model, CA, prepare_decoy(DecoyState.PLUS), rng)
+        ((_, (state, _)),) = hop(model, CA, prepare_decoy(DecoyState.PLUS))
         assert amps_close(state, (RH, -RH))  # |+> flipped to |->: always caught
 
 

@@ -630,6 +630,15 @@ class TestDetectionCurve:
         with pytest.raises(ValueError, match="check kind"):
             entangle_measure_curve([0.5], check_kinds=("sideways_check",))
 
+    def test_a_repeated_check_kind_is_rejected_before_any_experiment(self, monkeypatch):
+        # Each kind would otherwise give its rows twice, identical.
+        def no_experiment(config):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(harness, "run_experiment", no_experiment)
+        with pytest.raises(ValueError, match="check_kinds"):
+            entangle_measure_curve([0.5], check_kinds=["ab_check", "ab_check"], message_length=2, trials=1)
+
 
 class TestConfigValidation:
     def test_rejects_non_positive_sizes(self):
@@ -654,6 +663,22 @@ class TestConfigValidation:
         ],
     )
     def test_rejects_non_integers_and_a_negative_seed_at_construction(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
+
+    # A value of the right meaning but the wrong type would otherwise run:
+    # the string "strict" ran record-and-continue and then broke to_dict().
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("abort_policy", "strict"),
+            ("abort_policy", None),
+            ("attack", "none"),
+            ("attack", None),
+            ("schedule", (0.25, 0.25, 0.25)),
+        ],
+    )
+    def test_rejects_a_policy_or_model_of_the_wrong_type(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
 

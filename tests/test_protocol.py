@@ -27,19 +27,18 @@ from qsdc3.protocol import (
     decode_charlie,
     encode_bob,
     encode_charlie,
-    run_ab_check,
-    run_ca_check,
-    run_decoy_check,
     run_protocol,
 )
 from qsdc3.states import (
     Basis,
+    BellLabel,
     DecoyState,
     Pauli,
     TransitionTable,
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
     bell_state,
+    decoy_basis_and_bit,
     prepare_decoy,
 )
 
@@ -54,13 +53,13 @@ class TestEncoders:
         assert encode_charlie(1) is Pauli.Z
 
     @pytest.mark.parametrize("j, k", list(product((0, 1), repeat=2)))
-    def test_joint_encoding_reaches_label_jk(self, j, k, rng):
+    def test_joint_encoding_reaches_label_jk(self, j, k, weigh):
         state = apply_pauli_on_transit(bell_state((0, 0)), encode_bob(j))
         state = apply_pauli_on_transit(state, encode_charlie(k))
-        from qsdc3.states import bell_measure
-
-        label, _ = bell_measure(state, rng)
-        assert (label.flip, label.phase) == (j, k)
+        table = TransitionTable()
+        ((weight, (label, _)),) = weigh(lambda: table.bell_points(state))
+        assert weight == pytest.approx(1.0, abs=1e-15)
+        assert label == BellLabel(j, k)
 
 
 class TestAnnounceAndDecode:
@@ -92,66 +91,74 @@ class TestAnnounceAndDecode:
         assert decode_bob(x, y, j)[0] == decode_charlie(x, y, k)[0]
 
 
+def correlation_check(weigh, state, check="ab"):
+    """The A-B (or C-A) check of ``state`` weighed exactly: ``[(weight,
+    basis, passed), ...]``, one per end."""
+    table = TransitionTable()
+    ends = weigh(lambda: protocol._correlation_points(table, state, check))
+    return [(weight, events[0][2], passed) for weight, (passed, _, events) in ends]
+
+
+def decoy_check(weigh, label, received):
+    """Alice's check of ``received`` as the decoy ``label``, weighed
+    exactly: ``[(weight, passed), ...]``, one per end."""
+    table = TransitionTable()
+    basis, expected = decoy_basis_and_bit(label)
+    ends = weigh(lambda: protocol._decoy_points(table, basis, expected, received))
+    return [(weight, passed) for weight, (passed, _, _) in ends]
+
+
+def failed_weight(ends):
+    return sum(end[0] for end in ends if end[-1] is False)
+
+
 class TestChecks:
-    def test_honest_pair_always_passes(self, rng):
-        for _ in range(200):
-            passed, _ = run_ab_check(bell_state((0, 0)), rng)
-            assert passed
+    @pytest.mark.parametrize("check", ["ab", "ca"])
+    def test_honest_pair_always_passes(self, weigh, check):
+        ends = correlation_check(weigh, bell_state((0, 0)), check)
+        assert {basis for _, basis, _ in ends} == {"Z", "X"}
+        assert all(passed for _, _, passed in ends)
+        assert sum(weight for weight, _, _ in ends) == pytest.approx(1.0, abs=1e-15)
 
-    def test_ca_check_mirrors_ab(self, rng):
-        for _ in range(200):
-            passed, _ = run_ca_check(bell_state((0, 0)), rng)
-            assert passed
+    def test_the_check_discloses_both_outcomes_and_its_verdict(self, weigh):
+        table = TransitionTable()
+        for _, (passed, state, events) in weigh(
+            lambda: protocol._correlation_points(table, bell_state((0, 0)), "ca")
+        ):
+            (kind, check, basis, checker, alice), verdict = events
+            assert (kind, check, verdict) == ("check_disclosure", "ca", ("check_verdict", "ca", passed))
+            assert (checker != alice) == (basis == "Z")
+            assert not state.has_ancilla
 
-    def test_bit_flipped_pair_fails_exactly_in_z(self, rng):
+    def test_bit_flipped_pair_fails_exactly_in_z(self, weigh):
         # After a bit-flip disturbance the pair is label (1,0): Z outcomes
         # become equal (fail) while X stays correlated (pass).
-        transcript = PublicTranscript()
         disturbed = apply_pauli_on_transit(bell_state((0, 0)), Pauli.X)
-        z_seen = x_seen = 0
-        for round_index in range(300):
-            passed, _ = run_ab_check(disturbed, rng, transcript, round_index)
-            basis = transcript.events[-2].payload["basis"]
-            if basis == "Z":
-                z_seen += 1
-                assert not passed
-            else:
-                x_seen += 1
-                assert passed
-        assert z_seen and x_seen
+        ends = correlation_check(weigh, disturbed)
+        assert all(passed == (basis == "X") for _, basis, passed in ends)
+        assert failed_weight(ends) == pytest.approx(0.5, abs=1e-15)
 
-    def test_phase_flipped_pair_fails_exactly_in_x(self, rng):
+    def test_phase_flipped_pair_fails_exactly_in_x(self, weigh):
         disturbed = apply_pauli_on_transit(bell_state((0, 0)), Pauli.Z)
-        transcript = PublicTranscript()
-        for round_index in range(300):
-            passed, _ = run_ca_check(disturbed, rng, transcript, round_index)
-            basis = transcript.events[-2].payload["basis"]
-            assert passed == (basis == "Z")
+        ends = correlation_check(weigh, disturbed, "ca")
+        assert all(passed == (basis == "Z") for _, basis, passed in ends)
+        assert failed_weight(ends) == pytest.approx(0.5, abs=1e-15)
 
-    def test_unattacked_decoys_always_pass(self, rng):
-        for label in DecoyState:
-            for _ in range(50):
-                passed, _ = run_decoy_check(label, prepare_decoy(label), rng)
-                assert passed
+    @pytest.mark.parametrize("label", list(DecoyState))
+    def test_unattacked_decoys_always_pass(self, weigh, label):
+        assert decoy_check(weigh, label, prepare_decoy(label)) == [(1.0, True)]
 
-    def test_unknown_decoy_label_is_rejected(self, rng):
-        with pytest.raises(ValueError, match="unknown decoy label"):
-            run_decoy_check("+", prepare_decoy(DecoyState.PLUS), rng)
+    def test_probe_coupled_zero_decoy_fails_half_the_time(self, weigh):
+        received = attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), 0.5**0.5, 0.5**0.5)
+        ends = decoy_check(weigh, DecoyState.ZERO, received)
+        assert [passed for _, passed in ends] == [True, False]
+        assert failed_weight(ends) == pytest.approx(0.5, abs=1e-15)
 
-    def test_probe_coupled_zero_decoy_fails_half_the_time(self, rng):
-        fails = 0
-        n = 2000
-        for _ in range(n):
-            received = attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), 0.5**0.5, 0.5**0.5)
-            passed, _ = run_decoy_check(DecoyState.ZERO, received, rng)
-            fails += not passed
-        assert abs(fails / n - 0.5) < 4 * (0.25 / n) ** 0.5
-
-    def test_probe_coupled_plus_decoy_never_fails(self, rng):
-        for _ in range(200):
-            received = attach_ancilla_and_entangle(prepare_decoy(DecoyState.PLUS), 0.6, 0.8)
-            passed, _ = run_decoy_check(DecoyState.PLUS, received, rng)
-            assert passed
+    def test_probe_coupled_plus_decoy_never_fails(self, weigh):
+        received = attach_ancilla_and_entangle(prepare_decoy(DecoyState.PLUS), 0.6, 0.8)
+        ends = decoy_check(weigh, DecoyState.PLUS, received)
+        assert [passed for _, passed in ends] == [True]
+        assert ends[0][0] == pytest.approx(1.0, abs=1e-15)
 
 
 class TestMessageTriple:
@@ -294,6 +301,12 @@ class TestSchedulePolicy:
 
 
 class TestRunProtocol:
+    @pytest.mark.parametrize("policy", ["strict", "record_and_continue", None])
+    def test_an_abort_policy_that_is_not_an_abort_policy_is_rejected(self, rng, policy):
+        # The string "strict" once ran record-and-continue, unaborted.
+        messages = MessageTriple.random(4, rng)
+        with pytest.raises(ValueError, match="abort_policy"):
+            run_protocol(messages, SchedulePolicy(), rng, abort_policy=policy)
     def test_all_zero_messages_decode_exactly(self, rng):
         messages = MessageTriple((0,) * 8, (0,) * 8, (0,) * 8)
         result = run_protocol(messages, SchedulePolicy(), rng)

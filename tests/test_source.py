@@ -7,14 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import qsdc3
+
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qsdc3"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 SOURCES = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
-
-# (module, name) pairs a module may import without using, with the reason.
-UNUSED_ALLOWED = {
-    ("protocol", "measure_qubit"): "the traced benchmark (perfbench/layers.py) patches it in protocol",
-}
 
 
 def unused_imports(source):
@@ -42,14 +39,8 @@ def test_the_check_finds_unused_imports():
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
 def test_every_import_is_used(path):
-    unused = {name for name in unused_imports(path.read_text()) if (path.stem, name) not in UNUSED_ALLOWED}
+    unused = unused_imports(path.read_text())
     assert not unused, "%s imports %s without using it" % (path.name, ", ".join(sorted(unused)))
-
-
-def test_each_allowed_unused_import_is_still_unused():
-    # A stale entry would hide the next unused import of that name.
-    for module, name in UNUSED_ALLOWED:
-        assert name in unused_imports((PACKAGE / (module + ".py")).read_text()), (module, name)
 
 
 def private_definitions(source):
@@ -137,3 +128,42 @@ def test_every_role_names_a_definition(path):
         path.name,
         ", ".join(sorted(unresolved)),
     )
+
+
+def removed_names(docstring):
+    """The names the bullets of a docstring's "Removed" section list: each
+    ````name```` before a bullet's first colon."""
+    section = docstring[docstring.index("\nRemoved\n-------\n") :]
+    names = []
+    for line in section.splitlines():
+        if line.startswith("* "):
+            names += re.findall(r"``([\w.]+)``", line.split(":", 1)[0])
+    return names
+
+
+def test_the_check_reads_the_removed_names():
+    docstring = (
+        "Summary.\n\nRemoved\n-------\nThe old names:\n\n"
+        "* ``old``: ``new(x)``\n* ``a.b``, ``C.d``: ``e``\n  ``wrapped``: more\n"
+    )
+    assert removed_names(docstring) == ["old", "a.b", "C.d"]
+
+
+def test_no_removed_name_is_defined():
+    # The package docstring names each deleted public name.  None of them
+    # is reachable from the package or any of its modules, and the package
+    # exports nothing under a removed name's last part.
+    names = removed_names(qsdc3.__doc__)
+    assert {"TransitionTable.measure", "TransitionTable.readout", "TransitionTable.bell"} <= set(names)
+    owners = [qsdc3] + [importlib.import_module("qsdc3." + path.stem) for path in MODULES]
+    defined = set()
+    for name in names:
+        for owner in owners:
+            target = owner
+            for part in name.split("."):
+                target = getattr(target, part, None)
+            if target is not None:
+                defined.add(name)
+        if hasattr(qsdc3, name.rpartition(".")[2]):
+            defined.add(name)
+    assert not defined, "removed yet still defined: %s" % ", ".join(sorted(defined))

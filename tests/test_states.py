@@ -8,8 +8,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from conftest import _replay
 from qsdc3 import adversary, backend, protocol, states
-from qsdc3.adversary import AttackModel, ChannelSegment, Eavesdropper, attack_transit
+from qsdc3.adversary import AttackModel, ChannelSegment, EveRecord
 from qsdc3.cli import render_json
 from qsdc3.harness import ExperimentConfig, run_experiment
 from qsdc3.protocol import SchedulePolicy
@@ -27,12 +28,9 @@ from qsdc3.states import (
     allclose_up_to_global_phase,
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
-    bell_measure,
     bell_state,
     collapse_outcome,
     decoy_basis_and_bit,
-    measure_ancilla_and_discard,
-    measure_qubit,
     outcome_probabilities,
     prepare_decoy,
 )
@@ -43,6 +41,27 @@ PAIR = (Subsystem.HOME, Subsystem.TRANSIT)
 
 def amps_close(state, expected, atol=1e-12):
     return all(abs(a - e) <= atol for a, e in zip(state.amps, expected))
+
+
+def answered(steps, *answers):
+    """What ``steps`` return when their chance points get ``answers``."""
+    point, value = _replay(steps, answers)
+    assert point is None, point
+    return value
+
+
+def measured(weigh, state, which, basis):
+    """The measurement of ``state`` weighed exactly on a fresh table:
+    ``[(weight, (outcome, collapsed state)), ...]``."""
+    table = TransitionTable()
+    return weigh(lambda: table.measure_points(state, which, basis))
+
+
+def bell_measured(weigh, state):
+    """Alice's Bell measurement of ``state`` weighed exactly on a fresh
+    table: ``{(flip, phase): (weight, eigenstate)}``."""
+    table = TransitionTable()
+    return {tuple(label): (weight, post) for weight, (label, post) in weigh(lambda: table.bell_points(state))}
 
 
 class TestBellStates:
@@ -91,14 +110,14 @@ class TestPauliOnTransit:
         out = apply_pauli_on_transit(bell_state((0, 0)), Pauli.Z)
         assert amps_close(out, bell_state((0, 1)).amps)
 
-    def test_identity_returns_same_state(self, rng):
+    def test_identity_returns_same_state(self):
         for label in ((0, 0), (1, 1)):
             state = bell_state(label)
             assert apply_pauli_on_transit(state, Pauli.I).amps == state.amps
 
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize("k", [0, 1])
-    def test_encoding_identity(self, j, k, rng):
+    def test_encoding_identity(self, j, k, weigh):
         # Bit flip to the j-th power then phase flip to the k-th power on the
         # transit qubit maps the base pair to label (j, k) with certainty.
         state = bell_state((0, 0))
@@ -106,8 +125,9 @@ class TestPauliOnTransit:
             state = apply_pauli_on_transit(state, Pauli.X)
         if k:
             state = apply_pauli_on_transit(state, Pauli.Z)
-        label, post = bell_measure(state, rng)
-        assert (label.flip, label.phase) == (j, k)
+        ((label, (weight, post)),) = bell_measured(weigh, state).items()
+        assert label == (j, k)
+        assert weight == pytest.approx(1.0, abs=1e-15)
         assert allclose_up_to_global_phase(post, bell_state((j, k)))
 
     @pytest.mark.parametrize("pauli", ["X", 1, None])
@@ -115,7 +135,7 @@ class TestPauliOnTransit:
         with pytest.raises(ValueError, match="not a Pauli"):
             apply_pauli_on_transit(bell_state((0, 0)), pauli)
 
-    def test_norm_preserved(self, rng):
+    def test_norm_preserved(self):
         state = bell_state((0, 1))
         for pauli in (Pauli.X, Pauli.Z, Pauli.X):
             state = apply_pauli_on_transit(state, pauli)
@@ -124,101 +144,107 @@ class TestPauliOnTransit:
 
 class TestBellMeasure:
     @pytest.mark.parametrize("label", [(0, 0), (0, 1), (1, 0), (1, 1)])
-    def test_eigenstates_are_certain(self, label, rng):
-        for _ in range(8):
-            out, post = bell_measure(bell_state(label), rng)
-            assert (out.flip, out.phase) == label
-            assert post is bell_state(label)
+    def test_eigenstates_are_certain(self, label, weigh):
+        ((got, (weight, post)),) = bell_measured(weigh, bell_state(label)).items()
+        assert got == label and weight == pytest.approx(1.0, abs=1e-15)
+        assert post is bell_state(label)
 
-    def test_rejects_probe_carrying_state(self, rng):
+    def test_rejects_probe_carrying_state(self):
         state = attach_ancilla_and_entangle(bell_state((0, 0)), RH, RH)
         with pytest.raises(ValueError, match="probe"):
-            bell_measure(state, rng)
+            next(TransitionTable().bell_points(state))
 
-    def test_rejects_lone_qubit(self, rng):
+    def test_rejects_lone_qubit(self):
         with pytest.raises(ValueError):
-            bell_measure(prepare_decoy(DecoyState.PLUS), rng)
+            next(TransitionTable().bell_points(prepare_decoy(DecoyState.PLUS)))
 
-    def test_after_probe_projection_onto_chi0(self, scripted):
+    def test_after_probe_projection_onto_chi0(self, weigh):
         # Probe-coupled pair with alpha = beta = 1/sqrt2: reading chi0 leaves
         # the original pair, so the joint measurement is certain.
         state = attach_ancilla_and_entangle(bell_state((0, 0)), RH, RH)
-        outcome, remaining = measure_ancilla_and_discard(state, scripted([0.3]))
-        assert outcome == 0
-        label, _ = bell_measure(remaining, scripted([0.9]))
-        assert (label.flip, label.phase) == (0, 0)
+        table = TransitionTable()
+        (half, (outcome, remaining)), _ = weigh(lambda: table.readout_points(state))
+        assert outcome == 0 and half == pytest.approx(0.5, abs=1e-15)
+        ((label, (weight, _)),) = bell_measured(weigh, remaining).items()
+        assert label == (0, 0) and weight == pytest.approx(1.0, abs=1e-15)
 
-    def test_rounding_overshoot_never_draws_a_zero_probability_label(self, scripted):
+    def test_rounding_overshoot_never_draws_a_zero_probability_label(self, weigh):
         # Label (0,0) carries all of the weight, yet the total falls 5e-13
-        # short of 1 (inside NORM_ATOL); a draw above that total must still
-        # land on (0,0), not on the zero-probability label (1,1).
+        # short of 1 (inside NORM_ATOL); the point's only threshold is that
+        # total, so a draw above it still lands on (0,0), never on a
+        # zero-probability label.
         s = math.sqrt((1.0 - 5e-13) / 2.0)
         state = JointState((0.0, s, s, 0.0), PAIR)
-        label, post = bell_measure(state, scripted([0.9999999999999]))
-        assert (label.flip, label.phase) == (0, 0)
-        assert post is bell_state((0, 0))
+        (kind, thresholds) = next(TransitionTable().bell_points(state))
+        assert kind is BELL and len(thresholds) == 1 and thresholds[0][1] == 0
+        assert bell_measured(weigh, state) == {(0, 0): (thresholds[0][0], bell_state((0, 0)))}
 
-    def test_outcome_distribution_uniform_on_probe_free_mix(self, rng):
+    def test_outcome_distribution_uniform_on_probe_free_mix(self, weigh):
         # The equal superposition of labels (0,0) and (1,0) is (0.5,.5,.5,.5);
-        # a joint measurement samples those two labels evenly.
+        # a joint measurement gives those two labels with 1/2 each.
         state = JointState((0.5, 0.5, 0.5, 0.5), PAIR)
-        counts = {(0, 0): 0, (1, 0): 0}
-        for _ in range(400):
-            label, _ = bell_measure(state, rng)
-            counts[(label.flip, label.phase)] += 1
-        assert counts[(0, 0)] + counts[(1, 0)] == 400
-        assert 130 < counts[(0, 0)] < 270
+        labels = bell_measured(weigh, state)
+        assert sorted(labels) == [(0, 0), (1, 0)]
+        for label, (weight, post) in labels.items():
+            assert weight == pytest.approx(0.5, abs=1e-15)
+            assert post is bell_state(label)
 
 
 class TestMeasureQubit:
-    def test_z_anticorrelation(self, scripted):
+    def test_z_anticorrelation(self, weigh):
         # Transit read as 0 collapses the home qubit to |1>.
-        outcome, post = measure_qubit(bell_state((0, 0)), Subsystem.TRANSIT, Basis.Z, scripted([0.2]))
-        assert outcome == 0
+        (p0, (outcome, post)), _ = measured(weigh, bell_state((0, 0)), Subsystem.TRANSIT, Basis.Z)
+        assert outcome == 0 and p0 == pytest.approx(0.5, abs=1e-15)
         assert amps_close(post, (0, 0, 1, 0))
-        home, _ = measure_qubit(post, Subsystem.HOME, Basis.Z, scripted([0.99]))
-        assert home == 1
+        assert [(w, home) for w, (home, _) in measured(weigh, post, Subsystem.HOME, Basis.Z)] == [(1.0, 1)]
 
-    def test_x_correlation(self, scripted):
+    def test_x_correlation(self, weigh):
         # Transit read as + collapses the home qubit to |+>.
-        outcome, post = measure_qubit(bell_state((0, 0)), Subsystem.TRANSIT, Basis.X, scripted([0.2]))
+        (_, (outcome, post)), _ = measured(weigh, bell_state((0, 0)), Subsystem.TRANSIT, Basis.X)
         assert outcome == 0
         p_plus, _ = outcome_probabilities(post, Subsystem.HOME, Basis.X)
         assert p_plus == pytest.approx(1.0, abs=1e-12)
 
-    def test_plus_decoy_is_x_eigenstate(self, rng):
-        for _ in range(16):
-            outcome, post = measure_qubit(prepare_decoy(DecoyState.PLUS), Subsystem.TRANSIT, Basis.X, rng)
-            assert outcome == 0
-            assert amps_close(post, (RH, RH))
+    def test_plus_decoy_is_x_eigenstate(self, weigh):
+        ((weight, (outcome, post)),) = measured(weigh, prepare_decoy(DecoyState.PLUS), Subsystem.TRANSIT, Basis.X)
+        assert (weight, outcome) == (pytest.approx(1.0, abs=1e-15), 0)
+        assert amps_close(post, (RH, RH))
 
     @pytest.mark.parametrize("basis", ["X", 1, None])
-    def test_rejects_a_non_basis(self, basis, rng):
+    def test_rejects_a_non_basis(self, basis):
         pair = bell_state((0, 0))
         with pytest.raises(ValueError, match="not a measurement basis"):
-            measure_qubit(pair, Subsystem.TRANSIT, basis, rng)
+            next(TransitionTable().measure_points(pair, Subsystem.TRANSIT, basis))
         with pytest.raises(ValueError, match="not a measurement basis"):
             outcome_probabilities(pair, Subsystem.TRANSIT, basis)
         with pytest.raises(ValueError, match="not a measurement basis"):
             collapse_outcome(pair, Subsystem.TRANSIT, basis, 0)
 
-    def test_missing_subsystem_rejected(self, rng):
+    def test_missing_subsystem_rejected(self):
         with pytest.raises(ValueError, match="ancilla"):
-            measure_qubit(bell_state((0, 0)), Subsystem.ANCILLA, Basis.Z, rng)
+            next(TransitionTable().measure_points(bell_state((0, 0)), Subsystem.ANCILLA, Basis.Z))
         with pytest.raises(ValueError, match="home"):
-            measure_qubit(prepare_decoy(DecoyState.ZERO), Subsystem.HOME, Basis.Z, rng)
+            next(TransitionTable().measure_points(prepare_decoy(DecoyState.ZERO), Subsystem.HOME, Basis.Z))
 
     @pytest.mark.parametrize("label", [(0, 0), (0, 1), (1, 0), (1, 1)])
     @pytest.mark.parametrize("basis", [Basis.Z, Basis.X])
-    def test_transit_marginal_is_maximally_mixed(self, label, basis, rng):
+    def test_transit_marginal_is_maximally_mixed(self, label, basis, weigh):
         # The lone transit qubit of any entangled pair reveals nothing: both
         # outcomes are exactly equally likely, whichever label was encoded.
         p0, p1 = outcome_probabilities(bell_state(label), Subsystem.TRANSIT, basis)
         assert p0 == pytest.approx(0.5, abs=1e-12)
-        hits = sum(
-            measure_qubit(bell_state(label), Subsystem.TRANSIT, basis, rng)[0] for _ in range(600)
-        )
-        assert 240 < hits < 360
+        ends = measured(weigh, bell_state(label), Subsystem.TRANSIT, basis)
+        assert [outcome for _, (outcome, _) in ends] == [0, 1]
+        assert [weight for weight, _ in ends] == [p0, 1.0 - p0]
+
+    def test_protocol_measure_qubit_answers_the_point_with_one_draw(self, scripted):
+        # The one-draw measurement the traced benchmark wraps.
+        pair = bell_state((0, 0))
+        for u, outcome in ((0.2, 0), (0.7, 1)):
+            rng = scripted([u, 0.5])
+            got = protocol.measure_qubit(pair, Subsystem.TRANSIT, Basis.Z, rng)
+            assert got == (outcome, collapse_outcome(pair, Subsystem.TRANSIT, Basis.Z, outcome))
+            assert rng.values == [0.5]
 
 
 class TestDecoys:
@@ -248,11 +274,12 @@ class TestDecoys:
         with pytest.raises(ValueError, match="ZERO, ONE, PLUS, MINUS"):
             decoy_basis_and_bit(label)
 
-    def test_measuring_in_own_basis_reproduces_label(self, rng):
-        for label in DecoyState:
-            basis, expected = decoy_basis_and_bit(label)
-            outcome, _ = measure_qubit(prepare_decoy(label), Subsystem.TRANSIT, basis, rng)
-            assert outcome == expected
+    @pytest.mark.parametrize("label", list(DecoyState))
+    def test_measuring_in_own_basis_reproduces_label(self, label, weigh):
+        basis, expected = decoy_basis_and_bit(label)
+        ((weight, (outcome, post)),) = measured(weigh, prepare_decoy(label), Subsystem.TRANSIT, basis)
+        assert (weight, outcome) == (pytest.approx(1.0, abs=1e-15), expected)
+        assert allclose_up_to_global_phase(post, prepare_decoy(label))
 
 
 class TestProbeCoupling:
@@ -303,9 +330,9 @@ class TestProbeCoupling:
     @pytest.mark.parametrize("state", [bell_state((0, 0)), prepare_decoy(DecoyState.ONE)], ids=["pair", "decoy"])
     def test_discarding_a_missing_probe_is_rejected(self, state):
         with pytest.raises(ValueError, match="ancilla"):
-            measure_ancilla_and_discard(state, np.random.default_rng(0))
+            next(TransitionTable().readout_points(state))
 
-    def test_the_coupling_is_checked_at_the_boundary_only(self, monkeypatch):
+    def test_the_coupling_is_checked_at_the_boundary_only(self, monkeypatch, weigh):
         # The public attach checks its coefficients; an AttackModel checks
         # its own once, and Eve's attaches trust them.
         calls = []
@@ -321,10 +348,10 @@ class TestProbeCoupling:
         assert len(calls) == 1
         model = AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A)
         assert len(calls) == 2
-        eve = adversary.Eavesdropper(model, TransitionTable())
-        rng = np.random.default_rng(0)
+        table = TransitionTable()
         for segment, state in ((ChannelSegment.A_TO_B, bell_state((0, 0))), (ChannelSegment.C_TO_A, prepare_decoy(DecoyState.ZERO))):
-            assert eve.intercept_transit(segment, state, rng, 0, []).has_ancilla
+            ((_, (probed, _)),) = weigh(lambda: adversary.attack_points(table, model, segment, state))
+            assert probed.has_ancilla
         assert len(calls) == 2
 
     def test_norm_preserved_for_complex_coefficients(self):
@@ -333,7 +360,7 @@ class TestProbeCoupling:
         state = attach_ancilla_and_entangle(bell_state((1, 1)), alpha, beta)
         assert abs(sum(abs(a) ** 2 for a in state.amps) - 1.0) < 1e-12
 
-    def test_probe_statistics(self, rng):
+    def test_probe_statistics(self, weigh):
         # Reading the probe yields chi1 with probability |beta|^2 when the
         # flying qubit came from the Z family.
         beta_sq = 0.3
@@ -344,14 +371,12 @@ class TestProbeCoupling:
             Basis.Z,
         )
         assert p_chi1 == pytest.approx(beta_sq, abs=1e-12)
-        flips = 0
-        for _ in range(2000):
-            state = attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), alpha, beta)
-            outcome, rest = measure_ancilla_and_discard(state, rng)
-            flips += outcome
-            assert not rest.has_ancilla
-        se = math.sqrt(beta_sq * (1 - beta_sq) / 2000)
-        assert abs(flips / 2000 - beta_sq) < 4 * se
+        state = attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), alpha, beta)
+        table = TransitionTable()
+        (p0, (zero, rest0)), (p1, (one, rest1)) = weigh(lambda: table.readout_points(state))
+        assert (zero, one) == (0, 1)
+        assert p1 == pytest.approx(beta_sq, abs=1e-15) and p0 + p1 == pytest.approx(1.0, abs=1e-15)
+        assert rest0 == prepare_decoy(DecoyState.ZERO) and rest1 == prepare_decoy(DecoyState.ONE)
 
 
 class TestJointStateInvariants:
@@ -412,14 +437,14 @@ KERNEL_OPERATIONS = [
     (
         "collapse",
         bell_state((0, 0)),
-        lambda s: measure_qubit(s, Subsystem.TRANSIT, Basis.X, np.random.default_rng(0)),
+        lambda s: answered(TransitionTable().measure_points(s, Subsystem.TRANSIT, Basis.X), True),
         4,
     ),
     ("attach_ancilla", bell_state((0, 0)), lambda s: attach_ancilla_and_entangle(s, 0.6, 0.8), 8),
     (
         "discard_qubit",
         probed_pair(),
-        lambda s: measure_ancilla_and_discard(s, np.random.default_rng(0)),
+        lambda s: answered(TransitionTable().readout_points(s), True),
         4,
     ),
 ]
@@ -431,7 +456,7 @@ class TestDerivedStates:
     @pytest.mark.parametrize(
         "kernel, state, operation, n_out",
         KERNEL_OPERATIONS,
-        ids=["apply_pauli", "collapse_outcome", "measure_qubit", "attach", "discard"],
+        ids=["apply_pauli", "collapse_outcome", "measure_points", "attach", "discard"],
     )
     @pytest.mark.parametrize(
         "bad, message",
@@ -456,30 +481,28 @@ class TestDerivedStates:
 
         monkeypatch.setattr(JointState, "__post_init__", counting)
         pair = bell_state((0, 0))
-        rng = np.random.default_rng(0)
         derived = [
             apply_pauli_on_transit(pair, Pauli.Z),
             collapse_outcome(pair, Subsystem.TRANSIT, Basis.X, 1),
-            measure_qubit(pair, Subsystem.HOME, Basis.Z, rng)[1],
+            answered(TransitionTable().measure_points(pair, Subsystem.HOME, Basis.Z), True)[1],
             probed_pair(),
         ]
-        derived.append(measure_ancilla_and_discard(derived[-1], rng)[1])
+        derived.append(answered(TransitionTable().readout_points(derived[-1]), True)[1])
         assert calls == derived
 
     def test_amplitudes_are_exactly_complex(self):
-        rng = np.random.default_rng(7)
-        probed = probed_pair()
+        probed, decoy = probed_pair(), prepare_decoy(DecoyState.PLUS)
         derived = [
             JointState((1, 0), (Subsystem.TRANSIT,)),
             JointState(np.array([0.0, RH, RH, 0.0]), PAIR),
             apply_pauli_on_transit(bell_state((0, 0)), Pauli.X),
             apply_pauli_on_transit(bell_state((1, 0)), Pauli.Z),
             collapse_outcome(bell_state((0, 0)), Subsystem.TRANSIT, Basis.Z, 1),
-            measure_qubit(prepare_decoy(DecoyState.PLUS), Subsystem.TRANSIT, Basis.Z, rng)[1],
+            answered(TransitionTable().measure_points(decoy, Subsystem.TRANSIT, Basis.Z), False)[1],
             probed,
             attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), 1, 0),
-            measure_ancilla_and_discard(probed, rng)[1],
-            bell_measure(bell_state((1, 1)), rng)[1],
+            answered(TransitionTable().readout_points(probed), False)[1],
+            answered(TransitionTable().bell_points(bell_state((1, 1))), 3)[1],
         ]
         for state in derived:
             assert all(type(a) is complex for a in state.amps), state
@@ -525,11 +548,12 @@ class TestDerivedStates:
 
     def test_derived_registers_are_the_legal_ones(self):
         # Attach and discard pick prebuilt registers instead of building them.
-        rng = np.random.default_rng(0)
         for state in (bell_state((0, 0)), prepare_decoy(DecoyState.PLUS)):
             probed = attach_ancilla_and_entangle(state, 0.6, 0.8)
             assert probed.subsystems == state.subsystems + (Subsystem.ANCILLA,)
-            assert measure_ancilla_and_discard(probed, rng)[1].subsystems == state.subsystems
+            for outcome in (True, False):
+                discarded = answered(TransitionTable().readout_points(probed), outcome)[1]
+                assert discarded.subsystems is state.subsystems
 
 
 # The report digests pinned in tests/test_harness.py::TestPinnedReports.
@@ -609,61 +633,102 @@ def count_validations(monkeypatch):
 
 AB, CA = ChannelSegment.A_TO_B, ChannelSegment.C_TO_A
 
-# (model, hop, state, scripted draws) for every attack kind: the intercepts
-# draw both bases and both outcomes, and the gated models fire.
+# (model, hop, state) for every attack kind, ungated and gated.
 ATTACK_EDGES = [
-    pytest.param(AttackModel.disturbance(Pauli.X, AB), AB, bell_state((0, 1)), [], id="disturb"),
+    pytest.param(AttackModel.disturbance(Pauli.X, AB), AB, bell_state((0, 1)), id="disturb"),
     pytest.param(
         AttackModel.disturbance(Pauli.Z, CA, attack_probability=0.4),
         CA,
         prepare_decoy(DecoyState.PLUS),
-        [0.1],
         id="disturb-gated",
     ),
-    pytest.param(AttackModel.intercept_resend(AB), AB, bell_state((0, 0)), [0.3, 0.2], id="intercept-z0"),
-    pytest.param(AttackModel.intercept_resend(AB), AB, bell_state((0, 0)), [0.7, 0.9], id="intercept-x1"),
+    pytest.param(AttackModel.intercept_resend(AB), AB, bell_state((0, 0)), id="intercept"),
     pytest.param(
         AttackModel.intercept_resend(CA, attack_probability=0.4),
         CA,
         prepare_decoy(DecoyState.ONE),
-        [0.1, 0.7, 0.4],
         id="intercept-gated",
     ),
-    pytest.param(AttackModel.entangle_measure(0.3, AB), AB, bell_state((1, 0)), [], id="entangle"),
+    pytest.param(AttackModel.entangle_measure(0.3, AB), AB, bell_state((1, 0)), id="entangle"),
     pytest.param(
         AttackModel.entangle_measure(0.3, CA, attack_probability=0.4),
         CA,
         prepare_decoy(DecoyState.MINUS),
-        [0.1],
         id="entangle-gated",
     ),
 ]
 
+
+def exact_hop(model, segment, state):
+    """Eve's hop from the exact public functions, in answer order:
+    ``[(weight, (state, record)), ...]``."""
+    kind = model.kind
+    if kind is adversary.AttackKind.DISTURBANCE:
+        fired = [(1.0, apply_pauli_on_transit(state, model.pauli), None, None)]
+    elif kind is adversary.AttackKind.INTERCEPT_RESEND:
+        fired = [
+            (0.5 * p, collapse_outcome(state, Subsystem.TRANSIT, basis, outcome), basis, outcome)
+            for basis in (Basis.Z, Basis.X)
+            for outcome, p in enumerate(outcome_probabilities(state, Subsystem.TRANSIT, basis))
+            if p > 0.0
+        ]
+    else:
+        fired = [(1.0, attach_ancilla_and_entangle(state, model.alpha, model.beta), None, None)]
+    p_fire = model.attack_probability
+    ends = [(p_fire * w, (child, EveRecord(-1, segment, kind, basis, outcome))) for w, child, basis, outcome in fired]
+    if p_fire < 1.0:
+        ends.append((1.0 - p_fire, (state, None)))
+    return ends
+
+
+def exact_measurement(state, which, basis):
+    """A measurement's ends from ``outcome_probabilities`` and ``collapse_outcome``."""
+    return [
+        (p, (outcome, collapse_outcome(state, which, basis, outcome)))
+        for outcome, p in enumerate(outcome_probabilities(state, which, basis))
+        if p > 0.0
+    ]
+
+
+def exact_readout(state):
+    """A probe readout's ends: the probe collapsed onto each outcome, then
+    dropped (it is the last qubit, so its bit is the amplitude index's
+    lowest)."""
+    ends = []
+    for outcome, p in enumerate(outcome_probabilities(state, Subsystem.ANCILLA, Basis.Z)):
+        if p > 0.0:
+            collapsed = collapse_outcome(state, Subsystem.ANCILLA, Basis.Z, outcome)
+            ends.append((p, (outcome, JointState(collapsed.amps[outcome::2], state.subsystems[:-1]))))
+    return ends
+
+
+def exact_bell(state):
+    """A Bell measurement's ends from the ``bell_probs`` kernel."""
+    return [
+        (p, (BellLabel(*label), bell_state(label)))
+        for label, p in zip(product((0, 1), repeat=2), backend.bell_probs(state.amps))
+        if p > 0.0
+    ]
+
+
 PLUS_PLUS = collapse_outcome(bell_state((0, 0)), Subsystem.TRANSIT, Basis.X, 0)
 PROBED = probed_pair()
 
-# (table operation, the public function it stands for), both on one state.
+# (a table's chance-point steps, their ends from the exact functions), both
+# on one state.
 SAMPLED_EDGES = [
     pytest.param(
-        lambda table, rng: table.measure(bell_state((0, 1)), Subsystem.TRANSIT, Basis.X, rng),
-        lambda rng: measure_qubit(bell_state((0, 1)), Subsystem.TRANSIT, Basis.X, rng),
+        lambda table: table.measure_points(bell_state((0, 1)), Subsystem.TRANSIT, Basis.X),
+        exact_measurement(bell_state((0, 1)), Subsystem.TRANSIT, Basis.X),
         id="measure-transit-x",
     ),
     pytest.param(
-        lambda table, rng: table.measure(PLUS_PLUS, Subsystem.HOME, Basis.Z, rng),
-        lambda rng: measure_qubit(PLUS_PLUS, Subsystem.HOME, Basis.Z, rng),
+        lambda table: table.measure_points(PLUS_PLUS, Subsystem.HOME, Basis.Z),
+        exact_measurement(PLUS_PLUS, Subsystem.HOME, Basis.Z),
         id="measure-home-z",
     ),
-    pytest.param(
-        lambda table, rng: table.readout(PROBED, rng),
-        lambda rng: measure_ancilla_and_discard(PROBED, rng),
-        id="readout",
-    ),
-    pytest.param(
-        lambda table, rng: table.bell(PLUS_PLUS, rng),
-        lambda rng: bell_measure(PLUS_PLUS, rng),
-        id="bell",
-    ),
+    pytest.param(lambda table: table.readout_points(PROBED), exact_readout(PROBED), id="readout"),
+    pytest.param(lambda table: table.bell_points(PLUS_PLUS), exact_bell(PLUS_PLUS), id="bell"),
 ]
 
 
@@ -676,32 +741,33 @@ def held_states(table):
     return children
 
 
-class TestTransitionTable:
-    """A table edge is the public operation, built once and then reused."""
+def weighed_twice(monkeypatch, weigh, make_steps):
+    """``make_steps(table)`` weighed on one table, on the first visit and on
+    a revisit: ``(ends, states validated, edges)`` for each visit."""
+    table = TransitionTable()
+    validated = count_validations(monkeypatch)
+    visits = []
+    for _ in range(2):
+        before = len(validated)
+        ends = weigh(lambda: make_steps(table))
+        visits.append((ends, len(validated) - before, len(table)))
+    return visits
 
-    @pytest.mark.parametrize("model, segment, state, draws", ATTACK_EDGES)
-    def test_an_attack_edge_matches_attack_transit(self, monkeypatch, scripted, model, segment, state, draws):
-        table = TransitionTable()
-        eve = Eavesdropper(model, table)
-        validated = count_validations(monkeypatch)
-        walked = []
-        for round_index in (0, 1):  # first visit, then a revisit
-            public_rng = scripted(draws)
-            expected, record = attack_transit(model, segment, state, public_rng)
-            before = len(validated)
-            engine_rng = scripted(draws)
-            touched = []
-            got = eve.intercept_transit(segment, state, engine_rng, round_index, touched)
-            assert public_rng.values == engine_rng.values == []  # the same draws
-            assert got == expected
-            assert eve.records[-1].outcome == record.outcome
-            assert eve.records[-1].basis is record.basis
-            assert touched == [segment]
-            walked.append((got, len(validated) - before))
-        (first, built), (again, rebuilt) = walked
-        assert again is first
-        assert (built, rebuilt) == (1, 0)
-        assert len(table) == 1
+
+class TestTransitionTable:
+    """A table edge is the exact public operation, built once and then reused."""
+
+    @pytest.mark.parametrize("model, segment, state", ATTACK_EDGES)
+    def test_an_attack_edge_matches_the_exact_functions(self, monkeypatch, weigh, model, segment, state):
+        expected = exact_hop(model, segment, state)
+        (first, built, edges), (again, rebuilt, edges_again) = weighed_twice(
+            monkeypatch, weigh, lambda table: adversary.attack_points(table, model, segment, state)
+        )
+        assert first == [(pytest.approx(w, abs=1e-15), end) for w, end in expected]
+        children = {id(child) for _, (child, _) in first if child is not state}
+        assert built == len(children) > 0 and rebuilt == 0
+        assert all(a is b for (_, (a, _)), (_, (b, _)) in zip(again, first))
+        assert edges_again == edges == (2 if model.kind is adversary.AttackKind.INTERCEPT_RESEND else 1)
 
     # Outcome 1 has no amplitude at all, while outcome 0's probability sums
     # to just below 1: 0.9999999999999999 in Z, 0.9999999999999998 in X.
@@ -713,49 +779,37 @@ class TestTransitionTable:
         ],
         ids=["z", "x"],
     )
-    def test_an_outcome_of_zero_probability_is_never_drawn(self, scripted, amps, basis):
+    def test_an_outcome_of_zero_probability_is_never_drawn(self, weigh, amps, basis):
         state = JointState(tuple(map(complex, amps)), PAIR)
         assert outcome_probabilities(state, Subsystem.HOME, basis)[0] < 1.0
         table = TransitionTable()
         assert next(table.measure_points(state, Subsystem.HOME, basis)) == (BERNOULLI, 1.0)
-        outcome, _ = table.measure(state, Subsystem.HOME, basis, scripted([1.0 - 2.0**-53]))
-        assert outcome == 0
+        ends = weigh(lambda: table.measure_points(state, Subsystem.HOME, basis))
+        assert [(weight, outcome) for weight, (outcome, _) in ends] == [(1.0, 0)]
 
-    @pytest.mark.parametrize("operation, public", SAMPLED_EDGES)
-    @pytest.mark.parametrize("draw", [0.05, 0.95])
-    def test_a_sampled_edge_matches_the_public_function(self, monkeypatch, scripted, operation, public, draw):
-        table = TransitionTable()
-        validated = count_validations(monkeypatch)
-        walked = []
-        for _ in range(2):  # first visit, then a revisit
-            public_rng = scripted([draw])
-            expected_outcome, expected = public(public_rng)
-            before = len(validated)
-            engine_rng = scripted([draw])
-            outcome, got = operation(table, engine_rng)
-            assert public_rng.values == engine_rng.values == []
-            assert outcome == expected_outcome
-            assert got == expected
-            walked.append((got, len(validated) - before))
-        (first, built), (again, rebuilt) = walked
-        assert again is first
-        assert built <= 1 and rebuilt == 0
-        assert len(table) == 1
+    @pytest.mark.parametrize("make_steps, expected", SAMPLED_EDGES)
+    def test_a_sampled_edge_matches_the_exact_functions(self, monkeypatch, weigh, make_steps, expected):
+        (first, built, edges), (again, rebuilt, edges_again) = weighed_twice(monkeypatch, weigh, make_steps)
+        assert first == [(pytest.approx(p, abs=1e-15), end) for p, end in expected]
+        assert all(a is b for (_, (_, a)), (_, (_, b)) in zip(again, first))
+        assert built <= 2 and rebuilt == 0
+        assert edges == edges_again == 1
 
-    def test_the_two_outcomes_share_one_edge(self, scripted):
+    def test_the_two_outcomes_share_one_edge(self):
         table = TransitionTable()
-        zero, one = (table.measure(PLUS_PLUS, Subsystem.HOME, Basis.Z, scripted([u]))[1] for u in (0.1, 0.9))
+        zero, one = (answered(table.measure_points(PLUS_PLUS, Subsystem.HOME, Basis.Z), u)[1] for u in (True, False))
         assert zero != one
         assert len(table) == 1
-        assert table.measure(PLUS_PLUS, Subsystem.HOME, Basis.Z, scripted([0.9]))[1] is one
+        assert answered(table.measure_points(PLUS_PLUS, Subsystem.HOME, Basis.Z), False)[1] is one
 
-    def test_only_the_drawn_outcome_is_built(self, scripted):
+    def test_only_the_drawn_outcome_is_built(self):
         # Collapsing |0> onto outcome 1 raises, so it must never be built.
         table = TransitionTable()
         zero = prepare_decoy(DecoyState.ZERO)
         for _ in range(2):
-            outcome, state = table.measure(zero, Subsystem.TRANSIT, Basis.Z, scripted([0.999]))
+            outcome, state = answered(table.measure_points(zero, Subsystem.TRANSIT, Basis.Z), True)
             assert outcome == 0 and state == zero
+        assert table._measures[id(zero), id(Subsystem.TRANSIT), id(Basis.Z)][3] is None
         assert len(table) == 1
 
     def test_edges_are_counted_per_state_and_operation(self):
@@ -779,18 +833,18 @@ class TestTransitionTable:
         assert validated == [flipped, back]
         assert len(table) == 3
 
-    def test_a_rejected_operation_leaves_no_edge(self, scripted):
+    def test_a_rejected_operation_leaves_no_edge(self):
         table = TransitionTable()
         pair, probed, decoy = bell_state((0, 0)), probed_pair(), prepare_decoy(DecoyState.ZERO)
         rejected = [
             (lambda: table.pauli(pair, Subsystem.TRANSIT, Basis.Z), "Pauli"),
             (lambda: table.pauli(decoy, Subsystem.HOME, Pauli.X), "home"),
-            (lambda: table.measure(pair, Subsystem.TRANSIT, Pauli.X, scripted([0.5])), "basis"),
-            (lambda: table.measure(decoy, Subsystem.HOME, Basis.Z, scripted([0.5])), "home"),
+            (lambda: next(table.measure_points(pair, Subsystem.TRANSIT, Pauli.X)), "basis"),
+            (lambda: next(table.measure_points(decoy, Subsystem.HOME, Basis.Z)), "home"),
             (lambda: table.attach(probed, 0.6 + 0j, 0.8 + 0j), "already carries"),
-            (lambda: table.readout(pair, scripted([0.5])), "no ancilla"),
-            (lambda: table.bell(probed, scripted([0.5])), "probe is attached"),
-            (lambda: table.bell(decoy, scripted([0.5])), "full"),
+            (lambda: next(table.readout_points(pair)), "no ancilla"),
+            (lambda: next(table.bell_points(probed)), "probe is attached"),
+            (lambda: next(table.bell_points(decoy)), "full"),
         ]
         for operation, message in rejected:
             with pytest.raises(ValueError, match=message):
