@@ -18,6 +18,12 @@ are Bernoulli.  None of these names is defined or exported any more:
 * ``TransitionTable.measure``, ``TransitionTable.readout``, ``TransitionTable.bell``: the ``*_points``
 * ``attack_transit``: ``drive(adversary.attack_points(TransitionTable(), model, segment, state), rng)``
 * ``run_ab_check``, ``run_ca_check``, ``run_decoy_check``: ``adversary.failed_weight_by_basis``
+
+Second derivations of a fact the package holds once:
+
+* ``adversary.revealed_basis``: ``Leaf.family`` of a compiled round's leaf
+* ``JointState.n_qubits``: ``len(state.subsystems)``
+* ``cli.parse_json``: ``json.loads``
 """
 
 from .backend import active_backend

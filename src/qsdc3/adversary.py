@@ -41,12 +41,10 @@ from .states import (
     BERNOULLI,
     FAIR_COIN,
     Basis,
-    DecoyState,
     Pauli,
     Subsystem,
     TransitionTable,
     check_coupling,
-    decoy_basis_and_bit,
     drive,
 )
 
@@ -149,7 +147,8 @@ class EveRecord:
     ancilla_outcome: int | None = None
 
 
-# Members read on the per-round path (see the note in states.py).
+# Members read by the steps below, which run on every path of answers
+# each time a compiled round is weighed (see the note in states.py).
 _Z, _X = Basis.Z, Basis.X
 _TRANSIT = Subsystem.TRANSIT
 _DISTURBANCE = AttackKind.DISTURBANCE
@@ -288,13 +287,13 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
 def failed_weight_by_basis(model, check_kind):
     """The failed weight of the compiled round forced to ``check_kind``, a
     check kind's value, weighed on a fresh table (see
-    :func:`analytic_detection_probability`): a dict by the basis of the
-    revealed decoy, with None for a pair check."""
+    :func:`analytic_detection_probability`): a dict by the leaf's decoy
+    family, the basis of its decoy, with None for a pair check."""
     schedule = _protocol.SchedulePolicy(*_FORCING_SCHEDULES[check_kind])
     failed = {None: 0.0, Basis.Z: 0.0, Basis.X: 0.0}
     for weight, leaf in _protocol.leaf_weights(TransitionTable(), schedule, model, 0, 0):
         if leaf.passed is False:
-            failed[revealed_basis(leaf.events)] += weight
+            failed[leaf.family] += weight
     return failed
 
 
@@ -308,15 +307,6 @@ def detection_from_failed(failed, decoy_family=None):
         total = failed[None] + failed[Basis.Z] + failed[Basis.X]
     # Weights are never negative, but rounding may carry a sum past 1.
     return min(total, 1.0)
-
-
-def revealed_basis(events):
-    """The basis of the decoy a round's events reveal, or None: the family,
-    Z ({|0>, |1>}) or X ({|+>, |->}), of a decoy check."""
-    for name, *values in events:
-        if name == "decoy_reveal":
-            return decoy_basis_and_bit(DecoyState(values[0]))[0]
-    return None
 
 
 def paper_claimed_detection(kind):

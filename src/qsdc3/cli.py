@@ -278,10 +278,6 @@ def render_json(payload):
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def parse_json(text):
-    return json.loads(text)
-
-
 def render_report_csv(report):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -43,7 +43,6 @@ from .adversary import (
     detection_from_failed,
     failed_weight_by_basis,
     paper_claimed_detection,
-    revealed_basis,
 )
 from .protocol import (
     AbortPolicy,
@@ -67,6 +66,18 @@ _CHECK_KINDS = tuple(kind.value for kind in RoundKind if kind is not RoundKind.M
 _MAX_MESSAGE_LENGTH = int(np.iinfo(np.intp).max) // (3 * np.dtype(np.int64).itemsize)
 _MESSAGE = RoundKind.MESSAGE
 _DECOY_CHECK = RoundKind.CHARLIE_DECOY_CHECK
+
+# The report's detection rows, in report order: (name, check kind, decoy
+# family).  A row without a family counts every check of its kind; a family
+# row counts the decoy checks whose leaf has that family, and is reported
+# only when such a check ran.
+_ROWS = (
+    ("ab_check", RoundKind.BOB_EAVESDROP_CHECK, None),
+    ("ca_check", RoundKind.BOB_CONTROL_CHECK, None),
+    ("decoy_check", _DECOY_CHECK, None),
+    ("decoy_check_z", _DECOY_CHECK, Basis.Z),
+    ("decoy_check_x", _DECOY_CHECK, Basis.X),
+)
 
 
 def wilson_interval(failures, n, z=1.96):
@@ -369,18 +380,14 @@ class _Aggregator:
         self.trials_completed += 1
 
     def tally(self):
-        """``[run, failed]`` per check kind and per decoy family, and Eve's
+        """``[run, failed]`` per row of ``_ROWS``, by name, and Eve's
         ``(actions, probe readouts, probe flips)``, over the counted leaves."""
-        counts = {k: [0, 0] for k in _CHECK_KINDS + ("decoy_check_z", "decoy_check_x")}
+        counts = {name: [0, 0] for name, _, _ in _ROWS}
         actions = measured = flips = 0
         for leaf, c in self.leaf_counts.items():
-            kind = leaf.kind
-            if kind is not _MESSAGE:
-                rows = [counts[kind.value]]
-                if kind is _DECOY_CHECK:
-                    family = "decoy_check_z" if revealed_basis(leaf.events) is Basis.Z else "decoy_check_x"
-                    rows.append(counts[family])
-                for row in rows:
+            for name, kind, family in _ROWS:
+                if leaf.kind is kind and family in (None, leaf.family):
+                    row = counts[name]
                     row[0] += c
                     row[1] += 0 if leaf.passed else c
             for *_, ancilla_outcome in leaf.eve:
@@ -390,14 +397,15 @@ class _Aggregator:
                     flips += c * ancilla_outcome
         return counts, (actions, measured, flips)
 
-    def _analytic(self, kind, decoy_family=None):
+    def _analytic(self, kind, decoy_family):
+        """The exact detection probability of the row of check ``kind``, a
+        :class:`~qsdc3.protocol.RoundKind`, and ``decoy_family``."""
         attack = self.config.attack
         if attack.kind is AttackKind.NONE:
             return 0.0
-        base = kind if not kind.startswith("decoy_check_") else "decoy_check"
-        failed = self.failed_weights.get(base)
+        failed = self.failed_weights.get(kind)
         if failed is None:
-            failed = self.failed_weights[base] = failed_weight_by_basis(attack, base)
+            failed = self.failed_weights[kind] = failed_weight_by_basis(attack, kind.value)
         return detection_from_failed(failed, decoy_family)
 
     def _leakage(self):
@@ -428,15 +436,10 @@ class _Aggregator:
         counts, (actions, measured, flips) = self.tally()
         claim = paper_claimed_detection(self.config.attack.kind)
         kinds = {}
-        for kind in _CHECK_KINDS:
-            run, failed = counts[kind]
-            kinds[kind] = CheckStats.from_counts(run, failed, self._analytic(kind), claim)
-        for family, basis in (("decoy_check_z", Basis.Z), ("decoy_check_x", Basis.X)):
-            run, failed = counts[family]
-            if run:
-                kinds[family] = CheckStats.from_counts(
-                    run, failed, self._analytic(family, basis), claim
-                )
+        for name, kind, family in _ROWS:
+            run, failed = counts[name]
+            if run or family is None:
+                kinds[name] = CheckStats.from_counts(run, failed, self._analytic(kind, family), claim)
         detection = DetectionReport(kinds)
 
         leakage = self._leakage()
@@ -524,21 +527,6 @@ class OracleRow:
     charlie_decoded: tuple
     ok: bool
 
-    def to_dict(self):
-        return {
-            "i": self.i,
-            "j": self.j,
-            "k": self.k,
-            "flip": self.flip,
-            "phase": self.phase,
-            "x": self.x,
-            "y": self.y,
-            "alice_decoded": list(self.alice_decoded),
-            "bob_decoded": list(self.bob_decoded),
-            "charlie_decoded": list(self.charlie_decoded),
-            "ok": self.ok,
-        }
-
 
 @dataclass
 class OracleReport:
@@ -547,11 +535,7 @@ class OracleReport:
     first_failure: tuple | None
 
     def to_dict(self):
-        return {
-            "passed": self.passed,
-            "first_failure": list(self.first_failure) if self.first_failure else None,
-            "rows": [row.to_dict() for row in self.rows],
-        }
+        return asdict(self)
 
 
 def exhaustive_oracle():
@@ -640,10 +624,8 @@ def detection_curve(
         )
         result = run_experiment(config)
         report_kinds = result.detection.kinds
-        for kind in wanted:
-            keys = [kind]
-            if kind == "decoy_check":
-                keys += [k for k in ("decoy_check_z", "decoy_check_x") if k in report_kinds]
+        for wanted_kind in wanted:
+            keys = [name for name, kind, _ in _ROWS if kind.value == wanted_kind and name in report_kinds]
             for key in keys:
                 stats = report_kinds[key]
                 rows.append(

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import chain
-from operator import xor
 from typing import NamedTuple
 
 from .adversary import AttackModel, ChannelSegment, EveRecord, attack_points, resolve_points
@@ -402,7 +401,7 @@ class ProtocolResult:
     @cached_property
     def decoded(self):
         """Each party's :class:`DecodedMessages`."""
-        return _decode_all(self.messages, self.records)
+        return _decode_all(self.records)
 
 
 # Doubles drawn per ``random(_BLOCK)`` call of a session's generator.  A
@@ -424,10 +423,11 @@ def _round_points(table, schedule, model, j, k):
     """One round for Bob's bit ``j`` and Charlie's bit ``k``, as chance points.
 
     The states are walked through ``table``, which Eve shares.  Returns
-    ``(kind, check passed, touched segments, Bell label, events, Eve's
-    records)``: the transcript events as ``(kind, *values)`` rows, without
-    the round index and without a message round's announcement, which
-    depends on Alice's bit; Eve's records carry round index -1.
+    ``(kind, check passed, touched segments, Bell label, decoy family,
+    events, Eve's records)``: the family is the basis of a decoy check's
+    decoy, else None; the transcript events are ``(kind, *values)`` rows,
+    without the round index and without a message round's announcement,
+    which depends on Alice's bit; Eve's records carry round index -1.
     """
     touched = []
     eve = []
@@ -446,7 +446,7 @@ def _round_points(table, schedule, model, j, k):
     if (yield (BERNOULLI, schedule.p_ab_check)):
         passed, pair, events = yield from _correlation_points(table, pair, "ab")
         yield from resolve_points(table, pair, eve)
-        return _AB_CHECK, passed, touched, None, events, eve
+        return _AB_CHECK, passed, touched, None, None, events, eve
 
     bob_cm = yield (BERNOULLI, schedule.p_bob_cm)
     if not bob_cm and j:  # encode_bob: X for 1, the identity for 0
@@ -457,7 +457,7 @@ def _round_points(table, schedule, model, j, k):
     if bob_cm:
         passed, pair, events = yield from _correlation_points(table, pair, "ca")
         yield from resolve_points(table, pair, eve)
-        return _CA_CHECK, passed, touched, None, (("bob_mode", "CM"),) + events, eve
+        return _CA_CHECK, passed, touched, None, None, (("bob_mode", "CM"),) + events, eve
 
     if (yield (BERNOULLI, schedule.p_charlie_cm)):
         # Decoy round: Charlie abandons the encoded qubit (Bob's bit will be
@@ -468,7 +468,7 @@ def _round_points(table, schedule, model, j, k):
         passed, decoy, events = yield from _decoy_points(table, basis, expected, decoy)
         yield from resolve_points(table, decoy, eve)
         events = (("bob_mode", "MM"), ("charlie_mode", "CM"), ("decoy_reveal", reveal)) + events
-        return _DECOY_CHECK, passed, touched, None, events, eve
+        return _DECOY_CHECK, passed, touched, None, basis, events, eve
 
     if k:  # encode_charlie: Z for 1, the identity for 0
         pair = table.pauli(pair, _TRANSIT, _PAULI_Z)
@@ -478,7 +478,7 @@ def _round_points(table, schedule, model, j, k):
     # (by Eve) before the pair is jointly measured.
     pair = yield from resolve_points(table, pair, eve)
     outcome, _ = yield from table.bell_points(pair)
-    return _MESSAGE, None, touched, outcome, (("bob_mode", "MM"), ("charlie_mode", "MM")), eve
+    return _MESSAGE, None, touched, outcome, None, (("bob_mode", "MM"), ("charlie_mode", "MM")), eve
 
 
 class Leaf(NamedTuple):
@@ -486,12 +486,16 @@ class Leaf(NamedTuple):
     that reaches it shows, apart from its round index and Alice's bit.
 
     ``path`` is Bob's and Charlie's bits (j, k) followed by the answers that
-    lead to the leaf, ``u < p`` for a Bernoulli point.  ``events`` are the
-    round's transcript rows, as ``(kind, *values)``, without a message
-    round's announcement; ``eve`` holds Eve's records as their field tuples
-    after the round index.  ``leakage_keys`` holds, for a message round, the
-    key ``(x, y, i, j, k)`` for Alice's bit i = 0 and 1: the announcement
-    and the three secret bits; it is None for a check.
+    lead to the leaf, ``u < p`` for a Bernoulli point.  ``family`` is the
+    basis of a decoy check's decoy, Z ({|0>, |1>}) or X ({|+>, |->}), and
+    None for every other round: the decoy family split of the enumerator
+    and of the report reads it.  ``events`` are the round's transcript
+    rows, as ``(kind, *values)``, without a message round's announcement;
+    ``eve`` holds Eve's records as their field tuples after the round
+    index.  ``leakage_keys`` holds, for a message round, the key ``(x, y,
+    i, j, k)`` for Alice's bit i = 0 and 1: the announcement and the three
+    secret bits; it is None for a check.  :func:`run_protocol` reads
+    ``kind`` and ``passed`` by index, so they stay first and third.
 
     A leaf is built once per table and root (:func:`leaf_weights`) and then
     reached by every round that ends there, so it hashes and compares by
@@ -503,6 +507,7 @@ class Leaf(NamedTuple):
     passed: bool | None
     touched: tuple
     label: BellLabel | None
+    family: Basis | None
     events: tuple
     eve: tuple
     leakage_keys: tuple | None
@@ -551,12 +556,12 @@ def leaf_weights(table, schedule, model, j, k):
             else:
                 point = steps.send(path[-1])
         except StopIteration as stop:
-            kind, passed, touched, label, events, eve = stop.value
+            kind, passed, touched, label, family, events, eve = stop.value
             eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
             keys = None
             if label is not None:
                 keys = tuple(announce(label.flip, label.phase, i) + (i, j, k) for i in (0, 1))
-            weighed.append((weight, Leaf(kind, path, passed, tuple(touched), label, events, eve, keys)))
+            weighed.append((weight, Leaf(kind, path, passed, tuple(touched), label, family, events, eve, keys)))
             continue
         kind, data = point
         if kind is BERNOULLI:
@@ -616,7 +621,7 @@ def _materialise(messages, leaves):
     alice = messages.alice_bits
     n = 0
     for round_index, leaf in enumerate(leaves):
-        kind, _, passed, touched, label, events, eve, keys = leaf
+        kind, _, passed, touched, label, _, events, eve, keys = leaf
         for event in events:
             add(round_index, *event)
         for fields in eve:
@@ -632,26 +637,18 @@ def _materialise(messages, leaves):
     return records, transcript, eve_records
 
 
-def _decode_all(messages, records):
-    """Apply the three decoding rules to every completed message round.
-
-    Message records come in message order, so the announcement columns
-    line up with the bit strings: column by column, these are
-    :func:`decode_alice`, :func:`decode_bob` and :func:`decode_charlie`.
-    """
-    announced = [rec.announcement for rec in records if rec.kind is _MESSAGE]
-    xs = [x for x, _ in announced]
-    ys = [y for _, y in announced]
-    parities = list(map(xor, xs, ys))
-    i, j, k = messages.alice_bits, messages.bob_bits, messages.charlie_bits
-    return DecodedMessages(
-        tuple(map(xor, xs, i)),
-        tuple(map(xor, ys, i)),
-        tuple(map(xor, xs, j)),
-        tuple(map(xor, parities, j)),
-        tuple(map(xor, ys, k)),
-        tuple(map(xor, parities, k)),
-    )
+def _decode_all(records):
+    """Apply :func:`decode_alice`, :func:`decode_bob` and
+    :func:`decode_charlie` to every message round's announcement and its
+    decoder's own bit; message records come in message order."""
+    views = []
+    for rec in records:
+        if rec.kind is _MESSAGE:
+            x, y = rec.announcement
+            views.append(
+                decode_alice(x, y, rec.alice_bit) + decode_bob(x, y, rec.bob_bit) + decode_charlie(x, y, rec.charlie_bit)
+            )
+    return DecodedMessages(*map(tuple, zip(*views)))
 
 
 def run_protocol(

@@ -25,15 +25,11 @@ Conventions
 
 Construction
 ------------
-Every :class:`JointState` is validated: register, amplitude count and norm.
-States built from outside (``JointState(...)``, and through it the Bell
-pairs and decoys) first convert their amplitudes to ``complex``.  States
+Every :class:`JointState` is built by ``JointState(amps, subsystems)`` and
+validated: register, amplitude count and norm.  That holds for the states
 derived by an operation here (a Pauli, a collapse, a probe attach or
-discard) are built by ``_from_kernel``: a kernel's output is already a
-tuple of ``complex`` over the input state's register, so only that
-conversion is skipped.  The checks still run on these states, because a
-faulty kernel must not hand an invalid state to the round engine, and
-because each validation is a counted benchmark layer.
+discard) too, because a faulty kernel must not hand an invalid state to
+the round engine.
 
 The sampled operations are written once, as chance-point steps on a
 :class:`TransitionTable` (``measure_points``, ``readout_points``,
@@ -94,9 +90,12 @@ class Subsystem(Enum):
     ANCILLA = "ancilla"
 
 
-# Members read on the per-round path.  ``EnumType`` defines a Python-level
-# ``__getattr__``, which makes every ``Basis.Z`` a slow class lookup (about
-# 0.2 us on CPython 3.11); a module global costs a tenth of that.
+# Members read by the chance-point steps.  Weighing a compiled round
+# (``protocol.leaf_weights``, once per table and root) runs the steps along
+# every path of answers, so they are read once per path and point.
+# ``EnumType`` defines a Python-level ``__getattr__``, which makes every
+# ``Basis.Z`` a slow class lookup (about 0.2 us on CPython 3.11); a module
+# global costs a tenth of that.
 _Z, _X = Basis.Z, Basis.X
 _PAULI_I, _PAULI_X, _PAULI_Z = Pauli.I, Pauli.X, Pauli.Z
 _HOME, _TRANSIT, _ANCILLA = Subsystem.HOME, Subsystem.TRANSIT, Subsystem.ANCILLA
@@ -157,8 +156,10 @@ class JointState:
     call over at most eight amplitudes.  ``has_home`` and ``has_ancilla``
     are set there too.
 
-    States derived by the operations of this module skip only the
-    conversion (see ``_from_kernel``); ``__post_init__`` runs on every state.
+    This is the only constructor: the states the operations of this module
+    derive are built by it as well.  A kernel's output is already a tuple
+    of ``complex`` and a derived register is one of the prebuilt tuples,
+    which ``tuple()`` returns as it is.
     """
 
     amps: tuple
@@ -167,8 +168,8 @@ class JointState:
     has_ancilla: bool = field(init=False, compare=False, repr=False)
 
     def __init__(self, amps, subsystems):
-        _set_amps(self, tuple(map(complex, amps)))
-        _set_subsystems(self, tuple(subsystems))
+        object.__setattr__(self, "amps", tuple(map(complex, amps)))
+        object.__setattr__(self, "subsystems", tuple(subsystems))
         self.__post_init__()
 
     def __post_init__(self):
@@ -185,12 +186,8 @@ class JointState:
         err = abs(_k.norm_sq(amps) - 1.0)
         if not err <= NORM_ATOL:
             raise ValueError("state is not normalized (|norm^2 - 1| = %.3g)" % err)
-        _set_has_home(self, subsystems[0] is _HOME)
-        _set_has_ancilla(self, subsystems[-1] is _ANCILLA)
-
-    @property
-    def n_qubits(self):
-        return len(self.subsystems)
+        object.__setattr__(self, "has_home", subsystems[0] is _HOME)
+        object.__setattr__(self, "has_ancilla", subsystems[-1] is _ANCILLA)
 
     def position(self, which):
         """Index of a subsystem in the register; ``ValueError`` if absent."""
@@ -201,28 +198,6 @@ class JointState:
         if which is _ANCILLA and self.has_ancilla:
             return 2 if self.has_home else 1
         raise ValueError("state has no %s qubit" % which.value)
-
-
-# The slot setters write past the frozen ``__setattr__``, as the
-# ``object.__setattr__`` calls of a generated frozen ``__init__`` would.
-_set_amps = JointState.amps.__set__
-_set_subsystems = JointState.subsystems.__set__
-_set_has_home = JointState.has_home.__set__
-_set_has_ancilla = JointState.has_ancilla.__set__
-
-
-def _from_kernel(amps, subsystems):
-    """A state over a kernel's output, on a register derived from a valid state.
-
-    Skips only the ``complex`` conversion of ``JointState(...)``.  Validation
-    runs as for every state, through ``__post_init__`` looked up on the
-    class.
-    """
-    state = object.__new__(JointState)
-    _set_amps(state, amps)
-    _set_subsystems(state, subsystems)
-    state.__post_init__()
-    return state
 
 
 def allclose_up_to_global_phase(a, b, atol=AMP_ATOL):
@@ -337,7 +312,7 @@ def outcome_probabilities(state, which, basis):
 def collapse_outcome(state, which, basis, outcome):
     """Deterministic projection onto the given outcome, renormalized."""
     pos = state.position(which)
-    return _from_kernel(_k.collapse(state.amps, pos, _basis_code(basis), outcome), state.subsystems)
+    return JointState(_k.collapse(state.amps, pos, _basis_code(basis), outcome), state.subsystems)
 
 
 # Chance points.  A random step is written as a generator that yields one
@@ -393,8 +368,8 @@ class TransitionTable:
     An edge is a source state plus an operation: a Pauli, a measurement in
     a basis, a probe attach, a probe readout or the Bell measurement.  On
     its first visit an edge is built from the kernels, and a child state of
-    a value the table has not built yet through ``_from_kernel``, so every
-    state the table holds is validated once.  Later visits reuse it: a
+    a value the table has not built yet through ``JointState(...)``, so
+    every state the table holds is validated once.  Later visits reuse it: a
     Pauli or an attach gives its child; a measurement or a readout gives
     its chance point (the probability of outcome 0) and the children built
     so far.  A measurement child is built only for an outcome that is
@@ -443,7 +418,7 @@ class TransitionTable:
         key = (amps, subsystems)
         state = self._nodes.get(key)
         if state is None:
-            state = self._nodes[key] = _from_kernel(amps, subsystems)
+            state = self._nodes[key] = JointState(amps, subsystems)
         return state
 
     def __len__(self):

@@ -138,17 +138,18 @@ def two_enumerations(weigh):
     reference enumerator weighs ``protocol._round_points``, each on a fresh
     table.  Both are ``[(weight, end), ...]`` lists, with each end as the
     fields of the :class:`~qsdc3.protocol.Leaf` it is: kind, passed,
-    touched, Bell label, events and Eve's records after the round index."""
+    touched, Bell label, decoy family, events and Eve's records after the
+    round index."""
 
     def enumerate_both(schedule, model, j, k):
         got = [
-            (weight, (leaf.kind, leaf.passed, leaf.touched, leaf.label, leaf.events, leaf.eve))
+            (weight, (leaf.kind, leaf.passed, leaf.touched, leaf.label, leaf.family, leaf.events, leaf.eve))
             for weight, leaf in protocol.leaf_weights(TransitionTable(), schedule, model, j, k)
         ]
         table = TransitionTable()
         expected = [
-            (weight, (kind, passed, tuple(touched), label, events, tuple(map(_eve_fields, eve))))
-            for weight, (kind, passed, touched, label, events, eve) in weigh(
+            (weight, (kind, passed, tuple(touched), label, family, events, tuple(map(_eve_fields, eve))))
+            for weight, (kind, passed, touched, label, family, events, eve) in weigh(
                 lambda: protocol._round_points(table, schedule, model, j, k)
             )
         ]

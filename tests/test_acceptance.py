@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from qsdc3.adversary import AttackKind, AttackModel, ChannelSegment
+from qsdc3.adversary import AttackModel, ChannelSegment
 from qsdc3.cli import render_json
 from qsdc3.harness import (
     ExperimentConfig,

@@ -4,7 +4,6 @@ import math
 from itertools import combinations, product
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from qsdc3 import adversary, protocol

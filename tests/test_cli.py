@@ -99,7 +99,7 @@ class TestRun:
         out = str(tmp_path / "report.json")
         cli.main(["run", "--config", cfg, "--out", out])
         text = (tmp_path / "report.json").read_text()
-        assert cli.render_json(cli.parse_json(text)) == text
+        assert cli.render_json(json.loads(text)) == text
 
     def test_csv_report_round_trips(self, tmp_path):
         cfg = write_config(tmp_path, BASE_RUN)

@@ -314,12 +314,13 @@ class TestAnalyticWeighings:
 
     # The schedules that force every round to be an A-B, C-A or decoy check.
     FORCED = Counter([SchedulePolicy(1.0, 0.0, 0.0), SchedulePolicy(0.0, 1.0, 0.0), SchedulePolicy(0.0, 0.0, 1.0)])
+    # Each row's name, and the check kind and decoy family _analytic is given.
     ROWS = [
-        ("ab_check", None),
-        ("ca_check", None),
-        ("decoy_check", None),
-        ("decoy_check_z", Basis.Z),
-        ("decoy_check_x", Basis.X),
+        ("ab_check", RoundKind.BOB_EAVESDROP_CHECK, None),
+        ("ca_check", RoundKind.BOB_CONTROL_CHECK, None),
+        ("decoy_check", RoundKind.CHARLIE_DECOY_CHECK, None),
+        ("decoy_check_z", RoundKind.CHARLIE_DECOY_CHECK, Basis.Z),
+        ("decoy_check_x", RoundKind.CHARLIE_DECOY_CHECK, Basis.X),
     ]
 
     @pytest.mark.parametrize(
@@ -343,7 +344,7 @@ class TestAnalyticWeighings:
                 forced[schedule] += 1
             return leaf_weights(table, schedule, model, j, k)
 
-        def recording_analytic(agg, kind, decoy_family=None):
+        def recording_analytic(agg, kind, decoy_family):
             rows.append((kind, decoy_family))
             return analytic(agg, kind, decoy_family)
 
@@ -352,15 +353,15 @@ class TestAnalyticWeighings:
         monkeypatch.setattr(harness._Aggregator, "_analytic", recording_analytic)
         result = run_experiment(config)
         # One _analytic call per row, and every decoy family was run.
-        assert rows == self.ROWS and list(result.detection.kinds) == [kind for kind, _ in self.ROWS]
+        assert rows == [(kind, family) for _, kind, family in self.ROWS]
+        assert list(result.detection.kinds) == [name for name, _, _ in self.ROWS]
         if attack is None:
             assert not forced
             return
         assert forced == self.FORCED
-        for kind, family in self.ROWS:
-            base = "decoy_check" if family is not None else kind
-            exact = analytic_detection_probability(attack, base, family)
-            assert result.detection.kinds[kind].analytic_probability == exact, kind
+        for name, kind, family in self.ROWS:
+            exact = analytic_detection_probability(attack, kind, family)
+            assert result.detection.kinds[name].analytic_probability == exact, name
 
 
 def _list_mutual_information(xs, ys):

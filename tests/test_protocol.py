@@ -346,6 +346,21 @@ class TestRunProtocol:
         assert (d.charlie_view_alice, d.charlie_view_bob) == tuple(zip(*charlie))
         assert d.alice_view_bob != messages.bob_bits
 
+    def test_a_changed_decode_rule_changes_the_decoded_views(self, rng, monkeypatch):
+        # The views are decoded by the rules themselves: Bob's rule with its
+        # two results swapped gives him Charlie's bits as Alice's and Alice's
+        # as Charlie's, and leaves the other views as they were.
+        messages = MessageTriple.random(32, rng)
+        result = run_protocol(messages, SchedulePolicy(), rng)
+        honest = result.decoded
+        assert messages.alice_bits != messages.charlie_bits
+        monkeypatch.setattr(protocol, "decode_bob", lambda x, y, j: (x ^ y ^ j, x ^ j))
+        swapped = protocol.ProtocolResult(messages, result.leaves).decoded
+        assert (swapped.bob_view_alice, swapped.bob_view_charlie) == (messages.charlie_bits, messages.alice_bits)
+        assert swapped != honest
+        unchanged = ("alice_view_bob", "alice_view_charlie", "charlie_view_alice", "charlie_view_bob")
+        assert all(getattr(swapped, view) == getattr(honest, view) for view in unchanged)
+
     def test_announced_xor_identity_on_every_message_round(self, rng):
         messages = MessageTriple.random(48, rng)
         result = run_protocol(messages, SchedulePolicy(), rng)
@@ -703,7 +718,7 @@ def eager_session(messages, schedule, rng, attack, policy, weighed_on):
         i, j, k = messages.alice_bits[n], messages.bob_bits[n], messages.charlie_bits[n]
         path = scanned_leaf(weighed[j, k], next(draws)).path
         steps = protocol._round_points(table, schedule, model, j, k)
-        point, (kind, passed, touched, label, events, eve) = _replay(steps, path[2:])
+        point, (kind, passed, touched, label, _, events, eve) = _replay(steps, path[2:])
         assert point is None
         for event in events:
             transcript.add(round_index, *event)
@@ -1061,3 +1076,22 @@ class TestLeafHistogram:
         weighed_roots = {(j, k): protocol.leaf_weights(table, schedule, model, j, k) for j, k in BITS}
         g, df = g_statistic(weighed_roots, counts)
         assert g < chi_square_quantile(1e-6, df), (g, df)
+
+
+class TestLeafFamily:
+    """A leaf carries its decoy family: the report's and the enumerator's
+    decoy family rows read it, not the transcript."""
+
+    @pytest.mark.parametrize(
+        "schedule, model", [pytest.param(*case.values[:2], id=case.id) for case in G_TEST_CASES]
+    )
+    def test_a_decoy_checks_family_is_the_basis_of_the_decoy_it_reveals(self, schedule, model):
+        table = TransitionTable()
+        leaves = [leaf for j, k in BITS for _, leaf in protocol.leaf_weights(table, schedule, model, j, k)]
+        decoys = [leaf for leaf in leaves if leaf.kind is RoundKind.CHARLIE_DECOY_CHECK]
+        assert {leaf.family for leaf in decoys} == {Basis.Z, Basis.X}
+        for leaf in leaves:
+            if leaf.kind is RoundKind.CHARLIE_DECOY_CHECK:
+                assert leaf.family is decoy_basis_and_bit(DecoyState(reveal(leaf)))[0]
+            else:
+                assert leaf.family is None

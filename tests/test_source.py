@@ -9,8 +9,10 @@ import pytest
 
 import qsdc3
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "qsdc3"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "qsdc3"
 MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 SOURCES = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
 
 
@@ -37,7 +39,9 @@ def test_the_check_finds_unused_imports():
     assert unused_imports(source) == {"os", "pi"}
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+@pytest.mark.parametrize(
+    "path", MODULES + TEST_MODULES, ids=[path.stem for path in MODULES] + ["tests/" + path.stem for path in TEST_MODULES]
+)
 def test_every_import_is_used(path):
     unused = unused_imports(path.read_text())
     assert not unused, "%s imports %s without using it" % (path.name, ", ".join(sorted(unused)))
