@@ -45,6 +45,7 @@ from .states import (
     Subsystem,
     TransitionTable,
     check_coupling,
+    check_probability,
     drive,
 )
 
@@ -68,7 +69,15 @@ class AttackModel:
 
     ``attack_probability`` is the chance Eve acts on a qubit crossing one of
     her segments; the default 1.0 matches the per-attack framing in which
-    every crossing is attacked.
+    every crossing is attacked.  It is stored as given, so an integer stays
+    an integer in a report.
+
+    Raises ``ValueError`` naming the field for a ``kind`` or a segment that
+    is not an enum member (its value included), a segment named more than
+    once, segments on the null attack or none on an active one, a
+    disturbance without the X or Z flip, probe coefficients that are not
+    normalised (``states.check_coupling``), and an ``attack_probability``
+    that is not a real number in [0, 1] (``states.check_probability``).
     """
 
     kind: AttackKind
@@ -81,10 +90,13 @@ class AttackModel:
     def __post_init__(self):
         if not isinstance(self.kind, AttackKind):
             raise ValueError("kind must be an AttackKind member, got %r" % (self.kind,))
-        object.__setattr__(self, "segments", frozenset(self.segments))
-        for segment in self.segments:
+        segments = tuple(self.segments)
+        for segment in segments:
             if not isinstance(segment, ChannelSegment):
                 raise ValueError("segments must be ChannelSegment members, got %r" % (segment,))
+        if len(set(segments)) != len(segments):
+            raise ValueError("segments names a segment more than once")
+        object.__setattr__(self, "segments", frozenset(segments))
         if self.kind is AttackKind.NONE:
             if self.segments:
                 raise ValueError("a null attack covers no segments")
@@ -97,8 +109,7 @@ class AttackModel:
             alpha, beta = check_coupling(self.alpha, self.beta)
             object.__setattr__(self, "alpha", alpha)
             object.__setattr__(self, "beta", beta)
-        if not 0.0 <= self.attack_probability <= 1.0:
-            raise ValueError("attack_probability must lie in [0, 1]")
+        check_probability("attack_probability", self.attack_probability)
 
     @classmethod
     def none(cls):
@@ -106,29 +117,20 @@ class AttackModel:
 
     @classmethod
     def intercept_resend(cls, *segments, attack_probability=1.0):
-        return cls(
-            AttackKind.INTERCEPT_RESEND,
-            frozenset(segments),
-            attack_probability=attack_probability,
-        )
+        return cls(AttackKind.INTERCEPT_RESEND, segments, attack_probability=attack_probability)
 
     @classmethod
     def disturbance(cls, pauli, *segments, attack_probability=1.0):
-        return cls(
-            AttackKind.DISTURBANCE,
-            frozenset(segments),
-            pauli=pauli,
-            attack_probability=attack_probability,
-        )
+        return cls(AttackKind.DISTURBANCE, segments, pauli=pauli, attack_probability=attack_probability)
 
     @classmethod
     def entangle_measure(cls, beta_sq, *segments, attack_probability=1.0):
-        """Probe coupling parametrized by the flip weight |beta|^2 in [0, 1]."""
-        if not 0.0 <= beta_sq <= 1.0:
-            raise ValueError("beta_sq must lie in [0, 1], got %r" % (beta_sq,))
+        """Probe coupling parametrized by the flip weight |beta|^2, a real
+        number in [0, 1]; any other ``beta_sq`` raises ``ValueError``."""
+        beta_sq = check_probability("beta_sq", beta_sq)
         return cls(
             AttackKind.ENTANGLE_MEASURE,
-            frozenset(segments),
+            segments,
             alpha=complex(math.sqrt(1.0 - beta_sq)),
             beta=complex(math.sqrt(beta_sq)),
             attack_probability=attack_probability,

@@ -56,7 +56,7 @@ from .protocol import (
     leaf_weights,
     run_protocol,
 )
-from .states import Basis, TransitionTable
+from .states import Basis, TransitionTable, check_probability
 
 log = logging.getLogger("qsdc3")
 
@@ -78,6 +78,21 @@ _ROWS = (
     ("decoy_check_z", _DECOY_CHECK, Basis.Z),
     ("decoy_check_x", _DECOY_CHECK, Basis.X),
 )
+
+
+def _integer(name, value, least):
+    """``value`` as an ``int`` when it is an integer (numpy's included) of at
+    least ``least``; a bool, a float or any other value raises ``ValueError``
+    naming ``name`` here, not inside numpy."""
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if index < least:
+        raise ValueError("%s must be >= %d, got %d" % (name, least, index))
+    return index
 
 
 def wilson_interval(failures, n, z=1.96):
@@ -132,7 +147,13 @@ def _projected(joint, key):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment depends on; the seed fixes all randomness."""
+    """Everything one experiment depends on; the seed fixes all randomness.
+
+    ``message_length``, ``trials`` and ``seed`` are stored as ``int``.  A
+    size below 1, a negative seed, a value that is not an integer (a bool
+    included), a message too long for numpy to draw, and a schedule, attack
+    or abort policy of the wrong type raise ``ValueError`` naming the field.
+    """
 
     message_length: int = 64
     trials: int = 10
@@ -142,21 +163,10 @@ class ExperimentConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # Integers of any kind (numpy's included) are stored as ``int``; a
-        # bool, a float, any other value or a message too long for numpy to
-        # draw raises ``ValueError`` here rather than inside numpy, or in the
-        # report as ``true``.
+        # A bool is rejected here, as AttackModel rejects one for its
+        # probability, so no report writes ``true`` for a number.
         for name, least in (("message_length", 1), ("trials", 1), ("seed", 0)):
-            value = getattr(self, name)
-            try:
-                index = operator.index(value)
-            except TypeError:
-                index = None
-            if index is None or isinstance(value, bool):
-                raise ValueError("%s must be an integer, got %r" % (name, value))
-            if index < least:
-                raise ValueError("%s must be >= %d" % (name, least))
-            object.__setattr__(self, name, index)
+            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
         if self.message_length > _MAX_MESSAGE_LENGTH:
             raise ValueError("message_length must be <= %d" % _MAX_MESSAGE_LENGTH)
         types = {"schedule": SchedulePolicy, "attack": AttackModel, "abort_policy": AbortPolicy}
@@ -597,20 +607,29 @@ def detection_curve(
     grid point one experiment runs (record-and-continue) and each requested
     check kind, named once, gives a row; decoy rows also give the Z and X
     family splits.
+
+    An empty grid, a string or empty ``check_kinds``, an unknown or repeated
+    check kind and a ``seed`` that is not an integer >= 0 raise
+    ``ValueError`` before any experiment runs; the sizes are checked by
+    :class:`ExperimentConfig`.
     """
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("parameter grid must not be empty")
     if schedule is None:
         schedule = SchedulePolicy(p_ab_check=0.25, p_bob_cm=0.1, p_charlie_cm=0.4)
+    if isinstance(check_kinds, str):
+        raise ValueError("check_kinds must be a sequence of check kinds, got %r" % (check_kinds,))
     wanted = list(check_kinds)
+    if not wanted:
+        raise ValueError("check_kinds must not be empty")
     for kind in wanted:
         if kind not in _CHECK_KINDS:
             raise ValueError("unknown check kind %r" % (kind,))
     if len(set(wanted)) != len(wanted):
         raise ValueError("check_kinds names a check kind more than once")
 
-    point_seeds = np.random.SeedSequence(seed).spawn(len(grid))
+    point_seeds = np.random.SeedSequence(_integer("seed", seed, 0)).spawn(len(grid))
     rows = []
     for idx, value in enumerate(grid):
         attack = make_attack(value)
@@ -648,11 +667,10 @@ def entangle_measure_curve(grid, **kwargs):
 
     The attack covers both the A->B leg (disturbing pair checks) and the
     C->A leg (disturbing decoys), so one experiment per point feeds both
-    curve rows.
+    curve rows.  A ``grid`` value that is not a real number in [0, 1]
+    raises ``ValueError`` naming "grid" before any experiment runs.
     """
-    for value in grid:
-        if not 0.0 <= float(value) <= 1.0:
-            raise ValueError("|beta|^2 grid values must lie in [0, 1], got %r" % (value,))
+    grid = [check_probability("grid", value) for value in grid]
 
     def make(beta_sq):
         return AttackModel.entangle_measure(

@@ -60,6 +60,7 @@ from .states import (
     Subsystem,
     TransitionTable,
     bell_state,
+    check_probability,
     decoy_basis_and_bit,
     drive,
     prepare_decoy,
@@ -161,7 +162,12 @@ def _bit(name, value):
 @dataclass(frozen=True)
 class SchedulePolicy:
     """Per-round Bernoulli choices: Bob's check, Bob's control mode,
-    Charlie's control (decoy) mode."""
+    Charlie's control (decoy) mode.
+
+    Each probability is stored as a ``float``.  A bool, a string or any
+    other value that is not a real number in [0, 1] raises ``ValueError``
+    naming its field (``states.check_probability``).
+    """
 
     p_ab_check: float = 0.25
     p_bob_cm: float = 0.25
@@ -169,10 +175,7 @@ class SchedulePolicy:
 
     def __post_init__(self):
         for name in ("p_ab_check", "p_bob_cm", "p_charlie_cm"):
-            p = float(getattr(self, name))
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("%s must lie in [0, 1], got %r" % (name, p))
-            object.__setattr__(self, name, p)
+            object.__setattr__(self, name, float(check_probability(name, getattr(self, name))))
 
 
 class TranscriptEvent(NamedTuple):
@@ -253,21 +256,43 @@ class RoundRecord:
     attack_touched: tuple = ()
 
 
-class ProtocolAborted(Exception):
+class _SessionView:
+    """The records, transcript and Eve's records of a session, built from
+    its ``messages`` and ``leaves`` together the first time one is read."""
+
+    @cached_property
+    def _built(self):
+        return _materialise(self.messages, self.leaves)
+
+    @property
+    def records(self):
+        """One :class:`RoundRecord` per round, in round order."""
+        return self._built[0]
+
+    @property
+    def transcript(self):
+        """The session's :class:`PublicTranscript`."""
+        return self._built[1]
+
+    @property
+    def eve_records(self):
+        """Eve's :class:`~qsdc3.adversary.EveRecord` values, in round order."""
+        return self._built[2]
+
+
+class ProtocolAborted(_SessionView, Exception):
     """A check failed under the strict abort policy.
 
-    Carries the session's leaf sequence up to and including the failing
-    round (``leaves``), and the records, transcript and Eve's records built
-    from it when the abort was raised.
+    Carries the session's messages and its leaf sequence up to and
+    including the failing round (``leaves``); its records, transcript and
+    Eve's records are built from them the first time one is read.
     """
 
-    def __init__(self, round_index, check_kind, touched_segments, records, transcript, eve_records, leaves):
+    def __init__(self, round_index, check_kind, touched_segments, messages, leaves):
         self.round_index = round_index
         self.check_kind = check_kind
         self.touched_segments = tuple(touched_segments)
-        self.records = records
-        self.transcript = transcript
-        self.eve_records = eve_records
+        self.messages = messages
         self.leaves = leaves
         segs = ",".join(s.value for s in self.touched_segments) or "none"
         super().__init__(
@@ -363,7 +388,7 @@ class DecodedMessages:
     charlie_view_bob: tuple
 
 
-class ProtocolResult:
+class ProtocolResult(_SessionView):
     """A completed session: its messages and its leaf sequence.
 
     ``leaves`` holds the :class:`Leaf` each round reached, in round order;
@@ -378,25 +403,6 @@ class ProtocolResult:
         self.messages = messages
         self.leaves = leaves
         self.rounds_used = len(leaves)
-
-    @cached_property
-    def _built(self):
-        return _materialise(self.messages, self.leaves)
-
-    @property
-    def records(self):
-        """One :class:`RoundRecord` per round, in round order."""
-        return self._built[0]
-
-    @property
-    def transcript(self):
-        """The session's :class:`PublicTranscript`."""
-        return self._built[1]
-
-    @property
-    def eve_records(self):
-        """Eve's :class:`~qsdc3.adversary.EveRecord` values, in round order."""
-        return self._built[2]
 
     @cached_property
     def decoded(self):
@@ -686,8 +692,8 @@ def run_protocol(
     The session returns its leaf sequence: a round costs its draw, one
     bisection and one append.  The :class:`ProtocolResult` builds the
     records, transcript, Eve's records and decoded messages from the leaves
-    the first time one is read; a strict abort builds them when it is
-    raised, and carries the leaves up to and including the failing round.
+    the first time one is read; a strict abort carries the leaves up to and
+    including the failing round, and builds its records likewise.
     """
     if not isinstance(abort_policy, AbortPolicy):
         raise ValueError("abort_policy must be an AbortPolicy, got %r" % (abort_policy,))
@@ -717,10 +723,7 @@ def run_protocol(
                     break
                 bounds, options, _ = choices[2 * bob[n] + charlie[n]]
             elif strict and leaf[2] is False:
-                records, transcript, eve_records = _materialise(messages, leaves)
-                raise ProtocolAborted(
-                    round_index, leaf.kind, leaf.touched, records, transcript, eve_records, leaves
-                )
+                raise ProtocolAborted(round_index, leaf.kind, leaf.touched, messages, leaves)
         else:
             raise RoundBudgetExceeded(
                 "budget of %d rounds exhausted with %d of %d bits delivered" % (max_rounds, n, n_total)

@@ -57,6 +57,7 @@ there is one, and the probe is always last, so positions come from
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -540,6 +541,20 @@ def check_coupling(alpha, beta):
     if not abs(coeff_norm - 1.0) <= COEFF_NORM_ATOL:
         raise ValueError("|alpha|^2 + |beta|^2 must be 1, got %.12g" % coeff_norm)
     return alpha, beta
+
+
+def check_probability(name, value):
+    """``value``, unchanged, when it is a real number in [0, 1].
+
+    Raises ``ValueError`` naming the field ``name`` for a bool, a string or
+    any other value that is not a real number, and for one outside [0, 1]
+    (NaN included).
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError("%s must be a real number, got %r" % (name, value))
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("%s must lie in [0, 1], got %r" % (name, value))
+    return value
 
 
 def attach_ancilla_and_entangle(state, alpha, beta):

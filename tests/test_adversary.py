@@ -72,9 +72,11 @@ class TestAttackModel:
         with pytest.raises(ValueError, match="attack_probability"):
             AttackModel.intercept_resend(AB, attack_probability=-0.1)
 
-    # An enum's value in place of the member would otherwise construct and
-    # run the wrong attack: no attack at all on the string segment, and the
-    # identity probe for the string kind.
+    # Each of these once constructed, or raised TypeError.  An enum's value
+    # in place of the member ran the wrong attack: no attack at all on the
+    # string segment, and the identity probe for the string kind.  A repeated
+    # segment was dropped, and True ran as probability 1.0 and was reported
+    # as ``true``.
     @pytest.mark.parametrize(
         "make, field",
         [
@@ -82,12 +84,23 @@ class TestAttackModel:
             (lambda: AttackModel.disturbance(Pauli.X, AB, "c_to_a"), "segments"),
             (lambda: AttackModel("intercept_resend", {AB}), "kind"),
             (lambda: AttackModel("none"), "kind"),
+            (lambda: AttackModel.intercept_resend(AB, AB), "segments"),
+            (lambda: AttackModel(AttackKind.DISTURBANCE, [CA, AB, CA], pauli=Pauli.X), "segments"),
+            (lambda: AttackModel.intercept_resend(AB, attack_probability=True), "attack_probability"),
+            (lambda: AttackModel.disturbance(Pauli.Z, AB, attack_probability="0.5"), "attack_probability"),
+            (lambda: AttackModel.entangle_measure("0.5", AB), "beta_sq"),
+            (lambda: AttackModel.entangle_measure(True, AB), "beta_sq"),
         ],
-        ids=["segment_value", "one_segment_value", "kind_value", "none_value"],
+        ids=["segment_value", "one_segment_value", "kind_value", "none_value", "repeated_segment",
+             "repeated_segment_in_a_list", "bool_probability", "string_probability", "string_beta_sq", "bool_beta_sq"],
     )
-    def test_kind_and_segments_must_be_enum_members(self, make, field):
+    def test_a_value_that_would_be_coerced_is_rejected(self, make, field):
         with pytest.raises(ValueError, match=field):
             make()
+
+    def test_an_integer_attack_probability_is_stored_as_given(self):
+        # A config's 1 stays 1 in its report.
+        assert type(AttackModel.intercept_resend(AB, attack_probability=1).attack_probability) is int
 
 
 @pytest.fixture

@@ -631,14 +631,32 @@ class TestDetectionCurve:
         with pytest.raises(ValueError, match="check kind"):
             entangle_measure_curve([0.5], check_kinds=("sideways_check",))
 
-    def test_a_repeated_check_kind_is_rejected_before_any_experiment(self, monkeypatch):
-        # Each kind would otherwise give its rows twice, identical.
+    # Each of these once ran: True as a coupling of 1.0, "0.5" as 0.5, a
+    # seed of True as 1, and a repeated kind's rows twice, identical.  A
+    # float or negative seed failed inside numpy, naming no field, and
+    # "ab_check" as the unknown kind "a".
+    @pytest.mark.parametrize(
+        "grid, kwargs, field",
+        [
+            ([0.5, True], {}, "grid"),
+            (["0.5"], {}, "grid"),
+            ([0.5], {"seed": True}, "seed"),
+            ([0.5], {"seed": 2.5}, "seed"),
+            ([0.5], {"seed": -1}, "seed"),
+            ([0.5], {"check_kinds": "ab_check"}, "check_kinds"),
+            ([0.5], {"check_kinds": []}, "check_kinds"),
+            ([0.5], {"check_kinds": ["ab_check", "ab_check"]}, "check_kinds"),
+        ],
+        ids=["bool_grid_value", "string_grid_value", "bool_seed", "float_seed", "negative_seed",
+             "string_check_kinds", "empty_check_kinds", "repeated_check_kind"],
+    )
+    def test_a_bad_argument_is_rejected_before_any_experiment(self, monkeypatch, grid, kwargs, field):
         def no_experiment(config):
             raise AssertionError("an experiment ran")
 
         monkeypatch.setattr(harness, "run_experiment", no_experiment)
-        with pytest.raises(ValueError, match="check_kinds"):
-            entangle_measure_curve([0.5], check_kinds=["ab_check", "ab_check"], message_length=2, trials=1)
+        with pytest.raises(ValueError, match=field):
+            entangle_measure_curve(grid, message_length=2, trials=1, **kwargs)
 
 
 class TestConfigValidation:
@@ -682,6 +700,11 @@ class TestConfigValidation:
     def test_rejects_a_policy_or_model_of_the_wrong_type(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(**{field: value})
+
+    def test_a_bool_attack_probability_never_reaches_the_report(self):
+        # to_dict() once wrote it as "attack_probability": true.
+        with pytest.raises(ValueError, match="attack_probability"):
+            ExperimentConfig(attack=AttackModel.intercept_resend(AB, attack_probability=True))
 
     def test_message_length_is_bounded_by_what_numpy_can_draw(self):
         longest = harness._MAX_MESSAGE_LENGTH

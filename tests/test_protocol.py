@@ -299,6 +299,19 @@ class TestSchedulePolicy:
         policy = SchedulePolicy()
         assert (policy.p_ab_check, policy.p_bob_cm, policy.p_charlie_cm) == (0.25, 0.25, 0.25)
 
+    # True once ran as a schedule of p 1.0 and "0.5" as one of 0.5.
+    @pytest.mark.parametrize(
+        "field, value",
+        [("p_ab_check", True), ("p_bob_cm", False), ("p_charlie_cm", "0.5"), ("p_ab_check", None)],
+    )
+    def test_rejects_a_value_that_is_not_a_real_number(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SchedulePolicy(**{field: value})
+
+    def test_stores_each_probability_as_a_float(self):
+        policy = SchedulePolicy(1, 0, np.float32(0.5))
+        assert [type(p) for p in (policy.p_ab_check, policy.p_bob_cm, policy.p_charlie_cm)] == [float] * 3
+
 
 class TestRunProtocol:
     @pytest.mark.parametrize("policy", ["strict", "record_and_continue", None])
@@ -757,6 +770,26 @@ class TestBuiltOnRead:
         eager = eager_session(MessageTriple.random(48, rng), schedule, rng, attack, policy, table)
         assert built == eager
         assert rng.bit_generator.state == session_state
+
+    def test_an_abort_builds_its_records_once_when_first_read(self, monkeypatch):
+        # harness.run_experiment reads only an abort's leaves and verdict.
+        built = []
+
+        def counted(messages, leaves):
+            built.append(len(leaves))
+            return materialise(messages, leaves)
+
+        materialise = protocol._materialise
+        monkeypatch.setattr(protocol, "_materialise", counted)
+        rng = np.random.default_rng(99)
+        attack = AttackModel.disturbance(Pauli.X, ChannelSegment.A_TO_B)
+        with pytest.raises(ProtocolAborted) as info:
+            run_protocol(MessageTriple.random(100, rng), SchedulePolicy(0.5, 0.25, 0.25), rng, attack=attack)
+        abort = info.value
+        assert built == []
+        assert abort.records[abort.round_index].check_passed is False
+        assert abort.transcript is abort.transcript and abort.eve_records is abort.eve_records
+        assert built == [len(abort.leaves)]
 
 
 def scanned_session(messages, schedule, rng, attack, policy, max_rounds, weighed_on):

@@ -93,6 +93,42 @@ def test_every_private_name_is_read_in_the_package():
     assert not unread, "defined and never read: %s" % ", ".join(sorted(unread))
 
 
+def imported_private_names(source):
+    """The private names (``_x``, dunders aside) ``source`` takes from
+    another module: ``from module import _x``, or ``name._x`` on a name that
+    an import binds."""
+    tree = ast.parse(source)
+    bound = set()
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+            taken.update(alias.name for alias in node.names if alias.name.startswith("_"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound:
+            taken.add("%s.%s" % (node.value.id, node.attr))
+    return {name for name in taken if name.rpartition(".")[2].startswith("_") and "__" not in name}
+
+
+def test_the_check_finds_imported_private_names():
+    source = (
+        "import numpy as np\nfrom . import protocol as _p\nfrom .harness import _LIMIT, Public\n"
+        "from .states import __doc__\n_OWN = 1\n"
+        "_p._round, _p.run, np._core, Public._slot, _OWN._x, np.__name__\n"
+    )
+    assert imported_private_names(source) == {"_LIMIT", "_p._round", "np._core", "Public._slot"}
+
+
+@pytest.mark.parametrize("module", sorted(SOURCES))
+def test_no_module_imports_another_modules_private_name(module):
+    # A private name is its module's to change; a reader elsewhere holds a
+    # second copy of the fact it stands for.
+    taken = imported_private_names(SOURCES[module])
+    assert not taken, "%s takes private names of other modules: %s" % (module, ", ".join(sorted(taken)))
+
+
 # A Sphinx cross-reference in the package source: ``:func:`name```, with
 # ``:class:``, ``:meth:`` or ``:attr:`` in place of ``:func:``.
 ROLE = re.compile(r":(?:func|class|meth|attr):`~?([\w.]+)`")

@@ -29,6 +29,7 @@ from qsdc3.states import (
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
     bell_state,
+    check_probability,
     collapse_outcome,
     decoy_basis_and_bit,
     outcome_probabilities,
@@ -280,6 +281,19 @@ class TestDecoys:
         ((weight, (outcome, post)),) = measured(weigh, prepare_decoy(label), Subsystem.TRANSIT, basis)
         assert (weight, outcome) == (pytest.approx(1.0, abs=1e-15), expected)
         assert allclose_up_to_global_phase(post, prepare_decoy(label))
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.0, 0.25, 1.0, np.float32(0.5), np.int64(1)], ids=repr)
+def test_check_probability_returns_a_real_number_in_range_unchanged(value):
+    assert check_probability("p", value) is value
+
+
+@pytest.mark.parametrize(
+    "value", [True, np.bool_(False), "0.5", None, 0.5j, [0.5], -0.1, 1.5, float("nan"), float("inf")], ids=repr
+)
+def test_check_probability_names_the_field_of_any_other_value(value):
+    with pytest.raises(ValueError, match="p_field"):
+        check_probability("p_field", value)
 
 
 class TestProbeCoupling:
