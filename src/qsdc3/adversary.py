@@ -76,8 +76,10 @@ class AttackModel:
     is not an enum member (its value included), a segment named more than
     once, segments on the null attack or none on an active one, a
     disturbance without the X or Z flip, probe coefficients that are not
-    normalised (``states.check_coupling``), and an ``attack_probability``
-    that is not a real number in [0, 1] (``states.check_probability``).
+    normalised (``states.check_coupling``), a ``pauli`` other than None
+    outside a disturbance, an ``alpha`` or ``beta`` other than the defaults
+    outside entangle-measure, and an ``attack_probability`` that is not a
+    real number in [0, 1] (``states.check_probability``).
     """
 
     kind: AttackKind
@@ -105,10 +107,14 @@ class AttackModel:
         if self.kind is AttackKind.DISTURBANCE:
             if self.pauli not in (Pauli.X, Pauli.Z):
                 raise ValueError("disturbance carries exactly one of the X or Z flips")
+        elif self.pauli is not None:
+            raise ValueError("pauli is set only for a disturbance, got %r" % (self.pauli,))
         if self.kind is AttackKind.ENTANGLE_MEASURE:
             alpha, beta = check_coupling(self.alpha, self.beta)
             object.__setattr__(self, "alpha", alpha)
             object.__setattr__(self, "beta", beta)
+        elif not (self.alpha == 1.0 and self.beta == 0.0):
+            raise ValueError("alpha and beta are set only for entangle-measure, got %r, %r" % (self.alpha, self.beta))
         check_probability("attack_probability", self.attack_probability)
 
     @classmethod

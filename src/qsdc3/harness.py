@@ -5,22 +5,25 @@ probabilities with Wilson intervals, compares them against the exact
 enumerated expectations, measures message fidelity, and audits what the
 public transcript leaks about the three secrets.
 
-All randomness derives from a single 64-bit seed: per-trial generators are
-split off the master seed with ``numpy.random.SeedSequence.spawn``, so
-trials are independent, parallelizable in principle, and the whole report
-is a deterministic function of the configuration.
+All randomness derives from a single 64-bit seed: each trial's generator
+is seeded by one ``numpy.random.SeedSequence`` child of the master seed,
+spawned when the trial starts, so trials are independent, parallelizable
+in principle, and the whole report is a deterministic function of the
+configuration.
 
-An experiment builds one :class:`~qsdc3.states.TransitionTable`, and every
-trial's session draws from it: the table holds the experiment's compiled
-round (each root's leaves with their exact weights, see
-``protocol.run_protocol``), weighed by the first session, and the states it
-reaches, so each leaf and each state is built, and validated, once per
-experiment; a detection curve builds one table per grid point.  A session
-draws one uniform per round, which picks the round's leaf by its exact
-weight; which table it uses does not change its draws or its results.  A
-session returns the sequence of leaves its rounds reached, and the report
-is a fold of leaf counts (:class:`_Aggregator`): an experiment builds no
-round record, transcript or decoded message.
+An experiment builds one :class:`~qsdc3.states.TransitionTable` and weighs
+its compiled round there once: each root's leaves with their exact weights
+(``protocol.leaf_weights``), and the states they reach, each built and
+validated once per experiment; a detection curve builds one table per grid
+point.  A trial draws its three messages, then its leaf counts from their
+exact law (:class:`_TrialLaw`): one ``geometric`` draw per message bit
+gives its rounds, and one ``multinomial`` call the counts of every leaf,
+so a trial's cost grows with its bits and the round's leaves, not with its
+rounds.  Only a strict experiment whose round has a check that can fail
+runs one ``protocol.run_protocol`` session per trial on the table instead,
+since the order of its rounds decides which trial and which round abort.
+Either way the report is a fold of leaf counts (:class:`_Aggregator`): an
+experiment builds no round record, transcript or decoded message.
 Its analytic column weighs each check-forced round once: the five rows
 (three check kinds, two decoy families) read three weighings.
 """
@@ -48,15 +51,17 @@ from .protocol import (
     AbortPolicy,
     MessageTriple,
     ProtocolAborted,
+    RoundBudgetExceeded,
     RoundKind,
     SchedulePolicy,
     decode_alice,
     decode_bob,
     decode_charlie,
+    default_budget,
     leaf_weights,
     run_protocol,
 )
-from .states import Basis, TransitionTable, check_probability
+from .states import Basis, TransitionTable, check_integer, check_probability, check_real
 
 log = logging.getLogger("qsdc3")
 
@@ -78,21 +83,6 @@ _ROWS = (
     ("decoy_check_z", _DECOY_CHECK, Basis.Z),
     ("decoy_check_x", _DECOY_CHECK, Basis.X),
 )
-
-
-def _integer(name, value, least):
-    """``value`` as an ``int`` when it is an integer (numpy's included) of at
-    least ``least``; a bool, a float or any other value raises ``ValueError``
-    naming ``name`` here, not inside numpy."""
-    try:
-        index = operator.index(value)
-    except TypeError:
-        index = None
-    if index is None or isinstance(value, bool):
-        raise ValueError("%s must be an integer, got %r" % (name, value))
-    if index < least:
-        raise ValueError("%s must be >= %d, got %d" % (name, least, index))
-    return index
 
 
 def wilson_interval(failures, n, z=1.96):
@@ -166,7 +156,7 @@ class ExperimentConfig:
         # A bool is rejected here, as AttackModel rejects one for its
         # probability, so no report writes ``true`` for a number.
         for name, least in (("message_length", 1), ("trials", 1), ("seed", 0)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), least))
+            object.__setattr__(self, name, check_integer(name, getattr(self, name), least))
         if self.message_length > _MAX_MESSAGE_LENGTH:
             raise ValueError("message_length must be <= %d" % _MAX_MESSAGE_LENGTH)
         types = {"schedule": SchedulePolicy, "attack": AttackModel, "abort_policy": AbortPolicy}
@@ -197,7 +187,7 @@ class ExperimentConfig:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckStats:
     """Detection statistics for one check kind."""
 
@@ -223,7 +213,7 @@ class CheckStats:
         return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class DetectionReport:
     """Per-check-kind statistics, including the decoy Z/X family split."""
 
@@ -233,7 +223,7 @@ class DetectionReport:
         return {name: stats.to_dict() for name, stats in sorted(self.kinds.items())}
 
 
-@dataclass
+@dataclass(slots=True)
 class LeakageReport:
     """What the public transcript reveals about the secrets.
 
@@ -253,7 +243,7 @@ class LeakageReport:
         return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class FidelityReport:
     """Fraction of correctly decoded bits per party (over completed trials)."""
 
@@ -265,7 +255,7 @@ class FidelityReport:
         return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class EveStats:
     """Aggregate view of Eve's own records."""
 
@@ -278,7 +268,7 @@ class EveStats:
         return asdict(self)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExperimentResult:
     config: ExperimentConfig
     detection: DetectionReport
@@ -345,22 +335,119 @@ def _view_hits(keys):
     return hits
 
 
-def _log_trial(trial, leaves, end=""):
-    # Counting the failed checks walks every leaf: only when the line is shown.
+def _log_trial(trial, rounds, failed, end=""):
+    # ``failed()`` counts the trial's failed checks: only when the line is shown.
     if log.isEnabledFor(logging.INFO):
-        failed = operator.countOf(map(operator.attrgetter("passed"), leaves), False)
-        log.info("trial %d: rounds %d, failed checks %d%s", trial, len(leaves), failed, end)
+        log.info("trial %d: rounds %d, failed checks %d%s", trial, rounds, failed(), end)
+
+
+def _failed_in(leaves):
+    """A count of the failed checks among ``leaves``, for :func:`_log_trial`."""
+    return lambda: operator.countOf(map(operator.attrgetter("passed"), leaves), False)
+
+
+class _TrialLaw:
+    """The exact law of one trial's leaf counts under record-and-continue,
+    read from an experiment's compiled round.
+
+    A round's leaf depends only on its root, Bob's and Charlie's bits (j, k)
+    of the message bit in flight, and the root changes only at a message
+    leaf.  So message bit b of root r takes G_b rounds, geometric with the
+    root's message weight m_r as its success probability: G_b - 1 check
+    rounds, each leaf of weight w with probability w / (1 - m_r), then one
+    message round, each leaf with probability w / m_r.  Summed over a
+    trial's bits, the message leaves of root r under Alice's bit i are
+    multinomial(N_ri, w / m_r), N_ri being the bits of root r and Alice bit
+    i, and its check leaves are multinomial(C_r, w / (1 - m_r)), C_r being
+    the sum of G_b - 1 over the root's bits.
+
+    The counts are kept as a (12, width) array: row 3r + i holds root r's
+    message leaves under Alice's bit i, row 3r + 2 its check leaves.  A row
+    holds its leaves in ``leaf_weights`` order in its last columns, so the
+    category numpy's multinomial gives the remainder is always a leaf.
+    """
+
+    def __init__(self, roots):
+        """``roots``: each root's ``leaf_weights`` list, by 2 * j + k."""
+        rows = []
+        message_weight = []
+        for weighed in roots:
+            drawable = [(weight, leaf) for weight, leaf in weighed if weight > 0.0]
+            message = [(weight, leaf) for weight, leaf in drawable if leaf.kind is _MESSAGE]
+            checks = [(weight, leaf) for weight, leaf in drawable if leaf.kind is not _MESSAGE]
+            rows += [message, message, checks]
+            message_weight.append(sum(w for w, _ in message) / sum(w for w, _ in drawable))
+        width = max(map(len, rows))
+        self.pvals = np.zeros((len(rows), width))
+        # (row, column, leaf) of every leaf a row can reach.
+        self.cells = []
+        for index, row in enumerate(rows):
+            total = sum(weight for weight, _ in row)
+            for column, (weight, leaf) in enumerate(row, width - len(row)):
+                self.pvals[index, column] = weight / total
+                self.cells.append((index, column, leaf))
+        # A root that never sends its bit stalls the trial until the budget
+        # runs out; its draws use p = 1 and are then replaced.
+        self.stalls = np.array(message_weight) == 0.0
+        self.stalled = bool(self.stalls.any())
+        self.message_p = np.where(self.stalls, 1.0, message_weight)
+        # The flat indices of the message cells, with the views each cell's
+        # leakage key decodes wrong (``_VIEW_MISSES``), and of the failed checks.
+        flat = [(index * width + column, index, leaf) for index, column, leaf in self.cells]
+        messages = [
+            (cell, _VIEW_MISSES[leaf.leakage_keys[index % 3]]) for cell, index, leaf in flat if leaf.kind is _MESSAGE
+        ]
+        self.message_cells = np.array([cell for cell, _ in messages], dtype=np.intp)
+        self.misses = np.array([[view in views for _, views in messages] for view in range(6)], dtype=np.int64)
+        self.failed = np.array([cell for cell, _, leaf in flat if leaf.passed is False], dtype=np.intp)
+
+    def view_hits(self, counts, length):
+        """Each view's right bits in a completed trial of ``length`` bits
+        that drew ``counts``, as ``DecodedMessages`` orders the views."""
+        return (length - self.misses @ counts.ravel()[self.message_cells]).tolist()
+
+    def failed_checks(self, counts):
+        """The failed checks among ``counts``."""
+        return int(counts.ravel()[self.failed].sum())
+
+    def draw(self, rng, length, max_rounds):
+        """One trial of ``length`` bits from ``rng``: ``(counts, rounds)``.
+
+        The message bits are the ``integers(0, 2, 3 * length)`` draw of
+        ``MessageTriple.random``; then one ``geometric`` call gives every
+        bit's rounds, and one ``multinomial`` call the leaf counts of every
+        row.  A trial whose rounds pass ``max_rounds`` raises
+        :class:`~qsdc3.protocol.RoundBudgetExceeded` with the bits whose
+        running sum of rounds stays within the budget as delivered.
+        """
+        alice, bob, charlie = rng.integers(0, 2, size=3 * length).reshape(3, length)
+        roots = 2 * bob + charlie
+        rounds = rng.geometric(self.message_p[roots])
+        if self.stalled:
+            rounds[self.stalls[roots]] = max_rounds + 1
+        # A message weight near 0 can draw more rounds than an int64 sums.
+        np.minimum(rounds, max_rounds + 1, out=rounds)
+        total = int(rounds.sum())
+        if total > max_rounds:
+            delivered = int(np.searchsorted(np.cumsum(rounds), max_rounds, side="right"))
+            raise RoundBudgetExceeded(max_rounds, delivered, length)
+        n = np.bincount(3 * roots + alice, minlength=12)
+        n[2::3] = np.bincount(roots, weights=rounds, minlength=4) - n[0::3] - n[1::3]
+        return rng.multinomial(n, self.pvals), total
 
 
 class _Aggregator:
-    """Deterministic fold of per-trial leaf sequences, in trial order.
+    """Deterministic fold of per-trial leaf counts, in trial order.
 
     Every report field sums what each round's leaf, and in a message round
-    Alice's bit, determine: a trial adds its leaves to a count per leaf (the
+    Alice's bit, determine: a trial's leaves go to a count per leaf (the
     check, decoy family and Eve's counts are tallied from it), and its
-    message rounds to a count per leakage key (which gives its fidelity).
-    The analytic column weighs each check-forced round once per aggregator,
-    so an experiment's five rows read three weighings."""
+    message rounds to a count per leakage key; each completed trial adds
+    its own fidelity, from its key counts.  A session's leaves are added
+    as a sequence (``add_leaves``); the count path's trials are summed in
+    one array, added once (``add_totals``).  The analytic column weighs
+    each check-forced round once per aggregator, so an experiment's five
+    rows read three weighings."""
 
     def __init__(self, config):
         self.config = config
@@ -375,7 +462,7 @@ class _Aggregator:
         self.trials_aborted = 0
 
     def add_leaves(self, leaves, alice_bits):
-        """Count one trial's rounds; returns its message rounds counted by
+        """Count one session's rounds; returns its message rounds counted by
         leakage key.  The n-th message leaf pairs with Alice's n-th bit."""
         self.leaf_counts.update(leaves)
         message_keys = filter(None, map(operator.attrgetter("leakage_keys"), leaves))
@@ -383,10 +470,21 @@ class _Aggregator:
         self.leakage_counts.update(keys)
         return keys
 
-    def add_completed(self, messages, leaves):
-        keys = self.add_leaves(leaves, messages.alice_bits)
-        for view, hits in enumerate(_view_hits(keys)):
-            self.fidelity_sums[view // 2] += hits / (2 * messages.length)
+    def add_totals(self, law, totals):
+        """Count the rounds of a :class:`_TrialLaw`'s trials, summed into
+        one array of ``totals``."""
+        for row, column, leaf in law.cells:
+            c = int(totals[row, column])
+            if c:
+                self.leaf_counts[leaf] += c
+                if leaf.kind is _MESSAGE:
+                    self.leakage_counts[leaf.leakage_keys[row % 3]] += c
+
+    def add_completed(self, hits, length):
+        """Count a completed trial of ``length`` bits: ``hits`` holds each
+        view's right bits, as ``DecodedMessages`` orders the views."""
+        for view, right in enumerate(hits):
+            self.fidelity_sums[view // 2] += right / (2 * length)
         self.trials_completed += 1
 
     def tally(self):
@@ -477,21 +575,67 @@ class _Aggregator:
 def run_experiment(config):
     """Run ``config.trials`` independent protocol executions and report.
 
-    Deterministic given the seed.  Under the strict abort policy the first
-    detected eavesdropper stops the experiment: :class:`ExperimentAborted`
-    is raised carrying the partial statistics.  Each trial logs one INFO
-    line on the ``qsdc3`` logger: its index, rounds used and failed checks.
-    Every trial's session draws from one transition table, built here.
+    Deterministic given the seed: each trial draws from its own generator,
+    seeded by one ``SeedSequence`` child of ``config.seed``, spawned when
+    the trial starts.  An experiment builds one transition table and weighs
+    its compiled round there once.  Then each trial draws its leaf counts
+    from their exact law (:class:`_TrialLaw`), with no round order.  Under
+    the strict abort policy, when a leaf's check can fail, each trial is a
+    ``run_protocol`` session on the same table instead, since round order
+    decides which trial and which round abort: the first detected
+    eavesdropper stops the experiment, and :class:`ExperimentAborted` is
+    raised carrying the partial statistics.
+
+    Each trial logs one INFO line on the ``qsdc3`` logger: its index,
+    rounds used and failed checks; the experiment logs its table's size
+    at DEBUG.  A trial whose rounds pass the default budget raises
+    :class:`~qsdc3.protocol.RoundBudgetExceeded`.
     """
     agg = _Aggregator(config)
     table = TransitionTable()
-    # One child per trial, spawned when the trial starts: repeated
-    # ``spawn(1)`` gives the seeds one ``spawn(trials)`` would, without
-    # holding them all.
+    roots = [leaf_weights(table, config.schedule, config.attack, j, k) for j, k in product((0, 1), repeat=2)]
+    failable = any(weight > 0.0 and leaf.passed is False for weighed in roots for weight, leaf in weighed)
+    try:
+        if config.abort_policy is AbortPolicy.STRICT and failable:
+            _run_sessions(config, agg, table)
+        else:
+            _count_trials(config, agg, _TrialLaw(roots))
+    finally:
+        # Sizing the table sums its dicts: only when the line is shown.
+        if log.isEnabledFor(logging.DEBUG):
+            trials = agg.trials_completed + agg.trials_aborted
+            log.debug("experiment: %d trials, %d transition table edges", trials, len(table))
+    return agg.build()
+
+
+def _trial_generators(config):
+    """Each trial's generator, seeded when the trial starts: repeated
+    ``spawn(1)`` gives the seeds one ``spawn(trials)`` would, without
+    holding them all."""
     master = np.random.SeedSequence(config.seed)
-    for trial in range(config.trials):
+    for _ in range(config.trials):
         (child,) = master.spawn(1)
-        rng = np.random.default_rng(child)
+        yield np.random.default_rng(child)
+
+
+def _count_trials(config, agg, law):
+    """Each trial's leaf counts drawn from ``law``; the experiment's counts
+    are summed in one array and folded into ``agg`` at the end, and each
+    trial's fidelity as it completes."""
+    length = config.message_length
+    budget = default_budget(length)
+    totals = np.zeros_like(law.pvals, dtype=np.int64)
+    for trial, rng in enumerate(_trial_generators(config)):
+        counts, rounds = law.draw(rng, length, budget)
+        totals += counts
+        agg.add_completed(law.view_hits(counts, length), length)
+        _log_trial(trial, rounds, lambda: law.failed_checks(counts))
+    agg.add_totals(law, totals)
+
+
+def _run_sessions(config, agg, table):
+    """One ``run_protocol`` session per trial, each drawing from ``table``."""
+    for trial, rng in enumerate(_trial_generators(config)):
         messages = MessageTriple.random(config.message_length, rng)
         try:
             result = run_protocol(
@@ -505,7 +649,7 @@ def run_experiment(config):
         except ProtocolAborted as abort:
             agg.add_leaves(abort.leaves, messages.alice_bits)
             agg.trials_aborted += 1
-            _log_trial(trial, abort.leaves, ", aborted")
+            _log_trial(trial, len(abort.leaves), _failed_in(abort.leaves), ", aborted")
             aborted = {
                 "trial": trial,
                 "round": abort.round_index,
@@ -514,9 +658,9 @@ def run_experiment(config):
             }
             partial = agg.build(aborted=aborted)
             raise ExperimentAborted(partial, trial, abort.round_index, abort.check_kind) from None
-        agg.add_completed(messages, result.leaves)
-        _log_trial(trial, result.leaves)
-    return agg.build()
+        keys = agg.add_leaves(result.leaves, messages.alice_bits)
+        agg.add_completed(_view_hits(keys), messages.length)
+        _log_trial(trial, result.rounds_used, _failed_in(result.leaves))
 
 
 # ---------------------------------------------------------------------------
@@ -608,12 +752,13 @@ def detection_curve(
     check kind, named once, gives a row; decoy rows also give the Z and X
     family splits.
 
-    An empty grid, a string or empty ``check_kinds``, an unknown or repeated
-    check kind and a ``seed`` that is not an integer >= 0 raise
+    An empty grid or a grid value that is not a real number (a bool or a
+    string included), a string or empty ``check_kinds``, an unknown or
+    repeated check kind and a ``seed`` that is not an integer >= 0 raise
     ``ValueError`` before any experiment runs; the sizes are checked by
     :class:`ExperimentConfig`.
     """
-    grid = [float(g) for g in grid]
+    grid = [float(check_real("grid", value)) for value in grid]
     if not grid:
         raise ValueError("parameter grid must not be empty")
     if schedule is None:
@@ -629,7 +774,7 @@ def detection_curve(
     if len(set(wanted)) != len(wanted):
         raise ValueError("check_kinds names a check kind more than once")
 
-    point_seeds = np.random.SeedSequence(_integer("seed", seed, 0)).spawn(len(grid))
+    point_seeds = np.random.SeedSequence(check_integer("seed", seed, 0)).spawn(len(grid))
     rows = []
     for idx, value in enumerate(grid):
         attack = make_attack(value)

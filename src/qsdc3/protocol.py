@@ -28,7 +28,8 @@ sums these weights, and sessions draw from them: a round is one draw, one
 bisection of its root's cumulative leaf weights and one append of the leaf
 it picks.  A session returns its leaf sequence, and its records,
 transcript events and Eve's records are built from the leaves the first
-time they are read (:class:`ProtocolResult`).
+time they are read (:class:`ProtocolResult`).  ``harness.run_experiment``
+draws most trials' leaf counts from the same weights without a session.
 
 Randomness: a session draws one double per round from its injected
 generator, in round order, served from ``random(256)`` blocks of it; the
@@ -40,7 +41,6 @@ reproducible: a seed fixes every message bit and every leaf.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -60,13 +60,12 @@ from .states import (
     Subsystem,
     TransitionTable,
     bell_state,
+    check_integer,
     check_probability,
     decoy_basis_and_bit,
     drive,
     prepare_decoy,
 )
-
-log = logging.getLogger("qsdc3")
 
 _DECOY_LABELS = (DecoyState.ZERO, DecoyState.ONE, DecoyState.PLUS, DecoyState.MINUS)
 
@@ -302,7 +301,22 @@ class ProtocolAborted(_SessionView, Exception):
 
 
 class RoundBudgetExceeded(Exception):
-    """The round budget ran out before all message bits were delivered."""
+    """The round budget ran out before all message bits were delivered:
+    ``max_rounds`` rounds ran and ``delivered`` of ``length`` bits were
+    delivered."""
+
+    def __init__(self, max_rounds, delivered, length):
+        self.max_rounds = max_rounds
+        self.delivered = delivered
+        self.length = length
+        super().__init__(
+            "budget of %d rounds exhausted with %d of %d bits delivered" % (max_rounds, delivered, length)
+        )
+
+
+def default_budget(length):
+    """The rounds a session of ``length`` message bits may use by default."""
+    return 1000 + 50 * length
 
 
 def encode_bob(j):
@@ -683,11 +697,15 @@ def run_protocol(
     first round and after each message round that leaves a bit to send.
     The compiled round of ``schedule`` and ``attack`` lives in ``table``, a
     :class:`~qsdc3.states.TransitionTable`, or in a fresh one when
-    ``table`` is None; the first session on a table weighs its four roots
+    ``table`` is None; the first reader of a table weighs its four roots
     (:func:`leaf_weights`), and later sessions draw from the same leaves
-    (``harness.run_experiment`` passes one table to all its trials).  Which
-    table a session uses does not change its results.  The session logs
-    the table's size (its state edges) at DEBUG when it ends.
+    (``harness.run_experiment`` passes its table to every session it runs).
+    Which table a session uses does not change its results.
+
+    The session may use ``max_rounds`` rounds, an integer >= 1 (else
+    ``ValueError``), by default :func:`default_budget` of the message
+    length; when they run out before the last bit is delivered it raises
+    :class:`RoundBudgetExceeded`.
 
     The session returns its leaf sequence: a round costs its draw, one
     bisection and one append.  The :class:`ProtocolResult` builds the
@@ -706,31 +724,23 @@ def run_protocol(
     random = _uniforms(rng)
     bob, charlie = messages.bob_bits, messages.charlie_bits
     n_total = messages.length
-    if max_rounds is None:
-        max_rounds = 1000 + 50 * n_total
+    max_rounds = default_budget(n_total) if max_rounds is None else check_integer("max_rounds", max_rounds, 1)
     strict = abort_policy is AbortPolicy.STRICT
 
     n = 0
-    try:
-        bounds, options, _ = choices[2 * bob[0] + charlie[0]]
-        for round_index in range(max_rounds):
-            leaf = options[bisect_right(bounds, random())]
-            reached(leaf)
-            # The leaf's kind and check verdict, read by index.
-            if leaf[0] is _MESSAGE:
-                n += 1
-                if n == n_total:
-                    break
-                bounds, options, _ = choices[2 * bob[n] + charlie[n]]
-            elif strict and leaf[2] is False:
-                raise ProtocolAborted(round_index, leaf.kind, leaf.touched, messages, leaves)
-        else:
-            raise RoundBudgetExceeded(
-                "budget of %d rounds exhausted with %d of %d bits delivered" % (max_rounds, n, n_total)
-            )
-    finally:
-        # Sizing the table sums its dicts: only when the line is shown.
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("session: %d rounds, %d transition table edges", len(leaves), len(table))
+    bounds, options, _ = choices[2 * bob[0] + charlie[0]]
+    for round_index in range(max_rounds):
+        leaf = options[bisect_right(bounds, random())]
+        reached(leaf)
+        # The leaf's kind and check verdict, read by index.
+        if leaf[0] is _MESSAGE:
+            n += 1
+            if n == n_total:
+                break
+            bounds, options, _ = choices[2 * bob[n] + charlie[n]]
+        elif strict and leaf[2] is False:
+            raise ProtocolAborted(round_index, leaf.kind, leaf.touched, messages, leaves)
+    else:
+        raise RoundBudgetExceeded(max_rounds, n, n_total)
 
     return ProtocolResult(messages, leaves)

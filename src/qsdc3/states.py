@@ -39,10 +39,10 @@ them while ``protocol.leaf_weights`` weighs its leaves, answering each
 point with every answer of positive probability: that is how
 ``adversary.analytic_detection_probability`` enumerates a round, and the
 weights its sessions draw leaves by.  One table lives per experiment
-(``harness.run_experiment`` builds it and every trial's session draws
-from it; a session run on its own gets a fresh one), so a derived state
-is built and validated once per distinct value in the experiment, not
-once per round.
+(``harness.run_experiment`` builds it and weighs the round there once,
+and every trial draws from those weights; a session run on its own gets
+a fresh one), so a derived state is built and validated once per
+distinct value in the experiment, not once per round.
 
 The probe coupling's coefficients are checked where they enter: by
 ``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -391,13 +392,13 @@ class TransitionTable:
     round can reach (a bounded number), not with its paths or the number
     of rounds or sessions.
 
-    One table lives for one experiment: every trial's session draws from
-    it.  ``compiled`` holds the protocol's compiled rounds over it, by
-    schedule and attack model: each root's weighed leaves and the
-    cumulative leaf weights that sessions draw each round's leaf from (see
-    ``protocol.run_protocol``).  The first session weighs all four roots,
-    and the weights depend only on the kernels' floats, so a session gives
-    the same results on a table other sessions used as on a fresh one.  A
+    One table lives for one experiment: every trial draws from it.
+    ``compiled`` holds the protocol's compiled rounds over it, by schedule
+    and attack model: each root's weighed leaves and the cumulative leaf
+    weights that sessions draw each round's leaf from (see
+    ``protocol.run_protocol``).  The first reader weighs the roots, and the
+    weights depend only on the kernels' floats, so a session gives the
+    same results on a table other sessions used as on a fresh one.  A
     table is not kept across experiments, so two runs of one experiment
     build, and validate, the same states.
     """
@@ -543,18 +544,44 @@ def check_coupling(alpha, beta):
     return alpha, beta
 
 
-def check_probability(name, value):
-    """``value``, unchanged, when it is a real number in [0, 1].
+def check_real(name, value):
+    """``value``, unchanged, when it is a real number.
 
     Raises ``ValueError`` naming the field ``name`` for a bool, a string or
-    any other value that is not a real number, and for one outside [0, 1]
-    (NaN included).
+    any other value that is not a real number.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError("%s must be a real number, got %r" % (name, value))
-    if not 0.0 <= value <= 1.0:
+    return value
+
+
+def check_probability(name, value):
+    """``value``, unchanged, when it is a real number in [0, 1].
+
+    Raises ``ValueError`` naming the field ``name`` for a value that
+    :func:`check_real` rejects and for one outside [0, 1] (NaN included).
+    """
+    if not 0.0 <= check_real(name, value) <= 1.0:
         raise ValueError("%s must lie in [0, 1], got %r" % (name, value))
     return value
+
+
+def check_integer(name, value, least):
+    """``value`` as an ``int`` when it is an integer (numpy's included) of at
+    least ``least``.
+
+    Raises ``ValueError`` naming the field ``name`` for a bool, a float or
+    any other value that is not an integer, and for one below ``least``.
+    """
+    try:
+        index = operator.index(value)
+    except TypeError:
+        index = None
+    if index is None or isinstance(value, bool):
+        raise ValueError("%s must be an integer, got %r" % (name, value))
+    if index < least:
+        raise ValueError("%s must be >= %d, got %d" % (name, least, index))
+    return index
 
 
 def attach_ancilla_and_entangle(state, alpha, beta):

@@ -80,9 +80,9 @@ def test_criterion_2_announced_xor_identity(sampled_digest):
     ok = (
         audited >= 10_000
         and fraction == 1.0
-        and digest == "352847737daed06e5b245a7180ceda8a197c39a0c0183717d058938a813be647"
+        and digest == "c46a980d6605e33e61dac343effc632c3785294895cc1ab208717886be8672b7"
         and sampled_digest(result.to_dict())
-        == "e65084d75dc07414f98c80f325c7b0a72258418304e4770ff43ea3a6468dc335"
+        == "f83d0fc76dcec25eaf79dc1fb9e649aa30b2ca6ce65c9f05c810b76e404a785c"
         and elapsed < 5.0
     )
     _report(
@@ -181,10 +181,10 @@ def test_criterion_5_probe_coupling_curve(sampled_digest):
             problems.append("X-family decoys detected something at %.2f" % beta_sq)
     curve = {"curve": [row.to_dict() for row in rows]}
     digest = _sha256(render_json(curve))
-    if digest != "d02dbbe1f1b9bb09d4726869463c79105c45161ce8e9353f9bd1ae8efcab7052":
+    if digest != "db1e32b8c2e6ff6cabfe378e2e002e5800d271d251f80095acca02998a2d65eb":
         problems.append("curve rows %s" % digest[:16])
     sampled = sampled_digest(curve)
-    if sampled != "4972ea5badbecc1b57fe9588ddcdc40f59bc6c3ac9e72e0837ee518af8eaf382":
+    if sampled != "ac56e0fa13bbebda223ed76f98d3da1eaa1640bf79bf9af3ccf101230a133492":
         problems.append("sampled curve fields %s" % sampled[:16])
     ok = not problems and elapsed < 60.0
     _report(
@@ -192,6 +192,48 @@ def test_criterion_5_probe_coupling_curve(sampled_digest):
         "probe-coupling detection tracks |beta|^2/2 and X decoys stay blind",
         ok,
         "; ".join(problems) if problems else "5 grid points x 2 check kinds, %.2f s" % elapsed,
+    )
+
+
+def test_criterion_5_at_a_million_checks_per_row():
+    # One coupling of criterion 5 at 100x its checks: the experiment draws
+    # each trial's leaf counts from their exact law, so its cost grows with
+    # trials and leaves, not with rounds.
+    start = time.perf_counter()
+    config = ExperimentConfig(
+        message_length=1000,
+        trials=1800,
+        schedule=SchedulePolicy(0.25, 0.1, 0.4),
+        attack=AttackModel.entangle_measure(0.5, AB, CA),
+        abort_policy=AbortPolicy.RECORD_AND_CONTINUE,
+        seed=1009,
+    )
+    result = run_experiment(config)
+    elapsed = time.perf_counter() - start
+    kinds = result.detection.kinds
+    problems = []
+    for kind in ("ab_check", "decoy_check"):
+        row = kinds[kind]
+        if row.checks_run < 1_000_000:
+            problems.append("%s only %d checks" % (kind, row.checks_run))
+        if abs(row.detection_probability - 0.25) >= _four_se(0.25, row.checks_run):
+            problems.append("%s sampled %.5f" % (kind, row.detection_probability))
+    if kinds["decoy_check_x"].checks_failed != 0:
+        problems.append("X-family decoys detected something")
+    ok = not problems and elapsed < 30.0
+    _report(
+        "5 at 10^6",
+        "probe at |beta|^2 = 0.5 detected at 1/4 over a million checks per row",
+        ok,
+        "; ".join(problems)
+        or "ab %d checks sampled %.5f, decoy %d checks sampled %.5f, %.2f s"
+        % (
+            kinds["ab_check"].checks_run,
+            kinds["ab_check"].detection_probability,
+            kinds["decoy_check"].checks_run,
+            kinds["decoy_check"].detection_probability,
+            elapsed,
+        ),
     )
 
 
@@ -217,9 +259,9 @@ def test_criterion_6_intercept_resend_quarter_vs_half_claim(sampled_digest):
         and ab.paper_claim == 0.5
         and '"analytic_probability": 0.25' in report_text
         and '"paper_claim": 0.5' in report_text
-        and _sha256(report_text) == "f9c40ef50472ee4c6a62485fe7c7770afa36be2ae4ac45a0a0438713adbc5a7d"
+        and _sha256(report_text) == "161f158495969b2205c3bcfaddff5f3beb722d43f4d8c913e563cef8eddc3d02"
         and sampled_digest(result.to_dict())
-        == "fe766eb2fba96192ed2098197823a8e0c5d3a6749fec2b7641222ed439139959"
+        == "0292124bcc4bc8164c6c971dc22e3fb2d0bdd71768aa029abc142d94d3aef604"
         and elapsed < 10.0
     )
     _report(

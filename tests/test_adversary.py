@@ -76,7 +76,8 @@ class TestAttackModel:
     # in place of the member ran the wrong attack: no attack at all on the
     # string segment, and the identity probe for the string kind.  A repeated
     # segment was dropped, and True ran as probability 1.0 and was reported
-    # as ``true``.
+    # as ``true``.  A pauli, alpha or beta that the kind ignores was kept,
+    # unused, in the model's repr.
     @pytest.mark.parametrize(
         "make, field",
         [
@@ -90,9 +91,17 @@ class TestAttackModel:
             (lambda: AttackModel.disturbance(Pauli.Z, AB, attack_probability="0.5"), "attack_probability"),
             (lambda: AttackModel.entangle_measure("0.5", AB), "beta_sq"),
             (lambda: AttackModel.entangle_measure(True, AB), "beta_sq"),
+            (lambda: AttackModel(AttackKind.INTERCEPT_RESEND, {AB}, pauli=Pauli.X, beta=5), "pauli"),
+            (lambda: AttackModel(AttackKind.NONE, pauli=Pauli.Z), "pauli"),
+            (lambda: AttackModel(AttackKind.ENTANGLE_MEASURE, {AB}, pauli=Pauli.X), "pauli"),
+            (lambda: AttackModel(AttackKind.INTERCEPT_RESEND, {AB}, beta=5), "beta"),
+            (lambda: AttackModel(AttackKind.DISTURBANCE, {AB}, pauli=Pauli.Z, alpha=0.6, beta=0.8), "alpha"),
+            (lambda: AttackModel(AttackKind.NONE, alpha=-1.0), "alpha"),
         ],
         ids=["segment_value", "one_segment_value", "kind_value", "none_value", "repeated_segment",
-             "repeated_segment_in_a_list", "bool_probability", "string_probability", "string_beta_sq", "bool_beta_sq"],
+             "repeated_segment_in_a_list", "bool_probability", "string_probability", "string_beta_sq", "bool_beta_sq",
+             "pauli_on_intercept", "pauli_on_none", "pauli_on_probe", "beta_on_intercept", "coupling_on_disturbance",
+             "alpha_on_none"],
     )
     def test_a_value_that_would_be_coerced_is_rejected(self, make, field):
         with pytest.raises(ValueError, match=field):

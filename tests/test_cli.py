@@ -4,7 +4,6 @@ import io
 import json
 import logging
 import os
-import re
 import subprocess
 import sys
 from itertools import product
@@ -366,15 +365,25 @@ class TestExitCodeContract:
 
 
 class TestVerboseLogging:
-    @pytest.mark.parametrize("command, sessions", [("run", 2), ("sweep", 6)])
-    def test_debug_logs_each_session_table_and_keeps_report_bytes(self, tmp_path, capsys, caplog, command, sessions):
+    @pytest.mark.parametrize("command, experiments", [("run", 1), ("sweep", 2)])
+    def test_debug_logs_each_experiment_table_and_keeps_report_bytes(
+        self, tmp_path, capsys, caplog, command, experiments
+    ):
         # A sweep runs one experiment per grid point: here two points of
         # three trials, so a table kept across points, or across runs,
         # would hold more than one point's compiled round.
         if command == "run":
             payload, trials = {"message_length": 2, "trials": 2}, 2
+            models = [(SchedulePolicy(), AttackModel.none())]
         else:
             payload, trials = dict(BASE_SWEEP, grid=[0.25, 0.5], trials=3), 3
+            models = [
+                (
+                    SchedulePolicy(0.25, 0.1, 0.4),
+                    AttackModel.entangle_measure(beta_sq, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
+                )
+                for beta_sq in payload["grid"]
+            ]
         cfg = write_config(tmp_path, payload)
         assert cli.main([command, "--config", cfg]) == cli.EXIT_OK
         quiet = capsys.readouterr().out
@@ -382,30 +391,17 @@ class TestVerboseLogging:
         assert cli.main(["-vv", command, "--config", cfg]) == cli.EXIT_OK
         assert capsys.readouterr().out == quiet
         lines = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
-        assert len(lines) == sessions
-        edges = []
-        for line in lines:
-            match = re.fullmatch(r"session: (\d+) rounds, (\d+) transition table edges", line)
-            assert match, line
-            assert int(match.group(1)) >= 2 and int(match.group(2)) > 0
-            edges.append(int(match.group(2)))
-        # The count is the size of the experiment's table, whose compiled
-        # round the first session expands in full: every session of an
-        # experiment reports the same count.
-        experiments = [edges[start : start + trials] for start in range(0, sessions, trials)]
-        for counts in experiments:
-            assert counts == [counts[0]] * trials
-        if command == "sweep":
-            # Each grid point starts a table of its own, which holds that
-            # point's compiled round and nothing more.
-            sizes = []
-            for beta_sq in payload["grid"]:
-                table = TransitionTable()
-                model = AttackModel.entangle_measure(beta_sq, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A)
-                for j, k in product((0, 1), repeat=2):
-                    leaf_weights(table, SchedulePolicy(0.25, 0.1, 0.4), model, j, k)
-                sizes.append(len(table))
-            assert [counts[0] for counts in experiments] == sizes
+        assert len(lines) == experiments
+        # The count is the size of the experiment's table, which holds its
+        # compiled round and nothing more: each grid point starts a table
+        # of its own.
+        sizes = []
+        for schedule, model in models:
+            table = TransitionTable()
+            for j, k in product((0, 1), repeat=2):
+                leaf_weights(table, schedule, model, j, k)
+            sizes.append(len(table))
+        assert lines == ["experiment: %d trials, %d transition table edges" % (trials, size) for size in sizes]
 
 
 class TestTrialProgress:

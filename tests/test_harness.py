@@ -22,9 +22,17 @@ from qsdc3.harness import (
     run_experiment,
     wilson_interval,
 )
-from qsdc3.protocol import AbortPolicy, MessageTriple, ProtocolAborted, RoundKind, SchedulePolicy, run_protocol
+from qsdc3.protocol import (
+    AbortPolicy,
+    MessageTriple,
+    ProtocolAborted,
+    RoundBudgetExceeded,
+    RoundKind,
+    SchedulePolicy,
+    run_protocol,
+)
 from qsdc3.states import Basis, JointState, Pauli, TransitionTable
-from test_protocol import RECORD, SHARED_TABLE_CASES
+from test_protocol import BITS, G_TEST_CASES, RECORD, SHARED_TABLE_CASES, chi_square_quantile, two_sample_g
 
 AB = ChannelSegment.A_TO_B
 BC = ChannelSegment.B_TO_C
@@ -167,14 +175,15 @@ class TestRunScope:
 
     def test_seeds_are_spawned_one_trial_at_a_time(self, monkeypatch):
         # A run of 100,000 trials holds no seed for a trial that has not
-        # started: nothing is allocated in proportion to ``trials``.
+        # started: nothing is allocated in proportion to ``trials``.  The
+        # experiment draws its trials' counts, so the first draw stops it.
         class FirstTrial(Exception):
             pass
 
         def first_trial(*args, **kwargs):
             raise FirstTrial
 
-        monkeypatch.setattr(harness, "run_protocol", first_trial)
+        monkeypatch.setattr(harness._TrialLaw, "draw", first_trial)
         config = ExperimentConfig(message_length=8, trials=100_000, seed=9)
         tracemalloc.start()
         try:
@@ -184,6 +193,21 @@ class TestRunScope:
         finally:
             tracemalloc.stop()
         assert peak < 1_000_000
+
+    def test_each_trial_draws_from_its_own_spawned_child(self, monkeypatch):
+        # The seed contract: trial t draws from a fresh default_rng(child t)
+        # of the config's SeedSequence.
+        states = []
+        draw = harness._TrialLaw.draw
+
+        def recording_draw(law, rng, length, max_rounds):
+            states.append(rng.bit_generator.state)
+            return draw(law, rng, length, max_rounds)
+
+        monkeypatch.setattr(harness._TrialLaw, "draw", recording_draw)
+        run_experiment(ExperimentConfig(message_length=8, trials=5, seed=21))
+        children = np.random.SeedSequence(21).spawn(5)
+        assert states == [np.random.default_rng(child).bit_generator.state for child in children]
 
     def test_repeated_runs_validate_the_same_states(self, monkeypatch):
         # Each run builds its own table, so nothing one run built is
@@ -207,44 +231,65 @@ class TestRunScope:
 
 
 class TestExperimentTable:
-    """An experiment builds one transition table, walked by every trial."""
+    """An experiment builds one transition table: its compiled round is
+    weighed there once, and every trial draws from it."""
 
     @pytest.fixture
     def walked(self, monkeypatch):
-        """The tables built, and the table each session was given."""
-        built, given = [], []
+        """The tables built, the table of each root the harness weighed and
+        the table each session was given."""
+        built, weighed, given = [], [], []
 
         def recording_table():
             built.append(TransitionTable())
             return built[-1]
 
+        def recording_weights(table, schedule, model, j, k):
+            weighed.append(table)
+            return leaf_weights(table, schedule, model, j, k)
+
         def recording_session(*args, table=None, **kwargs):
             given.append(table)
             return run_protocol(*args, table=table, **kwargs)
 
+        leaf_weights = harness.leaf_weights
         monkeypatch.setattr(harness, "TransitionTable", recording_table)
+        monkeypatch.setattr(harness, "leaf_weights", recording_weights)
         monkeypatch.setattr(harness, "run_protocol", recording_session)
-        return built, given
+        return built, weighed, given
 
     def test_run_experiment_builds_one_table_for_every_trial(self, walked):
-        built, given = walked
+        built, weighed, given = walked
         attack = AttackModel.intercept_resend(AB)
         run_experiment(ExperimentConfig(message_length=8, trials=5, attack=attack, seed=3))
         assert len(built) == 1 and len(built[0]) > 0
-        assert len(given) == 5 and all(table is built[0] for table in given)
+        assert weighed == [built[0]] * 4 and given == []
+        # A strict experiment whose checks can fail runs a session per
+        # trial, on the same table.
+        strict = ExperimentConfig(
+            message_length=8,
+            trials=5,
+            attack=AttackModel.intercept_resend(AB, attack_probability=0.001),
+            abort_policy=AbortPolicy.STRICT,
+            seed=3,
+        )
+        run_experiment(strict)
+        assert len(built) == 2 and weighed[4:] == [built[1]] * 4
+        assert len(given) == 5 and all(table is built[1] for table in given)
 
     def test_a_detection_curve_builds_one_table_per_grid_point(self, walked):
-        built, given = walked
+        built, weighed, given = walked
         entangle_measure_curve([0.0, 0.5, 1.0], message_length=4, trials=3, seed=5)
         assert len(built) == 3 and len({id(table) for table in built}) == 3
-        assert given == [table for table in built for _ in range(3)]
+        assert weighed == [table for table in built for _ in range(4)]
+        assert given == []
 
     def test_a_probe_experiment_validates_each_distinct_state_once(self, monkeypatch):
-        # Counted inside the sessions only, since the exact enumeration
-        # builds states of its own.  One table per session would validate
-        # its states again in each of the 40 trials.
+        # Counted outside the exact enumeration, which builds states of its
+        # own: the experiment's table validates each state it holds once,
+        # and its 40 trials validate none.
         calls = []
-        counting = [False]
+        counting = [True]
         original = JointState.__post_init__
 
         def count(state):
@@ -252,15 +297,16 @@ class TestExperimentTable:
                 calls.append(state)
             original(state)
 
-        def counted_session(*args, **kwargs):
-            counting[0] = True
+        def uncounted_analytic(*args, **kwargs):
+            counting[0] = False
             try:
-                return run_protocol(*args, **kwargs)
+                return analytic(*args, **kwargs)
             finally:
-                counting[0] = False
+                counting[0] = True
 
+        analytic = harness._Aggregator._analytic
         monkeypatch.setattr(JointState, "__post_init__", count)
-        monkeypatch.setattr(harness, "run_protocol", counted_session)
+        monkeypatch.setattr(harness._Aggregator, "_analytic", uncounted_analytic)
         config = ExperimentConfig(
             message_length=16,
             trials=40,
@@ -289,6 +335,7 @@ class TestExperimentTable:
 
         leaf_weights, leaf = protocol.leaf_weights, protocol.Leaf
         monkeypatch.setattr(protocol, "leaf_weights", recording_weights)
+        monkeypatch.setattr(harness, "leaf_weights", recording_weights)
         monkeypatch.setattr(protocol, "Leaf", recording_leaf)
         attack = AttackModel.entangle_measure(0.5, AB, CA, attack_probability=0.7)
         config = ExperimentConfig(
@@ -300,10 +347,10 @@ class TestExperimentTable:
             seed=12,
         )
         run_experiment(config)
-        # One table, so one compiled round; the first session weighs its
-        # four roots, building each leaf once, and every later round of
-        # every trial draws from them.  The exact enumerator weighs its
-        # check-forcing schedules on tables of its own.
+        # One table, so one compiled round: the experiment weighs its four
+        # roots once, building each leaf once, and every trial draws its
+        # counts of them.  The exact enumerator weighs its check-forcing
+        # schedules on tables of its own.
         assert len({table for table, schedule, _ in built if schedule == config.schedule}) == 1
         assert len(set(built)) == len(built) > 40
 
@@ -391,19 +438,16 @@ class TestLeakageCounts:
             assert plugin_mutual_information(ys, xs) == _list_mutual_information(ys, xs)
 
     def test_a_long_experiment_holds_at_most_32_keys_and_reports_the_list_values(self, monkeypatch):
-        aggregators, sessions = [], []
+        # The report's values are those of the per-round lists that the
+        # counted message rounds spell out, one entry per round.
+        aggregators = []
         build = harness._Aggregator.build
 
         def recording_build(self, aborted=None):
             aggregators.append(self)
             return build(self, aborted)
 
-        def recording_session(*args, **kwargs):
-            sessions.append(run_protocol(*args, **kwargs))
-            return sessions[-1]
-
         monkeypatch.setattr(harness._Aggregator, "build", recording_build)
-        monkeypatch.setattr(harness, "run_protocol", recording_session)
         # Intercept-resend on every segment garbles some announcements, so
         # the XOR identity fails on some rounds and every MI is above 0.
         config = ExperimentConfig(
@@ -416,18 +460,16 @@ class TestLeakageCounts:
         (aggregator,) = aggregators
         assert leakage.rounds_audited == 10_000
         assert 0 < len(aggregator.leakage_counts) <= 32
-        rounds = [rec for result in sessions for rec in result.records if rec.kind is RoundKind.MESSAGE]
-        xy = [2 * x + y for x, y in (rec.announcement for rec in rounds)]
-        xor_announced = [x ^ y for x, y in (rec.announcement for rec in rounds)]
-        xor_secret = [rec.bob_bit ^ rec.charlie_bit for rec in rounds]
+        rounds = [key for key, c in aggregator.leakage_counts.items() for _ in range(c)]
+        xy = [2 * x + y for x, y, _, _, _ in rounds]
+        xor_announced = [x ^ y for x, y, _, _, _ in rounds]
+        xor_secret = [j ^ k for _, _, _, j, k in rounds]
         hits = sum(a == b for a, b in zip(xor_announced, xor_secret))
         assert 0 < hits < len(rounds) == 10_000
         assert leakage.xor_identity_fraction == hits / len(rounds)
-        assert leakage.mi_announcement_vs_alice == _list_mutual_information(xy, [r.alice_bit for r in rounds])
-        assert leakage.mi_announcement_vs_bob == _list_mutual_information(xy, [r.bob_bit for r in rounds])
-        assert leakage.mi_announcement_vs_charlie == _list_mutual_information(
-            xy, [r.charlie_bit for r in rounds]
-        )
+        for name, secret in (("alice", 2), ("bob", 3), ("charlie", 4)):
+            reference = _list_mutual_information(xy, [key[secret] for key in rounds])
+            assert getattr(leakage, "mi_announcement_vs_" + name) == reference
         assert leakage.mi_xor_announced_vs_xor_secret == _list_mutual_information(xor_announced, xor_secret)
 
 
@@ -468,8 +510,27 @@ def record_fold(messages, records, transcript, eve_records, decoded=None):
     return checks, families, leakage, eve, hits
 
 
+def law_counts(law, leaves, alice_bits):
+    """A session's leaves counted in the layout of ``law``'s count array:
+    the n-th message leaf in the row of Alice's n-th bit."""
+    cell = {}
+    for row, column, leaf in law.cells:
+        cell.setdefault(leaf, (row - row % 3, column))
+    counts = np.zeros_like(law.pvals, dtype=np.int64)
+    bits = iter(alice_bits)
+    for leaf in leaves:
+        row, column = cell[leaf]
+        counts[row + (next(bits) if leaf.kind is RoundKind.MESSAGE else 2), column] += 1
+    return counts
+
+
 class TestLeafFold:
-    """Counting leaves gives the counts that folding the records gave."""
+    """Counting leaves gives the counts that folding the records gave.
+
+    Strict experiments whose checks can fail fold each session's leaves
+    (``add_leaves``); the others fold count arrays (``add_totals`` and the
+    law's miss cells), which must fold a session's leaves to the same
+    counts."""
 
     @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
     @pytest.mark.parametrize(
@@ -498,6 +559,27 @@ class TestLeafFold:
         if policy is AbortPolicy.STRICT and attack is not None:
             assert aborted == 6
 
+    @pytest.mark.parametrize(
+        "attack", [pytest.param(case.values[0], id=case.id) for case in SHARED_TABLE_CASES if case.values[1] is RECORD]
+    )
+    def test_the_count_fold_equals_the_leaf_fold(self, attack):
+        table = TransitionTable()
+        schedule = SchedulePolicy(0.25, 0.25, 0.4)
+        model = attack if attack is not None else AttackModel.none()
+        law = harness._TrialLaw([protocol.leaf_weights(table, schedule, model, j, k) for j in (0, 1) for k in (0, 1)])
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            messages = MessageTriple.random(48, rng)
+            leaves = run_protocol(messages, schedule, rng, attack, RECORD, table=table).leaves
+            counts = law_counts(law, leaves, messages.alice_bits)
+            by_leaves, by_counts = harness._Aggregator(ExperimentConfig()), harness._Aggregator(ExperimentConfig())
+            keys = by_leaves.add_leaves(leaves, messages.alice_bits)
+            by_counts.add_totals(law, counts)
+            assert by_counts.leaf_counts == by_leaves.leaf_counts
+            assert by_counts.leakage_counts == by_leaves.leakage_counts
+            assert law.view_hits(counts, 48) == harness._view_hits(keys)
+            assert law.failed_checks(counts) == sum(leaf.passed is False for leaf in leaves)
+
 
 class TestTrialLog:
     """A trial's INFO line counts its failed checks only when it is shown;
@@ -509,12 +591,20 @@ class TestTrialLog:
 
     def test_below_info_the_leaves_are_not_read(self, caplog):
         caplog.set_level(logging.WARNING, logger="qsdc3")
-        harness._log_trial(0, self.Unread())
+        harness._log_trial(0, 3, harness._failed_in(self.Unread()))
         assert caplog.records == []
+
+    def test_at_info_the_failed_checks_are_counted(self, caplog):
+        caplog.set_level(logging.INFO, logger="qsdc3")
+        leaves = [protocol.Leaf(RoundKind.BOB_EAVESDROP_CHECK, (), passed, (), None, None, (), (), None)
+                  for passed in (True, False, False)]
+        harness._log_trial(4, 3, harness._failed_in(leaves), ", aborted")
+        assert [r.getMessage() for r in caplog.records] == ["trial 4: rounds 3, failed checks 2, aborted"]
 
 
 class TestSessionBoundary:
-    """An experiment runs one protocol session per trial."""
+    """A strict experiment whose checks can fail runs one protocol session
+    per trial; every other experiment runs none."""
 
     @pytest.fixture
     def sessions(self, monkeypatch):
@@ -534,9 +624,33 @@ class TestSessionBoundary:
         return ended
 
     def test_one_session_per_completed_trial(self, sessions):
-        config = ExperimentConfig(message_length=8, trials=7, attack=AttackModel.intercept_resend(AB), seed=4)
+        config = ExperimentConfig(
+            message_length=8,
+            trials=7,
+            attack=AttackModel.intercept_resend(AB, attack_probability=0.001),
+            abort_policy=AbortPolicy.STRICT,
+            seed=4,
+        )
         assert run_experiment(config).rounds_total == sum(rounds for rounds, _ in sessions)
-        assert len(sessions) == 7
+        assert sessions and [aborted for _, aborted in sessions] == [False] * 7
+
+    @pytest.mark.parametrize(
+        "attack, policy",
+        [
+            (AttackModel.intercept_resend(AB), AbortPolicy.RECORD_AND_CONTINUE),
+            (AttackModel.none(), AbortPolicy.STRICT),
+            (AttackModel.entangle_measure(0.0, AB, CA), AbortPolicy.STRICT),
+        ],
+        ids=["record_and_continue", "strict_without_attack", "strict_without_a_failable_check"],
+    )
+    def test_an_experiment_whose_checks_cannot_abort_runs_no_session(self, sessions, attack, policy):
+        # A probe of coupling 0 acts on every crossing, yet no check can
+        # fail: no leaf of the round fails, so the strict experiment draws
+        # counts too.
+        config = ExperimentConfig(message_length=8, trials=7, attack=attack, abort_policy=policy, seed=4)
+        result = run_experiment(config)
+        assert result.trials_completed == 7
+        assert sessions == []
 
     def test_the_aborting_trial_runs_one_session(self, sessions):
         # The first trials complete; the aborting one is the last session,
@@ -556,6 +670,119 @@ class TestSessionBoundary:
         assert [aborted for _, aborted in sessions] == [False] * trial + [True]
         assert info.value.partial.rounds_total == sum(rounds for rounds, _ in sessions)
         assert info.value.partial.trials_completed == trial
+
+
+def experiment_law(schedule, model):
+    """A fresh table, its compiled round's four roots' ``leaf_weights`` and
+    the :class:`harness._TrialLaw` read from them."""
+    table = TransitionTable()
+    roots = [protocol.leaf_weights(table, schedule, model, j, k) for j, k in BITS]
+    return table, roots, harness._TrialLaw(roots)
+
+
+class TestTrialLaw:
+    """Trials that cannot abort draw their leaf counts from the exact law:
+    per root r with message weight m_r, each bit's rounds are geometric
+    with p = m_r, the message leaves multinomial(N_ri, w / m_r) under
+    Alice's bit i and the check leaves multinomial(C_r, w / (1 - m_r))."""
+
+    @pytest.mark.parametrize("schedule, model, seed", G_TEST_CASES)
+    def test_each_leaf_count_has_its_exact_mean(self, schedule, model, seed):
+        # Summed over 2,000 trials, each leaf's count meets its exact mean
+        # given the trials' N_ri and C_r, and C_r meets its mean given N_r,
+        # each within 4 standard errors; the N_ri meet L / 8 per trial.
+        _, roots, law = experiment_law(schedule, model)
+        rng = np.random.default_rng(seed)
+        length, trials = 64, 2000
+        totals = np.zeros_like(law.pvals, dtype=np.int64)
+        for _ in range(trials):
+            counts, rounds = law.draw(rng, length, 1000 + 50 * length)
+            assert rounds == counts.sum()
+            totals += counts
+        given = totals.sum(axis=1)  # the trials' N_ri and C_r, summed
+        column = {leaf: column for _, column, leaf in law.cells}
+        placed = np.zeros_like(totals)
+        for r, weighed in enumerate(roots):
+            drawable = [(weight, leaf) for weight, leaf in weighed if weight > 0.0]
+            message = sum(weight for weight, leaf in drawable if leaf.kind is RoundKind.MESSAGE)
+            check = sum(weight for weight, leaf in drawable if leaf.kind is not RoundKind.MESSAGE)
+            for weight, leaf in drawable:
+                if leaf.kind is RoundKind.MESSAGE:
+                    cells = [(3 * r + i, weight / message) for i in (0, 1)]
+                else:
+                    cells = [(3 * r + 2, weight / check)]
+                for row, p in cells:
+                    observed = totals[row, column[leaf]]
+                    placed[row, column[leaf]] = observed
+                    mean, se = given[row] * p, math.sqrt(given[row] * p * (1.0 - p))
+                    assert abs(observed - mean) <= 4.0 * se, (leaf.path, row, observed, mean, se)
+            m = message / (message + check)
+            bits = given[3 * r] + given[3 * r + 1]
+            mean, se = bits * (1.0 - m) / m, math.sqrt(bits * (1.0 - m)) / m
+            assert abs(given[3 * r + 2] - mean) <= 4.0 * se, (r, given[3 * r + 2], mean, se)
+            for i in (0, 1):
+                mean, se = trials * length / 8, math.sqrt(trials * length * 7 / 64)
+                assert abs(given[3 * r + i] - mean) <= 4.0 * se
+        # No count lands on a cell that holds no leaf.
+        assert (placed == totals).all()
+
+    @pytest.mark.parametrize("schedule, model, seed", G_TEST_CASES)
+    def test_the_counts_and_the_sessions_pass_a_two_sample_g_test(self, schedule, model, seed):
+        table, _, law = experiment_law(schedule, model)
+        rng = np.random.default_rng(seed)
+        sessions = Counter()
+        while sessions.total() < 200_000:
+            messages = MessageTriple.random(1000, rng)
+            sessions.update(run_protocol(messages, schedule, rng, model, RECORD, table=table).leaves)
+        totals = np.zeros_like(law.pvals, dtype=np.int64)
+        while totals.sum() < 200_000:
+            totals += law.draw(rng, 1000, 51_000)[0]
+        drawn = Counter()
+        for row, column, leaf in law.cells:
+            drawn[leaf] += int(totals[row, column])
+        g, df = two_sample_g(+drawn, sessions)
+        assert g < chi_square_quantile(1e-6, df), (g, df)
+
+    def test_a_trial_past_the_budget_reads_its_delivered_bits_from_the_running_sum(self):
+        class Scripted:
+            """Bits all 0, and three bits of 3, 4 and 5 rounds."""
+
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+            def geometric(self, p):
+                return np.array([3, 4, 5])
+
+            def multinomial(self, n, pvals):
+                return np.random.default_rng(0).multinomial(n, pvals)
+
+        _, _, law = experiment_law(SchedulePolicy(), AttackModel.none())
+        with pytest.raises(RoundBudgetExceeded, match="^budget of 11 rounds exhausted with 2 of 3 bits delivered$"):
+            law.draw(Scripted(), 3, 11)
+        counts, rounds = law.draw(Scripted(), 3, 12)
+        assert rounds == counts.sum() == 12
+
+    @pytest.mark.parametrize(
+        "schedule, delivered",
+        [
+            (SchedulePolicy(1.0, 0.0, 0.0), "0"),
+            # A message weight of 2**-159: each bit's draw saturates int64.
+            (SchedulePolicy(1.0 - 2**-53, 1.0 - 2**-53, 1.0 - 2**-53), "0"),
+            (SchedulePolicy(0.99, 0.0, 0.0), "[1-9][0-9]?"),
+        ],
+        ids=["no_message_leaf", "message_weight_2^-159", "message_weight_0.01"],
+    )
+    def test_a_near_zero_message_schedule_runs_out_of_budget(self, schedule, delivered):
+        # The session's message, with the bits the running sum delivered
+        # within the default budget of 1000 + 50 * 100 rounds.
+        message = "^budget of 6000 rounds exhausted with %s of 100 bits delivered$" % delivered
+        for policy in AbortPolicy:
+            config = ExperimentConfig(message_length=100, trials=3, schedule=schedule, abort_policy=policy, seed=7)
+            with pytest.raises(RoundBudgetExceeded, match=message):
+                run_experiment(config)
+        rng = np.random.default_rng(7)
+        with pytest.raises(RoundBudgetExceeded, match=message):
+            run_protocol(MessageTriple.random(100, rng), schedule, rng)
 
 
 class TestExhaustiveOracle:
@@ -631,32 +858,44 @@ class TestDetectionCurve:
         with pytest.raises(ValueError, match="check kind"):
             entangle_measure_curve([0.5], check_kinds=("sideways_check",))
 
-    # Each of these once ran: True as a coupling of 1.0, "0.5" as 0.5, a
-    # seed of True as 1, and a repeated kind's rows twice, identical.  A
-    # float or negative seed failed inside numpy, naming no field, and
-    # "ab_check" as the unknown kind "a".
+    # Each of these once ran: True as a coupling of 1.0, "0.5" as 0.5 (in
+    # ``detection_curve`` too, whatever ``make_attack`` accepts), a seed of
+    # True as 1, and a repeated kind's rows twice, identical.  A float or
+    # negative seed failed inside numpy, naming no field, and "ab_check" as
+    # the unknown kind "a".
     @pytest.mark.parametrize(
-        "grid, kwargs, field",
+        "curve, grid, kwargs, field",
         [
-            ([0.5, True], {}, "grid"),
-            (["0.5"], {}, "grid"),
-            ([0.5], {"seed": True}, "seed"),
-            ([0.5], {"seed": 2.5}, "seed"),
-            ([0.5], {"seed": -1}, "seed"),
-            ([0.5], {"check_kinds": "ab_check"}, "check_kinds"),
-            ([0.5], {"check_kinds": []}, "check_kinds"),
-            ([0.5], {"check_kinds": ["ab_check", "ab_check"]}, "check_kinds"),
+            (entangle_measure_curve, [0.5, True], {}, "grid"),
+            (entangle_measure_curve, ["0.5"], {}, "grid"),
+            (entangle_measure_curve, [0.5], {"seed": True}, "seed"),
+            (entangle_measure_curve, [0.5], {"seed": 2.5}, "seed"),
+            (entangle_measure_curve, [0.5], {"seed": -1}, "seed"),
+            (entangle_measure_curve, [0.5], {"check_kinds": "ab_check"}, "check_kinds"),
+            (entangle_measure_curve, [0.5], {"check_kinds": []}, "check_kinds"),
+            (entangle_measure_curve, [0.5], {"check_kinds": ["ab_check", "ab_check"]}, "check_kinds"),
+            ("any", [True, "0.5"], {}, "grid"),
+            ("any", [0.5, True], {}, "grid"),
+            ("any", ["0.5"], {}, "grid"),
+            ("any", [0.5, None], {}, "grid"),
+            ("any", [0.5, 0.5j], {}, "grid"),
         ],
         ids=["bool_grid_value", "string_grid_value", "bool_seed", "float_seed", "negative_seed",
-             "string_check_kinds", "empty_check_kinds", "repeated_check_kind"],
+             "string_check_kinds", "empty_check_kinds", "repeated_check_kind", "detection_curve_bool_and_string",
+             "detection_curve_bool", "detection_curve_string", "detection_curve_none", "detection_curve_complex"],
     )
-    def test_a_bad_argument_is_rejected_before_any_experiment(self, monkeypatch, grid, kwargs, field):
+    def test_a_bad_argument_is_rejected_before_any_experiment(self, monkeypatch, curve, grid, kwargs, field):
         def no_experiment(config):
             raise AssertionError("an experiment ran")
 
+        def any_coupling(*args, **kwargs):
+            # A ``make_attack`` that takes any value it is given.
+            return detection_curve(lambda value: AttackModel.intercept_resend(AB), *args, **kwargs)
+
         monkeypatch.setattr(harness, "run_experiment", no_experiment)
+        run_curve = any_coupling if curve == "any" else curve
         with pytest.raises(ValueError, match=field):
-            entangle_measure_curve(grid, message_length=2, trials=1, **kwargs)
+            run_curve(grid, message_length=2, trials=1, **kwargs)
 
 
 class TestConfigValidation:
@@ -797,9 +1036,9 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("no_attack", "1bf5503eb57fa2c5e1d00541f1d77fa31f18bf3144e3417c91950759a2377d40"),
-            ("intercept_resend_ab", "6a0b34b8c087dd6fccbdc78505e31925844fd2e1d2caea75a5ca34e955eca803"),
-            ("entangle_measure_ab_ca", "34fd4a9d5576986e64cdfe1c2783ec260c17d3e9963d29de3898f1663b715a56"),
+            ("no_attack", "d878aaeb86eca925cc41898f098e69a45f76fdb205815e97c1a77fe3ea8b629a"),
+            ("intercept_resend_ab", "a9681b234c226786729f15212a2e663c907b85aee7f23c0f987258554f7db972"),
+            ("entangle_measure_ab_ca", "26a2e84b3c5a6e3ffdfa38c97ed53030dd6eaddedd34fad6cd983dd79c0f4e89"),
         ],
         ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"],
     )
@@ -809,9 +1048,9 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("gated_disturbance_bc_ca", "7c22984a7263450a9d853ea1132afbe1e5c65556c8144beaf14405bbb3c953df"),
-            ("gated_intercept_all", "5eea3ad92ddaac7f1a50bf6fe7a55e59ae50da768403edcb671228f367e20bb4"),
-            ("gated_probe_all", "8edd93493620eb25b92c800a9bb167611ee8afb351f6f2e9ae61c323d5070825"),
+            ("gated_disturbance_bc_ca", "1b8d663e63ea1a26fc57512862548e5cc7af02c936d81dedbebf760e54ab150b"),
+            ("gated_intercept_all", "cc4df9f6acdbc2b2f2f1b401af51dcf0c60db897abacbb75991c8d4f2f7bfb8e"),
+            ("gated_probe_all", "bc9b8cb071ab9126222cc9faec29f6ec437321e22fccecfaa3312a42224c616c"),
         ],
         ids=["gated_disturbance_bc_ca", "gated_intercept_all", "gated_probe_all"],
     )
@@ -828,12 +1067,12 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("no_attack", "7f97947992332c5ce08feda09a1f74f4b6b9143b38e303611e8d8603ddf6264e"),
-            ("intercept_resend_ab", "8edeeae472ec00455a1f08f019ec9f9130b8e0f161dc1e6101845bafdd0f672a"),
-            ("entangle_measure_ab_ca", "c2ae60383748979f2a3db5accf94e91d0c6f3aabd2485f5489cf46008cb15384"),
-            ("gated_disturbance_bc_ca", "cd5792cd66cd0130467a34420ca61433da66a12a4fb2052da9fd7a54696e4d18"),
-            ("gated_intercept_all", "1da08a314f881eb16406bae48829620dcc13bd0563949a46dc05d2b8779ac223"),
-            ("gated_probe_all", "e78dcd3ed1031dcb070d0d4fe06fe82c9acb41d7d3888bfa85ad136b3da26595"),
+            ("no_attack", "aee9e75b2268793fb920b4c63ddc1f65b358a2b2447d137736a5aa83214687b6"),
+            ("intercept_resend_ab", "71357b82dfd58a777d41c2e7eaaab053117e26b915ad96d202e3991c2261223b"),
+            ("entangle_measure_ab_ca", "1bb5a41052079f996aecf35ebe365fc57166d9aa41bb9c4a1c7347dbdc887e4c"),
+            ("gated_disturbance_bc_ca", "7ad280ab0e6980d2fd673ec5e4175ae92967c3f65498723277fec12b955ba90f"),
+            ("gated_intercept_all", "38c9b15aff4307b4a74c922ef81eeffa667965dc4941ea815cfe02a8adc580d4"),
+            ("gated_probe_all", "56077e021151960a3a7af0e5efe4bbcc558e0e49096da2baa332ad5955d8d68a"),
             ("strict_abort", "830f15887d0de16e10ad67f6a1305c12b9a8778762ccd04119ae7b186a62af0c"),
         ],
         ids=list(PINNED_CONFIGS),

@@ -466,8 +466,15 @@ class TestRunProtocol:
 
     def test_round_budget_exceeded(self, rng):
         messages = MessageTriple.random(4, rng)
-        with pytest.raises(RoundBudgetExceeded):
+        with pytest.raises(RoundBudgetExceeded, match="budget of 64 rounds exhausted with 0 of 4 bits delivered"):
             run_protocol(messages, SchedulePolicy(p_ab_check=1.0), rng, max_rounds=64)
+
+    # 2.5 once raised TypeError from range(), naming no field.
+    @pytest.mark.parametrize("max_rounds", [2.5, True, 0], ids=repr)
+    def test_a_budget_that_is_not_an_integer_of_at_least_one_is_rejected(self, rng, max_rounds):
+        messages = MessageTriple.random(4, rng)
+        with pytest.raises(ValueError, match="max_rounds"):
+            run_protocol(messages, SchedulePolicy(), rng, max_rounds=max_rounds)
 
     def test_attack_touched_segments_recorded(self, rng):
         messages = MessageTriple.random(16, rng)
@@ -1057,6 +1064,22 @@ def g_statistic(weighed_roots, counts):
                 g += 2.0 * observed * math.log(observed / (sampled * weight))
         df += len(drawable) - 1
     return g, df
+
+
+def two_sample_g(first, second):
+    """The G statistic of two samples of leaves, counted in ``first`` and
+    ``second``, against one law for both (a 2 x K contingency table), and
+    its degrees of freedom, K - 1 over the K leaves either sample reached."""
+    total_first, total_second = first.total(), second.total()
+    share = total_first / (total_first + total_second)
+    g = 0.0
+    reached = set(first) | set(second)
+    for leaf in reached:
+        both = first[leaf] + second[leaf]
+        for observed, expected in ((first[leaf], both * share), (second[leaf], both * (1.0 - share))):
+            if observed:
+                g += 2.0 * observed * math.log(observed / expected)
+    return g, len(reached) - 1
 
 
 # The acceptance configurations whose leaf histograms are tested, each with

@@ -29,7 +29,9 @@ from qsdc3.states import (
     apply_pauli_on_transit,
     attach_ancilla_and_entangle,
     bell_state,
+    check_integer,
     check_probability,
+    check_real,
     collapse_outcome,
     decoy_basis_and_bit,
     outcome_probabilities,
@@ -294,6 +296,29 @@ def test_check_probability_returns_a_real_number_in_range_unchanged(value):
 def test_check_probability_names_the_field_of_any_other_value(value):
     with pytest.raises(ValueError, match="p_field"):
         check_probability("p_field", value)
+
+
+@pytest.mark.parametrize("value", [-2, 0.5, 1.5, float("nan"), np.float32(-0.5), np.int64(7)], ids=repr)
+def test_check_real_returns_any_real_number_unchanged(value):
+    assert check_real("x", value) is value
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(False), "0.5", None, 0.5j, [0.5]], ids=repr)
+def test_check_real_names_the_field_of_any_other_value(value):
+    with pytest.raises(ValueError, match="x_field"):
+        check_real("x_field", value)
+
+
+@pytest.mark.parametrize("value", [1, 7, np.int32(3), np.uint8(1)], ids=repr)
+def test_check_integer_returns_an_int(value):
+    assert check_integer("n", value, 1) == value
+    assert type(check_integer("n", value, 1)) is int
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, True, np.bool_(True), "8", None, 0, -1], ids=repr)
+def test_check_integer_names_the_field_of_a_non_integer_or_one_below_the_least(value):
+    with pytest.raises(ValueError, match="n_field"):
+        check_integer("n_field", value, 1)
 
 
 class TestProbeCoupling:
@@ -574,7 +599,7 @@ class TestDerivedStates:
 PINNED_REPORTS = [
     (
         ExperimentConfig(message_length=16, trials=4, seed=1),
-        "1bf5503eb57fa2c5e1d00541f1d77fa31f18bf3144e3417c91950759a2377d40",
+        "d878aaeb86eca925cc41898f098e69a45f76fdb205815e97c1a77fe3ea8b629a",
     ),
     (
         ExperimentConfig(
@@ -584,7 +609,7 @@ PINNED_REPORTS = [
             attack=AttackModel.intercept_resend(ChannelSegment.A_TO_B),
             seed=2,
         ),
-        "6a0b34b8c087dd6fccbdc78505e31925844fd2e1d2caea75a5ca34e955eca803",
+        "a9681b234c226786729f15212a2e663c907b85aee7f23c0f987258554f7db972",
     ),
     (
         ExperimentConfig(
@@ -594,7 +619,7 @@ PINNED_REPORTS = [
             attack=AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
             seed=3,
         ),
-        "34fd4a9d5576986e64cdfe1c2783ec260c17d3e9963d29de3898f1663b715a56",
+        "26a2e84b3c5a6e3ffdfa38c97ed53030dd6eaddedd34fad6cd983dd79c0f4e89",
     ),
 ]
 
