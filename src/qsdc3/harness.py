@@ -16,23 +16,23 @@ its compiled round there once: each root's leaves with their exact weights
 (``protocol.leaf_weights``), and the states they reach, each built and
 validated once per experiment; a detection curve builds one table per grid
 point.  A trial draws its three messages, then its leaf counts from their
-exact law (:class:`_TrialLaw`): one ``geometric`` draw per message bit
-gives its rounds, and one ``multinomial`` call the counts of every leaf,
-so a trial's cost grows with its bits and the round's leaves, not with its
-rounds.  Only a strict experiment whose round has a check that can fail
-runs one ``protocol.run_protocol`` session per trial on the table instead,
-since the order of its rounds decides which trial and which round abort.
-Either way the report is a fold of leaf counts (:class:`_Aggregator`): an
-experiment builds no round record, transcript or decoded message.
-Its analytic column weighs each check-forced round once: the five rows
-(three check kinds, two decoy families) read three weighings.
+exact law under the experiment's abort policy (:class:`_TrialLaw`): one
+``geometric`` draw per message bit gives its rounds, under the strict
+policy one uniform per bit whether its stopping round is a failed check
+that ends the trial, and one ``multinomial`` call the counts of every
+leaf, so a trial's cost grows with its bits and the round's leaves, not
+with its rounds.  The report is a fold of leaf counts
+(:class:`_Aggregator`): an experiment runs no protocol session and builds
+no round record, transcript or decoded message.  Its analytic column
+weighs each check-forced round once: the five rows (three check kinds, two
+decoy families) read three weighings.  Only the decode oracle
+(:func:`exhaustive_oracle`) runs ``protocol.run_protocol`` sessions.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -50,7 +50,6 @@ from .adversary import (
 from .protocol import (
     AbortPolicy,
     MessageTriple,
-    ProtocolAborted,
     RoundBudgetExceeded,
     RoundKind,
     SchedulePolicy,
@@ -325,58 +324,53 @@ def _decoded_wrong(x, y, i, j, k):
 _VIEW_MISSES = {key: _decoded_wrong(*key) for key in product((0, 1), repeat=5)}
 
 
-def _view_hits(keys):
-    """Each view's right bits over message rounds counted by leakage key:
-    every counted round, less the rounds whose key that view decodes wrong."""
-    hits = [sum(keys.values())] * 6
-    for key, c in keys.items():
-        for view in _VIEW_MISSES[key]:
-            hits[view] -= c
-    return hits
-
-
-def _log_trial(trial, rounds, failed, end=""):
-    # ``failed()`` counts the trial's failed checks: only when the line is shown.
+def _log_trial(trial, rounds, law, counts, end=""):
+    # The trial's failed checks are summed only when the line is shown.
     if log.isEnabledFor(logging.INFO):
-        log.info("trial %d: rounds %d, failed checks %d%s", trial, rounds, failed(), end)
-
-
-def _failed_in(leaves):
-    """A count of the failed checks among ``leaves``, for :func:`_log_trial`."""
-    return lambda: operator.countOf(map(operator.attrgetter("passed"), leaves), False)
+        log.info("trial %d: rounds %d, failed checks %d%s", trial, rounds, law.failed_checks(counts), end)
 
 
 class _TrialLaw:
-    """The exact law of one trial's leaf counts under record-and-continue,
-    read from an experiment's compiled round.
+    """The exact law of one trial's leaf counts, read from an experiment's
+    compiled round under its abort policy.
 
     A round's leaf depends only on its root, Bob's and Charlie's bits (j, k)
     of the message bit in flight, and the root changes only at a message
-    leaf.  So message bit b of root r takes G_b rounds, geometric with the
-    root's message weight m_r as its success probability: G_b - 1 check
-    rounds, each leaf of weight w with probability w / (1 - m_r), then one
-    message round, each leaf with probability w / m_r.  Summed over a
-    trial's bits, the message leaves of root r under Alice's bit i are
-    multinomial(N_ri, w / m_r), N_ri being the bits of root r and Alice bit
-    i, and its check leaves are multinomial(C_r, w / (1 - m_r)), C_r being
-    the sum of G_b - 1 over the root's bits.
+    leaf.  A bit stops at a message leaf, of weight m_r in all from root r,
+    or, under the strict policy, at a failed check, of weight f_r (else 0).
+    So bit b of root r takes G_b rounds, geometric with p = m_r + f_r; its
+    stop is a failed check with probability f_r / (m_r + f_r), and the
+    trial ends at its first failing bit.  Summed over the bits a trial
+    reaches, root r's message leaves under Alice's bit i are
+    multinomial(N_ri, w / m_r), N_ri being its delivered bits of Alice bit
+    i, its other check leaves multinomial(C_r, w / (1 - m_r - f_r)), C_r
+    being the sum of G_b - 1, and a failing leaf has probability w / f_r.
 
-    The counts are kept as a (12, width) array: row 3r + i holds root r's
-    message leaves under Alice's bit i, row 3r + 2 its check leaves.  A row
+    The counts are kept as a (16, width) array: row 3r + i holds root r's
+    message leaves under Alice's bit i, row 3r + 2 its check leaves that let
+    the trial go on, and row 12 + r its failed checks that end it (empty
+    under record-and-continue; the aborting root's row counts 1).  A row
     holds its leaves in ``leaf_weights`` order in its last columns, so the
     category numpy's multinomial gives the remainder is always a leaf.
     """
 
-    def __init__(self, roots):
-        """``roots``: each root's ``leaf_weights`` list, by 2 * j + k."""
-        rows = []
-        message_weight = []
+    def __init__(self, roots, strict):
+        """``roots``: each root's ``leaf_weights`` list, by 2 * j + k;
+        ``strict``: whether a failed check ends the trial."""
+        rows, fails = [], []
+        stop_weight, fail_share = [], []
         for weighed in roots:
             drawable = [(weight, leaf) for weight, leaf in weighed if weight > 0.0]
             message = [(weight, leaf) for weight, leaf in drawable if leaf.kind is _MESSAGE]
             checks = [(weight, leaf) for weight, leaf in drawable if leaf.kind is not _MESSAGE]
-            rows += [message, message, checks]
-            message_weight.append(sum(w for w, _ in message) / sum(w for w, _ in drawable))
+            failed = [(weight, leaf) for weight, leaf in checks if strict and leaf.passed is False]
+            go_on = [(weight, leaf) for weight, leaf in checks if not (strict and leaf.passed is False)]
+            rows += [message, message, go_on]
+            fails.append(failed)
+            m, f = sum(w for w, _ in message), sum(w for w, _ in failed)
+            stop_weight.append((m + f) / sum(w for w, _ in drawable))
+            fail_share.append(f / (m + f) if f else 0.0)
+        rows += fails
         width = max(map(len, rows))
         self.pvals = np.zeros((len(rows), width))
         # (row, column, leaf) of every leaf a row can reach.
@@ -386,11 +380,13 @@ class _TrialLaw:
             for column, (weight, leaf) in enumerate(row, width - len(row)):
                 self.pvals[index, column] = weight / total
                 self.cells.append((index, column, leaf))
-        # A root that never sends its bit stalls the trial until the budget
+        # A root whose bits never stop stalls the trial until the budget
         # runs out; its draws use p = 1 and are then replaced.
-        self.stalls = np.array(message_weight) == 0.0
+        self.stalls = np.array(stop_weight) == 0.0
         self.stalled = bool(self.stalls.any())
-        self.message_p = np.where(self.stalls, 1.0, message_weight)
+        self.stop_p = np.where(self.stalls, 1.0, stop_weight)
+        self.fail_share = np.array(fail_share)
+        self.failing = bool(self.fail_share.any())
         # The flat indices of the message cells, with the views each cell's
         # leakage key decodes wrong (``_VIEW_MISSES``), and of the failed checks.
         flat = [(index * width + column, index, leaf) for index, column, leaf in self.cells]
@@ -400,6 +396,8 @@ class _TrialLaw:
         self.message_cells = np.array([cell for cell, _ in messages], dtype=np.intp)
         self.misses = np.array([[view in views for _, views in messages] for view in range(6)], dtype=np.int64)
         self.failed = np.array([cell for cell, _, leaf in flat if leaf.passed is False], dtype=np.intp)
+        # The failed check of each cell of the fail rows, by its flat index there.
+        self.stops = {cell - 12 * width: leaf for cell, index, leaf in flat if index >= 12}
 
     def view_hits(self, counts, length):
         """Each view's right bits in a completed trial of ``length`` bits
@@ -410,29 +408,49 @@ class _TrialLaw:
         """The failed checks among ``counts``."""
         return int(counts.ravel()[self.failed].sum())
 
+    def stop(self, counts):
+        """The failed check that ended a trial which drew ``counts``, or
+        None when the trial completed."""
+        if self.failing:
+            (cells,) = np.nonzero(counts[12:].ravel())
+            if cells.size:
+                return self.stops[int(cells[0])]
+        return None
+
     def draw(self, rng, length, max_rounds):
         """One trial of ``length`` bits from ``rng``: ``(counts, rounds)``.
 
         The message bits are the ``integers(0, 2, 3 * length)`` draw of
         ``MessageTriple.random``; then one ``geometric`` call gives every
-        bit's rounds, and one ``multinomial`` call the leaf counts of every
-        row.  A trial whose rounds pass ``max_rounds`` raises
+        bit's rounds, one ``random(length)`` call, made only when a failed
+        check can end the trial, whether each bit's stopping round fails,
+        and one ``multinomial`` call the leaf counts of every row.  A trial
+        whose rounds pass ``max_rounds`` before it ends raises
         :class:`~qsdc3.protocol.RoundBudgetExceeded` with the bits whose
         running sum of rounds stays within the budget as delivered.
         """
         alice, bob, charlie = rng.integers(0, 2, size=3 * length).reshape(3, length)
         roots = 2 * bob + charlie
-        rounds = rng.geometric(self.message_p[roots])
+        rounds = rng.geometric(self.stop_p[roots])
         if self.stalled:
             rounds[self.stalls[roots]] = max_rounds + 1
-        # A message weight near 0 can draw more rounds than an int64 sums.
+        # A stop weight near 0 can draw more rounds than an int64 sums.
         np.minimum(rounds, max_rounds + 1, out=rounds)
+        # The row each bit's stopping round is counted in.
+        rows = 3 * roots + alice
+        if self.failing:
+            (failing,) = np.nonzero(rng.random(length) < self.fail_share[roots])
+            if failing.size:
+                # The trial ends at its first failing bit.
+                end = failing[0] + 1
+                rows, roots, rounds = rows[:end], roots[:end], rounds[:end]
+                rows[-1] = 12 + roots[-1]
         total = int(rounds.sum())
         if total > max_rounds:
             delivered = int(np.searchsorted(np.cumsum(rounds), max_rounds, side="right"))
             raise RoundBudgetExceeded(max_rounds, delivered, length)
-        n = np.bincount(3 * roots + alice, minlength=12)
-        n[2::3] = np.bincount(roots, weights=rounds, minlength=4) - n[0::3] - n[1::3]
+        n = np.bincount(rows, minlength=16)
+        n[2:12:3] = np.bincount(roots, weights=rounds, minlength=4) - n[0:12:3] - n[1:12:3] - n[12:]
         return rng.multinomial(n, self.pvals), total
 
 
@@ -440,14 +458,13 @@ class _Aggregator:
     """Deterministic fold of per-trial leaf counts, in trial order.
 
     Every report field sums what each round's leaf, and in a message round
-    Alice's bit, determine: a trial's leaves go to a count per leaf (the
-    check, decoy family and Eve's counts are tallied from it), and its
-    message rounds to a count per leakage key; each completed trial adds
-    its own fidelity, from its key counts.  A session's leaves are added
-    as a sequence (``add_leaves``); the count path's trials are summed in
-    one array, added once (``add_totals``).  The analytic column weighs
-    each check-forced round once per aggregator, so an experiment's five
-    rows read three weighings."""
+    Alice's bit, determine: the experiment's leaf counts go to a count per
+    leaf (the check, decoy family and Eve's counts are tallied from it), and
+    its message rounds to a count per leakage key; each completed trial adds
+    its own fidelity.  The trials' counts are summed in one array, added
+    once (``add_totals``).  The analytic column weighs each check-forced
+    round once per aggregator, so an experiment's five rows read three
+    weighings."""
 
     def __init__(self, config):
         self.config = config
@@ -460,15 +477,6 @@ class _Aggregator:
         self.fidelity_sums = [0.0, 0.0, 0.0]  # Alice's, Bob's and Charlie's
         self.trials_completed = 0
         self.trials_aborted = 0
-
-    def add_leaves(self, leaves, alice_bits):
-        """Count one session's rounds; returns its message rounds counted by
-        leakage key.  The n-th message leaf pairs with Alice's n-th bit."""
-        self.leaf_counts.update(leaves)
-        message_keys = filter(None, map(operator.attrgetter("leakage_keys"), leaves))
-        keys = Counter(map(operator.getitem, message_keys, alice_bits))
-        self.leakage_counts.update(keys)
-        return keys
 
     def add_totals(self, law, totals):
         """Count the rounds of a :class:`_TrialLaw`'s trials, summed into
@@ -579,12 +587,10 @@ def run_experiment(config):
     seeded by one ``SeedSequence`` child of ``config.seed``, spawned when
     the trial starts.  An experiment builds one transition table and weighs
     its compiled round there once.  Then each trial draws its leaf counts
-    from their exact law (:class:`_TrialLaw`), with no round order.  Under
-    the strict abort policy, when a leaf's check can fail, each trial is a
-    ``run_protocol`` session on the same table instead, since round order
-    decides which trial and which round abort: the first detected
-    eavesdropper stops the experiment, and :class:`ExperimentAborted` is
-    raised carrying the partial statistics.
+    from their exact law under the config's abort policy
+    (:class:`_TrialLaw`), with no round order.  Under the strict policy the
+    first failed check stops the experiment: :class:`ExperimentAborted` is
+    raised carrying the partial statistics, the failing round included.
 
     Each trial logs one INFO line on the ``qsdc3`` logger: its index,
     rounds used and failed checks; the experiment logs its table's size
@@ -594,12 +600,8 @@ def run_experiment(config):
     agg = _Aggregator(config)
     table = TransitionTable()
     roots = [leaf_weights(table, config.schedule, config.attack, j, k) for j, k in product((0, 1), repeat=2)]
-    failable = any(weight > 0.0 and leaf.passed is False for weighed in roots for weight, leaf in weighed)
     try:
-        if config.abort_policy is AbortPolicy.STRICT and failable:
-            _run_sessions(config, agg, table)
-        else:
-            _count_trials(config, agg, _TrialLaw(roots))
+        _count_trials(config, agg, _TrialLaw(roots, config.abort_policy is AbortPolicy.STRICT))
     finally:
         # Sizing the table sums its dicts: only when the line is shown.
         if log.isEnabledFor(logging.DEBUG):
@@ -621,46 +623,30 @@ def _trial_generators(config):
 def _count_trials(config, agg, law):
     """Each trial's leaf counts drawn from ``law``; the experiment's counts
     are summed in one array and folded into ``agg`` at the end, and each
-    trial's fidelity as it completes."""
+    trial's fidelity as it completes.  A trial that a failed check ends
+    raises :class:`ExperimentAborted` with the counts so far: the failing
+    round is the trial's last."""
     length = config.message_length
     budget = default_budget(length)
     totals = np.zeros_like(law.pvals, dtype=np.int64)
     for trial, rng in enumerate(_trial_generators(config)):
         counts, rounds = law.draw(rng, length, budget)
         totals += counts
-        agg.add_completed(law.view_hits(counts, length), length)
-        _log_trial(trial, rounds, lambda: law.failed_checks(counts))
-    agg.add_totals(law, totals)
-
-
-def _run_sessions(config, agg, table):
-    """One ``run_protocol`` session per trial, each drawing from ``table``."""
-    for trial, rng in enumerate(_trial_generators(config)):
-        messages = MessageTriple.random(config.message_length, rng)
-        try:
-            result = run_protocol(
-                messages,
-                config.schedule,
-                rng,
-                attack=config.attack,
-                abort_policy=config.abort_policy,
-                table=table,
-            )
-        except ProtocolAborted as abort:
-            agg.add_leaves(abort.leaves, messages.alice_bits)
+        leaf = law.stop(counts)
+        if leaf is not None:
             agg.trials_aborted += 1
-            _log_trial(trial, len(abort.leaves), _failed_in(abort.leaves), ", aborted")
+            _log_trial(trial, rounds, law, counts, ", aborted")
+            agg.add_totals(law, totals)
             aborted = {
                 "trial": trial,
-                "round": abort.round_index,
-                "check_kind": abort.check_kind.value,
-                "segments": sorted(s.value for s in abort.touched_segments),
+                "round": rounds - 1,
+                "check_kind": leaf.kind.value,
+                "segments": sorted(s.value for s in leaf.touched),
             }
-            partial = agg.build(aborted=aborted)
-            raise ExperimentAborted(partial, trial, abort.round_index, abort.check_kind) from None
-        keys = agg.add_leaves(result.leaves, messages.alice_bits)
-        agg.add_completed(_view_hits(keys), messages.length)
-        _log_trial(trial, result.rounds_used, _failed_in(result.leaves))
+            raise ExperimentAborted(agg.build(aborted=aborted), trial, rounds - 1, leaf.kind)
+        agg.add_completed(law.view_hits(counts, length), length)
+        _log_trial(trial, rounds, law, counts)
+    agg.add_totals(law, totals)
 
 
 # ---------------------------------------------------------------------------
@@ -695,23 +681,30 @@ class OracleReport:
 def exhaustive_oracle():
     """Truth table over all 8 secret-bit triples.
 
-    Reads the compiled round of an unattacked schedule forced to message
-    mode, under which the round from each root (j, k) is one leaf of weight
-    1.0 (``protocol.leaf_weights``): its Bell label, and its announcement
-    for Alice's bit i.  Asserts that all three decode rules recover the
-    counterpart bits exactly.
+    Runs one ``run_protocol`` session per triple (i, j, k) of one-bit
+    messages, on one table, under an unattacked schedule forced to message
+    mode: each session is one message round.  Reads that round's record,
+    its Bell label and announcement, and the session's decoded messages,
+    and asserts that all three decode rules recover the counterpart bits
+    exactly.
     """
     schedule = SchedulePolicy(0.0, 0.0, 0.0)
     table = TransitionTable()
-    model = AttackModel.none()
+    # A forced schedule has one leaf per root, so no draw decides a round.
+    rng = np.random.default_rng(0)
     rows = []
     first_failure = None
     for i, j, k in product((0, 1), repeat=3):
-        ((_, leaf),) = leaf_weights(table, schedule, model, j, k)
-        x, y = leaf.leakage_keys[i][:2]
-        alice, bob, charlie = decode_alice(x, y, i), decode_bob(x, y, j), decode_charlie(x, y, k)
+        result = run_protocol(MessageTriple((i,), (j,), (k,)), schedule, rng, table=table)
+        record = result.records[0]
+        x, y = record.announcement
+        decoded = result.decoded
+        alice = decoded.alice_view_bob + decoded.alice_view_charlie
+        bob = decoded.bob_view_alice + decoded.bob_view_charlie
+        charlie = decoded.charlie_view_alice + decoded.charlie_view_bob
         ok = alice == (j, k) and bob == (i, k) and charlie == (i, j)
-        rows.append(OracleRow(i, j, k, leaf.label.flip, leaf.label.phase, x, y, alice, bob, charlie, ok))
+        label = record.bell_outcome
+        rows.append(OracleRow(i, j, k, label.flip, label.phase, x, y, alice, bob, charlie, ok))
         if not ok and first_failure is None:
             first_failure = (i, j, k)
     return OracleReport(first_failure is None, rows, first_failure)

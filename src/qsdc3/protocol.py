@@ -29,7 +29,7 @@ bisection of its root's cumulative leaf weights and one append of the leaf
 it picks.  A session returns its leaf sequence, and its records,
 transcript events and Eve's records are built from the leaves the first
 time they are read (:class:`ProtocolResult`).  ``harness.run_experiment``
-draws most trials' leaf counts from the same weights without a session.
+draws every trial's leaf counts from the same weights without a session.
 
 Randomness: a session draws one double per round from its injected
 generator, in round order, served from ``random(256)`` blocks of it; the
@@ -699,7 +699,7 @@ def run_protocol(
     :class:`~qsdc3.states.TransitionTable`, or in a fresh one when
     ``table`` is None; the first reader of a table weighs its four roots
     (:func:`leaf_weights`), and later sessions draw from the same leaves
-    (``harness.run_experiment`` passes its table to every session it runs).
+    (``harness.exhaustive_oracle`` passes one table to its eight sessions).
     Which table a session uses does not change its results.
 
     The session may use ``max_rounds`` rounds, an integer >= 1 (else

@@ -194,9 +194,18 @@ class TestRunScope:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_each_trial_draws_from_its_own_spawned_child(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "attack, policy",
+        [
+            (AttackModel.none(), RECORD),
+            (AttackModel.intercept_resend(AB, attack_probability=0.001), AbortPolicy.STRICT),
+        ],
+        ids=["record_and_continue", "strict_failable"],
+    )
+    def test_each_trial_draws_from_its_own_spawned_child(self, monkeypatch, attack, policy):
         # The seed contract: trial t draws from a fresh default_rng(child t)
-        # of the config's SeedSequence.
+        # of the config's SeedSequence, whether or not a failed check can
+        # end the trial.
         states = []
         draw = harness._TrialLaw.draw
 
@@ -205,8 +214,13 @@ class TestRunScope:
             return draw(law, rng, length, max_rounds)
 
         monkeypatch.setattr(harness._TrialLaw, "draw", recording_draw)
-        run_experiment(ExperimentConfig(message_length=8, trials=5, seed=21))
-        children = np.random.SeedSequence(21).spawn(5)
+        config = ExperimentConfig(message_length=8, trials=5, attack=attack, abort_policy=policy, seed=21)
+        try:
+            result = run_experiment(config)
+        except ExperimentAborted as abort:
+            result = abort.partial
+        drawn = result.trials_completed + result.trials_aborted
+        children = np.random.SeedSequence(21).spawn(5)[:drawn]
         assert states == [np.random.default_rng(child).bit_generator.state for child in children]
 
     def test_repeated_runs_validate_the_same_states(self, monkeypatch):
@@ -264,8 +278,8 @@ class TestExperimentTable:
         run_experiment(ExperimentConfig(message_length=8, trials=5, attack=attack, seed=3))
         assert len(built) == 1 and len(built[0]) > 0
         assert weighed == [built[0]] * 4 and given == []
-        # A strict experiment whose checks can fail runs a session per
-        # trial, on the same table.
+        # A strict experiment whose checks can fail draws its counts from
+        # its own table too, and runs no session.
         strict = ExperimentConfig(
             message_length=8,
             trials=5,
@@ -275,7 +289,7 @@ class TestExperimentTable:
         )
         run_experiment(strict)
         assert len(built) == 2 and weighed[4:] == [built[1]] * 4
-        assert len(given) == 5 and all(table is built[1] for table in given)
+        assert given == []
 
     def test_a_detection_curve_builds_one_table_per_grid_point(self, walked):
         built, weighed, given = walked
@@ -512,127 +526,109 @@ def record_fold(messages, records, transcript, eve_records, decoded=None):
 
 def law_counts(law, leaves, alice_bits):
     """A session's leaves counted in the layout of ``law``'s count array:
-    the n-th message leaf in the row of Alice's n-th bit."""
-    cell = {}
+    the n-th message leaf in the row of Alice's n-th bit, and every other
+    leaf in its one cell, a failed check that ends the trial in its fail
+    row."""
+    cells = {}
     for row, column, leaf in law.cells:
-        cell.setdefault(leaf, (row - row % 3, column))
+        cells.setdefault(leaf, []).append((row, column))
     counts = np.zeros_like(law.pvals, dtype=np.int64)
     bits = iter(alice_bits)
     for leaf in leaves:
-        row, column = cell[leaf]
-        counts[row + (next(bits) if leaf.kind is RoundKind.MESSAGE else 2), column] += 1
+        # A message leaf's two cells are its rows under Alice's bit 0 and 1.
+        counts[cells[leaf][next(bits) if leaf.kind is RoundKind.MESSAGE else 0]] += 1
     return counts
 
 
 class TestLeafFold:
-    """Counting leaves gives the counts that folding the records gave.
-
-    Strict experiments whose checks can fail fold each session's leaves
-    (``add_leaves``); the others fold count arrays (``add_totals`` and the
-    law's miss cells), which must fold a session's leaves to the same
-    counts."""
+    """Counting leaves gives the counts that folding the records gave: a
+    session's leaves, laid out as a trial's count array, fold (``add_totals``
+    and the law's miss, failed and stop cells) to the record fold."""
 
     @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
     @pytest.mark.parametrize(
         "attack", [pytest.param(case.values[0], id=case.id) for case in SHARED_TABLE_CASES if case.values[1] is RECORD]
     )
-    def test_the_leaf_fold_equals_the_record_fold(self, attack, policy):
+    def test_the_count_fold_equals_the_record_fold(self, attack, policy):
+        schedule = SchedulePolicy(0.25, 0.25, 0.4)
+        # One compiled round for the law and the six sessions.
+        table, _, law = experiment_law(schedule, attack if attack is not None else AttackModel.none(), policy)
         aborted = 0
-        table = TransitionTable()  # one compiled round for the six sessions
         for seed in range(6):
             rng = np.random.default_rng(seed)
             messages = MessageTriple.random(48, rng)
             try:
-                result = run_protocol(messages, SchedulePolicy(0.25, 0.25, 0.4), rng, attack, policy, table=table)
+                result = run_protocol(messages, schedule, rng, attack, policy, table=table)
                 leaves, shown = result.leaves, (result.records, result.transcript, result.eve_records, result.decoded)
             except ProtocolAborted as abort:
                 leaves, shown = abort.leaves, (abort.records, abort.transcript, abort.eve_records)
                 aborted += 1
             checks, families, leakage, eve, hits = record_fold(messages, *shown)
+            counts = law_counts(law, leaves, messages.alice_bits)
             agg = harness._Aggregator(ExperimentConfig())
-            keys = agg.add_leaves(leaves, messages.alice_bits)
+            agg.add_totals(law, counts)
             assert agg.tally() == ({**checks, **families}, eve)
-            assert keys == agg.leakage_counts == leakage
-            assert sum(agg.leaf_counts.values()) == len(shown[0])
-            if hits is not None:
-                assert harness._view_hits(keys) == hits
+            assert agg.leakage_counts == leakage
+            assert sum(agg.leaf_counts.values()) == counts.sum() == len(shown[0])
+            assert law.failed_checks(counts) == sum(leaf.passed is False for leaf in leaves)
+            if hits is None:
+                # The failed check that ended the session sits in its fail row.
+                assert law.stop(counts) is leaves[-1] and counts[12:].sum() == 1
+            else:
+                assert law.stop(counts) is None and not counts[12:].any()
+                assert law.view_hits(counts, 48) == hits
         if policy is AbortPolicy.STRICT and attack is not None:
             assert aborted == 6
 
-    @pytest.mark.parametrize(
-        "attack", [pytest.param(case.values[0], id=case.id) for case in SHARED_TABLE_CASES if case.values[1] is RECORD]
-    )
-    def test_the_count_fold_equals_the_leaf_fold(self, attack):
-        table = TransitionTable()
-        schedule = SchedulePolicy(0.25, 0.25, 0.4)
-        model = attack if attack is not None else AttackModel.none()
-        law = harness._TrialLaw([protocol.leaf_weights(table, schedule, model, j, k) for j in (0, 1) for k in (0, 1)])
-        for seed in range(6):
-            rng = np.random.default_rng(seed)
-            messages = MessageTriple.random(48, rng)
-            leaves = run_protocol(messages, schedule, rng, attack, RECORD, table=table).leaves
-            counts = law_counts(law, leaves, messages.alice_bits)
-            by_leaves, by_counts = harness._Aggregator(ExperimentConfig()), harness._Aggregator(ExperimentConfig())
-            keys = by_leaves.add_leaves(leaves, messages.alice_bits)
-            by_counts.add_totals(law, counts)
-            assert by_counts.leaf_counts == by_leaves.leaf_counts
-            assert by_counts.leakage_counts == by_leaves.leakage_counts
-            assert law.view_hits(counts, 48) == harness._view_hits(keys)
-            assert law.failed_checks(counts) == sum(leaf.passed is False for leaf in leaves)
-
 
 class TestTrialLog:
-    """A trial's INFO line counts its failed checks only when it is shown;
-    its text is checked in test_cli.py (``TestTrialProgress``)."""
+    """A trial's INFO line sums its failed checks only when it is shown;
+    the CLI's lines are checked in test_cli.py (``TestTrialProgress``)."""
 
-    class Unread(list):
-        def __iter__(self):
-            raise AssertionError("the leaves were read")
-
-    def test_below_info_the_leaves_are_not_read(self, caplog):
+    def test_below_info_nothing_is_summed(self, caplog, monkeypatch):
         caplog.set_level(logging.WARNING, logger="qsdc3")
-        harness._log_trial(0, 3, harness._failed_in(self.Unread()))
+        _, _, law = experiment_law(SchedulePolicy(), AttackModel.intercept_resend(AB), AbortPolicy.STRICT)
+
+        def unsummed(counts):
+            raise AssertionError("the failed checks were summed")
+
+        monkeypatch.setattr(law, "failed_checks", unsummed)
+        harness._log_trial(0, 3, law, np.zeros_like(law.pvals, dtype=np.int64))
         assert caplog.records == []
 
-    def test_at_info_the_failed_checks_are_counted(self, caplog):
+    def test_at_info_the_text_is_exact(self, caplog):
         caplog.set_level(logging.INFO, logger="qsdc3")
-        leaves = [protocol.Leaf(RoundKind.BOB_EAVESDROP_CHECK, (), passed, (), None, None, (), (), None)
-                  for passed in (True, False, False)]
-        harness._log_trial(4, 3, harness._failed_in(leaves), ", aborted")
-        assert [r.getMessage() for r in caplog.records] == ["trial 4: rounds 3, failed checks 2, aborted"]
+        _, _, strict = experiment_law(SchedulePolicy(), AttackModel.intercept_resend(AB), AbortPolicy.STRICT)
+        _, _, record = experiment_law(SchedulePolicy(), AttackModel.intercept_resend(AB), RECORD)
+        # One failed check that ended a strict trial; two failed checks of a
+        # completed trial under record-and-continue.
+        aborted = np.zeros_like(strict.pvals, dtype=np.int64)
+        aborted.ravel()[strict.failed[0]] = 1
+        completed = np.zeros_like(record.pvals, dtype=np.int64)
+        completed.ravel()[record.failed[:2]] = 1
+        harness._log_trial(4, 3, strict, aborted, ", aborted")
+        harness._log_trial(5, 4, record, completed)
+        assert [r.getMessage() for r in caplog.records] == [
+            "trial 4: rounds 3, failed checks 1, aborted",
+            "trial 5: rounds 4, failed checks 2",
+        ]
 
 
 class TestSessionBoundary:
-    """A strict experiment whose checks can fail runs one protocol session
-    per trial; every other experiment runs none."""
+    """No experiment runs a protocol session: a strict one whose checks can
+    fail draws its trials' counts too, and ends at its first failed check."""
 
     @pytest.fixture
     def sessions(self, monkeypatch):
-        """How each session ended: its rounds, and whether it aborted."""
-        ended = []
+        """The arguments of each session the harness started."""
+        started = []
 
         def recording_session(*args, **kwargs):
-            try:
-                result = run_protocol(*args, **kwargs)
-            except ProtocolAborted as abort:
-                ended.append((abort.round_index + 1, True))
-                raise
-            ended.append((result.rounds_used, False))
-            return result
+            started.append(args)
+            return run_protocol(*args, **kwargs)
 
         monkeypatch.setattr(harness, "run_protocol", recording_session)
-        return ended
-
-    def test_one_session_per_completed_trial(self, sessions):
-        config = ExperimentConfig(
-            message_length=8,
-            trials=7,
-            attack=AttackModel.intercept_resend(AB, attack_probability=0.001),
-            abort_policy=AbortPolicy.STRICT,
-            seed=4,
-        )
-        assert run_experiment(config).rounds_total == sum(rounds for rounds, _ in sessions)
-        assert sessions and [aborted for _, aborted in sessions] == [False] * 7
+        return started
 
     @pytest.mark.parametrize(
         "attack, policy",
@@ -640,24 +636,29 @@ class TestSessionBoundary:
             (AttackModel.intercept_resend(AB), AbortPolicy.RECORD_AND_CONTINUE),
             (AttackModel.none(), AbortPolicy.STRICT),
             (AttackModel.entangle_measure(0.0, AB, CA), AbortPolicy.STRICT),
+            (AttackModel.intercept_resend(AB, attack_probability=0.001), AbortPolicy.STRICT),
         ],
-        ids=["record_and_continue", "strict_without_attack", "strict_without_a_failable_check"],
+        ids=["record_and_continue", "strict_without_attack", "strict_without_a_failable_check", "strict_intercept_p0.001"],
     )
-    def test_an_experiment_whose_checks_cannot_abort_runs_no_session(self, sessions, attack, policy):
+    def test_an_experiment_runs_no_session(self, sessions, caplog, attack, policy):
         # A probe of coupling 0 acts on every crossing, yet no check can
-        # fail: no leaf of the round fails, so the strict experiment draws
-        # counts too.
+        # fail; intercept-resend at p 0.001 can fail a check, yet no trial
+        # of this seed does.
+        caplog.set_level(logging.INFO, logger="qsdc3")
         config = ExperimentConfig(message_length=8, trials=7, attack=attack, abort_policy=policy, seed=4)
         result = run_experiment(config)
         assert result.trials_completed == 7
+        assert result.rounds_total == sum(r.args[1] for r in caplog.records if r.getMessage().startswith("trial "))
         assert sessions == []
 
-    def test_the_aborting_trial_runs_one_session(self, sessions):
-        # The first trials complete; the aborting one is the last session,
+    def test_the_aborting_trial_is_the_last(self, sessions, caplog):
+        # The first trials complete; the aborting one is the last logged,
         # and the partial report counts its rounds up to the failing one.
+        # A trial aborts with probability about 0.05, so one of 400 does.
+        caplog.set_level(logging.INFO, logger="qsdc3")
         config = ExperimentConfig(
             message_length=8,
-            trials=50,
+            trials=400,
             schedule=SchedulePolicy(0.1, 0.1, 0.1),
             attack=AttackModel.intercept_resend(AB, attack_probability=0.1),
             abort_policy=AbortPolicy.STRICT,
@@ -666,25 +667,50 @@ class TestSessionBoundary:
         with pytest.raises(ExperimentAborted) as info:
             run_experiment(config)
         trial = info.value.trial_index
+        lines = [r for r in caplog.records if r.getMessage().startswith("trial ")]
         assert trial > 0
-        assert [aborted for _, aborted in sessions] == [False] * trial + [True]
-        assert info.value.partial.rounds_total == sum(rounds for rounds, _ in sessions)
-        assert info.value.partial.trials_completed == trial
+        assert [r.args[0] for r in lines] == list(range(trial + 1))
+        assert [r.getMessage().endswith(", aborted") for r in lines] == [False] * trial + [True]
+        partial = info.value.partial
+        assert partial.rounds_total == sum(r.args[1] for r in lines)
+        assert partial.trials_completed == trial and partial.trials_aborted == 1
+        assert info.value.round_index == partial.aborted["round"] == lines[-1].args[1] - 1
+        assert sessions == []
 
 
-def experiment_law(schedule, model):
+def experiment_law(schedule, model, policy=RECORD):
     """A fresh table, its compiled round's four roots' ``leaf_weights`` and
-    the :class:`harness._TrialLaw` read from them."""
+    the :class:`harness._TrialLaw` read from them under ``policy``."""
     table = TransitionTable()
     roots = [protocol.leaf_weights(table, schedule, model, j, k) for j, k in BITS]
-    return table, roots, harness._TrialLaw(roots)
+    return table, roots, harness._TrialLaw(roots, policy is AbortPolicy.STRICT)
+
+
+# The G-test cases whose round has a check that can fail.
+STRICT_CASES = [case for case in G_TEST_CASES if case.id != "criterion-2"]
+
+
+def strict_tally(samples, counts, stop, rounds):
+    """Add one strict trial to ``samples``, three counters: its failed check
+    that ended it, its abort round's bucket (the bit length of the round
+    index + 1; None when it completed) and its leaf counts by cell."""
+    failing, buckets, cells = samples
+    if stop is not None:
+        failing[stop] += 1
+    buckets[rounds.bit_length() if stop is not None else None] += 1
+    for row, column in zip(*np.nonzero(counts)):
+        cells[int(row), int(column)] += int(counts[row, column])
 
 
 class TestTrialLaw:
-    """Trials that cannot abort draw their leaf counts from the exact law:
-    per root r with message weight m_r, each bit's rounds are geometric
-    with p = m_r, the message leaves multinomial(N_ri, w / m_r) under
-    Alice's bit i and the check leaves multinomial(C_r, w / (1 - m_r))."""
+    """Trials draw their leaf counts from the exact law: per root r with
+    message weight m_r and, under the strict policy, failed-check weight f_r
+    (else 0), each bit's rounds are geometric with p = m_r + f_r and its
+    stop fails with probability f_r / (m_r + f_r); the trial ends at its
+    first failing bit.  The message leaves are multinomial(N_ri, w / m_r)
+    under Alice's bit i, the check leaves that let the trial go on
+    multinomial(C_r, w / (1 - m_r - f_r)), and the failing leaf is drawn
+    with probability w / f_r."""
 
     @pytest.mark.parametrize("schedule, model, seed", G_TEST_CASES)
     def test_each_leaf_count_has_its_exact_mean(self, schedule, model, seed):
@@ -761,6 +787,99 @@ class TestTrialLaw:
             law.draw(Scripted(), 3, 11)
         counts, rounds = law.draw(Scripted(), 3, 12)
         assert rounds == counts.sum() == 12
+
+    @pytest.mark.parametrize("schedule, model, seed", STRICT_CASES)
+    def test_the_aborting_bit_has_its_truncated_geometric_law(self, schedule, model, seed):
+        # Roots are uniform and each bit's stop fails with probability
+        # f_r / (m_r + f_r), so a trial of L bits aborts at bit a with
+        # probability (1 - q)^a q and completes with (1 - q)^L, where
+        # q = 1/4 sum_r f_r / (m_r + f_r).  The bits before the aborting one
+        # are the trial's delivered bits, its message leaves.
+        _, roots, law = experiment_law(schedule, model, AbortPolicy.STRICT)
+        q = 0.0
+        for weighed in roots:
+            m = sum(weight for weight, leaf in weighed if leaf.kind is RoundKind.MESSAGE)
+            f = sum(weight for weight, leaf in weighed if leaf.passed is False)
+            q += f / (m + f) / 4
+        rng = np.random.default_rng(seed)
+        length, trials = 12, 10_000
+        ends = Counter()
+        for _ in range(trials):
+            counts, _ = law.draw(rng, length, 1000 + 50 * length)
+            ends[int(counts[:12:3].sum() + counts[1:12:3].sum()) if counts[12:].any() else None] += 1
+        expected = {a: trials * (1.0 - q) ** a * q for a in range(length)}
+        expected[None] = trials * (1.0 - q) ** length
+        assert set(ends) <= set(expected)
+        g = 2.0 * sum(c * math.log(c / expected[a]) for a, c in ends.items())
+        assert g < chi_square_quantile(1e-6, length), (g, ends)
+        aborted, p = trials - ends[None], 1.0 - (1.0 - q) ** length
+        assert abs(aborted - trials * p) <= 4.0 * math.sqrt(trials * p * (1.0 - p))
+
+    @pytest.mark.parametrize("schedule, model, seed", STRICT_CASES)
+    def test_strict_counts_and_sessions_pass_a_two_sample_g_test(self, schedule, model, seed):
+        # Strict count trials against strict sessions on the same table:
+        # the failed check that ends a trial, the abort round's bucket and
+        # every trial's leaf counts, the partial ones included, each pass a
+        # two-sample G-test at p = 1e-6.
+        table, _, law = experiment_law(schedule, model, AbortPolicy.STRICT)
+        rng = np.random.default_rng(seed)
+        # At 8 bits some trials complete, and most abort.
+        length, trials = 8, 10_000
+        sessions = (Counter(), Counter(), Counter())
+        for _ in range(trials):
+            messages = MessageTriple.random(length, rng)
+            try:
+                leaves, stop = run_protocol(messages, schedule, rng, model, table=table).leaves, None
+            except ProtocolAborted as abort:
+                leaves, stop = abort.leaves, abort.leaves[-1]
+                assert abort.round_index == len(leaves) - 1
+            strict_tally(sessions, law_counts(law, leaves, messages.alice_bits), stop, len(leaves))
+        drawn = (Counter(), Counter(), Counter())
+        for _ in range(trials):
+            counts, rounds = law.draw(rng, length, 1000 + 50 * length)
+            strict_tally(drawn, counts, law.stop(counts), rounds)
+        for name, first, second in zip(("failing leaf", "abort round", "leaf counts"), drawn, sessions):
+            g, df = two_sample_g(first, second)
+            assert g < chi_square_quantile(1e-6, df), (name, g, df)
+
+    @pytest.mark.parametrize(
+        "second, ends",
+        [(4, "abort at round 6"), (1147, "abort at round 1149"), (1148, "budget")],
+        ids=["inside_the_budget", "at_the_budget", "past_the_budget"],
+    )
+    def test_a_failing_round_aborts_only_within_the_budget(self, monkeypatch, second, ends):
+        # Three bits of 3, ``second`` and 5 rounds, whose second and third
+        # stops fail, against the default budget of 1000 + 50 * 3 rounds:
+        # the trial ends at the second bit's round 3 + second - 1, unless
+        # that round is past the budget.
+        class Scripted:
+            def integers(self, low, high, size):
+                return np.zeros(size, dtype=np.int64)
+
+            def geometric(self, p):
+                return np.array([3, second, 5])
+
+            def random(self, size):
+                return np.array([0.99, 0.0, 0.0])
+
+            def multinomial(self, n, pvals):
+                return np.random.default_rng(0).multinomial(n, pvals)
+
+        monkeypatch.setattr(harness, "_trial_generators", lambda config: iter([Scripted(), Scripted()]))
+        config = ExperimentConfig(
+            message_length=3, trials=2, attack=AttackModel.intercept_resend(AB), abort_policy=AbortPolicy.STRICT
+        )
+        if ends == "budget":
+            with pytest.raises(RoundBudgetExceeded, match="^budget of 1150 rounds exhausted with 1 of 3 bits delivered$"):
+                run_experiment(config)
+            return
+        with pytest.raises(ExperimentAborted) as info:
+            run_experiment(config)
+        partial = info.value.partial
+        assert (info.value.trial_index, info.value.round_index) == (0, 3 + second - 1)
+        assert ends == "abort at round %d" % partial.aborted["round"]
+        assert partial.rounds_total == 3 + second and partial.trials_aborted == 1
+        assert partial.leakage.rounds_audited == 1
 
     @pytest.mark.parametrize(
         "schedule, delivered",
@@ -1061,7 +1180,7 @@ class TestPinnedReports:
     def test_strict_abort_partial_report_digest(self):
         assert (
             report_digest("strict_abort")
-            == "cd6822640ac12ec58c52e566af118dfa83b646499119de4597e471d321c3e56b"
+            == "5f6361c5b0481ea765947d0c810f1caeabe53728551404c9d4898bc30a1b20ed"
         )
 
     @pytest.mark.parametrize(
@@ -1073,7 +1192,7 @@ class TestPinnedReports:
             ("gated_disturbance_bc_ca", "7ad280ab0e6980d2fd673ec5e4175ae92967c3f65498723277fec12b955ba90f"),
             ("gated_intercept_all", "38c9b15aff4307b4a74c922ef81eeffa667965dc4941ea815cfe02a8adc580d4"),
             ("gated_probe_all", "56077e021151960a3a7af0e5efe4bbcc558e0e49096da2baa332ad5955d8d68a"),
-            ("strict_abort", "830f15887d0de16e10ad67f6a1305c12b9a8778762ccd04119ae7b186a62af0c"),
+            ("strict_abort", "4ed9998c167629431521d4ffaa3de8fd6ccefe1f90ead0f664c74d0910fa4a43"),
         ],
         ids=list(PINNED_CONFIGS),
     )
