@@ -5,23 +5,25 @@ probabilities with Wilson intervals, compares them against the exact
 enumerated expectations, measures message fidelity, and audits what the
 public transcript leaks about the three secrets.
 
-All randomness derives from a single 64-bit seed: each trial's generator
-is seeded by one ``numpy.random.SeedSequence`` child of the master seed,
-spawned when the trial starts, so trials are independent, parallelizable
-in principle, and the whole report is a deterministic function of the
-configuration.
+All randomness derives from a single 64-bit seed: an experiment draws from
+one generator, ``numpy.random.default_rng(seed)``, seeded by
+``SeedSequence(seed)`` and never spawned.  It draws its trials in blocks of
+``max(1, _BLOCK_BITS // message_length)`` trials, in trial order, each
+block with at most four numpy calls covering all its trials.  So the whole
+report is a deterministic function of the configuration and of
+``_BLOCK_BITS``: changing the block size changes the random stream.
 
 An experiment builds one :class:`~qsdc3.states.TransitionTable` and weighs
 its compiled round there once: each root's leaves with their exact weights
 (``protocol.leaf_weights``), and the states they reach, each built and
 validated once per experiment; a detection curve builds one table per grid
-point.  A trial draws its three messages, then its leaf counts from their
-exact law under the experiment's abort policy (:class:`_TrialLaw`): one
-``geometric`` draw per message bit gives its rounds, under the strict
+point.  A block draws its trials' messages, then their leaf counts from
+their exact law under the experiment's abort policy (:class:`_TrialLaw`):
+one ``geometric`` draw per message bit gives its rounds, under the strict
 policy one uniform per bit whether its stopping round is a failed check
-that ends the trial, and one ``multinomial`` call the counts of every
-leaf, so a trial's cost grows with its bits and the round's leaves, not
-with its rounds.  The report is a fold of leaf counts
+that ends the trial, and one ``multinomial`` call the counts of every leaf
+of every trial, so a block's cost grows with its bits and the round's
+leaves, not with its rounds.  The report is a fold of leaf counts
 (:class:`_Aggregator`): an experiment runs no protocol session and builds
 no round record, transcript or decoded message.  Its analytic column
 weighs each check-forced round once: the five rows (three check kinds, two
@@ -65,9 +67,14 @@ from .states import Basis, TransitionTable, check_integer, check_probability, ch
 log = logging.getLogger("qsdc3")
 
 _CHECK_KINDS = tuple(kind.value for kind in RoundKind if kind is not RoundKind.MESSAGE)
-# A trial draws its three messages as one numpy int64 array of
-# 3 * message_length bits; numpy refuses arrays of more than intp-max bytes.
+# A block draws its trials' three messages as one numpy int64 array of
+# 3 * message_length bits per trial; numpy refuses arrays of more than
+# intp-max bytes.
 _MAX_MESSAGE_LENGTH = int(np.iinfo(np.intp).max) // (3 * np.dtype(np.int64).itemsize)
+# The message bits a block of trials draws at most, unless one trial has
+# more: a block holds max(1, _BLOCK_BITS // message_length) trials.  The
+# random stream depends on it.
+_BLOCK_BITS = 4096
 _MESSAGE = RoundKind.MESSAGE
 _DECOY_CHECK = RoundKind.CHARLIE_DECOY_CHECK
 
@@ -188,28 +195,44 @@ class ExperimentConfig:
 
 @dataclass(slots=True)
 class CheckStats:
-    """Detection statistics for one check kind."""
+    """Detection statistics for one check kind: its counts, its exact and
+    claimed probabilities, and the rates computed from them."""
 
     checks_run: int
     checks_failed: int
-    detection_probability: float | None
-    ci_low: float
-    ci_high: float
     analytic_probability: float | None
     paper_claim: float | None
-    z_score: float | None
 
-    @classmethod
-    def from_counts(cls, run, failed, analytic, claim):
-        phat = failed / run if run else None
-        lo, hi = wilson_interval(failed, run)
-        z = None
-        if run and analytic is not None and 0.0 < analytic < 1.0:
-            z = (phat - analytic) / math.sqrt(analytic * (1.0 - analytic) / run)
-        return cls(run, failed, phat, lo, hi, analytic, claim, z)
+    @property
+    def detection_probability(self):
+        return self.checks_failed / self.checks_run if self.checks_run else None
+
+    @property
+    def ci_low(self):
+        return wilson_interval(self.checks_failed, self.checks_run)[0]
+
+    @property
+    def ci_high(self):
+        return wilson_interval(self.checks_failed, self.checks_run)[1]
+
+    @property
+    def z_score(self):
+        run, analytic = self.checks_run, self.analytic_probability
+        if not run or analytic is None or not 0.0 < analytic < 1.0:
+            return None
+        return (self.detection_probability - analytic) / math.sqrt(analytic * (1.0 - analytic) / run)
 
     def to_dict(self):
-        return asdict(self)
+        return {
+            "checks_run": self.checks_run,
+            "checks_failed": self.checks_failed,
+            "detection_probability": self.detection_probability,
+            "ci_low": self.ci_low,
+            "ci_high": self.ci_high,
+            "analytic_probability": self.analytic_probability,
+            "paper_claim": self.paper_claim,
+            "z_score": self.z_score,
+        }
 
 
 @dataclass(slots=True)
@@ -346,12 +369,14 @@ class _TrialLaw:
     i, its other check leaves multinomial(C_r, w / (1 - m_r - f_r)), C_r
     being the sum of G_b - 1, and a failing leaf has probability w / f_r.
 
-    The counts are kept as a (16, width) array: row 3r + i holds root r's
-    message leaves under Alice's bit i, row 3r + 2 its check leaves that let
-    the trial go on, and row 12 + r its failed checks that end it (empty
+    A trial's counts are kept as a (16, width) array: row 3r + i holds root
+    r's message leaves under Alice's bit i, row 3r + 2 its check leaves that
+    let the trial go on, and row 12 + r its failed checks that end it (empty
     under record-and-continue; the aborting root's row counts 1).  A row
     holds its leaves in ``leaf_weights`` order in its last columns, so the
-    category numpy's multinomial gives the remainder is always a leaf.
+    category numpy's multinomial gives the remainder is always a leaf.  A
+    block of trials stacks its trials' arrays in trial order
+    (:meth:`_TrialLaw.draw`).
     """
 
     def __init__(self, roots, strict):
@@ -400,9 +425,11 @@ class _TrialLaw:
         self.stops = {cell - 12 * width: leaf for cell, index, leaf in flat if index >= 12}
 
     def view_hits(self, counts, length):
-        """Each view's right bits in a completed trial of ``length`` bits
-        that drew ``counts``, as ``DecodedMessages`` orders the views."""
-        return (length - self.misses @ counts.ravel()[self.message_cells]).tolist()
+        """Each view's right bits in each of a block's completed trials of
+        ``length`` bits, whose counts ``counts`` stacks: one list per trial,
+        its views as ``DecodedMessages`` orders them."""
+        cells = counts.reshape(len(counts), self.pvals.size)[:, self.message_cells]
+        return (length - cells @ self.misses.T).tolist()
 
     def failed_checks(self, counts):
         """The failed checks among ``counts``."""
@@ -417,41 +444,66 @@ class _TrialLaw:
                 return self.stops[int(cells[0])]
         return None
 
-    def draw(self, rng, length, max_rounds):
-        """One trial of ``length`` bits from ``rng``: ``(counts, rounds)``.
+    def draw(self, rng, trials, length, max_rounds):
+        """A block of ``trials`` trials of ``length`` bits from ``rng``:
+        ``(counts, rounds, over)``.
 
-        The message bits are the ``integers(0, 2, 3 * length)`` draw of
-        ``MessageTriple.random``; then one ``geometric`` call gives every
-        bit's rounds, one ``random(length)`` call, made only when a failed
-        check can end the trial, whether each bit's stopping round fails,
-        and one ``multinomial`` call the leaf counts of every row.  A trial
-        whose rounds pass ``max_rounds`` before it ends raises
-        :class:`~qsdc3.protocol.RoundBudgetExceeded` with the bits whose
-        running sum of rounds stays within the budget as delivered.
+        Four numpy calls cover the whole block, in this order: the message
+        bits are ``integers(0, 2, (3, trials, length))`` (Alice's, Bob's and
+        Charlie's); one ``geometric`` call gives every bit's rounds; one
+        ``random((trials, length))`` call, made only when a failed check can
+        end a trial, says whether each bit's stopping round fails; and one
+        ``multinomial`` call gives the leaf counts of every row of every
+        trial the block keeps.  Each trial ends at its first failing bit.
+
+        The block ends at its first trial, in trial order, that a failed
+        check ends or whose rounds pass ``max_rounds``; what is drawn for
+        the trials after it is discarded.  ``counts``, of shape (n, 16,
+        width), and ``rounds``, each trial's rounds, hold the first n
+        trials: every trial, or those up to and including the one a failed
+        check ended.  ``over`` is the
+        :class:`~qsdc3.protocol.RoundBudgetExceeded` of trial n when its
+        rounds pass the budget, with the bits whose running sum of rounds
+        stays within it as delivered; else None.
         """
-        alice, bob, charlie = rng.integers(0, 2, size=3 * length).reshape(3, length)
+        alice, bob, charlie = rng.integers(0, 2, size=(3, trials, length))
         roots = 2 * bob + charlie
         rounds = rng.geometric(self.stop_p[roots])
         if self.stalled:
             rounds[self.stalls[roots]] = max_rounds + 1
         # A stop weight near 0 can draw more rounds than an int64 sums.
         np.minimum(rounds, max_rounds + 1, out=rounds)
-        # The row each bit's stopping round is counted in.
+        # The row each bit's stopping round is counted in; row 16 gathers
+        # the bits after a trial's end, which take no rounds.
         rows = 3 * roots + alice
+        aborts = np.zeros(trials, dtype=bool)
         if self.failing:
-            (failing,) = np.nonzero(rng.random(length) < self.fail_share[roots])
-            if failing.size:
-                # The trial ends at its first failing bit.
-                end = failing[0] + 1
-                rows, roots, rounds = rows[:end], roots[:end], rounds[:end]
-                rows[-1] = 12 + roots[-1]
-        total = int(rounds.sum())
-        if total > max_rounds:
-            delivered = int(np.searchsorted(np.cumsum(rounds), max_rounds, side="right"))
-            raise RoundBudgetExceeded(max_rounds, delivered, length)
-        n = np.bincount(rows, minlength=16)
-        n[2:12:3] = np.bincount(roots, weights=rounds, minlength=4) - n[0:12:3] - n[1:12:3] - n[12:]
-        return rng.multinomial(n, self.pvals), total
+            failing = rng.random((trials, length)) < self.fail_share[roots]
+            aborts = failing.any(axis=1)
+            last = np.where(aborts, failing.argmax(axis=1), length)
+            after = np.arange(length) > last[:, None]
+            rounds[after] = 0
+            rows[after] = 16
+            (aborting,) = np.nonzero(aborts)
+            rows[aborting, last[aborting]] = 12 + roots[aborting, last[aborting]]
+        used = rounds.sum(axis=1)
+        past = used > max_rounds
+        ends = aborts | past
+        over = None
+        kept = trials
+        if ends.any():
+            end = int(ends.argmax())
+            kept = end + 1
+            if past[end]:
+                delivered = int(np.searchsorted(np.cumsum(rounds[end]), max_rounds, side="right"))
+                over = RoundBudgetExceeded(max_rounds, delivered, length)
+                kept = end
+            rows, roots, rounds, used = rows[:kept], roots[:kept], rounds[:kept], used[:kept]
+        offsets = np.arange(kept)[:, None]
+        n = np.bincount((rows + 17 * offsets).ravel(), minlength=17 * kept).reshape(kept, 17)[:, :16]
+        stops = np.bincount((roots + 4 * offsets).ravel(), weights=rounds.ravel(), minlength=4 * kept)
+        n[:, 2:12:3] = stops.reshape(kept, 4) - n[:, 0:12:3] - n[:, 1:12:3] - n[:, 12:]
+        return rng.multinomial(n, self.pvals), used, over
 
 
 class _Aggregator:
@@ -555,7 +607,7 @@ class _Aggregator:
         for name, kind, family in _ROWS:
             run, failed = counts[name]
             if run or family is None:
-                kinds[name] = CheckStats.from_counts(run, failed, self._analytic(kind, family), claim)
+                kinds[name] = CheckStats(run, failed, self._analytic(kind, family), claim)
         detection = DetectionReport(kinds)
 
         leakage = self._leakage()
@@ -583,11 +635,12 @@ class _Aggregator:
 def run_experiment(config):
     """Run ``config.trials`` independent protocol executions and report.
 
-    Deterministic given the seed: each trial draws from its own generator,
-    seeded by one ``SeedSequence`` child of ``config.seed``, spawned when
-    the trial starts.  An experiment builds one transition table and weighs
-    its compiled round there once.  Then each trial draws its leaf counts
-    from their exact law under the config's abort policy
+    Deterministic given the seed: the experiment draws from one generator,
+    ``numpy.random.default_rng(config.seed)``, in blocks of trials, in
+    trial order (:meth:`_TrialLaw.draw`; the stream depends on
+    ``_BLOCK_BITS``).  An experiment builds one transition table and weighs
+    its compiled round there once.  Then each block draws its trials' leaf
+    counts from their exact law under the config's abort policy
     (:class:`_TrialLaw`), with no round order.  Under the strict policy the
     first failed check stops the experiment: :class:`ExperimentAborted` is
     raised carrying the partial statistics, the failing round included.
@@ -595,7 +648,8 @@ def run_experiment(config):
     Each trial logs one INFO line on the ``qsdc3`` logger: its index,
     rounds used and failed checks; the experiment logs its table's size
     at DEBUG.  A trial whose rounds pass the default budget raises
-    :class:`~qsdc3.protocol.RoundBudgetExceeded`.
+    :class:`~qsdc3.protocol.RoundBudgetExceeded`, after the trials before
+    it are logged.
     """
     agg = _Aggregator(config)
     table = TransitionTable()
@@ -610,42 +664,41 @@ def run_experiment(config):
     return agg.build()
 
 
-def _trial_generators(config):
-    """Each trial's generator, seeded when the trial starts: repeated
-    ``spawn(1)`` gives the seeds one ``spawn(trials)`` would, without
-    holding them all."""
-    master = np.random.SeedSequence(config.seed)
-    for _ in range(config.trials):
-        (child,) = master.spawn(1)
-        yield np.random.default_rng(child)
-
-
 def _count_trials(config, agg, law):
-    """Each trial's leaf counts drawn from ``law``; the experiment's counts
-    are summed in one array and folded into ``agg`` at the end, and each
-    trial's fidelity as it completes.  A trial that a failed check ends
-    raises :class:`ExperimentAborted` with the counts so far: the failing
-    round is the trial's last."""
+    """The trials' leaf counts drawn from ``law`` in blocks, all from one
+    generator; the experiment's counts are summed in one array and folded
+    into ``agg`` at the end, and each completed trial's fidelity in trial
+    order.  A trial that a failed check ends raises
+    :class:`ExperimentAborted` with the counts so far: the failing round is
+    the trial's last."""
     length = config.message_length
     budget = default_budget(length)
+    block = max(1, _BLOCK_BITS // length)
+    rng = np.random.default_rng(config.seed)
     totals = np.zeros_like(law.pvals, dtype=np.int64)
-    for trial, rng in enumerate(_trial_generators(config)):
-        counts, rounds = law.draw(rng, length, budget)
-        totals += counts
-        leaf = law.stop(counts)
+    for first in range(0, config.trials, block):
+        counts, rounds, over = law.draw(rng, min(block, config.trials - first), length, budget)
+        totals += counts.sum(axis=0)
+        leaf = law.stop(counts[-1]) if len(counts) else None
+        completed = len(counts) - (leaf is not None)
+        rounds = rounds.tolist()
+        for index, hits in enumerate(law.view_hits(counts[:completed], length)):
+            agg.add_completed(hits, length)
+            _log_trial(first + index, rounds[index], law, counts[index])
         if leaf is not None:
+            trial, used = first + completed, rounds[-1]
             agg.trials_aborted += 1
-            _log_trial(trial, rounds, law, counts, ", aborted")
+            _log_trial(trial, used, law, counts[-1], ", aborted")
             agg.add_totals(law, totals)
             aborted = {
                 "trial": trial,
-                "round": rounds - 1,
+                "round": used - 1,
                 "check_kind": leaf.kind.value,
                 "segments": sorted(s.value for s in leaf.touched),
             }
-            raise ExperimentAborted(agg.build(aborted=aborted), trial, rounds - 1, leaf.kind)
-        agg.add_completed(law.view_hits(counts, length), length)
-        _log_trial(trial, rounds, law, counts)
+            raise ExperimentAborted(agg.build(aborted=aborted), trial, used - 1, leaf.kind)
+        if over is not None:
+            raise over
     agg.add_totals(law, totals)
 
 

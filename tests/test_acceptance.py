@@ -80,9 +80,9 @@ def test_criterion_2_announced_xor_identity(sampled_digest):
     ok = (
         audited >= 10_000
         and fraction == 1.0
-        and digest == "c46a980d6605e33e61dac343effc632c3785294895cc1ab208717886be8672b7"
+        and digest == "e68a8b77bf5bc93a52d1dccf361356284970065aa30f6d591ac3c59f8ead42ee"
         and sampled_digest(result.to_dict())
-        == "f83d0fc76dcec25eaf79dc1fb9e649aa30b2ca6ce65c9f05c810b76e404a785c"
+        == "e56f15f161dfe01f50f74e2c8798c45553fc98ce58df1203adcda9fdbee2b2cb"
         and elapsed < 5.0
     )
     _report(
@@ -181,10 +181,10 @@ def test_criterion_5_probe_coupling_curve(sampled_digest):
             problems.append("X-family decoys detected something at %.2f" % beta_sq)
     curve = {"curve": [row.to_dict() for row in rows]}
     digest = _sha256(render_json(curve))
-    if digest != "db1e32b8c2e6ff6cabfe378e2e002e5800d271d251f80095acca02998a2d65eb":
+    if digest != "33b7b6d6f4602773ccabe564aa126a299e6c5289f721168fd8ea879c00a59196":
         problems.append("curve rows %s" % digest[:16])
     sampled = sampled_digest(curve)
-    if sampled != "ac56e0fa13bbebda223ed76f98d3da1eaa1640bf79bf9af3ccf101230a133492":
+    if sampled != "ae883621b2c0e79d352656b30f9287ba604ac94280fa0bb1c003b2b99d72cc8d":
         problems.append("sampled curve fields %s" % sampled[:16])
     ok = not problems and elapsed < 60.0
     _report(
@@ -259,9 +259,9 @@ def test_criterion_6_intercept_resend_quarter_vs_half_claim(sampled_digest):
         and ab.paper_claim == 0.5
         and '"analytic_probability": 0.25' in report_text
         and '"paper_claim": 0.5' in report_text
-        and _sha256(report_text) == "161f158495969b2205c3bcfaddff5f3beb722d43f4d8c913e563cef8eddc3d02"
+        and _sha256(report_text) == "d7c50f09af09c3fb7e4c15c2150f0a6f70fc4c58b556ca869f44fd76ef5436bb"
         and sampled_digest(result.to_dict())
-        == "0292124bcc4bc8164c6c971dc22e3fb2d0bdd71768aa029abc142d94d3aef604"
+        == "7a13f4129a6ac2a794f62b7427d73311ff86de880d83d3bc205df33d3ee02816"
         and elapsed < 10.0
     )
     _report(

@@ -599,7 +599,7 @@ class TestDerivedStates:
 PINNED_REPORTS = [
     (
         ExperimentConfig(message_length=16, trials=4, seed=1),
-        "d878aaeb86eca925cc41898f098e69a45f76fdb205815e97c1a77fe3ea8b629a",
+        "9bc452581bd057fc0c1223859112786528e81832869f6506db5811804a750822",
     ),
     (
         ExperimentConfig(
@@ -609,7 +609,7 @@ PINNED_REPORTS = [
             attack=AttackModel.intercept_resend(ChannelSegment.A_TO_B),
             seed=2,
         ),
-        "a9681b234c226786729f15212a2e663c907b85aee7f23c0f987258554f7db972",
+        "9277a896cc4f31e7dc524ab11d107ecab7a6ab78b15fcd1e049d37aebcf34b2d",
     ),
     (
         ExperimentConfig(
@@ -619,7 +619,7 @@ PINNED_REPORTS = [
             attack=AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
             seed=3,
         ),
-        "26a2e84b3c5a6e3ffdfa38c97ed53030dd6eaddedd34fad6cd983dd79c0f4e89",
+        "42980e9fb5dbb6c0f78f5158f8aca2ec0073bdfae5f918754c8163eef3565899",
     ),
 ]
 
