@@ -223,12 +223,13 @@ class CheckStats:
         return (self.detection_probability - analytic) / math.sqrt(analytic * (1.0 - analytic) / run)
 
     def to_dict(self):
+        ci_low, ci_high = wilson_interval(self.checks_failed, self.checks_run)
         return {
             "checks_run": self.checks_run,
             "checks_failed": self.checks_failed,
             "detection_probability": self.detection_probability,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
+            "ci_low": ci_low,
+            "ci_high": ci_high,
             "analytic_probability": self.analytic_probability,
             "paper_claim": self.paper_claim,
             "z_score": self.z_score,

@@ -5,6 +5,7 @@ import math
 import operator
 import tracemalloc
 from collections import Counter
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -702,12 +703,18 @@ def strict_tally(samples, counts, stop, rounds):
 
 def draw_trials(law, rng, trials, length):
     """``trials`` trials of ``length`` bits drawn from ``law`` with ``rng``
-    in the experiment's blocks: their counts, shape (trials, 16, width), and
-    each trial's rounds, as Python ints.  A block stops at its first trial
-    that a failed check ends; the next block then starts, so the trials
-    kept are a run of independent trials.  No trial may pass the default
-    budget."""
+    in blocks: their counts, shape (trials, 16, width), and each trial's
+    rounds, as Python ints.  A block stops at its first trial that a failed
+    check ends; the next block then starts, so the trials kept are a run of
+    independent trials.  A block holds the experiment's
+    ``max(1, _BLOCK_BITS // length)`` trials, or, when a failed check can
+    end a trial, at most the trials expected up to the first abort,
+    1 / (1 - (1 - q)^length) with q = 1/4 sum_r f_r / (m_r + f_r) rounded
+    up, so that little of a block is drawn to be discarded.  No trial may
+    pass the default budget."""
     block = max(1, harness._BLOCK_BITS // length)
+    if law.failing:
+        block = min(block, math.ceil(1.0 / (1.0 - (1.0 - law.fail_share.mean()) ** length)))
     counts, rounds = [], []
     while len(rounds) < trials:
         drawn, used, over = law.draw(rng, min(block, trials - len(rounds)), length, default_budget(length))
@@ -735,9 +742,11 @@ def row_g_tests(first, second):
 
     Given its total, a row's counts are multinomial in either sample,
     however much the row totals vary from trial to trial, so under one law
-    each G is chi-square with ``df`` degrees of freedom.  Pooled over the
-    rows, the row totals' spread from trial to trial would inflate G past
-    that law."""
+    each G is chi-square with ``df`` degrees of freedom, and their sum with
+    the summed ``df``.  One G over every cell is that sum plus a G of the row
+    totals, which treats them as multinomial; when a sample is a few long
+    trials, their spread from trial to trial inflates that part past its
+    chi-square law (``row_totals_differ`` checks the totals instead)."""
     for row, (a, b) in enumerate(zip(first, second)):
         reached = np.nonzero(a + b)[0]
         if a.sum() and b.sum() and len(reached) > 1:
@@ -762,17 +771,22 @@ class TestTrialLaw:
     first failing bit.  The message leaves are multinomial(N_ri, w / m_r)
     under Alice's bit i, the check leaves that let the trial go on
     multinomial(C_r, w / (1 - m_r - f_r)), and the failing leaf is drawn
-    with probability w / f_r.  Every gate draws in the experiment's blocks
-    (``_TrialLaw.draw``), so a block's trials are checked as the experiment
-    draws them; ``run_protocol`` sessions are the independent reference."""
+    with probability w / f_r.  Every gate draws in blocks
+    (``_TrialLaw.draw``): the record-and-continue gates in the experiment's,
+    the strict gates in blocks sized to end near their first abort
+    (``draw_trials``); ``run_protocol`` sessions are the independent
+    reference."""
 
     @pytest.mark.parametrize("schedule, model, seed", G_TEST_CASES)
     def test_each_leaf_count_has_its_exact_mean(self, schedule, model, seed):
-        # Summed over 2,000 trials, each row's leaves meet their exact shares
-        # given the row's total, the trials' N_ri or C_r: w / m_r in a
-        # message row, w / (1 - m_r) in a check row, by a G-test at
-        # p = 1e-6.  C_r meets its mean given N_r, and the N_ri meet L / 8
-        # per trial, within 4 standard errors.
+        # Summed over 2,000 trials, each leaf's count meets its exact mean
+        # given its row's total, the trials' N_ri or C_r: a share w / m_r in
+        # a message row, w / (1 - m_r) in a check row.  Each leaf is within
+        # z_n standard errors, the Bonferroni limit over the n leaves that
+        # makes the whole check fail a correct law as rarely as one 4-SE
+        # check does (z_n = 5.18 at n = 288); and each row's leaves pass a
+        # G-test at p = 1e-6.  C_r meets its mean given N_r, and the N_ri
+        # meet L / 8 per trial, within 4 standard errors.
         _, roots, law = experiment_law(schedule, model)
         rng = np.random.default_rng(seed)
         length, trials = 64, 2000
@@ -802,6 +816,11 @@ class TestTrialLaw:
                 assert abs(given[3 * r + i] - mean) <= 4.0 * se
         # No count lands on a cell that holds no leaf.
         assert not totals[shares == 0.0].any()
+        mean = given[:, None] * shares
+        se = np.sqrt(mean * (1.0 - shares))
+        limit = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-4.0) / np.count_nonzero(shares))
+        for row, cell in zip(*np.nonzero(shares)):
+            assert abs(totals[row, cell] - mean[row, cell]) <= limit * se[row, cell], (row, cell, se[row, cell])
         # A row of two leaves or more passes its G-test; a row of one leaf
         # holds its whole total.
         for row in range(12):
@@ -874,9 +893,11 @@ class TestTrialLaw:
     @pytest.mark.parametrize("schedule, model, seed", G_TEST_CASES)
     def test_the_counts_and_the_sessions_pass_a_two_sample_g_test(self, schedule, model, seed):
         # Count trials against sessions of 1000 bits, at least 200,000
-        # rounds each, on the same table: each row's leaves pass a
-        # two-sample G-test at p = 1e-6 given the row's totals, and each
-        # row's mean total per trial agrees within 4 standard errors.
+        # rounds each, on the same table.  Given the rows' totals, the
+        # leaves pass a two-sample G-test at p = 1e-6 pooled over every row,
+        # and in each row on its own; each row's mean total per trial agrees
+        # within 4 standard errors.  The pooled G is the G of one test over
+        # every cell less its row-total part (see ``row_g_tests``).
         table, _, law = experiment_law(schedule, model)
         rng = np.random.default_rng(seed)
         sessions = []
@@ -887,8 +908,11 @@ class TestTrialLaw:
         drawn = []
         while sum(counts.sum() for counts in drawn) < 200_000:
             drawn += list(law.draw(rng, harness._BLOCK_BITS // 1000, 1000, 51_000)[0])
-        for row, g, df in row_g_tests(sum(drawn), sum(sessions)):
+        rows = list(row_g_tests(sum(drawn), sum(sessions)))
+        for row, g, df in rows:
             assert g < chi_square_quantile(1e-6, df), (row, g, df)
+        g, df = sum(g for _, g, _ in rows), sum(df for _, _, df in rows)
+        assert g < chi_square_quantile(1e-6, df), (g, df)
         assert row_totals_differ(drawn, sessions) == []
 
     def test_a_trial_past_the_budget_reads_its_delivered_bits_from_the_running_sum(self):
