@@ -24,6 +24,14 @@ Second derivations of a fact the package holds once:
 * ``adversary.revealed_basis``: ``Leaf.family`` of a compiled round's leaf
 * ``JointState.n_qubits``: ``len(state.subsystems)``
 * ``cli.parse_json``: ``json.loads``
+
+The one-shot helpers that built a fresh table or called the kernels
+directly, beside the table steps the round engine runs:
+
+* ``apply_pauli``, ``apply_pauli_on_transit``: ``TransitionTable().pauli(state, which, pauli)``
+* ``attach_ancilla_and_entangle``: ``TransitionTable().attach(state, *check_coupling(alpha, beta))``
+* ``outcome_probabilities``, ``collapse_outcome``: ``TransitionTable().measure_points(state, which, basis)``
+* ``plugin_mutual_information``: the leakage audit's count-based ``harness._mutual_information(Counter(zip(xs, ys)))``
 """
 
 from .backend import active_backend
@@ -36,10 +44,7 @@ from .states import (
     Pauli,
     Subsystem,
     allclose_up_to_global_phase,
-    apply_pauli_on_transit,
-    attach_ancilla_and_entangle,
     bell_state,
-    outcome_probabilities,
     prepare_decoy,
 )
 from .protocol import (
@@ -79,7 +84,6 @@ from .harness import (
     detection_curve,
     entangle_measure_curve,
     exhaustive_oracle,
-    plugin_mutual_information,
     run_experiment,
     wilson_interval,
 )

@@ -33,10 +33,8 @@ def norm_sq(amps):
 
 
 def apply_1q(amps, pos, op):
-    """Apply identity (op=0), bit flip (op=1) or phase flip (op=2) at pos."""
+    """Apply a bit flip (op=1) or a phase flip (op=2) at pos."""
     out = list(map(complex, amps))
-    if op == 0:
-        return tuple(out)
     n_amps = len(amps)
     stride = n_amps >> (pos + 1)
     if op == 1:

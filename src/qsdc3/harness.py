@@ -107,17 +107,6 @@ def wilson_interval(failures, n, z=1.96):
     return max(0.0, centre - half), min(1.0, centre + half)
 
 
-def plugin_mutual_information(xs, ys):
-    """Plug-in mutual information (bits) over empirical joint frequencies.
-
-    Adequate at the tiny alphabets used here (bits and bit pairs).
-    """
-    n = len(xs)
-    if n == 0 or n != len(ys):
-        raise ValueError("need two equal-length non-empty sequences")
-    return _mutual_information(Counter(zip(xs, ys)))
-
-
 def _mutual_information(joint):
     """Plug-in mutual information (bits) of a ``(x, y) -> count`` table.
 

@@ -34,9 +34,11 @@ draws every trial's leaf counts from the same weights without a session.
 Randomness: a session draws one double per round from its injected
 generator, in round order, served from ``random(256)`` blocks of it; the
 double picks the round's leaf by cumulative weight (:func:`run_protocol`).
-Together with the one ``integers(0, 2, 3n)`` call that draws a trial's
-messages (:meth:`MessageTriple.random`), this is what makes seeded runs
-reproducible: a seed fixes every message bit and every leaf.
+So a seeded generator fixes every leaf of a session.  The session's
+caller chooses its messages: the CLI's demo draws them with one
+``integers(0, 2, 3n)`` call (:meth:`MessageTriple.random`), while an
+experiment draws every trial's messages in blocks (``harness``) and runs
+no session.
 """
 
 from __future__ import annotations
@@ -75,7 +77,7 @@ _DECOY_LABELS = (DecoyState.ZERO, DecoyState.ONE, DecoyState.PLUS, DecoyState.MI
 # ``value`` properties.  Every round starts from the same pair.
 _Z, _X = Basis.Z, Basis.X
 _HOME, _TRANSIT = Subsystem.HOME, Subsystem.TRANSIT
-_PAULI_X, _PAULI_Z = Pauli.X, Pauli.Z
+_PAULI_I, _PAULI_X, _PAULI_Z = Pauli.I, Pauli.X, Pauli.Z
 _A_TO_B = ChannelSegment.A_TO_B
 _B_TO_C = ChannelSegment.B_TO_C
 _C_TO_A = ChannelSegment.C_TO_A
@@ -321,12 +323,12 @@ def default_budget(length):
 
 def encode_bob(j):
     """Bob's encoding: 0 -> identity, 1 -> bit flip on the transit qubit."""
-    return Pauli.X if j else Pauli.I
+    return _PAULI_X if j else _PAULI_I
 
 
 def encode_charlie(k):
     """Charlie's encoding: 0 -> identity, 1 -> phase flip on the transit qubit."""
-    return Pauli.Z if k else Pauli.I
+    return _PAULI_Z if k else _PAULI_I
 
 
 def announce(r, s, i):
@@ -469,8 +471,8 @@ def _round_points(table, schedule, model, j, k):
         return _AB_CHECK, passed, touched, None, None, events, eve
 
     bob_cm = yield (BERNOULLI, schedule.p_bob_cm)
-    if not bob_cm and j:  # encode_bob: X for 1, the identity for 0
-        pair = table.pauli(pair, _TRANSIT, _PAULI_X)
+    if not bob_cm:
+        pair = table.pauli(pair, _TRANSIT, encode_bob(j))
     pair = yield from hop(_B_TO_C, pair)
 
     # Charlie confirms receipt; only then does Bob announce his mode.
@@ -490,8 +492,7 @@ def _round_points(table, schedule, model, j, k):
         events = (("bob_mode", "MM"), ("charlie_mode", "CM"), ("decoy_reveal", reveal)) + events
         return _DECOY_CHECK, passed, touched, None, basis, events, eve
 
-    if k:  # encode_charlie: Z for 1, the identity for 0
-        pair = table.pauli(pair, _TRANSIT, _PAULI_Z)
+    pair = table.pauli(pair, _TRANSIT, encode_charlie(k))
     pair = yield from hop(_C_TO_A, pair)
 
     # Alice's Bell measurement closes the round; any probe must be read out

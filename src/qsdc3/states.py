@@ -45,9 +45,9 @@ a fresh one), so a derived state is built and validated once per
 distinct value in the experiment, not once per round.
 
 The probe coupling's coefficients are checked where they enter: by
-``check_coupling``, which the public ``attach_ancilla_and_entangle`` and
-``AttackModel`` run.  Eve's attach goes through ``TransitionTable.attach``,
-which trusts the coefficients of her already checked model.
+``check_coupling``, which ``AttackModel`` runs.  Eve's attach goes through
+``TransitionTable.attach``, which trusts the coefficients of her already
+checked model.
 
 Registers are constants: the transit qubit sits after the home qubit when
 there is one, and the probe is always last, so positions come from
@@ -283,18 +283,6 @@ def decoy_basis_and_bit(label):
         raise _unknown_decoy(label) from None
 
 
-def apply_pauli(state, which, pauli):
-    """Apply a single-qubit operator to the named subsystem.
-
-    ``Pauli.I`` returns ``state`` itself.
-    """
-    return TransitionTable().pauli(state, which, pauli)
-
-
-def apply_pauli_on_transit(state, pauli):
-    return apply_pauli(state, _TRANSIT, pauli)
-
-
 def _basis_code(basis):
     """The kernels' code for a measurement basis: 0 for Z, 1 for X."""
     if basis is _Z:
@@ -302,19 +290,6 @@ def _basis_code(basis):
     if basis is _X:
         return 1
     raise ValueError("not a measurement basis: %r" % (basis,))
-
-
-def outcome_probabilities(state, which, basis):
-    """Exact (p0, p1) for a projective measurement; no sampling involved."""
-    pos = state.position(which)
-    p0 = _k.prob_zero(state.amps, pos, _basis_code(basis))
-    return p0, 1.0 - p0
-
-
-def collapse_outcome(state, which, basis, outcome):
-    """Deterministic projection onto the given outcome, renormalized."""
-    pos = state.position(which)
-    return JointState(_k.collapse(state.amps, pos, _basis_code(basis), outcome), state.subsystems)
 
 
 # Chance points.  A random step is written as a generator that yields one
@@ -434,7 +409,10 @@ class TransitionTable:
         )
 
     def pauli(self, state, which, pauli):
-        """:func:`apply_pauli`: ``pauli`` on the named subsystem of ``state``."""
+        """``pauli`` on the named subsystem of ``state``.
+
+        ``Pauli.I`` returns ``state`` itself, and builds no edge.
+        """
         if pauli is _PAULI_I:
             return state
         key = (id(state), id(which), id(pauli))
@@ -468,10 +446,15 @@ class TransitionTable:
         return outcome, child
 
     def attach(self, state, alpha, beta):
-        """:func:`attach_ancilla_and_entangle` for checked coefficients.
+        """A fresh two-level probe coupled to the transit qubit of ``state``.
 
-        The caller has run ``check_coupling`` on ``alpha`` and ``beta``: the
-        public function does, and so does ``AttackModel`` for Eve's model.
+        The coupling sends |0> to alpha |0>|chi0> + beta |1>|chi1> and |1>
+        to alpha |1>|chi0> + beta |0>|chi1>, with {|chi0>, |chi1>} the
+        probe's orthonormal states.  The extension is unitary, so the norm
+        is preserved; a state that already carries a probe raises
+        ``ValueError``.  ``alpha`` and ``beta`` are not checked here: the
+        callers pass an ``AttackModel``'s coefficients, or those that
+        :func:`check_coupling` returns.
         """
         key = (id(state), alpha, beta)
         edge = self._attaches.get(key)
@@ -582,16 +565,3 @@ def check_integer(name, value, least):
     if index < least:
         raise ValueError("%s must be >= %d, got %d" % (name, least, index))
     return index
-
-
-def attach_ancilla_and_entangle(state, alpha, beta):
-    """Couple a fresh two-level probe to the transit qubit.
-
-    The coupling sends |0> to alpha |0>|chi0> + beta |1>|chi1> and |1> to
-    alpha |1>|chi0> + beta |0>|chi1>, with {|chi0>, |chi1>} the probe's
-    orthonormal states.  The extension is unitary, so the norm is preserved.
-    The coefficients are checked here (``check_coupling``); a state that
-    already carries a probe raises ``ValueError``.
-    """
-    alpha, beta = check_coupling(alpha, beta)
-    return TransitionTable().attach(state, alpha, beta)

@@ -25,11 +25,10 @@ from qsdc3.states import (
     Pauli,
     Subsystem,
     TransitionTable,
-    attach_ancilla_and_entangle,
     bell_state,
-    collapse_outcome,
     prepare_decoy,
 )
+from test_states import kernel_collapse
 
 RH = math.sqrt(0.5)
 
@@ -158,7 +157,7 @@ class TestAttackTransit:
         pair = bell_state((0, 0))
         ends = hop(AttackModel.intercept_resend(AB), AB, pair)
         expected = [
-            (0.25, (collapse_outcome(pair, TRANSIT, basis, outcome), basis, outcome))
+            (0.25, (kernel_collapse(pair, TRANSIT, basis, outcome), basis, outcome))
             for basis in (Basis.Z, Basis.X)
             for outcome in (0, 1)
         ]
@@ -220,7 +219,7 @@ class TestOneStrategyPerKind:
     def test_a_probed_qubit_is_not_probed_again(self, scripted, hop, p_fire):
         model = AttackModel.entangle_measure(0.3, AB, BC, attack_probability=p_fire)
         eve = Eavesdropper(model, TransitionTable())
-        probed = attach_ancilla_and_entangle(bell_state((0, 0)), model.alpha, model.beta)
+        probed = TransitionTable().attach(bell_state((0, 0)), model.alpha, model.beta)
         touched = []
         draws = [0.1] if p_fire < 1.0 else []
         assert eve.intercept_transit(BC, probed, scripted(draws), 3, touched) is probed

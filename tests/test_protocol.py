@@ -34,9 +34,8 @@ from qsdc3.states import (
     BellLabel,
     DecoyState,
     Pauli,
+    Subsystem,
     TransitionTable,
-    apply_pauli_on_transit,
-    attach_ancilla_and_entangle,
     bell_state,
     decoy_basis_and_bit,
     prepare_decoy,
@@ -54,9 +53,9 @@ class TestEncoders:
 
     @pytest.mark.parametrize("j, k", list(product((0, 1), repeat=2)))
     def test_joint_encoding_reaches_label_jk(self, j, k, weigh):
-        state = apply_pauli_on_transit(bell_state((0, 0)), encode_bob(j))
-        state = apply_pauli_on_transit(state, encode_charlie(k))
         table = TransitionTable()
+        state = table.pauli(bell_state((0, 0)), Subsystem.TRANSIT, encode_bob(j))
+        state = table.pauli(state, Subsystem.TRANSIT, encode_charlie(k))
         ((weight, (label, _)),) = weigh(lambda: table.bell_points(state))
         assert weight == pytest.approx(1.0, abs=1e-15)
         assert label == BellLabel(j, k)
@@ -133,13 +132,13 @@ class TestChecks:
     def test_bit_flipped_pair_fails_exactly_in_z(self, weigh):
         # After a bit-flip disturbance the pair is label (1,0): Z outcomes
         # become equal (fail) while X stays correlated (pass).
-        disturbed = apply_pauli_on_transit(bell_state((0, 0)), Pauli.X)
+        disturbed = TransitionTable().pauli(bell_state((0, 0)), Subsystem.TRANSIT, Pauli.X)
         ends = correlation_check(weigh, disturbed)
         assert all(passed == (basis == "X") for _, basis, passed in ends)
         assert failed_weight(ends) == pytest.approx(0.5, abs=1e-15)
 
     def test_phase_flipped_pair_fails_exactly_in_x(self, weigh):
-        disturbed = apply_pauli_on_transit(bell_state((0, 0)), Pauli.Z)
+        disturbed = TransitionTable().pauli(bell_state((0, 0)), Subsystem.TRANSIT, Pauli.Z)
         ends = correlation_check(weigh, disturbed, "ca")
         assert all(passed == (basis == "Z") for _, basis, passed in ends)
         assert failed_weight(ends) == pytest.approx(0.5, abs=1e-15)
@@ -149,13 +148,13 @@ class TestChecks:
         assert decoy_check(weigh, label, prepare_decoy(label)) == [(1.0, True)]
 
     def test_probe_coupled_zero_decoy_fails_half_the_time(self, weigh):
-        received = attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), 0.5**0.5, 0.5**0.5)
+        received = TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 0.5**0.5, 0.5**0.5)
         ends = decoy_check(weigh, DecoyState.ZERO, received)
         assert [passed for _, passed in ends] == [True, False]
         assert failed_weight(ends) == pytest.approx(0.5, abs=1e-15)
 
     def test_probe_coupled_plus_decoy_never_fails(self, weigh):
-        received = attach_ancilla_and_entangle(prepare_decoy(DecoyState.PLUS), 0.6, 0.8)
+        received = TransitionTable().attach(prepare_decoy(DecoyState.PLUS), 0.6, 0.8)
         ends = decoy_check(weigh, DecoyState.PLUS, received)
         assert [passed for _, passed in ends] == [True]
         assert ends[0][0] == pytest.approx(1.0, abs=1e-15)

@@ -26,20 +26,18 @@ from qsdc3.states import (
     Subsystem,
     TransitionTable,
     allclose_up_to_global_phase,
-    apply_pauli_on_transit,
-    attach_ancilla_and_entangle,
     bell_state,
+    check_coupling,
     check_integer,
     check_probability,
     check_real,
-    collapse_outcome,
     decoy_basis_and_bit,
-    outcome_probabilities,
     prepare_decoy,
 )
 
 RH = math.sqrt(0.5)
 PAIR = (Subsystem.HOME, Subsystem.TRANSIT)
+TRANSIT = Subsystem.TRANSIT
 
 
 def amps_close(state, expected, atol=1e-12):
@@ -101,33 +99,34 @@ class TestBellStates:
 
 class TestPauliOnTransit:
     def test_bit_flip_moves_00_to_10(self):
-        out = apply_pauli_on_transit(bell_state((0, 0)), Pauli.X)
+        out = TransitionTable().pauli(bell_state((0, 0)), TRANSIT, Pauli.X)
         assert amps_close(out, bell_state((1, 0)).amps)
 
     def test_phase_flip_moves_10_to_11(self):
-        out = apply_pauli_on_transit(bell_state((1, 0)), Pauli.Z)
+        out = TransitionTable().pauli(bell_state((1, 0)), TRANSIT, Pauli.Z)
         assert amps_close(out, bell_state((1, 1)).amps)
 
     def test_phase_flip_moves_00_to_01(self):
         # (|01>+|10>)/sqrt2 -> (|10>-|01>)/sqrt2, exactly the listed sign.
-        out = apply_pauli_on_transit(bell_state((0, 0)), Pauli.Z)
+        out = TransitionTable().pauli(bell_state((0, 0)), TRANSIT, Pauli.Z)
         assert amps_close(out, bell_state((0, 1)).amps)
 
     def test_identity_returns_same_state(self):
         for label in ((0, 0), (1, 1)):
             state = bell_state(label)
-            assert apply_pauli_on_transit(state, Pauli.I).amps == state.amps
+            assert TransitionTable().pauli(state, TRANSIT, Pauli.I) is state
 
     @pytest.mark.parametrize("j", [0, 1])
     @pytest.mark.parametrize("k", [0, 1])
     def test_encoding_identity(self, j, k, weigh):
         # Bit flip to the j-th power then phase flip to the k-th power on the
         # transit qubit maps the base pair to label (j, k) with certainty.
+        table = TransitionTable()
         state = bell_state((0, 0))
         if j:
-            state = apply_pauli_on_transit(state, Pauli.X)
+            state = table.pauli(state, TRANSIT, Pauli.X)
         if k:
-            state = apply_pauli_on_transit(state, Pauli.Z)
+            state = table.pauli(state, TRANSIT, Pauli.Z)
         ((label, (weight, post)),) = bell_measured(weigh, state).items()
         assert label == (j, k)
         assert weight == pytest.approx(1.0, abs=1e-15)
@@ -136,12 +135,13 @@ class TestPauliOnTransit:
     @pytest.mark.parametrize("pauli", ["X", 1, None])
     def test_rejects_a_non_pauli(self, pauli):
         with pytest.raises(ValueError, match="not a Pauli"):
-            apply_pauli_on_transit(bell_state((0, 0)), pauli)
+            TransitionTable().pauli(bell_state((0, 0)), TRANSIT, pauli)
 
     def test_norm_preserved(self):
+        table = TransitionTable()
         state = bell_state((0, 1))
         for pauli in (Pauli.X, Pauli.Z, Pauli.X):
-            state = apply_pauli_on_transit(state, pauli)
+            state = table.pauli(state, TRANSIT, pauli)
             assert abs(sum(abs(a) ** 2 for a in state.amps) - 1.0) < 1e-12
 
 
@@ -153,7 +153,7 @@ class TestBellMeasure:
         assert post is bell_state(label)
 
     def test_rejects_probe_carrying_state(self):
-        state = attach_ancilla_and_entangle(bell_state((0, 0)), RH, RH)
+        state = TransitionTable().attach(bell_state((0, 0)), RH, RH)
         with pytest.raises(ValueError, match="probe"):
             next(TransitionTable().bell_points(state))
 
@@ -164,8 +164,8 @@ class TestBellMeasure:
     def test_after_probe_projection_onto_chi0(self, weigh):
         # Probe-coupled pair with alpha = beta = 1/sqrt2: reading chi0 leaves
         # the original pair, so the joint measurement is certain.
-        state = attach_ancilla_and_entangle(bell_state((0, 0)), RH, RH)
         table = TransitionTable()
+        state = table.attach(bell_state((0, 0)), RH, RH)
         (half, (outcome, remaining)), _ = weigh(lambda: table.readout_points(state))
         assert outcome == 0 and half == pytest.approx(0.5, abs=1e-15)
         ((label, (weight, _)),) = bell_measured(weigh, remaining).items()
@@ -205,8 +205,8 @@ class TestMeasureQubit:
         # Transit read as + collapses the home qubit to |+>.
         (_, (outcome, post)), _ = measured(weigh, bell_state((0, 0)), Subsystem.TRANSIT, Basis.X)
         assert outcome == 0
-        p_plus, _ = outcome_probabilities(post, Subsystem.HOME, Basis.X)
-        assert p_plus == pytest.approx(1.0, abs=1e-12)
+        ((p_plus, (home, _)),) = measured(weigh, post, Subsystem.HOME, Basis.X)
+        assert home == 0 and p_plus == pytest.approx(1.0, abs=1e-12)
 
     def test_plus_decoy_is_x_eigenstate(self, weigh):
         ((weight, (outcome, post)),) = measured(weigh, prepare_decoy(DecoyState.PLUS), Subsystem.TRANSIT, Basis.X)
@@ -218,10 +218,6 @@ class TestMeasureQubit:
         pair = bell_state((0, 0))
         with pytest.raises(ValueError, match="not a measurement basis"):
             next(TransitionTable().measure_points(pair, Subsystem.TRANSIT, basis))
-        with pytest.raises(ValueError, match="not a measurement basis"):
-            outcome_probabilities(pair, Subsystem.TRANSIT, basis)
-        with pytest.raises(ValueError, match="not a measurement basis"):
-            collapse_outcome(pair, Subsystem.TRANSIT, basis, 0)
 
     def test_missing_subsystem_rejected(self):
         with pytest.raises(ValueError, match="ancilla"):
@@ -234,8 +230,8 @@ class TestMeasureQubit:
     def test_transit_marginal_is_maximally_mixed(self, label, basis, weigh):
         # The lone transit qubit of any entangled pair reveals nothing: both
         # outcomes are exactly equally likely, whichever label was encoded.
-        p0, p1 = outcome_probabilities(bell_state(label), Subsystem.TRANSIT, basis)
-        assert p0 == pytest.approx(0.5, abs=1e-12)
+        kind, p0 = next(TransitionTable().measure_points(bell_state(label), Subsystem.TRANSIT, basis))
+        assert kind is BERNOULLI and p0 == pytest.approx(0.5, abs=1e-12)
         ends = measured(weigh, bell_state(label), Subsystem.TRANSIT, basis)
         assert [outcome for _, (outcome, _) in ends] == [0, 1]
         assert [weight for weight, _ in ends] == [p0, 1.0 - p0]
@@ -246,7 +242,7 @@ class TestMeasureQubit:
         for u, outcome in ((0.2, 0), (0.7, 1)):
             rng = scripted([u, 0.5])
             got = protocol.measure_qubit(pair, Subsystem.TRANSIT, Basis.Z, rng)
-            assert got == (outcome, collapse_outcome(pair, Subsystem.TRANSIT, Basis.Z, outcome))
+            assert got == (outcome, kernel_collapse(pair, Subsystem.TRANSIT, Basis.Z, outcome))
             assert rng.values == [0.5]
 
 
@@ -325,46 +321,47 @@ class TestProbeCoupling:
     def test_pair_becomes_weighted_mix_of_labels(self):
         # alpha |(0,0) pair>|chi0> + beta |(1,0) pair>|chi1>
         alpha, beta = 0.6, 0.8
-        state = attach_ancilla_and_entangle(bell_state((0, 0)), alpha, beta)
+        state = TransitionTable().attach(bell_state((0, 0)), alpha, beta)
         a, b = alpha * RH, beta * RH
         assert state.subsystems == (Subsystem.HOME, Subsystem.TRANSIT, Subsystem.ANCILLA)
         assert amps_close(state, (0, b, a, 0, a, 0, 0, b))
 
-    def test_plus_decoy_factorizes(self):
+    def test_plus_decoy_factorizes(self, weigh):
         # |+> (alpha |chi0> + beta |chi1>): the flying qubit stays untouched.
         alpha, beta = 0.6, 0.8
-        state = attach_ancilla_and_entangle(prepare_decoy(DecoyState.PLUS), alpha, beta)
+        state = TransitionTable().attach(prepare_decoy(DecoyState.PLUS), alpha, beta)
         assert amps_close(state, (alpha * RH, beta * RH, alpha * RH, beta * RH))
-        p_plus, _ = outcome_probabilities(state, Subsystem.TRANSIT, Basis.X)
-        assert p_plus == pytest.approx(1.0, abs=1e-12)
+        ((p_plus, (outcome, _)),) = measured(weigh, state, Subsystem.TRANSIT, Basis.X)
+        assert outcome == 0 and p_plus == pytest.approx(1.0, abs=1e-12)
 
-    def test_minus_decoy_keeps_its_sign(self):
+    def test_minus_decoy_keeps_its_sign(self, weigh):
         for alpha, beta in ((0.6, 0.8), (RH, RH), (1.0, 0.0)):
-            state = attach_ancilla_and_entangle(prepare_decoy(DecoyState.MINUS), alpha, beta)
-            _, p_minus = outcome_probabilities(state, Subsystem.TRANSIT, Basis.X)
-            assert p_minus == pytest.approx(1.0, abs=1e-12)
+            state = TransitionTable().attach(prepare_decoy(DecoyState.MINUS), alpha, beta)
+            ((p_minus, (outcome, _)),) = measured(weigh, state, Subsystem.TRANSIT, Basis.X)
+            assert outcome == 1 and p_minus == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_decoy_entangles(self):
         alpha, beta = 0.6, 0.8
-        state = attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), alpha, beta)
+        state = TransitionTable().attach(prepare_decoy(DecoyState.ZERO), alpha, beta)
         assert amps_close(state, (alpha, 0, 0, beta))
 
     def test_identity_coupling(self):
-        state = attach_ancilla_and_entangle(bell_state((0, 1)), 1.0, 0.0)
+        state = TransitionTable().attach(bell_state((0, 1)), 1.0, 0.0)
         assert amps_close(state, (0, 0, -RH, 0, RH, 0, 0, 0))
 
     def test_rejects_unnormalized_coefficients(self):
         with pytest.raises(ValueError, match="alpha"):
-            attach_ancilla_and_entangle(bell_state((0, 0)), 0.9, 0.8)
+            check_coupling(0.9, 0.8)
 
     def test_rejects_nan_coefficient(self):
         with pytest.raises(ValueError, match="alpha"):
-            attach_ancilla_and_entangle(bell_state((0, 0)), float("nan"), 0)
+            check_coupling(float("nan"), 0)
 
     def test_rejects_second_probe(self):
-        state = attach_ancilla_and_entangle(bell_state((0, 0)), RH, RH)
+        table = TransitionTable()
+        state = table.attach(bell_state((0, 0)), RH, RH)
         with pytest.raises(ValueError, match="already"):
-            attach_ancilla_and_entangle(state, RH, RH)
+            table.attach(state, RH, RH)
 
     @pytest.mark.parametrize("state", [bell_state((0, 0)), prepare_decoy(DecoyState.ONE)], ids=["pair", "decoy"])
     def test_discarding_a_missing_probe_is_rejected(self, state):
@@ -372,8 +369,8 @@ class TestProbeCoupling:
             next(TransitionTable().readout_points(state))
 
     def test_the_coupling_is_checked_at_the_boundary_only(self, monkeypatch, weigh):
-        # The public attach checks its coefficients; an AttackModel checks
-        # its own once, and Eve's attaches trust them.
+        # An AttackModel checks its coefficients once, and Eve's attaches
+        # trust them.
         calls = []
         original = states.check_coupling
 
@@ -383,20 +380,17 @@ class TestProbeCoupling:
 
         monkeypatch.setattr(states, "check_coupling", counting)
         monkeypatch.setattr(adversary, "check_coupling", counting)
-        attach_ancilla_and_entangle(bell_state((0, 0)), 0.6, 0.8)
-        assert len(calls) == 1
         model = AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A)
-        assert len(calls) == 2
+        assert len(calls) == 1
         table = TransitionTable()
         for segment, state in ((ChannelSegment.A_TO_B, bell_state((0, 0))), (ChannelSegment.C_TO_A, prepare_decoy(DecoyState.ZERO))):
             ((_, (probed, _)),) = weigh(lambda: adversary.attack_points(table, model, segment, state))
             assert probed.has_ancilla
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_norm_preserved_for_complex_coefficients(self):
-        alpha = complex(0.5, 0.5)
-        beta = complex(-0.5, 0.5)
-        state = attach_ancilla_and_entangle(bell_state((1, 1)), alpha, beta)
+        alpha, beta = check_coupling(complex(0.5, 0.5), complex(-0.5, 0.5))
+        state = TransitionTable().attach(bell_state((1, 1)), alpha, beta)
         assert abs(sum(abs(a) ** 2 for a in state.amps) - 1.0) < 1e-12
 
     def test_probe_statistics(self, weigh):
@@ -404,14 +398,11 @@ class TestProbeCoupling:
         # flying qubit came from the Z family.
         beta_sq = 0.3
         alpha, beta = math.sqrt(1 - beta_sq), math.sqrt(beta_sq)
-        p_chi0, p_chi1 = outcome_probabilities(
-            attach_ancilla_and_entangle(bell_state((0, 0)), alpha, beta),
-            Subsystem.ANCILLA,
-            Basis.Z,
-        )
-        assert p_chi1 == pytest.approx(beta_sq, abs=1e-12)
-        state = attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), alpha, beta)
         table = TransitionTable()
+        probed = table.attach(bell_state((0, 0)), alpha, beta)
+        _, (p_chi1, (chi1, _)) = measured(weigh, probed, Subsystem.ANCILLA, Basis.Z)
+        assert chi1 == 1 and p_chi1 == pytest.approx(beta_sq, abs=1e-12)
+        state = table.attach(prepare_decoy(DecoyState.ZERO), alpha, beta)
         (p0, (zero, rest0)), (p1, (one, rest1)) = weigh(lambda: table.readout_points(state))
         assert (zero, one) == (0, 1)
         assert p1 == pytest.approx(beta_sq, abs=1e-15) and p0 + p1 == pytest.approx(1.0, abs=1e-15)
@@ -448,12 +439,14 @@ class TestJointStateInvariants:
     def test_collapse_outcome_is_deterministic_projection(self):
         # Projecting the transit qubit of the base pair onto |1> leaves |0>
         # on the home side.
-        post = collapse_outcome(bell_state((0, 0)), Subsystem.TRANSIT, Basis.Z, 1)
-        assert amps_close(post, (0, 1, 0, 0))
+        outcome, post = answered(TransitionTable().measure_points(bell_state((0, 0)), TRANSIT, Basis.Z), False)
+        assert outcome == 1 and amps_close(post, (0, 1, 0, 0))
 
     def test_zero_probability_collapse_raises(self):
+        # An answer of probability 0 forced on a measurement has no state
+        # to collapse onto.
         with pytest.raises(ValueError, match="zero-probability"):
-            collapse_outcome(prepare_decoy(DecoyState.ZERO), Subsystem.TRANSIT, Basis.Z, 1)
+            answered(TransitionTable().measure_points(prepare_decoy(DecoyState.ZERO), TRANSIT, Basis.Z), False)
 
 
 REGISTERS = [
@@ -465,27 +458,28 @@ REGISTERS = [
 
 
 def probed_pair():
-    return attach_ancilla_and_entangle(bell_state((0, 0)), 0.6, 0.8)
+    return TransitionTable().attach(bell_state((0, 0)), 0.6, 0.8)
 
 
-# Each public operation that builds its result from one kernel's output:
+# Each table operation that builds its result from one kernel's output:
 # (kernel, input state, operation on it, length of the kernel's output).
 KERNEL_OPERATIONS = [
-    ("apply_1q", bell_state((0, 0)), lambda s: apply_pauli_on_transit(s, Pauli.X), 4),
-    ("collapse", bell_state((0, 0)), lambda s: collapse_outcome(s, Subsystem.TRANSIT, Basis.Z, 0), 4),
+    ("apply_1q", bell_state((0, 0)), lambda s: TransitionTable().pauli(s, TRANSIT, Pauli.X), 4),
     (
         "collapse",
         bell_state((0, 0)),
         lambda s: answered(TransitionTable().measure_points(s, Subsystem.TRANSIT, Basis.X), True),
         4,
     ),
-    ("attach_ancilla", bell_state((0, 0)), lambda s: attach_ancilla_and_entangle(s, 0.6, 0.8), 8),
+    ("attach_ancilla", bell_state((0, 0)), lambda s: TransitionTable().attach(s, 0.6, 0.8), 8),
     (
         "discard_qubit",
         probed_pair(),
         lambda s: answered(TransitionTable().readout_points(s), True),
         4,
     ),
+    # The readout collapses the probe before it discards it.
+    ("collapse", probed_pair(), lambda s: answered(TransitionTable().readout_points(s), True), 8),
 ]
 
 
@@ -495,7 +489,7 @@ class TestDerivedStates:
     @pytest.mark.parametrize(
         "kernel, state, operation, n_out",
         KERNEL_OPERATIONS,
-        ids=["apply_pauli", "collapse_outcome", "measure_points", "attach", "discard"],
+        ids=["pauli", "measure_points", "attach", "discard", "readout_collapse"],
     )
     @pytest.mark.parametrize(
         "bad, message",
@@ -521,8 +515,8 @@ class TestDerivedStates:
         monkeypatch.setattr(JointState, "__post_init__", counting)
         pair = bell_state((0, 0))
         derived = [
-            apply_pauli_on_transit(pair, Pauli.Z),
-            collapse_outcome(pair, Subsystem.TRANSIT, Basis.X, 1),
+            TransitionTable().pauli(pair, TRANSIT, Pauli.Z),
+            answered(TransitionTable().measure_points(pair, TRANSIT, Basis.X), False)[1],
             answered(TransitionTable().measure_points(pair, Subsystem.HOME, Basis.Z), True)[1],
             probed_pair(),
         ]
@@ -534,12 +528,12 @@ class TestDerivedStates:
         derived = [
             JointState((1, 0), (Subsystem.TRANSIT,)),
             JointState(np.array([0.0, RH, RH, 0.0]), PAIR),
-            apply_pauli_on_transit(bell_state((0, 0)), Pauli.X),
-            apply_pauli_on_transit(bell_state((1, 0)), Pauli.Z),
-            collapse_outcome(bell_state((0, 0)), Subsystem.TRANSIT, Basis.Z, 1),
+            TransitionTable().pauli(bell_state((0, 0)), TRANSIT, Pauli.X),
+            TransitionTable().pauli(bell_state((1, 0)), TRANSIT, Pauli.Z),
+            answered(TransitionTable().measure_points(bell_state((0, 0)), TRANSIT, Basis.Z), False)[1],
             answered(TransitionTable().measure_points(decoy, Subsystem.TRANSIT, Basis.Z), False)[1],
             probed,
-            attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), 1, 0),
+            TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 1, 0),
             answered(TransitionTable().readout_points(probed), False)[1],
             answered(TransitionTable().bell_points(bell_state((1, 1))), 3)[1],
         ]
@@ -588,7 +582,7 @@ class TestDerivedStates:
     def test_derived_registers_are_the_legal_ones(self):
         # Attach and discard pick prebuilt registers instead of building them.
         for state in (bell_state((0, 0)), prepare_decoy(DecoyState.PLUS)):
-            probed = attach_ancilla_and_entangle(state, 0.6, 0.8)
+            probed = TransitionTable().attach(state, 0.6, 0.8)
             assert probed.subsystems == state.subsystems + (Subsystem.ANCILLA,)
             for outcome in (True, False):
                 discarded = answered(TransitionTable().readout_points(probed), outcome)[1]
@@ -628,16 +622,21 @@ class TestKernels:
     def test_outputs_are_complex_after_a_float_input(self):
         outputs = [
             backend.apply_1q((1.0, 0.0), 0, 1),
-            backend.apply_1q((1.0, 0.0), 0, 0),
+            backend.apply_1q((1.0, 0.0), 0, 2),
             backend.collapse((0.6, 0.8), 0, 0, 1),
             backend.collapse((0.6, 0.8), 0, 1, 0),
             backend.attach_ancilla((0.6, 0.8), 0, 1.0, 0.0),
             backend.discard_qubit((0.6, 0.0, 0.0, 0.8), 1, 0),
-            apply_pauli_on_transit(prepare_decoy(DecoyState.ZERO), Pauli.X).amps,
         ]
-        assert outputs[0] == outputs[-1] == (0j, 1 + 0j)
+        assert outputs[0] == (0j, 1 + 0j)
         for amps in outputs:
             assert all(type(a) is complex for a in amps), amps
+
+    def test_the_identity_is_no_op_code(self):
+        # The table returns a state unchanged for Pauli.I without a kernel
+        # call, so op 0 is not a kernel operation.
+        with pytest.raises(ValueError, match="unknown single-qubit op code"):
+            backend.apply_1q((1.0, 0.0), 0, 0)
 
     def test_zero_probability_collapse_raises(self):
         with pytest.raises(ValueError, match="zero-probability"):
@@ -698,21 +697,43 @@ ATTACK_EDGES = [
 ]
 
 
+# References built on the kernels alone, apart from the table, so that an
+# edge the table builds wrongly differs from them.  The kernels' codes of a
+# Pauli and of a measurement basis:
+PAULI_CODE = {Pauli.X: 1, Pauli.Z: 2}
+BASIS_CODE = {Basis.Z: 0, Basis.X: 1}
+
+
+def kernel_probabilities(state, which, basis):
+    """(p0, p1) of measuring ``which`` in ``basis``, from the ``prob_zero`` kernel."""
+    p0 = backend.prob_zero(state.amps, state.position(which), BASIS_CODE[basis])
+    return p0, 1.0 - p0
+
+
+def kernel_collapse(state, which, basis, outcome):
+    """``state`` projected onto ``outcome``, from the ``collapse`` kernel."""
+    amps = backend.collapse(state.amps, state.position(which), BASIS_CODE[basis], outcome)
+    return JointState(amps, state.subsystems)
+
+
 def exact_hop(model, segment, state):
-    """Eve's hop from the exact public functions, in answer order:
-    ``[(weight, (state, record)), ...]``."""
+    """Eve's hop from the kernels, in answer order: ``[(weight, (state,
+    record)), ...]``."""
     kind = model.kind
+    transit = state.position(TRANSIT)
     if kind is adversary.AttackKind.DISTURBANCE:
-        fired = [(1.0, apply_pauli_on_transit(state, model.pauli), None, None)]
+        flipped = JointState(backend.apply_1q(state.amps, transit, PAULI_CODE[model.pauli]), state.subsystems)
+        fired = [(1.0, flipped, None, None)]
     elif kind is adversary.AttackKind.INTERCEPT_RESEND:
         fired = [
-            (0.5 * p, collapse_outcome(state, Subsystem.TRANSIT, basis, outcome), basis, outcome)
+            (0.5 * p, kernel_collapse(state, TRANSIT, basis, outcome), basis, outcome)
             for basis in (Basis.Z, Basis.X)
-            for outcome, p in enumerate(outcome_probabilities(state, Subsystem.TRANSIT, basis))
+            for outcome, p in enumerate(kernel_probabilities(state, TRANSIT, basis))
             if p > 0.0
         ]
     else:
-        fired = [(1.0, attach_ancilla_and_entangle(state, model.alpha, model.beta), None, None)]
+        probed = backend.attach_ancilla(state.amps, transit, model.alpha, model.beta)
+        fired = [(1.0, JointState(probed, state.subsystems + (Subsystem.ANCILLA,)), None, None)]
     p_fire = model.attack_probability
     ends = [(p_fire * w, (child, EveRecord(-1, segment, kind, basis, outcome))) for w, child, basis, outcome in fired]
     if p_fire < 1.0:
@@ -721,10 +742,10 @@ def exact_hop(model, segment, state):
 
 
 def exact_measurement(state, which, basis):
-    """A measurement's ends from ``outcome_probabilities`` and ``collapse_outcome``."""
+    """A measurement's ends from the ``prob_zero`` and ``collapse`` kernels."""
     return [
-        (p, (outcome, collapse_outcome(state, which, basis, outcome)))
-        for outcome, p in enumerate(outcome_probabilities(state, which, basis))
+        (p, (outcome, kernel_collapse(state, which, basis, outcome)))
+        for outcome, p in enumerate(kernel_probabilities(state, which, basis))
         if p > 0.0
     ]
 
@@ -734,10 +755,10 @@ def exact_readout(state):
     dropped (it is the last qubit, so its bit is the amplitude index's
     lowest)."""
     ends = []
-    for outcome, p in enumerate(outcome_probabilities(state, Subsystem.ANCILLA, Basis.Z)):
+    for outcome, p in enumerate(kernel_probabilities(state, Subsystem.ANCILLA, Basis.Z)):
         if p > 0.0:
-            collapsed = collapse_outcome(state, Subsystem.ANCILLA, Basis.Z, outcome)
-            ends.append((p, (outcome, JointState(collapsed.amps[outcome::2], state.subsystems[:-1]))))
+            post = kernel_collapse(state, Subsystem.ANCILLA, Basis.Z, outcome)
+            ends.append((p, (outcome, JointState(post.amps[outcome::2], state.subsystems[:-1]))))
     return ends
 
 
@@ -750,11 +771,11 @@ def exact_bell(state):
     ]
 
 
-PLUS_PLUS = collapse_outcome(bell_state((0, 0)), Subsystem.TRANSIT, Basis.X, 0)
+PLUS_PLUS = kernel_collapse(bell_state((0, 0)), TRANSIT, Basis.X, 0)
 PROBED = probed_pair()
 
-# (a table's chance-point steps, their ends from the exact functions), both
-# on one state.
+# (a table's chance-point steps, their ends from the kernels), both on one
+# state.
 SAMPLED_EDGES = [
     pytest.param(
         lambda table: table.measure_points(bell_state((0, 1)), Subsystem.TRANSIT, Basis.X),
@@ -794,7 +815,7 @@ def weighed_twice(monkeypatch, weigh, make_steps):
 
 
 class TestTransitionTable:
-    """A table edge is the exact public operation, built once and then reused."""
+    """A table edge is the kernels' operation, built once and then reused."""
 
     @pytest.mark.parametrize("model, segment, state", ATTACK_EDGES)
     def test_an_attack_edge_matches_the_exact_functions(self, monkeypatch, weigh, model, segment, state):
@@ -820,7 +841,7 @@ class TestTransitionTable:
     )
     def test_an_outcome_of_zero_probability_is_never_drawn(self, weigh, amps, basis):
         state = JointState(tuple(map(complex, amps)), PAIR)
-        assert outcome_probabilities(state, Subsystem.HOME, basis)[0] < 1.0
+        assert backend.prob_zero(state.amps, 0, BASIS_CODE[basis]) < 1.0
         table = TransitionTable()
         assert next(table.measure_points(state, Subsystem.HOME, basis)) == (BERNOULLI, 1.0)
         ends = weigh(lambda: table.measure_points(state, Subsystem.HOME, basis))
@@ -922,7 +943,7 @@ class TestTransitionTable:
 # a product pair and a probed pair and decoy.
 UNPROBED_STATES = [bell_state(label) for label in product((0, 1), repeat=2)]
 UNPROBED_STATES += [prepare_decoy(label) for label in DecoyState] + [PLUS_PLUS]
-PROBED_STATES = [PROBED, attach_ancilla_and_entangle(prepare_decoy(DecoyState.ZERO), 0.6, 0.8)]
+PROBED_STATES = [PROBED, TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 0.6, 0.8)]
 
 # Every attack kind on every segment, ungated and gated.
 WEIGHED_ATTACKS = [
@@ -986,15 +1007,23 @@ class TestWeigh:
         assert weigh(lambda: table.measure_points(zero, Subsystem.TRANSIT, Basis.Z)) == [(1.0, (0, zero))]
 
     def test_measurement_weights_sum_to_one(self, total_weight):
+        # Each point's p is a probability, even where the kernel's sum
+        # rounds past 1: |+> in X has p0 = 1.0 exactly.
         for state in UNPROBED_STATES + PROBED_STATES:
             for which, basis in product(state.subsystems, Basis):
                 table = TransitionTable()
+                kind, p = next(table.measure_points(state, which, basis))
+                assert kind is BERNOULLI and 0.0 <= p <= 1.0, (state, which, basis)
                 weight = total_weight(lambda: table.measure_points(state, which, basis))
                 assert weight == pytest.approx(1.0, abs=1e-12), (state, which, basis)
+        plus = next(TransitionTable().measure_points(prepare_decoy(DecoyState.PLUS), TRANSIT, Basis.X))
+        assert plus == (BERNOULLI, 1.0)
 
     def test_readout_weights_sum_to_one(self, total_weight):
         for state in PROBED_STATES:
             table = TransitionTable()
+            kind, p = next(table.readout_points(state))
+            assert kind is BERNOULLI and 0.0 <= p <= 1.0, state
             assert total_weight(lambda: table.readout_points(state)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_weights_sum_to_one(self, total_weight):
