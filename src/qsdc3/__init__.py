@@ -29,21 +29,29 @@ The one-shot helpers that built a fresh table or called the kernels
 directly, beside the table steps the round engine runs:
 
 * ``apply_pauli``, ``apply_pauli_on_transit``: ``TransitionTable().pauli(state, which, pauli)``
-* ``attach_ancilla_and_entangle``: ``TransitionTable().attach(state, *check_coupling(alpha, beta))``
+* ``attach_ancilla_and_entangle``: ``TransitionTable().attach(state, beta_sq)``
 * ``outcome_probabilities``, ``collapse_outcome``: ``TransitionTable().measure_points(state, which, basis)``
 * ``plugin_mutual_information``: the leakage audit's count-based ``harness._mutual_information(Counter(zip(xs, ys)))``
+
+The probe coupling is one number, its flip weight beta^2, not two complex
+amplitudes behind a norm check:
+
+* ``AttackModel.alpha``, ``AttackModel.beta``: ``AttackModel.beta_sq``
+* ``check_coupling``, ``COEFF_NORM_ATOL``: ``AttackModel`` checks ``beta_sq`` with ``states.check_probability``
+
+Public names that only the tests read:
+
+* ``allclose_up_to_global_phase``, ``AMP_ATOL``: defined in tests/test_states.py
 """
 
 from .backend import active_backend
 from .states import (
-    AMP_ATOL,
     Basis,
     BellLabel,
     DecoyState,
     JointState,
     Pauli,
     Subsystem,
-    allclose_up_to_global_phase,
     bell_state,
     prepare_decoy,
 )

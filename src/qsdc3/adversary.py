@@ -32,7 +32,6 @@ against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -44,7 +43,6 @@ from .states import (
     Pauli,
     Subsystem,
     TransitionTable,
-    check_coupling,
     check_probability,
     drive,
 )
@@ -70,23 +68,26 @@ class AttackModel:
     ``attack_probability`` is the chance Eve acts on a qubit crossing one of
     her segments; the default 1.0 matches the per-attack framing in which
     every crossing is attacked.  It is stored as given, so an integer stays
-    an integer in a report.
+    an integer in a report.  ``beta_sq``, entangle-measure's one parameter,
+    is the probe's flip weight |beta|^2 (see ``TransitionTable.attach``); it
+    is stored as a ``float``, as ``SchedulePolicy`` stores its
+    probabilities.
 
     Raises ``ValueError`` naming the field for a ``kind`` or a segment that
     is not an enum member (its value included), a segment named more than
     once, segments on the null attack or none on an active one, a
-    disturbance without the X or Z flip, probe coefficients that are not
-    normalised (``states.check_coupling``), a ``pauli`` other than None
-    outside a disturbance, an ``alpha`` or ``beta`` other than the defaults
-    outside entangle-measure, and an ``attack_probability`` that is not a
-    real number in [0, 1] (``states.check_probability``).
+    disturbance without the X or Z flip, a ``pauli`` other than None
+    outside a disturbance, a ``beta_sq`` that is not a real number in
+    [0, 1] on entangle-measure or not None on any other kind, an
+    ``attack_probability`` that is not a real number in [0, 1]
+    (``states.check_probability``), and one other than 1 on the null
+    attack.
     """
 
     kind: AttackKind
     segments: frozenset = frozenset()
     pauli: Pauli | None = None
-    alpha: complex = 1.0 + 0j
-    beta: complex = 0j
+    beta_sq: float | None = None
     attack_probability: float = 1.0
 
     def __post_init__(self):
@@ -110,12 +111,12 @@ class AttackModel:
         elif self.pauli is not None:
             raise ValueError("pauli is set only for a disturbance, got %r" % (self.pauli,))
         if self.kind is AttackKind.ENTANGLE_MEASURE:
-            alpha, beta = check_coupling(self.alpha, self.beta)
-            object.__setattr__(self, "alpha", alpha)
-            object.__setattr__(self, "beta", beta)
-        elif not (self.alpha == 1.0 and self.beta == 0.0):
-            raise ValueError("alpha and beta are set only for entangle-measure, got %r, %r" % (self.alpha, self.beta))
+            object.__setattr__(self, "beta_sq", float(check_probability("beta_sq", self.beta_sq)))
+        elif self.beta_sq is not None:
+            raise ValueError("beta_sq is set only for entangle-measure, got %r" % (self.beta_sq,))
         check_probability("attack_probability", self.attack_probability)
+        if self.kind is AttackKind.NONE and self.attack_probability != 1:
+            raise ValueError("a null attack has attack_probability 1, got %r" % (self.attack_probability,))
 
     @classmethod
     def none(cls):
@@ -131,16 +132,9 @@ class AttackModel:
 
     @classmethod
     def entangle_measure(cls, beta_sq, *segments, attack_probability=1.0):
-        """Probe coupling parametrized by the flip weight |beta|^2, a real
+        """Probe coupling of flip weight ``beta_sq`` = |beta|^2, a real
         number in [0, 1]; any other ``beta_sq`` raises ``ValueError``."""
-        beta_sq = check_probability("beta_sq", beta_sq)
-        return cls(
-            AttackKind.ENTANGLE_MEASURE,
-            segments,
-            alpha=complex(math.sqrt(1.0 - beta_sq)),
-            beta=complex(math.sqrt(beta_sq)),
-            attack_probability=attack_probability,
-        )
+        return cls(AttackKind.ENTANGLE_MEASURE, segments, beta_sq=beta_sq, attack_probability=attack_probability)
 
 
 @dataclass(slots=True)
@@ -190,8 +184,8 @@ def attack_points(table, model, segment, state):
     # already probed (it crossed another attacked segment) Eve rides along.
     if state.has_ancilla:
         return state, None
-    # AttackModel ran check_coupling on the coefficients.
-    return table.attach(state, model.alpha, model.beta), EveRecord(-1, segment, kind)
+    # AttackModel checked beta_sq.
+    return table.attach(state, model.beta_sq), EveRecord(-1, segment, kind)
 
 
 def resolve_points(table, state, records):

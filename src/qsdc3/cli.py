@@ -29,7 +29,7 @@ from dataclasses import astuple, fields
 
 import numpy as np
 
-from .adversary import AttackModel, ChannelSegment
+from .adversary import AttackKind, AttackModel, ChannelSegment
 from .harness import (
     CurvePoint,
     ExperimentAborted,
@@ -79,7 +79,7 @@ _RUN_KEYS = {
 }
 # The keys each attack kind reads; a key another kind reads is an error here.
 _ATTACK_KIND_KEYS = {
-    "none": {"kind"},
+    "none": {"kind", "segments", "attack_probability"},
     "intercept_resend": {"kind", "segments", "attack_probability"},
     "disturbance": {"kind", "segments", "pauli", "attack_probability"},
     "entangle_measure": {"kind", "segments", "beta_sq", "attack_probability"},
@@ -170,7 +170,7 @@ def parse_attack(spec):
         ) from None
     try:
         if kind == "none":
-            return AttackModel.none()
+            return AttackModel(AttackKind.NONE, segments, attack_probability=prob)
         if kind == "intercept_resend":
             return AttackModel.intercept_resend(*segments, attack_probability=prob)
         if kind == "disturbance":

@@ -23,11 +23,11 @@ one ``geometric`` draw per message bit gives its rounds, under the strict
 policy one uniform per bit whether its stopping round is a failed check
 that ends the trial, and one ``multinomial`` call the counts of every leaf
 of every trial, so a block's cost grows with its bits and the round's
-leaves, not with its rounds.  The report is a fold of leaf counts
-(:class:`_Aggregator`): an experiment runs no protocol session and builds
-no round record, transcript or decoded message.  Its analytic column
-weighs each check-forced round once: the five rows (three check kinds, two
-decoy families) read three weighings.  Only the decode oracle
+leaves, not with its rounds.  The report is one pass over the summed leaf
+counts (:class:`_Aggregator`): an experiment runs no protocol session and
+builds no round record, transcript or decoded message.  Its analytic
+column weighs each check-forced round once: the five rows (three check
+kinds, two decoy families) read three weighings.  Only the decode oracle
 (:func:`exhaustive_oracle`) runs ``protocol.run_protocol`` sessions.
 """
 
@@ -169,7 +169,7 @@ class ExperimentConfig:
         if self.attack.kind is AttackKind.DISTURBANCE:
             attack["pauli"] = self.attack.pauli.name
         if self.attack.kind is AttackKind.ENTANGLE_MEASURE:
-            attack["beta_sq"] = abs(self.attack.beta) ** 2
+            attack["beta_sq"] = self.attack.beta_sq
         return {
             "message_length": self.message_length,
             "trials": self.trials,
@@ -500,35 +500,20 @@ class _Aggregator:
     """Deterministic fold of per-trial leaf counts, in trial order.
 
     Every report field sums what each round's leaf, and in a message round
-    Alice's bit, determine: the experiment's leaf counts go to a count per
-    leaf (the check, decoy family and Eve's counts are tallied from it), and
-    its message rounds to a count per leakage key; each completed trial adds
-    its own fidelity.  The trials' counts are summed in one array, added
-    once (``add_totals``).  The analytic column weighs each check-forced
-    round once per aggregator, so an experiment's five rows read three
-    weighings."""
+    Alice's bit, determine.  Each completed trial adds its own fidelity as
+    it is drawn; the trials' leaf counts are summed in one array, which
+    :meth:`_Aggregator.build` folds in one pass over the law's cells: the
+    detection rows, Eve's counts, the count per leakage key and the rounds.
+    The analytic column weighs each check-forced round once per aggregator,
+    so an experiment's five rows read three weighings."""
 
     def __init__(self, config):
         self.config = config
         # Failed weights by base check kind (adversary.failed_weight_by_basis).
         self.failed_weights = {}
-        self.leaf_counts = Counter()
-        # Message rounds counted by (x, y, alice bit, bob bit, charlie bit):
-        # at most 32 keys, however many rounds are audited.
-        self.leakage_counts = Counter()
         self.fidelity_sums = [0.0, 0.0, 0.0]  # Alice's, Bob's and Charlie's
         self.trials_completed = 0
         self.trials_aborted = 0
-
-    def add_totals(self, law, totals):
-        """Count the rounds of a :class:`_TrialLaw`'s trials, summed into
-        one array of ``totals``."""
-        for row, column, leaf in law.cells:
-            c = int(totals[row, column])
-            if c:
-                self.leaf_counts[leaf] += c
-                if leaf.kind is _MESSAGE:
-                    self.leakage_counts[leaf.leakage_keys[row % 3]] += c
 
     def add_completed(self, hits, length):
         """Count a completed trial of ``length`` bits: ``hits`` holds each
@@ -536,24 +521,6 @@ class _Aggregator:
         for view, right in enumerate(hits):
             self.fidelity_sums[view // 2] += right / (2 * length)
         self.trials_completed += 1
-
-    def tally(self):
-        """``[run, failed]`` per row of ``_ROWS``, by name, and Eve's
-        ``(actions, probe readouts, probe flips)``, over the counted leaves."""
-        counts = {name: [0, 0] for name, _, _ in _ROWS}
-        actions = measured = flips = 0
-        for leaf, c in self.leaf_counts.items():
-            for name, kind, family in _ROWS:
-                if leaf.kind is kind and family in (None, leaf.family):
-                    row = counts[name]
-                    row[0] += c
-                    row[1] += 0 if leaf.passed else c
-            for *_, ancilla_outcome in leaf.eve:
-                actions += c
-                if ancilla_outcome is not None:
-                    measured += c
-                    flips += c * ancilla_outcome
-        return counts, (actions, measured, flips)
 
     def _analytic(self, kind, decoy_family):
         """The exact detection probability of the row of check ``kind``, a
@@ -566,9 +533,9 @@ class _Aggregator:
             failed = self.failed_weights[kind] = failed_weight_by_basis(attack, kind.value)
         return detection_from_failed(failed, decoy_family)
 
-    def _leakage(self):
-        """The leakage audit over the counted message rounds."""
-        counts = self.leakage_counts
+    def _leakage(self, counts):
+        """The leakage audit over the message rounds ``counts`` holds, by
+        leakage key (x, y, alice bit, bob bit, charlie bit)."""
         m = sum(counts.values())
         if not m:
             return LeakageReport(m, None, None, None, None, None)
@@ -590,8 +557,31 @@ class _Aggregator:
             ),
         )
 
-    def build(self, aborted=None):
-        counts, (actions, measured, flips) = self.tally()
+    def build(self, law, totals, aborted=None):
+        """The report of the trials whose leaf counts, in the layout of
+        ``law``, a :class:`_TrialLaw`, sum to ``totals``."""
+        counts = {name: [0, 0] for name, _, _ in _ROWS}
+        # Message rounds counted by leakage key: at most 32 keys, however
+        # many rounds are audited.
+        leakage = Counter()
+        actions = measured = flips = rounds = 0
+        for row, column, leaf in law.cells:
+            c = int(totals[row, column])
+            if not c:
+                continue
+            rounds += c
+            if leaf.kind is _MESSAGE:
+                leakage[leaf.leakage_keys[row % 3]] += c
+            for name, kind, family in _ROWS:
+                if leaf.kind is kind and family in (None, leaf.family):
+                    counted = counts[name]
+                    counted[0] += c
+                    counted[1] += 0 if leaf.passed else c
+            for *_, ancilla_outcome in leaf.eve:
+                actions += c
+                if ancilla_outcome is not None:
+                    measured += c
+                    flips += c * ancilla_outcome
         claim = paper_claimed_detection(self.config.attack.kind)
         kinds = {}
         for name, kind, family in _ROWS:
@@ -600,7 +590,7 @@ class _Aggregator:
                 kinds[name] = CheckStats(run, failed, self._analytic(kind, family), claim)
         detection = DetectionReport(kinds)
 
-        leakage = self._leakage()
+        leakage = self._leakage(leakage)
         done = self.trials_completed
         fidelity = FidelityReport(*(s / done if done else None for s in self.fidelity_sums))
         eve = EveStats(
@@ -617,7 +607,7 @@ class _Aggregator:
             eve=eve,
             trials_completed=self.trials_completed,
             trials_aborted=self.trials_aborted,
-            rounds_total=sum(self.leaf_counts.values()),
+            rounds_total=rounds,
             aborted=aborted,
         )
 
@@ -644,23 +634,24 @@ def run_experiment(config):
     agg = _Aggregator(config)
     table = TransitionTable()
     roots = [leaf_weights(table, config.schedule, config.attack, j, k) for j, k in product((0, 1), repeat=2)]
+    law = _TrialLaw(roots, config.abort_policy is AbortPolicy.STRICT)
     try:
-        _count_trials(config, agg, _TrialLaw(roots, config.abort_policy is AbortPolicy.STRICT))
+        totals = _count_trials(config, agg, law)
     finally:
         # Sizing the table sums its dicts: only when the line is shown.
         if log.isEnabledFor(logging.DEBUG):
             trials = agg.trials_completed + agg.trials_aborted
             log.debug("experiment: %d trials, %d transition table edges", trials, len(table))
-    return agg.build()
+    return agg.build(law, totals)
 
 
 def _count_trials(config, agg, law):
     """The trials' leaf counts drawn from ``law`` in blocks, all from one
-    generator; the experiment's counts are summed in one array and folded
-    into ``agg`` at the end, and each completed trial's fidelity in trial
-    order.  A trial that a failed check ends raises
-    :class:`ExperimentAborted` with the counts so far: the failing round is
-    the trial's last."""
+    generator, summed in one array, which is returned; each completed
+    trial's fidelity is added to ``agg`` in trial order.  A trial that a
+    failed check ends raises :class:`ExperimentAborted` with the report
+    ``agg`` builds from the counts so far: the failing round is the
+    trial's last."""
     length = config.message_length
     budget = default_budget(length)
     block = max(1, _BLOCK_BITS // length)
@@ -679,17 +670,16 @@ def _count_trials(config, agg, law):
             trial, used = first + completed, rounds[-1]
             agg.trials_aborted += 1
             _log_trial(trial, used, law, counts[-1], ", aborted")
-            agg.add_totals(law, totals)
             aborted = {
                 "trial": trial,
                 "round": used - 1,
                 "check_kind": leaf.kind.value,
                 "segments": sorted(s.value for s in leaf.touched),
             }
-            raise ExperimentAborted(agg.build(aborted=aborted), trial, used - 1, leaf.kind)
+            raise ExperimentAborted(agg.build(law, totals, aborted), trial, used - 1, leaf.kind)
         if over is not None:
             raise over
-    agg.add_totals(law, totals)
+    return totals
 
 
 # ---------------------------------------------------------------------------

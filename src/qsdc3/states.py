@@ -44,10 +44,10 @@ and every trial draws from those weights; a session run on its own gets
 a fresh one), so a derived state is built and validated once per
 distinct value in the experiment, not once per round.
 
-The probe coupling's coefficients are checked where they enter: by
-``check_coupling``, which ``AttackModel`` runs.  Eve's attach goes through
-``TransitionTable.attach``, which trusts the coefficients of her already
-checked model.
+The probe coupling has one parameter, its flip weight beta^2, checked
+where it enters: by ``AttackModel``.  Eve's attach goes through
+``TransitionTable.attach``, which trusts the beta^2 of her already checked
+model and computes the coupling's two real coefficients once per edge.
 
 Registers are constants: the transit qubit sits after the home qubit when
 there is one, and the probe is always last, so positions come from
@@ -65,8 +65,6 @@ from enum import Enum
 from . import backend as _k
 
 NORM_ATOL = 1e-12
-AMP_ATOL = 1e-9
-COEFF_NORM_ATOL = 1e-9
 
 _SQRT_HALF = math.sqrt(0.5)
 
@@ -200,20 +198,6 @@ class JointState:
         if which is _ANCILLA and self.has_ancilla:
             return 2 if self.has_home else 1
         raise ValueError("state has no %s qubit" % which.value)
-
-
-def allclose_up_to_global_phase(a, b, atol=AMP_ATOL):
-    """True when two states differ only by a global phase (states are rays)."""
-    if a.subsystems != b.subsystems:
-        return False
-    # Phase-align on the largest component of `a`.
-    pivot = max(range(len(a.amps)), key=lambda i: abs(a.amps[i]))
-    if abs(b.amps[pivot]) < atol < abs(a.amps[pivot]):
-        return False
-    phase = 1.0 + 0j
-    if abs(a.amps[pivot]) > atol:
-        phase = (a.amps[pivot] / abs(a.amps[pivot])) / (b.amps[pivot] / abs(b.amps[pivot]))
-    return all(abs(x - phase * y) <= atol for x, y in zip(a.amps, b.amps))
 
 
 _BELL_STATES = {
@@ -383,7 +367,7 @@ class TransitionTable:
     def __init__(self):
         self._paulis = {}  # (id(state), id(which), id(pauli)) -> (state, child)
         self._measures = {}  # (id(state), id(which), id(basis)) -> [state, point, child0, child1]
-        self._attaches = {}  # (id(state), alpha, beta) -> (state, child)
+        self._attaches = {}  # (id(state), beta_sq) -> (state, child)
         self._readouts = {}  # id(state) -> [state, point, child0, child1]
         self._bells = {}  # id(state) -> (state, point)
         self._nodes = {}  # (amps, subsystems) -> the child state of that value
@@ -445,22 +429,25 @@ class TransitionTable:
             child = edge[2 + outcome] = self._child(amps, state.subsystems)
         return outcome, child
 
-    def attach(self, state, alpha, beta):
+    def attach(self, state, beta_sq):
         """A fresh two-level probe coupled to the transit qubit of ``state``.
 
-        The coupling sends |0> to alpha |0>|chi0> + beta |1>|chi1> and |1>
-        to alpha |1>|chi0> + beta |0>|chi1>, with {|chi0>, |chi1>} the
-        probe's orthonormal states.  The extension is unitary, so the norm
-        is preserved; a state that already carries a probe raises
-        ``ValueError``.  ``alpha`` and ``beta`` are not checked here: the
-        callers pass an ``AttackModel``'s coefficients, or those that
-        :func:`check_coupling` returns.
+        With alpha = sqrt(1 - beta_sq) and beta = sqrt(beta_sq), the
+        coupling sends |0> to alpha |0>|chi0> + beta |1>|chi1> and |1> to
+        alpha |1>|chi0> + beta |0>|chi1>, with {|chi0>, |chi1>} the probe's
+        orthonormal states.  The extension is unitary, so the norm is
+        preserved; a state that already carries a probe raises
+        ``ValueError``.  ``beta_sq`` is not checked here: the callers pass
+        an ``AttackModel``'s, which lies in [0, 1].  A phase on alpha or
+        beta would change no probability, since the probe is read in
+        {|chi0>, |chi1>}.
         """
-        key = (id(state), alpha, beta)
+        key = (id(state), beta_sq)
         edge = self._attaches.get(key)
         if edge is None:
             if state.has_ancilla:
                 raise ValueError("state already carries a probe qubit")
+            alpha, beta = math.sqrt(1.0 - beta_sq), math.sqrt(beta_sq)
             if state.has_home:
                 child = self._child(_k.attach_ancilla(state.amps, 1, alpha, beta), _PROBED_PAIR)
             else:
@@ -511,20 +498,6 @@ class TransitionTable:
                     thresholds.append((cumulative, index))
             edge = self._bells[id(state)] = (state, (BELL, tuple(thresholds)))
         return _BELL_OUTCOMES[(yield edge[1])]
-
-
-def check_coupling(alpha, beta):
-    """The probe coupling's coefficients as complex numbers.
-
-    Raises ``ValueError`` unless |alpha|^2 + |beta|^2 = 1, which is what
-    makes the coupling unitary (a NaN coefficient fails this check).
-    """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    coeff_norm = alpha.real**2 + alpha.imag**2 + beta.real**2 + beta.imag**2
-    if not abs(coeff_norm - 1.0) <= COEFF_NORM_ATOL:
-        raise ValueError("|alpha|^2 + |beta|^2 must be 1, got %.12g" % coeff_norm)
-    return alpha, beta
 
 
 def check_real(name, value):

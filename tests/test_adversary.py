@@ -57,13 +57,18 @@ class TestAttackModel:
         with pytest.raises(ValueError, match="flips"):
             AttackModel.disturbance(Pauli.I, AB)
 
-    def test_probe_coefficients_must_be_normalized(self):
-        with pytest.raises(ValueError, match="alpha"):
-            AttackModel(AttackKind.ENTANGLE_MEASURE, frozenset({AB}), alpha=0.9, beta=0.9)
+    def test_probe_flip_weight_must_be_a_probability(self):
+        for beta_sq in (None, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="beta_sq"):
+                AttackModel(AttackKind.ENTANGLE_MEASURE, frozenset({AB}), beta_sq=beta_sq)
 
     def test_beta_sq_constructor(self):
-        model = AttackModel.entangle_measure(0.25, AB)
-        assert abs(model.beta) ** 2 == pytest.approx(0.25, abs=1e-12)
+        # The flip weight is stored as given, as a float: no square root is
+        # squared back, and a config's 1 is reported as 1.0.
+        assert AttackModel.entangle_measure(0.5, AB).beta_sq == 0.5
+        assert AttackModel.entangle_measure(0.3, AB).beta_sq == 0.3
+        model = AttackModel.entangle_measure(1, AB)
+        assert type(model.beta_sq) is float and model.beta_sq == 1.0
         with pytest.raises(ValueError, match="beta_sq"):
             AttackModel.entangle_measure(1.5, AB)
 
@@ -75,8 +80,8 @@ class TestAttackModel:
     # in place of the member ran the wrong attack: no attack at all on the
     # string segment, and the identity probe for the string kind.  A repeated
     # segment was dropped, and True ran as probability 1.0 and was reported
-    # as ``true``.  A pauli, alpha or beta that the kind ignores was kept,
-    # unused, in the model's repr.
+    # as ``true``.  A pauli or beta_sq that the kind ignores was kept,
+    # unused, in the model's repr; so was a null attack's probability.
     @pytest.mark.parametrize(
         "make, field",
         [
@@ -90,17 +95,18 @@ class TestAttackModel:
             (lambda: AttackModel.disturbance(Pauli.Z, AB, attack_probability="0.5"), "attack_probability"),
             (lambda: AttackModel.entangle_measure("0.5", AB), "beta_sq"),
             (lambda: AttackModel.entangle_measure(True, AB), "beta_sq"),
-            (lambda: AttackModel(AttackKind.INTERCEPT_RESEND, {AB}, pauli=Pauli.X, beta=5), "pauli"),
+            (lambda: AttackModel(AttackKind.INTERCEPT_RESEND, {AB}, pauli=Pauli.X, beta_sq=5), "pauli"),
             (lambda: AttackModel(AttackKind.NONE, pauli=Pauli.Z), "pauli"),
             (lambda: AttackModel(AttackKind.ENTANGLE_MEASURE, {AB}, pauli=Pauli.X), "pauli"),
-            (lambda: AttackModel(AttackKind.INTERCEPT_RESEND, {AB}, beta=5), "beta"),
-            (lambda: AttackModel(AttackKind.DISTURBANCE, {AB}, pauli=Pauli.Z, alpha=0.6, beta=0.8), "alpha"),
-            (lambda: AttackModel(AttackKind.NONE, alpha=-1.0), "alpha"),
+            (lambda: AttackModel(AttackKind.INTERCEPT_RESEND, {AB}, beta_sq=0.5), "beta_sq"),
+            (lambda: AttackModel(AttackKind.DISTURBANCE, {AB}, pauli=Pauli.Z, beta_sq=0.5), "beta_sq"),
+            (lambda: AttackModel(AttackKind.NONE, beta_sq=0.5), "beta_sq"),
+            (lambda: AttackModel(AttackKind.NONE, attack_probability=0.5), "attack_probability"),
         ],
         ids=["segment_value", "one_segment_value", "kind_value", "none_value", "repeated_segment",
              "repeated_segment_in_a_list", "bool_probability", "string_probability", "string_beta_sq", "bool_beta_sq",
-             "pauli_on_intercept", "pauli_on_none", "pauli_on_probe", "beta_on_intercept", "coupling_on_disturbance",
-             "alpha_on_none"],
+             "pauli_on_intercept", "pauli_on_none", "pauli_on_probe", "beta_sq_on_intercept", "beta_sq_on_disturbance",
+             "beta_sq_on_none", "gated_null_attack"],
     )
     def test_a_value_that_would_be_coerced_is_rejected(self, make, field):
         with pytest.raises(ValueError, match=field):
@@ -219,7 +225,7 @@ class TestOneStrategyPerKind:
     def test_a_probed_qubit_is_not_probed_again(self, scripted, hop, p_fire):
         model = AttackModel.entangle_measure(0.3, AB, BC, attack_probability=p_fire)
         eve = Eavesdropper(model, TransitionTable())
-        probed = TransitionTable().attach(bell_state((0, 0)), model.alpha, model.beta)
+        probed = TransitionTable().attach(bell_state((0, 0)), model.beta_sq)
         touched = []
         draws = [0.1] if p_fire < 1.0 else []
         assert eve.intercept_transit(BC, probed, scripted(draws), 3, touched) is probed

@@ -126,6 +126,40 @@ class TestRun:
         assert partial["aborted"] is not None
 
 
+# A report config per attack kind, flip and coupling; TestReportConfigReruns
+# runs each, then runs the report's config section again.
+RERUN_ATTACKS = {
+    "none": {"kind": "none"},
+    "intercept_resend": {"kind": "intercept_resend", "segments": ["a_to_b"]},
+    "disturbance_x": {"kind": "disturbance", "segments": ["b_to_c"], "pauli": "X"},
+    "disturbance_z": {"kind": "disturbance", "segments": ["c_to_a"], "pauli": "Z"},
+    "gated_intercept": {
+        "kind": "intercept_resend",
+        "segments": ["a_to_b", "b_to_c", "c_to_a"],
+        "attack_probability": 0.4,
+    },
+    **{
+        "entangle_measure_%s" % beta_sq: {"kind": "entangle_measure", "segments": ["a_to_b", "c_to_a"], "beta_sq": beta_sq}
+        for beta_sq in (0.3, 0.5, 0.75)
+    },
+}
+
+
+class TestReportConfigReruns:
+    """A report's ``config`` section is a run config that reruns its own
+    experiment: the format ``cli.parse_run_config`` reads and
+    ``ExperimentConfig.to_dict`` writes is one format."""
+
+    @pytest.mark.parametrize("attack", list(RERUN_ATTACKS.values()), ids=list(RERUN_ATTACKS))
+    def test_the_reports_config_gives_the_same_bytes(self, tmp_path, attack):
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        config = write_config(tmp_path, dict(BASE_RUN, attack=attack))
+        assert cli.main(["run", "--config", config, "--out", str(first)]) == cli.EXIT_OK
+        rerun = write_config(tmp_path, json.loads(first.read_text())["config"], "rerun.json")
+        assert cli.main(["run", "--config", rerun, "--out", str(second)]) == cli.EXIT_OK
+        assert second.read_bytes() == first.read_bytes()
+
+
 class TestConfigErrors:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(BASE_RUN, typo_key=1))
@@ -199,6 +233,7 @@ class TestConfigErrors:
                 "beta_sq",
             ),
             ("run", {"attack": {"kind": "none", "segments": ["a_to_b"]}}, [], "segments"),
+            ("run", {"attack": {"kind": "none", "attack_probability": 0.5}}, [], "attack_probability"),
             (
                 "run",
                 {"attack": {"kind": "intercept_resend", "segments": ["a_to_b", "a_to_b"]}},
@@ -227,6 +262,7 @@ class TestConfigErrors:
             "segments_object",
             "beta_sq_on_disturbance",
             "segments_on_null_attack",
+            "gated_null_attack",
             "repeated_segment",
             "message_length_past_numpy_dimensions",
             "message_length_past_numpy_bytes",

@@ -448,14 +448,14 @@ class TestLeakageCounts:
     def test_a_long_experiment_holds_at_most_32_keys_and_reports_the_list_values(self, monkeypatch):
         # The report's values are those of the per-round lists that the
         # counted message rounds spell out, one entry per round.
-        aggregators = []
-        build = harness._Aggregator.build
+        audited = []
+        leakage = harness._Aggregator._leakage
 
-        def recording_build(self, aborted=None):
-            aggregators.append(self)
-            return build(self, aborted)
+        def recording_leakage(self, counts):
+            audited.append(counts)
+            return leakage(self, counts)
 
-        monkeypatch.setattr(harness._Aggregator, "build", recording_build)
+        monkeypatch.setattr(harness._Aggregator, "_leakage", recording_leakage)
         # Intercept-resend on every segment garbles some announcements, so
         # the XOR identity fails on some rounds and every MI is above 0.
         config = ExperimentConfig(
@@ -465,10 +465,10 @@ class TestLeakageCounts:
             seed=10,
         )
         leakage = run_experiment(config).leakage
-        (aggregator,) = aggregators
+        (counts,) = audited
         assert leakage.rounds_audited == 10_000
-        assert 0 < len(aggregator.leakage_counts) <= 32
-        rounds = [key for key, c in aggregator.leakage_counts.items() for _ in range(c)]
+        assert 0 < len(counts) <= 32
+        rounds = [key for key, c in counts.items() for _ in range(c)]
         xy = [2 * x + y for x, y, _, _, _ in rounds]
         xor_announced = [x ^ y for x, y, _, _, _ in rounds]
         xor_secret = [j ^ k for _, _, _, j, k in rounds]
@@ -536,14 +536,15 @@ def law_counts(law, leaves, alice_bits):
 
 class TestLeafFold:
     """Counting leaves gives the counts that folding the records gave: a
-    session's leaves, laid out as a trial's count array, fold (``add_totals``
-    and the law's miss, failed and stop cells) to the record fold."""
+    session's leaves, laid out as a trial's count array, build a report
+    (``_Aggregator.build``; and the law's miss, failed and stop cells fold)
+    whose counts are the record fold's."""
 
     @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
     @pytest.mark.parametrize(
         "attack", [pytest.param(case.values[0], id=case.id) for case in SHARED_TABLE_CASES if case.values[1] is RECORD]
     )
-    def test_the_count_fold_equals_the_record_fold(self, attack, policy):
+    def test_the_count_fold_equals_the_record_fold(self, attack, policy, monkeypatch):
         schedule = SchedulePolicy(0.25, 0.25, 0.4)
         # One compiled round for the law and the six sessions.
         table, _, law = experiment_law(schedule, attack if attack is not None else AttackModel.none(), policy)
@@ -559,11 +560,15 @@ class TestLeafFold:
                 aborted += 1
             checks, families, leakage, eve, hits = record_fold(messages, *shown)
             counts = law_counts(law, leaves, messages.alice_bits)
-            agg = harness._Aggregator(ExperimentConfig())
-            agg.add_totals(law, counts)
-            assert agg.tally() == ({**checks, **families}, eve)
-            assert agg.leakage_counts == leakage
-            assert sum(agg.leaf_counts.values()) == counts.sum() == len(shown[0])
+            audited = []
+            monkeypatch.setattr(harness._Aggregator, "_leakage", lambda self, counts: audited.append(counts))
+            report = harness._Aggregator(ExperimentConfig()).build(law, counts)
+            rows = {name: [stats.checks_run, stats.checks_failed] for name, stats in report.detection.kinds.items()}
+            # A family row is reported only when a check of the family ran.
+            assert rows == {**checks, **{name: row for name, row in families.items() if row[0]}}
+            assert (report.eve.actions, report.eve.probe_measurements, report.eve.probe_flip_count) == eve
+            assert audited == [leakage]
+            assert report.rounds_total == counts.sum() == len(shown[0])
             assert law.failed_checks(counts) == sum(leaf.passed is False for leaf in leaves)
             if hits is None:
                 # The failed check that ended the session sits in its fail row.
@@ -1231,7 +1236,8 @@ class TestConfigValidation:
         )
         payload = config.to_dict()
         assert json.loads(json.dumps(payload)) == payload
-        assert payload["attack"]["beta_sq"] == pytest.approx(0.5)
+        # The flip weight is written as given, not squared back from a root.
+        assert payload["attack"]["beta_sq"] == 0.5
 
 
 # The configurations of TestPinnedReports, by name.  Only ``strict_abort``
@@ -1309,7 +1315,7 @@ class TestPinnedReports:
         [
             ("no_attack", "9bc452581bd057fc0c1223859112786528e81832869f6506db5811804a750822"),
             ("intercept_resend_ab", "9277a896cc4f31e7dc524ab11d107ecab7a6ab78b15fcd1e049d37aebcf34b2d"),
-            ("entangle_measure_ab_ca", "42980e9fb5dbb6c0f78f5158f8aca2ec0073bdfae5f918754c8163eef3565899"),
+            ("entangle_measure_ab_ca", "2822185a7d6cc319eb7481a92683acd2ebc51e6e59c2c921642474e0e7557b11"),
         ],
         ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"],
     )
@@ -1321,7 +1327,7 @@ class TestPinnedReports:
         [
             ("gated_disturbance_bc_ca", "92124d432110061fc0c11615ac46265324cb415b54c8b2ce2d8cb4b803ad3464"),
             ("gated_intercept_all", "41c73b5add410db1f45fd35d52ac5136c228aff645016059a9f2b11048006c05"),
-            ("gated_probe_all", "98504eab17f756399e1b7e1faccd12e0a1de65f4e37e008e20217115be46daf1"),
+            ("gated_probe_all", "e4f96b89726fefa7d3d0c82a0710aecb4884155cc7a2260fcbd5e5d6a7bc9df4"),
         ],
         ids=["gated_disturbance_bc_ca", "gated_intercept_all", "gated_probe_all"],
     )
@@ -1340,10 +1346,10 @@ class TestPinnedReports:
         [
             ("no_attack", "4148151e25f23030835938a7e2f8646938d28e97bebadb5ba102ede3148d4a87"),
             ("intercept_resend_ab", "ba4f347080eeca0d7d59ad8a4cf51e918ef76048217b99fadf2917bfc672677b"),
-            ("entangle_measure_ab_ca", "0471e09a9b360d93d66c552c29ca34e49c480ef5c606905f4dca97e7edc82823"),
+            ("entangle_measure_ab_ca", "3161b5111d3ed3f9f2e520b56c62ed036d0a432871de90f1fd645312ea00fc24"),
             ("gated_disturbance_bc_ca", "9498603744bbeddeb97335527854b535a12547e6df5f40ea968084dc0acf2838"),
             ("gated_intercept_all", "0a16fc99e9a20a47dd9f64a86017f5f56ac1976ab31184f6aa9176b22d6072ad"),
-            ("gated_probe_all", "b20e3c714d23336ca35d63db1f03e80a80f0d6b9c4465d7b6af3184ae25bf4f1"),
+            ("gated_probe_all", "bbad03a4cb497341cd3c6473c953fdf37311ac16ba68ca33b838ce0e254b73c7"),
             ("strict_abort", "6a0a01f3158bffd0c3b5b31ef18fc548b39330e7442936dccbb08815e8818567"),
         ],
         ids=list(PINNED_CONFIGS),

@@ -148,13 +148,13 @@ class TestChecks:
         assert decoy_check(weigh, label, prepare_decoy(label)) == [(1.0, True)]
 
     def test_probe_coupled_zero_decoy_fails_half_the_time(self, weigh):
-        received = TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 0.5**0.5, 0.5**0.5)
+        received = TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 0.5)
         ends = decoy_check(weigh, DecoyState.ZERO, received)
         assert [passed for _, passed in ends] == [True, False]
         assert failed_weight(ends) == pytest.approx(0.5, abs=1e-15)
 
     def test_probe_coupled_plus_decoy_never_fails(self, weigh):
-        received = TransitionTable().attach(prepare_decoy(DecoyState.PLUS), 0.6, 0.8)
+        received = TransitionTable().attach(prepare_decoy(DecoyState.PLUS), 0.64)
         ends = decoy_check(weigh, DecoyState.PLUS, received)
         assert [passed for _, passed in ends] == [True]
         assert ends[0][0] == pytest.approx(1.0, abs=1e-15)

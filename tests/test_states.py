@@ -25,9 +25,7 @@ from qsdc3.states import (
     Pauli,
     Subsystem,
     TransitionTable,
-    allclose_up_to_global_phase,
     bell_state,
-    check_coupling,
     check_integer,
     check_probability,
     check_real,
@@ -40,8 +38,25 @@ PAIR = (Subsystem.HOME, Subsystem.TRANSIT)
 TRANSIT = Subsystem.TRANSIT
 
 
+AMP_ATOL = 1e-9
+
+
 def amps_close(state, expected, atol=1e-12):
     return all(abs(a - e) <= atol for a, e in zip(state.amps, expected))
+
+
+def allclose_up_to_global_phase(a, b, atol=AMP_ATOL):
+    """True when two states differ only by a global phase (states are rays)."""
+    if a.subsystems != b.subsystems:
+        return False
+    # Phase-align on the largest component of `a`.
+    pivot = max(range(len(a.amps)), key=lambda i: abs(a.amps[i]))
+    if abs(b.amps[pivot]) < atol < abs(a.amps[pivot]):
+        return False
+    phase = 1.0 + 0j
+    if abs(a.amps[pivot]) > atol:
+        phase = (a.amps[pivot] / abs(a.amps[pivot])) / (b.amps[pivot] / abs(b.amps[pivot]))
+    return all(abs(x - phase * y) <= atol for x, y in zip(a.amps, b.amps))
 
 
 def answered(steps, *answers):
@@ -153,7 +168,7 @@ class TestBellMeasure:
         assert post is bell_state(label)
 
     def test_rejects_probe_carrying_state(self):
-        state = TransitionTable().attach(bell_state((0, 0)), RH, RH)
+        state = TransitionTable().attach(bell_state((0, 0)), 0.5)
         with pytest.raises(ValueError, match="probe"):
             next(TransitionTable().bell_points(state))
 
@@ -162,10 +177,10 @@ class TestBellMeasure:
             next(TransitionTable().bell_points(prepare_decoy(DecoyState.PLUS)))
 
     def test_after_probe_projection_onto_chi0(self, weigh):
-        # Probe-coupled pair with alpha = beta = 1/sqrt2: reading chi0 leaves
-        # the original pair, so the joint measurement is certain.
+        # Probe-coupled pair with beta^2 = 1/2: reading chi0 leaves the
+        # original pair, so the joint measurement is certain.
         table = TransitionTable()
-        state = table.attach(bell_state((0, 0)), RH, RH)
+        state = table.attach(bell_state((0, 0)), 0.5)
         (half, (outcome, remaining)), _ = weigh(lambda: table.readout_points(state))
         assert outcome == 0 and half == pytest.approx(0.5, abs=1e-15)
         ((label, (weight, _)),) = bell_measured(weigh, remaining).items()
@@ -321,7 +336,7 @@ class TestProbeCoupling:
     def test_pair_becomes_weighted_mix_of_labels(self):
         # alpha |(0,0) pair>|chi0> + beta |(1,0) pair>|chi1>
         alpha, beta = 0.6, 0.8
-        state = TransitionTable().attach(bell_state((0, 0)), alpha, beta)
+        state = TransitionTable().attach(bell_state((0, 0)), 0.64)
         a, b = alpha * RH, beta * RH
         assert state.subsystems == (Subsystem.HOME, Subsystem.TRANSIT, Subsystem.ANCILLA)
         assert amps_close(state, (0, b, a, 0, a, 0, 0, b))
@@ -329,39 +344,39 @@ class TestProbeCoupling:
     def test_plus_decoy_factorizes(self, weigh):
         # |+> (alpha |chi0> + beta |chi1>): the flying qubit stays untouched.
         alpha, beta = 0.6, 0.8
-        state = TransitionTable().attach(prepare_decoy(DecoyState.PLUS), alpha, beta)
+        state = TransitionTable().attach(prepare_decoy(DecoyState.PLUS), 0.64)
         assert amps_close(state, (alpha * RH, beta * RH, alpha * RH, beta * RH))
         ((p_plus, (outcome, _)),) = measured(weigh, state, Subsystem.TRANSIT, Basis.X)
         assert outcome == 0 and p_plus == pytest.approx(1.0, abs=1e-12)
 
     def test_minus_decoy_keeps_its_sign(self, weigh):
-        for alpha, beta in ((0.6, 0.8), (RH, RH), (1.0, 0.0)):
-            state = TransitionTable().attach(prepare_decoy(DecoyState.MINUS), alpha, beta)
+        for beta_sq in (0.64, 0.5, 0.0):
+            state = TransitionTable().attach(prepare_decoy(DecoyState.MINUS), beta_sq)
             ((p_minus, (outcome, _)),) = measured(weigh, state, Subsystem.TRANSIT, Basis.X)
             assert outcome == 1 and p_minus == pytest.approx(1.0, abs=1e-12)
 
     def test_zero_decoy_entangles(self):
         alpha, beta = 0.6, 0.8
-        state = TransitionTable().attach(prepare_decoy(DecoyState.ZERO), alpha, beta)
+        state = TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 0.64)
         assert amps_close(state, (alpha, 0, 0, beta))
 
     def test_identity_coupling(self):
-        state = TransitionTable().attach(bell_state((0, 1)), 1.0, 0.0)
+        state = TransitionTable().attach(bell_state((0, 1)), 0.0)
         assert amps_close(state, (0, 0, -RH, 0, RH, 0, 0, 0))
 
-    def test_rejects_unnormalized_coefficients(self):
-        with pytest.raises(ValueError, match="alpha"):
-            check_coupling(0.9, 0.8)
+    def test_rejects_a_flip_weight_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match="beta_sq"):
+            AttackModel.entangle_measure(1.5, ChannelSegment.A_TO_B)
 
-    def test_rejects_nan_coefficient(self):
-        with pytest.raises(ValueError, match="alpha"):
-            check_coupling(float("nan"), 0)
+    def test_rejects_a_nan_flip_weight(self):
+        with pytest.raises(ValueError, match="beta_sq"):
+            AttackModel.entangle_measure(float("nan"), ChannelSegment.A_TO_B)
 
     def test_rejects_second_probe(self):
         table = TransitionTable()
-        state = table.attach(bell_state((0, 0)), RH, RH)
+        state = table.attach(bell_state((0, 0)), 0.5)
         with pytest.raises(ValueError, match="already"):
-            table.attach(state, RH, RH)
+            table.attach(state, 0.5)
 
     @pytest.mark.parametrize("state", [bell_state((0, 0)), prepare_decoy(DecoyState.ONE)], ids=["pair", "decoy"])
     def test_discarding_a_missing_probe_is_rejected(self, state):
@@ -369,17 +384,18 @@ class TestProbeCoupling:
             next(TransitionTable().readout_points(state))
 
     def test_the_coupling_is_checked_at_the_boundary_only(self, monkeypatch, weigh):
-        # An AttackModel checks its coefficients once, and Eve's attaches
-        # trust them.
+        # An AttackModel checks its flip weight once, and Eve's attaches
+        # trust it.
         calls = []
-        original = states.check_coupling
+        original = states.check_probability
 
-        def counting(alpha, beta):
-            calls.append((alpha, beta))
-            return original(alpha, beta)
+        def counting(name, value):
+            if name == "beta_sq":
+                calls.append(value)
+            return original(name, value)
 
-        monkeypatch.setattr(states, "check_coupling", counting)
-        monkeypatch.setattr(adversary, "check_coupling", counting)
+        monkeypatch.setattr(states, "check_probability", counting)
+        monkeypatch.setattr(adversary, "check_probability", counting)
         model = AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A)
         assert len(calls) == 1
         table = TransitionTable()
@@ -388,21 +404,37 @@ class TestProbeCoupling:
             assert probed.has_ancilla
         assert len(calls) == 1
 
-    def test_norm_preserved_for_complex_coefficients(self):
-        alpha, beta = check_coupling(complex(0.5, 0.5), complex(-0.5, 0.5))
-        state = TransitionTable().attach(bell_state((1, 1)), alpha, beta)
-        assert abs(sum(abs(a) ** 2 for a in state.amps) - 1.0) < 1e-12
+    @pytest.mark.parametrize("beta_sq", [0.1, 0.5, 0.9])
+    def test_a_phase_on_the_coefficients_changes_no_readout(self, weigh, beta_sq):
+        # The probe is read in {|chi0>, |chi1>}, so phased coefficients of
+        # the same moduli, applied by the kernel, give each outcome the
+        # probability, and a post-readout state up to a global phase, of
+        # the table's real pair: beta^2 is the whole coupling.
+        alpha, beta = math.sqrt(1 - beta_sq), math.sqrt(beta_sq)
+        for state in (bell_state((1, 1)), prepare_decoy(DecoyState.PLUS), prepare_decoy(DecoyState.ONE)):
+            table = TransitionTable()
+            real = table.attach(state, beta_sq)
+            phased = JointState(
+                backend.attach_ancilla(state.amps, state.position(TRANSIT), alpha * 1j, beta * complex(-RH, RH)),
+                real.subsystems,
+            )
+            assert abs(sum(abs(a) ** 2 for a in phased.amps) - 1.0) < 1e-12
+            ends = weigh(lambda: table.readout_points(real))
+            phased_ends = weigh(lambda: TransitionTable().readout_points(phased))
+            assert len(ends) == len(phased_ends)
+            for (p, (outcome, post)), (q, (phased_outcome, phased_post)) in zip(ends, phased_ends):
+                assert outcome == phased_outcome and p == pytest.approx(q, abs=1e-15)
+                assert allclose_up_to_global_phase(post, phased_post)
 
     def test_probe_statistics(self, weigh):
         # Reading the probe yields chi1 with probability |beta|^2 when the
         # flying qubit came from the Z family.
         beta_sq = 0.3
-        alpha, beta = math.sqrt(1 - beta_sq), math.sqrt(beta_sq)
         table = TransitionTable()
-        probed = table.attach(bell_state((0, 0)), alpha, beta)
+        probed = table.attach(bell_state((0, 0)), beta_sq)
         _, (p_chi1, (chi1, _)) = measured(weigh, probed, Subsystem.ANCILLA, Basis.Z)
         assert chi1 == 1 and p_chi1 == pytest.approx(beta_sq, abs=1e-12)
-        state = table.attach(prepare_decoy(DecoyState.ZERO), alpha, beta)
+        state = table.attach(prepare_decoy(DecoyState.ZERO), beta_sq)
         (p0, (zero, rest0)), (p1, (one, rest1)) = weigh(lambda: table.readout_points(state))
         assert (zero, one) == (0, 1)
         assert p1 == pytest.approx(beta_sq, abs=1e-15) and p0 + p1 == pytest.approx(1.0, abs=1e-15)
@@ -458,7 +490,7 @@ REGISTERS = [
 
 
 def probed_pair():
-    return TransitionTable().attach(bell_state((0, 0)), 0.6, 0.8)
+    return TransitionTable().attach(bell_state((0, 0)), 0.64)
 
 
 # Each table operation that builds its result from one kernel's output:
@@ -471,7 +503,7 @@ KERNEL_OPERATIONS = [
         lambda s: answered(TransitionTable().measure_points(s, Subsystem.TRANSIT, Basis.X), True),
         4,
     ),
-    ("attach_ancilla", bell_state((0, 0)), lambda s: TransitionTable().attach(s, 0.6, 0.8), 8),
+    ("attach_ancilla", bell_state((0, 0)), lambda s: TransitionTable().attach(s, 0.64), 8),
     (
         "discard_qubit",
         probed_pair(),
@@ -533,7 +565,7 @@ class TestDerivedStates:
             answered(TransitionTable().measure_points(bell_state((0, 0)), TRANSIT, Basis.Z), False)[1],
             answered(TransitionTable().measure_points(decoy, Subsystem.TRANSIT, Basis.Z), False)[1],
             probed,
-            TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 1, 0),
+            TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 0),
             answered(TransitionTable().readout_points(probed), False)[1],
             answered(TransitionTable().bell_points(bell_state((1, 1))), 3)[1],
         ]
@@ -582,7 +614,7 @@ class TestDerivedStates:
     def test_derived_registers_are_the_legal_ones(self):
         # Attach and discard pick prebuilt registers instead of building them.
         for state in (bell_state((0, 0)), prepare_decoy(DecoyState.PLUS)):
-            probed = TransitionTable().attach(state, 0.6, 0.8)
+            probed = TransitionTable().attach(state, 0.64)
             assert probed.subsystems == state.subsystems + (Subsystem.ANCILLA,)
             for outcome in (True, False):
                 discarded = answered(TransitionTable().readout_points(probed), outcome)[1]
@@ -613,7 +645,7 @@ PINNED_REPORTS = [
             attack=AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
             seed=3,
         ),
-        "42980e9fb5dbb6c0f78f5158f8aca2ec0073bdfae5f918754c8163eef3565899",
+        "2822185a7d6cc319eb7481a92683acd2ebc51e6e59c2c921642474e0e7557b11",
     ),
 ]
 
@@ -732,7 +764,8 @@ def exact_hop(model, segment, state):
             if p > 0.0
         ]
     else:
-        probed = backend.attach_ancilla(state.amps, transit, model.alpha, model.beta)
+        alpha, beta = math.sqrt(1.0 - model.beta_sq), math.sqrt(model.beta_sq)
+        probed = backend.attach_ancilla(state.amps, transit, alpha, beta)
         fired = [(1.0, JointState(probed, state.subsystems + (Subsystem.ANCILLA,)), None, None)]
     p_fire = model.attack_probability
     ends = [(p_fire * w, (child, EveRecord(-1, segment, kind, basis, outcome))) for w, child, basis, outcome in fired]
@@ -901,7 +934,7 @@ class TestTransitionTable:
             (lambda: table.pauli(decoy, Subsystem.HOME, Pauli.X), "home"),
             (lambda: next(table.measure_points(pair, Subsystem.TRANSIT, Pauli.X)), "basis"),
             (lambda: next(table.measure_points(decoy, Subsystem.HOME, Basis.Z)), "home"),
-            (lambda: table.attach(probed, 0.6 + 0j, 0.8 + 0j), "already carries"),
+            (lambda: table.attach(probed, 0.64), "already carries"),
             (lambda: next(table.readout_points(pair)), "no ancilla"),
             (lambda: next(table.bell_points(probed)), "probe is attached"),
             (lambda: next(table.bell_points(decoy)), "full"),
@@ -943,7 +976,7 @@ class TestTransitionTable:
 # a product pair and a probed pair and decoy.
 UNPROBED_STATES = [bell_state(label) for label in product((0, 1), repeat=2)]
 UNPROBED_STATES += [prepare_decoy(label) for label in DecoyState] + [PLUS_PLUS]
-PROBED_STATES = [PROBED, TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 0.6, 0.8)]
+PROBED_STATES = [PROBED, TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 0.64)]
 
 # Every attack kind on every segment, ungated and gated.
 WEIGHED_ATTACKS = [
