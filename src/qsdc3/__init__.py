@@ -39,6 +39,10 @@ amplitudes behind a norm check:
 * ``AttackModel.alpha``, ``AttackModel.beta``: ``AttackModel.beta_sq``
 * ``check_coupling``, ``COEFF_NORM_ATOL``: ``AttackModel`` checks ``beta_sq`` with ``states.check_probability``
 
+One curve entry point, the coupling sweep, with no attack-factory hook:
+
+* ``detection_curve``: ``entangle_measure_curve(grid, check_kinds=..., message_length=..., trials=..., schedule=..., seed=...)``
+
 Public names that only the tests read:
 
 * ``allclose_up_to_global_phase``, ``AMP_ATOL``: defined in tests/test_states.py
@@ -89,7 +93,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     LeakageReport,
-    detection_curve,
     entangle_measure_curve,
     exhaustive_oracle,
     run_experiment,

@@ -62,10 +62,11 @@ class ConfigError(Exception):
 
 # ---------------------------------------------------------------------------
 # Config parsing.  The CLI checks only the JSON's shape: unknown keys (a
-# silent typo in a security experiment is worse than a loud one), the keys
-# each attack kind reads, lists, and the names of enum members.  It passes
-# every value to the library's constructors, which own the value rules, and
-# reports their ``ValueError`` as a config error.
+# silent typo in a security experiment is worse than a loud one), lists,
+# and the names of enum members.  It passes every value to the library's
+# constructors, which own the value rules (``AttackModel`` decides which
+# fields each attack kind takes), and reports their ``ValueError`` as a
+# config error.
 
 _RUN_KEYS = {
     "message_length",
@@ -77,14 +78,7 @@ _RUN_KEYS = {
     "abort_policy",
     "seed",
 }
-# The keys each attack kind reads; a key another kind reads is an error here.
-_ATTACK_KIND_KEYS = {
-    "none": {"kind", "segments", "attack_probability"},
-    "intercept_resend": {"kind", "segments", "attack_probability"},
-    "disturbance": {"kind", "segments", "pauli", "attack_probability"},
-    "entangle_measure": {"kind", "segments", "beta_sq", "attack_probability"},
-}
-_ATTACK_KEYS = set().union(*_ATTACK_KIND_KEYS.values())
+_ATTACK_KEYS = {field.name for field in fields(AttackModel)}
 _SWEEP_KEYS = {
     "grid",
     "check_kinds",
@@ -151,13 +145,19 @@ def parse_attack(spec):
     if not isinstance(spec, dict):
         raise ConfigError("field 'attack' must be an object")
     _reject_unknown(spec, _ATTACK_KEYS, "attack")
-    kind = spec.get("kind", "none")
-    if not isinstance(kind, str) or kind not in _ATTACK_KIND_KEYS:
-        raise ConfigError("field 'attack.kind' has unknown value %r" % (kind,))
-    for key in spec:
-        if key not in _ATTACK_KIND_KEYS[kind]:
-            raise ConfigError("field 'attack.%s' is not used by attack kind '%s'" % (key, kind))
-    prob = spec.get("attack_probability", 1.0)
+    # A null would pass as the field left out.
+    for key, value in spec.items():
+        if value is None:
+            raise ConfigError("field 'attack.%s' must not be null" % key)
+    try:
+        kind = AttackKind(spec.get("kind", "none"))
+    except ValueError:
+        raise ConfigError("field 'attack.kind' has unknown value %r" % (spec["kind"],)) from None
+    pauli = spec.get("pauli", "X" if kind is AttackKind.DISTURBANCE else None)
+    if pauli is not None:
+        if not isinstance(pauli, str) or pauli not in _PAULIS:
+            raise ConfigError("field 'attack.pauli' must be 'X' or 'Z'")
+        pauli = _PAULIS[pauli]
     names = spec.get("segments", [])
     if not isinstance(names, list):
         raise ConfigError("field 'attack.segments' must be a list")
@@ -169,19 +169,7 @@ def parse_attack(spec):
             % sorted(_SEGMENTS)
         ) from None
     try:
-        if kind == "none":
-            return AttackModel(AttackKind.NONE, segments, attack_probability=prob)
-        if kind == "intercept_resend":
-            return AttackModel.intercept_resend(*segments, attack_probability=prob)
-        if kind == "disturbance":
-            pauli = spec.get("pauli", "X")
-            if not isinstance(pauli, str) or pauli not in _PAULIS:
-                raise ConfigError("field 'attack.pauli' must be 'X' or 'Z'")
-            return AttackModel.disturbance(_PAULIS[pauli], *segments, attack_probability=prob)
-        if kind == "entangle_measure":
-            if "beta_sq" not in spec:
-                raise ConfigError("field 'attack.beta_sq' is required for entangle_measure")
-            return AttackModel.entangle_measure(spec["beta_sq"], *segments, attack_probability=prob)
+        return AttackModel(kind, segments, pauli, spec.get("beta_sq"), spec.get("attack_probability", 1.0))
     except ValueError as exc:
         raise ConfigError("invalid attack: %s" % exc) from None
 

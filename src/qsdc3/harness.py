@@ -23,18 +23,21 @@ one ``geometric`` draw per message bit gives its rounds, under the strict
 policy one uniform per bit whether its stopping round is a failed check
 that ends the trial, and one ``multinomial`` call the counts of every leaf
 of every trial, so a block's cost grows with its bits and the round's
-leaves, not with its rounds.  The report is one pass over the summed leaf
-counts (:class:`_Aggregator`): an experiment runs no protocol session and
-builds no round record, transcript or decoded message.  Its analytic
-column weighs each check-forced round once: the five rows (three check
-kinds, two decoy families) read three weighings.  Only the decode oracle
-(:func:`exhaustive_oracle`) runs ``protocol.run_protocol`` sessions.
+leaves, not with its rounds.  The blocks' counts are summed in one array,
+and the whole report is one pass over it (:class:`_Aggregator`), fidelity
+included: the bits each party decodes wrong are a sum over its message
+cells.  Below INFO, no per-trial work runs.  An experiment runs no protocol
+session and builds no round record, transcript or decoded message.  Its
+analytic column weighs each check-forced round once: the five rows (three
+check kinds, two decoy families) read three weighings.  Only the decode
+oracle (:func:`exhaustive_oracle`) runs ``protocol.run_protocol`` sessions.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections import Counter
 from dataclasses import asdict, dataclass
 from itertools import product
@@ -62,7 +65,7 @@ from .protocol import (
     leaf_weights,
     run_protocol,
 )
-from .states import Basis, TransitionTable, check_integer, check_probability, check_real
+from .states import Basis, TransitionTable, check_integer, check_probability
 
 log = logging.getLogger("qsdc3")
 
@@ -257,7 +260,8 @@ class LeakageReport:
 
 @dataclass(slots=True)
 class FidelityReport:
-    """Fraction of correctly decoded bits per party (over completed trials)."""
+    """Fraction of correctly decoded bits per party: the exact mean over
+    completed trials, rounded once (None when no trial completed)."""
 
     alice: float | None
     bob: float | None
@@ -325,22 +329,28 @@ class ExperimentAborted(Exception):
 
 
 def _decoded_wrong(x, y, i, j, k):
-    """The views that decode their bit wrong in a message round of leakage
-    key (x, y, i, j, k), numbered as ``DecodedMessages`` orders them:
-    Alice's view of Bob and of Charlie, Bob's of Alice and of Charlie,
-    Charlie's of Alice and of Bob."""
-    decoded = decode_alice(x, y, i) + decode_bob(x, y, j) + decode_charlie(x, y, k)
-    return tuple(view for view, (got, sent) in enumerate(zip(decoded, (j, k, i, k, i, j))) if got != sent)
+    """The bits each party decodes wrong, of the two it receives, in a
+    message round of leakage key (x, y, i, j, k): Alice's, Bob's and
+    Charlie's."""
+    decoded = (decode_alice(x, y, i), decode_bob(x, y, j), decode_charlie(x, y, k))
+    return tuple(sum(map(operator.ne, got, sent)) for got, sent in zip(decoded, ((j, k), (i, k), (i, j))))
 
 
-# Empty for every key of an undisturbed round.
-_VIEW_MISSES = {key: _decoded_wrong(*key) for key in product((0, 1), repeat=5)}
+# (0, 0, 0) for every key of an undisturbed round.
+_WRONG_BITS = {key: _decoded_wrong(*key) for key in product((0, 1), repeat=5)}
 
 
-def _log_trial(trial, rounds, law, counts, end=""):
-    # The trial's failed checks are summed only when the line is shown.
+def _log_trials(first, rounds, law, counts, aborted=False):
+    """One INFO line per trial of a block whose first trial is ``first``:
+    its index, ``rounds`` and the failed checks among ``counts``, with
+    ", aborted" on the last line when ``aborted``.  Nothing runs unless the
+    lines are shown."""
     if log.isEnabledFor(logging.INFO):
-        log.info("trial %d: rounds %d, failed checks %d%s", trial, rounds, law.failed_checks(counts), end)
+        last = len(counts) - 1
+        for index, used in enumerate(rounds.tolist()):
+            end = ", aborted" if aborted and index == last else ""
+            failed = law.failed_checks(counts[index])
+            log.info("trial %d: rounds %d, failed checks %d%s", first + index, used, failed, end)
 
 
 class _TrialLaw:
@@ -402,24 +412,17 @@ class _TrialLaw:
         self.stop_p = np.where(self.stalls, 1.0, stop_weight)
         self.fail_share = np.array(fail_share)
         self.failing = bool(self.fail_share.any())
-        # The flat indices of the message cells, with the views each cell's
-        # leakage key decodes wrong (``_VIEW_MISSES``), and of the failed checks.
+        # The flat indices of the message cells, with the bits each party
+        # decodes wrong in each (``_WRONG_BITS``), and of the failed checks.
         flat = [(index * width + column, index, leaf) for index, column, leaf in self.cells]
         messages = [
-            (cell, _VIEW_MISSES[leaf.leakage_keys[index % 3]]) for cell, index, leaf in flat if leaf.kind is _MESSAGE
+            (cell, _WRONG_BITS[leaf.leakage_keys[index % 3]]) for cell, index, leaf in flat if leaf.kind is _MESSAGE
         ]
         self.message_cells = np.array([cell for cell, _ in messages], dtype=np.intp)
-        self.misses = np.array([[view in views for _, views in messages] for view in range(6)], dtype=np.int64)
+        self.misses = np.array([wrong for _, wrong in messages], dtype=np.int64).reshape(-1, 3).T
         self.failed = np.array([cell for cell, _, leaf in flat if leaf.passed is False], dtype=np.intp)
         # The failed check of each cell of the fail rows, by its flat index there.
         self.stops = {cell - 12 * width: leaf for cell, index, leaf in flat if index >= 12}
-
-    def view_hits(self, counts, length):
-        """Each view's right bits in each of a block's completed trials of
-        ``length`` bits, whose counts ``counts`` stacks: one list per trial,
-        its views as ``DecodedMessages`` orders them."""
-        cells = counts.reshape(len(counts), self.pvals.size)[:, self.message_cells]
-        return (length - cells @ self.misses.T).tolist()
 
     def failed_checks(self, counts):
         """The failed checks among ``counts``."""
@@ -497,30 +500,21 @@ class _TrialLaw:
 
 
 class _Aggregator:
-    """Deterministic fold of per-trial leaf counts, in trial order.
+    """Deterministic fold of an experiment's summed leaf counts.
 
     Every report field sums what each round's leaf, and in a message round
-    Alice's bit, determine.  Each completed trial adds its own fidelity as
-    it is drawn; the trials' leaf counts are summed in one array, which
-    :meth:`_Aggregator.build` folds in one pass over the law's cells: the
-    detection rows, Eve's counts, the count per leakage key and the rounds.
-    The analytic column weighs each check-forced round once per aggregator,
-    so an experiment's five rows read three weighings."""
+    Alice's bit, determine.  :meth:`_Aggregator.build` folds the trials'
+    summed counts in one pass over the law's cells: the detection rows,
+    Eve's counts, the count per leakage key and the rounds; and each
+    party's wrong bits in one product over the message cells of the
+    completed trials.  The trial counts follow from the config and the
+    abort.  The analytic column weighs each check-forced round once per
+    aggregator, so an experiment's five rows read three weighings."""
 
     def __init__(self, config):
         self.config = config
         # Failed weights by base check kind (adversary.failed_weight_by_basis).
         self.failed_weights = {}
-        self.fidelity_sums = [0.0, 0.0, 0.0]  # Alice's, Bob's and Charlie's
-        self.trials_completed = 0
-        self.trials_aborted = 0
-
-    def add_completed(self, hits, length):
-        """Count a completed trial of ``length`` bits: ``hits`` holds each
-        view's right bits, as ``DecodedMessages`` orders the views."""
-        for view, right in enumerate(hits):
-            self.fidelity_sums[view // 2] += right / (2 * length)
-        self.trials_completed += 1
 
     def _analytic(self, kind, decoy_family):
         """The exact detection probability of the row of check ``kind``, a
@@ -557,9 +551,15 @@ class _Aggregator:
             ),
         )
 
-    def build(self, law, totals, aborted=None):
+    def build(self, law, totals, abort=None):
         """The report of the trials whose leaf counts, in the layout of
-        ``law``, a :class:`_TrialLaw`, sum to ``totals``."""
+        ``law``, a :class:`_TrialLaw`, sum to ``totals``: every trial of the
+        config, or, when ``abort`` is given as :func:`_count_trials` returns
+        it, the trials up to and including the one a failed check ended.
+
+        Each party's fidelity is the exact mean over the completed trials,
+        rounded once: its two views' right bits over 2 * L bits per trial.
+        """
         counts = {name: [0, 0] for name, _, _ in _ROWS}
         # Message rounds counted by leakage key: at most 32 keys, however
         # many rounds are audited.
@@ -591,8 +591,19 @@ class _Aggregator:
         detection = DetectionReport(kinds)
 
         leakage = self._leakage(leakage)
-        done = self.trials_completed
-        fidelity = FidelityReport(*(s / done if done else None for s in self.fidelity_sums))
+        done, completed, aborted = self.config.trials, totals, None
+        if abort is not None:
+            done, used, leaf, last = abort
+            completed = totals - last
+            aborted = {
+                "trial": done,
+                "round": used - 1,
+                "check_kind": leaf.kind.value,
+                "segments": sorted(s.value for s in leaf.touched),
+            }
+        bits = 2 * self.config.message_length * done
+        wrong = (law.misses @ completed.ravel()[law.message_cells]).tolist()
+        fidelity = FidelityReport(*((bits - w) / bits if done else None for w in wrong))
         eve = EveStats(
             actions=actions,
             probe_measurements=measured,
@@ -605,8 +616,8 @@ class _Aggregator:
             leakage=leakage,
             fidelity=fidelity,
             eve=eve,
-            trials_completed=self.trials_completed,
-            trials_aborted=self.trials_aborted,
+            trials_completed=done,
+            trials_aborted=int(abort is not None),
             rounds_total=rounds,
             aborted=aborted,
         )
@@ -621,37 +632,45 @@ def run_experiment(config):
     ``_BLOCK_BITS``).  An experiment builds one transition table and weighs
     its compiled round there once.  Then each block draws its trials' leaf
     counts from their exact law under the config's abort policy
-    (:class:`_TrialLaw`), with no round order.  Under the strict policy the
-    first failed check stops the experiment: :class:`ExperimentAborted` is
-    raised carrying the partial statistics, the failing round included.
+    (:class:`_TrialLaw`), with no round order, and the report folds their
+    sum (:class:`_Aggregator`); its fidelity is the exact mean over the
+    completed trials, rounded once.  Under the strict policy the first
+    failed check stops the experiment: :class:`ExperimentAborted` is raised
+    carrying the partial statistics, the failing round included.
 
     Each trial logs one INFO line on the ``qsdc3`` logger: its index,
-    rounds used and failed checks; the experiment logs its table's size
-    at DEBUG.  A trial whose rounds pass the default budget raises
+    rounds used and failed checks; an experiment that reaches a report,
+    full or partial, logs its trials and its table's size at DEBUG.  A
+    trial whose rounds pass the default budget raises
     :class:`~qsdc3.protocol.RoundBudgetExceeded`, after the trials before
     it are logged.
     """
-    agg = _Aggregator(config)
     table = TransitionTable()
     roots = [leaf_weights(table, config.schedule, config.attack, j, k) for j, k in product((0, 1), repeat=2)]
     law = _TrialLaw(roots, config.abort_policy is AbortPolicy.STRICT)
-    try:
-        totals = _count_trials(config, agg, law)
-    finally:
-        # Sizing the table sums its dicts: only when the line is shown.
-        if log.isEnabledFor(logging.DEBUG):
-            trials = agg.trials_completed + agg.trials_aborted
-            log.debug("experiment: %d trials, %d transition table edges", trials, len(table))
-    return agg.build(law, totals)
+    totals, abort = _count_trials(config, law)
+    # Sizing the table sums its dicts: only when the line is shown.
+    if log.isEnabledFor(logging.DEBUG):
+        trials = config.trials if abort is None else abort[0] + 1
+        log.debug("experiment: %d trials, %d transition table edges", trials, len(table))
+    result = _Aggregator(config).build(law, totals, abort)
+    if abort is None:
+        return result
+    trial, used, leaf, _ = abort
+    raise ExperimentAborted(result, trial, used - 1, leaf.kind)
 
 
-def _count_trials(config, agg, law):
+def _count_trials(config, law):
     """The trials' leaf counts drawn from ``law`` in blocks, all from one
-    generator, summed in one array, which is returned; each completed
-    trial's fidelity is added to ``agg`` in trial order.  A trial that a
-    failed check ends raises :class:`ExperimentAborted` with the report
-    ``agg`` builds from the counts so far: the failing round is the
-    trial's last."""
+    generator, summed in one array: ``(totals, abort)``.
+
+    ``abort`` is None when every trial completed.  Else a failed check
+    ended trial ``trial``, the last one drawn and summed, and ``abort`` is
+    ``(trial, rounds, leaf, counts)``: its index, its rounds up to the
+    failing one, that failed check's leaf and the trial's own counts.  A
+    trial whose rounds pass the budget raises
+    :class:`~qsdc3.protocol.RoundBudgetExceeded`.  Each block's trials log
+    their INFO lines (:func:`_log_trials`) before the next block is drawn."""
     length = config.message_length
     budget = default_budget(length)
     block = max(1, _BLOCK_BITS // length)
@@ -661,25 +680,12 @@ def _count_trials(config, agg, law):
         counts, rounds, over = law.draw(rng, min(block, config.trials - first), length, budget)
         totals += counts.sum(axis=0)
         leaf = law.stop(counts[-1]) if len(counts) else None
-        completed = len(counts) - (leaf is not None)
-        rounds = rounds.tolist()
-        for index, hits in enumerate(law.view_hits(counts[:completed], length)):
-            agg.add_completed(hits, length)
-            _log_trial(first + index, rounds[index], law, counts[index])
+        _log_trials(first, rounds, law, counts, leaf is not None)
         if leaf is not None:
-            trial, used = first + completed, rounds[-1]
-            agg.trials_aborted += 1
-            _log_trial(trial, used, law, counts[-1], ", aborted")
-            aborted = {
-                "trial": trial,
-                "round": used - 1,
-                "check_kind": leaf.kind.value,
-                "segments": sorted(s.value for s in leaf.touched),
-            }
-            raise ExperimentAborted(agg.build(law, totals, aborted), trial, used - 1, leaf.kind)
+            return totals, (first + len(counts) - 1, int(rounds[-1]), leaf, counts[-1])
         if over is not None:
             raise over
-    return totals
+    return totals, None
 
 
 # ---------------------------------------------------------------------------
@@ -762,8 +768,7 @@ class CurvePoint:
         return asdict(self)
 
 
-def detection_curve(
-    make_attack,
+def entangle_measure_curve(
     grid,
     check_kinds=("ab_check", "decoy_check"),
     message_length=128,
@@ -771,20 +776,22 @@ def detection_curve(
     schedule=None,
     seed=0,
 ):
-    """Sampled-versus-analytic detection table across a parameter grid.
+    """Sampled-versus-analytic detection table over the probe coupling's
+    flip weight |beta|^2, one experiment per ``grid`` value.
 
-    ``make_attack`` maps one grid value to an :class:`AttackModel`.  For each
-    grid point one experiment runs (record-and-continue) and each requested
+    The attack covers both the A->B leg (disturbing pair checks) and the
+    C->A leg (disturbing decoys), so one experiment per point feeds both
+    curve rows.  Each point runs record-and-continue, and each requested
     check kind, named once, gives a row; decoy rows also give the Z and X
     family splits.
 
-    An empty grid or a grid value that is not a real number (a bool or a
-    string included), a string or empty ``check_kinds``, an unknown or
-    repeated check kind and a ``seed`` that is not an integer >= 0 raise
-    ``ValueError`` before any experiment runs; the sizes are checked by
-    :class:`ExperimentConfig`.
+    An empty grid or a grid value that is not a real number in [0, 1] (a
+    bool or a string included), a string or empty ``check_kinds``, an
+    unknown or repeated check kind and a ``seed`` that is not an integer
+    >= 0 raise ``ValueError`` naming the field before any experiment runs;
+    the sizes are checked by :class:`ExperimentConfig`.
     """
-    grid = [float(check_real("grid", value)) for value in grid]
+    grid = [float(check_probability("grid", value)) for value in grid]
     if not grid:
         raise ValueError("parameter grid must not be empty")
     if schedule is None:
@@ -802,15 +809,14 @@ def detection_curve(
 
     point_seeds = np.random.SeedSequence(check_integer("seed", seed, 0)).spawn(len(grid))
     rows = []
-    for idx, value in enumerate(grid):
-        attack = make_attack(value)
+    for value, point_seed in zip(grid, point_seeds):
         config = ExperimentConfig(
             message_length=message_length,
             trials=trials,
             schedule=schedule,
-            attack=attack,
+            attack=AttackModel.entangle_measure(value, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
             abort_policy=AbortPolicy.RECORD_AND_CONTINUE,
-            seed=int(point_seeds[idx].generate_state(1)[0]),
+            seed=int(point_seed.generate_state(1)[0]),
         )
         result = run_experiment(config)
         report_kinds = result.detection.kinds
@@ -831,21 +837,3 @@ def detection_curve(
                     )
                 )
     return rows
-
-
-def entangle_measure_curve(grid, **kwargs):
-    """Sweep the probe coupling's flip weight |beta|^2 over ``grid``.
-
-    The attack covers both the A->B leg (disturbing pair checks) and the
-    C->A leg (disturbing decoys), so one experiment per point feeds both
-    curve rows.  A ``grid`` value that is not a real number in [0, 1]
-    raises ``ValueError`` naming "grid" before any experiment runs.
-    """
-    grid = [check_probability("grid", value) for value in grid]
-
-    def make(beta_sq):
-        return AttackModel.entangle_measure(
-            beta_sq, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A
-        )
-
-    return detection_curve(make, grid, **kwargs)

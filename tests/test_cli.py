@@ -233,6 +233,11 @@ class TestConfigErrors:
                 "beta_sq",
             ),
             ("run", {"attack": {"kind": "none", "segments": ["a_to_b"]}}, [], "segments"),
+            ("run", {"attack": {"kind": "intercept_resend", "segments": ["a_to_b"], "pauli": "X"}}, [], "pauli"),
+            ("run", {"attack": {"kind": "none", "pauli": "Z"}}, [], "pauli"),
+            ("run", {"attack": {"kind": "none", "beta_sq": 0.5}}, [], "beta_sq"),
+            ("run", {"attack": {"kind": "disturbance", "segments": ["a_to_b"], "pauli": None}}, [], "pauli"),
+            ("run", {"attack": {"kind": "intercept_resend", "segments": ["a_to_b"], "beta_sq": None}}, [], "beta_sq"),
             ("run", {"attack": {"kind": "none", "attack_probability": 0.5}}, [], "attack_probability"),
             (
                 "run",
@@ -262,6 +267,11 @@ class TestConfigErrors:
             "segments_object",
             "beta_sq_on_disturbance",
             "segments_on_null_attack",
+            "pauli_on_intercept",
+            "pauli_on_none",
+            "beta_sq_on_none",
+            "null_pauli_on_disturbance",
+            "null_beta_sq_on_intercept",
             "gated_null_attack",
             "repeated_segment",
             "message_length_past_numpy_dimensions",

@@ -5,6 +5,7 @@ import math
 import operator
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -16,7 +17,6 @@ from qsdc3.cli import render_json
 from qsdc3.harness import (
     ExperimentAborted,
     ExperimentConfig,
-    detection_curve,
     entangle_measure_curve,
     exhaustive_oracle,
     run_experiment,
@@ -29,6 +29,9 @@ from qsdc3.protocol import (
     RoundBudgetExceeded,
     RoundKind,
     SchedulePolicy,
+    decode_alice,
+    decode_bob,
+    decode_charlie,
     default_budget,
     run_protocol,
 )
@@ -537,8 +540,8 @@ def law_counts(law, leaves, alice_bits):
 class TestLeafFold:
     """Counting leaves gives the counts that folding the records gave: a
     session's leaves, laid out as a trial's count array, build a report
-    (``_Aggregator.build``; and the law's miss, failed and stop cells fold)
-    whose counts are the record fold's."""
+    (``_Aggregator.build``, fidelity included; and the law's failed and
+    stop cells fold) whose counts are the record fold's."""
 
     @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
     @pytest.mark.parametrize(
@@ -562,7 +565,9 @@ class TestLeafFold:
             counts = law_counts(law, leaves, messages.alice_bits)
             audited = []
             monkeypatch.setattr(harness._Aggregator, "_leakage", lambda self, counts: audited.append(counts))
-            report = harness._Aggregator(ExperimentConfig()).build(law, counts)
+            # One completed trial of 48 bits, when the session completed.
+            config = ExperimentConfig(message_length=48, trials=1)
+            report = harness._Aggregator(config).build(law, counts)
             rows = {name: [stats.checks_run, stats.checks_failed] for name, stats in report.detection.kinds.items()}
             # A family row is reported only when a check of the family ran.
             assert rows == {**checks, **{name: row for name, row in families.items() if row[0]}}
@@ -575,7 +580,9 @@ class TestLeafFold:
                 assert law.stop(counts) is leaves[-1] and counts[12:].sum() == 1
             else:
                 assert law.stop(counts) is None and not counts[12:].any()
-                assert law.view_hits(counts[None], 48) == [hits]
+                # Each party's right bits over its two views' 96 bits.
+                expected = [(hits[2 * party] + hits[2 * party + 1]) / 96 for party in range(3)]
+                assert [report.fidelity.alice, report.fidelity.bob, report.fidelity.charlie] == expected
         if policy is AbortPolicy.STRICT and attack is not None:
             assert aborted == 6
 
@@ -592,7 +599,7 @@ class TestTrialLog:
             raise AssertionError("the failed checks were summed")
 
         monkeypatch.setattr(law, "failed_checks", unsummed)
-        harness._log_trial(0, 3, law, np.zeros_like(law.pvals, dtype=np.int64))
+        harness._log_trials(0, np.array([3]), law, np.zeros_like(law.pvals, dtype=np.int64)[None])
         assert caplog.records == []
 
     def test_at_info_the_text_is_exact(self, caplog):
@@ -605,11 +612,12 @@ class TestTrialLog:
         aborted.ravel()[strict.failed[0]] = 1
         completed = np.zeros_like(record.pvals, dtype=np.int64)
         completed.ravel()[record.failed[:2]] = 1
-        harness._log_trial(4, 3, strict, aborted, ", aborted")
-        harness._log_trial(5, 4, record, completed)
+        harness._log_trials(4, np.array([3]), strict, aborted[None], aborted=True)
+        harness._log_trials(5, np.array([4, 6]), record, np.stack([completed, 0 * completed]))
         assert [r.getMessage() for r in caplog.records] == [
             "trial 4: rounds 3, failed checks 1, aborted",
             "trial 5: rounds 4, failed checks 2",
+            "trial 6: rounds 6, failed checks 0",
         ]
 
 
@@ -1121,7 +1129,7 @@ class TestDetectionCurve:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            detection_curve(lambda b: AttackModel.entangle_measure(b, AB), [])
+            entangle_measure_curve([])
 
     def test_out_of_range_grid_rejected(self):
         with pytest.raises(ValueError, match="0, 1"):
@@ -1131,44 +1139,32 @@ class TestDetectionCurve:
         with pytest.raises(ValueError, match="check kind"):
             entangle_measure_curve([0.5], check_kinds=("sideways_check",))
 
-    # Each of these once ran: True as a coupling of 1.0, "0.5" as 0.5 (in
-    # ``detection_curve`` too, whatever ``make_attack`` accepts), a seed of
-    # True as 1, and a repeated kind's rows twice, identical.  A float or
-    # negative seed failed inside numpy, naming no field, and "ab_check" as
-    # the unknown kind "a".
+    # Each of these once ran: True as a coupling of 1.0, "0.5" as 0.5, a
+    # seed of True as 1, and a repeated kind's rows twice, identical.  A
+    # float or negative seed failed inside numpy, naming no field, and
+    # "ab_check" as the unknown kind "a".
     @pytest.mark.parametrize(
-        "curve, grid, kwargs, field",
+        "grid, kwargs, field",
         [
-            (entangle_measure_curve, [0.5, True], {}, "grid"),
-            (entangle_measure_curve, ["0.5"], {}, "grid"),
-            (entangle_measure_curve, [0.5], {"seed": True}, "seed"),
-            (entangle_measure_curve, [0.5], {"seed": 2.5}, "seed"),
-            (entangle_measure_curve, [0.5], {"seed": -1}, "seed"),
-            (entangle_measure_curve, [0.5], {"check_kinds": "ab_check"}, "check_kinds"),
-            (entangle_measure_curve, [0.5], {"check_kinds": []}, "check_kinds"),
-            (entangle_measure_curve, [0.5], {"check_kinds": ["ab_check", "ab_check"]}, "check_kinds"),
-            ("any", [True, "0.5"], {}, "grid"),
-            ("any", [0.5, True], {}, "grid"),
-            ("any", ["0.5"], {}, "grid"),
-            ("any", [0.5, None], {}, "grid"),
-            ("any", [0.5, 0.5j], {}, "grid"),
+            ([0.5, True], {}, "grid"),
+            (["0.5"], {}, "grid"),
+            ([0.5], {"seed": True}, "seed"),
+            ([0.5], {"seed": 2.5}, "seed"),
+            ([0.5], {"seed": -1}, "seed"),
+            ([0.5], {"check_kinds": "ab_check"}, "check_kinds"),
+            ([0.5], {"check_kinds": []}, "check_kinds"),
+            ([0.5], {"check_kinds": ["ab_check", "ab_check"]}, "check_kinds"),
         ],
         ids=["bool_grid_value", "string_grid_value", "bool_seed", "float_seed", "negative_seed",
-             "string_check_kinds", "empty_check_kinds", "repeated_check_kind", "detection_curve_bool_and_string",
-             "detection_curve_bool", "detection_curve_string", "detection_curve_none", "detection_curve_complex"],
+             "string_check_kinds", "empty_check_kinds", "repeated_check_kind"],
     )
-    def test_a_bad_argument_is_rejected_before_any_experiment(self, monkeypatch, curve, grid, kwargs, field):
+    def test_a_bad_argument_is_rejected_before_any_experiment(self, monkeypatch, grid, kwargs, field):
         def no_experiment(config):
             raise AssertionError("an experiment ran")
 
-        def any_coupling(*args, **kwargs):
-            # A ``make_attack`` that takes any value it is given.
-            return detection_curve(lambda value: AttackModel.intercept_resend(AB), *args, **kwargs)
-
         monkeypatch.setattr(harness, "run_experiment", no_experiment)
-        run_curve = any_coupling if curve == "any" else curve
         with pytest.raises(ValueError, match=field):
-            run_curve(grid, message_length=2, trials=1, **kwargs)
+            entangle_measure_curve(grid, message_length=2, trials=1, **kwargs)
 
 
 class TestConfigValidation:
@@ -1358,3 +1354,157 @@ class TestPinnedReports:
         # Every field but the enumerated ones: a change to the enumerator
         # alone leaves these digests as they are.
         assert sampled_digest(pinned_report(name)) == digest
+
+
+def wrong_bits(x, y, i, j, k):
+    """The bits each party decodes wrong, of its two, in a message round of
+    announcement (x, y) and secrets (i, j, k): read through the decode
+    rules, Alice's, Bob's and Charlie's in that order."""
+    decoded = (decode_alice(x, y, i), decode_bob(x, y, j), decode_charlie(x, y, k))
+    sent = ((j, k), (i, k), (i, j))
+    return [sum(map(operator.ne, got, want)) for got, want in zip(decoded, sent)]
+
+
+def drawn_fidelity(config):
+    """Each party's fidelity as a ``Fraction``: the exact mean, over the
+    completed trials that ``config``'s one block of draws gives, of each
+    trial's right bits over its 2 * L; and the number of those trials."""
+    _, _, law = experiment_law(config.schedule, config.attack, config.abort_policy)
+    length = config.message_length
+    assert config.trials <= harness._BLOCK_BITS // length
+    rng = np.random.default_rng(config.seed)
+    counts, _, over = law.draw(rng, config.trials, length, default_budget(length))
+    assert over is None
+    if law.stop(counts[-1]) is not None:
+        counts = counts[:-1]
+    sums = [Fraction(0)] * 3
+    for trial in counts:
+        wrong = [0, 0, 0]
+        for row, column, leaf in law.cells:
+            if leaf.kind is RoundKind.MESSAGE:
+                # A message row holds the leaves under Alice's bit row % 3.
+                c = int(trial[row, column])
+                wrong = [w + c * miss for w, miss in zip(wrong, wrong_bits(*leaf.leakage_keys[row % 3]))]
+        sums = [total + Fraction(2 * length - w, 2 * length) for total, w in zip(sums, wrong)]
+    return [total / len(counts) for total in sums], len(counts)
+
+
+def exact_fidelity(config, n):
+    """Each party's exact mean fidelity over ``n`` completed trials of
+    ``config``, and its standard error, from the compiled round's
+    ``leaf_weights`` with the secrets (i, j, k) uniform.
+
+    A completed trial's bits are independent, and each ends at a message
+    leaf.  A bit of root (j, k) stops at a leaf of weight w with probability
+    w / (m + f), m being the root's message weight and f its failed-check
+    weight under the strict policy (else 0); a completed trial conditions
+    on every bit stopping at a message leaf.  So party p's wrong bits X per
+    bit have an exact law, the fidelity's mean is 1 - E[X] / 2 and its
+    standard error over n trials of L bits is sqrt(Var[X] / (4 L n)).
+    """
+    strict = config.abort_policy is AbortPolicy.STRICT
+    table = TransitionTable()
+    mass, first, second = 0.0, [0.0] * 3, [0.0] * 3
+    for j, k in BITS:
+        weighed = protocol.leaf_weights(table, config.schedule, config.attack, j, k)
+        messages = [(w, leaf) for w, leaf in weighed if leaf.kind is RoundKind.MESSAGE]
+        stop = sum(w for w, _ in messages) + strict * sum(w for w, leaf in weighed if leaf.passed is False)
+        for w, leaf in messages:
+            for i in (0, 1):
+                p = w / stop / 8
+                mass += p
+                for party, miss in enumerate(wrong_bits(*leaf.leakage_keys[i])):
+                    first[party] += p * miss
+                    second[party] += p * miss * miss
+    means = [m / mass for m in first]
+    variances = [max(0.0, s / mass - m * m) for s, m in zip(second, means)]
+    errors = [math.sqrt(v / (4 * config.message_length * n)) for v in variances]
+    return [1.0 - m / 2 for m in means], errors
+
+
+def experiment_report(config):
+    """The report of ``config``: the partial one when a failed check ends it."""
+    try:
+        return run_experiment(config)
+    except ExperimentAborted as abort:
+        return abort.partial
+
+
+# Rounded once per trial and summed, Alice's fidelity here was
+# 0.9333333333333332, one ulp below the exact mean.
+ONE_ULP_CASE = ExperimentConfig(
+    message_length=3, trials=5, attack=AttackModel.intercept_resend(AB, attack_probability=0.3), seed=1
+)
+
+# Criterion 6's configuration, as tests/test_acceptance.py runs it.
+CRITERION_6 = ExperimentConfig(
+    message_length=64,
+    trials=100,
+    schedule=SchedulePolicy(0.5, 0.25, 0.25),
+    attack=AttackModel.intercept_resend(AB),
+    seed=1006,
+)
+
+
+class TestFidelity:
+    """The report's fidelity is the exact mean over the completed trials,
+    rounded once, and lies within 4 SE of its exact expectation."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            ONE_ULP_CASE,
+            # Trial 27 aborts; the 27 before it complete.
+            ExperimentConfig(
+                message_length=8,
+                trials=400,
+                schedule=SchedulePolicy(0.1, 0.1, 0.1),
+                attack=AttackModel.intercept_resend(AB, attack_probability=0.1),
+                abort_policy=AbortPolicy.STRICT,
+                seed=2,
+            ),
+        ],
+        ids=["record_and_continue", "strict_partial"],
+    )
+    def test_fidelity_is_the_correctly_rounded_mean_of_the_drawn_trials(self, config):
+        expected, completed = drawn_fidelity(config)
+        report = experiment_report(config)
+        assert report.trials_completed == completed > 0
+        assert [report.fidelity.alice, report.fidelity.bob, report.fidelity.charlie] == list(map(float, expected))
+
+    def test_the_one_ulp_case_reads_the_exact_mean(self):
+        expected, _ = drawn_fidelity(ONE_ULP_CASE)
+        assert expected[0] == Fraction(14, 15)
+        assert run_experiment(ONE_ULP_CASE).fidelity.alice == 0.9333333333333333
+
+    @pytest.mark.parametrize("name", [name for name in PINNED_CONFIGS if name != "no_attack"])
+    def test_a_pinned_attacked_report_is_within_four_se(self, name):
+        self.assert_within_four_se(PINNED_CONFIGS[name], experiment_report(PINNED_CONFIGS[name]))
+
+    def test_criterion_6_is_within_four_se(self):
+        self.assert_within_four_se(CRITERION_6, run_experiment(CRITERION_6))
+
+    def test_each_criterion_5_point_is_within_four_se(self, monkeypatch):
+        # The experiments of the criterion-5 curve, as it runs them.
+        ran = []
+
+        def recording(config):
+            ran.append((config, run_experiment(config)))
+            return ran[-1][1]
+
+        monkeypatch.setattr(harness, "run_experiment", recording)
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        entangle_measure_curve(grid, message_length=128, trials=140, schedule=SchedulePolicy(0.25, 0.1, 0.4), seed=1005)
+        assert [config.attack.beta_sq for config, _ in ran] == grid
+        for config, result in ran:
+            self.assert_within_four_se(config, result)
+
+    @staticmethod
+    def assert_within_four_se(config, report):
+        means, errors = exact_fidelity(config, report.trials_completed)
+        got = [report.fidelity.alice, report.fidelity.bob, report.fidelity.charlie]
+        for party, (value, mean, se) in enumerate(zip(got, means, errors)):
+            if se == 0.0:
+                assert value == pytest.approx(mean, abs=1e-12), party
+            else:
+                assert abs(value - mean) <= 4 * se, (party, value, mean, se)
