@@ -19,6 +19,10 @@ their results through the session's ``states.TransitionTable``.
 
 import math
 
+# The squared norm at or below which an outcome cannot happen: ``collapse``
+# refuses to project onto it, and ``states`` gives it no interval to draw.
+PROBABILITY_FLOOR = 1e-300
+
 
 def active_backend():
     """Name of the kernel implementation, as recorded in run metadata."""
@@ -91,7 +95,7 @@ def collapse(amps, pos, basis, outcome):
     p = 0.0
     for a in out:
         p += a.real * a.real + a.imag * a.imag
-    if p <= 1e-300:
+    if p <= PROBABILITY_FLOOR:
         raise ValueError("cannot collapse onto a zero-probability outcome")
     scale = 1.0 / math.sqrt(p)
     return tuple([complex(a * scale) for a in out])

@@ -25,12 +25,13 @@ import io
 import json
 import logging
 import sys
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
 from .adversary import AttackKind, AttackModel, ChannelSegment
 from .harness import (
+    CURVE_SCHEDULE,
     CurvePoint,
     ExperimentAborted,
     ExperimentConfig,
@@ -63,32 +64,18 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # Config parsing.  The CLI checks only the JSON's shape: unknown keys (a
 # silent typo in a security experiment is worse than a loud one), lists,
-# and the names of enum members.  It passes every value to the library's
-# constructors, which own the value rules (``AttackModel`` decides which
-# fields each attack kind takes), and reports their ``ValueError`` as a
-# config error.
+# and the names of enum members.  It passes the library's constructors
+# only the keys a config gives, so every default is the one of the type
+# that owns it (``ExperimentConfig``, ``SchedulePolicy``, ``AttackModel``,
+# ``entangle_measure_curve``); they own the value rules too (``AttackModel``
+# decides which fields each attack kind takes), and the CLI reports their
+# ``ValueError`` as a config error.
 
-_RUN_KEYS = {
-    "message_length",
-    "trials",
-    "p_ab_check",
-    "p_bob_cm",
-    "p_charlie_cm",
-    "attack",
-    "abort_policy",
-    "seed",
-}
+_SCHEDULE_KEYS = {field.name for field in fields(SchedulePolicy)}
+# The keys of a report's ``config`` section, so a report reruns its config.
+_RUN_KEYS = set(ExperimentConfig().to_dict())
 _ATTACK_KEYS = {field.name for field in fields(AttackModel)}
-_SWEEP_KEYS = {
-    "grid",
-    "check_kinds",
-    "message_length",
-    "trials",
-    "p_ab_check",
-    "p_bob_cm",
-    "p_charlie_cm",
-    "seed",
-}
+_SWEEP_KEYS = {"grid", "check_kinds", "message_length", "trials", "seed"} | _SCHEDULE_KEYS
 
 _SEGMENTS = {s.value: s for s in ChannelSegment}
 _PAULIS = {"X": Pauli.X, "Z": Pauli.Z}
@@ -100,13 +87,20 @@ def _reject_unknown(mapping, allowed, context):
             raise ConfigError("unknown %s key '%s'" % (context, key))
 
 
-def _parse_schedule(data, defaults):
-    """The schedule fields of a run or sweep config, ``defaults`` in order."""
-    names = ("p_ab_check", "p_bob_cm", "p_charlie_cm")
+def _given(data, names):
+    """The entries of ``data`` named in ``names``, for the keys it has."""
+    return {name: data[name] for name in names if name in data}
+
+
+def _parse_schedule(data, base):
+    """``base`` with the schedule fields a run or sweep config gives."""
     try:
-        schedule = SchedulePolicy(*(data.get(name, d) for name, d in zip(names, defaults)))
+        schedule = replace(base, **_given(data, _SCHEDULE_KEYS))
     except ValueError as exc:
         raise ConfigError("invalid schedule: %s" % exc) from None
+    # Refused here, not left to the round budget: under the strict policy
+    # an attacked check could abort such a run (exit 3) before the budget
+    # refuses it (exit 2).
     p_message = (
         (1.0 - schedule.p_ab_check) * (1.0 - schedule.p_bob_cm) * (1.0 - schedule.p_charlie_cm)
     )
@@ -153,47 +147,46 @@ def parse_attack(spec):
         kind = AttackKind(spec.get("kind", "none"))
     except ValueError:
         raise ConfigError("field 'attack.kind' has unknown value %r" % (spec["kind"],)) from None
+    given = _given(spec, ("beta_sq", "attack_probability"))
     pauli = spec.get("pauli", "X" if kind is AttackKind.DISTURBANCE else None)
     if pauli is not None:
         if not isinstance(pauli, str) or pauli not in _PAULIS:
             raise ConfigError("field 'attack.pauli' must be 'X' or 'Z'")
-        pauli = _PAULIS[pauli]
-    names = spec.get("segments", [])
-    if not isinstance(names, list):
-        raise ConfigError("field 'attack.segments' must be a list")
+        given["pauli"] = _PAULIS[pauli]
+    if "segments" in spec:
+        names = spec["segments"]
+        if not isinstance(names, list):
+            raise ConfigError("field 'attack.segments' must be a list")
+        try:
+            given["segments"] = [_SEGMENTS[s] for s in names]
+        except (KeyError, TypeError):
+            raise ConfigError(
+                "field 'attack.segments' entries must be one of %s"
+                % sorted(_SEGMENTS)
+            ) from None
     try:
-        segments = [_SEGMENTS[s] for s in names]
-    except (KeyError, TypeError):
-        raise ConfigError(
-            "field 'attack.segments' entries must be one of %s"
-            % sorted(_SEGMENTS)
-        ) from None
-    try:
-        return AttackModel(kind, segments, pauli, spec.get("beta_sq"), spec.get("attack_probability", 1.0))
+        return AttackModel(kind, **given)
     except ValueError as exc:
         raise ConfigError("invalid attack: %s" % exc) from None
 
 
 def parse_run_config(data, seed_override=None):
     _reject_unknown(data, _RUN_KEYS, "config")
-    schedule = _parse_schedule(data, (0.25, 0.25, 0.25))
-    policy_name = data.get("abort_policy", "record_and_continue")
+    given = _given(data, ("message_length", "trials", "seed"))
+    given["schedule"] = _parse_schedule(data, SchedulePolicy())
+    if "abort_policy" in data:
+        try:
+            given["abort_policy"] = AbortPolicy(data["abort_policy"])
+        except ValueError:
+            raise ConfigError(
+                "field 'abort_policy' must be 'strict' or 'record_and_continue'"
+            ) from None
+    if "attack" in data:
+        given["attack"] = parse_attack(data["attack"])
+    if seed_override is not None:
+        given["seed"] = seed_override
     try:
-        policy = AbortPolicy(policy_name)
-    except ValueError:
-        raise ConfigError(
-            "field 'abort_policy' must be 'strict' or 'record_and_continue'"
-        ) from None
-    attack = parse_attack(data.get("attack"))
-    try:
-        return ExperimentConfig(
-            message_length=data.get("message_length", 64),
-            trials=data.get("trials", 10),
-            schedule=schedule,
-            attack=attack,
-            abort_policy=policy,
-            seed=seed_override if seed_override is not None else data.get("seed", 0),
-        )
+        return ExperimentConfig(**given)
     except ValueError as exc:
         raise ConfigError("invalid config: %s" % exc) from None
 
@@ -341,19 +334,14 @@ def cmd_sweep(args):
     grid = data.get("grid")
     if not isinstance(grid, list):
         raise ConfigError("field 'grid' must be a list of |beta|^2 values")
-    kinds = data.get("check_kinds", ["ab_check", "decoy_check"])
-    if not isinstance(kinds, list):
+    given = _given(data, ("check_kinds", "message_length", "trials", "seed"))
+    if "check_kinds" in given and not isinstance(given["check_kinds"], list):
         raise ConfigError("field 'check_kinds' must be a list of check kinds")
-    schedule = _parse_schedule(data, (0.25, 0.1, 0.4))
+    given["schedule"] = _parse_schedule(data, CURVE_SCHEDULE)
+    if args.seed is not None:
+        given["seed"] = args.seed
     try:
-        points = entangle_measure_curve(
-            grid,
-            check_kinds=kinds,
-            message_length=data.get("message_length", 128),
-            trials=data.get("trials", 140),
-            schedule=schedule,
-            seed=args.seed if args.seed is not None else data.get("seed", 0),
-        )
+        points = entangle_measure_curve(grid, **given)
     except ValueError as exc:
         raise ConfigError("invalid sweep config: %s" % exc) from None
     if args.format == "json":

@@ -169,9 +169,9 @@ class ExperimentConfig:
             "segments": sorted(s.value for s in self.attack.segments),
             "attack_probability": self.attack.attack_probability,
         }
-        if self.attack.kind is AttackKind.DISTURBANCE:
+        if self.attack.pauli is not None:
             attack["pauli"] = self.attack.pauli.name
-        if self.attack.kind is AttackKind.ENTANGLE_MEASURE:
+        if self.attack.beta_sq is not None:
             attack["beta_sq"] = self.attack.beta_sq
         return {
             "message_length": self.message_length,
@@ -314,17 +314,18 @@ class ExperimentAborted(Exception):
     """Strict-policy experiment stopped by a detected eavesdropper.
 
     Carries the partial :class:`ExperimentResult` accumulated up to and
-    including the aborting round.
+    including the aborting round, and reads the trial, round and check
+    kind of the abort from its ``aborted`` section.
     """
 
-    def __init__(self, partial, trial_index, round_index, check_kind):
+    def __init__(self, partial):
         self.partial = partial
-        self.trial_index = trial_index
-        self.round_index = round_index
-        self.check_kind = check_kind
+        self.trial_index = partial.aborted["trial"]
+        self.round_index = partial.aborted["round"]
+        self.check_kind = RoundKind(partial.aborted["check_kind"])
         super().__init__(
             "experiment aborted: %s failed in trial %d at round %d"
-            % (check_kind.value, trial_index, round_index)
+            % (self.check_kind.value, self.trial_index, self.round_index)
         )
 
 
@@ -654,10 +655,9 @@ def run_experiment(config):
         trials = config.trials if abort is None else abort[0] + 1
         log.debug("experiment: %d trials, %d transition table edges", trials, len(table))
     result = _Aggregator(config).build(law, totals, abort)
-    if abort is None:
-        return result
-    trial, used, leaf, _ = abort
-    raise ExperimentAborted(result, trial, used - 1, leaf.kind)
+    if abort is not None:
+        raise ExperimentAborted(result)
+    return result
 
 
 def _count_trials(config, law):
@@ -768,12 +768,17 @@ class CurvePoint:
         return asdict(self)
 
 
+# A detection curve's default schedule, which ``qsdc3 sweep`` keeps for the
+# schedule keys its config leaves out.
+CURVE_SCHEDULE = SchedulePolicy(p_ab_check=0.25, p_bob_cm=0.1, p_charlie_cm=0.4)
+
+
 def entangle_measure_curve(
     grid,
     check_kinds=("ab_check", "decoy_check"),
     message_length=128,
     trials=140,
-    schedule=None,
+    schedule=CURVE_SCHEDULE,
     seed=0,
 ):
     """Sampled-versus-analytic detection table over the probe coupling's
@@ -783,19 +788,19 @@ def entangle_measure_curve(
     C->A leg (disturbing decoys), so one experiment per point feeds both
     curve rows.  Each point runs record-and-continue, and each requested
     check kind, named once, gives a row; decoy rows also give the Z and X
-    family splits.
+    family splits.  Every point runs under ``schedule``, by default
+    :data:`CURVE_SCHEDULE`.
 
     An empty grid or a grid value that is not a real number in [0, 1] (a
     bool or a string included), a string or empty ``check_kinds``, an
     unknown or repeated check kind and a ``seed`` that is not an integer
     >= 0 raise ``ValueError`` naming the field before any experiment runs;
-    the sizes are checked by :class:`ExperimentConfig`.
+    the sizes and the schedule (None included) are checked by
+    :class:`ExperimentConfig`.
     """
     grid = [float(check_probability("grid", value)) for value in grid]
     if not grid:
         raise ValueError("parameter grid must not be empty")
-    if schedule is None:
-        schedule = SchedulePolicy(p_ab_check=0.25, p_bob_cm=0.1, p_charlie_cm=0.4)
     if isinstance(check_kinds, str):
         raise ValueError("check_kinds must be a sequence of check kinds, got %r" % (check_kinds,))
     wanted = list(check_kinds)

@@ -132,20 +132,13 @@ class MessageTriple:
 
     @classmethod
     def random(cls, n, rng):
-        """Three random ``n``-bit messages from one ``integers(0, 2)`` draw.
-
-        The draw gives ints that are exactly 0 or 1, in three strings of
-        equal length, so the triple is built without the per-bit checks of
-        ``MessageTriple(...)``.
-        """
+        """Three random ``n``-bit messages from one ``integers(0, 2)`` draw:
+        Alice's, Bob's and Charlie's bits in that order.  An ``n`` below 1
+        raises ``ValueError`` before anything is drawn."""
         if n < 1:
             raise ValueError("messages must contain at least one bit")
         bits = rng.integers(0, 2, size=3 * n).tolist()
-        triple = object.__new__(cls)
-        object.__setattr__(triple, "alice_bits", tuple(bits[:n]))
-        object.__setattr__(triple, "bob_bits", tuple(bits[n : 2 * n]))
-        object.__setattr__(triple, "charlie_bits", tuple(bits[2 * n :]))
-        return triple
+        return cls(bits[:n], bits[n : 2 * n], bits[2 * n :])
 
 
 def _bit(name, value):
@@ -285,20 +278,22 @@ class ProtocolAborted(_SessionView, Exception):
     """A check failed under the strict abort policy.
 
     Carries the session's messages and its leaf sequence up to and
-    including the failing round (``leaves``); its records, transcript and
-    Eve's records are built from them the first time one is read.
+    including the failing round (``leaves``), and reads the failing round's
+    index, check kind and attacked segments from the last leaf; its
+    records, transcript and Eve's records are built from them the first
+    time one is read.
     """
 
-    def __init__(self, round_index, check_kind, touched_segments, messages, leaves):
-        self.round_index = round_index
-        self.check_kind = check_kind
-        self.touched_segments = tuple(touched_segments)
+    def __init__(self, messages, leaves):
         self.messages = messages
         self.leaves = leaves
+        self.round_index = len(leaves) - 1
+        self.check_kind = leaves[-1].kind
+        self.touched_segments = tuple(leaves[-1].touched)
         segs = ",".join(s.value for s in self.touched_segments) or "none"
         super().__init__(
             "communication aborted: %s failed at round %d (attacked segments: %s)"
-            % (check_kind.value, round_index, segs)
+            % (self.check_kind.value, self.round_index, segs)
         )
 
 
@@ -427,9 +422,9 @@ class ProtocolResult(_SessionView):
 
 
 # Doubles drawn per ``random(_BLOCK)`` call of a session's generator.  A
-# session of the acceptance workloads draws one to two thousand, so a block
-# this size keeps both the per-block call and the unused tail of the last
-# block small.
+# session leaves its generator advanced by whole blocks, so the state it
+# leaves depends on this size; the pinned session streams
+# (``TestPinnedDrawStreams``) record that state.
 _BLOCK = 256
 
 
@@ -740,7 +735,7 @@ def run_protocol(
                 break
             bounds, options, _ = choices[2 * bob[n] + charlie[n]]
         elif strict and leaf[2] is False:
-            raise ProtocolAborted(round_index, leaf.kind, leaf.touched, messages, leaves)
+            raise ProtocolAborted(messages, leaves)
     else:
         raise RoundBudgetExceeded(max_rounds, n, n_total)
 

@@ -310,17 +310,20 @@ def _outcome_point(amps, pos, basis):
     kernels' ``basis``: outcome 0 when ``u < p0``.
 
     Each outcome's probability comes from the kernel.  An outcome of
-    probability exactly 0.0, onto which no state can collapse, gets an empty
-    interval: p0 is then exactly 1.0 or 0.0, so no draw answers it, however
-    close to 1 the other outcome's sum rounds.  Otherwise p0 is clamped to
-    [0, 1] to absorb floating-point rounding.
+    probability at or below ``backend.PROBABILITY_FLOOR``, onto which
+    ``backend.collapse`` refuses to project, gets an empty interval: p0 is
+    then exactly 1.0 or 0.0, so no draw answers it, however close to 1 the
+    other outcome's sum rounds.  Otherwise p0 is capped at 1 to absorb
+    floating-point rounding.
     """
     p_zero = _k.prob_zero(amps, pos, basis)
     # Outcome 1 is outcome 0 after the flip that swaps the basis's two
     # eigenstates: a bit flip (op 1) for Z, a phase flip (op 2) for X.
-    if _k.prob_zero(_k.apply_1q(amps, pos, 1 + basis), pos, basis) == 0.0:
+    if _k.prob_zero(_k.apply_1q(amps, pos, 1 + basis), pos, basis) <= _k.PROBABILITY_FLOOR:
         return (BERNOULLI, 1.0)
-    return (BERNOULLI, min(max(p_zero, 0.0), 1.0))
+    if p_zero <= _k.PROBABILITY_FLOOR:
+        return (BERNOULLI, 0.0)
+    return (BERNOULLI, min(p_zero, 1.0))
 
 
 class TransitionTable:

@@ -313,6 +313,19 @@ class TestAnalyticDetection:
             0.0, abs=1e-12
         )
 
+    @pytest.mark.parametrize("segment", [AB, BC, CA], ids=lambda s: s.value)
+    @pytest.mark.parametrize("beta_sq", [5e-324, 1e-310, 1e-305, 1e-300])
+    def test_a_coupling_at_the_probability_floor_detects_at_most_the_floor(self, beta_sq, segment):
+        # Each outcome of probability <= backend.PROBABILITY_FLOOR gets an
+        # empty interval, so the enumerator collapses onto none of them.
+        model = AttackModel.entangle_measure(beta_sq, segment)
+        for kind in ("ab_check", "ca_check", "decoy_check"):
+            assert 0.0 <= analytic_detection_probability(model, kind) <= 1e-300
+
+    def test_a_coupling_just_above_the_floor_still_detects(self):
+        value = analytic_detection_probability(AttackModel.entangle_measure(2e-300, AB), "ab_check")
+        assert 0.0 < value and abs(value - 1e-300) <= 1e-300
+
     def test_uncovered_path_detects_nothing(self):
         model = AttackModel.disturbance(Pauli.X, CA)
         assert analytic_detection_probability(model, "ab_check") == 0.0

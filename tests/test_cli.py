@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
 import logging
@@ -14,6 +15,7 @@ import pytest
 
 from qsdc3 import cli
 from qsdc3.adversary import AttackModel, ChannelSegment
+from qsdc3.harness import CURVE_SCHEDULE, ExperimentConfig, entangle_measure_curve, run_experiment
 from qsdc3.protocol import SchedulePolicy, leaf_weights
 from qsdc3.states import TransitionTable
 
@@ -158,6 +160,57 @@ class TestReportConfigReruns:
         rerun = write_config(tmp_path, json.loads(first.read_text())["config"], "rerun.json")
         assert cli.main(["run", "--config", rerun, "--out", str(second)]) == cli.EXIT_OK
         assert second.read_bytes() == first.read_bytes()
+
+
+# Small sizes for the sweep configs below: one point, few bits and trials.
+SMALL_SWEEP = {"grid": [0.5], "message_length": 8, "trials": 4}
+
+
+class TestLibraryDefaults:
+    """A key a config leaves out takes the default of the library type
+    that owns it, so a CLI run and a library run of one config agree."""
+
+    def test_an_empty_run_config_runs_the_default_experiment(self, tmp_path, capsys):
+        assert cli.main(["run", "--config", write_config(tmp_path, {})]) == cli.EXIT_OK
+        assert capsys.readouterr().out == cli.render_json(run_experiment(ExperimentConfig()).to_dict())
+
+    def test_a_sweep_giving_only_grid_and_sizes_runs_the_curves_defaults(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, SMALL_SWEEP, "sweep.json")
+        assert cli.main(["sweep", "--config", cfg, "--format", "json"]) == cli.EXIT_OK
+        points = entangle_measure_curve([0.5], message_length=8, trials=4)
+        assert capsys.readouterr().out == cli.render_json({"curve": [p.to_dict() for p in points]})
+
+    def test_a_sweep_giving_one_schedule_key_keeps_the_curves_other_two(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, dict(SMALL_SWEEP, p_bob_cm=0.2), "sweep.json")
+        assert cli.main(["sweep", "--config", cfg, "--format", "json"]) == cli.EXIT_OK
+        schedule = dataclasses.replace(CURVE_SCHEDULE, p_bob_cm=0.2)
+        points = entangle_measure_curve([0.5], message_length=8, trials=4, schedule=schedule)
+        assert capsys.readouterr().out == cli.render_json({"curve": [p.to_dict() for p in points]})
+
+    def test_the_run_keys_are_the_keys_of_a_reports_config(self):
+        assert cli._RUN_KEYS == set(run_experiment(ExperimentConfig(trials=1)).to_dict()["config"])
+
+
+class TestTinyCoupling:
+    """A coupling whose flip weight is at or below the kernels' probability
+    floor gives a readout outcome that cannot happen: the run and the
+    sweep report it, exit 0 and raise nothing."""
+
+    @pytest.mark.parametrize("beta_sq", [5e-324, 1e-310, 1e-300])
+    def test_run_reports(self, tmp_path, capsys, beta_sq):
+        attack = {"kind": "entangle_measure", "segments": ["a_to_b", "b_to_c", "c_to_a"], "beta_sq": beta_sq}
+        cfg = write_config(tmp_path, {"message_length": 8, "trials": 2, "attack": attack})
+        assert cli.main(["run", "--config", cfg]) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        for stats in report["detection"].values():
+            assert 0.0 <= stats["analytic_probability"] <= 1e-300
+
+    @pytest.mark.parametrize("beta_sq", [5e-324, 1e-310, 1e-300])
+    def test_sweep_reports(self, tmp_path, capsys, beta_sq):
+        cfg = write_config(tmp_path, dict(SMALL_SWEEP, grid=[beta_sq]), "sweep.json")
+        assert cli.main(["sweep", "--config", cfg]) == cli.EXIT_OK
+        rows = parse_curve_csv(capsys.readouterr().out)["rows"]
+        assert rows and all(float(row["analytic"]) <= 1e-300 for row in rows)
 
 
 class TestConfigErrors:
