@@ -19,7 +19,7 @@ Eve's action on one hop is written once, as chance-point steps over a
 :class:`~qsdc3.states.TransitionTable`: :func:`attack_points` (the gate
 point below attack probability 1, then the model's attack) and
 :func:`resolve_points` (the probe readout).  The protocol's compiled round
-runs these steps inside its round body.
+runs these steps inside its round body, walked once for all four roots.
 
 :func:`analytic_detection_probability` computes exact per-check detection
 probabilities from the same steps: it weighs the protocol's compiled round
@@ -254,8 +254,8 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     check of ``check_kind``: every answer to every chance point - the
     checkers' bases, the decoy label, Eve's gate and basis, each
     measurement outcome - with its exact probability, no sampling.  The
-    round is weighed on a fresh table, from the root of the bits (0, 0).
-    The result is the summed weight of the leaves whose check failed.
+    round is walked on a fresh table and read from the root of the bits
+    (0, 0).  The result is the summed weight of the leaves whose check failed.
 
     ``decoy_family`` restricts decoy checks to the Z family ({|0>, |1>})
     or the X family ({|+>, |->}): only the rounds that reveal a decoy of

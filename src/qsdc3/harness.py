@@ -14,10 +14,10 @@ report is a deterministic function of the configuration and of
 ``_BLOCK_BITS``: changing the block size changes the random stream.
 
 An experiment builds one :class:`~qsdc3.states.TransitionTable` and weighs
-its compiled round there once: each root's leaves with their exact weights
-(``protocol.leaf_weights``), and the states they reach, each built and
-validated once per experiment; a detection curve builds one table per grid
-point.  A block draws its trials' messages, then their leaf counts from
+its compiled round there in one walk: every root's leaves with their exact
+weights (``protocol.leaf_weights``), and the states they reach, each built
+and validated once per experiment; a detection curve builds one table per
+grid point.  A block draws its trials' messages, then their leaf counts from
 their exact law under the experiment's abort policy (:class:`_TrialLaw`):
 one ``geometric`` draw per message bit gives its rounds, under the strict
 policy one uniform per bit whether its stopping round is a failed check

@@ -17,13 +17,14 @@ announcing, and each party recovers the other two messages by XOR.
 The round is written once, as chance-point steps (``_round_points``):
 each random choice is a point the round yields and is answered, Bernoulli
 choices against a threshold (the schedule, Eve's gate, the check bases,
-every measurement outcome), the decoy label and the Bell measurement (see
-the chance points in ``states``).  A session does not run this body per
-round.  The body is compiled into its leaves, kept in the experiment's
-:class:`~qsdc3.states.TransitionTable` per schedule, attack model and root
-(Bob's and Charlie's bits): :func:`leaf_weights` runs the steps once along
-every path of answers, and gives the exact probability of each
-:class:`Leaf` a path ends at.  ``adversary.analytic_detection_probability``
+every measurement outcome), the decoy label, the Bell measurement and
+Bob's and Charlie's bits where they encode (see the chance points in
+``states``).  A session does not run this body per round.  The body is
+compiled into its leaves, kept in the experiment's
+:class:`~qsdc3.states.TransitionTable` per schedule and attack model:
+:func:`leaf_weights` runs the steps once along every path of answers, and
+gives each root, Bob's and Charlie's bits (j, k), the exact probability of
+each :class:`Leaf` a path ends at.  ``adversary.analytic_detection_probability``
 sums these weights, and sessions draw from them: a round is one draw, one
 bisection of its root's cumulative leaf weights and one append of the leaf
 it picks.  A session returns its leaf sequence, and its records,
@@ -47,12 +48,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .adversary import AttackModel, ChannelSegment, EveRecord, attack_points, resolve_points
 from .states import (
     BERNOULLI,
+    BIT,
     FAIR_COIN,
     LABEL,
     Basis,
@@ -83,6 +85,9 @@ _B_TO_C = ChannelSegment.B_TO_C
 _C_TO_A = ChannelSegment.C_TO_A
 _START_PAIR = bell_state((0, 0))
 _DECOY_LABEL = (LABEL, None)
+_BOB_BIT, _CHARLIE_BIT = (BIT, "bob"), (BIT, "charlie")
+# The roots, Bob's and Charlie's bits (j, k), in the order 2 * j + k.
+_ROOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 # A decoy round's (revealed label value, prepared state, check basis,
 # expected bit), indexed by the round's ``integers(0, 4)`` draw.
@@ -119,7 +124,7 @@ class MessageTriple:
 
     def __post_init__(self):
         for name in ("alice_bits", "bob_bits", "charlie_bits"):
-            object.__setattr__(self, name, tuple(_bit(name, b) for b in getattr(self, name)))
+            object.__setattr__(self, name, _bits(name, getattr(self, name)))
         n = len(self.alice_bits)
         if n < 1:
             raise ValueError("messages must contain at least one bit")
@@ -141,16 +146,22 @@ class MessageTriple:
         return cls(bits[:n], bits[n : 2 * n], bits[2 * n :])
 
 
-def _bit(name, value):
-    """``value`` as an int, when it is exactly 0 or 1 (bools and numpy
-    integers included); anything else raises ``ValueError``."""
+def _bits(name, values):
+    """``values`` as a tuple of ints, when each is exactly 0 or 1 (bools and
+    numpy integers included); anything else raises ``ValueError`` naming
+    the first value that is not.  The string is checked as a whole; a
+    string that fails has its values checked one at a time, to name one."""
+    values = tuple(values)
     try:
-        bit = int(value)
+        converted = tuple(map(int, values))
     except (TypeError, ValueError, OverflowError):
-        bit = None
-    if bit not in (0, 1) or bit != value:
-        raise ValueError("%s must contain only bits 0 and 1, got %r" % (name, value))
-    return bit
+        converted = None
+    if converted is None or not set(converted) <= {0, 1} or converted != values:
+        if len(values) > 1:
+            for value in values:
+                _bits(name, (value,))
+        raise ValueError("%s must contain only bits 0 and 1, got %r" % (name, values[0]))
+    return converted
 
 
 @dataclass(frozen=True)
@@ -436,8 +447,8 @@ def _uniforms(rng):
     return chain.from_iterable(blocks).__next__
 
 
-def _round_points(table, schedule, model, j, k):
-    """One round for Bob's bit ``j`` and Charlie's bit ``k``, as chance points.
+def _round_points(table, schedule, model):
+    """One round, as chance points, Bob's and Charlie's bits among them.
 
     The states are walked through ``table``, which Eve shares.  Returns
     ``(kind, check passed, touched segments, Bell label, decoy family,
@@ -467,7 +478,7 @@ def _round_points(table, schedule, model, j, k):
 
     bob_cm = yield (BERNOULLI, schedule.p_bob_cm)
     if not bob_cm:
-        pair = table.pauli(pair, _TRANSIT, encode_bob(j))
+        pair = table.pauli(pair, _TRANSIT, encode_bob((yield _BOB_BIT)))
     pair = yield from hop(_B_TO_C, pair)
 
     # Charlie confirms receipt; only then does Bob announce his mode.
@@ -487,7 +498,7 @@ def _round_points(table, schedule, model, j, k):
         events = (("bob_mode", "MM"), ("charlie_mode", "CM"), ("decoy_reveal", reveal)) + events
         return _DECOY_CHECK, passed, touched, None, basis, events, eve
 
-    pair = table.pauli(pair, _TRANSIT, encode_charlie(k))
+    pair = table.pauli(pair, _TRANSIT, encode_charlie((yield _CHARLIE_BIT)))
     pair = yield from hop(_C_TO_A, pair)
 
     # Alice's Bell measurement closes the round; any probe must be read out
@@ -501,8 +512,9 @@ class Leaf(NamedTuple):
     """Where a path of answers through the round ends: everything a round
     that reaches it shows, apart from its round index and Alice's bit.
 
-    ``path`` is Bob's and Charlie's bits (j, k) followed by the answers that
-    lead to the leaf, ``u < p`` for a Bernoulli point.  ``family`` is the
+    ``path`` is Bob's and Charlie's bits (j, k) followed by every answer
+    that leads to the leaf, bits included, ``u < p`` for a Bernoulli point.
+    ``family`` is the
     basis of a decoy check's decoy, Z ({|0>, |1>}) or X ({|+>, |->}), and
     None for every other round: the decoy family split of the enumerator
     and of the report reads it.  ``events`` are the round's transcript
@@ -538,92 +550,69 @@ def leaf_weights(table, schedule, model, j, k):
     ``table`` from the root of Bob's and Charlie's bits (j, k), with its
     exact probability: ``[(weight, leaf), ...]``.
 
-    One depth-first pass over the steps of :func:`_round_points`.  Each
-    chance point is answered with every answer of positive probability,
-    which are exactly the answers a draw can give (see
-    ``states._outcome_point``): a Bernoulli point's ``p`` and ``1 - p``,
-    1/4 for each decoy label, and each Bell threshold less the one before.
-    The first answer goes on with the paused steps, and each other answer
-    replays the round along its path: the table gives both the same states
-    and points.  The leaves come in answer order; a weight is the product
-    of its path's probabilities, taken from the root down.
+    One depth-first pass over the steps of :func:`_round_points` weighs
+    all four roots.  Each chance point is answered with every answer of
+    positive probability, which are exactly the answers a draw can give
+    (see ``states._outcome_point``): a Bernoulli point's ``p`` and
+    ``1 - p``, 1/4 for each decoy label, each Bell threshold less the one
+    before, and a bit's 0 and 1 at weight 1.  The first answer goes on
+    with the paused steps, and each other answer replays the round along
+    its path: the table gives both the same states and points.  A path
+    ends at a leaf of each root whose bits start with the path's bit
+    answers (Bob's come first), and each root gets a :class:`Leaf` of its
+    own.  A root's leaves come in answer order; a weight is the product of
+    its path's probabilities, taken from the root down.
 
-    The list is built on the first call for a table and root, and kept in
-    ``table.compiled`` with the cumulative weights sessions draw from
-    (:func:`_choices`); every later call returns it, so every reader of a
-    table sees the same leaves.
+    The four lists are built on the first call for a table, and kept in
+    ``table.compiled`` by 2 * j + k; every later call returns one of them,
+    so every reader of a table sees the same leaves.
     """
     roots = table.compiled.get((schedule, model))
-    if roots is None:
-        roots = table.compiled[schedule, model] = [None] * 4
-    root = roots[2 * j + k]
-    if root is not None:
-        return root[2]
-    weighed = []
-    stack = [(1.0, (j, k), None)]
+    if roots is not None:
+        return roots[2 * j + k]
+    roots = ([], [], [], [])
+    stack = [(1.0, (), (), None)]
     while stack:
-        weight, path, steps = stack.pop()
+        weight, path, bits, steps = stack.pop()
         try:
             if steps is None:
-                steps = _round_points(table, schedule, model, j, k)
+                steps = _round_points(table, schedule, model)
                 point = steps.send(None)
-                for answer in path[2:]:
+                for answer in path:
                     point = steps.send(answer)
             else:
                 point = steps.send(path[-1])
         except StopIteration as stop:
             kind, passed, touched, label, family, events, eve = stop.value
+            touched = tuple(touched)
             eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
-            keys = None
-            if label is not None:
-                keys = tuple(announce(label.flip, label.phase, i) + (i, j, k) for i in (0, 1))
-            weighed.append((weight, Leaf(kind, path, passed, tuple(touched), label, family, events, eve, keys)))
+            for root, weighed in zip(_ROOTS, roots):
+                if root[: len(bits)] == bits:
+                    keys = None
+                    if label is not None:
+                        keys = tuple(announce(label.flip, label.phase, i) + (i,) + root for i in (0, 1))
+                    weighed.append((weight, Leaf(kind, root + path, passed, touched, label, family, events, eve, keys)))
             continue
         kind, data = point
-        if kind is BERNOULLI:
-            answers = ((True, data), (False, 1.0 - data))
-        elif kind is LABEL:
-            answers = ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25))
+        if kind is BIT:
+            children = [(weight, path + (bit,), bits + (bit,)) for bit in (0, 1)]
         else:
-            answers = []
-            below = 0.0
-            for cumulative, index in data:
-                answers.append((index, cumulative - below))
-                below = cumulative
-        children = [(weight * p, path + (answer,)) for answer, p in answers if p > 0.0]
+            if kind is BERNOULLI:
+                answers = ((True, data), (False, 1.0 - data))
+            elif kind is LABEL:
+                answers = ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25))
+            else:
+                answers = []
+                below = 0.0
+                for cumulative, index in data:
+                    answers.append((index, cumulative - below))
+                    below = cumulative
+            children = [(weight * p, path + (answer,), bits) for answer, p in answers if p > 0.0]
         # The first child goes on with the paused steps; its siblings replay.
         stack += [child + (None,) for child in reversed(children[1:])]
         stack.append(children[0] + (steps,))
-    bounds, leaves = [], []
-    total = 0.0
-    for weight, leaf in weighed:
-        if weight > 0.0:
-            total += weight
-            bounds.append(total)
-            leaves.append(leaf)
-    del bounds[-1]
-    roots[2 * j + k] = (bounds, leaves, weighed)
-    return weighed
-
-
-def _choices(table, schedule, model):
-    """What a session draws a round's leaf from, per root of the compiled
-    round of ``schedule`` and ``model`` on ``table``, by 2 * j + k.
-
-    A root's entry is ``(bounds, leaves, weighed)``: ``weighed`` is its
-    :func:`leaf_weights` list, ``leaves`` its leaves of positive weight in
-    that order, and ``bounds`` the running sums of their weights, the total
-    left out.  A draw ``u`` picks ``leaves[bisect_right(bounds, u)]``, the
-    first leaf whose running sum exceeds ``u``; a draw at or above the last
-    bound, however the total rounds, picks the last leaf, so no draw
-    reaches a leaf of zero weight.  The first call weighs all four roots.
-    """
-    roots = table.compiled.get((schedule, model))
-    if roots is None or None in roots:
-        for root in range(4):
-            leaf_weights(table, schedule, model, root >> 1, root & 1)
-        roots = table.compiled[schedule, model]
-    return roots
+    table.compiled[schedule, model] = roots
+    return roots[2 * j + k]
 
 
 def _materialise(messages, leaves):
@@ -687,14 +676,15 @@ def run_protocol(
     ``rng.random(256)`` blocks (the generator ends the session advanced by
     whole blocks).  Its root is Bob's and Charlie's bits (j, k) of the
     message bit it carries, the n-th when n message rounds came before it,
-    and its leaf is the first of that root's leaves whose cumulative weight
-    exceeds ``u`` (:func:`_choices`).  The root changes only when a bit is
-    delivered, so the session reads it once per message bit: before the
-    first round and after each message round that leaves a bit to send.
-    The compiled round of ``schedule`` and ``attack`` lives in ``table``, a
+    and its leaf is the first of that root's leaves of positive weight whose
+    running sum exceeds ``u`` (the last one when none does), by bisection.
+    The root changes only when a bit is delivered, so the session reads it
+    once per message bit: before the first round and after each message
+    round that leaves a bit to send.  The compiled round of ``schedule``
+    and ``attack`` lives in ``table``, a
     :class:`~qsdc3.states.TransitionTable`, or in a fresh one when
-    ``table`` is None; the first reader of a table weighs its four roots
-    (:func:`leaf_weights`), and later sessions draw from the same leaves
+    ``table`` is None; the first reader of a table walks it
+    (:func:`leaf_weights`), and every session sums the same leaves' weights
     (``harness.exhaustive_oracle`` passes one table to its eight sessions).
     Which table a session uses does not change its results.
 
@@ -714,7 +704,11 @@ def run_protocol(
     model = attack if attack is not None else AttackModel.none()
     if table is None:
         table = TransitionTable()
-    choices = _choices(table, schedule, model)
+    choices = []
+    for j, k in _ROOTS:
+        drawable = [(weight, leaf) for weight, leaf in leaf_weights(table, schedule, model, j, k) if weight > 0.0]
+        # The total is left out, so a draw at or above the last sum picks the last leaf.
+        choices.append((list(accumulate(weight for weight, _ in drawable))[:-1], [leaf for _, leaf in drawable]))
     leaves = []
     reached = leaves.append
     random = _uniforms(rng)
@@ -724,7 +718,7 @@ def run_protocol(
     strict = abort_policy is AbortPolicy.STRICT
 
     n = 0
-    bounds, options, _ = choices[2 * bob[0] + charlie[0]]
+    bounds, options = choices[2 * bob[0] + charlie[0]]
     for round_index in range(max_rounds):
         leaf = options[bisect_right(bounds, random())]
         reached(leaf)
@@ -733,7 +727,7 @@ def run_protocol(
             n += 1
             if n == n_total:
                 break
-            bounds, options, _ = choices[2 * bob[n] + charlie[n]]
+            bounds, options = choices[2 * bob[n] + charlie[n]]
         elif strict and leaf[2] is False:
             raise ProtocolAborted(messages, leaves)
     else:

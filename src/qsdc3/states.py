@@ -91,7 +91,7 @@ class Subsystem(Enum):
 
 
 # Members read by the chance-point steps.  Weighing a compiled round
-# (``protocol.leaf_weights``, once per table and root) runs the steps along
+# (``protocol.leaf_weights``, once per table) runs the steps along
 # every path of answers, so they are read once per path and point.
 # ``EnumType`` defines a Python-level ``__getattr__``, which makes every
 # ``Basis.Z`` a slow class lookup (about 0.2 us on CPython 3.11); a module
@@ -282,13 +282,16 @@ def _basis_code(basis):
 # * ``(BERNOULLI, p)``: True with probability ``p``, else False;
 # * ``(LABEL, None)``: the decoy label, each of 0, 1, 2 and 3 with 1/4;
 # * ``(BELL, thresholds)``: the index of one ``(cumulative, index)`` pair,
-#   with probability its ``cumulative`` less the one before.
+#   with probability its ``cumulative`` less the one before;
+# * ``(BIT, party)``: a message bit of Bob's or Charlie's, 0 or 1, each at
+#   weight 1.0.  The bits are the round's root, not chance: no draw ever
+#   answers this point.
 #
 # ``protocol.leaf_weights`` answers each point of the protocol's round with
 # every answer and its probability, along every path of answers: the exact
-# distribution of the round's leaves, from which its sessions draw one leaf
-# per round (``protocol.run_protocol``).
-BERNOULLI, LABEL, BELL = "b", "i", "bell"
+# distribution of the round's leaves from each root, from which its
+# sessions draw one leaf per round (``protocol.run_protocol``).
+BERNOULLI, LABEL, BELL, BIT = "b", "i", "bell", "bit"
 FAIR_COIN = (BERNOULLI, 0.5)
 
 
@@ -356,13 +359,13 @@ class TransitionTable:
 
     One table lives for one experiment: every trial draws from it.
     ``compiled`` holds the protocol's compiled rounds over it, by schedule
-    and attack model: each root's weighed leaves and the cumulative leaf
-    weights that sessions draw each round's leaf from (see
-    ``protocol.run_protocol``).  The first reader weighs the roots, and the
-    weights depend only on the kernels' floats, so a session gives the
-    same results on a table other sessions used as on a fresh one.  A
-    table is not kept across experiments, so two runs of one experiment
-    build, and validate, the same states.
+    and attack model: the four roots' ``protocol.leaf_weights`` lists, by
+    2 * j + k for Bob's and Charlie's bits (j, k), which one walk of the
+    round builds.  The first reader walks it, and the weights depend only
+    on the kernels' floats, so a session gives the same results on a table
+    other sessions used as on a fresh one.  A table is not kept across
+    experiments, so two runs of one experiment build, and validate, the
+    same states.
     """
 
     __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes", "compiled")

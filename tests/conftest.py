@@ -5,7 +5,7 @@ import pytest
 
 from qsdc3 import protocol
 from qsdc3.cli import render_json
-from qsdc3.states import BERNOULLI, LABEL, TransitionTable
+from qsdc3.states import BERNOULLI, BIT, LABEL, TransitionTable
 
 # Report fields computed by the exact enumerator, not sampled: the analytic
 # probability of a check (``analytic`` in a curve row) and the z-score
@@ -131,28 +131,48 @@ def weigh():
     return _weigh
 
 
+def rooted_round(table, schedule, model, j, k):
+    """``protocol._round_points`` from the root of Bob's bit ``j`` and
+    Charlie's bit ``k``: its bit points are answered here, and every other
+    point is yielded.  Returns ``(path, value)``: the root (j, k) followed
+    by every answer the round was given, bit answers included, and what
+    the round returns."""
+    steps = protocol._round_points(table, schedule, model)
+    bits = {"bob": j, "charlie": k}
+    path = (j, k)
+    try:
+        point = steps.send(None)
+        while True:
+            answer = bits[point[1]] if point[0] is BIT else (yield point)
+            path += (answer,)
+            point = steps.send(answer)
+    except StopIteration as stop:
+        return path, stop.value
+
+
 @pytest.fixture
 def two_enumerations(weigh):
     """``two_enumerations(schedule, model, j, k)``: the round from the root
     (j, k) as ``protocol.leaf_weights`` weighs its tree, and as the
-    reference enumerator weighs ``protocol._round_points``, each on a fresh
-    table.  Both are ``[(weight, end), ...]`` lists, with each end as the
-    fields of the :class:`~qsdc3.protocol.Leaf` it is: kind, passed,
-    touched, Bell label, decoy family, events and Eve's records after the
-    round index."""
+    reference enumerator weighs :func:`rooted_round` on a fresh table.  The
+    roots of one schedule and model are read from one walk, on a table of
+    their own.  Both are ``[(weight, end), ...]`` lists, with each end as the
+    fields of the :class:`~qsdc3.protocol.Leaf` it is: kind, path, passed,
+    touched, Bell label, decoy family, events, Eve's records after the
+    round index and leakage keys."""
+
+    walked = {}
 
     def enumerate_both(schedule, model, j, k):
-        got = [
-            (weight, (leaf.kind, leaf.passed, leaf.touched, leaf.label, leaf.family, leaf.events, leaf.eve))
-            for weight, leaf in protocol.leaf_weights(TransitionTable(), schedule, model, j, k)
-        ]
+        walk = walked.setdefault((schedule, model), TransitionTable())
+        got = [(weight, tuple(leaf)) for weight, leaf in protocol.leaf_weights(walk, schedule, model, j, k)]
         table = TransitionTable()
-        expected = [
-            (weight, (kind, passed, tuple(touched), label, family, events, tuple(map(_eve_fields, eve))))
-            for weight, (kind, passed, touched, label, family, events, eve) in weigh(
-                lambda: protocol._round_points(table, schedule, model, j, k)
-            )
-        ]
+        expected = []
+        for weight, (path, value) in weigh(lambda: rooted_round(table, schedule, model, j, k)):
+            kind, passed, touched, label, family, events, eve = value
+            keys = None if label is None else tuple((label.flip ^ i, label.phase ^ i, i, j, k) for i in (0, 1))
+            eve = tuple(map(_eve_fields, eve))
+            expected.append((weight, (kind, path, passed, tuple(touched), label, family, events, eve, keys)))
         return got, expected
 
     return enumerate_both

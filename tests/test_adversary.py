@@ -433,14 +433,16 @@ def attack_grid(probabilities, flip_weights):
 
 class TestLeafWeights:
     def test_each_forced_tree_is_weighed_as_the_reference_weighs_the_round(self, two_enumerations):
-        # The trees the enumerator weighs, over the decoy-family grid: the
-        # same weights, bit for bit, and the same leaves in the same order.
+        # The trees the enumerator weighs, over the decoy-family grid and
+        # from every root: the same weights, bit for bit, and the same
+        # leaves, paths and leakage keys included, in the same order.
         models = list(attack_grid((1.0, 0.7, 0.4), (0.0, 0.25, 0.3, 0.5, 0.75, 1.0)))
         assert len(models) == 189
         for model in models:
             for kind, probabilities in adversary._FORCING_SCHEDULES.items():
-                got, expected = two_enumerations(SchedulePolicy(*probabilities), model, 0, 0)
-                assert got == expected, (model, kind)
+                for j, k in product((0, 1), repeat=2):
+                    got, expected = two_enumerations(SchedulePolicy(*probabilities), model, j, k)
+                    assert got == expected, (model, kind, j, k)
 
 
 class TestDecoyFamilies:

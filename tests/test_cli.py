@@ -213,6 +213,17 @@ class TestTinyCoupling:
         assert rows and all(float(row["analytic"]) <= 1e-300 for row in rows)
 
 
+# The config-error cases that run in a fresh interpreter: a run and a
+# sweep, and the two message lengths numpy cannot size, which a real
+# process must refuse before it asks numpy for the arrays.
+SPAWNED_CONFIG_ERRORS = {
+    "p_ab_check_one",
+    "sweep_check_kinds_string",
+    "message_length_past_numpy_dimensions",
+    "message_length_past_numpy_bytes",
+}
+
+
 class TestConfigErrors:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dict(BASE_RUN, typo_key=1))
@@ -335,19 +346,27 @@ class TestConfigErrors:
             "sweep_p_bob_cm_one",
         ],
     )
-    def test_bad_config_exits_2_without_traceback(self, tmp_path, command, payload, extra, field):
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys, request, command, payload, extra, field):
+        # In-process, an uncaught exception fails the test; the cases in
+        # SPAWNED_CONFIG_ERRORS run ``python -m qsdc3`` in a fresh
+        # interpreter, so the exit status and stderr are the process's own.
         path = write_config(tmp_path, dict({"message_length": 2, "trials": 1}, **payload))
-        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
-        done = subprocess.run(
-            [sys.executable, "-m", "qsdc3", command, "--config", path, *extra],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
-        assert done.returncode == cli.EXIT_CONFIG, done.stderr
-        assert "Traceback" not in done.stderr
-        assert done.stderr.startswith("config error") and field in done.stderr, done.stderr
+        if request.node.callspec.id in SPAWNED_CONFIG_ERRORS:
+            env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+            done = subprocess.run(
+                [sys.executable, "-m", "qsdc3", command, "--config", path, *extra],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            code, err = done.returncode, done.stderr
+        else:
+            code = cli.main([command, "--config", path, *extra])
+            err = capsys.readouterr().err
+        assert code == cli.EXIT_CONFIG, err
+        assert "Traceback" not in err
+        assert err.startswith("config error") and field in err, err
 
     @pytest.mark.parametrize("command", ["run", "sweep", "oracle"])
     @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])
@@ -403,6 +422,14 @@ TINY_RUN = {
     "abort_policy": "record_and_continue",
     "seed": 3,
 }
+# The same run under the strict policy and a bit flip on every segment,
+# which an A-B check in the Z basis always catches: most of its variants
+# abort.
+STRICT_RUN = dict(
+    TINY_RUN,
+    abort_policy="strict",
+    attack={"kind": "disturbance", "segments": ["a_to_b", "b_to_c", "c_to_a"], "pauli": "X"},
+)
 # Integers stay at or below 2, so no variant grows past 4 bits x 2 trials.
 VALUES = [
     True, False, None, -2, -1, 0, 1, 2, -0.5, 0.0, 0.5, 0.9999, 1.0, 1.5, 2.7,
@@ -424,13 +451,13 @@ KEYS = sorted(cli._RUN_KEYS | cli._ATTACK_KEYS | {"typo_key"})
 
 
 def mutated_config(rng):
-    """TINY_RUN with one to three keys dropped, added or retyped, top-level
-    or inside the attack spec."""
+    """TINY_RUN or STRICT_RUN with one to three keys dropped, added or
+    retyped, top-level or inside the attack spec."""
 
     def pick(pool):
         return copy.deepcopy(pool[rng.integers(len(pool))])
 
-    config = copy.deepcopy(TINY_RUN)
+    config = pick([TINY_RUN, STRICT_RUN])
     for _ in range(rng.integers(1, 4)):
         op = rng.integers(4)
         if op == 3:
@@ -459,8 +486,8 @@ class TestExitCodeContract:
             capsys.readouterr()
             assert code in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_ABORTED, cli.EXIT_INTERNAL), config
             codes.append(code)
-        # Both valid and invalid variants were generated.
-        assert {cli.EXIT_OK, cli.EXIT_CONFIG} <= set(codes)
+        # Valid, invalid and aborting variants were generated.
+        assert {cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_ABORTED} <= set(codes)
 
 
 class TestVerboseLogging:

@@ -543,7 +543,7 @@ class TestSessionTable:
             # The compiled round is its 3,492 leaves from four roots
             # (TestCompiledRound), whatever the round count.
             (roots,) = table.compiled.values()
-            assert sum(len(weighed) for _, _, weighed in roots) == 3492
+            assert sum(map(len, roots)) == 3492
 
 
 RECORD = AbortPolicy.RECORD_AND_CONTINUE
@@ -736,7 +736,7 @@ def eager_session(messages, schedule, rng, attack, policy, weighed_on):
     while n < messages.length:
         i, j, k = messages.alice_bits[n], messages.bob_bits[n], messages.charlie_bits[n]
         path = scanned_leaf(weighed[j, k], next(draws)).path
-        steps = protocol._round_points(table, schedule, model, j, k)
+        steps = protocol._round_points(table, schedule, model)
         point, (kind, passed, touched, label, _, events, eve) = _replay(steps, path[2:])
         assert point is None
         for event in events:
@@ -947,7 +947,7 @@ EXACT_MODELS = [
 
 
 class TestCompiledRound:
-    """Sessions draw their leaves from the round's leaves, weighed once per table and root."""
+    """Sessions draw their leaves from the round's leaves, weighed once per table for all four roots."""
 
     @pytest.mark.parametrize("model", EXACT_MODELS)
     def test_the_tree_weights_are_the_exact_detection_probabilities(self, model):
@@ -1023,10 +1023,10 @@ class TestCompiledRound:
         assert [weight for weight, _ in weighed] == pytest.approx([0.125] * 4 + [0.5])
         leaves = [leaf for _, leaf in weighed]
         assert result.leaves == [leaves[4], leaves[0], leaves[2], leaves[4], leaves[4]]
-        # Paths: the bits (j, k), then the answers; the Bell outcome (1, 0)
-        # is label index 2.
+        # Paths: the bits (j, k), then the answers, Bob's and Charlie's bits
+        # where each encodes; the Bell outcome (1, 0) is label index 2.
         assert [leaf.path for leaf in result.leaves[:3]] == [
-            (1, 0, False, False, False, 2),
+            (1, 0, False, False, 1, False, 0, 2),
             (1, 0, True, True, True, False),
             (1, 0, True, False, True, True),
         ]

@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import _replay
+from conftest import _replay, rooted_round
 from qsdc3 import adversary, backend, protocol, states
 from qsdc3.adversary import AttackModel, ChannelSegment, EveRecord
 from qsdc3.cli import render_json
@@ -1077,5 +1077,5 @@ class TestWeigh:
         schedule = SchedulePolicy()
         for j, k in product((0, 1), repeat=2):
             table = TransitionTable()
-            weight = total_weight(lambda: protocol._round_points(table, schedule, model, j, k))
+            weight = total_weight(lambda: rooted_round(table, schedule, model, j, k))
             assert weight == pytest.approx(1.0, abs=1e-12), (j, k)
