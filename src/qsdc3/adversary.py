@@ -27,7 +27,9 @@ probabilities from the same steps: it weighs the protocol's compiled round
 answer's exact probability in place of a draw, and sums the weight of the
 leaves whose check failed.  There is no sampling and no second copy of the
 hops or the checks; it is the oracle the Monte Carlo estimates are tested
-against.
+against.  One query weighs one check-forced round on a fresh table; an
+experiment's analytic column weighs all three on one table
+(:func:`failed_weights`).
 """
 
 from __future__ import annotations
@@ -267,7 +269,8 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     The value is one weighing (:func:`failed_weight_by_basis`) read by the
     row formula (:func:`detection_from_failed`).  A decoy check's three
     rows read one weighing, so an experiment's report (``harness``) takes
-    its five rows from three weighings.
+    its five rows from three weighings, made on one table
+    (:func:`failed_weights`).
 
     Raises ``ValueError`` for the null attack, for a non-check round kind,
     for a ``decoy_family`` other than None, ``Basis.Z`` and ``Basis.X``,
@@ -291,9 +294,22 @@ def failed_weight_by_basis(model, check_kind):
     check kind's value, weighed on a fresh table (see
     :func:`analytic_detection_probability`): a dict by the leaf's decoy
     family, the basis of its decoy, with None for a pair check."""
+    return _failed_on(TransitionTable(), model, check_kind)
+
+
+def failed_weights(model):
+    """:func:`failed_weight_by_basis` of every check kind, by its value,
+    all three forced rounds weighed on one fresh table: a state they share
+    is built and validated once.  The weights are those of a fresh table
+    per kind, since a table's weights depend only on the kernels' floats."""
+    table = TransitionTable()
+    return {check_kind: _failed_on(table, model, check_kind) for check_kind in _FORCING_SCHEDULES}
+
+
+def _failed_on(table, model, check_kind):
     schedule = _protocol.SchedulePolicy(*_FORCING_SCHEDULES[check_kind])
     failed = {None: 0.0, Basis.Z: 0.0, Basis.X: 0.0}
-    for weight, leaf in _protocol.leaf_weights(TransitionTable(), schedule, model, 0, 0):
+    for weight, leaf in _protocol.leaf_weights(table, schedule, model, 0, 0):
         if leaf.passed is False:
             failed[leaf.family] += weight
     return failed

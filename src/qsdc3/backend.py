@@ -9,9 +9,11 @@ the traced benchmark run does) sees every call.
 Amplitude vectors travel as plain tuples of complex numbers of length 2, 4
 or 8.  The kernels that return one (``apply_1q``, ``collapse``,
 ``attach_ancilla``, ``discard_qubit``) build it of ``complex`` whatever
-numbers they are given.  Index 0 is the all-|0> basis state; the leftmost
-qubit owns the most significant bit, so a qubit at position ``pos``
-(0 = leftmost) toggles the bit of weight ``len(amps) >> (pos + 1)``.
+numbers they are given; the others (``norm_sq``, ``prob_zero``,
+``prob_one``, ``bell_probs``) return probabilities as floats.  Index 0 is
+the all-|0> basis state; the leftmost qubit owns the most significant bit,
+so a qubit at position ``pos`` (0 = leftmost) toggles the bit of weight
+``len(amps) >> (pos + 1)``.
 
 The kernels are plain functions with no cache: the round engine reuses
 their results through the session's ``states.TransitionTable``.
@@ -71,6 +73,30 @@ def prob_zero(amps, pos, basis):
         for i in range(n_amps):
             if not i & stride:
                 c = amps[i] + amps[i | stride]
+                total += 0.5 * (c.real * c.real + c.imag * c.imag)
+    return total
+
+
+def prob_one(amps, pos, basis):
+    """Probability of outcome 1 when measuring qubit pos (basis 0=Z, 1=X).
+
+    Outcome 1 names the second eigenstate: |1> in Z, |-> in X.  The terms
+    and their order are those of ``prob_zero`` after the flip that swaps
+    the basis's eigenstates (``apply_1q`` op ``1 + basis``), so the float
+    is the same.
+    """
+    n_amps = len(amps)
+    stride = n_amps >> (pos + 1)
+    total = 0.0
+    if basis == 0:
+        for i in range(n_amps):
+            if not i & stride:
+                a = amps[i | stride]
+                total += a.real * a.real + a.imag * a.imag
+    else:
+        for i in range(n_amps):
+            if not i & stride:
+                c = amps[i] - amps[i | stride]
                 total += 0.5 * (c.real * c.real + c.imag * c.imag)
     return total
 

@@ -28,9 +28,11 @@ and the whole report is one pass over it (:class:`_Aggregator`), fidelity
 included: the bits each party decodes wrong are a sum over its message
 cells.  Below INFO, no per-trial work runs.  An experiment runs no protocol
 session and builds no round record, transcript or decoded message.  Its
-analytic column weighs each check-forced round once: the five rows (three
-check kinds, two decoy families) read three weighings.  Only the decode
-oracle (:func:`exhaustive_oracle`) runs ``protocol.run_protocol`` sessions.
+analytic column weighs each check-forced round once, all three on one
+table of the enumerator's own (``adversary.failed_weights``), so a state
+they share is built and validated once: the five rows (three check kinds,
+two decoy families) read three weighings.  Only the decode oracle
+(:func:`exhaustive_oracle`) runs ``protocol.run_protocol`` sessions.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from .adversary import (
     AttackModel,
     ChannelSegment,
     detection_from_failed,
-    failed_weight_by_basis,
+    failed_weights,
     paper_claimed_detection,
 )
 from .protocol import (
@@ -509,13 +511,15 @@ class _Aggregator:
     Eve's counts, the count per leakage key and the rounds; and each
     party's wrong bits in one product over the message cells of the
     completed trials.  The trial counts follow from the config and the
-    abort.  The analytic column weighs each check-forced round once per
-    aggregator, so an experiment's five rows read three weighings."""
+    abort.  The analytic column weighs the three check-forced rounds once
+    per aggregator, on one table (``adversary.failed_weights``), when its
+    first row is read, so an experiment's five rows read three weighings."""
 
     def __init__(self, config):
         self.config = config
-        # Failed weights by base check kind (adversary.failed_weight_by_basis).
-        self.failed_weights = {}
+        # Failed weights by check kind value (adversary.failed_weights),
+        # weighed on the first row's read.
+        self.failed_weights = None
 
     def _analytic(self, kind, decoy_family):
         """The exact detection probability of the row of check ``kind``, a
@@ -523,10 +527,9 @@ class _Aggregator:
         attack = self.config.attack
         if attack.kind is AttackKind.NONE:
             return 0.0
-        failed = self.failed_weights.get(kind)
-        if failed is None:
-            failed = self.failed_weights[kind] = failed_weight_by_basis(attack, kind.value)
-        return detection_from_failed(failed, decoy_family)
+        if self.failed_weights is None:
+            self.failed_weights = failed_weights(attack)
+        return detection_from_failed(self.failed_weights[kind.value], decoy_family)
 
     def _leakage(self, counts):
         """The leakage audit over the message rounds ``counts`` holds, by

@@ -88,6 +88,12 @@ _DECOY_LABEL = (LABEL, None)
 _BOB_BIT, _CHARLIE_BIT = (BIT, "bob"), (BIT, "charlie")
 # The roots, Bob's and Charlie's bits (j, k), in the order 2 * j + k.
 _ROOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
+# The indices of the roots whose bits start with a path's bit answers, by
+# those answers: none, Bob's, or Bob's and Charlie's.
+_ROOTS_OF = {
+    bits: tuple(index for index, root in enumerate(_ROOTS) if root[: len(bits)] == bits)
+    for bits in ((), (0,), (1,)) + _ROOTS
+}
 
 # A decoy round's (revealed label value, prepared state, check basis,
 # expected bit), indexed by the round's ``integers(0, 4)`` draw.
@@ -150,12 +156,15 @@ def _bits(name, values):
     """``values`` as a tuple of ints, when each is exactly 0 or 1 (bools and
     numpy integers included); anything else raises ``ValueError`` naming
     the first value that is not.  The string is checked as a whole; a
-    string that fails has its values checked one at a time, to name one."""
+    string that fails has its values checked one at a time, to name one.
+    A string of plain ints is kept as it is, not converted again."""
     values = tuple(values)
-    try:
-        converted = tuple(map(int, values))
-    except (TypeError, ValueError, OverflowError):
-        converted = None
+    converted = values
+    if not set(map(type, values)) <= {int}:
+        try:
+            converted = tuple(map(int, values))
+        except (TypeError, ValueError, OverflowError):
+            converted = None
     if converted is None or not set(converted) <= {0, 1} or converted != values:
         if len(values) > 1:
             for value in values:
@@ -459,6 +468,9 @@ def _round_points(table, schedule, model):
     """
     touched = []
     eve = []
+    # Eve's segments: a hop she does not cover is skipped here, without
+    # starting her steps.
+    covered = model.segments
 
     def hop(segment, state):
         state, record = yield from attack_points(table, model, segment, state)
@@ -468,7 +480,9 @@ def _round_points(table, schedule, model):
         return state
 
     # Alice keeps the home qubit and sends the transit qubit to Bob.
-    pair = yield from hop(_A_TO_B, _START_PAIR)
+    pair = _START_PAIR
+    if _A_TO_B in covered:
+        pair = yield from hop(_A_TO_B, pair)
 
     # Bob either checks the A->B leg or goes on to encode.
     if (yield (BERNOULLI, schedule.p_ab_check)):
@@ -479,7 +493,8 @@ def _round_points(table, schedule, model):
     bob_cm = yield (BERNOULLI, schedule.p_bob_cm)
     if not bob_cm:
         pair = table.pauli(pair, _TRANSIT, encode_bob((yield _BOB_BIT)))
-    pair = yield from hop(_B_TO_C, pair)
+    if _B_TO_C in covered:
+        pair = yield from hop(_B_TO_C, pair)
 
     # Charlie confirms receipt; only then does Bob announce his mode.
     if bob_cm:
@@ -492,14 +507,16 @@ def _round_points(table, schedule, model):
         # retransmitted in a later round) and sends a random decoy instead.
         yield from resolve_points(table, pair, eve)
         reveal, decoy, basis, expected = _DECOYS[(yield _DECOY_LABEL)]
-        decoy = yield from hop(_C_TO_A, decoy)
+        if _C_TO_A in covered:
+            decoy = yield from hop(_C_TO_A, decoy)
         passed, decoy, events = yield from _decoy_points(table, basis, expected, decoy)
         yield from resolve_points(table, decoy, eve)
         events = (("bob_mode", "MM"), ("charlie_mode", "CM"), ("decoy_reveal", reveal)) + events
         return _DECOY_CHECK, passed, touched, None, basis, events, eve
 
     pair = table.pauli(pair, _TRANSIT, encode_charlie((yield _CHARLIE_BIT)))
-    pair = yield from hop(_C_TO_A, pair)
+    if _C_TO_A in covered:
+        pair = yield from hop(_C_TO_A, pair)
 
     # Alice's Bell measurement closes the round; any probe must be read out
     # (by Eve) before the pair is jointly measured.
@@ -557,11 +574,15 @@ def leaf_weights(table, schedule, model, j, k):
     ``1 - p``, 1/4 for each decoy label, each Bell threshold less the one
     before, and a bit's 0 and 1 at weight 1.  The first answer goes on
     with the paused steps, and each other answer replays the round along
-    its path: the table gives both the same states and points.  A path
-    ends at a leaf of each root whose bits start with the path's bit
-    answers (Bob's come first), and each root gets a :class:`Leaf` of its
-    own.  A root's leaves come in answer order; a weight is the product of
-    its path's probabilities, taken from the root down.
+    its path: the table gives both the same states and points.  A
+    Bernoulli point, the commonest, pushes its True and False children
+    straight onto the walk's stack.  A path ends at a leaf of each root
+    whose bits start with the path's bit answers (Bob's come first; the
+    roots are looked up by those answers), and each root gets a
+    :class:`Leaf` of its own, its leakage keys the leaf's announcement
+    pairs with the root's bits appended.  A root's leaves come in answer
+    order; a weight is the product of its path's probabilities, taken from
+    the root down.
 
     The four lists are built on the first call for a table, and kept in
     ``table.compiled`` by 2 * j + k; every later call returns one of them,
@@ -572,6 +593,7 @@ def leaf_weights(table, schedule, model, j, k):
         return roots[2 * j + k]
     roots = ([], [], [], [])
     stack = [(1.0, (), (), None)]
+    push = stack.append
     while stack:
         weight, path, bits, steps = stack.pop()
         try:
@@ -586,20 +608,32 @@ def leaf_weights(table, schedule, model, j, k):
             kind, passed, touched, label, family, events, eve = stop.value
             touched = tuple(touched)
             eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
-            for root, weighed in zip(_ROOTS, roots):
-                if root[: len(bits)] == bits:
-                    keys = None
-                    if label is not None:
-                        keys = tuple(announce(label.flip, label.phase, i) + (i,) + root for i in (0, 1))
-                    weighed.append((weight, Leaf(kind, root + path, passed, touched, label, family, events, eve, keys)))
+            # The announcement and Alice's bit, for i = 0 and 1; each root
+            # appends its bits.
+            masked = None
+            if label is not None:
+                masked = [announce(label.flip, label.phase, i) + (i,) for i in (0, 1)]
+            for index in _ROOTS_OF[bits]:
+                root = _ROOTS[index]
+                keys = None if masked is None else (masked[0] + root, masked[1] + root)
+                leaf = Leaf(kind, root + path, passed, touched, label, family, events, eve, keys)
+                roots[index].append((weight, leaf))
             continue
         kind, data = point
+        # The first child goes on with the paused steps; its siblings replay.
+        if kind is BERNOULLI:
+            q = 1.0 - data
+            if data > 0.0:
+                if q > 0.0:
+                    push((weight * q, path + (False,), bits, None))
+                push((weight * data, path + (True,), bits, steps))
+            else:
+                push((weight * q, path + (False,), bits, steps))
+            continue
         if kind is BIT:
             children = [(weight, path + (bit,), bits + (bit,)) for bit in (0, 1)]
         else:
-            if kind is BERNOULLI:
-                answers = ((True, data), (False, 1.0 - data))
-            elif kind is LABEL:
+            if kind is LABEL:
                 answers = ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25))
             else:
                 answers = []
@@ -608,9 +642,8 @@ def leaf_weights(table, schedule, model, j, k):
                     answers.append((index, cumulative - below))
                     below = cumulative
             children = [(weight * p, path + (answer,), bits) for answer, p in answers if p > 0.0]
-        # The first child goes on with the paused steps; its siblings replay.
         stack += [child + (None,) for child in reversed(children[1:])]
-        stack.append(children[0] + (steps,))
+        push(children[0] + (steps,))
     table.compiled[schedule, model] = roots
     return roots[2 * j + k]
 

@@ -38,11 +38,13 @@ kernels gave, and is sent the answer.  The protocol's compiled round runs
 them while ``protocol.leaf_weights`` weighs its leaves, answering each
 point with every answer of positive probability: that is how
 ``adversary.analytic_detection_probability`` enumerates a round, and the
-weights its sessions draw leaves by.  One table lives per experiment
-(``harness.run_experiment`` builds it and weighs the round there once,
-and every trial draws from those weights; a session run on its own gets
-a fresh one), so a derived state is built and validated once per
-distinct value in the experiment, not once per round.
+weights its sessions draw leaves by.  An experiment's sampled round
+lives on one table (``harness.run_experiment`` builds it and weighs the
+round there once, and every trial draws from those weights), and its
+analytic column on one more (``adversary.failed_weights`` weighs the
+three check-forced rounds there); a session run on its own gets a fresh
+one.  So a derived state is built and validated once per distinct value
+in each table, not once per round.
 
 The probe coupling has one parameter, its flip weight beta^2, checked
 where it enters: by ``AttackModel``.  Eve's attach goes through
@@ -312,7 +314,8 @@ def _outcome_point(amps, pos, basis):
     """The Bernoulli point of measuring qubit ``pos`` of ``amps`` in the
     kernels' ``basis``: outcome 0 when ``u < p0``.
 
-    Each outcome's probability comes from the kernel.  An outcome of
+    Each outcome's probability is one pass of its kernel over ``amps``:
+    ``prob_zero`` for outcome 0, ``prob_one`` for outcome 1.  An outcome of
     probability at or below ``backend.PROBABILITY_FLOOR``, onto which
     ``backend.collapse`` refuses to project, gets an empty interval: p0 is
     then exactly 1.0 or 0.0, so no draw answers it, however close to 1 the
@@ -320,9 +323,7 @@ def _outcome_point(amps, pos, basis):
     floating-point rounding.
     """
     p_zero = _k.prob_zero(amps, pos, basis)
-    # Outcome 1 is outcome 0 after the flip that swaps the basis's two
-    # eigenstates: a bit flip (op 1) for Z, a phase flip (op 2) for X.
-    if _k.prob_zero(_k.apply_1q(amps, pos, 1 + basis), pos, basis) <= _k.PROBABILITY_FLOOR:
+    if _k.prob_one(amps, pos, basis) <= _k.PROBABILITY_FLOOR:
         return (BERNOULLI, 1.0)
     if p_zero <= _k.PROBABILITY_FLOOR:
         return (BERNOULLI, 0.0)
@@ -357,7 +358,7 @@ class TransitionTable:
     round can reach (a bounded number), not with its paths or the number
     of rounds or sessions.
 
-    One table lives for one experiment: every trial draws from it.
+    An experiment samples from one table: every trial draws from it.
     ``compiled`` holds the protocol's compiled rounds over it, by schedule
     and attack model: the four roots' ``protocol.leaf_weights`` lists, by
     2 * j + k for Bob's and Charlie's bits (j, k), which one walk of the

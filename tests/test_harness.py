@@ -11,7 +11,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from qsdc3 import harness, protocol
+from qsdc3 import adversary, harness, protocol
 from qsdc3.adversary import AttackModel, ChannelSegment, analytic_detection_probability
 from qsdc3.cli import render_json
 from qsdc3.harness import (
@@ -296,28 +296,35 @@ class TestExperimentTable:
         assert given == []
 
     def test_a_probe_experiment_validates_each_distinct_state_once(self, monkeypatch):
-        # Counted outside the exact enumeration, which builds states of its
-        # own: the experiment's table validates each state it holds once,
-        # and its 40 trials validate none.
-        calls = []
-        counting = [True]
+        # Counted apart from the exact enumeration, which builds states on
+        # a table of its own: the experiment's table validates each state
+        # it holds once, and its 40 trials validate none.  The analytic
+        # column weighs its three check-forced rounds on one table, so it
+        # too validates each distinct state of that table once.
+        calls, analytic_calls = [], []
+        counting = [calls]
         original = JointState.__post_init__
+        analytic_tables = []
 
         def count(state):
-            if counting[0]:
-                calls.append(state)
+            counting[0].append(state)
             original(state)
 
-        def uncounted_analytic(*args, **kwargs):
-            counting[0] = False
+        def counted_analytic(*args, **kwargs):
+            counting[0] = analytic_calls
             try:
                 return analytic(*args, **kwargs)
             finally:
-                counting[0] = True
+                counting[0] = calls
+
+        def recording_table():
+            analytic_tables.append(TransitionTable())
+            return analytic_tables[-1]
 
         analytic = harness._Aggregator._analytic
         monkeypatch.setattr(JointState, "__post_init__", count)
-        monkeypatch.setattr(harness._Aggregator, "_analytic", uncounted_analytic)
+        monkeypatch.setattr(harness._Aggregator, "_analytic", counted_analytic)
+        monkeypatch.setattr(adversary, "TransitionTable", recording_table)
         config = ExperimentConfig(
             message_length=16,
             trials=40,
@@ -328,6 +335,9 @@ class TestExperimentTable:
         run_experiment(config)
         assert 0 < len(calls) < 64
         assert len(set(calls)) == len(calls)
+        (table,) = analytic_tables
+        assert len(set(analytic_calls)) == len(analytic_calls) > 0
+        assert set(analytic_calls) == set(table._nodes.values())
 
     def test_a_40_trial_experiment_builds_each_leaf_once(self, monkeypatch):
         # Each leaf built is recorded with the table and schedule of the

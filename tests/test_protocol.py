@@ -985,6 +985,33 @@ class TestCompiledRound:
             got, expected = two_enumerations(SchedulePolicy(0.25, 0.1, 0.4), model, j, k)
             assert got == expected, (j, k)
 
+    @pytest.mark.parametrize(
+        "schedule, segment",
+        [
+            pytest.param(SchedulePolicy(0.0, 0.0, 0.0), ChannelSegment.A_TO_B, id="message-a_to_b"),
+            pytest.param(SchedulePolicy(0.0, 0.0, 0.0), ChannelSegment.B_TO_C, id="message-b_to_c"),
+            pytest.param(SchedulePolicy(0.0, 0.0, 0.0), ChannelSegment.C_TO_A, id="message-c_to_a"),
+            pytest.param(SchedulePolicy(0.0, 0.0, 1.0), ChannelSegment.C_TO_A, id="decoy-c_to_a"),
+        ],
+    )
+    def test_the_compiled_round_runs_the_hop_eve_covers(self, schedule, segment):
+        # The compiled round itself, not a reference driving its steps:
+        # intercept-resend on one segment touches every leaf of a round
+        # that crosses it, with one record.  A message round then reads
+        # Bob's and Charlie's bits with probability exactly 1/2, and a decoy
+        # check fails with 1/4.
+        model = AttackModel.intercept_resend(segment)
+        table = TransitionTable()
+        for j, k in BITS:
+            weighed = protocol.leaf_weights(table, schedule, model, j, k)
+            assert {(leaf.touched, len(leaf.eve)) for _, leaf in weighed} == {((segment,), 1)}
+            if schedule.p_charlie_cm:
+                failed = sum(weight for weight, leaf in weighed if leaf.passed is False)
+                assert failed == pytest.approx(0.25, abs=1e-15), (j, k)
+            else:
+                right = sum(weight for weight, leaf in weighed if tuple(leaf.label) == (j, k))
+                assert right == pytest.approx(0.5, abs=1e-15), (j, k)
+
     def test_a_session_draws_the_weighed_leaves_and_starts_no_round(self, monkeypatch):
         # Under intercept-resend on every segment at p 0.4 the four roots
         # weigh 3,492 leaves over 184 table edges, each root's list built

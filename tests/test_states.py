@@ -650,7 +650,52 @@ PINNED_REPORTS = [
 ]
 
 
+# The schedule and attack model of every acceptance criterion's experiments
+# (tests/test_acceptance.py).
+ACCEPTANCE_ROUNDS = [
+    (SchedulePolicy(0.05, 0.05, 0.05), AttackModel.none()),
+    (SchedulePolicy(0.35, 0.3, 0.3), AttackModel.none()),
+    (SchedulePolicy(0.5, 0.25, 0.25), AttackModel.disturbance(Pauli.X, ChannelSegment.A_TO_B)),
+    (SchedulePolicy(0.5, 0.25, 0.25), AttackModel.disturbance(Pauli.Z, ChannelSegment.A_TO_B)),
+    (SchedulePolicy(0.5, 0.25, 0.25), AttackModel.intercept_resend(ChannelSegment.A_TO_B)),
+    (SchedulePolicy(), AttackModel.none()),
+] + [
+    (SchedulePolicy(0.25, 0.1, 0.4), AttackModel.entangle_measure(beta_sq, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A))
+    for beta_sq in (0.0, 0.25, 0.5, 0.75, 1.0)
+]
+
+
+def acceptance_states():
+    """Every state the acceptance configs' tables hold once their sampling
+    and check-forced rounds are weighed, and the Bell and decoy constants."""
+    found = {}
+    for schedule, model in ACCEPTANCE_ROUNDS:
+        table = TransitionTable()
+        forced = [SchedulePolicy(*forcing) for forcing in adversary._FORCING_SCHEDULES.values()]
+        for weighed in [schedule] + forced:
+            protocol.leaf_weights(table, weighed, model, 0, 0)
+        for state in table._nodes.values():
+            found[state.amps, state.subsystems] = state
+    constants = [bell_state(label) for label in product((0, 1), repeat=2)]
+    constants += [prepare_decoy(label) for label in DecoyState]
+    return constants + list(found.values())
+
+
 class TestKernels:
+    def test_prob_one_is_prob_zero_after_the_basis_flip(self):
+        # prob_one gives outcome 1's probability in one pass; it must be the
+        # float of outcome 0's after the flip that swaps the basis's
+        # eigenstates, to the last bit.
+        states_seen = acceptance_states()
+        assert len(states_seen) > 40
+        for state in states_seen:
+            for pos in range(len(state.subsystems)):
+                for basis in (0, 1):
+                    flipped = backend.apply_1q(state.amps, pos, 1 + basis)
+                    expected = backend.prob_zero(flipped, pos, basis)
+                    got = backend.prob_one(state.amps, pos, basis)
+                    assert got.hex() == expected.hex(), (state, pos, basis)
+
     def test_outputs_are_complex_after_a_float_input(self):
         outputs = [
             backend.apply_1q((1.0, 0.0), 0, 1),
