@@ -102,6 +102,11 @@ class AttackModel:
         if len(set(segments)) != len(segments):
             raise ValueError("segments names a segment more than once")
         object.__setattr__(self, "segments", frozenset(segments))
+        # The same segments in the order a round crosses them.  A round
+        # reads its coverage here: ``segment in model.covered`` compares
+        # members by identity, where a frozenset would hash each one through
+        # the Python-level ``Enum.__hash__``.
+        object.__setattr__(self, "covered", tuple(s for s in ChannelSegment if s in self.segments))
         if self.kind is AttackKind.NONE:
             if self.segments:
                 raise ValueError("a null attack covers no segments")
@@ -168,7 +173,7 @@ def attack_points(table, model, segment, state):
     is -1.  Below attack probability 1, one Bernoulli point first decides
     whether Eve acts at all.
     """
-    if segment not in model.segments:
+    if segment not in model.covered:
         return state, None
     p_fire = model.attack_probability
     if p_fire < 1.0 and not (yield (BERNOULLI, p_fire)):

@@ -7,11 +7,15 @@ public transcript leaks about the three secrets.
 
 All randomness derives from a single 64-bit seed: an experiment draws from
 one generator, ``numpy.random.default_rng(seed)``, seeded by
-``SeedSequence(seed)`` and never spawned.  It draws its trials in blocks of
-``max(1, _BLOCK_BITS // message_length)`` trials, in trial order, each
-block with at most four numpy calls covering all its trials.  So the whole
-report is a deterministic function of the configuration and of
-``_BLOCK_BITS``: changing the block size changes the random stream.
+``SeedSequence(seed)`` and never spawned.  It draws its trials in blocks,
+in trial order, each block with four numpy calls covering all its trials
+(three when no check can fail, and one more for a trial that a failed
+check ends).  A block holds ``max(1, _BLOCK_BITS // message_length)``
+trials, or, when a failed check can end a trial, at most the trials
+expected up to the first abort, ``ceil(1 / (1 - (1 - q)^message_length))``
+with q the chance that a bit's stop fails (:meth:`_TrialLaw.block_trials`).
+So the whole report is a deterministic function of the configuration and
+of ``_BLOCK_BITS``: changing the block size changes the random stream.
 
 An experiment builds one :class:`~qsdc3.states.TransitionTable` and weighs
 its compiled round there in one walk: every root's leaves with their exact
@@ -19,14 +23,16 @@ weights (``protocol.leaf_weights``), and the states they reach, each built
 and validated once per experiment; a detection curve builds one table per
 grid point.  A block draws its trials' messages, then their leaf counts from
 their exact law under the experiment's abort policy (:class:`_TrialLaw`):
-one ``geometric`` draw per message bit gives its rounds, under the strict
-policy one uniform per bit whether its stopping round is a failed check
-that ends the trial, and one ``multinomial`` call the counts of every leaf
-of every trial, so a block's cost grows with its bits and the round's
-leaves, not with its rounds.  The blocks' counts are summed in one array,
-and the whole report is one pass over it (:class:`_Aggregator`), fidelity
-included: the bits each party decodes wrong are a sum over its message
-cells.  Below INFO, no per-trial work runs.  An experiment runs no protocol
+one ``geometric`` draw per message bit gives its rounds; under the strict
+policy one uniform per bit says whether its stopping round is a failed
+check that ends the trial, and under record-and-continue one ``binomial``
+per trial and root splits its check rounds into passed and failed; then
+one ``multinomial`` call over the block's summed row totals gives the
+counts of every leaf, so a block's cost grows with its bits, not with its
+rounds, and its leaves are drawn once, not once per trial.  The blocks'
+counts are summed in one array, and the whole report is one pass over it
+(:class:`_Aggregator`), fidelity included: the bits each party decodes
+wrong are a sum over its message cells.  Below INFO, no per-trial work runs.  An experiment runs no protocol
 session and builds no round record, transcript or decoded message.  Its
 analytic column weighs each check-forced round once, all three on one
 table of the enumerator's own (``adversary.failed_weights``), so a state
@@ -343,16 +349,16 @@ def _decoded_wrong(x, y, i, j, k):
 _WRONG_BITS = {key: _decoded_wrong(*key) for key in product((0, 1), repeat=5)}
 
 
-def _log_trials(first, rounds, law, counts, aborted=False):
+def _log_trials(first, rows, aborted=False):
     """One INFO line per trial of a block whose first trial is ``first``:
-    its index, ``rounds`` and the failed checks among ``counts``, with
-    ", aborted" on the last line when ``aborted``.  Nothing runs unless the
-    lines are shown."""
+    its index, its rounds and its failed checks, read from its row totals
+    ``rows`` (each round is counted in one row, a failed check in rows 12
+    to 15), with ", aborted" on the last line when ``aborted``.  Nothing
+    runs unless the lines are shown."""
     if log.isEnabledFor(logging.INFO):
-        last = len(counts) - 1
-        for index, used in enumerate(rounds.tolist()):
+        last = len(rows) - 1
+        for index, (used, failed) in enumerate(zip(rows.sum(axis=1).tolist(), rows[:, 12:].sum(axis=1).tolist())):
             end = ", aborted" if aborted and index == last else ""
-            failed = law.failed_checks(counts[index])
             log.info("trial %d: rounds %d, failed checks %d%s", first + index, used, failed, end)
 
 
@@ -363,23 +369,30 @@ class _TrialLaw:
     A round's leaf depends only on its root, Bob's and Charlie's bits (j, k)
     of the message bit in flight, and the root changes only at a message
     leaf.  A bit stops at a message leaf, of weight m_r in all from root r,
-    or, under the strict policy, at a failed check, of weight f_r (else 0).
-    So bit b of root r takes G_b rounds, geometric with p = m_r + f_r; its
-    stop is a failed check with probability f_r / (m_r + f_r), and the
-    trial ends at its first failing bit.  Summed over the bits a trial
+    or, under the strict policy, at a failed check, of weight f_r.  So bit
+    b of root r takes G_b rounds, geometric with p = m_r under
+    record-and-continue and p = m_r + f_r under the strict policy; a strict
+    bit's stop is a failed check with probability f_r / (m_r + f_r), and
+    the trial ends at its first failing bit.  Summed over the bits a trial
     reaches, root r's message leaves under Alice's bit i are
     multinomial(N_ri, w / m_r), N_ri being its delivered bits of Alice bit
-    i, its other check leaves multinomial(C_r, w / (1 - m_r - f_r)), C_r
-    being the sum of G_b - 1, and a failing leaf has probability w / f_r.
+    i.  Its C_r check rounds, the sum of G_b - 1, are all passed under the
+    strict policy; under record-and-continue F_r of them fail,
+    binomial(C_r, f_r / c_r), c_r being the root's check weight.  The
+    passed ones are multinomial(C_r - F_r, w / (c_r - f_r)) over its
+    passing checks, the failed ones multinomial(F_r, w / f_r) over its
+    failing checks, and a strict trial's failing leaf has probability
+    w / f_r.
 
-    A trial's counts are kept as a (16, width) array: row 3r + i holds root
-    r's message leaves under Alice's bit i, row 3r + 2 its check leaves that
-    let the trial go on, and row 12 + r its failed checks that end it (empty
-    under record-and-continue; the aborting root's row counts 1).  A row
-    holds its leaves in ``leaf_weights`` order in its last columns, so the
-    category numpy's multinomial gives the remainder is always a leaf.  A
-    block of trials stacks its trials' arrays in trial order
-    (:meth:`_TrialLaw.draw`).
+    Counts are kept as a (16, width) array: row 3r + i holds root r's
+    message leaves under Alice's bit i, row 3r + 2 its passed checks, and
+    row 12 + r its failed checks (under the strict policy, the one that
+    ended the trial).  A row holds its leaves in ``leaf_weights`` order in
+    its last columns, so the category numpy's multinomial gives the
+    remainder is always a leaf.  A trial's row totals are the multinomials'
+    sizes; independent multinomials of one row's pvals sum to the
+    multinomial of their summed sizes, so a block draws the leaf counts of
+    all its trials in one call (:meth:`_TrialLaw.draw`).
     """
 
     def __init__(self, roots, strict):
@@ -391,13 +404,17 @@ class _TrialLaw:
             drawable = [(weight, leaf) for weight, leaf in weighed if weight > 0.0]
             message = [(weight, leaf) for weight, leaf in drawable if leaf.kind is _MESSAGE]
             checks = [(weight, leaf) for weight, leaf in drawable if leaf.kind is not _MESSAGE]
-            failed = [(weight, leaf) for weight, leaf in checks if strict and leaf.passed is False]
-            go_on = [(weight, leaf) for weight, leaf in checks if not (strict and leaf.passed is False)]
-            rows += [message, message, go_on]
+            failed = [(weight, leaf) for weight, leaf in checks if leaf.passed is False]
+            passed = [(weight, leaf) for weight, leaf in checks if leaf.passed is not False]
+            rows += [message, message, passed]
             fails.append(failed)
             m, f = sum(w for w, _ in message), sum(w for w, _ in failed)
-            stop_weight.append((m + f) / sum(w for w, _ in drawable))
-            fail_share.append(f / (m + f) if f else 0.0)
+            if strict:
+                stop_weight.append((m + f) / sum(w for w, _ in drawable))
+                fail_share.append(f / (m + f) if f else 0.0)
+            else:
+                stop_weight.append(m / sum(w for w, _ in drawable))
+                fail_share.append(f / sum(w for w, _ in checks) if f else 0.0)
         rows += fails
         width = max(map(len, rows))
         self.pvals = np.zeros((len(rows), width))
@@ -413,52 +430,66 @@ class _TrialLaw:
         self.stalls = np.array(stop_weight) == 0.0
         self.stalled = bool(self.stalls.any())
         self.stop_p = np.where(self.stalls, 1.0, stop_weight)
+        # Per root: under the strict policy the share of its bits' stops
+        # that fail, else the share of its check rounds that fail.
+        self.strict = strict
         self.fail_share = np.array(fail_share)
         self.failing = bool(self.fail_share.any())
         # The flat indices of the message cells, with the bits each party
-        # decodes wrong in each (``_WRONG_BITS``), and of the failed checks.
+        # decodes wrong in each (``_WRONG_BITS``).
         flat = [(index * width + column, index, leaf) for index, column, leaf in self.cells]
         messages = [
             (cell, _WRONG_BITS[leaf.leakage_keys[index % 3]]) for cell, index, leaf in flat if leaf.kind is _MESSAGE
         ]
         self.message_cells = np.array([cell for cell, _ in messages], dtype=np.intp)
         self.misses = np.array([wrong for _, wrong in messages], dtype=np.int64).reshape(-1, 3).T
-        self.failed = np.array([cell for cell, _, leaf in flat if leaf.passed is False], dtype=np.intp)
         # The failed check of each cell of the fail rows, by its flat index there.
         self.stops = {cell - 12 * width: leaf for cell, index, leaf in flat if index >= 12}
 
-    def failed_checks(self, counts):
-        """The failed checks among ``counts``."""
-        return int(counts.ravel()[self.failed].sum())
-
     def stop(self, counts):
-        """The failed check that ended a trial which drew ``counts``, or
-        None when the trial completed."""
-        if self.failing:
-            (cells,) = np.nonzero(counts[12:].ravel())
-            if cells.size:
-                return self.stops[int(cells[0])]
-        return None
+        """The failed check that ended a strict trial which drew ``counts``:
+        the one cell its fail rows count."""
+        (cell,) = np.flatnonzero(counts[12:])
+        return self.stops[int(cell)]
+
+    def block_trials(self, length):
+        """The trials a block of ``length``-bit trials holds:
+        ``max(1, _BLOCK_BITS // length)``, or fewer when a failed check can
+        end a trial, at most the trials expected up to the first abort,
+        ceil(1 / (1 - (1 - q)^length)) with q = 1/4 sum_r f_r / (m_r + f_r),
+        so that little of a block is drawn to be discarded."""
+        block = max(1, _BLOCK_BITS // length)
+        if self.strict and self.failing:
+            aborts = -math.expm1(length * math.log1p(-float(self.fail_share.mean())))
+            if aborts * block > 1.0:
+                block = math.ceil(1.0 / aborts)
+        return block
 
     def draw(self, rng, trials, length, max_rounds):
         """A block of ``trials`` trials of ``length`` bits from ``rng``:
-        ``(counts, rounds, over)``.
+        ``(counts, last, rows, over)``.
 
-        Four numpy calls cover the whole block, in this order: the message
+        These numpy calls cover the whole block, in this order: the message
         bits are ``integers(0, 2, (3, trials, length))`` (Alice's, Bob's and
-        Charlie's); one ``geometric`` call gives every bit's rounds; one
-        ``random((trials, length))`` call, made only when a failed check can
-        end a trial, says whether each bit's stopping round fails; and one
-        ``multinomial`` call gives the leaf counts of every row of every
-        trial the block keeps.  Each trial ends at its first failing bit.
+        Charlie's); one ``geometric`` call gives every bit's rounds; when a
+        check can fail, one more call, under the strict policy
+        ``random((trials, length))`` saying whether each bit's stopping
+        round fails, and under record-and-continue ``binomial`` splitting
+        each trial's check rounds of each root into passed and failed; and
+        one ``multinomial`` call gives the leaf counts of every row, summed
+        over the trials the block keeps, with a second call for a trial
+        that a failed check ended, drawn on its own.  Each trial ends at its
+        first failing bit.
 
         The block ends at its first trial, in trial order, that a failed
         check ends or whose rounds pass ``max_rounds``; what is drawn for
-        the trials after it is discarded.  ``counts``, of shape (n, 16,
-        width), and ``rounds``, each trial's rounds, hold the first n
-        trials: every trial, or those up to and including the one a failed
-        check ended.  ``over`` is the
-        :class:`~qsdc3.protocol.RoundBudgetExceeded` of trial n when its
+        the trials after it is discarded.  ``rows``, of shape (n, 16),
+        holds the row totals of the first n trials: every trial, or those up
+        to and including the one a failed check ended; a trial's rounds and
+        failed checks are its sums over every row and over rows 12 to 15.
+        ``counts``, of shape (16, width), sums their leaf counts, and
+        ``last`` is the aborting trial's own counts, or None.  ``over`` is
+        the :class:`~qsdc3.protocol.RoundBudgetExceeded` of trial n when its
         rounds pass the budget, with the bits whose running sum of rounds
         stays within it as delivered; else None.
         """
@@ -473,7 +504,7 @@ class _TrialLaw:
         # the bits after a trial's end, which take no rounds.
         rows = 3 * roots + alice
         aborts = np.zeros(trials, dtype=bool)
-        if self.failing:
+        if self.strict and self.failing:
             failing = rng.random((trials, length)) < self.fail_share[roots]
             aborts = failing.any(axis=1)
             last = np.where(aborts, failing.argmax(axis=1), length)
@@ -482,24 +513,35 @@ class _TrialLaw:
             rows[after] = 16
             (aborting,) = np.nonzero(aborts)
             rows[aborting, last[aborting]] = 12 + roots[aborting, last[aborting]]
-        used = rounds.sum(axis=1)
-        past = used > max_rounds
+        past = rounds.sum(axis=1) > max_rounds
         ends = aborts | past
         over = None
         kept = trials
+        aborted = False
         if ends.any():
             end = int(ends.argmax())
-            kept = end + 1
             if past[end]:
                 delivered = int(np.searchsorted(np.cumsum(rounds[end]), max_rounds, side="right"))
                 over = RoundBudgetExceeded(max_rounds, delivered, length)
                 kept = end
-            rows, roots, rounds, used = rows[:kept], roots[:kept], rounds[:kept], used[:kept]
+            else:
+                kept, aborted = end + 1, True
+            rows, roots, rounds = rows[:kept], roots[:kept], rounds[:kept]
         offsets = np.arange(kept)[:, None]
         n = np.bincount((rows + 17 * offsets).ravel(), minlength=17 * kept).reshape(kept, 17)[:, :16]
         stops = np.bincount((roots + 4 * offsets).ravel(), weights=rounds.ravel(), minlength=4 * kept)
-        n[:, 2:12:3] = stops.reshape(kept, 4) - n[:, 0:12:3] - n[:, 1:12:3] - n[:, 12:]
-        return rng.multinomial(n, self.pvals), used, over
+        # Each root's rounds that stopped no bit: its passed checks, and
+        # under record-and-continue its failed ones.
+        checks = stops.reshape(kept, 4).astype(np.int64) - n[:, 0:12:3] - n[:, 1:12:3] - n[:, 12:]
+        if self.failing and not self.strict:
+            n[:, 12:] = rng.binomial(checks, self.fail_share)
+            checks -= n[:, 12:]
+        n[:, 2:12:3] = checks
+        if not aborted:
+            return rng.multinomial(n.sum(axis=0), self.pvals), None, n, over
+        counts = rng.multinomial(n[:-1].sum(axis=0), self.pvals)
+        last = rng.multinomial(n[-1], self.pvals)
+        return counts + last, last, n, over
 
 
 class _Aggregator:
@@ -632,18 +674,22 @@ def run_experiment(config):
 
     Deterministic given the seed: the experiment draws from one generator,
     ``numpy.random.default_rng(config.seed)``, in blocks of trials, in
-    trial order (:meth:`_TrialLaw.draw`; the stream depends on
-    ``_BLOCK_BITS``).  An experiment builds one transition table and weighs
-    its compiled round there once.  Then each block draws its trials' leaf
-    counts from their exact law under the config's abort policy
-    (:class:`_TrialLaw`), with no round order, and the report folds their
-    sum (:class:`_Aggregator`); its fidelity is the exact mean over the
+    trial order (:meth:`_TrialLaw.block_trials` sizes them; the stream
+    depends on ``_BLOCK_BITS``).  An experiment builds one transition table
+    and weighs its compiled round there once.  Then each block draws its
+    trials' rounds and row totals from their exact law under the config's
+    abort policy (:class:`_TrialLaw`), with no round order, and its leaf
+    counts in one multinomial over the summed rows (:meth:`_TrialLaw.draw`:
+    rows 3r + i hold root r's message leaves under Alice's bit i, 3r + 2 its
+    passed checks and 12 + r its failed ones).  The report folds their sum
+    (:class:`_Aggregator`); its fidelity is the exact mean over the
     completed trials, rounded once.  Under the strict policy the first
     failed check stops the experiment: :class:`ExperimentAborted` is raised
     carrying the partial statistics, the failing round included.
 
     Each trial logs one INFO line on the ``qsdc3`` logger: its index,
-    rounds used and failed checks; an experiment that reaches a report,
+    rounds used and failed checks, read from its row totals, so the lines
+    draw nothing and a report's bytes do not depend on them; an experiment that reaches a report,
     full or partial, logs its trials and its table's size at DEBUG.  A
     trial whose rounds pass the default budget raises
     :class:`~qsdc3.protocol.RoundBudgetExceeded`, after the trials before
@@ -664,8 +710,9 @@ def run_experiment(config):
 
 
 def _count_trials(config, law):
-    """The trials' leaf counts drawn from ``law`` in blocks, all from one
-    generator, summed in one array: ``(totals, abort)``.
+    """The trials' leaf counts drawn from ``law`` in blocks of
+    ``law.block_trials(message_length)`` trials, all from one generator,
+    summed in one array: ``(totals, abort)``.
 
     ``abort`` is None when every trial completed.  Else a failed check
     ended trial ``trial``, the last one drawn and summed, and ``abort`` is
@@ -676,16 +723,15 @@ def _count_trials(config, law):
     their INFO lines (:func:`_log_trials`) before the next block is drawn."""
     length = config.message_length
     budget = default_budget(length)
-    block = max(1, _BLOCK_BITS // length)
+    block = law.block_trials(length)
     rng = np.random.default_rng(config.seed)
     totals = np.zeros_like(law.pvals, dtype=np.int64)
     for first in range(0, config.trials, block):
-        counts, rounds, over = law.draw(rng, min(block, config.trials - first), length, budget)
-        totals += counts.sum(axis=0)
-        leaf = law.stop(counts[-1]) if len(counts) else None
-        _log_trials(first, rounds, law, counts, leaf is not None)
-        if leaf is not None:
-            return totals, (first + len(counts) - 1, int(rounds[-1]), leaf, counts[-1])
+        counts, last, rows, over = law.draw(rng, min(block, config.trials - first), length, budget)
+        totals += counts
+        _log_trials(first, rows, last is not None)
+        if last is not None:
+            return totals, (first + len(rows) - 1, int(rows[-1].sum()), law.stop(last), last)
         if over is not None:
             raise over
     return totals, None

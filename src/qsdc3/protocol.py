@@ -470,7 +470,7 @@ def _round_points(table, schedule, model):
     eve = []
     # Eve's segments: a hop she does not cover is skipped here, without
     # starting her steps.
-    covered = model.segments
+    covered = model.covered
 
     def hop(segment, state):
         state, record = yield from attack_points(table, model, segment, state)

@@ -156,7 +156,8 @@ class JointState:
     ``ValueError``.  The work is constant-time: the register is matched
     against a fixed tuple and the squared norm is one ``norm_sq`` kernel
     call over at most eight amplitudes.  ``has_home`` and ``has_ancilla``
-    are set there too.
+    are set there too, and ``subsystems`` becomes the legal register's
+    prebuilt tuple, so that every state's register is one of four objects.
 
     This is the only constructor: the states the operations of this module
     derive are built by it as well.  A kernel's output is already a tuple
@@ -188,6 +189,9 @@ class JointState:
         err = abs(_k.norm_sq(amps) - 1.0)
         if not err <= NORM_ATOL:
             raise ValueError("state is not normalized (|norm^2 - 1| = %.3g)" % err)
+        # The prebuilt tuple of the register, so that a state's register is
+        # one of four objects (``TransitionTable`` keys by its id).
+        object.__setattr__(self, "subsystems", _REGISTERS[_REGISTERS.index(subsystems)])
         object.__setattr__(self, "has_home", subsystems[0] is _HOME)
         object.__setattr__(self, "has_ancilla", subsystems[-1] is _ANCILLA)
 
@@ -377,13 +381,17 @@ class TransitionTable:
         self._attaches = {}  # (id(state), beta_sq) -> (state, child)
         self._readouts = {}  # id(state) -> [state, point, child0, child1]
         self._bells = {}  # id(state) -> (state, point)
-        self._nodes = {}  # (amps, subsystems) -> the child state of that value
+        self._nodes = {}  # (amps, id(subsystems)) -> the child state of that value
         self.compiled = {}
 
     def _child(self, amps, subsystems):
         """The table's state over a kernel output: built and validated on
-        its value's first sight, the same state after that."""
-        key = (amps, subsystems)
+        its value's first sight, the same state after that.
+
+        ``subsystems`` is one of the four prebuilt registers, which every
+        state holds (:class:`JointState`), so its id names it: the key
+        hashes no enum member."""
+        key = (amps, id(subsystems))
         state = self._nodes.get(key)
         if state is None:
             state = self._nodes[key] = JointState(amps, subsystems)

@@ -80,9 +80,9 @@ def test_criterion_2_announced_xor_identity(sampled_digest):
     ok = (
         audited >= 10_000
         and fraction == 1.0
-        and digest == "e68a8b77bf5bc93a52d1dccf361356284970065aa30f6d591ac3c59f8ead42ee"
+        and digest == "74a32b8b1d3ae08aa2e425cd92e4a008121a173b5bfd8badfe6dee28583fea28"
         and sampled_digest(result.to_dict())
-        == "e56f15f161dfe01f50f74e2c8798c45553fc98ce58df1203adcda9fdbee2b2cb"
+        == "b743d5ba0805aaa736d2ba90046c2a3b44229060b2157a6feba4d65df7d74c55"
         and elapsed < 5.0
     )
     _report(
@@ -181,10 +181,10 @@ def test_criterion_5_probe_coupling_curve(sampled_digest):
             problems.append("X-family decoys detected something at %.2f" % beta_sq)
     curve = {"curve": [row.to_dict() for row in rows]}
     digest = _sha256(render_json(curve))
-    if digest != "33b7b6d6f4602773ccabe564aa126a299e6c5289f721168fd8ea879c00a59196":
+    if digest != "0bda3960dc4e462f2fc63c5d842dce13dca9e625112b5e2dfcd70bc852e47248":
         problems.append("curve rows %s" % digest[:16])
     sampled = sampled_digest(curve)
-    if sampled != "ae883621b2c0e79d352656b30f9287ba604ac94280fa0bb1c003b2b99d72cc8d":
+    if sampled != "0fab485853e6d0fe0e26600f553f7878c6beab75c1e4fdd8f6dbcaef648071e9":
         problems.append("sampled curve fields %s" % sampled[:16])
     ok = not problems and elapsed < 60.0
     _report(
@@ -259,9 +259,9 @@ def test_criterion_6_intercept_resend_quarter_vs_half_claim(sampled_digest):
         and ab.paper_claim == 0.5
         and '"analytic_probability": 0.25' in report_text
         and '"paper_claim": 0.5' in report_text
-        and _sha256(report_text) == "d7c50f09af09c3fb7e4c15c2150f0a6f70fc4c58b556ca869f44fd76ef5436bb"
+        and _sha256(report_text) == "6f14ece43614839cebd84f36a0b4a53c4f07aa61de22e9a2330a3abfb93523e0"
         and sampled_digest(result.to_dict())
-        == "7a13f4129a6ac2a794f62b7427d73311ff86de880d83d3bc205df33d3ee02816"
+        == "a317a31138994c292cfde9b9260b56cc05ac646a9d9ebb5cedf424b486578673"
         and elapsed < 10.0
     )
     _report(

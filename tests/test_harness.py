@@ -181,13 +181,13 @@ class TestRunScope:
     )
     def test_one_generator_draws_the_blocks_in_trial_order(self, monkeypatch, attack, policy):
         # The seed contract: one generator, default_rng(SeedSequence(seed)),
-        # draws blocks of _BLOCK_BITS // message_length trials in trial
-        # order, each block where the last one left off, whether or not a
-        # failed check can end a trial; nothing is spawned per trial or per
-        # block.  A run of 100,000 trials holds nothing in proportion to
-        # ``trials``: the third block stops it.  At attack probability 1e-6
-        # a failed check can end a trial, yet one ends within the 12 trials
-        # drawn with probability 0.003.
+        # draws blocks of law.block_trials(message_length) trials in trial
+        # order, each block where the last one left off; nothing is spawned
+        # per trial or per block.  A run of 100,000 trials holds nothing in
+        # proportion to ``trials``: the third block stops it.  At attack
+        # probability 1e-6 a failed check can end a trial, yet so rarely
+        # that the blocks keep _BLOCK_BITS // message_length trials, and
+        # one ends within the 12 trials drawn with probability 0.003.
         class ThirdBlock(Exception):
             pass
 
@@ -213,6 +213,7 @@ class TestRunScope:
         assert [trials for _, trials in blocks] == [4, 4, 4]
         # The blocks drawn replay on one reference generator.
         _, _, law = experiment_law(config.schedule, attack, policy)
+        assert law.block_trials(1000) == 4
         reference = np.random.default_rng(np.random.SeedSequence(21))
         for state, trials in blocks:
             assert state == reference.bit_generator.state
@@ -532,8 +533,7 @@ def record_fold(messages, records, transcript, eve_records, decoded=None):
 def law_counts(law, leaves, alice_bits):
     """A session's leaves counted in the layout of ``law``'s count array:
     the n-th message leaf in the row of Alice's n-th bit, and every other
-    leaf in its one cell, a failed check that ends the trial in its fail
-    row."""
+    leaf in its one cell, a failed check in its fail row."""
     cells = {}
     for row, column, leaf in law.cells:
         cells.setdefault(leaf, []).append((row, column))
@@ -582,12 +582,13 @@ class TestLeafFold:
             assert (report.eve.actions, report.eve.probe_measurements, report.eve.probe_flip_count) == eve
             assert audited == [leakage]
             assert report.rounds_total == counts.sum() == len(shown[0])
-            assert law.failed_checks(counts) == sum(leaf.passed is False for leaf in leaves)
+            # Every failed check sits in a fail row, under either policy.
+            assert counts[12:].sum() == sum(leaf.passed is False for leaf in leaves)
             if hits is None:
-                # The failed check that ended the session sits in its fail row.
+                # The failed check that ended the session is its only one.
                 assert law.stop(counts) is leaves[-1] and counts[12:].sum() == 1
             else:
-                assert law.stop(counts) is None and not counts[12:].any()
+                assert policy is RECORD or not counts[12:].any()
                 # Each party's right bits over its two views' 96 bits.
                 expected = [(hits[2 * party] + hits[2 * party + 1]) / 96 for party in range(3)]
                 assert [report.fidelity.alice, report.fidelity.bob, report.fidelity.charlie] == expected
@@ -596,37 +597,62 @@ class TestLeafFold:
 
 
 class TestTrialLog:
-    """A trial's INFO line sums its failed checks only when it is shown;
-    the CLI's lines are checked in test_cli.py (``TestTrialProgress``)."""
+    """A trial's INFO line reads its rounds and failed checks from its row
+    totals, only when it is shown; the CLI's lines are checked in
+    test_cli.py (``TestTrialProgress``)."""
 
-    def test_below_info_nothing_is_summed(self, caplog, monkeypatch):
+    def test_below_info_nothing_is_summed(self, caplog):
         caplog.set_level(logging.WARNING, logger="qsdc3")
-        _, _, law = experiment_law(SchedulePolicy(), AttackModel.intercept_resend(AB), AbortPolicy.STRICT)
 
-        def unsummed(counts):
-            raise AssertionError("the failed checks were summed")
+        class Unsummed:
+            def __getattr__(self, name):
+                raise AssertionError("the row totals were read")
 
-        monkeypatch.setattr(law, "failed_checks", unsummed)
-        harness._log_trials(0, np.array([3]), law, np.zeros_like(law.pvals, dtype=np.int64)[None])
+        harness._log_trials(0, Unsummed())
         assert caplog.records == []
 
     def test_at_info_the_text_is_exact(self, caplog):
         caplog.set_level(logging.INFO, logger="qsdc3")
-        _, _, strict = experiment_law(SchedulePolicy(), AttackModel.intercept_resend(AB), AbortPolicy.STRICT)
-        _, _, record = experiment_law(SchedulePolicy(), AttackModel.intercept_resend(AB), RECORD)
-        # One failed check that ended a strict trial; two failed checks of a
-        # completed trial under record-and-continue.
-        aborted = np.zeros_like(strict.pvals, dtype=np.int64)
-        aborted.ravel()[strict.failed[0]] = 1
-        completed = np.zeros_like(record.pvals, dtype=np.int64)
-        completed.ravel()[record.failed[:2]] = 1
-        harness._log_trials(4, np.array([3]), strict, aborted[None], aborted=True)
-        harness._log_trials(5, np.array([4, 6]), record, np.stack([completed, 0 * completed]))
+        # A strict trial of 3 rounds whose last one failed and ended it; a
+        # completed trial of 4 rounds with two failed checks and one of 6
+        # with none.
+        aborted = np.zeros((1, 16), dtype=np.int64)
+        aborted[0, [2, 13]] = 2, 1
+        completed = np.zeros((2, 16), dtype=np.int64)
+        completed[:, 0] = 2, 4
+        completed[0, [12, 15]] = 1
+        completed[1, 5] = 2
+        harness._log_trials(4, aborted, aborted=True)
+        harness._log_trials(5, completed)
         assert [r.getMessage() for r in caplog.records] == [
             "trial 4: rounds 3, failed checks 1, aborted",
             "trial 5: rounds 4, failed checks 2",
             "trial 6: rounds 6, failed checks 0",
         ]
+
+    @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
+    def test_each_line_counts_its_trials_failed_checks(self, caplog, policy):
+        # Each trial's failed checks are its fail rows' totals: the binomial
+        # split of its check rounds under record-and-continue, and the one
+        # failed check that ended it under the strict policy.  The block's
+        # summed leaf counts hold as many, and its lines sum them.
+        caplog.set_level(logging.INFO, logger="qsdc3")
+        attack = AttackModel.intercept_resend(AB, attack_probability=0.2)
+        _, _, law = experiment_law(SchedulePolicy(0.5, 0.25, 0.25), attack, policy)
+        rng = np.random.default_rng(9)
+        counts, last, rows, over = law.draw(rng, 64, 32, default_budget(32))
+        assert over is None
+        harness._log_trials(0, rows, last is not None)
+        failed = [r.args[2] for r in caplog.records]
+        assert failed == rows[:, 12:].sum(axis=1).tolist()
+        failed_leaves = sum(int(counts[row, column]) for row, column, leaf in law.cells if leaf.passed is False)
+        assert sum(failed) == counts[12:].sum() == failed_leaves
+        assert [r.args[1] for r in caplog.records] == rows.sum(axis=1).tolist()
+        if policy is RECORD:
+            assert len(rows) == 64 and sum(failed) > 0
+        else:
+            assert last is not None and failed == [0] * (len(rows) - 1) + [1]
+            assert last[12:].sum() == 1 and law.stop(last).passed is False
 
 
 class TestSessionBoundary:
@@ -705,39 +731,41 @@ def experiment_law(schedule, model, policy=RECORD):
 STRICT_CASES = [case for case in G_TEST_CASES if case.id != "criterion-2"]
 
 
-def strict_tally(samples, counts, stop, rounds):
-    """Add one strict trial to ``samples``, three counters: its failed check
-    that ended it, its abort round's bucket (the bit length of the round
-    index + 1; None when it completed) and its leaf counts by cell."""
-    failing, buckets, cells = samples
-    if stop is not None:
-        failing[stop] += 1
-    buckets[rounds.bit_length() if stop is not None else None] += 1
-    for row, column in zip(*np.nonzero(counts)):
-        cells[int(row), int(column)] += int(counts[row, column])
+def strict_tally(samples, stops, rounds):
+    """Add strict trials to ``samples``, two counters: the failed check that
+    ended each trial in ``stops`` (None when it completed), and each abort
+    round's bucket (the bit length of the round index + 1; None when the
+    trial completed), from each trial's ``rounds``."""
+    failing, buckets = samples
+    for stop, used in zip(stops, rounds):
+        if stop is not None:
+            failing[stop] += 1
+        buckets[used.bit_length() if stop is not None else None] += 1
+
+
+def cell_counts(counts):
+    """The nonzero cells of a count array in a law's layout, as a counter."""
+    return Counter({(int(row), int(column)): int(counts[row, column]) for row, column in zip(*np.nonzero(counts))})
 
 
 def draw_trials(law, rng, trials, length):
     """``trials`` trials of ``length`` bits drawn from ``law`` with ``rng``
-    in blocks: their counts, shape (trials, 16, width), and each trial's
-    rounds, as Python ints.  A block stops at its first trial that a failed
-    check ends; the next block then starts, so the trials kept are a run of
-    independent trials.  A block holds the experiment's
-    ``max(1, _BLOCK_BITS // length)`` trials, or, when a failed check can
-    end a trial, at most the trials expected up to the first abort,
-    1 / (1 - (1 - q)^length) with q = 1/4 sum_r f_r / (m_r + f_r) rounded
-    up, so that little of a block is drawn to be discarded.  No trial may
-    pass the default budget."""
-    block = max(1, harness._BLOCK_BITS // length)
-    if law.failing:
-        block = min(block, math.ceil(1.0 / (1.0 - (1.0 - law.fail_share.mean()) ** length)))
-    counts, rounds = [], []
-    while len(rounds) < trials:
-        drawn, used, over = law.draw(rng, min(block, trials - len(rounds)), length, default_budget(length))
-        assert over is None and len(drawn) == len(used) > 0
-        counts.append(drawn)
-        rounds += used.tolist()
-    return np.concatenate(counts), rounds
+    in the experiment's blocks (``law.block_trials``): their summed leaf
+    counts, shape (16, width), each trial's row totals, shape (trials, 16),
+    and the failed check that ended each trial, or None.  A block stops at
+    its first trial that a failed check ends; the next block then starts,
+    so the trials kept are a run of independent trials.  No trial may pass
+    the default budget."""
+    counts = np.zeros_like(law.pvals, dtype=np.int64)
+    rows, stops = [], []
+    while len(stops) < trials:
+        block = min(law.block_trials(length), trials - len(stops))
+        drawn, last, kept, over = law.draw(rng, block, length, default_budget(length))
+        assert over is None and len(kept) > 0
+        counts += drawn
+        rows.append(kept)
+        stops += [None] * (len(kept) - 1) + [None if last is None else law.stop(last)]
+    return counts, np.concatenate(rows), stops
 
 
 def stop_weights(roots):
@@ -771,9 +799,9 @@ def row_g_tests(first, second):
 
 def row_totals_differ(first, second):
     """The rows of a law's layout whose mean total per trial differs between
-    two samples of trials' count arrays by more than 4 standard errors, the
+    two samples of trials' row totals by more than 4 standard errors, the
     trials being the sampled units."""
-    a, b = (np.array([counts.sum(axis=1) for counts in sample], dtype=float) for sample in (first, second))
+    a, b = (np.array(sample, dtype=float) for sample in (first, second))
     se = np.sqrt(a.var(axis=0, ddof=1) / len(a) + b.var(axis=0, ddof=1) / len(b))
     gap = np.abs(a.mean(axis=0) - b.mean(axis=0))
     return [row for row in range(a.shape[1]) if gap[row] > 4.0 * se[row] or (se[row] == 0.0 and gap[row])]
@@ -785,48 +813,58 @@ class TestTrialLaw:
     (else 0), each bit's rounds are geometric with p = m_r + f_r and its
     stop fails with probability f_r / (m_r + f_r); the trial ends at its
     first failing bit.  The message leaves are multinomial(N_ri, w / m_r)
-    under Alice's bit i, the check leaves that let the trial go on
-    multinomial(C_r, w / (1 - m_r - f_r)), and the failing leaf is drawn
-    with probability w / f_r.  Every gate draws in blocks
-    (``_TrialLaw.draw``): the record-and-continue gates in the experiment's,
-    the strict gates in blocks sized to end near their first abort
-    (``draw_trials``); ``run_protocol`` sessions are the independent
-    reference."""
+    under Alice's bit i.  Under record-and-continue F_r of the C_r check
+    rounds fail, binomial(C_r, f_r / c_r) with c_r the root's check weight;
+    the passed checks are multinomial(C_r - F_r, w / (c_r - f_r)), the
+    failed ones multinomial(F_r, w / f_r), and a strict trial's failing
+    leaf is drawn with probability w / f_r.  A block draws each row's
+    leaves once, over its trials' summed row totals.  Every gate draws in
+    the experiment's blocks (``_TrialLaw.draw``, ``draw_trials``);
+    ``run_protocol`` sessions are the independent reference."""
 
     @pytest.mark.parametrize("schedule, model, seed", G_TEST_CASES)
     def test_each_leaf_count_has_its_exact_mean(self, schedule, model, seed):
         # Summed over 2,000 trials, each leaf's count meets its exact mean
-        # given its row's total, the trials' N_ri or C_r: a share w / m_r in
-        # a message row, w / (1 - m_r) in a check row.  Each leaf is within
-        # z_n standard errors, the Bonferroni limit over the n leaves that
-        # makes the whole check fail a correct law as rarely as one 4-SE
-        # check does (z_n = 5.18 at n = 288); and each row's leaves pass a
-        # G-test at p = 1e-6.  C_r meets its mean given N_r, and the N_ri
-        # meet L / 8 per trial, within 4 standard errors.
+        # given its row's total, the trials' N_ri, C_r - F_r or F_r: a share
+        # w / m_r in a message row, w / (c_r - f_r) in a passed-check row and
+        # w / f_r in a failed-check row.  Each leaf is within z_n standard
+        # errors, the Bonferroni limit over the n leaves that makes the
+        # whole check fail a correct law as rarely as one 4-SE check does
+        # (z_n = 5.18 at n = 288); and each row's leaves pass a G-test at
+        # p = 1e-6.  C_r meets its mean given N_r, F_r its mean f_r / c_r
+        # given C_r, and the N_ri meet L / 8 per trial, within 4 standard
+        # errors.  The summed leaf counts of each row are the trials' summed
+        # row totals.
         _, roots, law = experiment_law(schedule, model)
         rng = np.random.default_rng(seed)
         length, trials = 64, 2000
-        counts, rounds = draw_trials(law, rng, trials, length)
-        assert rounds == counts.sum(axis=(1, 2)).tolist()
-        totals = counts.sum(axis=0)
-        given = totals.sum(axis=1)  # the trials' N_ri and C_r, summed
+        totals, rows, _ = draw_trials(law, rng, trials, length)
+        given = totals.sum(axis=1)  # the trials' N_ri, C_r - F_r and F_r, summed
+        assert given.tolist() == rows.sum(axis=0).tolist()
         column = {leaf: column for _, column, leaf in law.cells}
         shares = np.zeros(totals.shape)
         for r, weighed in enumerate(roots):
             drawable = [(weight, leaf) for weight, leaf in weighed if weight > 0.0]
             message = sum(weight for weight, leaf in drawable if leaf.kind is RoundKind.MESSAGE)
             check = sum(weight for weight, leaf in drawable if leaf.kind is not RoundKind.MESSAGE)
+            failed = sum(weight for weight, leaf in drawable if leaf.passed is False)
             for weight, leaf in drawable:
                 if leaf.kind is RoundKind.MESSAGE:
                     cells = [(3 * r + i, weight / message) for i in (0, 1)]
+                elif leaf.passed is False:
+                    cells = [(12 + r, weight / failed)]
                 else:
-                    cells = [(3 * r + 2, weight / check)]
+                    cells = [(3 * r + 2, weight / (check - failed))]
                 for row, p in cells:
                     shares[row, column[leaf]] = p
             m = message / (message + check)
             bits = given[3 * r] + given[3 * r + 1]
+            checks = given[3 * r + 2] + given[12 + r]
             mean, se = bits * (1.0 - m) / m, math.sqrt(bits * (1.0 - m)) / m
-            assert abs(given[3 * r + 2] - mean) <= 4.0 * se, (r, given[3 * r + 2], mean, se)
+            assert abs(checks - mean) <= 4.0 * se, (r, checks, mean, se)
+            share = failed / check
+            mean, se = checks * share, math.sqrt(checks * share * (1.0 - share))
+            assert abs(given[12 + r] - mean) <= 4.0 * se + 1e-9 * mean, (r, given[12 + r], mean, se)
             for i in (0, 1):
                 mean, se = trials * length / 8, math.sqrt(trials * length * 7 / 64)
                 assert abs(given[3 * r + i] - mean) <= 4.0 * se
@@ -839,7 +877,7 @@ class TestTrialLaw:
             assert abs(totals[row, cell] - mean[row, cell]) <= limit * se[row, cell], (row, cell, se[row, cell])
         # A row of two leaves or more passes its G-test; a row of one leaf
         # holds its whole total.
-        for row in range(12):
+        for row in range(16):
             (cells,) = np.nonzero(shares[row])
             if len(cells) > 1:
                 observed, expected = totals[row, cells], given[row] * shares[row, cells]
@@ -857,7 +895,8 @@ class TestTrialLaw:
         _, roots, law = experiment_law(schedule, model)
         p = np.array([m / total for m, _, total in stop_weights(roots)])
         length, trials = 64, 2000
-        _, rounds = draw_trials(law, np.random.default_rng(seed), trials, length)
+        _, rows, _ = draw_trials(law, np.random.default_rng(seed), trials, length)
+        rounds = rows.sum(axis=1)
         mean = length * np.mean(1.0 / p)
         variance = length * (np.mean((1.0 - p) / p**2) + np.var(1.0 / p))
         # A bit's raw moments, from the geometric's, give its fourth
@@ -876,31 +915,27 @@ class TestTrialLaw:
     @pytest.mark.parametrize("schedule, model, seed", G_TEST_CASES)
     def test_trials_at_different_positions_in_a_block_share_nothing(self, schedule, model, seed):
         # Blocks of 8 trials of 512 bits.  Over 2,000 blocks the first and
-        # the last trial of a block draw their leaves from one law: each
-        # row's leaves pass a two-sample G-test at p = 1e-6, and each row's
+        # the last trial of a block have one law of row totals: each row's
         # mean total and the mean rounds agree within 4 standard errors.
         # Over the 16,000 trials in draw order, neighbours' rounds and their
         # totals in each row are uncorrelated within 4 standard errors,
-        # 1 / sqrt(16,000).
+        # 1 / sqrt(16,000).  (A block draws its leaves once, over its
+        # trials' summed row totals, so no leaf count is a trial's own.)
         _, _, law = experiment_law(schedule, model)
         rng = np.random.default_rng(seed)
         length, blocks = 512, 2000
         block = harness._BLOCK_BITS // length
-        first, last, rows, rounds = [], [], [], []
+        rows = []
         for _ in range(blocks):
-            counts, used, over = law.draw(rng, block, length, default_budget(length))
-            assert over is None and len(counts) == block
-            first.append(counts[0])
-            last.append(counts[-1])
-            rows.append(counts.sum(axis=2))
-            rounds.append(used)
-        for row, g, df in row_g_tests(sum(first), sum(last)):
-            assert g < chi_square_quantile(1e-6, df), (row, g, df)
-        assert row_totals_differ(first, last) == []
-        rounds = np.array(rounds, dtype=float)
+            _, _, kept, over = law.draw(rng, block, length, default_budget(length))
+            assert over is None and len(kept) == block
+            rows.append(kept)
+        rows = np.array(rows)
+        assert row_totals_differ(rows[:, 0], rows[:, -1]) == []
+        rounds = rows.sum(axis=2).astype(float)
         gap = rounds[:, 0].mean() - rounds[:, -1].mean()
         assert abs(gap) <= 4.0 * math.sqrt((rounds[:, 0].var(ddof=1) + rounds[:, -1].var(ddof=1)) / blocks)
-        series = [("rounds", rounds.ravel())] + list(enumerate(np.concatenate(rows).T.astype(float)))
+        series = [("rounds", rounds.ravel())] + list(enumerate(rows.reshape(-1, 16).T.astype(float)))
         for name, values in series:
             if values.std() > 0.0:
                 lag1 = np.corrcoef(values[:-1], values[1:])[0, 1]
@@ -921,15 +956,17 @@ class TestTrialLaw:
             messages = MessageTriple.random(1000, rng)
             leaves = run_protocol(messages, schedule, rng, model, RECORD, table=table).leaves
             sessions.append(law_counts(law, leaves, messages.alice_bits))
-        drawn = []
-        while sum(counts.sum() for counts in drawn) < 200_000:
-            drawn += list(law.draw(rng, harness._BLOCK_BITS // 1000, 1000, 51_000)[0])
-        rows = list(row_g_tests(sum(drawn), sum(sessions)))
+        drawn, drawn_rows = np.zeros_like(law.pvals, dtype=np.int64), []
+        while drawn.sum() < 200_000:
+            counts, _, kept, _ = law.draw(rng, harness._BLOCK_BITS // 1000, 1000, 51_000)
+            drawn += counts
+            drawn_rows += list(kept)
+        rows = list(row_g_tests(drawn, sum(sessions)))
         for row, g, df in rows:
             assert g < chi_square_quantile(1e-6, df), (row, g, df)
         g, df = sum(g for _, g, _ in rows), sum(df for _, _, df in rows)
         assert g < chi_square_quantile(1e-6, df), (g, df)
-        assert row_totals_differ(drawn, sessions) == []
+        assert row_totals_differ(drawn_rows, [counts.sum(axis=1) for counts in sessions]) == []
 
     def test_a_trial_past_the_budget_reads_its_delivered_bits_from_the_running_sum(self):
         class Scripted:
@@ -945,11 +982,11 @@ class TestTrialLaw:
                 return np.random.default_rng(0).multinomial(n, pvals)
 
         _, _, law = experiment_law(SchedulePolicy(), AttackModel.none())
-        counts, rounds, over = law.draw(Scripted(), 1, 3, 11)
-        assert isinstance(over, RoundBudgetExceeded) and len(counts) == len(rounds) == 0
+        counts, last, rows, over = law.draw(Scripted(), 1, 3, 11)
+        assert isinstance(over, RoundBudgetExceeded) and len(rows) == counts.sum() == 0 and last is None
         assert str(over) == "budget of 11 rounds exhausted with 2 of 3 bits delivered"
-        counts, rounds, over = law.draw(Scripted(), 1, 3, 12)
-        assert over is None and rounds.tolist() == [counts.sum()] == [12]
+        counts, last, rows, over = law.draw(Scripted(), 1, 3, 12)
+        assert over is None and last is None and rows.sum(axis=1).tolist() == [counts.sum()] == [12]
 
     @pytest.mark.parametrize("schedule, model, seed", STRICT_CASES)
     def test_the_aborting_bit_has_its_truncated_geometric_law(self, schedule, model, seed):
@@ -963,8 +1000,8 @@ class TestTrialLaw:
         rng = np.random.default_rng(seed)
         length, trials = 12, 10_000
         ends = Counter()
-        for counts in draw_trials(law, rng, trials, length)[0]:
-            ends[int(counts[:12:3].sum() + counts[1:12:3].sum()) if counts[12:].any() else None] += 1
+        for rows in draw_trials(law, rng, trials, length)[1]:
+            ends[int(rows[:12:3].sum() + rows[1:12:3].sum()) if rows[12:].any() else None] += 1
         expected = {a: trials * (1.0 - q) ** a * q for a in range(length)}
         expected[None] = trials * (1.0 - q) ** length
         assert set(ends) <= set(expected)
@@ -977,8 +1014,8 @@ class TestTrialLaw:
     def test_strict_counts_and_sessions_pass_a_two_sample_g_test(self, schedule, model, seed):
         # Strict count trials against strict sessions on the same table:
         # the failed check that ends a trial, the abort round's bucket and
-        # every trial's leaf counts, the partial ones included, each pass a
-        # two-sample G-test at p = 1e-6.
+        # the trials' summed leaf counts, the partial trials' included, each
+        # pass a two-sample G-test at p = 1e-6.
         table, _, law = experiment_law(schedule, model, AbortPolicy.STRICT)
         rng = np.random.default_rng(seed)
         # At 8 bits some trials complete, and most abort.
@@ -991,13 +1028,29 @@ class TestTrialLaw:
             except ProtocolAborted as abort:
                 leaves, stop = abort.leaves, abort.leaves[-1]
                 assert abort.round_index == len(leaves) - 1
-            strict_tally(sessions, law_counts(law, leaves, messages.alice_bits), stop, len(leaves))
-        drawn = (Counter(), Counter(), Counter())
-        for counts, rounds in zip(*draw_trials(law, rng, trials, length)):
-            strict_tally(drawn, counts, law.stop(counts), rounds)
+            strict_tally(sessions[:2], [stop], [len(leaves)])
+            sessions[2].update(cell_counts(law_counts(law, leaves, messages.alice_bits)))
+        counts, rows, stops = draw_trials(law, rng, trials, length)
+        drawn = (Counter(), Counter(), cell_counts(counts))
+        strict_tally(drawn[:2], stops, rows.sum(axis=1).tolist())
         for name, first, second in zip(("failing leaf", "abort round", "leaf counts"), drawn, sessions):
             g, df = two_sample_g(first, second)
             assert g < chi_square_quantile(1e-6, df), (name, g, df)
+
+    @pytest.mark.parametrize("length", [1, 16, 100, 1000, 5000])
+    def test_a_strict_block_holds_the_trials_expected_up_to_its_first_abort(self, length):
+        # A trial aborts with probability 1 - (1 - q)^L, so a block of the
+        # inverse of that, rounded up, mostly ends at its last trial; the
+        # experiment's block size bounds it, and is the size whenever no
+        # failed check can end a trial.
+        schedule, attack = SchedulePolicy(0.1, 0.1, 0.1), AttackModel.intercept_resend(AB, attack_probability=0.1)
+        _, roots, strict = experiment_law(schedule, attack, AbortPolicy.STRICT)
+        _, _, record = experiment_law(schedule, attack)
+        _, _, honest = experiment_law(schedule, AttackModel.none(), AbortPolicy.STRICT)
+        q = sum(f / (m + f) / 4 for m, f, _ in stop_weights(roots))
+        block = max(1, harness._BLOCK_BITS // length)
+        assert record.block_trials(length) == honest.block_trials(length) == block
+        assert strict.block_trials(length) == min(block, math.ceil(1.0 / (1.0 - (1.0 - q) ** length)))
 
     @pytest.mark.parametrize(
         "second, ends",
@@ -1318,9 +1371,9 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("no_attack", "9bc452581bd057fc0c1223859112786528e81832869f6506db5811804a750822"),
-            ("intercept_resend_ab", "9277a896cc4f31e7dc524ab11d107ecab7a6ab78b15fcd1e049d37aebcf34b2d"),
-            ("entangle_measure_ab_ca", "2822185a7d6cc319eb7481a92683acd2ebc51e6e59c2c921642474e0e7557b11"),
+            ("no_attack", "68e56e9b2d5c1daf7507b9370b2c86138bcaffc9d605a592a03ff5d60464b996"),
+            ("intercept_resend_ab", "45e28f77c9e847d1c384a15b6b973e24f1c1df5cfa9d70ad4d4bd43069fb1296"),
+            ("entangle_measure_ab_ca", "7c2b4d2b6cdcd255f2ab7a58d79ad2a4f13c2bc482927758a3aceec34d6a76aa"),
         ],
         ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"],
     )
@@ -1330,9 +1383,9 @@ class TestPinnedReports:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("gated_disturbance_bc_ca", "92124d432110061fc0c11615ac46265324cb415b54c8b2ce2d8cb4b803ad3464"),
-            ("gated_intercept_all", "41c73b5add410db1f45fd35d52ac5136c228aff645016059a9f2b11048006c05"),
-            ("gated_probe_all", "e4f96b89726fefa7d3d0c82a0710aecb4884155cc7a2260fcbd5e5d6a7bc9df4"),
+            ("gated_disturbance_bc_ca", "09336d0c6a3189bf293507d450fbc44fb005a0ffefee8da7bfee3d1042834ca6"),
+            ("gated_intercept_all", "fb5e28bb839d19cc4cd0d0d1d7eabf29e3f5e4d0c1838eadb6b357bf59e25a72"),
+            ("gated_probe_all", "d6285dd1a035be25b4a9a615b879d60dbda0f310cd3a57072410f5999f257465"),
         ],
         ids=["gated_disturbance_bc_ca", "gated_intercept_all", "gated_probe_all"],
     )
@@ -1343,19 +1396,19 @@ class TestPinnedReports:
     def test_strict_abort_partial_report_digest(self):
         assert (
             report_digest("strict_abort")
-            == "8e1df6328ee19692d037828a1fd5dd6912184220eabca81549bbef85f80011e8"
+            == "ba5c0904a658039db8358d074f27f353ba77435496b952e856c884f499ba6f5b"
         )
 
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("no_attack", "4148151e25f23030835938a7e2f8646938d28e97bebadb5ba102ede3148d4a87"),
-            ("intercept_resend_ab", "ba4f347080eeca0d7d59ad8a4cf51e918ef76048217b99fadf2917bfc672677b"),
-            ("entangle_measure_ab_ca", "3161b5111d3ed3f9f2e520b56c62ed036d0a432871de90f1fd645312ea00fc24"),
-            ("gated_disturbance_bc_ca", "9498603744bbeddeb97335527854b535a12547e6df5f40ea968084dc0acf2838"),
-            ("gated_intercept_all", "0a16fc99e9a20a47dd9f64a86017f5f56ac1976ab31184f6aa9176b22d6072ad"),
-            ("gated_probe_all", "bbad03a4cb497341cd3c6473c953fdf37311ac16ba68ca33b838ce0e254b73c7"),
-            ("strict_abort", "6a0a01f3158bffd0c3b5b31ef18fc548b39330e7442936dccbb08815e8818567"),
+            ("no_attack", "bcfd87840cb8ad66b2bbe869fb26b740149054014d998708905f84163b591c2e"),
+            ("intercept_resend_ab", "89613b0241c6ed823fa58a62514f6abff850ed8c937c10275ad736d02413d256"),
+            ("entangle_measure_ab_ca", "970b6b4a45f1481e35f8120680c22fe7864a0848bd22c1f93a5488a9d676f650"),
+            ("gated_disturbance_bc_ca", "b5787ecdd73943e1b93af9789fd4a91a39f2e57cbcbf35aeff33d6ff0c6342cc"),
+            ("gated_intercept_all", "1611a6f31e1191485730458ea75ae2cd2a26154e3b83c485211390e3c99c85de"),
+            ("gated_probe_all", "6c234986a6fe9d37d300cfa9b8a58d0b75a5340bb0bf4f3d7cd42eda1c45e995"),
+            ("strict_abort", "64a1e8ed3b8f7a16a308346a42b5fd606c2689bbc6eac5770bfa2e4572fd9da3"),
         ],
         ids=list(PINNED_CONFIGS),
     )
@@ -1378,27 +1431,28 @@ def wrong_bits(x, y, i, j, k):
 
 
 def drawn_fidelity(config):
-    """Each party's fidelity as a ``Fraction``: the exact mean, over the
-    completed trials that ``config``'s one block of draws gives, of each
-    trial's right bits over its 2 * L; and the number of those trials."""
+    """Each party's fidelity as a ``Fraction``: its right bits over its
+    2 * L per completed trial, of the trials that ``config``'s blocks of
+    draws give, up to the one a failed check ends, which is left out; and
+    the number of those completed trials."""
     _, _, law = experiment_law(config.schedule, config.attack, config.abort_policy)
     length = config.message_length
-    assert config.trials <= harness._BLOCK_BITS // length
     rng = np.random.default_rng(config.seed)
-    counts, _, over = law.draw(rng, config.trials, length, default_budget(length))
-    assert over is None
-    if law.stop(counts[-1]) is not None:
-        counts = counts[:-1]
-    sums = [Fraction(0)] * 3
-    for trial in counts:
-        wrong = [0, 0, 0]
+    wrong, completed, last = [0, 0, 0], 0, None
+    while completed < config.trials and last is None:
+        block = min(law.block_trials(length), config.trials - completed)
+        counts, last, rows, over = law.draw(rng, block, length, default_budget(length))
+        assert over is None
+        if last is not None:
+            counts = counts - last
+        completed += len(rows) - (last is not None)
         for row, column, leaf in law.cells:
             if leaf.kind is RoundKind.MESSAGE:
                 # A message row holds the leaves under Alice's bit row % 3.
-                c = int(trial[row, column])
+                c = int(counts[row, column])
                 wrong = [w + c * miss for w, miss in zip(wrong, wrong_bits(*leaf.leakage_keys[row % 3]))]
-        sums = [total + Fraction(2 * length - w, 2 * length) for total, w in zip(sums, wrong)]
-    return [total / len(counts) for total in sums], len(counts)
+    bits = 2 * length * completed
+    return [Fraction(bits - w, bits) for w in wrong], completed
 
 
 # The per-round values the report sums, in this order: the round itself,

@@ -625,7 +625,7 @@ class TestDerivedStates:
 PINNED_REPORTS = [
     (
         ExperimentConfig(message_length=16, trials=4, seed=1),
-        "9bc452581bd057fc0c1223859112786528e81832869f6506db5811804a750822",
+        "68e56e9b2d5c1daf7507b9370b2c86138bcaffc9d605a592a03ff5d60464b996",
     ),
     (
         ExperimentConfig(
@@ -635,7 +635,7 @@ PINNED_REPORTS = [
             attack=AttackModel.intercept_resend(ChannelSegment.A_TO_B),
             seed=2,
         ),
-        "9277a896cc4f31e7dc524ab11d107ecab7a6ab78b15fcd1e049d37aebcf34b2d",
+        "45e28f77c9e847d1c384a15b6b973e24f1c1df5cfa9d70ad4d4bd43069fb1296",
     ),
     (
         ExperimentConfig(
@@ -645,7 +645,7 @@ PINNED_REPORTS = [
             attack=AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
             seed=3,
         ),
-        "2822185a7d6cc319eb7481a92683acd2ebc51e6e59c2c921642474e0e7557b11",
+        "7c2b4d2b6cdcd255f2ab7a58d79ad2a4f13c2bc482927758a3aceec34d6a76aa",
     ),
 ]
 
