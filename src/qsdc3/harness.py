@@ -32,13 +32,14 @@ counts of every leaf, so a block's cost grows with its bits, not with its
 rounds, and its leaves are drawn once, not once per trial.  The blocks'
 counts are summed in one array, and the whole report is one pass over it
 (:class:`_Aggregator`), fidelity included: the bits each party decodes
-wrong are a sum over its message cells.  Below INFO, no per-trial work runs.  An experiment runs no protocol
-session and builds no round record, transcript or decoded message.  Its
-analytic column weighs each check-forced round once, all three on one
-table of the enumerator's own (``adversary.failed_weights``), so a state
-they share is built and validated once: the five rows (three check kinds,
-two decoy families) read three weighings.  Only the decode oracle
-(:func:`exhaustive_oracle`) runs ``protocol.run_protocol`` sessions.
+wrong are a sum over its message cells.  Below INFO, no per-trial work
+runs.  An experiment runs no protocol session and builds no round record,
+transcript or decoded message.  Its analytic column weighs each
+check-forced round once, all three on one table of the enumerator's own
+(``adversary.failed_weights``), so a state they share is built and
+validated once: the five rows (three check kinds, two decoy families) read
+three weighings.  Only the decode oracle (:func:`exhaustive_oracle`) runs
+``protocol.run_protocol`` sessions.
 """
 
 from __future__ import annotations
@@ -409,11 +410,12 @@ class _TrialLaw:
             rows += [message, message, passed]
             fails.append(failed)
             m, f = sum(w for w, _ in message), sum(w for w, _ in failed)
+            total = sum(w for w, _ in drawable)
             if strict:
-                stop_weight.append((m + f) / sum(w for w, _ in drawable))
+                stop_weight.append((m + f) / total)
                 fail_share.append(f / (m + f) if f else 0.0)
             else:
-                stop_weight.append(m / sum(w for w, _ in drawable))
+                stop_weight.append(m / total)
                 fail_share.append(f / sum(w for w, _ in checks) if f else 0.0)
         rows += fails
         width = max(map(len, rows))
@@ -689,9 +691,9 @@ def run_experiment(config):
 
     Each trial logs one INFO line on the ``qsdc3`` logger: its index,
     rounds used and failed checks, read from its row totals, so the lines
-    draw nothing and a report's bytes do not depend on them; an experiment that reaches a report,
-    full or partial, logs its trials and its table's size at DEBUG.  A
-    trial whose rounds pass the default budget raises
+    draw nothing and a report's bytes do not depend on them.  An experiment
+    that reaches a report, full or partial, logs its trials and its table's
+    size at DEBUG.  A trial whose rounds pass the default budget raises
     :class:`~qsdc3.protocol.RoundBudgetExceeded`, after the trials before
     it are logged.
     """

@@ -1544,7 +1544,8 @@ class BitLaw:
             message = moments([(w / m / 2, round_values(leaf, i)) for w, leaf in messages for i in (0, 1)])
             delivered.append((m / (m + f), self._bit(s, rounds, message)))
             if f:
-                failing.append((f / (m + f), self._bit(s, rounds, moments([(w / f, round_values(leaf)) for w, leaf in failed]))))
+                stop = moments([(w / f, round_values(leaf)) for w, leaf in failed])
+                failing.append((f / (m + f), self._bit(s, rounds, stop)))
             for w, leaf in messages:
                 for key in leaf.leakage_keys:
                     self.messages[key] += m / (m + f) * w / m / 2
@@ -1649,7 +1650,8 @@ def exact_fields(config, report):
     # Every delivered bit of a completed trial is one message round; an
     # aborted trial delivers fewer than L bits.
     length, completed = config.message_length, report.trials_completed * config.message_length
-    fields = {"leakage.rounds_audited": Field(delivered, completed, 0.0, completed, completed + failing * (length - 1))}
+    most = completed + failing * (length - 1)
+    fields = {"leakage.rounds_audited": Field(delivered, completed, 0.0, completed, most)}
     mean, cov = law.totals(delivered, failing)
     fields |= {
         "rounds_total": normal_field(report.rounds_total, mean[ROUNDS], cov[ROUNDS, ROUNDS]),
@@ -1659,19 +1661,22 @@ def exact_fields(config, report):
     if eve.probe_flip_frequency is not None:
         r = mean[FLIPS] / mean[READOUTS]
         spread = cov[FLIPS, FLIPS] - 2 * r * cov[FLIPS, READOUTS] + r * r * cov[READOUTS, READOUTS]
-        fields["eve.probe_flip_frequency"] = normal_field(eve.probe_flip_frequency, r, spread / mean[READOUTS] ** 2)
+        variance = spread / mean[READOUTS] ** 2
+        fields["eve.probe_flip_frequency"] = normal_field(eve.probe_flip_frequency, r, variance)
     if delivered:
         fields["leakage.xor_identity_fraction"] = normal_field(
             leakage.xor_identity_fraction, mean[XOR_HITS] / delivered, cov[XOR_HITS, XOR_HITS] / delivered**2
         )
         for name, symbols in MI_SYMBOLS.items():
-            fields["leakage." + name] = law.mutual_information(symbols, delivered)._replace(value=getattr(leakage, name))
+            field = law.mutual_information(symbols, delivered)
+            fields["leakage." + name] = field._replace(value=getattr(leakage, name))
     if completed:
         mean, cov = law.totals(completed)
         bits = 2 * completed
         for party, index in zip(("alice", "bob", "charlie"), range(WRONG.start, WRONG.stop)):
             value = getattr(report.fidelity, party)
-            fields["fidelity." + party] = normal_field(value, 1.0 - mean[index] / bits, cov[index, index] / bits**2)
+            variance = cov[index, index] / bits**2
+            fields["fidelity." + party] = normal_field(value, 1.0 - mean[index] / bits, variance)
     return fields
 
 
