@@ -432,9 +432,9 @@ class _TrialLaw:
         self.stalls = np.array(stop_weight) == 0.0
         self.stalled = bool(self.stalls.any())
         self.stop_p = np.where(self.stalls, 1.0, stop_weight)
+        self.strict = strict
         # Per root: under the strict policy the share of its bits' stops
         # that fail, else the share of its check rounds that fail.
-        self.strict = strict
         self.fail_share = np.array(fail_share)
         self.failing = bool(self.fail_share.any())
         # The flat indices of the message cells, with the bits each party
@@ -509,12 +509,12 @@ class _TrialLaw:
         if self.strict and self.failing:
             failing = rng.random((trials, length)) < self.fail_share[roots]
             aborts = failing.any(axis=1)
-            last = np.where(aborts, failing.argmax(axis=1), length)
-            after = np.arange(length) > last[:, None]
+            final = np.where(aborts, failing.argmax(axis=1), length)
+            after = np.arange(length) > final[:, None]
             rounds[after] = 0
             rows[after] = 16
             (aborting,) = np.nonzero(aborts)
-            rows[aborting, last[aborting]] = 12 + roots[aborting, last[aborting]]
+            rows[aborting, final[aborting]] = 12 + roots[aborting, final[aborting]]
         past = rounds.sum(axis=1) > max_rounds
         ends = aborts | past
         over = None

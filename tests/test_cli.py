@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsdc3 import cli
+from qsdc3 import cli, harness
 from qsdc3.adversary import AttackModel, ChannelSegment
 from qsdc3.harness import CURVE_SCHEDULE, ExperimentConfig, entangle_measure_curve, run_experiment
 from qsdc3.protocol import SchedulePolicy, leaf_weights
@@ -554,6 +554,47 @@ class TestTrialProgress:
         trials = [r.getMessage() for r in caplog.records if r.getMessage().startswith("trial ")]
         assert trials[-1].endswith(", failed checks 1, aborted")
         assert all(not line.endswith("aborted") for line in trials[:-1])
+
+
+    @pytest.mark.parametrize(
+        "policy, code", [("record_and_continue", cli.EXIT_OK), ("strict", cli.EXIT_ABORTED)], ids=["record", "strict"]
+    )
+    def test_every_log_level_writes_the_same_report(self, tmp_path, caplog, monkeypatch, policy, code):
+        # An attacked record-and-continue run and a strict run that aborts
+        # write the same bytes at the default level, -v and -vv.  Shown, each
+        # trial's line counts its failed checks: its row totals' fail rows,
+        # the binomial split of its check rounds under record-and-continue
+        # and the check that ended it under the strict policy.
+        blocks = []
+        draw = harness._TrialLaw.draw
+
+        def recording_draw(law, *args):
+            blocks.append(draw(law, *args))
+            return blocks[-1]
+
+        monkeypatch.setattr(harness._TrialLaw, "draw", recording_draw)
+        cfg = write_config(tmp_path, dict(BASE_RUN, abort_policy=policy))
+        reports = []
+        for flags, level in (([], logging.WARNING), (["-v"], logging.INFO), (["-vv"], logging.DEBUG)):
+            del blocks[:]
+            caplog.clear()
+            caplog.set_level(level, logger="qsdc3")
+            out = tmp_path / ("report%d.json" % len(flags))
+            assert cli.main([*flags, "run", "--config", cfg, "--out", str(out)]) == code
+            reports.append(out.read_bytes())
+            lines = [r for r in caplog.records if r.getMessage().startswith("trial ")]
+            if not flags:
+                assert lines == []
+                continue
+            rows = np.concatenate([kept for _, _, kept, _ in blocks])
+            assert [r.args[2] for r in lines] == rows[:, 12:].sum(axis=1).tolist()
+            report = json.loads(out.read_text())
+            failed = sum(report["detection"][k]["checks_failed"] for k in ("ab_check", "ca_check", "decoy_check"))
+            assert sum(r.args[2] for r in lines) == failed > 0
+            assert [r.args[1] for r in lines] == rows.sum(axis=1).tolist()
+            if policy == "strict":
+                assert [r.args[2] for r in lines] == [0] * (len(lines) - 1) + [1]
+        assert reports[0] == reports[1] == reports[2]
 
 
 class TestOracle:

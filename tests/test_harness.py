@@ -1596,12 +1596,16 @@ class BitLaw:
                 second[b] += p
         logs = {(a, b): math.log2(p / (first[a] * second[b])) for (a, b), p in joint.items()}
         exact = sum(p * logs[cell] for cell, p in joint.items())
-        normal = 4.0 * math.sqrt(max(0.0, sum(p * logs[cell] ** 2 for cell, p in joint.items()) - exact**2) / n)
+        sd = math.sqrt(max(0.0, sum(p * logs[cell] ** 2 for cell, p in joint.items()) - exact**2) / n)
         df = len(joint) - len(first) - len(second) + 1
         scale = 2.0 * n * math.log(2.0)
         tail = chi_square_quantile(2.0 * NormalDist().cdf(-4.0), abs(df)) / scale if df else 0.0
-        se = math.sqrt((normal / 4.0) ** 2 + 2.0 * abs(df) / scale**2)
-        low, high = (exact - normal, exact + tail + normal) if df >= 0 else (exact - tail - normal, exact + normal)
+        low, high = exact - 4.0 * sd, exact + 4.0 * sd
+        if df > 0:
+            high += tail
+        else:
+            low -= tail
+        se = math.sqrt(sd**2 + 2.0 * abs(df) / scale**2)
         # Widened by float rounding, as normal_field's band.
         return Field(None, exact + df / scale, se, low - 1e-12, high + 1e-12)
 
