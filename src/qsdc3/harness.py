@@ -462,7 +462,7 @@ class _TrialLaw:
         so that little of a block is drawn to be discarded."""
         block = max(1, _BLOCK_BITS // length)
         if self.strict and self.failing:
-            aborts = -math.expm1(length * math.log1p(-float(self.fail_share.mean())))
+            aborts = 1.0 - (1.0 - float(self.fail_share.mean())) ** length
             if aborts * block > 1.0:
                 block = math.ceil(1.0 / aborts)
         return block

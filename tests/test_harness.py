@@ -731,16 +731,14 @@ def experiment_law(schedule, model, policy=RECORD):
 STRICT_CASES = [case for case in G_TEST_CASES if case.id != "criterion-2"]
 
 
-def strict_tally(samples, stops, rounds):
-    """Add strict trials to ``samples``, two counters: the failed check that
-    ended each trial in ``stops`` (None when it completed), and each abort
-    round's bucket (the bit length of the round index + 1; None when the
-    trial completed), from each trial's ``rounds``."""
-    failing, buckets = samples
-    for stop, used in zip(stops, rounds):
-        if stop is not None:
-            failing[stop] += 1
-        buckets[used.bit_length() if stop is not None else None] += 1
+def strict_tally(stops, rounds):
+    """Two counters over strict trials: the failed check that ended each
+    trial in ``stops`` (None when it completed), and each abort round's
+    bucket (the bit length of the round index + 1; None when the trial
+    completed), from each trial's ``rounds``."""
+    failing = Counter(stop for stop in stops if stop is not None)
+    buckets = Counter(used.bit_length() if stop is not None else None for stop, used in zip(stops, rounds))
+    return failing, buckets
 
 
 def cell_counts(counts):
@@ -1020,7 +1018,7 @@ class TestTrialLaw:
         rng = np.random.default_rng(seed)
         # At 8 bits some trials complete, and most abort.
         length, trials = 8, 10_000
-        sessions = (Counter(), Counter(), Counter())
+        stops, rounds, cells = [], [], Counter()
         for _ in range(trials):
             messages = MessageTriple.random(length, rng)
             try:
@@ -1028,11 +1026,12 @@ class TestTrialLaw:
             except ProtocolAborted as abort:
                 leaves, stop = abort.leaves, abort.leaves[-1]
                 assert abort.round_index == len(leaves) - 1
-            strict_tally(sessions[:2], [stop], [len(leaves)])
-            sessions[2].update(cell_counts(law_counts(law, leaves, messages.alice_bits)))
+            stops.append(stop)
+            rounds.append(len(leaves))
+            cells.update(cell_counts(law_counts(law, leaves, messages.alice_bits)))
+        sessions = (*strict_tally(stops, rounds), cells)
         counts, rows, stops = draw_trials(law, rng, trials, length)
-        drawn = (Counter(), Counter(), cell_counts(counts))
-        strict_tally(drawn[:2], stops, rows.sum(axis=1).tolist())
+        drawn = (*strict_tally(stops, rows.sum(axis=1).tolist()), cell_counts(counts))
         for name, first, second in zip(("failing leaf", "abort round", "leaf counts"), drawn, sessions):
             g, df = two_sample_g(first, second)
             assert g < chi_square_quantile(1e-6, df), (name, g, df)
@@ -1051,6 +1050,27 @@ class TestTrialLaw:
         block = max(1, harness._BLOCK_BITS // length)
         assert record.block_trials(length) == honest.block_trials(length) == block
         assert strict.block_trials(length) == min(block, math.ceil(1.0 / (1.0 - (1.0 - q) ** length)))
+        # When every bit's stop can fail (no message leaf), each trial
+        # aborts, and a block holds one.
+        _, _, every = experiment_law(SchedulePolicy(1.0, 0.0, 0.0), attack, AbortPolicy.STRICT)
+        assert every.fail_share.tolist() == [1.0] * 4 and every.block_trials(length) == 1
+
+    def test_a_strict_round_without_a_message_leaf_aborts_its_first_trial(self):
+        # Every round is an A-B check that intercept-resend can fail, so no
+        # bit is delivered and every trial ends at its first failed check:
+        # the block holds one trial, and the experiment aborts in trial 0.
+        config = ExperimentConfig(
+            message_length=100,
+            trials=3,
+            schedule=SchedulePolicy(1.0, 0.0, 0.0),
+            attack=AttackModel.intercept_resend(AB, attack_probability=0.01),
+            abort_policy=AbortPolicy.STRICT,
+            seed=7,
+        )
+        with pytest.raises(ExperimentAborted) as info:
+            run_experiment(config)
+        assert info.value.trial_index == 0 and info.value.check_kind is RoundKind.BOB_EAVESDROP_CHECK
+        assert info.value.partial.leakage.rounds_audited == 0
 
     @pytest.mark.parametrize(
         "second, ends",
