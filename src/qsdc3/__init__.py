@@ -17,11 +17,12 @@ are Bernoulli.  None of these names is defined or exported any more:
 * ``measure_ancilla_and_discard``: ``drive(TransitionTable().readout_points(state), rng)``
 * ``TransitionTable.measure``, ``TransitionTable.readout``, ``TransitionTable.bell``: the ``*_points``
 * ``attack_transit``: ``drive(adversary.attack_points(TransitionTable(), model, segment, state), rng)``
-* ``run_ab_check``, ``run_ca_check``, ``run_decoy_check``: ``adversary.failed_weight_by_basis``
+* ``run_ab_check``, ``run_ca_check``, ``run_decoy_check``: ``protocol.failed_weights``
 
 Second derivations of a fact the package holds once:
 
 * ``adversary.revealed_basis``: ``Leaf.family`` of a compiled round's leaf
+* ``adversary.failed_weight_by_basis``: ``analytic_detection_probability``
 * ``JointState.n_qubits``: ``len(state.subsystems)``
 * ``cli.parse_json``: ``json.loads``
 
@@ -70,6 +71,7 @@ from .protocol import (
     RoundKind,
     RoundRecord,
     SchedulePolicy,
+    analytic_detection_probability,
     announce,
     decode_alice,
     decode_bob,
@@ -83,7 +85,6 @@ from .adversary import (
     AttackModel,
     ChannelSegment,
     EveRecord,
-    analytic_detection_probability,
 )
 from .harness import (
     CheckStats,

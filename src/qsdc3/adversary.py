@@ -19,17 +19,9 @@ Eve's action on one hop is written once, as chance-point steps over a
 :class:`~qsdc3.states.TransitionTable`: :func:`attack_points` (the gate
 point below attack probability 1, then the model's attack) and
 :func:`resolve_points` (the probe readout).  The protocol's compiled round
-runs these steps inside its round body, walked once for all four roots.
-
-:func:`analytic_detection_probability` computes exact per-check detection
-probabilities from the same steps: it weighs the protocol's compiled round
-(``protocol.leaf_weights``), the leaves its sessions sample, with every
-answer's exact probability in place of a draw, and sums the weight of the
-leaves whose check failed.  There is no sampling and no second copy of the
-hops or the checks; it is the oracle the Monte Carlo estimates are tested
-against.  One query weighs one check-forced round on a fresh table; an
-experiment's analytic column weighs all three on one table
-(:func:`failed_weights`).
+runs these steps inside its round body, walked once for all four roots;
+``protocol.analytic_detection_probability`` weighs the same round for the
+exact detection probabilities.
 """
 
 from __future__ import annotations
@@ -37,14 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from . import protocol as _protocol
 from .states import (
     BERNOULLI,
     FAIR_COIN,
     Basis,
     Pauli,
     Subsystem,
-    TransitionTable,
     check_probability,
     drive,
 )
@@ -76,14 +66,14 @@ class AttackModel:
     probabilities.
 
     Raises ``ValueError`` naming the field for a ``kind`` or a segment that
-    is not an enum member (its value included), a segment named more than
-    once, segments on the null attack or none on an active one, a
-    disturbance without the X or Z flip, a ``pauli`` other than None
-    outside a disturbance, a ``beta_sq`` that is not a real number in
-    [0, 1] on entangle-measure or not None on any other kind, an
-    ``attack_probability`` that is not a real number in [0, 1]
-    (``states.check_probability``), and one other than 1 on the null
-    attack.
+    is not an enum member (its value included), ``segments`` that are not
+    iterable, a segment named more than once, segments on the null attack
+    or none on an active one, a disturbance without the X or Z flip, a
+    ``pauli`` other than None outside a disturbance, a ``beta_sq`` that is
+    not a real number in [0, 1] on entangle-measure or not None on any
+    other kind, an ``attack_probability`` that is not a real number in
+    [0, 1] (``states.check_probability``), and one other than 1 on the
+    null attack.
     """
 
     kind: AttackKind
@@ -95,7 +85,10 @@ class AttackModel:
     def __post_init__(self):
         if not isinstance(self.kind, AttackKind):
             raise ValueError("kind must be an AttackKind member, got %r" % (self.kind,))
-        segments = tuple(self.segments)
+        try:
+            segments = tuple(self.segments)
+        except TypeError:
+            raise ValueError("segments must be iterable, got %r" % (self.segments,)) from None
         for segment in segments:
             if not isinstance(segment, ChannelSegment):
                 raise ValueError("segments must be ChannelSegment members, got %r" % (segment,))
@@ -238,98 +231,6 @@ class Eavesdropper:
     def resolve_probe(self, state, rng):
         """Measure out Eve's probe (if one is attached) and log the outcome."""
         return drive(resolve_points(self.table, state, self.records), rng)
-
-
-# ---------------------------------------------------------------------------
-# Exact detection probabilities by enumeration.
-
-# The schedule (p_ab_check, p_bob_cm, p_charlie_cm) that makes every round a
-# check of one kind.  Its points weigh exactly 1.0 and 0.0, and the 0.0
-# branches are dropped, so it scales no branch of the round.
-_FORCING_SCHEDULES = {
-    "ab_check": (1.0, 0.0, 0.0),
-    "ca_check": (0.0, 1.0, 0.0),
-    "decoy_check": (0.0, 0.0, 1.0),
-}
-
-
-def analytic_detection_probability(model, check_kind, decoy_family=None):
-    """Exact per-check detection probability for an attack model.
-
-    Weighs the protocol's compiled round (``protocol.leaf_weights``, the
-    leaves its sessions sample) under a schedule that makes every round a
-    check of ``check_kind``: every answer to every chance point - the
-    checkers' bases, the decoy label, Eve's gate and basis, each
-    measurement outcome - with its exact probability, no sampling.  The
-    round is walked on a fresh table and read from the root of the bits
-    (0, 0).  The result is the summed weight of the leaves whose check failed.
-
-    ``decoy_family`` restricts decoy checks to the Z family ({|0>, |1>})
-    or the X family ({|+>, |->}): only the rounds that reveal a decoy of
-    the family count, and their weight is divided by the family's 1/2.  By
-    default all four decoy states count.  Each family's failed weight is
-    summed on its own and the decoy check's is their sum, so a decoy
-    check's value is exactly the mean of its two families' values.
-
-    The value is one weighing (:func:`failed_weight_by_basis`) read by the
-    row formula (:func:`detection_from_failed`).  A decoy check's three
-    rows read one weighing, so an experiment's report (``harness``) takes
-    its five rows from three weighings, made on one table
-    (:func:`failed_weights`).
-
-    Raises ``ValueError`` for the null attack, for a non-check round kind,
-    for a ``decoy_family`` other than None, ``Basis.Z`` and ``Basis.X``,
-    and for a family given with a check other than the decoy check.
-    """
-    if model.kind is AttackKind.NONE:
-        raise ValueError("detection probability is defined for active attacks only")
-    kind_value = check_kind.value if isinstance(check_kind, _protocol.RoundKind) else check_kind
-    if kind_value not in _FORCING_SCHEDULES:
-        raise ValueError("%r is not a check round kind" % (check_kind,))
-    if decoy_family is not None:
-        if decoy_family not in (Basis.Z, Basis.X):
-            raise ValueError("decoy_family must be None, Basis.Z or Basis.X, got %r" % (decoy_family,))
-        if kind_value != "decoy_check":
-            raise ValueError("a decoy family applies to the decoy check only, not %r" % (check_kind,))
-    return detection_from_failed(failed_weight_by_basis(model, kind_value), decoy_family)
-
-
-def failed_weight_by_basis(model, check_kind):
-    """The failed weight of the compiled round forced to ``check_kind``, a
-    check kind's value, weighed on a fresh table (see
-    :func:`analytic_detection_probability`): a dict by the leaf's decoy
-    family, the basis of its decoy, with None for a pair check."""
-    return _failed_on(TransitionTable(), model, check_kind)
-
-
-def failed_weights(model):
-    """:func:`failed_weight_by_basis` of every check kind, by its value,
-    all three forced rounds weighed on one fresh table: a state they share
-    is built and validated once.  The weights are those of a fresh table
-    per kind, since a table's weights depend only on the kernels' floats."""
-    table = TransitionTable()
-    return {check_kind: _failed_on(table, model, check_kind) for check_kind in _FORCING_SCHEDULES}
-
-
-def _failed_on(table, model, check_kind):
-    schedule = _protocol.SchedulePolicy(*_FORCING_SCHEDULES[check_kind])
-    failed = {None: 0.0, Basis.Z: 0.0, Basis.X: 0.0}
-    for weight, leaf in _protocol.leaf_weights(table, schedule, model, 0, 0):
-        if leaf.passed is False:
-            failed[leaf.family] += weight
-    return failed
-
-
-def detection_from_failed(failed, decoy_family=None):
-    """The detection probability of one row from the failed weights of
-    :func:`failed_weight_by_basis`: their sum, or a decoy family's weight
-    divided by the family's 1/2."""
-    if decoy_family is not None:
-        total = failed[decoy_family] / 0.5
-    else:
-        total = failed[None] + failed[Basis.Z] + failed[Basis.X]
-    # Weights are never negative, but rounding may carry a sum past 1.
-    return min(total, 1.0)
 
 
 def paper_claimed_detection(kind):

@@ -36,7 +36,7 @@ wrong are a sum over its message cells.  Below INFO, no per-trial work
 runs.  An experiment runs no protocol session and builds no round record,
 transcript or decoded message.  Its analytic column weighs each
 check-forced round once, all three on one table of the enumerator's own
-(``adversary.failed_weights``), so a state they share is built and
+(``protocol.failed_weights``), so a state they share is built and
 validated once: the five rows (three check kinds, two decoy families) read
 three weighings.  Only the decode oracle (:func:`exhaustive_oracle`) runs
 ``protocol.run_protocol`` sessions.
@@ -53,14 +53,7 @@ from itertools import product
 
 import numpy as np
 
-from .adversary import (
-    AttackKind,
-    AttackModel,
-    ChannelSegment,
-    detection_from_failed,
-    failed_weights,
-    paper_claimed_detection,
-)
+from .adversary import AttackKind, AttackModel, ChannelSegment, paper_claimed_detection
 from .protocol import (
     AbortPolicy,
     MessageTriple,
@@ -71,6 +64,8 @@ from .protocol import (
     decode_bob,
     decode_charlie,
     default_budget,
+    detection_from_failed,
+    failed_weights,
     leaf_weights,
     run_protocol,
 )
@@ -556,12 +551,12 @@ class _Aggregator:
     party's wrong bits in one product over the message cells of the
     completed trials.  The trial counts follow from the config and the
     abort.  The analytic column weighs the three check-forced rounds once
-    per aggregator, on one table (``adversary.failed_weights``), when its
+    per aggregator, on one table (``protocol.failed_weights``), when its
     first row is read, so an experiment's five rows read three weighings."""
 
     def __init__(self, config):
         self.config = config
-        # Failed weights by check kind value (adversary.failed_weights),
+        # Failed weights by check kind (protocol.failed_weights),
         # weighed on the first row's read.
         self.failed_weights = None
 
@@ -573,7 +568,7 @@ class _Aggregator:
             return 0.0
         if self.failed_weights is None:
             self.failed_weights = failed_weights(attack)
-        return detection_from_failed(self.failed_weights[kind.value], decoy_family)
+        return detection_from_failed(self.failed_weights[kind], decoy_family)
 
     def _leakage(self, counts):
         """The leakage audit over the message rounds ``counts`` holds, by

@@ -24,7 +24,7 @@ compiled into its leaves, kept in the experiment's
 :class:`~qsdc3.states.TransitionTable` per schedule and attack model:
 :func:`leaf_weights` runs the steps once along every path of answers, and
 gives each root, Bob's and Charlie's bits (j, k), the exact probability of
-each :class:`Leaf` a path ends at.  ``adversary.analytic_detection_probability``
+each :class:`Leaf` a path ends at.  :func:`analytic_detection_probability`
 sums these weights, and sessions draw from them: a round is one draw, one
 bisection of its root's cumulative leaf weights and one append of the leaf
 it picks.  A session returns its leaf sequence, and its records,
@@ -51,7 +51,7 @@ from functools import cached_property
 from itertools import accumulate, chain
 from typing import NamedTuple
 
-from .adversary import AttackModel, ChannelSegment, EveRecord, attack_points, resolve_points
+from .adversary import AttackKind, AttackModel, ChannelSegment, EveRecord, attack_points, resolve_points
 from .states import (
     BERNOULLI,
     BIT,
@@ -646,6 +646,95 @@ def leaf_weights(table, schedule, model, j, k):
         push(children[0] + (steps,))
     table.compiled[schedule, model] = roots
     return roots[2 * j + k]
+
+
+# ---------------------------------------------------------------------------
+# Exact detection probabilities by enumeration.
+
+# The schedule that makes every round a check of one kind.  Its points weigh
+# exactly 1.0 and 0.0, and the 0.0 branches are dropped, so it scales no
+# branch of the round.
+_FORCING_SCHEDULES = {
+    _AB_CHECK: SchedulePolicy(1.0, 0.0, 0.0),
+    _CA_CHECK: SchedulePolicy(0.0, 1.0, 0.0),
+    _DECOY_CHECK: SchedulePolicy(0.0, 0.0, 1.0),
+}
+
+
+def analytic_detection_probability(model, check_kind, decoy_family=None):
+    """Exact per-check detection probability for an attack model.
+
+    Weighs the compiled round (:func:`leaf_weights`, the leaves sessions
+    sample) under a schedule that makes every round a check of
+    ``check_kind``, a check :class:`RoundKind` or its value: every answer
+    to every chance point - the checkers' bases, the decoy label, Eve's
+    gate and basis, each measurement outcome - with its exact probability,
+    no sampling.  The round is walked on a fresh table and read from the
+    root of the bits (0, 0).  The result is the summed weight of the leaves
+    whose check failed.
+
+    ``decoy_family`` restricts decoy checks to the Z family ({|0>, |1>})
+    or the X family ({|+>, |->}): only the rounds that reveal a decoy of
+    the family count, and their weight is divided by the family's 1/2.  By
+    default all four decoy states count.  Each family's failed weight is
+    summed on its own and the decoy check's is their sum, so a decoy
+    check's value is exactly the mean of its two families' values.
+
+    The value is one weighing read by the row formula
+    (:func:`detection_from_failed`).  A decoy check's three rows read one
+    weighing, so an experiment's report (``harness``) takes its five rows
+    from three weighings, made on one table (:func:`failed_weights`).
+
+    Raises ``ValueError`` for the null attack, for a ``check_kind`` that is
+    not a check round kind or its value, for a ``decoy_family`` other than
+    None, ``Basis.Z`` and ``Basis.X``, and for a family given with a check
+    other than the decoy check.
+    """
+    if model.kind is AttackKind.NONE:
+        raise ValueError("detection probability is defined for active attacks only")
+    kind = RoundKind(check_kind)
+    if kind not in _FORCING_SCHEDULES:
+        raise ValueError("%r is not a check round kind" % (check_kind,))
+    if decoy_family is not None:
+        if decoy_family not in (_Z, _X):
+            raise ValueError("decoy_family must be None, Basis.Z or Basis.X, got %r" % (decoy_family,))
+        if kind is not _DECOY_CHECK:
+            raise ValueError("a decoy family applies to the decoy check only, not %r" % (check_kind,))
+    return detection_from_failed(_failed_on(TransitionTable(), model, kind), decoy_family)
+
+
+def failed_weights(model):
+    """The failed weights of every check kind's forced round, by its
+    :class:`RoundKind`, all three weighed on one fresh table: a state they
+    share is built and validated once.  The weights are those of a fresh
+    table per kind, since a table's weights depend only on the kernels'
+    floats."""
+    table = TransitionTable()
+    return {kind: _failed_on(table, model, kind) for kind in _FORCING_SCHEDULES}
+
+
+def _failed_on(table, model, kind):
+    """The failed weight of the compiled round forced to check ``kind`` on
+    ``table`` (see :func:`analytic_detection_probability`): a dict by the
+    leaf's decoy family, the basis of its decoy, with None for a pair
+    check."""
+    failed = {None: 0.0, _Z: 0.0, _X: 0.0}
+    for weight, leaf in leaf_weights(table, _FORCING_SCHEDULES[kind], model, 0, 0):
+        if leaf.passed is False:
+            failed[leaf.family] += weight
+    return failed
+
+
+def detection_from_failed(failed, decoy_family=None):
+    """The detection probability of one row from the failed weights of one
+    forced round (:func:`failed_weights`): their sum, or a decoy family's
+    weight divided by the family's 1/2."""
+    if decoy_family is not None:
+        total = failed[decoy_family] / 0.5
+    else:
+        total = failed[None] + failed[_Z] + failed[_X]
+    # Weights are never negative, but rounding may carry a sum past 1.
+    return min(total, 1.0)
 
 
 def _materialise(messages, leaves):

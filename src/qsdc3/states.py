@@ -37,11 +37,11 @@ The sampled operations are written once, as chance-point steps on a
 kernels gave, and is sent the answer.  The protocol's compiled round runs
 them while ``protocol.leaf_weights`` weighs its leaves, answering each
 point with every answer of positive probability: that is how
-``adversary.analytic_detection_probability`` enumerates a round, and the
+``protocol.analytic_detection_probability`` enumerates a round, and the
 weights its sessions draw leaves by.  An experiment's sampled round
 lives on one table (``harness.run_experiment`` builds it and weighs the
 round there once, and every trial draws from those weights), and its
-analytic column on one more (``adversary.failed_weights`` weighs the
+analytic column on one more (``protocol.failed_weights`` weighs the
 three check-forced rounds there); a session run on its own gets a fresh
 one.  So a derived state is built and validated once per distinct value
 in each table, not once per round.

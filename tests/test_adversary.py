@@ -6,19 +6,25 @@ from pathlib import Path
 
 import pytest
 
-from qsdc3 import adversary, protocol
+from qsdc3 import protocol
 from qsdc3.adversary import (
     AttackKind,
     AttackModel,
     ChannelSegment,
     Eavesdropper,
     EveRecord,
-    analytic_detection_probability,
     attack_points,
     paper_claimed_detection,
 )
 from qsdc3.harness import ExperimentConfig, run_experiment
-from qsdc3.protocol import AbortPolicy, MessageTriple, RoundKind, SchedulePolicy, run_protocol
+from qsdc3.protocol import (
+    AbortPolicy,
+    MessageTriple,
+    RoundKind,
+    SchedulePolicy,
+    analytic_detection_probability,
+    run_protocol,
+)
 from qsdc3.states import (
     Basis,
     DecoyState,
@@ -102,11 +108,13 @@ class TestAttackModel:
             (lambda: AttackModel(AttackKind.DISTURBANCE, {AB}, pauli=Pauli.Z, beta_sq=0.5), "beta_sq"),
             (lambda: AttackModel(AttackKind.NONE, beta_sq=0.5), "beta_sq"),
             (lambda: AttackModel(AttackKind.NONE, attack_probability=0.5), "attack_probability"),
+            (lambda: AttackModel(AttackKind.INTERCEPT_RESEND, None), "segments"),
+            (lambda: AttackModel(AttackKind.INTERCEPT_RESEND, 5), "segments"),
         ],
         ids=["segment_value", "one_segment_value", "kind_value", "none_value", "repeated_segment",
              "repeated_segment_in_a_list", "bool_probability", "string_probability", "string_beta_sq", "bool_beta_sq",
              "pauli_on_intercept", "pauli_on_none", "pauli_on_probe", "beta_sq_on_intercept", "beta_sq_on_disturbance",
-             "beta_sq_on_none", "gated_null_attack"],
+             "beta_sq_on_none", "gated_null_attack", "segments_none", "segments_integer"],
     )
     def test_a_value_that_would_be_coerced_is_rejected(self, make, field):
         with pytest.raises(ValueError, match=field):
@@ -353,6 +361,13 @@ class TestAnalyticDetection:
         with pytest.raises(ValueError, match="check"):
             analytic_detection_probability(model, RoundKind.MESSAGE)
 
+    # A list or a dict once raised TypeError, from the lookup by its hash.
+    @pytest.mark.parametrize("kind", [["ab_check"], {"ab_check": 1}, "message_round"], ids=["list", "dict", "unknown"])
+    def test_rejects_a_kind_that_is_not_a_round_kind(self, kind):
+        model = AttackModel.disturbance(Pauli.X, AB)
+        with pytest.raises(ValueError, match="not a valid RoundKind"):
+            analytic_detection_probability(model, kind)
+
     @pytest.mark.parametrize("family", ["Z", 0, Basis, DecoyState.ZERO])
     def test_rejects_a_decoy_family_that_is_not_a_basis(self, family):
         model = AttackModel.intercept_resend(CA)
@@ -439,9 +454,9 @@ class TestLeafWeights:
         models = list(attack_grid((1.0, 0.7, 0.4), (0.0, 0.25, 0.3, 0.5, 0.75, 1.0)))
         assert len(models) == 189
         for model in models:
-            for kind, probabilities in adversary._FORCING_SCHEDULES.items():
+            for kind, schedule in protocol._FORCING_SCHEDULES.items():
                 for j, k in product((0, 1), repeat=2):
-                    got, expected = two_enumerations(SchedulePolicy(*probabilities), model, j, k)
+                    got, expected = two_enumerations(schedule, model, j, k)
                     assert got == expected, (model, kind, j, k)
 
 

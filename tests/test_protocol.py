@@ -10,7 +10,7 @@ import pytest
 
 from conftest import _replay
 from qsdc3 import protocol
-from qsdc3.adversary import AttackModel, ChannelSegment, analytic_detection_probability
+from qsdc3.adversary import AttackModel, ChannelSegment
 from qsdc3.protocol import (
     AbortPolicy,
     MessageTriple,
@@ -21,6 +21,7 @@ from qsdc3.protocol import (
     RoundRecord,
     SchedulePolicy,
     TranscriptEvent,
+    analytic_detection_probability,
     announce,
     decode_alice,
     decode_bob,

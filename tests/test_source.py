@@ -47,6 +47,67 @@ def test_every_import_is_used(path):
     assert not unused, "%s imports %s without using it" % (path.name, ", ".join(sorted(unused)))
 
 
+
+def package_imports(source):
+    """The package modules ``source`` imports: ``x`` for ``from .x import
+    ...``, ``from . import x`` and ``import qsdc3.x``."""
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                imported.add(node.module.partition(".")[0])
+            else:
+                imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("qsdc3."))
+    return imported
+
+
+def import_cycle(graph):
+    """A cycle in ``graph``, which maps each module to the modules it
+    imports, as the modules along it with the first repeated at the end;
+    None when there is none."""
+    acyclic = set()
+
+    def visit(module, path):
+        if module in path:
+            return path[path.index(module) :] + [module]
+        if module not in acyclic:
+            for imported in sorted(graph.get(module, ())):
+                cycle = visit(imported, path + [module])
+                if cycle:
+                    return cycle
+            acyclic.add(module)
+        return None
+
+    for module in sorted(graph):
+        cycle = visit(module, [])
+        if cycle:
+            return cycle
+    return None
+
+
+def test_the_check_finds_import_cycles():
+    sources = {
+        "a": "import numpy\nimport qsdc3.b\n",
+        "b": "from . import c as _c\nfrom .d.e import f\n",
+        "c": "from .a import g\nfrom math import pi\n",
+        "d": "import os.path\n",
+    }
+    graph = {module: package_imports(source) for module, source in sources.items()}
+    assert graph == {"a": {"b"}, "b": {"c", "d"}, "c": {"a"}, "d": set()}
+    assert import_cycle(graph) == ["a", "b", "c", "a"]
+    graph["c"] = {"d"}
+    assert import_cycle(graph) is None
+
+
+def test_the_package_imports_form_no_cycle():
+    # A module that imports one which imports it back loads only in one
+    # order, and the two hold one layer between them.
+    cycle = import_cycle({module: package_imports(source) for module, source in SOURCES.items()})
+    assert cycle is None, "the package imports form a cycle: %s" % " -> ".join(cycle)
+
+
 def private_definitions(source):
     """The private names (``_x``, dunders aside) ``source`` binds at module
     level with a ``def``, a ``class`` or an assignment."""

@@ -1,6 +1,5 @@
 import copy
 import dataclasses
-import hashlib
 import math
 import pickle
 from itertools import product
@@ -11,8 +10,6 @@ import pytest
 from conftest import _replay, rooted_round
 from qsdc3 import adversary, backend, protocol, states
 from qsdc3.adversary import AttackModel, ChannelSegment, EveRecord
-from qsdc3.cli import render_json
-from qsdc3.harness import ExperimentConfig, run_experiment
 from qsdc3.protocol import SchedulePolicy
 from qsdc3.states import (
     BELL,
@@ -621,35 +618,6 @@ class TestDerivedStates:
                 assert discarded.subsystems is state.subsystems
 
 
-# The report digests pinned in tests/test_harness.py::TestPinnedReports.
-PINNED_REPORTS = [
-    (
-        ExperimentConfig(message_length=16, trials=4, seed=1),
-        "68e56e9b2d5c1daf7507b9370b2c86138bcaffc9d605a592a03ff5d60464b996",
-    ),
-    (
-        ExperimentConfig(
-            message_length=16,
-            trials=4,
-            schedule=SchedulePolicy(0.5, 0.25, 0.25),
-            attack=AttackModel.intercept_resend(ChannelSegment.A_TO_B),
-            seed=2,
-        ),
-        "45e28f77c9e847d1c384a15b6b973e24f1c1df5cfa9d70ad4d4bd43069fb1296",
-    ),
-    (
-        ExperimentConfig(
-            message_length=16,
-            trials=4,
-            schedule=SchedulePolicy(0.25, 0.1, 0.4),
-            attack=AttackModel.entangle_measure(0.5, ChannelSegment.A_TO_B, ChannelSegment.C_TO_A),
-            seed=3,
-        ),
-        "7c2b4d2b6cdcd255f2ab7a58d79ad2a4f13c2bc482927758a3aceec34d6a76aa",
-    ),
-]
-
-
 # The schedule and attack model of every acceptance criterion's experiments
 # (tests/test_acceptance.py).
 ACCEPTANCE_ROUNDS = [
@@ -671,8 +639,7 @@ def acceptance_states():
     found = {}
     for schedule, model in ACCEPTANCE_ROUNDS:
         table = TransitionTable()
-        forced = [SchedulePolicy(*forcing) for forcing in adversary._FORCING_SCHEDULES.values()]
-        for weighed in [schedule] + forced:
+        for weighed in [schedule, *protocol._FORCING_SCHEDULES.values()]:
             protocol.leaf_weights(table, weighed, model, 0, 0)
         for state in table._nodes.values():
             found[state.amps, state.subsystems] = state
@@ -718,19 +685,6 @@ class TestKernels:
     def test_zero_probability_collapse_raises(self):
         with pytest.raises(ValueError, match="zero-probability"):
             backend.collapse((1 + 0j, 0j), 0, 0, 1)
-
-    @pytest.mark.parametrize(
-        "config, digest", PINNED_REPORTS, ids=["no_attack", "intercept_resend_ab", "entangle_measure_ab_ca"]
-    )
-    def test_report_digest_is_the_same_on_a_second_run(self, config, digest):
-        # Nothing a run builds outlives it: each experiment builds its own table.
-        def report_digest():
-            text = render_json(run_experiment(config).to_dict())
-            return hashlib.sha256(text.encode()).hexdigest()
-
-        first = report_digest()
-        second = report_digest()
-        assert first == second == digest
 
 
 def count_validations(monkeypatch):
