@@ -25,6 +25,7 @@ Second derivations of a fact the package holds once:
 * ``adversary.failed_weight_by_basis``: ``analytic_detection_probability``
 * ``JointState.n_qubits``: ``len(state.subsystems)``
 * ``cli.parse_json``: ``json.loads``
+* ``states.LABEL``, ``states.BELL``: ``states.CHOICE``, one chance-point kind for a choice among thresholds
 
 The one-shot helpers that built a fresh table or called the kernels
 directly, beside the table steps the round engine runs:

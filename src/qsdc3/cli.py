@@ -95,18 +95,9 @@ def _given(data, names):
 def _parse_schedule(data, base):
     """``base`` with the schedule fields a run or sweep config gives."""
     try:
-        schedule = replace(base, **_given(data, _SCHEDULE_KEYS))
+        return replace(base, **_given(data, _SCHEDULE_KEYS))
     except ValueError as exc:
         raise ConfigError("invalid schedule: %s" % exc) from None
-    # Refused here, not left to the round budget: under the strict policy
-    # an attacked check could abort such a run (exit 3) before the budget
-    # refuses it (exit 2).
-    p_message = (
-        (1.0 - schedule.p_ab_check) * (1.0 - schedule.p_bob_cm) * (1.0 - schedule.p_charlie_cm)
-    )
-    if p_message == 0.0:
-        raise ConfigError("invalid schedule: a probability of 1 leaves no round for a message bit")
-    return schedule
 
 
 def _unique_keys(pairs):

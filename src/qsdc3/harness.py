@@ -39,7 +39,7 @@ check-forced round once, all three on one table of the enumerator's own
 (``protocol.failed_weights``), so a state they share is built and
 validated once: the five rows (three check kinds, two decoy families) read
 three weighings.  Only the decode oracle (:func:`exhaustive_oracle`) runs
-``protocol.run_protocol`` sessions.
+a ``protocol.run_protocol`` session.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import logging
 import math
 import operator
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from itertools import product
 
 import numpy as np
@@ -145,6 +145,8 @@ class ExperimentConfig:
     size below 1, a negative seed, a value that is not an integer (a bool
     included), a message too long for numpy to draw, and a schedule, attack
     or abort policy of the wrong type raise ``ValueError`` naming the field.
+    So does a schedule with a probability of 1, which leaves no message
+    round and so can never deliver a bit.
     """
 
     message_length: int = 64
@@ -166,6 +168,10 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ValueError("%s must be of type %s, got %r" % (name, kind.__name__, value))
+        # Below 1, each 1 - p is at least 2**-53: every root's message weight is positive.
+        for name in ("p_ab_check", "p_bob_cm", "p_charlie_cm"):
+            if getattr(self.schedule, name) == 1.0:
+                raise ValueError("schedule leaves no round for a message bit: %s is 1" % name)
 
     def to_dict(self):
         attack = {
@@ -364,9 +370,10 @@ class _TrialLaw:
 
     A round's leaf depends only on its root, Bob's and Charlie's bits (j, k)
     of the message bit in flight, and the root changes only at a message
-    leaf.  A bit stops at a message leaf, of weight m_r in all from root r,
-    or, under the strict policy, at a failed check, of weight f_r.  So bit
-    b of root r takes G_b rounds, geometric with p = m_r under
+    leaf.  A bit stops at a message leaf, of weight m_r > 0 in all from
+    root r (:class:`ExperimentConfig` refuses a schedule with no message
+    round), or, under the strict policy, at a failed check, of weight f_r.
+    So bit b of root r takes G_b rounds, geometric with p = m_r under
     record-and-continue and p = m_r + f_r under the strict policy; a strict
     bit's stop is a failed check with probability f_r / (m_r + f_r), and
     the trial ends at its first failing bit.  Summed over the bits a trial
@@ -408,7 +415,7 @@ class _TrialLaw:
             total = sum(w for w, _ in drawable)
             if strict:
                 stop_weight.append((m + f) / total)
-                fail_share.append(f / (m + f) if f else 0.0)
+                fail_share.append(f / (m + f))
             else:
                 stop_weight.append(m / total)
                 fail_share.append(f / sum(w for w, _ in checks) if f else 0.0)
@@ -422,11 +429,7 @@ class _TrialLaw:
             for column, (weight, leaf) in enumerate(row, width - len(row)):
                 self.pvals[index, column] = weight / total
                 self.cells.append((index, column, leaf))
-        # A root whose bits never stop stalls the trial until the budget
-        # runs out; its draws use p = 1 and are then replaced.
-        self.stalls = np.array(stop_weight) == 0.0
-        self.stalled = bool(self.stalls.any())
-        self.stop_p = np.where(self.stalls, 1.0, stop_weight)
+        self.stop_p = np.array(stop_weight)
         self.strict = strict
         # Per root: under the strict policy the share of its bits' stops
         # that fail, else the share of its check rounds that fail.
@@ -493,8 +496,6 @@ class _TrialLaw:
         alice, bob, charlie = rng.integers(0, 2, size=(3, trials, length))
         roots = 2 * bob + charlie
         rounds = rng.geometric(self.stop_p[roots])
-        if self.stalled:
-            rounds[self.stalls[roots]] = max_rounds + 1
         # A stop weight near 0 can draw more rounds than an int64 sums.
         np.minimum(rounds, max_rounds + 1, out=rounds)
         # The row each bit's stopping round is counted in; row 16 gathers
@@ -766,27 +767,23 @@ class OracleReport:
 def exhaustive_oracle():
     """Truth table over all 8 secret-bit triples.
 
-    Runs one ``run_protocol`` session per triple (i, j, k) of one-bit
-    messages, on one table, under an unattacked schedule forced to message
-    mode: each session is one message round.  Reads that round's record,
-    its Bell label and announcement, and the session's decoded messages,
-    and asserts that all three decode rules recover the counterpart bits
-    exactly.
+    Runs one ``run_protocol`` session of 8-bit messages whose n-th bits are
+    the n-th triple (i, j, k) in ``product`` order, under an unattacked
+    schedule forced to message mode: round n is the n-th triple's message
+    round.  Reads each round's record, its Bell label and announcement, and
+    the session's n-th decoded bits, and asserts that all three decode
+    rules recover the counterpart bits exactly.
     """
-    schedule = SchedulePolicy(0.0, 0.0, 0.0)
-    table = TransitionTable()
+    triples = list(product((0, 1), repeat=3))
     # A forced schedule has one leaf per root, so no draw decides a round.
-    rng = np.random.default_rng(0)
+    result = run_protocol(MessageTriple(*zip(*triples)), SchedulePolicy(0.0, 0.0, 0.0), np.random.default_rng(0))
+    # Each message round's six decoded bits, in the field order of DecodedMessages.
+    views = zip(*astuple(result.decoded))
     rows = []
     first_failure = None
-    for i, j, k in product((0, 1), repeat=3):
-        result = run_protocol(MessageTriple((i,), (j,), (k,)), schedule, rng, table=table)
-        record = result.records[0]
+    for (i, j, k), record, view in zip(triples, result.records, views):
         x, y = record.announcement
-        decoded = result.decoded
-        alice = decoded.alice_view_bob + decoded.alice_view_charlie
-        bob = decoded.bob_view_alice + decoded.bob_view_charlie
-        charlie = decoded.charlie_view_alice + decoded.charlie_view_bob
+        alice, bob, charlie = view[:2], view[2:4], view[4:]
         ok = alice == (j, k) and bob == (i, k) and charlie == (i, j)
         label = record.bell_outcome
         rows.append(OracleRow(i, j, k, label.flip, label.phase, x, y, alice, bob, charlie, ok))
@@ -841,8 +838,8 @@ def entangle_measure_curve(
     bool or a string included), a string or empty ``check_kinds``, an
     unknown or repeated check kind and a ``seed`` that is not an integer
     >= 0 raise ``ValueError`` naming the field before any experiment runs;
-    the sizes and the schedule (None included) are checked by
-    :class:`ExperimentConfig`.
+    :class:`ExperimentConfig` checks the sizes and the schedule (None, or a
+    probability of 1, included) before the first experiment runs.
     """
     grid = [float(check_probability("grid", value)) for value in grid]
     if not grid:

@@ -17,10 +17,10 @@ announcing, and each party recovers the other two messages by XOR.
 The round is written once, as chance-point steps (``_round_points``):
 each random choice is a point the round yields and is answered, Bernoulli
 choices against a threshold (the schedule, Eve's gate, the check bases,
-every measurement outcome), the decoy label, the Bell measurement and
-Bob's and Charlie's bits where they encode (see the chance points in
-``states``).  A session does not run this body per round.  The body is
-compiled into its leaves, kept in the experiment's
+every measurement outcome), choices among thresholds (the decoy label, the
+Bell measurement) and Bob's and Charlie's bits where they encode (see the
+chance points in ``states``).  A session does not run this body per round.
+The body is compiled into its leaves, kept in the experiment's
 :class:`~qsdc3.states.TransitionTable` per schedule and attack model:
 :func:`leaf_weights` runs the steps once along every path of answers, and
 gives each root, Bob's and Charlie's bits (j, k), the exact probability of
@@ -55,8 +55,8 @@ from .adversary import AttackKind, AttackModel, ChannelSegment, EveRecord, attac
 from .states import (
     BERNOULLI,
     BIT,
+    CHOICE,
     FAIR_COIN,
-    LABEL,
     Basis,
     BellLabel,
     DecoyState,
@@ -84,7 +84,7 @@ _A_TO_B = ChannelSegment.A_TO_B
 _B_TO_C = ChannelSegment.B_TO_C
 _C_TO_A = ChannelSegment.C_TO_A
 _START_PAIR = bell_state((0, 0))
-_DECOY_LABEL = (LABEL, None)
+_DECOY_LABEL = (CHOICE, ((0.25, 0), (0.5, 1), (0.75, 2), (1.0, 3)))
 _BOB_BIT, _CHARLIE_BIT = (BIT, "bob"), (BIT, "charlie")
 # The roots, Bob's and Charlie's bits (j, k), in the order 2 * j + k.
 _ROOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -96,7 +96,7 @@ _ROOTS_OF = {
 }
 
 # A decoy round's (revealed label value, prepared state, check basis,
-# expected bit), indexed by the round's ``integers(0, 4)`` draw.
+# expected bit), indexed by the answer to its ``_DECOY_LABEL`` point.
 _DECOYS = tuple(
     (label._value_, prepare_decoy(label)) + decoy_basis_and_bit(label) for label in _DECOY_LABELS
 )
@@ -144,8 +144,11 @@ class MessageTriple:
     @classmethod
     def random(cls, n, rng):
         """Three random ``n``-bit messages from one ``integers(0, 2)`` draw:
-        Alice's, Bob's and Charlie's bits in that order.  An ``n`` below 1
-        raises ``ValueError`` before anything is drawn."""
+        Alice's, Bob's and Charlie's bits in that order.  An ``n`` that is
+        not an integer (a bool included) or is below 1 raises ``ValueError``
+        before anything is drawn."""
+        # Any integer passes, so that one below 1 gets the empty-message error.
+        n = check_integer("n", n, float("-inf"))
         if n < 1:
             raise ValueError("messages must contain at least one bit")
         bits = rng.integers(0, 2, size=3 * n).tolist()
@@ -571,8 +574,8 @@ def leaf_weights(table, schedule, model, j, k):
     all four roots.  Each chance point is answered with every answer of
     positive probability, which are exactly the answers a draw can give
     (see ``states._outcome_point``): a Bernoulli point's ``p`` and
-    ``1 - p``, 1/4 for each decoy label, each Bell threshold less the one
-    before, and a bit's 0 and 1 at weight 1.  The first answer goes on
+    ``1 - p``, each choice threshold less the one before (1/4 for each
+    decoy label), and a bit's 0 and 1 at weight 1.  The first answer goes on
     with the paused steps, and each other answer replays the round along
     its path: the table gives both the same states and points.  A
     Bernoulli point, the commonest, pushes its True and False children
@@ -633,14 +636,11 @@ def leaf_weights(table, schedule, model, j, k):
         if kind is BIT:
             children = [(weight, path + (bit,), bits + (bit,)) for bit in (0, 1)]
         else:
-            if kind is LABEL:
-                answers = ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25))
-            else:
-                answers = []
-                below = 0.0
-                for cumulative, index in data:
-                    answers.append((index, cumulative - below))
-                    below = cumulative
+            answers = []
+            below = 0.0
+            for cumulative, index in data:
+                answers.append((index, cumulative - below))
+                below = cumulative
             children = [(weight * p, path + (answer,), bits) for answer, p in answers if p > 0.0]
         stack += [child + (None,) for child in reversed(children[1:])]
         push(children[0] + (steps,))
@@ -685,11 +685,14 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     weighing, so an experiment's report (``harness``) takes its five rows
     from three weighings, made on one table (:func:`failed_weights`).
 
-    Raises ``ValueError`` for the null attack, for a ``check_kind`` that is
-    not a check round kind or its value, for a ``decoy_family`` other than
-    None, ``Basis.Z`` and ``Basis.X``, and for a family given with a check
-    other than the decoy check.
+    Raises ``ValueError`` for a ``model`` that is not an
+    :class:`~qsdc3.adversary.AttackModel`, for the null attack, for a
+    ``check_kind`` that is not a check round kind or its value, for a
+    ``decoy_family`` other than None, ``Basis.Z`` and ``Basis.X``, and for a
+    family given with a check other than the decoy check.
     """
+    if not isinstance(model, AttackModel):
+        raise ValueError("model must be of type AttackModel, got %r" % (model,))
     if model.kind is AttackKind.NONE:
         raise ValueError("detection probability is defined for active attacks only")
     kind = RoundKind(check_kind)
@@ -806,14 +809,14 @@ def run_protocol(
     and ``attack`` lives in ``table``, a
     :class:`~qsdc3.states.TransitionTable`, or in a fresh one when
     ``table`` is None; the first reader of a table walks it
-    (:func:`leaf_weights`), and every session sums the same leaves' weights
-    (``harness.exhaustive_oracle`` passes one table to its eight sessions).
+    (:func:`leaf_weights`), and every session sums the same leaves' weights.
     Which table a session uses does not change its results.
 
-    The session may use ``max_rounds`` rounds, an integer >= 1 (else
+    An argument of the wrong type raises ``ValueError`` naming it.  The
+    session may use ``max_rounds`` rounds, an integer >= 1 (else
     ``ValueError``), by default :func:`default_budget` of the message
-    length; when they run out before the last bit is delivered it raises
-    :class:`RoundBudgetExceeded`.
+    length; when they run out before the last bit is delivered, as under a
+    schedule with a probability of 1, it raises :class:`RoundBudgetExceeded`.
 
     The session returns its leaf sequence: a round costs its draw, one
     bisection and one append.  The :class:`ProtocolResult` builds the
@@ -821,9 +824,11 @@ def run_protocol(
     the first time one is read; a strict abort carries the leaves up to and
     including the failing round, and builds its records likewise.
     """
-    if not isinstance(abort_policy, AbortPolicy):
-        raise ValueError("abort_policy must be an AbortPolicy, got %r" % (abort_policy,))
     model = attack if attack is not None else AttackModel.none()
+    types = {"messages": MessageTriple, "schedule": SchedulePolicy, "attack": AttackModel, "abort_policy": AbortPolicy}
+    for (name, kind), value in zip(types.items(), (messages, schedule, model, abort_policy)):
+        if not isinstance(value, kind):
+            raise ValueError("%s must be of type %s, got %r" % (name, kind.__name__, value))
     if table is None:
         table = TransitionTable()
     choices = []

@@ -286,9 +286,9 @@ def _basis_code(basis):
 # ``(kind, data)`` point per random choice and is sent the answer:
 #
 # * ``(BERNOULLI, p)``: True with probability ``p``, else False;
-# * ``(LABEL, None)``: the decoy label, each of 0, 1, 2 and 3 with 1/4;
-# * ``(BELL, thresholds)``: the index of one ``(cumulative, index)`` pair,
-#   with probability its ``cumulative`` less the one before;
+# * ``(CHOICE, thresholds)``: the index of one ``(cumulative, index)``
+#   pair, with probability its ``cumulative`` less the one before: the Bell
+#   label, or the decoy label, at thresholds 1/4 apart;
 # * ``(BIT, party)``: a message bit of Bob's or Charlie's, 0 or 1, each at
 #   weight 1.0.  The bits are the round's root, not chance: no draw ever
 #   answers this point.
@@ -297,7 +297,7 @@ def _basis_code(basis):
 # every answer and its probability, along every path of answers: the exact
 # distribution of the round's leaves from each root, from which its
 # sessions draw one leaf per round (``protocol.run_protocol``).
-BERNOULLI, LABEL, BELL, BIT = "b", "i", "bell", "bit"
+BERNOULLI, CHOICE, BIT = "b", "choice", "bit"
 FAIR_COIN = (BERNOULLI, 0.5)
 
 
@@ -493,7 +493,7 @@ class TransitionTable:
 
     def bell_points(self, state):
         """Alice's measurement of (home, transit) in the entangled basis, as
-        one Bell point: ``(label, eigenstate)``.
+        one choice point: ``(label, eigenstate)``.
 
         The point's cumulative thresholds skip the zero-probability labels,
         so when rounding leaves a draw above the total, the last label with
@@ -511,7 +511,7 @@ class TransitionTable:
                 if p > 0.0:
                     cumulative += p
                     thresholds.append((cumulative, index))
-            edge = self._bells[id(state)] = (state, (BELL, tuple(thresholds)))
+            edge = self._bells[id(state)] = (state, (CHOICE, tuple(thresholds)))
         return _BELL_OUTCOMES[(yield edge[1])]
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from qsdc3 import protocol
 from qsdc3.cli import render_json
-from qsdc3.states import BERNOULLI, BIT, LABEL, TransitionTable
+from qsdc3.states import BERNOULLI, BIT, TransitionTable
 
 # Report fields computed by the exact enumerator, not sampled: the analytic
 # probability of a check (``analytic`` in a curve row) and the z-score
@@ -88,12 +88,10 @@ def _replay(steps, answers):
 
 def _weighted_answers(kind, data):
     """Every answer to a chance point, as ``(answer, probability)`` pairs:
-    True with ``p`` and False with ``1 - p``, each label with 1/4, each
-    Bell index with its threshold less the one before."""
+    True with ``p`` and False with ``1 - p``, each index of a choice with
+    its threshold less the one before."""
     if kind is BERNOULLI:
         return ((True, data), (False, 1.0 - data))
-    if kind is LABEL:
-        return ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25))
     answers = []
     below = 0.0
     for cumulative, index in data:

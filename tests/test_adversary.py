@@ -357,6 +357,9 @@ class TestAnalyticDetection:
     def test_rejects_null_attack_and_message_rounds(self):
         with pytest.raises(ValueError, match="active"):
             analytic_detection_probability(AttackModel.none(), "ab_check")
+        # None once raised AttributeError on its ``kind``.
+        with pytest.raises(ValueError, match="^model must be of type AttackModel"):
+            analytic_detection_probability(None, "ab_check")
         model = AttackModel.disturbance(Pauli.X, AB)
         with pytest.raises(ValueError, match="check"):
             analytic_detection_probability(model, RoundKind.MESSAGE)

@@ -1056,22 +1056,32 @@ class TestTrialLaw:
         _, _, every = experiment_law(SchedulePolicy(1.0, 0.0, 0.0), attack, AbortPolicy.STRICT)
         assert every.fail_share.tolist() == [1.0] * 4 and every.block_trials(length) == 1
 
-    def test_a_strict_round_without_a_message_leaf_aborts_its_first_trial(self):
-        # Every round is an A-B check that intercept-resend can fail, so no
-        # bit is delivered and every trial ends at its first failed check:
-        # the block holds one trial, and the experiment aborts in trial 0.
-        config = ExperimentConfig(
-            message_length=100,
-            trials=3,
-            schedule=SchedulePolicy(1.0, 0.0, 0.0),
-            attack=AttackModel.intercept_resend(AB, attack_probability=0.01),
-            abort_policy=AbortPolicy.STRICT,
-            seed=7,
-        )
-        with pytest.raises(ExperimentAborted) as info:
-            run_experiment(config)
-        assert info.value.trial_index == 0 and info.value.check_kind is RoundKind.BOB_EAVESDROP_CHECK
-        assert info.value.partial.leakage.rounds_audited == 0
+    @pytest.mark.parametrize("one", [1.0, 1], ids=["float", "int"])
+    @pytest.mark.parametrize("field", ["p_ab_check", "p_bob_cm", "p_charlie_cm"])
+    def test_a_schedule_without_a_message_round_is_refused(self, monkeypatch, field, one):
+        # A bit is delivered only in a message round, and a probability of 1
+        # leaves none.  Under the strict policy, with a check that can fail,
+        # such an experiment once aborted in trial 0 with no bit delivered;
+        # now the config refuses it, and a curve refuses it before any of
+        # its experiments runs.
+        def no_experiment(config):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(harness, "run_experiment", no_experiment)
+        schedule = SchedulePolicy(**{field: one})
+        refusal = "^schedule leaves no round for a message bit: %s is 1$" % field
+        for policy in AbortPolicy:
+            with pytest.raises(ValueError, match=refusal):
+                ExperimentConfig(
+                    message_length=100,
+                    trials=3,
+                    schedule=schedule,
+                    attack=AttackModel.intercept_resend(AB, attack_probability=0.01),
+                    abort_policy=policy,
+                    seed=7,
+                )
+        with pytest.raises(ValueError, match=refusal):
+            entangle_measure_curve([0.5], schedule=schedule)
 
     @pytest.mark.parametrize(
         "second, ends",
@@ -1137,9 +1147,15 @@ class TestTrialLaw:
         # The session's message, with the bits the running sum delivered
         # within the default budget of 1000 + 50 * 100 rounds.  The
         # experiment's first block holds all three trials, and the first
-        # trial passes the budget.
+        # trial passes the budget.  An experiment refuses a schedule with no
+        # message round; a session, whose budget is its own argument, runs
+        # it out.
         message = "^budget of 6000 rounds exhausted with %s of 100 bits delivered$" % delivered
         for policy in AbortPolicy:
+            if schedule.p_ab_check == 1.0:
+                with pytest.raises(ValueError, match="^schedule leaves no round for a message bit"):
+                    ExperimentConfig(message_length=100, trials=3, schedule=schedule, abort_policy=policy, seed=7)
+                continue
             config = ExperimentConfig(message_length=100, trials=3, schedule=schedule, abort_policy=policy, seed=7)
             with pytest.raises(RoundBudgetExceeded, match=message):
                 run_experiment(config)

@@ -217,11 +217,17 @@ class TestMessageTriple:
             assert type(strings) is tuple and all(type(b) is int for b in strings)
         assert trusted_rng.bit_generator.state == checked_rng.bit_generator.state
 
-    @pytest.mark.parametrize("n", [0, -1])
-    def test_random_rejects_an_empty_message_before_drawing(self, n):
+    # A bool once gave 1-bit messages, and a float or a string raised
+    # TypeError from numpy or from the comparison.
+    @pytest.mark.parametrize(
+        "n, match",
+        [(0, "at least one"), (-1, "at least one"), (True, "^n must be"), (2.5, "^n must be"), ("3", "^n must be")],
+        ids=["0", "-1", "bool", "fraction", "string"],
+    )
+    def test_random_rejects_an_empty_message_before_drawing(self, n, match):
         generator = np.random.default_rng(21)
         before = generator.bit_generator.state
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match=match):
             MessageTriple.random(n, generator)
         assert generator.bit_generator.state == before
 
@@ -314,12 +320,28 @@ class TestSchedulePolicy:
 
 
 class TestRunProtocol:
-    @pytest.mark.parametrize("policy", ["strict", "record_and_continue", None])
-    def test_an_abort_policy_that_is_not_an_abort_policy_is_rejected(self, rng, policy):
-        # The string "strict" once ran record-and-continue, unaborted.
-        messages = MessageTriple.random(4, rng)
-        with pytest.raises(ValueError, match="abort_policy"):
-            run_protocol(messages, SchedulePolicy(), rng, abort_policy=policy)
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            # The string "strict" once ran record-and-continue, unaborted.
+            ("abort_policy", "strict"),
+            ("abort_policy", "record_and_continue"),
+            ("abort_policy", None),
+            # These once raised AttributeError from deep in the session.
+            ("messages", ((0,), (0,), (0,))),
+            ("schedule", None),
+            ("attack", "intercept"),
+        ],
+        ids=["strict", "record_and_continue", "None", "messages_tuple", "schedule_none", "attack_string"],
+    )
+    def test_an_argument_of_the_wrong_type_is_rejected(self, rng, field, value):
+        arguments = {"messages": MessageTriple.random(4, rng), "schedule": SchedulePolicy(), "rng": rng}
+        arguments[field] = value
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="^%s must be of type " % field):
+            run_protocol(**arguments)
+        assert rng.bit_generator.state == before
+
     def test_all_zero_messages_decode_exactly(self, rng):
         messages = MessageTriple((0,) * 8, (0,) * 8, (0,) * 8)
         result = run_protocol(messages, SchedulePolicy(), rng)

@@ -12,9 +12,8 @@ from qsdc3 import adversary, backend, protocol, states
 from qsdc3.adversary import AttackModel, ChannelSegment, EveRecord
 from qsdc3.protocol import SchedulePolicy
 from qsdc3.states import (
-    BELL,
     BERNOULLI,
-    LABEL,
+    CHOICE,
     Basis,
     BellLabel,
     DecoyState,
@@ -191,7 +190,7 @@ class TestBellMeasure:
         s = math.sqrt((1.0 - 5e-13) / 2.0)
         state = JointState((0.0, s, s, 0.0), PAIR)
         (kind, thresholds) = next(TransitionTable().bell_points(state))
-        assert kind is BELL and len(thresholds) == 1 and thresholds[0][1] == 0
+        assert kind is CHOICE and len(thresholds) == 1 and thresholds[0][1] == 0
         assert bell_measured(weigh, state) == {(0, 0): (thresholds[0][0], bell_state((0, 0)))}
 
     def test_outcome_distribution_uniform_on_probe_free_mix(self, weigh):
@@ -1007,8 +1006,8 @@ class TestWeigh:
     def test_each_point_is_answered_with_every_answer_and_its_weight(self, weigh):
         def steps():
             flip = yield (BERNOULLI, 0.3)
-            label = yield (LABEL, None)
-            bell = yield (BELL, ((0.5, 0), (0.75, 2), (1.0, 3)))
+            label = yield (CHOICE, ((0.25, 0), (0.5, 1), (0.75, 2), (1.0, 3)))
+            bell = yield (CHOICE, ((0.5, 0), (0.75, 2), (1.0, 3)))
             return flip, label, bell
 
         bernoulli = ((True, 0.3), (False, 1.0 - 0.3))
