@@ -45,6 +45,7 @@ from .protocol import (
     RoundBudgetExceeded,
     RoundKind,
     SchedulePolicy,
+    decode_errors,
     run_protocol,
 )
 from .states import Pauli
@@ -117,7 +118,8 @@ def _load_json(path):
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc) from None
-    except json.JSONDecodeError as exc:
+    # ValueError covers bytes that are not UTF-8 and integers past Python's digit limit too.
+    except (ValueError, RecursionError) as exc:
         raise ConfigError("config file is not valid JSON: %s" % exc) from None
     if not isinstance(data, dict):
         raise ConfigError("config file must contain a JSON object")
@@ -139,7 +141,7 @@ def parse_attack(spec):
     except ValueError:
         raise ConfigError("field 'attack.kind' has unknown value %r" % (spec["kind"],)) from None
     given = _given(spec, ("beta_sq", "attack_probability"))
-    pauli = spec.get("pauli", "X" if kind is AttackKind.DISTURBANCE else None)
+    pauli = spec.get("pauli")
     if pauli is not None:
         if not isinstance(pauli, str) or pauli not in _PAULIS:
             raise ConfigError("field 'attack.pauli' must be 'X' or 'Z'")
@@ -343,9 +345,9 @@ def cmd_sweep(args):
     return EXIT_OK
 
 
-def _demo_trace(result, messages):
+def _demo_trace(result):
     lines = []
-    announcement_rounds = {}
+    ok = True
     reveals = result.transcript.decoy_reveals()
     for idx, rec in enumerate(result.records):
         if rec.kind is RoundKind.MESSAGE:
@@ -366,7 +368,7 @@ def _demo_trace(result, messages):
                     x ^ y,
                 )
             )
-            announcement_rounds[rec.message_index] = (x, y)
+            ok = ok and decode_errors(x, y, rec.alice_bit, rec.bob_bit, rec.charlie_bit) == (0, 0, 0)
         elif rec.kind is RoundKind.CHARLIE_DECOY_CHECK:
             lines.append(
                 "round %2d  decoy check: state '%s'  %s"
@@ -377,15 +379,6 @@ def _demo_trace(result, messages):
             lines.append(
                 "round %2d  %s: %s" % (idx, label, "pass" if rec.check_passed else "FAIL")
             )
-    d = result.decoded
-    ok = (
-        d.alice_view_bob == messages.bob_bits
-        and d.alice_view_charlie == messages.charlie_bits
-        and d.bob_view_alice == messages.alice_bits
-        and d.bob_view_charlie == messages.charlie_bits
-        and d.charlie_view_alice == messages.alice_bits
-        and d.charlie_view_bob == messages.bob_bits
-    )
     lines.append("decoded: all three parties recover the others' bits -> %s" % ("ok" if ok else "MISMATCH"))
     return lines
 
@@ -403,7 +396,7 @@ def cmd_demo(args):
         % (args.rounds, args.seed)
     )
     print("  alice=%s bob=%s charlie=%s" % (messages.alice_bits, messages.bob_bits, messages.charlie_bits))
-    for line in _demo_trace(result, messages):
+    for line in _demo_trace(result):
         print(line)
     return EXIT_OK
 

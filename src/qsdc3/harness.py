@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import logging
 import math
-import operator
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass
 from itertools import product
@@ -60,9 +59,7 @@ from .protocol import (
     RoundBudgetExceeded,
     RoundKind,
     SchedulePolicy,
-    decode_alice,
-    decode_bob,
-    decode_charlie,
+    decode_errors,
     default_budget,
     detection_from_failed,
     failed_weights,
@@ -339,16 +336,9 @@ class ExperimentAborted(Exception):
         )
 
 
-def _decoded_wrong(x, y, i, j, k):
-    """The bits each party decodes wrong, of the two it receives, in a
-    message round of leakage key (x, y, i, j, k): Alice's, Bob's and
-    Charlie's."""
-    decoded = (decode_alice(x, y, i), decode_bob(x, y, j), decode_charlie(x, y, k))
-    return tuple(sum(map(operator.ne, got, sent)) for got, sent in zip(decoded, ((j, k), (i, k), (i, j))))
-
-
-# (0, 0, 0) for every key of an undisturbed round.
-_WRONG_BITS = {key: _decoded_wrong(*key) for key in product((0, 1), repeat=5)}
+# The bits each party decodes wrong in a message round, by leakage key
+# (x, y, i, j, k); (0, 0, 0) for every key of an undisturbed round.
+_WRONG_BITS = {key: decode_errors(*key) for key in product((0, 1), repeat=5)}
 
 
 def _log_trials(first, rows, aborted=False):
@@ -784,7 +774,7 @@ def exhaustive_oracle():
     for (i, j, k), record, view in zip(triples, result.records, views):
         x, y = record.announcement
         alice, bob, charlie = view[:2], view[2:4], view[4:]
-        ok = alice == (j, k) and bob == (i, k) and charlie == (i, j)
+        ok = decode_errors(x, y, i, j, k) == (0, 0, 0)
         label = record.bell_outcome
         rows.append(OracleRow(i, j, k, label.flip, label.phase, x, y, alice, bob, charlie, ok))
         if not ok and first_failure is None:

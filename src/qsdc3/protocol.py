@@ -158,22 +158,17 @@ class MessageTriple:
 def _bits(name, values):
     """``values`` as a tuple of ints, when each is exactly 0 or 1 (bools and
     numpy integers included); anything else raises ``ValueError`` naming
-    the first value that is not.  The string is checked as a whole; a
-    string that fails has its values checked one at a time, to name one.
-    A string of plain ints is kept as it is, not converted again."""
-    values = tuple(values)
-    converted = values
-    if not set(map(type, values)) <= {int}:
+    the first value that is not."""
+    bits = []
+    for value in values:
         try:
-            converted = tuple(map(int, values))
+            bit = int(value)
         except (TypeError, ValueError, OverflowError):
-            converted = None
-    if converted is None or not set(converted) <= {0, 1} or converted != values:
-        if len(values) > 1:
-            for value in values:
-                _bits(name, (value,))
-        raise ValueError("%s must contain only bits 0 and 1, got %r" % (name, values[0]))
-    return converted
+            bit = None
+        if bit not in (0, 1) or bit != value:
+            raise ValueError("%s must contain only bits 0 and 1, got %r" % (name, value))
+        bits.append(bit)
+    return tuple(bits)
 
 
 @dataclass(frozen=True)
@@ -367,6 +362,15 @@ def decode_bob(x, y, j):
 def decode_charlie(x, y, k):
     """Charlie recovers (alice_bit, bob_bit)."""
     return y ^ k, x ^ y ^ k
+
+
+def decode_errors(x, y, i, j, k):
+    """How many of the two bits it recovers from the announcement (x, y)
+    each party decodes wrong, when Alice, Bob and Charlie hold (i, j, k):
+    Alice's, Bob's and Charlie's count.  Alice recovers (j, k), Bob (i, k)
+    and Charlie (i, j); an undisturbed round gives (0, 0, 0)."""
+    decoded = (decode_alice(x, y, i), decode_bob(x, y, j), decode_charlie(x, y, k))
+    return tuple((a != p) + (b != q) for (a, b), (p, q) in zip(decoded, ((j, k), (i, k), (i, j))))
 
 
 def _correlation_points(table, state, check):
@@ -812,7 +816,8 @@ def run_protocol(
     (:func:`leaf_weights`), and every session sums the same leaves' weights.
     Which table a session uses does not change its results.
 
-    An argument of the wrong type raises ``ValueError`` naming it.  The
+    An argument of the wrong type, or an ``rng`` without a callable
+    ``random``, raises ``ValueError`` naming it before anything is drawn.  The
     session may use ``max_rounds`` rounds, an integer >= 1 (else
     ``ValueError``), by default :func:`default_budget` of the message
     length; when they run out before the last bit is delivered, as under a
@@ -831,6 +836,10 @@ def run_protocol(
             raise ValueError("%s must be of type %s, got %r" % (name, kind.__name__, value))
     if table is None:
         table = TransitionTable()
+    elif not isinstance(table, TransitionTable):
+        raise ValueError("table must be of type TransitionTable, got %r" % (table,))
+    if not callable(getattr(rng, "random", None)):
+        raise ValueError("rng must be of type Generator, or have a callable random, got %r" % (rng,))
     choices = []
     for j, k in _ROOTS:
         drawable = [(weight, leaf) for weight, leaf in leaf_weights(table, schedule, model, j, k) if weight > 0.0]

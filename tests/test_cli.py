@@ -292,7 +292,7 @@ class TestConfigErrors:
             ),
             (
                 "run",
-                {"attack": {"kind": "disturbance", "segments": ["a_to_b"], "beta_sq": 0.5}},
+                {"attack": {"kind": "disturbance", "segments": ["a_to_b"], "pauli": "X", "beta_sq": 0.5}},
                 [],
                 "beta_sq",
             ),
@@ -301,6 +301,8 @@ class TestConfigErrors:
             ("run", {"attack": {"kind": "none", "pauli": "Z"}}, [], "pauli"),
             ("run", {"attack": {"kind": "none", "beta_sq": 0.5}}, [], "beta_sq"),
             ("run", {"attack": {"kind": "disturbance", "segments": ["a_to_b"], "pauli": None}}, [], "pauli"),
+            # The CLI once gave a disturbance without a flip the X flip.
+            ("run", {"attack": {"kind": "disturbance", "segments": ["a_to_b"]}}, [], "X or Z flips"),
             ("run", {"attack": {"kind": "intercept_resend", "segments": ["a_to_b"], "beta_sq": None}}, [], "beta_sq"),
             ("run", {"attack": {"kind": "none", "attack_probability": 0.5}}, [], "attack_probability"),
             (
@@ -335,6 +337,7 @@ class TestConfigErrors:
             "pauli_on_none",
             "beta_sq_on_none",
             "null_pauli_on_disturbance",
+            "disturbance_without_pauli",
             "null_beta_sq_on_intercept",
             "gated_null_attack",
             "repeated_segment",
@@ -367,6 +370,21 @@ class TestConfigErrors:
         assert code == cli.EXIT_CONFIG, err
         assert "Traceback" not in err
         assert err.startswith("config error") and field in err, err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "contents",
+        [b"[" * 100_000 + b"]" * 100_000, b'{"seed": %s}' % (b"9" * 5000), b'{"seed": "\xff"}'],
+        ids=["nested_100000_deep", "integer_of_5000_digits", "not_utf8"],
+    )
+    def test_unreadable_config_file_exits_2_without_traceback(self, tmp_path, capsys, command, contents):
+        # Each once escaped as a RecursionError, a ValueError or a
+        # UnicodeDecodeError traceback with exit status 1.
+        path = tmp_path / "config.json"
+        path.write_bytes(contents)
+        assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config file is not valid JSON") and "Traceback" not in err, err
 
     @pytest.mark.parametrize("command", ["run", "sweep", "oracle"])
     @pytest.mark.parametrize("where", ["missing_directory", "a_directory"])

@@ -6,6 +6,7 @@ import operator
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 from statistics import NormalDist
 from typing import NamedTuple
 
@@ -31,6 +32,7 @@ from qsdc3.protocol import (
     RoundKind,
     SchedulePolicy,
     analytic_detection_probability,
+    decode_errors,
     default_budget,
     run_protocol,
 )
@@ -1467,6 +1469,14 @@ def wrong_bits(x, y, i, j, k):
     decoded = ((x ^ i, y ^ i), (x ^ j, x ^ y ^ j), (y ^ k, x ^ y ^ k))
     sent = ((j, k), (i, k), (i, j))
     return [sum(map(operator.ne, got, want)) for got, want in zip(decoded, sent)]
+
+
+def test_decode_errors_counts_what_the_paper_rules_get_wrong():
+    for x, y, i, j, k in product((0, 1), repeat=5):
+        assert decode_errors(x, y, i, j, k) == tuple(wrong_bits(x, y, i, j, k))
+        # Alice announces her Bell outcome (j, k) masked by her bit i.
+        if (x, y) == (j ^ i, k ^ i):
+            assert decode_errors(x, y, i, j, k) == (0, 0, 0)
 
 
 def drawn_fidelity(config):

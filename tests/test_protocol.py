@@ -194,8 +194,11 @@ class TestMessageTriple:
             ((("a",), (0,), (0,)), "alice_bits"),
             (((float("nan"),), (0,), (0,)), "alice_bits"),
             (((float("inf"),), (0,), (0,)), "alice_bits"),
+            (((0,), (b"1",), (0,)), "bob_bits"),
+            (((0,), (0,), (2,)), "charlie_bits"),
+            (((-1,), (0,), (0,)), "alice_bits"),
         ],
-        ids=["fraction", "half", "digit_string", "none", "letter", "nan", "inf"],
+        ids=["fraction", "half", "digit_string", "none", "letter", "nan", "inf", "bytes", "two", "minus_one"],
     )
     def test_rejects_values_that_are_not_exactly_bits(self, triple, field):
         with pytest.raises(ValueError, match=field):
@@ -205,6 +208,22 @@ class TestMessageTriple:
         messages = MessageTriple((True, False), np.array([1, 0]), (np.int8(0), np.uint64(1)))
         assert messages == MessageTriple((1, 0), (1, 0), (0, 1))
         assert all(type(b) is int for b in messages.charlie_bits)
+
+    @pytest.mark.parametrize(
+        "value, bit",
+        [(1.0, 1), (-0.0, 0), (np.bool_(True), 1), (np.bool_(False), 0)],
+        ids=["one_float", "minus_zero", "numpy_true", "numpy_false"],
+    )
+    def test_accepts_a_value_equal_to_a_bit_as_that_int(self, value, bit):
+        messages = MessageTriple((value,), (value,), (value,))
+        assert messages == MessageTriple((bit,), (bit,), (bit,))
+        assert all(type(b) is int for b in messages.alice_bits + messages.bob_bits + messages.charlie_bits)
+
+    def test_a_long_message_names_its_first_bad_value(self):
+        bits = [0, 1] * 10_000
+        bits[12_345], bits[17_000] = 7, 9
+        with pytest.raises(ValueError, match="^bob_bits must contain only bits 0 and 1, got 7$"):
+            MessageTriple([0] * 20_000, bits, [1] * 20_000)
 
     @pytest.mark.parametrize("n", [1, 63, 64])
     def test_random_equals_the_checked_constructor_on_the_same_bits(self, n):
@@ -331,8 +350,19 @@ class TestRunProtocol:
             ("messages", ((0,), (0,), (0,))),
             ("schedule", None),
             ("attack", "intercept"),
+            ("rng", None),
+            ("table", "x"),
         ],
-        ids=["strict", "record_and_continue", "None", "messages_tuple", "schedule_none", "attack_string"],
+        ids=[
+            "strict",
+            "record_and_continue",
+            "None",
+            "messages_tuple",
+            "schedule_none",
+            "attack_string",
+            "rng_none",
+            "table_string",
+        ],
     )
     def test_an_argument_of_the_wrong_type_is_rejected(self, rng, field, value):
         arguments = {"messages": MessageTriple.random(4, rng), "schedule": SchedulePolicy(), "rng": rng}
