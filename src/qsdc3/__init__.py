@@ -16,7 +16,7 @@ are Bernoulli.  None of these names is defined or exported any more:
 * ``bell_measure``: ``TransitionTable().bell_points(state)``
 * ``measure_ancilla_and_discard``: ``drive(TransitionTable().readout_points(state), rng)``
 * ``TransitionTable.measure``, ``TransitionTable.readout``, ``TransitionTable.bell``: the ``*_points``
-* ``attack_transit``: ``drive(adversary.attack_points(TransitionTable(), model, segment, state), rng)``
+* ``attack_transit``: ``drive(adversary.attack_points(TransitionTable(), model, segment, state, records), rng)``, on a segment ``model`` covers
 * ``run_ab_check``, ``run_ca_check``, ``run_decoy_check``: ``protocol.failed_weights``
 
 Second derivations of a fact the package holds once:

@@ -18,8 +18,9 @@ state between rounds beyond the per-round log.
 Eve's action on one hop is written once, as chance-point steps over a
 :class:`~qsdc3.states.TransitionTable`: :func:`attack_points` (the gate
 point below attack probability 1, then the model's attack) and
-:func:`resolve_points` (the probe readout).  The protocol's compiled round
-runs these steps inside its round body, walked once for all four roots;
+:func:`resolve_points` (the probe readout); each keeps Eve's records
+itself.  The protocol's compiled round runs them on the segments her
+model covers, inside its round body, walked once for all four roots;
 ``protocol.analytic_detection_probability`` weighs the same round for the
 exact detection probabilities.
 """
@@ -155,52 +156,49 @@ _Z, _X = Basis.Z, Basis.X
 _TRANSIT = Subsystem.TRANSIT
 _DISTURBANCE = AttackKind.DISTURBANCE
 _INTERCEPT_RESEND = AttackKind.INTERCEPT_RESEND
-_ENTANGLE_MEASURE = AttackKind.ENTANGLE_MEASURE
 
 
-def attack_points(table, model, segment, state):
-    """Eve's action on a qubit crossing ``segment``, as chance points on ``table``.
-
-    Returns ``(state, record)``, with ``record`` None when the model does
-    not cover the segment or Eve does not act; a record's ``round_index``
-    is -1.  Below attack probability 1, one Bernoulli point first decides
-    whether Eve acts at all.
+def attack_points(table, model, segment, state, records):
+    """Eve's action on a qubit crossing ``segment``, a segment ``model``
+    covers, as chance points on ``table``: returns the forwarded state, and
+    appends Eve's record, round index -1, to ``records`` when she acts.
+    Below attack probability 1, one Bernoulli point first decides whether
+    she acts at all.
     """
-    if segment not in model.covered:
-        return state, None
     p_fire = model.attack_probability
     if p_fire < 1.0 and not (yield (BERNOULLI, p_fire)):
-        return state, None
+        return state
     kind = model.kind
+    basis = outcome = None
     if kind is _DISTURBANCE:
-        return table.pauli(state, _TRANSIT, model.pauli), EveRecord(-1, segment, kind)
-    if kind is _INTERCEPT_RESEND:
+        state = table.pauli(state, _TRANSIT, model.pauli)
+    elif kind is _INTERCEPT_RESEND:
         basis = _Z if (yield FAIR_COIN) else _X
         # Measuring and forwarding a fresh eigenstate of the outcome is the
         # same pure state as the post-measurement collapse.
         outcome, state = yield from table.measure_points(state, _TRANSIT, basis)
-        return state, EveRecord(-1, segment, kind, basis, outcome)
-    # Entangle-and-measure: one probe per flying qubit; if this qubit is
-    # already probed (it crossed another attacked segment) Eve rides along.
-    if state.has_ancilla:
-        return state, None
-    # AttackModel checked beta_sq.
-    return table.attach(state, model.beta_sq), EveRecord(-1, segment, kind)
+    elif state.has_ancilla:
+        # Entangle-and-measure, one probe per flying qubit: on a qubit already
+        # probed (it crossed another attacked segment) Eve rides along.
+        return state
+    else:
+        # AttackModel checked beta_sq.
+        state = table.attach(state, model.beta_sq)
+    records.append(EveRecord(-1, segment, kind, basis, outcome))
+    return state
 
 
 def resolve_points(table, state, records):
     """Eve reads out the probe attached to ``state``, if any, as chance points.
 
-    The outcome goes to the latest entangle-and-measure record in
-    ``records`` that has none yet.  Returns the state without the probe.
+    The outcome goes to ``records[-1]``, the probe's record: Eve attaches a
+    probe only to an unprobed qubit, and a round reads each probe before it
+    attaches the next.  Returns the state without the probe.
     """
     if not state.has_ancilla:
         return state
     outcome, state = yield from table.readout_points(state)
-    for record in reversed(records):
-        if record.kind is _ENTANGLE_MEASURE and record.ancilla_outcome is None:
-            record.ancilla_outcome = outcome
-            break
+    records[-1].ancilla_outcome = outcome
     return state
 
 
@@ -221,10 +219,11 @@ class Eavesdropper:
         self.records = []
 
     def intercept_transit(self, segment, state, rng, round_index, touched):
-        state, record = drive(attack_points(self.table, self.model, segment, state), rng)
-        if record is not None:
+        before = len(self.records)
+        if segment in self.model.covered:
+            state = drive(attack_points(self.table, self.model, segment, state, self.records), rng)
+        for record in self.records[before:]:
             record.round_index = round_index
-            self.records.append(record)
             touched.append(segment)
         return state
 

@@ -127,8 +127,6 @@ def _load_json(path):
 
 
 def parse_attack(spec):
-    if spec is None:
-        return AttackModel.none()
     if not isinstance(spec, dict):
         raise ConfigError("field 'attack' must be an object")
     _reject_unknown(spec, _ATTACK_KEYS, "attack")
@@ -137,7 +135,9 @@ def parse_attack(spec):
         if value is None:
             raise ConfigError("field 'attack.%s' must not be null" % key)
     try:
-        kind = AttackKind(spec.get("kind", "none"))
+        kind = AttackKind(spec["kind"])
+    except KeyError:
+        raise ConfigError("field 'attack.kind' is required") from None
     except ValueError:
         raise ConfigError("field 'attack.kind' has unknown value %r" % (spec["kind"],)) from None
     given = _given(spec, ("beta_sq", "attack_probability"))
@@ -328,8 +328,6 @@ def cmd_sweep(args):
     if not isinstance(grid, list):
         raise ConfigError("field 'grid' must be a list of |beta|^2 values")
     given = _given(data, ("check_kinds", "message_length", "trials", "seed"))
-    if "check_kinds" in given and not isinstance(given["check_kinds"], list):
-        raise ConfigError("field 'check_kinds' must be a list of check kinds")
     given["schedule"] = _parse_schedule(data, CURVE_SCHEDULE)
     if args.seed is not None:
         given["seed"] = args.seed

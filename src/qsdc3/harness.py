@@ -824,25 +824,30 @@ def entangle_measure_curve(
     family splits.  Every point runs under ``schedule``, by default
     :data:`CURVE_SCHEDULE`.
 
-    An empty grid or a grid value that is not a real number in [0, 1] (a
-    bool or a string included), a string or empty ``check_kinds``, an
-    unknown or repeated check kind and a ``seed`` that is not an integer
-    >= 0 raise ``ValueError`` naming the field before any experiment runs;
-    :class:`ExperimentConfig` checks the sizes and the schedule (None, or a
-    probability of 1, included) before the first experiment runs.
+    A non-iterable or empty grid, a grid value that is not a real number in
+    [0, 1] (a bool or a string included), ``check_kinds`` other than a
+    non-empty list or tuple, an unknown or repeated check kind and a
+    ``seed`` that is not an integer >= 0 raise ``ValueError`` naming the
+    field before any experiment runs; :class:`ExperimentConfig` checks the
+    sizes and the schedule (None, or a probability of 1, included) before
+    the first experiment runs.
     """
-    grid = [float(check_probability("grid", value)) for value in grid]
+    try:
+        values = iter(grid)
+    except TypeError:
+        raise ValueError("grid must be iterable, got %r" % (grid,)) from None
+    grid = [float(check_probability("grid", value)) for value in values]
     if not grid:
         raise ValueError("parameter grid must not be empty")
-    if isinstance(check_kinds, str):
-        raise ValueError("check_kinds must be a sequence of check kinds, got %r" % (check_kinds,))
-    wanted = list(check_kinds)
-    if not wanted:
+    # A set's order would follow string hashing, and so would the rows'.
+    if not isinstance(check_kinds, (list, tuple)):
+        raise ValueError("check_kinds must be a list or a tuple of check kinds, got %r" % (check_kinds,))
+    if not check_kinds:
         raise ValueError("check_kinds must not be empty")
-    for kind in wanted:
+    for kind in check_kinds:
         if kind not in _CHECK_KINDS:
             raise ValueError("unknown check kind %r" % (kind,))
-    if len(set(wanted)) != len(wanted):
+    if len(set(check_kinds)) != len(check_kinds):
         raise ValueError("check_kinds names a check kind more than once")
 
     point_seeds = np.random.SeedSequence(check_integer("seed", seed, 0)).spawn(len(grid))
@@ -858,7 +863,7 @@ def entangle_measure_curve(
         )
         result = run_experiment(config)
         report_kinds = result.detection.kinds
-        for wanted_kind in wanted:
+        for wanted_kind in check_kinds:
             keys = [name for name, kind, _ in _ROWS if kind.value == wanted_kind and name in report_kinds]
             for key in keys:
                 stats = report_kinds[key]

@@ -158,7 +158,12 @@ class MessageTriple:
 def _bits(name, values):
     """``values`` as a tuple of ints, when each is exactly 0 or 1 (bools and
     numpy integers included); anything else raises ``ValueError`` naming
-    the first value that is not."""
+    ``name`` and the first value that is not, as do ``values`` that are not
+    iterable."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise ValueError("%s must be iterable, got %r" % (name, values)) from None
     bits = []
     for value in values:
         try:
@@ -466,48 +471,39 @@ def _uniforms(rng):
 def _round_points(table, schedule, model):
     """One round, as chance points, Bob's and Charlie's bits among them.
 
-    The states are walked through ``table``, which Eve shares.  Returns
-    ``(kind, check passed, touched segments, Bell label, decoy family,
-    events, Eve's records)``: the family is the basis of a decoy check's
-    decoy, else None; the transcript events are ``(kind, *values)`` rows,
-    without the round index and without a message round's announcement,
-    which depends on Alice's bit; Eve's records carry round index -1.
+    The states are walked through ``table``, which Eve shares; she acts
+    only on the hops her model covers, and her steps append her records.
+    Returns ``(kind, check passed, Bell label, decoy family, events, Eve's
+    records)``: the family is the basis of a decoy check's decoy, else
+    None; the transcript events are ``(kind, *values)`` rows, without the
+    round index and without a message round's announcement, which depends
+    on Alice's bit; Eve's records carry round index -1.
     """
-    touched = []
     eve = []
-    # Eve's segments: a hop she does not cover is skipped here, without
-    # starting her steps.
     covered = model.covered
-
-    def hop(segment, state):
-        state, record = yield from attack_points(table, model, segment, state)
-        if record is not None:
-            eve.append(record)
-            touched.append(segment)
-        return state
 
     # Alice keeps the home qubit and sends the transit qubit to Bob.
     pair = _START_PAIR
     if _A_TO_B in covered:
-        pair = yield from hop(_A_TO_B, pair)
+        pair = yield from attack_points(table, model, _A_TO_B, pair, eve)
 
     # Bob either checks the A->B leg or goes on to encode.
     if (yield (BERNOULLI, schedule.p_ab_check)):
         passed, pair, events = yield from _correlation_points(table, pair, "ab")
         yield from resolve_points(table, pair, eve)
-        return _AB_CHECK, passed, touched, None, None, events, eve
+        return _AB_CHECK, passed, None, None, events, eve
 
     bob_cm = yield (BERNOULLI, schedule.p_bob_cm)
     if not bob_cm:
         pair = table.pauli(pair, _TRANSIT, encode_bob((yield _BOB_BIT)))
     if _B_TO_C in covered:
-        pair = yield from hop(_B_TO_C, pair)
+        pair = yield from attack_points(table, model, _B_TO_C, pair, eve)
 
     # Charlie confirms receipt; only then does Bob announce his mode.
     if bob_cm:
         passed, pair, events = yield from _correlation_points(table, pair, "ca")
         yield from resolve_points(table, pair, eve)
-        return _CA_CHECK, passed, touched, None, None, (("bob_mode", "CM"),) + events, eve
+        return _CA_CHECK, passed, None, None, (("bob_mode", "CM"),) + events, eve
 
     if (yield (BERNOULLI, schedule.p_charlie_cm)):
         # Decoy round: Charlie abandons the encoded qubit (Bob's bit will be
@@ -515,21 +511,21 @@ def _round_points(table, schedule, model):
         yield from resolve_points(table, pair, eve)
         reveal, decoy, basis, expected = _DECOYS[(yield _DECOY_LABEL)]
         if _C_TO_A in covered:
-            decoy = yield from hop(_C_TO_A, decoy)
+            decoy = yield from attack_points(table, model, _C_TO_A, decoy, eve)
         passed, decoy, events = yield from _decoy_points(table, basis, expected, decoy)
         yield from resolve_points(table, decoy, eve)
         events = (("bob_mode", "MM"), ("charlie_mode", "CM"), ("decoy_reveal", reveal)) + events
-        return _DECOY_CHECK, passed, touched, None, basis, events, eve
+        return _DECOY_CHECK, passed, None, basis, events, eve
 
     pair = table.pauli(pair, _TRANSIT, encode_charlie((yield _CHARLIE_BIT)))
     if _C_TO_A in covered:
-        pair = yield from hop(_C_TO_A, pair)
+        pair = yield from attack_points(table, model, _C_TO_A, pair, eve)
 
     # Alice's Bell measurement closes the round; any probe must be read out
     # (by Eve) before the pair is jointly measured.
     pair = yield from resolve_points(table, pair, eve)
     outcome, _ = yield from table.bell_points(pair)
-    return _MESSAGE, None, touched, outcome, None, (("bob_mode", "MM"), ("charlie_mode", "MM")), eve
+    return _MESSAGE, None, outcome, None, (("bob_mode", "MM"), ("charlie_mode", "MM")), eve
 
 
 class Leaf(NamedTuple):
@@ -544,10 +540,11 @@ class Leaf(NamedTuple):
     and of the report reads it.  ``events`` are the round's transcript
     rows, as ``(kind, *values)``, without a message round's announcement;
     ``eve`` holds Eve's records as their field tuples after the round
-    index.  ``leakage_keys`` holds, for a message round, the key ``(x, y,
-    i, j, k)`` for Alice's bit i = 0 and 1: the announcement and the three
-    secret bits; it is None for a check.  :func:`run_protocol` reads
-    ``kind`` and ``passed`` by index, so they stay first and third.
+    index, and ``touched`` their segments in the order she acted on them.
+    ``leakage_keys`` holds, for a message round, the key ``(x, y, i, j,
+    k)`` for Alice's bit i = 0 and 1: the announcement and the three secret
+    bits; it is None for a check.  :func:`run_protocol` reads ``kind`` and
+    ``passed`` by index, so they stay first and third.
 
     A leaf is built once per table and root (:func:`leaf_weights`) and then
     reached by every round that ends there, so it hashes and compares by
@@ -612,8 +609,8 @@ def leaf_weights(table, schedule, model, j, k):
             else:
                 point = steps.send(path[-1])
         except StopIteration as stop:
-            kind, passed, touched, label, family, events, eve = stop.value
-            touched = tuple(touched)
+            kind, passed, label, family, events, eve = stop.value
+            touched = tuple(record.segment for record in eve)
             eve = tuple((r.segment, r.kind, r.basis, r.outcome, r.ancilla_outcome) for r in eve)
             # The announcement and Alice's bit, for i = 0 and 1; each root
             # appends its bits.

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qsdc3 import protocol
+from qsdc3.adversary import attack_points
 from qsdc3.cli import render_json
 from qsdc3.states import BERNOULLI, BIT, TransitionTable
 
@@ -129,6 +130,16 @@ def weigh():
     return _weigh
 
 
+def eve_hop(table, model, segment, state):
+    """Eve's steps on ``segment`` as the round enters them: only on a
+    segment the model covers.  Returns ``(state, record)``, the record None
+    when she does not act."""
+    records = []
+    if segment in model.covered:
+        state = yield from attack_points(table, model, segment, state, records)
+    return state, (records[0] if records else None)
+
+
 def rooted_round(table, schedule, model, j, k):
     """``protocol._round_points`` from the root of Bob's bit ``j`` and
     Charlie's bit ``k``: its bit points are answered here, and every other
@@ -167,10 +178,11 @@ def two_enumerations(weigh):
         table = TransitionTable()
         expected = []
         for weight, (path, value) in weigh(lambda: rooted_round(table, schedule, model, j, k)):
-            kind, passed, touched, label, family, events, eve = value
+            kind, passed, label, family, events, eve = value
             keys = None if label is None else tuple((label.flip ^ i, label.phase ^ i, i, j, k) for i in (0, 1))
+            touched = tuple(record.segment for record in eve)
             eve = tuple(map(_eve_fields, eve))
-            expected.append((weight, (kind, path, passed, tuple(touched), label, family, events, eve, keys)))
+            expected.append((weight, (kind, path, passed, touched, label, family, events, eve, keys)))
         return got, expected
 
     return enumerate_both

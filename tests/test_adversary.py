@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import eve_hop
 from qsdc3 import protocol
 from qsdc3.adversary import (
     AttackKind,
@@ -13,7 +14,6 @@ from qsdc3.adversary import (
     ChannelSegment,
     Eavesdropper,
     EveRecord,
-    attack_points,
     paper_claimed_detection,
 )
 from qsdc3.harness import ExperimentConfig, run_experiment
@@ -127,20 +127,30 @@ class TestAttackModel:
 
 @pytest.fixture
 def hop(weigh):
-    """``hop(model, segment, state)``: Eve's hop weighed exactly on a fresh
-    table, ``[(weight, (state, record)), ...]``."""
+    """``hop(model, segment, state)``: Eve's hop, as the round enters it
+    (``conftest.eve_hop``), weighed exactly on a fresh table, ``[(weight,
+    (state, record)), ...]``."""
 
     def weighed(model, segment, state):
         table = TransitionTable()
-        return weigh(lambda: attack_points(table, model, segment, state))
+        return weigh(lambda: eve_hop(table, model, segment, state))
 
     return weighed
 
 
 class TestAttackTransit:
-    def test_uncovered_segment_is_identity(self, hop):
-        model = AttackModel.disturbance(Pauli.X, BC)
-        assert hop(model, AB, bell_state((0, 0))) == [(1.0, (bell_state((0, 0)), None))]
+    @pytest.mark.parametrize("p_fire", [1.0, 0.5])
+    def test_uncovered_segment_is_identity(self, scripted, p_fire):
+        # Eve's steps take their segment as covered; the Eavesdropper, like
+        # the compiled round, enters them only on a covered one.  Entered,
+        # the gated attack would draw for its gate, and either would flip
+        # the pair and record it.
+        eve = Eavesdropper(AttackModel.disturbance(Pauli.X, BC, attack_probability=p_fire), TransitionTable())
+        state = bell_state((0, 0))
+        rng = scripted([0.1])
+        touched = []
+        assert eve.intercept_transit(AB, state, rng, 0, touched) is state
+        assert rng.values == [0.1] and eve.records == [] and touched == []
 
     def test_probe_coupling_state(self, hop):
         model = AttackModel.entangle_measure(0.64, AB)

@@ -305,6 +305,10 @@ class TestConfigErrors:
             ("run", {"attack": {"kind": "disturbance", "segments": ["a_to_b"]}}, [], "X or Z flips"),
             ("run", {"attack": {"kind": "intercept_resend", "segments": ["a_to_b"], "beta_sq": None}}, [], "beta_sq"),
             ("run", {"attack": {"kind": "none", "attack_probability": 0.5}}, [], "attack_probability"),
+            # Each of these once ran with no attack.
+            ("run", {"attack": None}, [], "attack"),
+            ("run", {"attack": {}}, [], "attack.kind"),
+            ("run", {"attack": {"attack_probability": 1}}, [], "attack.kind"),
             (
                 "run",
                 {"attack": {"kind": "intercept_resend", "segments": ["a_to_b", "a_to_b"]}},
@@ -340,6 +344,9 @@ class TestConfigErrors:
             "disturbance_without_pauli",
             "null_beta_sq_on_intercept",
             "gated_null_attack",
+            "attack_null",
+            "attack_without_kind",
+            "attack_probability_without_kind",
             "repeated_segment",
             "message_length_past_numpy_dimensions",
             "message_length_past_numpy_bytes",
@@ -668,6 +675,30 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg, "--format", "json"]) == cli.EXIT_OK
         payload = json.loads(capsys.readouterr().out)
         assert payload["curve"]
+
+
+class TestHashSeeds:
+    def test_reports_are_the_same_bytes_under_two_string_hash_seeds(self, tmp_path):
+        # The order of a set of strings follows PYTHONHASHSEED, so a report
+        # that iterated one would change its bytes from one interpreter to
+        # the next: under seeds 1 and 3 the set {"ab_check", "decoy_check"}
+        # iterates in opposite orders.  Each command runs in two fresh
+        # interpreters, one per seed.
+        attack = {"kind": "entangle_measure", "segments": ["c_to_a", "a_to_b"], "beta_sq": 0.5}
+        run = write_config(tmp_path, dict(BASE_RUN, attack=attack), "run.json")
+        sweep = write_config(tmp_path, dict(BASE_SWEEP, check_kinds=["decoy_check", "ab_check"]), "sweep.json")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        commands = [["run", "--config", run], ["run", "--config", run, "--format", "csv"], ["sweep", "--config", sweep]]
+        for command in commands:
+            outputs = []
+            for hash_seed in ("1", "3"):
+                env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=hash_seed)
+                done = subprocess.run(
+                    [sys.executable, "-m", "qsdc3", *command], capture_output=True, env=env, timeout=120
+                )
+                assert done.returncode == cli.EXIT_OK, done.stderr
+                outputs.append(done.stdout)
+            assert outputs[0] == outputs[1], command
 
 
 class TestDemo:

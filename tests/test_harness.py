@@ -1240,9 +1240,11 @@ class TestDetectionCurve:
             entangle_measure_curve([0.5], check_kinds=("sideways_check",))
 
     # Each of these once ran: True as a coupling of 1.0, "0.5" as 0.5, a
-    # seed of True as 1, a repeated kind's rows twice, identical, and a
-    # None schedule as the default one.  A float or negative seed failed
-    # inside numpy, naming no field, and "ab_check" as the unknown kind "a".
+    # seed of True as 1, a repeated kind's rows twice, identical, a None
+    # schedule as the default one, and a set of kinds in an order that
+    # followed string hashing.  A float or negative seed failed inside
+    # numpy, naming no field, "ab_check" as the unknown kind "a", and a
+    # grid or check kinds that are not iterable with a TypeError.
     @pytest.mark.parametrize(
         "grid, kwargs, field",
         [
@@ -1255,9 +1257,14 @@ class TestDetectionCurve:
             ([0.5], {"check_kinds": []}, "check_kinds"),
             ([0.5], {"check_kinds": ["ab_check", "ab_check"]}, "check_kinds"),
             ([0.5], {"schedule": None}, "schedule"),
+            (0.5, {}, "grid"),
+            ([0.5], {"check_kinds": {"ab_check", "decoy_check"}}, "check_kinds"),
+            ([0.5], {"check_kinds": {"ab_check": 1}}, "check_kinds"),
+            ([0.5], {"check_kinds": 5}, "check_kinds"),
         ],
         ids=["bool_grid_value", "string_grid_value", "bool_seed", "float_seed", "negative_seed",
-             "string_check_kinds", "empty_check_kinds", "repeated_check_kind", "null_schedule"],
+             "string_check_kinds", "empty_check_kinds", "repeated_check_kind", "null_schedule",
+             "non_iterable_grid", "set_check_kinds", "dict_check_kinds", "non_iterable_check_kinds"],
     )
     def test_a_bad_argument_is_rejected_before_any_experiment(self, monkeypatch, grid, kwargs, field):
         def no_experiment(config):

@@ -197,8 +197,12 @@ class TestMessageTriple:
             (((0,), (b"1",), (0,)), "bob_bits"),
             (((0,), (0,), (2,)), "charlie_bits"),
             (((-1,), (0,), (0,)), "alice_bits"),
+            ((5, 5, 5), "alice_bits"),
+            (((0,), None, (0,)), "bob_bits"),
+            (((0,), (0,), 1), "charlie_bits"),
         ],
-        ids=["fraction", "half", "digit_string", "none", "letter", "nan", "inf", "bytes", "two", "minus_one"],
+        ids=["fraction", "half", "digit_string", "none", "letter", "nan", "inf", "bytes", "two", "minus_one",
+             "integer_field", "none_field", "bit_field"],
     )
     def test_rejects_values_that_are_not_exactly_bits(self, triple, field):
         with pytest.raises(ValueError, match=field):
@@ -790,18 +794,19 @@ def eager_session(messages, schedule, rng, attack, policy, weighed_on):
         i, j, k = messages.alice_bits[n], messages.bob_bits[n], messages.charlie_bits[n]
         path = scanned_leaf(weighed[j, k], next(draws)).path
         steps = protocol._round_points(table, schedule, model)
-        point, (kind, passed, touched, label, _, events, eve) = _replay(steps, path[2:])
+        point, (kind, passed, label, _, events, eve) = _replay(steps, path[2:])
         assert point is None
+        touched = tuple(record.segment for record in eve)
         for event in events:
             transcript.add(round_index, *event)
         eve_records += [dataclasses.replace(record, round_index=round_index) for record in eve]
         if kind is RoundKind.MESSAGE:
             announcement = announce(label.flip, label.phase, i)
             transcript.add(round_index, "announcement", *announcement)
-            records.append(RoundRecord(kind, n, i, j, k, label, announcement, None, tuple(touched)))
+            records.append(RoundRecord(kind, n, i, j, k, label, announcement, None, touched))
             n += 1
         else:
-            records.append(RoundRecord(kind, check_passed=passed, attack_touched=tuple(touched)))
+            records.append(RoundRecord(kind, check_passed=passed, attack_touched=touched))
             if passed is False and policy is AbortPolicy.STRICT:
                 return "aborted", (records, transcript.events, eve_records)
         round_index += 1
@@ -1064,6 +1069,26 @@ class TestCompiledRound:
             else:
                 right = sum(weight for weight, leaf in weighed if tuple(leaf.label) == (j, k))
                 assert right == pytest.approx(0.5, abs=1e-15), (j, k)
+
+    @pytest.mark.parametrize("p_fire", [1.0, 0.4])
+    @pytest.mark.parametrize("beta_sq", [0.25, 0.5])
+    def test_every_probe_is_read_and_touched_lists_eves_records(self, beta_sq, p_fire):
+        # Entangle-measure on all three segments: every record Eve appends
+        # carries the outcome of her probe's readout, and a leaf's touched
+        # segments are her records' segments, in the order the round
+        # crosses them.  At probability 1 she probes the pair on A->B and
+        # rides along after, and probes a decoy on C->A.
+        model = AttackModel.entangle_measure(beta_sq, *ChannelSegment, attack_probability=p_fire)
+        table = TransitionTable()
+        crossed = list(ChannelSegment)
+        for j, k in BITS:
+            for _, leaf in protocol.leaf_weights(table, SchedulePolicy(), model, j, k):
+                assert all(fields[4] in (0, 1) for fields in leaf.eve), leaf.path
+                assert leaf.touched == tuple(fields[0] for fields in leaf.eve), leaf.path
+                assert list(leaf.touched) == sorted(leaf.touched, key=crossed.index), leaf.path
+                if p_fire == 1.0:
+                    probed = crossed[::2] if leaf.kind is RoundKind.CHARLIE_DECOY_CHECK else crossed[:1]
+                    assert list(leaf.touched) == probed, leaf.path
 
     def test_a_session_draws_the_weighed_leaves_and_starts_no_round(self, monkeypatch):
         # Under intercept-resend on every segment at p 0.4 the four roots

@@ -7,7 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import _replay, rooted_round
+from conftest import _replay, eve_hop, rooted_round
 from qsdc3 import adversary, backend, protocol, states
 from qsdc3.adversary import AttackModel, ChannelSegment, EveRecord
 from qsdc3.protocol import SchedulePolicy
@@ -396,7 +396,7 @@ class TestProbeCoupling:
         assert len(calls) == 1
         table = TransitionTable()
         for segment, state in ((ChannelSegment.A_TO_B, bell_state((0, 0))), (ChannelSegment.C_TO_A, prepare_decoy(DecoyState.ZERO))):
-            ((_, (probed, _)),) = weigh(lambda: adversary.attack_points(table, model, segment, state))
+            ((_, (probed, _)),) = weigh(lambda: eve_hop(table, model, segment, state))
             assert probed.has_ancilla
         assert len(calls) == 1
 
@@ -852,7 +852,7 @@ class TestTransitionTable:
     def test_an_attack_edge_matches_the_exact_functions(self, monkeypatch, weigh, model, segment, state):
         expected = exact_hop(model, segment, state)
         (first, built, edges), (again, rebuilt, edges_again) = weighed_twice(
-            monkeypatch, weigh, lambda table: adversary.attack_points(table, model, segment, state)
+            monkeypatch, weigh, lambda table: eve_hop(table, model, segment, state)
         )
         assert first == [(pytest.approx(w, abs=1e-15), end) for w, end in expected]
         children = {id(child) for _, (child, _) in first if child is not state}
@@ -1067,7 +1067,7 @@ class TestWeigh:
     def test_attack_weights_sum_to_one(self, model, total_weight):
         for state in UNPROBED_STATES + PROBED_STATES:
             table = TransitionTable()
-            weight = total_weight(lambda: adversary.attack_points(table, model, AB, state))
+            weight = total_weight(lambda: eve_hop(table, model, AB, state))
             assert weight == pytest.approx(1.0, abs=1e-12), state
 
     @pytest.mark.parametrize("model", [AttackModel.none()] + WEIGHED_ATTACKS, ids=attack_id)
