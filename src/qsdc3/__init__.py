@@ -14,8 +14,9 @@ are Bernoulli.  None of these names is defined or exported any more:
 
 * ``states.measure_qubit``: ``drive(TransitionTable().measure_points(state, which, basis), rng)``
 * ``bell_measure``: ``TransitionTable().bell_points(state)``
-* ``measure_ancilla_and_discard``: ``drive(TransitionTable().readout_points(state), rng)``
+* ``measure_ancilla_and_discard``: ``drive(TransitionTable().measure_points(state, Subsystem.ANCILLA, Basis.Z), rng)``
 * ``TransitionTable.measure``, ``TransitionTable.readout``, ``TransitionTable.bell``: the ``*_points``
+* ``TransitionTable.readout_points``: ``TransitionTable.measure_points(state, Subsystem.ANCILLA, Basis.Z)``
 * ``attack_transit``: ``drive(adversary.attack_points(TransitionTable(), model, segment, state, records), rng)``, on a segment ``model`` covers
 * ``run_ab_check``, ``run_ca_check``, ``run_decoy_check``: ``protocol.failed_weights``
 
@@ -25,7 +26,7 @@ Second derivations of a fact the package holds once:
 * ``adversary.failed_weight_by_basis``: ``analytic_detection_probability``
 * ``JointState.n_qubits``: ``len(state.subsystems)``
 * ``cli.parse_json``: ``json.loads``
-* ``states.LABEL``, ``states.BELL``: ``states.CHOICE``, one chance-point kind for a choice among thresholds
+* ``states.LABEL``, ``states.BELL``: ``states.CHOICE``, one chance-point kind for a choice among answers with their probabilities
 
 The one-shot helpers that built a fresh table or called the kernels
 directly, beside the table steps the round engine runs:

@@ -18,7 +18,8 @@ state between rounds beyond the per-round log.
 Eve's action on one hop is written once, as chance-point steps over a
 :class:`~qsdc3.states.TransitionTable`: :func:`attack_points` (the gate
 point below attack probability 1, then the model's attack) and
-:func:`resolve_points` (the probe readout); each keeps Eve's records
+:func:`resolve_points` (the probe read in ``Basis.Z`` by the table's one
+measurement edge, ``measure_points``); each keeps Eve's records
 itself.  The protocol's compiled round runs them on the segments her
 model covers, inside its round body, walked once for all four roots;
 ``protocol.analytic_detection_probability`` weighs the same round for the
@@ -27,6 +28,7 @@ exact detection probabilities.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,11 +62,12 @@ class AttackModel:
 
     ``attack_probability`` is the chance Eve acts on a qubit crossing one of
     her segments; the default 1.0 matches the per-attack framing in which
-    every crossing is attacked.  It is stored as given, so an integer stays
-    an integer in a report.  ``beta_sq``, entangle-measure's one parameter,
-    is the probe's flip weight |beta|^2 (see ``TransitionTable.attach``); it
-    is stored as a ``float``, as ``SchedulePolicy`` stores its
-    probabilities.
+    every crossing is attacked.  It is stored as a plain ``int`` when it is
+    an integer (numpy's included), so an integer stays an integer in a
+    report, and as a plain ``float`` otherwise.  ``beta_sq``,
+    entangle-measure's one parameter, is the probe's flip weight |beta|^2
+    (see ``TransitionTable.attach``); it is stored as a ``float``, as
+    ``SchedulePolicy`` stores its probabilities.
 
     Raises ``ValueError`` naming the field for a ``kind`` or a segment that
     is not an enum member (its value included), ``segments`` that are not
@@ -115,7 +118,9 @@ class AttackModel:
             object.__setattr__(self, "beta_sq", float(check_probability("beta_sq", self.beta_sq)))
         elif self.beta_sq is not None:
             raise ValueError("beta_sq is set only for entangle-measure, got %r" % (self.beta_sq,))
-        check_probability("attack_probability", self.attack_probability)
+        p_fire = check_probability("attack_probability", self.attack_probability)
+        p_fire = int(p_fire) if isinstance(p_fire, numbers.Integral) else float(p_fire)
+        object.__setattr__(self, "attack_probability", p_fire)
         if self.kind is AttackKind.NONE and self.attack_probability != 1:
             raise ValueError("a null attack has attack_probability 1, got %r" % (self.attack_probability,))
 
@@ -153,7 +158,7 @@ class EveRecord:
 # Members read by the steps below, which run on every path of answers
 # each time a compiled round is weighed (see the note in states.py).
 _Z, _X = Basis.Z, Basis.X
-_TRANSIT = Subsystem.TRANSIT
+_TRANSIT, _ANCILLA = Subsystem.TRANSIT, Subsystem.ANCILLA
 _DISTURBANCE = AttackKind.DISTURBANCE
 _INTERCEPT_RESEND = AttackKind.INTERCEPT_RESEND
 
@@ -197,7 +202,7 @@ def resolve_points(table, state, records):
     """
     if not state.has_ancilla:
         return state
-    outcome, state = yield from table.readout_points(state)
+    outcome, state = yield from table.measure_points(state, _ANCILLA, _Z)
     records[-1].ancilla_outcome = outcome
     return state
 

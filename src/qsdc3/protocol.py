@@ -17,9 +17,9 @@ announcing, and each party recovers the other two messages by XOR.
 The round is written once, as chance-point steps (``_round_points``):
 each random choice is a point the round yields and is answered, Bernoulli
 choices against a threshold (the schedule, Eve's gate, the check bases,
-every measurement outcome), choices among thresholds (the decoy label, the
-Bell measurement) and Bob's and Charlie's bits where they encode (see the
-chance points in ``states``).  A session does not run this body per round.
+every measurement outcome, Eve's probe), choices among answers that carry
+their probabilities (the decoy label, the Bell measurement) and Bob's and
+Charlie's bits where they encode (see the chance points in ``states``).  A session does not run this body per round.
 The body is compiled into its leaves, kept in the experiment's
 :class:`~qsdc3.states.TransitionTable` per schedule and attack model:
 :func:`leaf_weights` runs the steps once along every path of answers, and
@@ -45,6 +45,7 @@ no session.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Mapping, MappingView, Set
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -84,7 +85,7 @@ _A_TO_B = ChannelSegment.A_TO_B
 _B_TO_C = ChannelSegment.B_TO_C
 _C_TO_A = ChannelSegment.C_TO_A
 _START_PAIR = bell_state((0, 0))
-_DECOY_LABEL = (CHOICE, ((0.25, 0), (0.5, 1), (0.75, 2), (1.0, 3)))
+_DECOY_LABEL = (CHOICE, ((0, 0.25), (1, 0.25), (2, 0.25), (3, 0.25)))
 _BOB_BIT, _CHARLIE_BIT = (BIT, "bob"), (BIT, "charlie")
 # The roots, Bob's and Charlie's bits (j, k), in the order 2 * j + k.
 _ROOTS = ((0, 0), (0, 1), (1, 0), (1, 1))
@@ -159,7 +160,10 @@ def _bits(name, values):
     """``values`` as a tuple of ints, when each is exactly 0 or 1 (bools and
     numpy integers included); anything else raises ``ValueError`` naming
     ``name`` and the first value that is not, as do ``values`` that are not
-    iterable."""
+    iterable and a set, a mapping or a dict view, whose order (or whose
+    deduplicated members) would stand in for the message."""
+    if isinstance(values, (Set, Mapping, MappingView)):
+        raise ValueError("%s must be an ordered sequence of bits, got %r" % (name, values))
     try:
         values = iter(values)
     except TypeError:
@@ -575,10 +579,10 @@ def leaf_weights(table, schedule, model, j, k):
     all four roots.  Each chance point is answered with every answer of
     positive probability, which are exactly the answers a draw can give
     (see ``states._outcome_point``): a Bernoulli point's ``p`` and
-    ``1 - p``, each choice threshold less the one before (1/4 for each
-    decoy label), and a bit's 0 and 1 at weight 1.  The first answer goes on
-    with the paused steps, and each other answer replays the round along
-    its path: the table gives both the same states and points.  A
+    ``1 - p``, each choice answer at the probability it carries (1/4 for
+    each decoy label), and a bit's 0 and 1 at weight 1.  The first answer
+    goes on with the paused steps, and each other answer replays the round
+    along its path: the table gives both the same states and points.  A
     Bernoulli point, the commonest, pushes its True and False children
     straight onto the walk's stack.  A path ends at a leaf of each root
     whose bits start with the path's bit answers (Bob's come first; the
@@ -637,12 +641,7 @@ def leaf_weights(table, schedule, model, j, k):
         if kind is BIT:
             children = [(weight, path + (bit,), bits + (bit,)) for bit in (0, 1)]
         else:
-            answers = []
-            below = 0.0
-            for cumulative, index in data:
-                answers.append((index, cumulative - below))
-                below = cumulative
-            children = [(weight * p, path + (answer,), bits) for answer, p in answers if p > 0.0]
+            children = [(weight * p, path + (answer,), bits) for answer, p in data]
         stack += [child + (None,) for child in reversed(children[1:])]
         push(children[0] + (steps,))
     table.compiled[schedule, model] = roots
@@ -670,9 +669,10 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     ``check_kind``, a check :class:`RoundKind` or its value: every answer
     to every chance point - the checkers' bases, the decoy label, Eve's
     gate and basis, each measurement outcome - with its exact probability,
-    no sampling.  The round is walked on a fresh table and read from the
-    root of the bits (0, 0).  The result is the summed weight of the leaves
-    whose check failed.
+    no sampling.  The three check-forced rounds are weighed on a fresh
+    table (:func:`failed_weights`), each read from the root of the bits
+    (0, 0).  The result is the summed weight of the leaves whose check
+    failed.
 
     ``decoy_family`` restricts decoy checks to the Z family ({|0>, |1>})
     or the X family ({|+>, |->}): only the rounds that reveal a decoy of
@@ -681,10 +681,9 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
     summed on its own and the decoy check's is their sum, so a decoy
     check's value is exactly the mean of its two families' values.
 
-    The value is one weighing read by the row formula
-    (:func:`detection_from_failed`).  A decoy check's three rows read one
-    weighing, so an experiment's report (``harness``) takes its five rows
-    from three weighings, made on one table (:func:`failed_weights`).
+    The value is the row formula (:func:`detection_from_failed`) read from
+    the kind's entry of :func:`failed_weights`, the one weighing an
+    experiment's report (``harness``) reads its five rows from too.
 
     Raises ``ValueError`` for a ``model`` that is not an
     :class:`~qsdc3.adversary.AttackModel`, for the null attack, for a
@@ -704,7 +703,7 @@ def analytic_detection_probability(model, check_kind, decoy_family=None):
             raise ValueError("decoy_family must be None, Basis.Z or Basis.X, got %r" % (decoy_family,))
         if kind is not _DECOY_CHECK:
             raise ValueError("a decoy family applies to the decoy check only, not %r" % (check_kind,))
-    return detection_from_failed(_failed_on(TransitionTable(), model, kind), decoy_family)
+    return detection_from_failed(failed_weights(model)[kind], decoy_family)
 
 
 def failed_weights(model):
@@ -712,21 +711,19 @@ def failed_weights(model):
     :class:`RoundKind`, all three weighed on one fresh table: a state they
     share is built and validated once.  The weights are those of a fresh
     table per kind, since a table's weights depend only on the kernels'
-    floats."""
+    floats.
+
+    A kind's failed weight is a dict by the failed leaf's decoy family, the
+    basis of its decoy, with None for a pair check (see
+    :func:`analytic_detection_probability`)."""
     table = TransitionTable()
-    return {kind: _failed_on(table, model, kind) for kind in _FORCING_SCHEDULES}
-
-
-def _failed_on(table, model, kind):
-    """The failed weight of the compiled round forced to check ``kind`` on
-    ``table`` (see :func:`analytic_detection_probability`): a dict by the
-    leaf's decoy family, the basis of its decoy, with None for a pair
-    check."""
-    failed = {None: 0.0, _Z: 0.0, _X: 0.0}
-    for weight, leaf in leaf_weights(table, _FORCING_SCHEDULES[kind], model, 0, 0):
-        if leaf.passed is False:
-            failed[leaf.family] += weight
-    return failed
+    weights = {}
+    for kind, schedule in _FORCING_SCHEDULES.items():
+        failed = weights[kind] = {None: 0.0, _Z: 0.0, _X: 0.0}
+        for weight, leaf in leaf_weights(table, schedule, model, 0, 0):
+            if leaf.passed is False:
+                failed[leaf.family] += weight
+    return weights
 
 
 def detection_from_failed(failed, decoy_family=None):

@@ -32,10 +32,10 @@ discard) too, because a faulty kernel must not hand an invalid state to
 the round engine.
 
 The sampled operations are written once, as chance-point steps on a
-:class:`TransitionTable` (``measure_points``, ``readout_points``,
-``bell_points``): each yields its chance point, with the threshold the
-kernels gave, and is sent the answer.  The protocol's compiled round runs
-them while ``protocol.leaf_weights`` weighs its leaves, answering each
+:class:`TransitionTable` (``measure_points``, which reads Eve's probe too,
+and ``bell_points``): each yields its chance point, with the probabilities
+the kernels gave, and is sent the answer.  The protocol's compiled round
+runs them while ``protocol.leaf_weights`` weighs its leaves, answering each
 point with every answer of positive probability: that is how
 ``protocol.analytic_detection_probability`` enumerates a round, and the
 weights its sessions draw leaves by.  An experiment's sampled round
@@ -286,9 +286,9 @@ def _basis_code(basis):
 # ``(kind, data)`` point per random choice and is sent the answer:
 #
 # * ``(BERNOULLI, p)``: True with probability ``p``, else False;
-# * ``(CHOICE, thresholds)``: the index of one ``(cumulative, index)``
-#   pair, with probability its ``cumulative`` less the one before: the Bell
-#   label, or the decoy label, at thresholds 1/4 apart;
+# * ``(CHOICE, answers)``: the index of one ``(index, probability)`` pair,
+#   with its probability, every one positive: the Bell label, or the decoy
+#   label at 1/4 each;
 # * ``(BIT, party)``: a message bit of Bob's or Charlie's, 0 or 1, each at
 #   weight 1.0.  The bits are the round's root, not chance: no draw ever
 #   answers this point.
@@ -338,18 +338,19 @@ class TransitionTable:
     """The state edges of the protocol's compiled rounds, each built once.
 
     An edge is a source state plus an operation: a Pauli, a measurement in
-    a basis, a probe attach, a probe readout or the Bell measurement.  On
-    its first visit an edge is built from the kernels, and a child state of
-    a value the table has not built yet through ``JointState(...)``, so
-    every state the table holds is validated once.  Later visits reuse it: a
-    Pauli or an attach gives its child; a measurement or a readout gives
-    its chance point (the probability of outcome 0) and the children built
-    so far.  A measurement child is built only for an outcome that is
-    answered, because collapsing onto a zero-probability outcome raises.
+    a basis (of the probe too, which drops it), a probe attach or the Bell
+    measurement.  On its first visit an edge is built from the kernels, and
+    a child state of a value the table has not built yet through
+    ``JointState(...)``, so every state the table holds is validated once.
+    Later visits reuse it: a Pauli or an attach gives its child; a
+    measurement gives its chance point (the probability of outcome 0) and
+    the children built so far.  A measurement child is built only for an
+    outcome that is answered, because collapsing onto a zero-probability
+    outcome raises.
 
     The sampled operations are chance-point steps (``measure_points``,
-    ``readout_points``, ``bell_points``), whose points carry the floats the
-    kernels gave on the first visit.
+    ``bell_points``), whose points carry the floats the kernels gave on the
+    first visit.
 
     Edges are keyed by the identity of the source state (and of the
     operands, which are enum singletons, so no ``Enum.__hash__`` runs), and
@@ -373,13 +374,12 @@ class TransitionTable:
     same states.
     """
 
-    __slots__ = ("_paulis", "_measures", "_attaches", "_readouts", "_bells", "_nodes", "compiled")
+    __slots__ = ("_paulis", "_measures", "_attaches", "_bells", "_nodes", "compiled")
 
     def __init__(self):
         self._paulis = {}  # (id(state), id(which), id(pauli)) -> (state, child)
         self._measures = {}  # (id(state), id(which), id(basis)) -> [state, point, child0, child1]
         self._attaches = {}  # (id(state), beta_sq) -> (state, child)
-        self._readouts = {}  # id(state) -> [state, point, child0, child1]
         self._bells = {}  # id(state) -> (state, point)
         self._nodes = {}  # (amps, id(subsystems)) -> the child state of that value
         self.compiled = {}
@@ -399,13 +399,7 @@ class TransitionTable:
 
     def __len__(self):
         """The number of edges built."""
-        return (
-            len(self._paulis)
-            + len(self._measures)
-            + len(self._attaches)
-            + len(self._readouts)
-            + len(self._bells)
-        )
+        return len(self._paulis) + len(self._measures) + len(self._attaches) + len(self._bells)
 
     def pauli(self, state, which, pauli):
         """``pauli`` on the named subsystem of ``state``.
@@ -431,17 +425,30 @@ class TransitionTable:
 
     def measure_points(self, state, which, basis):
         """A projective measurement as one Bernoulli point: ``(outcome,
-        collapsed state)``, outcome 0 naming |0> or |+>."""
+        state after it)``, outcome 0 naming |0> or |+>.
+
+        The state after it is the collapsed state, except when the measured
+        qubit is Eve's probe: it is read in its {|chi0>, |chi1>} basis,
+        ``Basis.Z`` (any other basis raises ``ValueError``), and dropped, so
+        the child is the unprobed register, built in the same edge.
+        """
         key = (id(state), id(which), id(basis))
         edge = self._measures.get(key)
         if edge is None:
+            if which is _ANCILLA and basis is not _Z:
+                raise ValueError("Eve's probe is read in Basis.Z, got %r" % (basis,))
             point = _outcome_point(state.amps, state.position(which), _basis_code(basis))
             edge = self._measures[key] = [state, point, None, None]
         outcome = 0 if (yield edge[1]) else 1
         child = edge[2 + outcome]
         if child is None:
-            amps = _k.collapse(state.amps, state.position(which), _basis_code(basis), outcome)
-            child = edge[2 + outcome] = self._child(amps, state.subsystems)
+            pos = state.position(which)
+            amps = _k.collapse(state.amps, pos, _basis_code(basis), outcome)
+            if which is _ANCILLA:
+                child = self._child(_k.discard_qubit(amps, pos, outcome), _PAIR if state.has_home else _LONE)
+            else:
+                child = self._child(amps, state.subsystems)
+            edge[2 + outcome] = child
         return outcome, child
 
     def attach(self, state, beta_sq):
@@ -470,34 +477,11 @@ class TransitionTable:
             edge = self._attaches[key] = (state, child)
         return edge[1]
 
-    def readout_points(self, state):
-        """Eve's probe read in its {|chi0>, |chi1>} basis and dropped, as one
-        Bernoulli point: ``(outcome, state without the probe)``."""
-        edge = self._readouts.get(id(state))
-        if edge is None:
-            if not state.has_ancilla:
-                raise ValueError("state has no ancilla qubit")
-            # The probe is the last qubit.
-            point = _outcome_point(state.amps, 2 if state.has_home else 1, 0)
-            edge = self._readouts[id(state)] = [state, point, None, None]
-        outcome = 0 if (yield edge[1]) else 1
-        child = edge[2 + outcome]
-        if child is None:
-            if state.has_home:
-                pos, register = 2, _PAIR
-            else:
-                pos, register = 1, _LONE
-            collapsed = _k.collapse(state.amps, pos, 0, outcome)
-            child = edge[2 + outcome] = self._child(_k.discard_qubit(collapsed, pos, outcome), register)
-        return outcome, child
-
     def bell_points(self, state):
         """Alice's measurement of (home, transit) in the entangled basis, as
-        one choice point: ``(label, eigenstate)``.
-
-        The point's cumulative thresholds skip the zero-probability labels,
-        so when rounding leaves a draw above the total, the last label with
-        positive probability is drawn, never a zero-probability one.
+        one choice point: ``(label, eigenstate)``.  The point lists the
+        labels of positive probability only, so a zero-probability label is
+        never an answer.
         """
         edge = self._bells.get(id(state))
         if edge is None:
@@ -505,13 +489,8 @@ class TransitionTable:
                 raise ValueError("cannot Bell-measure while an eavesdropper probe is attached")
             if state.subsystems != _PAIR:
                 raise ValueError("Bell measurement needs the full (home, transit) pair")
-            thresholds = []
-            cumulative = 0.0
-            for index, p in enumerate(_k.bell_probs(state.amps)):
-                if p > 0.0:
-                    cumulative += p
-                    thresholds.append((cumulative, index))
-            edge = self._bells[id(state)] = (state, (CHOICE, tuple(thresholds)))
+            answers = tuple((index, p) for index, p in enumerate(_k.bell_probs(state.amps)) if p > 0.0)
+            edge = self._bells[id(state)] = (state, (CHOICE, answers))
         return _BELL_OUTCOMES[(yield edge[1])]
 
 

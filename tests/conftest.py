@@ -89,16 +89,11 @@ def _replay(steps, answers):
 
 def _weighted_answers(kind, data):
     """Every answer to a chance point, as ``(answer, probability)`` pairs:
-    True with ``p`` and False with ``1 - p``, each index of a choice with
-    its threshold less the one before."""
+    True with ``p`` and False with ``1 - p``, and a choice's pairs as it
+    carries them."""
     if kind is BERNOULLI:
         return ((True, data), (False, 1.0 - data))
-    answers = []
-    below = 0.0
-    for cumulative, index in data:
-        answers.append((index, cumulative - below))
-        below = cumulative
-    return answers
+    return data
 
 
 def _weigh(make_steps):

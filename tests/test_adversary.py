@@ -4,6 +4,7 @@ import math
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import eve_hop
@@ -16,6 +17,7 @@ from qsdc3.adversary import (
     EveRecord,
     paper_claimed_detection,
 )
+from qsdc3.cli import render_json
 from qsdc3.harness import ExperimentConfig, run_experiment
 from qsdc3.protocol import (
     AbortPolicy,
@@ -123,6 +125,20 @@ class TestAttackModel:
     def test_an_integer_attack_probability_is_stored_as_given(self):
         # A config's 1 stays 1 in its report.
         assert type(AttackModel.intercept_resend(AB, attack_probability=1).attack_probability) is int
+
+    @pytest.mark.parametrize(
+        "given, stored",
+        [(np.float32(0.5), 0.5), (np.float64(0.25), 0.25), (np.int64(1), 1), (np.uint8(0), 0)],
+        ids=["float32", "float64", "int64", "uint8"],
+    )
+    def test_a_numpy_attack_probability_is_stored_as_a_plain_number(self, given, stored):
+        # A numpy scalar would reach the report as it is, and the JSON
+        # writer cannot render it.
+        model = AttackModel.intercept_resend(AB, attack_probability=given)
+        assert model.attack_probability == stored and type(model.attack_probability) is type(stored)
+        config = ExperimentConfig(message_length=8, trials=2, attack=model, seed=3)
+        report = json.loads(render_json(run_experiment(config).to_dict()))
+        assert report["config"]["attack"]["attack_probability"] == stored
 
 
 @pytest.fixture

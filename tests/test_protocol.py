@@ -208,6 +208,28 @@ class TestMessageTriple:
         with pytest.raises(ValueError, match=field):
             MessageTriple(*triple)
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: {0, 1},
+            lambda: frozenset((0, 1)),
+            lambda: {1: 0, 0: 1},
+            lambda: dict.fromkeys((1, 0)).keys(),
+            lambda: {"a": 1, "b": 0}.values(),
+        ],
+        ids=["set", "frozenset", "dict", "dict_keys", "dict_values"],
+    )
+    def test_rejects_a_set_a_mapping_or_a_dict_view(self, make):
+        # A set's order follows hashing and drops repeated bits, and a
+        # mapping stands for its keys: none of them is a message.
+        with pytest.raises(ValueError, match="^charlie_bits must be an ordered sequence of bits"):
+            MessageTriple((0, 1), (1, 0), make())
+
+    def test_accepts_ordered_iterables(self):
+        expected = MessageTriple((0, 1), (1, 0), (0, 1))
+        assert MessageTriple([0, 1], range(1, -1, -1), (bit for bit in (0, 1))) == expected
+        assert MessageTriple(np.array([0, 1]), np.array([1, 0]), (0, 1)) == expected
+
     def test_accepts_bools_and_numpy_integers(self):
         messages = MessageTriple((True, False), np.array([1, 0]), (np.int8(0), np.uint64(1)))
         assert messages == MessageTriple((1, 0), (1, 0), (0, 1))
@@ -593,7 +615,7 @@ class TestSessionTable:
             assert result.rounds_used > 2 * length
             table = tables[-1]
             nodes = {id(state) for state in starts + list(table._nodes.values())}
-            edges = [table._paulis, table._measures, table._attaches, table._readouts, table._bells]
+            edges = [table._paulis, table._measures, table._attaches, table._bells]
             assert all(id(edge[0]) in nodes for kind in edges for edge in kind.values())
             assert len(table._nodes) < 64
             assert len(table) < 192

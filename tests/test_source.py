@@ -268,3 +268,59 @@ def test_no_removed_name_is_defined():
         if hasattr(qsdc3, name.rpartition(".")[2]):
             defined.add(name)
     assert not defined, "removed yet still defined: %s" % ", ".join(sorted(defined))
+
+
+# A dotted double-backtick reference in the package source, such as
+# ``protocol.leaf_weights`` or ``TransitionTable.attach``.
+REFERENCE = re.compile(r"``(\w+(?:\.\w+)+)``")
+
+
+def package_owners():
+    """The package's modules by name, and the classes they define by name:
+    the first parts of a reference that the check resolves."""
+    modules = {path.stem: importlib.import_module("qsdc3." + path.stem) for path in MODULES}
+    classes = {
+        name: value
+        for module in modules.values()
+        for name, value in vars(module).items()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    }
+    return {**modules, **classes}
+
+
+def unresolved_references(source, owners):
+    """The dotted double-backtick references in ``source`` whose first part
+    is one of ``owners`` and whose later parts name nothing on it, looked up
+    one dotted part at a time.  A reference with another first part
+    (``numpy.random.Generator``, ``table.compiled``) is not checked."""
+    unresolved = set()
+    for reference in REFERENCE.findall(source):
+        first, *parts = reference.split(".")
+        if first not in owners:
+            continue
+        owner = owners[first]
+        for part in parts:
+            if not hasattr(owner, part):
+                unresolved.add(reference)
+                break
+            owner = getattr(owner, part)
+    return unresolved
+
+
+def test_the_check_finds_unresolved_references():
+    source = (
+        '"""See ``protocol.leaf_weights``, ``protocol.undefined``, ``TransitionTable.attach``,\n'
+        "``TransitionTable.readout_points``, ``AttackModel.beta_sq``, ``Basis.Z.name``,\n"
+        '``numpy.random.Generator``, ``table.compiled`` and ``protocol``."""\n'
+    )
+    owners = package_owners()
+    assert unresolved_references(source, owners) == {"protocol.undefined", "TransitionTable.readout_points"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.stem for path in MODULES])
+def test_every_dotted_reference_names_a_definition(path):
+    unresolved = unresolved_references(path.read_text(), package_owners())
+    assert not unresolved, "%s refers to %s, which the package does not define" % (
+        path.name,
+        ", ".join(sorted(unresolved)),
+    )

@@ -69,6 +69,12 @@ def measured(weigh, state, which, basis):
     return weigh(lambda: table.measure_points(state, which, basis))
 
 
+def read_probe(table, state):
+    """Eve's readout of the probe of ``state``, as chance-point steps on
+    ``table``: the probe measured in Z, which drops it."""
+    return table.measure_points(state, Subsystem.ANCILLA, Basis.Z)
+
+
 def bell_measured(weigh, state):
     """Alice's Bell measurement of ``state`` weighed exactly on a fresh
     table: ``{(flip, phase): (weight, eigenstate)}``."""
@@ -177,21 +183,23 @@ class TestBellMeasure:
         # original pair, so the joint measurement is certain.
         table = TransitionTable()
         state = table.attach(bell_state((0, 0)), 0.5)
-        (half, (outcome, remaining)), _ = weigh(lambda: table.readout_points(state))
+        (half, (outcome, remaining)), _ = weigh(lambda: read_probe(table, state))
         assert outcome == 0 and half == pytest.approx(0.5, abs=1e-15)
         ((label, (weight, _)),) = bell_measured(weigh, remaining).items()
         assert label == (0, 0) and weight == pytest.approx(1.0, abs=1e-15)
 
-    def test_rounding_overshoot_never_draws_a_zero_probability_label(self, weigh):
+    def test_a_zero_probability_label_is_never_an_answer(self, weigh):
         # Label (0,0) carries all of the weight, yet the total falls 5e-13
-        # short of 1 (inside NORM_ATOL); the point's only threshold is that
-        # total, so a draw above it still lands on (0,0), never on a
-        # zero-probability label.
+        # short of 1 (inside NORM_ATOL); the point lists (0,0) alone, at the
+        # kernel's probability, and no zero-probability label.
         s = math.sqrt((1.0 - 5e-13) / 2.0)
         state = JointState((0.0, s, s, 0.0), PAIR)
-        (kind, thresholds) = next(TransitionTable().bell_points(state))
-        assert kind is CHOICE and len(thresholds) == 1 and thresholds[0][1] == 0
-        assert bell_measured(weigh, state) == {(0, 0): (thresholds[0][0], bell_state((0, 0)))}
+        p = backend.bell_probs(state.amps)[0]
+        assert next(TransitionTable().bell_points(state)) == (CHOICE, ((0, p),))
+        assert bell_measured(weigh, state) == {(0, 0): (p, bell_state((0, 0)))}
+        # The equal mix of labels (0,0) and (1,0) lists those two only.
+        (kind, answers) = next(TransitionTable().bell_points(JointState((0.5, 0.5, 0.5, 0.5), PAIR)))
+        assert kind is CHOICE and answers == ((0, 0.5), (2, 0.5))
 
     def test_outcome_distribution_uniform_on_probe_free_mix(self, weigh):
         # The equal superposition of labels (0,0) and (1,0) is (0.5,.5,.5,.5);
@@ -377,7 +385,7 @@ class TestProbeCoupling:
     @pytest.mark.parametrize("state", [bell_state((0, 0)), prepare_decoy(DecoyState.ONE)], ids=["pair", "decoy"])
     def test_discarding_a_missing_probe_is_rejected(self, state):
         with pytest.raises(ValueError, match="ancilla"):
-            next(TransitionTable().readout_points(state))
+            next(read_probe(TransitionTable(), state))
 
     def test_the_coupling_is_checked_at_the_boundary_only(self, monkeypatch, weigh):
         # An AttackModel checks its flip weight once, and Eve's attaches
@@ -415,8 +423,8 @@ class TestProbeCoupling:
                 real.subsystems,
             )
             assert abs(sum(abs(a) ** 2 for a in phased.amps) - 1.0) < 1e-12
-            ends = weigh(lambda: table.readout_points(real))
-            phased_ends = weigh(lambda: TransitionTable().readout_points(phased))
+            ends = weigh(lambda: read_probe(table, real))
+            phased_ends = weigh(lambda: read_probe(TransitionTable(), phased))
             assert len(ends) == len(phased_ends)
             for (p, (outcome, post)), (q, (phased_outcome, phased_post)) in zip(ends, phased_ends):
                 assert outcome == phased_outcome and p == pytest.approx(q, abs=1e-15)
@@ -431,7 +439,7 @@ class TestProbeCoupling:
         _, (p_chi1, (chi1, _)) = measured(weigh, probed, Subsystem.ANCILLA, Basis.Z)
         assert chi1 == 1 and p_chi1 == pytest.approx(beta_sq, abs=1e-12)
         state = table.attach(prepare_decoy(DecoyState.ZERO), beta_sq)
-        (p0, (zero, rest0)), (p1, (one, rest1)) = weigh(lambda: table.readout_points(state))
+        (p0, (zero, rest0)), (p1, (one, rest1)) = weigh(lambda: read_probe(table, state))
         assert (zero, one) == (0, 1)
         assert p1 == pytest.approx(beta_sq, abs=1e-15) and p0 + p1 == pytest.approx(1.0, abs=1e-15)
         assert rest0 == prepare_decoy(DecoyState.ZERO) and rest1 == prepare_decoy(DecoyState.ONE)
@@ -503,11 +511,11 @@ KERNEL_OPERATIONS = [
     (
         "discard_qubit",
         probed_pair(),
-        lambda s: answered(TransitionTable().readout_points(s), True),
+        lambda s: answered(read_probe(TransitionTable(), s), True),
         4,
     ),
     # The readout collapses the probe before it discards it.
-    ("collapse", probed_pair(), lambda s: answered(TransitionTable().readout_points(s), True), 8),
+    ("collapse", probed_pair(), lambda s: answered(read_probe(TransitionTable(), s), True), 8),
 ]
 
 
@@ -548,7 +556,7 @@ class TestDerivedStates:
             answered(TransitionTable().measure_points(pair, Subsystem.HOME, Basis.Z), True)[1],
             probed_pair(),
         ]
-        derived.append(answered(TransitionTable().readout_points(derived[-1]), True)[1])
+        derived.append(answered(read_probe(TransitionTable(), derived[-1]), True)[1])
         assert calls == derived
 
     def test_amplitudes_are_exactly_complex(self):
@@ -562,7 +570,7 @@ class TestDerivedStates:
             answered(TransitionTable().measure_points(decoy, Subsystem.TRANSIT, Basis.Z), False)[1],
             probed,
             TransitionTable().attach(prepare_decoy(DecoyState.ZERO), 0),
-            answered(TransitionTable().readout_points(probed), False)[1],
+            answered(read_probe(TransitionTable(), probed), False)[1],
             answered(TransitionTable().bell_points(bell_state((1, 1))), 3)[1],
         ]
         for state in derived:
@@ -613,7 +621,7 @@ class TestDerivedStates:
             probed = TransitionTable().attach(state, 0.64)
             assert probed.subsystems == state.subsystems + (Subsystem.ANCILLA,)
             for outcome in (True, False):
-                discarded = answered(TransitionTable().readout_points(probed), outcome)[1]
+                discarded = answered(read_probe(TransitionTable(), probed), outcome)[1]
                 assert discarded.subsystems is state.subsystems
 
 
@@ -818,7 +826,7 @@ SAMPLED_EDGES = [
         exact_measurement(PLUS_PLUS, Subsystem.HOME, Basis.Z),
         id="measure-home-z",
     ),
-    pytest.param(lambda table: table.readout_points(PROBED), exact_readout(PROBED), id="readout"),
+    pytest.param(lambda table: read_probe(table, PROBED), exact_readout(PROBED), id="readout"),
     pytest.param(lambda table: table.bell_points(PLUS_PLUS), exact_bell(PLUS_PLUS), id="bell"),
 ]
 
@@ -827,7 +835,7 @@ def held_states(table):
     """Every child state a table holds."""
     children = [edge[1] for edge in table._paulis.values()]
     children += [edge[1] for edge in table._attaches.values()]
-    for edge in list(table._measures.values()) + list(table._readouts.values()):
+    for edge in table._measures.values():
         children += [child for child in edge[2:] if child is not None]
     return children
 
@@ -933,7 +941,8 @@ class TestTransitionTable:
             (lambda: next(table.measure_points(pair, Subsystem.TRANSIT, Pauli.X)), "basis"),
             (lambda: next(table.measure_points(decoy, Subsystem.HOME, Basis.Z)), "home"),
             (lambda: table.attach(probed, 0.64), "already carries"),
-            (lambda: next(table.readout_points(pair)), "no ancilla"),
+            (lambda: next(read_probe(table, pair)), "no ancilla"),
+            (lambda: next(table.measure_points(probed, Subsystem.ANCILLA, Basis.X)), "Basis.Z"),
             (lambda: next(table.bell_points(probed)), "probe is attached"),
             (lambda: next(table.bell_points(decoy)), "full"),
         ]
@@ -1006,13 +1015,13 @@ class TestWeigh:
     def test_each_point_is_answered_with_every_answer_and_its_weight(self, weigh):
         def steps():
             flip = yield (BERNOULLI, 0.3)
-            label = yield (CHOICE, ((0.25, 0), (0.5, 1), (0.75, 2), (1.0, 3)))
-            bell = yield (CHOICE, ((0.5, 0), (0.75, 2), (1.0, 3)))
+            label = yield (CHOICE, tuple((index, 0.25) for index in range(4)))
+            bell = yield (CHOICE, ((0, 0.5), (2, 0.25), (3, 0.25)))
             return flip, label, bell
 
         bernoulli = ((True, 0.3), (False, 1.0 - 0.3))
         labels = tuple((label, 0.25) for label in range(4))
-        bells = ((0, 0.5), (2, 0.75 - 0.5), (3, 1.0 - 0.75))
+        bells = ((0, 0.5), (2, 0.25), (3, 0.25))
         expected = [
             (1.0 * a[1] * b[1] * c[1], (a[0], b[0], c[0])) for a, b, c in product(bernoulli, labels, bells)
         ]
@@ -1042,6 +1051,8 @@ class TestWeigh:
         # rounds past 1: |+> in X has p0 = 1.0 exactly.
         for state in UNPROBED_STATES + PROBED_STATES:
             for which, basis in product(state.subsystems, Basis):
+                if which is Subsystem.ANCILLA:
+                    continue  # read in Z only: test_readout_weights_sum_to_one
                 table = TransitionTable()
                 kind, p = next(table.measure_points(state, which, basis))
                 assert kind is BERNOULLI and 0.0 <= p <= 1.0, (state, which, basis)
@@ -1053,9 +1064,9 @@ class TestWeigh:
     def test_readout_weights_sum_to_one(self, total_weight):
         for state in PROBED_STATES:
             table = TransitionTable()
-            kind, p = next(table.readout_points(state))
+            kind, p = next(read_probe(table, state))
             assert kind is BERNOULLI and 0.0 <= p <= 1.0, state
-            assert total_weight(lambda: table.readout_points(state)) == pytest.approx(1.0, abs=1e-12)
+            assert total_weight(lambda: read_probe(table, state)) == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_weights_sum_to_one(self, total_weight):
         for state in UNPROBED_STATES:
