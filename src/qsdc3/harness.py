@@ -7,29 +7,28 @@ public transcript leaks about the three secrets.
 
 All randomness derives from a single 64-bit seed: an experiment draws from
 one generator, ``numpy.random.default_rng(seed)``, seeded by
-``SeedSequence(seed)`` and never spawned.  It draws its trials in blocks,
-in trial order, each block with four numpy calls covering all its trials
-(three when no check can fail, and one more for a trial that a failed
-check ends).  A block holds ``max(1, _BLOCK_BITS // message_length)``
-trials, or, when a failed check can end a trial, at most the trials
-expected up to the first abort, ``ceil(1 / (1 - (1 - q)^message_length))``
-with q the chance that a bit's stop fails (:meth:`_TrialLaw.block_trials`).
-So the whole report is a deterministic function of the configuration and
-of ``_BLOCK_BITS``: changing the block size changes the random stream.
+``SeedSequence(seed)`` and never spawned.  It draws its trials in blocks of
+``_BLOCK_TRIALS`` trials (the last block holds the rest), in trial order,
+each block where the last one left off.  A block makes a fixed sequence of
+numpy calls covering all its trials (:meth:`_TrialLaw.draw` lists them),
+and no call's size grows with the message length.  So the whole report is a
+deterministic function of the configuration and of ``_BLOCK_TRIALS``:
+changing the block size changes the random stream.
 
 An experiment builds one :class:`~qsdc3.states.TransitionTable` and weighs
 its compiled round there in one walk: every root's leaves with their exact
 weights (``protocol.leaf_weights``), and the states they reach, each built
 and validated once per experiment; a detection curve builds one table per
-grid point.  A block draws its trials' messages, then their leaf counts from
-their exact law under the experiment's abort policy (:class:`_TrialLaw`):
-one ``geometric`` draw per message bit gives its rounds; under the strict
-policy one uniform per bit says whether its stopping round is a failed
-check that ends the trial, and under record-and-continue one ``binomial``
-per trial and root splits its check rounds into passed and failed; then
-one ``multinomial`` call over the block's summed row totals gives the
-counts of every leaf, so a block's cost grows with its bits, not with its
-rounds, and its leaves are drawn once, not once per trial.  The blocks'
+grid point.  A block draws its trials' row totals in closed form from their
+exact law under the experiment's abort policy (:class:`_TrialLaw`): under
+the strict policy each trial's first failing bit, one ``geometric`` draw
+per trial; each trial's delivered bits by root and Alice's bit, one
+``multinomial``; each root's check rounds, one ``negative_binomial`` over
+the trials and roots; under record-and-continue one ``binomial`` per trial
+and root splitting its check rounds into passed and failed; then one
+``multinomial`` call over the block's summed row totals gives the counts of
+every leaf.  So a block's cost grows with its trials, not with their bits
+or rounds, and its leaves are drawn once, not once per trial.  The blocks'
 counts are summed in one array, and the whole report is one pass over it
 (:class:`_Aggregator`), fidelity included: the bits each party decodes
 wrong are a sum over its message cells.  Below INFO, no per-trial work
@@ -71,14 +70,30 @@ from .states import Basis, TransitionTable, check_integer, check_probability
 log = logging.getLogger("qsdc3")
 
 _CHECK_KINDS = tuple(kind.value for kind in RoundKind if kind is not RoundKind.MESSAGE)
-# A block draws its trials' three messages as one numpy int64 array of
-# 3 * message_length bits per trial; numpy refuses arrays of more than
-# intp-max bytes.
-_MAX_MESSAGE_LENGTH = int(np.iinfo(np.intp).max) // (3 * np.dtype(np.int64).itemsize)
-# The message bits a block of trials draws at most, unless one trial has
-# more: a block holds max(1, _BLOCK_BITS // message_length) trials.  The
+# A block draws at most this many trials, however long their messages; the
 # random stream depends on it.
-_BLOCK_BITS = 4096
+_BLOCK_TRIALS = 1024
+# Half of numpy's limit on negative_binomial's Poisson mean (about 2**63):
+# a root whose bits' rounds could pass it draws them bit by bit.
+_NB_LIMIT = 2.0**62
+
+
+def _longest_message():
+    """The longest message whose bits' rounds, each capped at the default
+    budget + 1, sum within an int64: a trial's rounds are summed in int64,
+    and a root drawn bit by bit sums its bits' capped rounds."""
+    most = int(np.iinfo(np.int64).max)
+    low, high = 1, most
+    while low < high:
+        mid = (low + high + 1) // 2
+        if mid * (default_budget(mid) + 1) <= most:
+            low = mid
+        else:
+            high = mid - 1
+    return low
+
+
+_MAX_MESSAGE_LENGTH = _longest_message()
 _MESSAGE = RoundKind.MESSAGE
 _DECOY_CHECK = RoundKind.CHARLIE_DECOY_CHECK
 
@@ -140,8 +155,9 @@ class ExperimentConfig:
 
     ``message_length``, ``trials`` and ``seed`` are stored as ``int``.  A
     size below 1, a negative seed, a value that is not an integer (a bool
-    included), a message too long for numpy to draw, and a schedule, attack
-    or abort policy of the wrong type raise ``ValueError`` naming the field.
+    included), a message longer than ``_MAX_MESSAGE_LENGTH`` (whose rounds
+    could pass an int64 sum), and a schedule, attack or abort policy of the
+    wrong type raise ``ValueError`` naming the field.
     So does a schedule with a probability of 1, which leaves no message
     round and so can never deliver a bit.
     """
@@ -356,26 +372,34 @@ def _log_trials(first, rows, aborted=False):
 
 class _TrialLaw:
     """The exact law of one trial's leaf counts, read from an experiment's
-    compiled round under its abort policy.
+    compiled round under its abort policy, and drawn in closed form.
 
     A round's leaf depends only on its root, Bob's and Charlie's bits (j, k)
     of the message bit in flight, and the root changes only at a message
     leaf.  A bit stops at a message leaf, of weight m_r > 0 in all from
     root r (:class:`ExperimentConfig` refuses a schedule with no message
     round), or, under the strict policy, at a failed check, of weight f_r.
-    So bit b of root r takes G_b rounds, geometric with p = m_r under
-    record-and-continue and p = m_r + f_r under the strict policy; a strict
-    bit's stop is a failed check with probability f_r / (m_r + f_r), and
-    the trial ends at its first failing bit.  Summed over the bits a trial
-    reaches, root r's message leaves under Alice's bit i are
-    multinomial(N_ri, w / m_r), N_ri being its delivered bits of Alice bit
-    i.  Its C_r check rounds, the sum of G_b - 1, are all passed under the
-    strict policy; under record-and-continue F_r of them fail,
-    binomial(C_r, f_r / c_r), c_r being the root's check weight.  The
-    passed ones are multinomial(C_r - F_r, w / (c_r - f_r)) over its
-    passing checks, the failed ones multinomial(F_r, w / f_r) over its
-    failing checks, and a strict trial's failing leaf has probability
-    w / f_r.
+    So bit b of root r takes G_b rounds, geometric with p_r = m_r under
+    record-and-continue and p_r = m_r + f_r under the strict policy, and
+    whatever its stop; a strict bit's stop is a failed check with
+    probability q_r = f_r / (m_r + f_r), and the trial ends at its first
+    failing bit.  Roots and Alice's bits are uniform, so a strict bit fails
+    with probability q = 1/4 sum_r q_r, the first failing bit T is
+    geometric(q), and the trial delivers D = min(T - 1, L) bits, which fall
+    in the 8 (root r, Alice bit i) cells as multinomial(D, (1 - q_r) /
+    (8 (1 - q))); under record-and-continue q_r = 0 and D = L.  A failing
+    bit's root is categorical(q_r / (4 q)).  The n_r bits that stop on root
+    r (delivered, and the failing one) take n_r + C_r rounds, C_r being
+    NB(n_r, p_r), negative binomial.
+
+    Root r's message leaves under Alice's bit i are multinomial(N_ri,
+    w / m_r), N_ri being its delivered bits of Alice bit i.  Its C_r check
+    rounds are all passed under the strict policy; under
+    record-and-continue F_r of them fail, binomial(C_r, f_r / c_r), c_r
+    being the root's check weight.  The passed ones are multinomial(C_r -
+    F_r, w / (c_r - f_r)) over its passing checks, the failed ones
+    multinomial(F_r, w / f_r) over its failing checks, and a strict trial's
+    failing leaf has probability w / f_r.
 
     Counts are kept as a (16, width) array: row 3r + i holds root r's
     message leaves under Alice's bit i, row 3r + 2 its passed checks, and
@@ -425,6 +449,13 @@ class _TrialLaw:
         # that fail, else the share of its check rounds that fail.
         self.fail_share = np.array(fail_share)
         self.failing = bool(self.fail_share.any())
+        # q, the chance that a bit fails and ends the trial (0 when none
+        # can), the law of a delivered bit's (root, Alice bit) cell, column
+        # 2r + i, and that of a failing bit's root.
+        ends = self.fail_share if strict else np.zeros(len(roots))
+        self.abort_q = float(ends.mean())
+        self.cell_p = np.repeat((1.0 - ends) / (8.0 * (1.0 - self.abort_q)), 2)
+        self.fail_root = ends / (4.0 * self.abort_q) if self.abort_q else None
         # The flat indices of the message cells, with the bits each party
         # decodes wrong in each (``_WRONG_BITS``).
         flat = [(index * width + column, index, leaf) for index, column, leaf in self.cells]
@@ -442,94 +473,170 @@ class _TrialLaw:
         (cell,) = np.flatnonzero(counts[12:])
         return self.stops[int(cell)]
 
-    def block_trials(self, length):
-        """The trials a block of ``length``-bit trials holds:
-        ``max(1, _BLOCK_BITS // length)``, or fewer when a failed check can
-        end a trial, at most the trials expected up to the first abort,
-        ceil(1 / (1 - (1 - q)^length)) with q = 1/4 sum_r f_r / (m_r + f_r),
-        so that little of a block is drawn to be discarded."""
-        block = max(1, _BLOCK_BITS // length)
-        if self.strict and self.failing:
-            aborts = 1.0 - (1.0 - float(self.fail_share.mean())) ** length
-            if aborts * block > 1.0:
-                block = math.ceil(1.0 / aborts)
-        return block
-
     def draw(self, rng, trials, length, max_rounds):
         """A block of ``trials`` trials of ``length`` bits from ``rng``:
         ``(counts, last, rows, over)``.
 
-        These numpy calls cover the whole block, in this order: the message
-        bits are ``integers(0, 2, (3, trials, length))`` (Alice's, Bob's and
-        Charlie's); one ``geometric`` call gives every bit's rounds; when a
-        check can fail, one more call, under the strict policy
-        ``random((trials, length))`` saying whether each bit's stopping
-        round fails, and under record-and-continue ``binomial`` splitting
-        each trial's check rounds of each root into passed and failed; and
-        one ``multinomial`` call gives the leaf counts of every row, summed
-        over the trials the block keeps, with a second call for a trial
-        that a failed check ended, drawn on its own.  Each trial ends at its
-        first failing bit.
+        These numpy calls cover the whole block, in this order, and none
+        takes an array whose size grows with ``length``:
+        - when a failed check can end a strict trial, ``geometric(q,
+          trials)``, each trial's first failing bit T; the block ends at its
+          first trial with T <= ``length``, and ``choice(4, p=...)`` gives
+          that trial's failing root;
+        - ``multinomial(D, ...)``, the delivered bits of each trial up to
+          the block's end by (root, Alice bit);
+        - ``negative_binomial`` over every (trial, root) with n_r > 0 bits
+          that stop on it, its check rounds C_r (a root past numpy's limit
+          draws one ``geometric`` per bit instead, in one more call);
+        - the calls of :meth:`_TrialLaw._delivered` for the first trial
+          whose rounds pass ``max_rounds``, where the block then ends;
+        - under record-and-continue, when a check can fail, ``binomial``
+          splitting the kept trials' check rounds into passed and failed;
+        - ``multinomial`` over the row totals summed over the trials the
+          block keeps, and a second one for a trial that a failed check
+          ended, drawn on its own.
 
-        The block ends at its first trial, in trial order, that a failed
-        check ends or whose rounds pass ``max_rounds``; what is drawn for
-        the trials after it is discarded.  ``rows``, of shape (n, 16),
-        holds the row totals of the first n trials: every trial, or those up
-        to and including the one a failed check ended; a trial's rounds and
-        failed checks are its sums over every row and over rows 12 to 15.
-        ``counts``, of shape (16, width), sums their leaf counts, and
-        ``last`` is the aborting trial's own counts, or None.  ``over`` is
-        the :class:`~qsdc3.protocol.RoundBudgetExceeded` of trial n when its
-        rounds pass the budget, with the bits whose running sum of rounds
-        stays within it as delivered; else None.
+        ``rows``, of shape (n, 16), holds the row totals of the first n
+        trials: every trial, or those before the one whose rounds pass the
+        budget, or those up to and including the one a failed check ended;
+        a trial's rounds and failed checks are its sums over every row and
+        over rows 12 to 15.  ``counts``, of shape (16, width), sums their
+        leaf counts, and ``last`` is the aborting trial's own counts, or
+        None.  ``over`` is the :class:`~qsdc3.protocol.RoundBudgetExceeded`
+        of trial n when its rounds pass the budget, with the bits whose
+        running sum of rounds stays within it as delivered; else None.
         """
-        alice, bob, charlie = rng.integers(0, 2, size=(3, trials, length))
-        roots = 2 * bob + charlie
-        rounds = rng.geometric(self.stop_p[roots])
-        # A stop weight near 0 can draw more rounds than an int64 sums.
-        np.minimum(rounds, max_rounds + 1, out=rounds)
-        # The row each bit's stopping round is counted in; row 16 gathers
-        # the bits after a trial's end, which take no rounds.
-        rows = 3 * roots + alice
-        aborts = np.zeros(trials, dtype=bool)
-        if self.strict and self.failing:
-            failing = rng.random((trials, length)) < self.fail_share[roots]
-            aborts = failing.any(axis=1)
-            final = np.where(aborts, failing.argmax(axis=1), length)
-            after = np.arange(length) > final[:, None]
-            rounds[after] = 0
-            rows[after] = 16
-            (aborting,) = np.nonzero(aborts)
-            rows[aborting, final[aborting]] = 12 + roots[aborting, final[aborting]]
-        past = rounds.sum(axis=1) > max_rounds
-        ends = aborts | past
+        delivered = np.full(trials, length)
+        failing = None
+        if self.abort_q:
+            first = rng.geometric(self.abort_q, trials)
+            (aborts,) = np.nonzero(first <= length)
+            if len(aborts):
+                trials = int(aborts[0]) + 1
+                delivered = delivered[:trials]
+                delivered[-1] = first[trials - 1] - 1
+                failing = int(rng.choice(len(self.fail_root), p=self.fail_root))
+        cells = rng.multinomial(delivered, self.cell_p)
+        # The bits that stop on each (trial, root): its delivered bits, and
+        # the aborting trial's failing one.
+        stops = cells[:, 0::2] + cells[:, 1::2]
+        if failing is not None:
+            stops[-1, failing] += 1
+        rounds, by_bit = self._rounds(rng, stops, length, max_rounds)
         over = None
         kept = trials
-        aborted = False
-        if ends.any():
-            end = int(ends.argmax())
-            if past[end]:
-                delivered = int(np.searchsorted(np.cumsum(rounds[end]), max_rounds, side="right"))
-                over = RoundBudgetExceeded(max_rounds, delivered, length)
-                kept = end
-            else:
-                kept, aborted = end + 1, True
-            rows, roots, rounds = rows[:kept], roots[:kept], rounds[:kept]
-        offsets = np.arange(kept)[:, None]
-        n = np.bincount((rows + 17 * offsets).ravel(), minlength=17 * kept).reshape(kept, 17)[:, :16]
-        stops = np.bincount((roots + 4 * offsets).ravel(), weights=rounds.ravel(), minlength=4 * kept)
-        # Each root's rounds that stopped no bit: its passed checks, and
-        # under record-and-continue its failed ones.
-        checks = stops.reshape(kept, 4).astype(np.int64) - n[:, 0:12:3] - n[:, 1:12:3] - n[:, 12:]
+        past = np.minimum(rounds, max_rounds + 1).sum(axis=1) > max_rounds
+        if past.any():
+            kept = int(past.argmax())
+            ended = failing if kept == trials - 1 else None
+            bits = self._delivered(rng, stops[kept], rounds[kept], ended, by_bit(kept), max_rounds)
+            over = RoundBudgetExceeded(max_rounds, bits, length)
+            failing = None
+        n = np.zeros((kept, 16), dtype=np.int64)
+        n[:, 0:12:3] = cells[:kept, 0::2]
+        n[:, 1:12:3] = cells[:kept, 1::2]
+        checks = rounds[:kept] - stops[:kept]
         if self.failing and not self.strict:
             n[:, 12:] = rng.binomial(checks, self.fail_share)
             checks -= n[:, 12:]
         n[:, 2:12:3] = checks
-        if not aborted:
+        if failing is None:
             return rng.multinomial(n.sum(axis=0), self.pvals), None, n, over
+        n[-1, 12 + failing] = 1
         counts = rng.multinomial(n[:-1].sum(axis=0), self.pvals)
         last = rng.multinomial(n[-1], self.pvals)
         return counts + last, last, n, over
+
+    def _rounds(self, rng, stops, length, max_rounds):
+        """The rounds of the ``stops[t, r]`` bits of each trial t that stop
+        on root r, of shape ``stops.shape``, and ``by_bit``: ``by_bit(t)`` maps
+        each root of trial t drawn bit by bit to its bits' rounds.
+
+        Root r's bits take ``stops + NB(stops, p_r)`` rounds, in one
+        ``negative_binomial`` call over every (trial, root) with bits.  numpy
+        refuses NB(n, p) when (1 - p) / p (n + 10 sqrt(n)) passes about
+        2**63; a root past half of that at n = ``length`` draws each bit's
+        rounds, ``geometric(p_r)`` capped at ``max_rounds`` + 1, in one call,
+        so its sum counts past the budget exactly when the bits' do."""
+        p = np.broadcast_to(self.stop_p, stops.shape)
+        one_by_one = (1.0 - self.stop_p) / self.stop_p * (length + 10.0 * math.sqrt(length)) > _NB_LIMIT
+        drawn = (stops > 0) & ~one_by_one
+        rounds = stops.copy()
+        rounds[drawn] += rng.negative_binomial(stops[drawn], p[drawn])
+        drawn_by_bit = (stops > 0) & one_by_one
+        if not drawn_by_bit.any():
+            return rounds, lambda trial: {}
+        sizes = stops[drawn_by_bit]
+        bits = np.minimum(rng.geometric(np.repeat(p[drawn_by_bit], sizes)), max_rounds + 1)
+        starts = np.zeros(stops.shape, dtype=np.int64)
+        starts[drawn_by_bit] = np.cumsum(sizes) - sizes
+        rounds[drawn_by_bit] = np.add.reduceat(bits, starts[drawn_by_bit])
+
+        def by_bit(trial):
+            return {
+                r: bits[starts[trial, r] : starts[trial, r] + stops[trial, r]]
+                for r in np.flatnonzero(drawn_by_bit[trial]).tolist()
+            }
+
+        return rounds, by_bit
+
+    @staticmethod
+    def _delivered(rng, stops, rounds, failing, by_bit, max_rounds):
+        """The bits that one trial whose rounds pass ``max_rounds`` delivers
+        within them: its bits, in order, whose running sum of rounds stays
+        within the budget.
+
+        The trial's ``stops[r]`` bits of root r take ``rounds[r]`` rounds,
+        the failing bit's included when ``failing`` names its root; ``by_bit``
+        gives the rounds of each bit of a root drawn bit by bit.  Given
+        these totals, the bits' roots are in a uniform order (the failing
+        bit last), and a root's bits take a uniform composition of its
+        rounds into ``stops[r]`` positive parts, since each bit's rounds are
+        geometric; so the rounds of a of its n bits are a plus
+        beta-binomial(rounds - n, a, n - a).  The trial's bits are halved
+        until one remains, the first whose running sum passes the budget:
+        ``multivariate_hypergeometric`` gives the first half's bits by root,
+        ``beta`` and ``binomial`` their rounds, and the walk goes on in the
+        half where the running sum passes the budget."""
+        n, total = stops.copy(), rounds.copy()
+        # Each root drawn bit by bit: its bits' running sums, and where the
+        # bits in play start.
+        sums = {r: np.concatenate(([0], np.cumsum(bits))) for r, bits in by_bit.items()}
+        start = np.zeros(len(n), dtype=np.int64)
+
+        def first_rounds(a):
+            """The rounds of the first ``a[r]`` bits in play of each root r."""
+            part = np.where(a == n, total, 0)
+            split = (a > 0) & (a < n)
+            for r in sums:
+                split[r] = False
+                part[r] = sums[r][start[r] + a[r]] - sums[r][start[r]]
+            part[split] = a[split] + rng.binomial(total[split] - n[split], rng.beta(a[split], n[split] - a[split]))
+            return part
+
+        def spends(part, spent=0):
+            """Whether ``spent`` rounds and then ``part`` pass the budget."""
+            return spent + np.minimum(part, max_rounds + 1).sum() > max_rounds
+
+        if failing is not None:
+            # The failing bit comes last: the delivered bits before it.
+            a = n.copy()
+            a[failing] -= 1
+            part = first_rounds(a)
+            if not spends(part):
+                return int(a.sum())
+            n, total = a, part
+        spent = delivered = 0
+        while n.sum() > 1:
+            a = rng.multivariate_hypergeometric(n, int(n.sum()) // 2)
+            part = first_rounds(a)
+            if spends(part, spent):
+                n, total = a, part
+            else:
+                spent += int(part.sum())
+                delivered += int(a.sum())
+                n, total, start = n - a, total - part, start + a
+        return delivered
 
 
 class _Aggregator:
@@ -661,14 +768,15 @@ def run_experiment(config):
     """Run ``config.trials`` independent protocol executions and report.
 
     Deterministic given the seed: the experiment draws from one generator,
-    ``numpy.random.default_rng(config.seed)``, in blocks of trials, in
-    trial order (:meth:`_TrialLaw.block_trials` sizes them; the stream
-    depends on ``_BLOCK_BITS``).  An experiment builds one transition table
-    and weighs its compiled round there once.  Then each block draws its
-    trials' rounds and row totals from their exact law under the config's
-    abort policy (:class:`_TrialLaw`), with no round order, and its leaf
-    counts in one multinomial over the summed rows (:meth:`_TrialLaw.draw`:
-    rows 3r + i hold root r's message leaves under Alice's bit i, 3r + 2 its
+    ``numpy.random.default_rng(config.seed)``, in blocks of up to
+    ``_BLOCK_TRIALS`` trials, in trial order; the stream depends on that
+    size, not on the message length.  An experiment builds one transition
+    table and weighs its compiled round there once.  Then each block draws
+    its trials' row totals in closed form from their exact law under the
+    config's abort policy (:class:`_TrialLaw`), with no round order and no
+    per-bit work, and its leaf counts in one multinomial over the summed
+    rows (:meth:`_TrialLaw.draw` states the calls and their order: rows
+    3r + i hold root r's message leaves under Alice's bit i, 3r + 2 its
     passed checks and 12 + r its failed ones).  The report folds their sum
     (:class:`_Aggregator`); its fidelity is the exact mean over the
     completed trials, rounded once.  Under the strict policy the first
@@ -699,8 +807,10 @@ def run_experiment(config):
 
 def _count_trials(config, law):
     """The trials' leaf counts drawn from ``law`` in blocks of
-    ``law.block_trials(message_length)`` trials, all from one generator,
-    summed in one array: ``(totals, abort)``.
+    ``_BLOCK_TRIALS`` trials (the last block holds the rest), in trial
+    order, all from one generator, summed in one array: ``(totals, abort)``.
+    A block's draw (:meth:`_TrialLaw.draw`) costs O(its trials), whatever
+    the message length.
 
     ``abort`` is None when every trial completed.  Else a failed check
     ended trial ``trial``, the last one drawn and summed, and ``abort`` is
@@ -711,11 +821,10 @@ def _count_trials(config, law):
     their INFO lines (:func:`_log_trials`) before the next block is drawn."""
     length = config.message_length
     budget = default_budget(length)
-    block = law.block_trials(length)
     rng = np.random.default_rng(config.seed)
     totals = np.zeros_like(law.pvals, dtype=np.int64)
-    for first in range(0, config.trials, block):
-        counts, last, rows, over = law.draw(rng, min(block, config.trials - first), length, budget)
+    for first in range(0, config.trials, _BLOCK_TRIALS):
+        counts, last, rows, over = law.draw(rng, min(_BLOCK_TRIALS, config.trials - first), length, budget)
         totals += counts
         _log_trials(first, rows, last is not None)
         if last is not None:

@@ -80,9 +80,9 @@ def test_criterion_2_announced_xor_identity(sampled_digest):
     ok = (
         audited >= 10_000
         and fraction == 1.0
-        and digest == "74a32b8b1d3ae08aa2e425cd92e4a008121a173b5bfd8badfe6dee28583fea28"
+        and digest == "30c0f9f18ab64e873b8ca6421364ece64c49b22ae5feca385d526eae4802a871"
         and sampled_digest(result.to_dict())
-        == "b743d5ba0805aaa736d2ba90046c2a3b44229060b2157a6feba4d65df7d74c55"
+        == "679de17d7a148bb9b1369ab40c5cbea7abb74e109e87aa67c5713436e89c29c4"
         and elapsed < 5.0
     )
     _report(
@@ -181,10 +181,10 @@ def test_criterion_5_probe_coupling_curve(sampled_digest):
             problems.append("X-family decoys detected something at %.2f" % beta_sq)
     curve = {"curve": [row.to_dict() for row in rows]}
     digest = _sha256(render_json(curve))
-    if digest != "0bda3960dc4e462f2fc63c5d842dce13dca9e625112b5e2dfcd70bc852e47248":
+    if digest != "4a7c7fb93400a4a898fb069a98fc84ac3ed82f9f995ff9e0d7aa10b4e985652a":
         problems.append("curve rows %s" % digest[:16])
     sampled = sampled_digest(curve)
-    if sampled != "0fab485853e6d0fe0e26600f553f7878c6beab75c1e4fdd8f6dbcaef648071e9":
+    if sampled != "3e85d480cb5ec8bfe22e7fe6c66feddbb5b00d23c6347fac519199c94e1edccb":
         problems.append("sampled curve fields %s" % sampled[:16])
     ok = not problems and elapsed < 60.0
     _report(
@@ -259,9 +259,9 @@ def test_criterion_6_intercept_resend_quarter_vs_half_claim(sampled_digest):
         and ab.paper_claim == 0.5
         and '"analytic_probability": 0.25' in report_text
         and '"paper_claim": 0.5' in report_text
-        and _sha256(report_text) == "6f14ece43614839cebd84f36a0b4a53c4f07aa61de22e9a2330a3abfb93523e0"
+        and _sha256(report_text) == "5edb1a832b4719402a23ddf7b80b9916028905611e1b3f3461c56f9a749779c4"
         and sampled_digest(result.to_dict())
-        == "a317a31138994c292cfde9b9260b56cc05ac646a9d9ebb5cedf424b486578673"
+        == "cfb9a5f26ff0b27c5e8c94fdfb30613ee8992818dd6c4b73d26a9f90c6bbab33"
         and elapsed < 10.0
     )
     _report(

@@ -214,8 +214,8 @@ class TestTinyCoupling:
 
 
 # The config-error cases that run in a fresh interpreter: a run and a
-# sweep, and the two message lengths numpy cannot size, which a real
-# process must refuse before it asks numpy for the arrays.
+# sweep, and two message lengths past the longest whose rounds sum in an
+# int64, which a real process must refuse before any experiment runs.
 SPAWNED_CONFIG_ERRORS = {
     "p_ab_check_one",
     "sweep_check_kinds_string",
@@ -315,8 +315,8 @@ class TestConfigErrors:
                 [],
                 "segments",
             ),
-            # numpy cannot size either message array: more than intp-max
-            # elements, and more than intp-max bytes.
+            # Past the longest message whose rounds sum in an int64: a
+            # length past int64 itself, and one within it.
             ("run", {"message_length": 10**19}, [], "message_length"),
             ("run", {"message_length": 3 * 10**18}, [], "message_length"),
             ("sweep", {"grid": [0.5], "check_kinds": "ab_check"}, [], "check_kinds"),
