@@ -10,8 +10,10 @@ one generator, ``numpy.random.default_rng(seed)``, seeded by
 ``SeedSequence(seed)`` and never spawned.  It draws its trials in blocks of
 ``_BLOCK_TRIALS`` trials (the last block holds the rest), in trial order,
 each block where the last one left off.  A block makes a fixed sequence of
-numpy calls covering all its trials (:meth:`_TrialLaw.draw` lists them),
-and no call's size grows with the message length.  So the whole report is a
+numpy calls covering all its trials (:meth:`_TrialLaw.draw` lists them).
+No call's size grows with the message length, except those that draw one
+trial's bits: for the trial whose rounds pass the budget, and for a root
+past numpy's ``negative_binomial`` limit.  So the whole report is a
 deterministic function of the configuration and of ``_BLOCK_TRIALS``:
 changing the block size changes the random stream.
 
@@ -78,22 +80,11 @@ _BLOCK_TRIALS = 1024
 _NB_LIMIT = 2.0**62
 
 
-def _longest_message():
-    """The longest message whose bits' rounds, each capped at the default
-    budget + 1, sum within an int64: a trial's rounds are summed in int64,
-    and a root drawn bit by bit sums its bits' capped rounds."""
-    most = int(np.iinfo(np.int64).max)
-    low, high = 1, most
-    while low < high:
-        mid = (low + high + 1) // 2
-        if mid * (default_budget(mid) + 1) <= most:
-            low = mid
-        else:
-            high = mid - 1
-    return low
-
-
-_MAX_MESSAGE_LENGTH = _longest_message()
+# The longest message whose bits' rounds, each capped at the default budget
+# + 1, sum within an int64, as a trial's rounds are summed: the largest L
+# with L (default_budget(L) + 1) = 50 L^2 + 1001 L <= 2**63 - 1, that is
+# 100 L + 1001 <= isqrt(1001^2 + 200 (2**63 - 1)); 429,496,719.
+_MAX_MESSAGE_LENGTH = (math.isqrt(1001**2 + 200 * (2**63 - 1)) - 1001) // 100
 _MESSAGE = RoundKind.MESSAGE
 _DECOY_CHECK = RoundKind.CHARLIE_DECOY_CHECK
 
@@ -451,11 +442,15 @@ class _TrialLaw:
         self.failing = bool(self.fail_share.any())
         # q, the chance that a bit fails and ends the trial (0 when none
         # can), the law of a delivered bit's (root, Alice bit) cell, column
-        # 2r + i, and that of a failing bit's root.
+        # 2r + i, and that of a failing bit's root.  When every root's bits
+        # fail (q = 1: a message weight below an ulp of the failed-check
+        # weight), each trial aborts at its first bit with none delivered,
+        # and the cells' law, uniform then, is never drawn from.
         ends = self.fail_share if strict else np.zeros(len(roots))
+        kept = 1.0 - ends
         self.abort_q = float(ends.mean())
-        self.cell_p = np.repeat((1.0 - ends) / (8.0 * (1.0 - self.abort_q)), 2)
-        self.fail_root = ends / (4.0 * self.abort_q) if self.abort_q else None
+        self.cell_p = np.repeat(kept / (2.0 * kept.sum()) if kept.any() else np.full(4, 0.125), 2)
+        self.fail_root = ends / ends.sum() if self.abort_q else None
         # The flat indices of the message cells, with the bits each party
         # decodes wrong in each (``_WRONG_BITS``).
         flat = [(index * width + column, index, leaf) for index, column, leaf in self.cells]
@@ -477,8 +472,9 @@ class _TrialLaw:
         """A block of ``trials`` trials of ``length`` bits from ``rng``:
         ``(counts, last, rows, over)``.
 
-        These numpy calls cover the whole block, in this order, and none
-        takes an array whose size grows with ``length``:
+        These numpy calls cover the whole block, in this order; only a trial
+        past the budget, and a root drawn bit by bit, take arrays that grow
+        with ``length``, one trial's bits at a time:
         - when a failed check can end a strict trial, ``geometric(q,
           trials)``, each trial's first failing bit T; the block ends at its
           first trial with T <= ``length``, and ``choice(4, p=...)`` gives
@@ -486,10 +482,14 @@ class _TrialLaw:
         - ``multinomial(D, ...)``, the delivered bits of each trial up to
           the block's end by (root, Alice bit);
         - ``negative_binomial`` over every (trial, root) with n_r > 0 bits
-          that stop on it, its check rounds C_r (a root past numpy's limit
-          draws one ``geometric`` per bit instead, in one more call);
-        - the calls of :meth:`_TrialLaw._delivered` for the first trial
-          whose rounds pass ``max_rounds``, where the block then ends;
+          that stop on it, its check rounds C_r; a root past numpy's limit
+          draws each bit's rounds instead, one ``geometric`` per trial with
+          bits there, trial by trial up to the first trial past the budget
+          (:meth:`_TrialLaw._rounds`);
+        - for the first trial whose rounds pass ``max_rounds``, where the
+          block then ends, ``dirichlet`` and ``multinomial`` for each root
+          with bits not drawn bit by bit, and one ``permutation``
+          (:meth:`_TrialLaw._delivered`);
         - under record-and-continue, when a check can fail, ``binomial``
           splitting the kept trials' check rounds into passed and failed;
         - ``multinomial`` over the row totals summed over the trials the
@@ -529,7 +529,7 @@ class _TrialLaw:
         if past.any():
             kept = int(past.argmax())
             ended = failing if kept == trials - 1 else None
-            bits = self._delivered(rng, stops[kept], rounds[kept], ended, by_bit(kept), max_rounds)
+            bits = self._delivered(rng, stops[kept], rounds[kept], ended, by_bit, max_rounds)
             over = RoundBudgetExceeded(max_rounds, bits, length)
             failing = None
         n = np.zeros((kept, 16), dtype=np.int64)
@@ -549,36 +549,36 @@ class _TrialLaw:
 
     def _rounds(self, rng, stops, length, max_rounds):
         """The rounds of the ``stops[t, r]`` bits of each trial t that stop
-        on root r, of shape ``stops.shape``, and ``by_bit``: ``by_bit(t)`` maps
-        each root of trial t drawn bit by bit to its bits' rounds.
+        on root r, and ``by_bit``, the rounds of each bit of the trial past
+        the budget on each root drawn bit by bit (else empty).
 
         Root r's bits take ``stops + NB(stops, p_r)`` rounds, in one
         ``negative_binomial`` call over every (trial, root) with bits.  numpy
         refuses NB(n, p) when (1 - p) / p (n + 10 sqrt(n)) passes about
-        2**63; a root past half of that at n = ``length`` draws each bit's
-        rounds, ``geometric(p_r)`` capped at ``max_rounds`` + 1, in one call,
-        so its sum counts past the budget exactly when the bits' do."""
-        p = np.broadcast_to(self.stop_p, stops.shape)
+        2**63; a root past half of that at n = ``length`` draws its bits'
+        rounds one by one, ``geometric(p_r)`` capped at ``max_rounds`` + 1 so
+        that their sum passes the budget exactly when the bits' do.  Those
+        roots draw trial by trial, one call per root with bits, and the
+        draw stops at the first trial whose rounds pass the budget: the
+        rows returned end there, and memory stays O(one trial's bits)."""
         one_by_one = (1.0 - self.stop_p) / self.stop_p * (length + 10.0 * math.sqrt(length)) > _NB_LIMIT
         drawn = (stops > 0) & ~one_by_one
         rounds = stops.copy()
-        rounds[drawn] += rng.negative_binomial(stops[drawn], p[drawn])
-        drawn_by_bit = (stops > 0) & one_by_one
-        if not drawn_by_bit.any():
-            return rounds, lambda trial: {}
-        sizes = stops[drawn_by_bit]
-        bits = np.minimum(rng.geometric(np.repeat(p[drawn_by_bit], sizes)), max_rounds + 1)
-        starts = np.zeros(stops.shape, dtype=np.int64)
-        starts[drawn_by_bit] = np.cumsum(sizes) - sizes
-        rounds[drawn_by_bit] = np.add.reduceat(bits, starts[drawn_by_bit])
-
-        def by_bit(trial):
-            return {
-                r: bits[starts[trial, r] : starts[trial, r] + stops[trial, r]]
-                for r in np.flatnonzero(drawn_by_bit[trial]).tolist()
+        rounds[drawn] += rng.negative_binomial(stops[drawn], np.broadcast_to(self.stop_p, stops.shape)[drawn])
+        if not (stops[:, one_by_one] > 0).any():
+            return rounds, {}
+        cap = max_rounds + 1
+        for trial, row in enumerate(stops.tolist()):
+            by_bit = {
+                r: np.minimum(rng.geometric(self.stop_p[r], n), cap)
+                for r, n in enumerate(row)
+                if n and one_by_one[r]
             }
-
-        return rounds, by_bit
+            for r, bits in by_bit.items():
+                rounds[trial, r] = bits.sum()
+            if np.minimum(rounds[trial], cap).sum() > max_rounds:
+                return rounds[: trial + 1], by_bit
+        return rounds, {}
 
     @staticmethod
     def _delivered(rng, stops, rounds, failing, by_bit, max_rounds):
@@ -589,54 +589,22 @@ class _TrialLaw:
         The trial's ``stops[r]`` bits of root r take ``rounds[r]`` rounds,
         the failing bit's included when ``failing`` names its root; ``by_bit``
         gives the rounds of each bit of a root drawn bit by bit.  Given
-        these totals, the bits' roots are in a uniform order (the failing
-        bit last), and a root's bits take a uniform composition of its
-        rounds into ``stops[r]`` positive parts, since each bit's rounds are
-        geometric; so the rounds of a of its n bits are a plus
-        beta-binomial(rounds - n, a, n - a).  The trial's bits are halved
-        until one remains, the first whose running sum passes the budget:
-        ``multivariate_hypergeometric`` gives the first half's bits by root,
-        ``beta`` and ``binomial`` their rounds, and the walk goes on in the
-        half where the running sum passes the budget."""
-        n, total = stops.copy(), rounds.copy()
-        # Each root drawn bit by bit: its bits' running sums, and where the
-        # bits in play start.
-        sums = {r: np.concatenate(([0], np.cumsum(bits))) for r, bits in by_bit.items()}
-        start = np.zeros(len(n), dtype=np.int64)
-
-        def first_rounds(a):
-            """The rounds of the first ``a[r]`` bits in play of each root r."""
-            part = np.where(a == n, total, 0)
-            split = (a > 0) & (a < n)
-            for r in sums:
-                split[r] = False
-                part[r] = sums[r][start[r] + a[r]] - sums[r][start[r]]
-            part[split] = a[split] + rng.binomial(total[split] - n[split], rng.beta(a[split], n[split] - a[split]))
-            return part
-
-        def spends(part, spent=0):
-            """Whether ``spent`` rounds and then ``part`` pass the budget."""
-            return spent + np.minimum(part, max_rounds + 1).sum() > max_rounds
-
+        these totals each other root's bits take a uniform composition of
+        its rounds into ``stops[r]`` positive parts, since each bit's rounds
+        are geometric: 1 plus ``multinomial(rounds - n, dirichlet(ones(n)))``.
+        The bits' order is uniform, one ``permutation``, with the failing
+        bit, its root's last part, after them all.  O(the trial's bits)."""
+        parts = {
+            r: by_bit[r] if r in by_bit else 1 + rng.multinomial(total - n, rng.dirichlet(np.ones(n)))
+            for r, (n, total) in enumerate(zip(stops.tolist(), rounds.tolist()))
+            if n
+        }
+        last = np.zeros(0, dtype=np.int64)
         if failing is not None:
-            # The failing bit comes last: the delivered bits before it.
-            a = n.copy()
-            a[failing] -= 1
-            part = first_rounds(a)
-            if not spends(part):
-                return int(a.sum())
-            n, total = a, part
-        spent = delivered = 0
-        while n.sum() > 1:
-            a = rng.multivariate_hypergeometric(n, int(n.sum()) // 2)
-            part = first_rounds(a)
-            if spends(part, spent):
-                n, total = a, part
-            else:
-                spent += int(part.sum())
-                delivered += int(a.sum())
-                n, total, start = n - a, total - part, start + a
-        return delivered
+            parts[failing], last = parts[failing][:-1], parts[failing][-1:]
+        order = np.concatenate([rng.permutation(np.concatenate(list(parts.values()))), last])
+        running = np.cumsum(np.minimum(order, max_rounds + 1))
+        return int(np.searchsorted(running, max_rounds, side="right"))
 
 
 class _Aggregator:
@@ -810,7 +778,8 @@ def _count_trials(config, law):
     ``_BLOCK_TRIALS`` trials (the last block holds the rest), in trial
     order, all from one generator, summed in one array: ``(totals, abort)``.
     A block's draw (:meth:`_TrialLaw.draw`) costs O(its trials), whatever
-    the message length.
+    the message length, and O(one trial's bits) more when a trial passes
+    the budget.
 
     ``abort`` is None when every trial completed.  Else a failed check
     ended trial ``trial``, the last one drawn and summed, and ``abort`` is

@@ -39,6 +39,10 @@ from qsdc3.protocol import (
 from qsdc3.states import Basis, JointState, Pauli, TransitionTable
 from test_protocol import BITS, G_TEST_CASES, RECORD, SHARED_TABLE_CASES, chi_square_quantile, two_sample_g
 
+# numpy imports numpy.random on first use, about 0.7 MB; a generator made
+# here keeps that out of the tracemalloc peaks below, which count a run's own.
+np.random.default_rng(0)
+
 AB = ChannelSegment.A_TO_B
 BC = ChannelSegment.B_TO_C
 CA = ChannelSegment.C_TO_A
@@ -959,26 +963,28 @@ class TestTrialLaw:
 
     @pytest.mark.parametrize("schedule, model, seed", G_TEST_CASES)
     def test_trials_at_different_positions_in_a_block_share_nothing(self, schedule, model, seed):
-        # Blocks of harness._BLOCK_TRIALS trials of 512 bits, the
-        # experiment's own.  Over 500 blocks the first and the last trial of
-        # a block have one law of row totals: each row's mean total and the
-        # mean rounds agree within 4 standard errors.  Over the first 16
-        # blocks' 16,384 trials in draw order, neighbours' rounds and their
+        # Trials of 512 bits.  Over 2,000 blocks of 32 trials the first and
+        # the last trial of a block have one law of row totals: each row's
+        # mean total and the mean rounds agree within 4 standard errors.
+        # (The draw takes a block of any size, and slices its first and its
+        # last trial alike whatever the size; 32 keeps the 2,000 blocks
+        # quick.)  Over 16 blocks of harness._BLOCK_TRIALS, the experiment's
+        # own, 16,384 trials in draw order, neighbours' rounds and their
         # totals in each row are uncorrelated within 4 standard errors,
         # 1 / sqrt(16,384).  (A block draws each quantity for all its
         # trials in one call, and its leaves once, over its trials' summed
         # row totals, so no leaf count is a trial's own.)
         _, _, law = experiment_law(schedule, model)
         rng = np.random.default_rng(seed)
-        length, blocks, block = 512, 500, harness._BLOCK_TRIALS
-        ends, series = [], []
-        for index in range(blocks):
-            _, _, kept, over = law.draw(rng, block, length, default_budget(length))
-            assert over is None and len(kept) == block
-            ends.append(kept[[0, -1]])
-            if index < 16:
-                series.append(kept)
-        ends = np.array(ends)
+        length, blocks = 512, 2000
+
+        def block(trials):
+            _, _, kept, over = law.draw(rng, trials, length, default_budget(length))
+            assert over is None and len(kept) == trials
+            return kept
+
+        ends = np.array([block(32)[[0, -1]] for _ in range(blocks)])
+        series = [block(harness._BLOCK_TRIALS) for _ in range(16)]
         assert row_totals_differ(ends[:, 0], ends[:, 1]) == []
         rounds = ends.sum(axis=2).astype(float)
         gap = rounds[:, 0].mean() - rounds[:, 1].mean()
@@ -1020,29 +1026,26 @@ class TestTrialLaw:
         class Scripted:
             """One trial of three bits, all of root 0 under Alice's bit 0,
             of 3, 4 and 5 rounds in that order: 12 rounds, 9 of them checks.
-            Past the budget, the walk halves the bits in play, and each half
-            it reads holds the next bit in order: its rounds are 1 plus the
-            scripted binomial, 2 for the first bit and 3 for the second."""
-
-            def __init__(self):
-                self.parts = [2, 3]
+            Past the budget, the composition of root 0's 12 rounds into its
+            3 bits is 1 plus the scripted multinomial of the 9 left, 2, 3
+            and 4, and the bits' permutation keeps their order."""
 
             def multinomial(self, n, pvals):
-                if np.ndim(pvals) == 1:  # the delivered bits by (root, Alice bit)
+                if np.ndim(pvals) == 2:  # the leaves, over the summed rows
+                    return np.random.default_rng(0).multinomial(n, pvals)
+                if len(pvals) == 8:  # the delivered bits by (root, Alice bit)
                     return np.array([[3, 0, 0, 0, 0, 0, 0, 0]])
-                return np.random.default_rng(0).multinomial(n, pvals)
+                assert (n, len(pvals)) == (12 - 3, 3)
+                return np.array([2, 3, 4])
 
             def negative_binomial(self, n, p):
                 return np.array([12 - 3])
 
-            def multivariate_hypergeometric(self, colors, nsample):
-                return np.array([nsample, 0, 0, 0])
+            def dirichlet(self, alpha):
+                return np.full(len(alpha), 1.0 / len(alpha))
 
-            def beta(self, a, b):
-                return np.full(len(a), 0.5)
-
-            def binomial(self, n, p):
-                return np.array([self.parts.pop(0)])
+            def permutation(self, bits):
+                return bits
 
         _, _, law = experiment_law(SchedulePolicy(), AttackModel.none())
         counts, last, rows, over = law.draw(Scripted(), 1, 3, 11)
@@ -1170,7 +1173,10 @@ class TestTrialLaw:
         class Scripted:
             """The first trial's first failing bit is its second, of root 0,
             after one delivered bit of 3 rounds; the failing bit's check
-            fails at its round ``second``.  The second trial has none."""
+            fails at its round ``second``.  The second trial has none.  Past
+            the budget, the composition of root 0's 3 + ``second`` rounds
+            into its 2 bits is 1 plus the scripted multinomial, and the
+            failing bit, the root's last part, comes last."""
 
             def geometric(self, p, size):
                 return np.array([2, 4])
@@ -1179,20 +1185,24 @@ class TestTrialLaw:
                 return 0
 
             def multinomial(self, n, pvals):
-                if np.ndim(pvals) == 1:  # the delivered bits by (root, Alice bit)
+                if np.ndim(pvals) == 2:  # the leaves, over the summed rows
+                    return generator.multinomial(n, pvals)
+                if len(pvals) == 8:  # the delivered bits by (root, Alice bit)
                     assert n.tolist() == [1]
                     return np.array([[1, 0, 0, 0, 0, 0, 0, 0]])
-                return generator.multinomial(n, pvals)
+                assert (n, len(pvals)) == (3 + second - 2, 2)
+                return np.array([3 - 1, second - 1])
 
             def negative_binomial(self, n, p):
                 return np.array([(3 - 1) + (second - 1)])
 
-            def beta(self, a, b):
-                return np.full(len(a), 0.5)
+            def dirichlet(self, alpha):
+                return np.full(len(alpha), 1.0 / len(alpha))
 
-            def binomial(self, n, p):
-                # The delivered bit's rounds, past the budget: 1 + 2.
-                return np.array([2])
+            def permutation(self, bits):
+                # Only the delivered bit is ordered; the failing one is last.
+                assert bits.tolist() == [3]
+                return bits
 
         seeds = []
 
@@ -1247,6 +1257,28 @@ class TestTrialLaw:
         rng = np.random.default_rng(7)
         with pytest.raises(RoundBudgetExceeded, match=message):
             run_protocol(MessageTriple.random(100, rng), schedule, rng)
+
+    def test_a_schedule_whose_every_bit_fails_aborts_at_its_first_bit(self):
+        # At message weight 2**-159 under intercept-resend on A -> B, each
+        # root's share of stops that fail rounds to 1, and so does q: every
+        # trial aborts at its first bit, within the budget, with no bit
+        # delivered, as a strict session does.  The delivered bits' law is
+        # never drawn from then, and stays a finite one.
+        schedule = SchedulePolicy(1.0 - 2**-53, 1.0 - 2**-53, 1.0 - 2**-53)
+        attack, strict = AttackModel.intercept_resend(AB), AbortPolicy.STRICT
+        _, _, law = experiment_law(schedule, attack, strict)
+        assert law.fail_share.tolist() == [1.0] * 4 and law.abort_q == 1.0
+        assert np.isfinite(law.cell_p).all() and law.cell_p.sum() == 1.0
+        config = ExperimentConfig(message_length=100, trials=3, schedule=schedule, attack=attack, abort_policy=strict)
+        with pytest.raises(ExperimentAborted) as info:
+            run_experiment(config)
+        partial = info.value.partial
+        assert info.value.trial_index == 0 and (partial.trials_completed, partial.trials_aborted) == (0, 1)
+        assert partial.leakage.rounds_audited == 0 and partial.rounds_total <= default_budget(100)
+        rng = np.random.default_rng(7)
+        with pytest.raises(ProtocolAborted) as session:
+            run_protocol(MessageTriple.random(100, rng), schedule, rng, attack, strict)
+        assert not any(leaf.kind is RoundKind.MESSAGE for leaf in session.value.leaves)
 
 
     @pytest.mark.parametrize(
@@ -1368,6 +1400,25 @@ class TestDrawCost:
         assert len(names) in (6, 8) and names[: len(names) // 2] == names[len(names) // 2 :]
         for _, shapes in calls[0] + calls[1]:
             assert all(math.prod(shape) <= 8 * harness._BLOCK_TRIALS for shape in shapes), shapes
+
+    @pytest.mark.parametrize("policy", list(AbortPolicy), ids=lambda p: p.name.lower())
+    def test_a_root_drawn_bit_by_bit_draws_one_trial_at_a_time(self, policy):
+        # At message weight 2**-159 every root is past numpy's
+        # negative_binomial limit and draws its bits' rounds one by one.
+        # Each bit's rounds pass the budget, so the first trial of a block of
+        # 1,024 trials of 10**4 bits delivers none, and no later trial's
+        # bits are drawn: the run peaks below 1 MB, where 1,024 trials' bits
+        # would take 82 MB.
+        schedule = SchedulePolicy(1.0 - 2**-53, 1.0 - 2**-53, 1.0 - 2**-53)
+        config = ExperimentConfig(10**4, harness._BLOCK_TRIALS, schedule, abort_policy=policy, seed=34)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RoundBudgetExceeded, match="^budget of 501000 rounds exhausted with 0 of 10000 bits"):
+                run_experiment(config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, peak
 
     def test_a_trial_of_a_million_bits_draws_in_little_memory_and_meets_its_mean(self):
         # One record-and-continue trial of 10**6 bits under intercept-resend
